@@ -313,6 +313,8 @@ def fj_curve(j, grid, lam_points: int = 200, lam2_points: int = 41,
 def spin_length_bound(state: State, curve: FjCurve | None = None) -> BoundReport:
     """F_Q[rho, J_x]/4 >= j F_j(<J_z>/j): polarization certifies usefulness."""
     j = (state.dim - 1) / 2.0
+    if j == 0.0:
+        raise ValueError("spin_length_bound needs spin j > 0; a dim-1 state is spin 0")
     spin = make_spin_algebra(j)
     if curve is None:
         curve = fj_curve(j, np.linspace(0.0, 1.0, 201))

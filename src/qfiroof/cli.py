@@ -260,12 +260,14 @@ def cmd_check(args) -> None:
             "meta": {
                 "qfi_x_minus": report.qfi_x_minus,
                 "qfi_p_plus": report.qfi_p_plus,
-                "fisher_pair_slack": report.fisher_pair_slack,
+                # an indeterminate relation has a NaN slack, which JSON cannot carry
+                "fisher_pair_slack": (report.fisher_pair_slack
+                                      if report.fisher_pair_status == "ok" else None),
                 "fisher_pair_status": report.fisher_pair_status,
                 "useful_flags": report.useful_flags,
             },
         }
-        _write_output(json.dumps(payload, indent=2), args.out)
+        _write_output(json.dumps(payload, indent=2, allow_nan=False), args.out)
         return
     if name == "two-spin":
         report = two_spin_report(state, args.j1, args.j2)

@@ -32,10 +32,17 @@ class CutoffTooSmallError(ValueError):
     """A truncated Fock expansion would leave too much probability in the tail."""
 
 
+def _require_finite(arr: np.ndarray, what: str) -> None:
+    # the tolerance tests below compare with ">", which is False for NaN
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} has non-finite entries")
+
+
 def _as_complex_matrix(entries) -> np.ndarray:
     mat = np.asarray(entries, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+    _require_finite(mat, "matrix")
     return mat
 
 
@@ -104,6 +111,7 @@ class PureState:
 
     def __init__(self, amplitudes):
         vec = np.asarray(amplitudes, dtype=complex).ravel()
+        _require_finite(vec, "state vector")
         norm = np.linalg.norm(vec)
         if abs(norm - 1.0) > 1e-6:
             raise ValueError(f"state vector norm {norm:.6f} is not 1")
@@ -115,7 +123,7 @@ class PureState:
         return self.vec.shape[0]
 
     def density(self) -> "DensityMatrix":
-        return DensityMatrix(np.outer(self.vec, self.vec.conj()))
+        return DensityMatrix.from_factor(self.vec[:, None])
 
     def __repr__(self) -> str:
         return f"PureState(dim={self.dim})"
@@ -127,7 +135,12 @@ class DensityMatrix:
     Eigenvalues are stored in descending order; ``eigenvectors[:, k]`` is the
     eigenvector belonging to ``eigenvalues[k]``.  Values below ``EIG_FLOOR``
     are clamped to exactly zero, which keeps rank-deficient directions out of
-    the Fisher-information sums.
+    the variance and Fisher-information sums: those read only the support,
+    the eigenvectors of the positive eigenvalues.
+
+    The constructor takes a dense d x d matrix and pays one full O(d^3)
+    eigensolve.  ``from_factor`` builds rho = v v^dag from a d x r factor at
+    O(d^2 r) cost, with no d x d eigensolve.
     """
 
     __slots__ = ("mat", "eigenvalues", "eigenvectors")
@@ -165,6 +178,44 @@ class DensityMatrix:
     def purity(self) -> float:
         return float(np.sum(self.eigenvalues**2))
 
+    @classmethod
+    def from_factor(cls, v) -> "DensityMatrix":
+        """rho = v v^dag for a d x r factor v, at O(d^2 r) cost.
+
+        The support comes from a thin SVD of v (eigenvalues are the squared
+        singular values, already descending); a complete QR of the support
+        fills in an orthonormal basis of the kernel, so ``eigenvalues`` and
+        ``eigenvectors`` keep their length-d and d x d shapes.  The trace,
+        finiteness and reconstruction checks of the dense constructor apply.
+        """
+        v = np.asarray(v, dtype=complex)
+        if v.ndim != 2 or 0 in v.shape:
+            raise ValueError(f"expected a nonempty d x r factor, got shape {v.shape}")
+        _require_finite(v, "factor")
+        u, s, _ = np.linalg.svd(v, full_matrices=False)
+        vals = s * s
+        tr = float(np.sum(vals))
+        if abs(tr - 1.0) > TRACE_TOL:
+            raise ValueError(f"trace {tr!r} differs from 1 beyond tolerance")
+        vals = np.where(vals < EIG_FLOOR, 0.0, vals)
+        mat = v @ v.conj().T
+        recon = (u * vals) @ u.conj().T
+        recon -= mat
+        if np.max(np.abs(recon)) > 1e-10:
+            raise ValueError("eigendecomposition does not reconstruct the matrix")
+        del recon  # free one d x d array before the QR allocates the basis
+        r = u.shape[1]
+        if r < v.shape[0]:
+            q, _ = np.linalg.qr(u, mode="complete")
+            q[:, :r] = u
+            u = q
+            vals = np.concatenate([vals, np.zeros(v.shape[0] - r)])
+        rho = cls.__new__(cls)
+        rho.mat = mat
+        rho.eigenvalues = vals
+        rho.eigenvectors = u
+        return rho
+
     @staticmethod
     def from_pure(psi: PureState) -> "DensityMatrix":
         return psi.density()
@@ -196,23 +247,55 @@ def expectation(state: State, op: HermitianOperator) -> float:
     return float(np.real(np.trace(state.mat @ op.mat)))
 
 
-def variance(state: State, op: HermitianOperator) -> float:
-    """(Delta A)^2 = <A^2> - <A>^2, clamped at zero against round-off."""
-    if state.dim != op.dim:
-        raise DimensionMismatchError(f"state dim {state.dim} != operator dim {op.dim}")
+def _support(state: State) -> tuple[np.ndarray, np.ndarray]:
+    """(lambda_S, V_S): the positive eigenvalues of a state and their
+    eigenvectors as columns; a pure state is its own rank-1 support."""
     if isinstance(state, PureState):
-        av = op.mat @ state.vec
-        mean = np.real(state.vec.conj() @ av)
-        second = np.real(av.conj() @ av)
-    else:
-        mean = np.real(np.trace(state.mat @ op.mat))
-        second = np.real(np.trace(state.mat @ op.mat @ op.mat))
-    var = second - mean * mean
+        return np.ones(1), state.vec[:, None]
+    r = state.rank(0.0)
+    return state.eigenvalues[:r], state.eigenvectors[:, :r]
+
+
+def _support_variance(lam: np.ndarray, vs: np.ndarray, w: np.ndarray) -> float:
+    """Var(B) from the support and its image W = B V_S, at O(d r) cost.
+
+    Var = sum_k lam_k ||W_k||^2 - (sum_k lam_k Re<k|W_k>)^2, clamped at zero
+    against round-off.
+    """
+    mean = lam @ np.einsum("ik,ik->k", vs.conj(), w).real
+    second = lam @ np.einsum("ik,ik->k", w.conj(), w).real
+    var = float(second - mean * mean)
     if var < 0.0:
         if var < -1e-12:
             log.debug("variance clamped to zero from %.3e", var)
         var = 0.0
-    return float(var)
+    return var
+
+
+def _support_qfi(lam: np.ndarray, vs: np.ndarray, w: np.ndarray) -> float:
+    """F_Q[rho, B] from the support and its image W = B V_S, at O(d r^2) cost.
+
+    With B_S = V_S^dag W (Toth & Apellaniz, J. Phys. A 47, 424006 (2014)):
+    F = 4 sum_k lam_k ||W_k - (V_S B_S)_k||^2
+        + 2 sum_{k,l in S} (lam_k - lam_l)^2 / (lam_k + lam_l) |(B_S)_kl|^2.
+    The first sum collects the pairs of a support vector with the kernel,
+    where the pair weight reduces to lam_k.
+    """
+    b_s = vs.conj().T @ w
+    resid = w - vs @ b_s
+    outside = lam @ np.einsum("ik,ik->k", resid.conj(), resid).real
+    diff = lam[:, None] - lam[None, :]
+    inside = np.sum(diff * diff / (lam[:, None] + lam[None, :]) * np.abs(b_s) ** 2)
+    return float(4.0 * outside + 2.0 * inside)
+
+
+def variance(state: State, op: HermitianOperator) -> float:
+    """(Delta A)^2 = <A^2> - <A>^2 over the support of the state, clamped at
+    zero against round-off; O(d^2 r) for rank r."""
+    if state.dim != op.dim:
+        raise DimensionMismatchError(f"state dim {state.dim} != operator dim {op.dim}")
+    lam, vs = _support(state)
+    return _support_variance(lam, vs, op.mat @ vs)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,9 @@ from .core import (
     FockAlgebra,
     HermitianOperator,
     State,
+    _support,
+    _support_qfi,
+    _support_variance,
     make_spin_algebra,
     tensor,
     variance,
@@ -30,13 +33,23 @@ USEFULNESS_TOL = 1e-9
 QFI_DEGENERATE = 1e-12
 
 
-def _two_mode_quadratures(fock: FockAlgebra):
-    eye = HermitianOperator(np.eye(fock.cutoff))
-    x1 = tensor(fock.x, eye)
-    x2 = tensor(eye, fock.x)
-    p1 = tensor(fock.p, eye)
-    p2 = tensor(eye, fock.p)
-    return x1, x2, p1, p2
+def _quadrature_image(psi: np.ndarray, q: np.ndarray, sign: int) -> np.ndarray:
+    """W = (Q (x) 1 + sign 1 (x) Q) V_S without forming the d x d operator.
+
+    ``psi`` holds the r support vectors reshaped to (r, c, c), mode 1 first;
+    Q (x) 1 acts as Q Psi and 1 (x) Q as Psi Q^T, at O(r c^3) cost.
+    """
+    w = q @ psi + sign * (psi @ q.T)
+    return w.reshape(psi.shape[0], -1).T
+
+
+def _two_mode_support(state: State, fock: FockAlgebra):
+    """(lambda_S, V_S, Psi): the support, and each support vector as a c x c matrix."""
+    if state.dim != fock.cutoff**2:
+        raise DimensionMismatchError(
+            f"state dim {state.dim} is not cutoff^2 = {fock.cutoff ** 2}")
+    lam, vs = _support(state)
+    return lam, vs, vs.T.reshape(-1, fock.cutoff, fock.cutoff)
 
 
 @dataclass(frozen=True)
@@ -66,16 +79,19 @@ def duan_report(state: State, fock: FockAlgebra) -> TwoModeReport:
     A vanishing Fisher term would make that bound degenerate; it is treated
     as zero contribution only when the matching variance also vanishes,
     otherwise the check is reported as numerically indeterminate.
+
+    Every moment is taken over the support of the state (its r eigenvectors
+    of positive eigenvalue), with the single-mode quadratures applied to
+    each support vector reshaped to c x c.  No d x d operator (d = c^2) is
+    built: the cost is O(r c^3 + d r^2) time and O(d r) memory.
     """
-    if state.dim != fock.cutoff**2:
-        raise DimensionMismatchError(
-            f"state dim {state.dim} is not cutoff^2 = {fock.cutoff ** 2}")
-    x1, x2, p1, p2 = _two_mode_quadratures(fock)
-    var_x_plus = variance(state, x1 + x2)
-    var_p_minus = variance(state, p1 - p2)
+    lam, vs, psi = _two_mode_support(state, fock)
+    x, p = fock.x.mat, fock.p.mat
+    var_x_plus = _support_variance(lam, vs, _quadrature_image(psi, x, +1))
+    var_p_minus = _support_variance(lam, vs, _quadrature_image(psi, p, -1))
     lhs = var_x_plus + var_p_minus
-    f_p_plus = qfi(state, p1 + p2)
-    f_x_minus = qfi(state, x1 - x2)
+    f_p_plus = _support_qfi(lam, vs, _quadrature_image(psi, p, +1))
+    f_x_minus = _support_qfi(lam, vs, _quadrature_image(psi, x, -1))
 
     status = "ok"
     fisher_pair_rhs = 0.0
@@ -102,16 +118,20 @@ def duan_report(state: State, fock: FockAlgebra) -> TwoModeReport:
 
 
 def coherent_mixture_usefulness(state: State, fock: FockAlgebra) -> dict:
-    """Flag quadrature combinations whose QFI exceeds the P-nonnegative cap of 4."""
-    x1, x2, p1, p2 = _two_mode_quadratures(fock)
+    """Flag quadrature combinations whose QFI exceeds the P-nonnegative cap of 4.
+
+    Reads only the support of the state; builds no d x d operator.
+    """
+    lam, vs, psi = _two_mode_support(state, fock)
     combos = {
-        "x1+x2": x1 + x2,
-        "x1-x2": x1 - x2,
-        "p1+p2": p1 + p2,
-        "p1-p2": p1 - p2,
+        "x1+x2": (fock.x.mat, +1),
+        "x1-x2": (fock.x.mat, -1),
+        "p1+p2": (fock.p.mat, +1),
+        "p1-p2": (fock.p.mat, -1),
     }
-    return {name: bool(qfi(state, op) > 4.0 + USEFULNESS_TOL)
-            for name, op in combos.items()}
+    return {name: bool(_support_qfi(lam, vs, _quadrature_image(psi, op, sign))
+                       > 4.0 + USEFULNESS_TOL)
+            for name, (op, sign) in combos.items()}
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,8 @@ from .core import (
     HermitianOperator,
     PureState,
     State,
+    _support,
+    _support_qfi,
     commutator_i,
     expectation,
     variance,
@@ -29,30 +31,18 @@ class UnestimableParameterError(ValueError):
     """The Fisher information vanishes; the phase leaves no trace on the state."""
 
 
-def _pair_weights(lam: np.ndarray) -> np.ndarray:
-    """(lambda_k - lambda_l)^2 / (lambda_k + lambda_l) with the skip rule applied."""
-    s = lam[:, None] + lam[None, :]
-    d = lam[:, None] - lam[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = np.where(s < PAIR_SKIP, 0.0, d * d / np.where(s < PAIR_SKIP, 1.0, s))
-    return w
-
-
 def qfi(state: State, b: HermitianOperator) -> float:
     """Quantum Fisher information F_Q[rho, B].
 
-    Computed from the spectral sum over eigenvalue pairs; for a pure state it
-    reduces exactly to four times the variance of B.
+    Computed from the support of rho alone (the eigenvectors of its r
+    positive eigenvalues) at O(d^2 r) cost and O(d r) memory beyond B; no
+    d x d basis change is made.  A pure state is the rank-1 case, where the
+    formula is four times the variance of B.
     """
     if state.dim != b.dim:
         raise DimensionMismatchError(f"state dim {state.dim} != operator dim {b.dim}")
-    if isinstance(state, PureState):
-        return 4.0 * variance(state, b)
-    lam = state.eigenvalues
-    vecs = state.eigenvectors
-    bmat = vecs.conj().T @ b.mat @ vecs
-    w = _pair_weights(lam)
-    return float(2.0 * np.sum(w * np.abs(bmat) ** 2))
+    lam, vs = _support(state)
+    return _support_qfi(lam, vs, b.mat @ vs)
 
 
 @dataclass(frozen=True)

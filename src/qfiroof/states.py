@@ -16,7 +16,6 @@ from .core import (
     ground_state,
     make_spin_algebra,
     spin_coherent_state,
-    state_matrix,
     tensor,
     variance,
     expectation,
@@ -137,11 +136,8 @@ def _mixture(components: list[tuple[float, PureState]]) -> DensityMatrix:
     if np.any(weights <= 0):
         raise ValueError("mixture weights must be positive")
     weights = weights / weights.sum()
-    dim = components[0][1].dim
-    out = np.zeros((dim, dim), dtype=complex)
-    for w, psi in zip(weights, components):
-        out += w * state_matrix(psi[1])
-    return DensityMatrix(out)
+    factor = np.stack([psi.vec for _, psi in components], axis=1) * np.sqrt(weights)
+    return DensityMatrix.from_factor(factor)
 
 
 def coherent_mixture(entries, cutoff: int) -> DensityMatrix:

@@ -328,6 +328,11 @@ def test_spin_length_bound_x_polarized():
     assert abs(rep.rhs - j / 2) < 1e-9
 
 
+def test_spin_length_bound_rejects_spin_zero():
+    with pytest.raises(ValueError, match="spin"):
+        spin_length_bound(PureState([1.0]))
+
+
 def test_spin_length_bound_rejects_foreign_curve():
     curve = fj_curve(0.5, np.linspace(0, 1, 11))
     with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qfiroof.cli import build_operator, build_state, main
+from qfiroof.entanglement import TwoModeReport
 
 
 def run_cli(capsys, *argv):
@@ -156,6 +157,31 @@ def test_unknown_constructor_gives_json_error(capsys):
     assert out == ""
     payload = json.loads(err)
     assert "nope" in payload["message"]
+
+
+def test_check_rs_rejects_nan_state(capsys):
+    re = [1 / 3, 0, 0, 0, 1 / 3, 0, 0, 0, 1 / 3]
+    re[0] = float("nan")
+    spec = json.dumps({"matrix": {"dim": 3, "kind": "mixed", "re": re, "im": [0] * 9}})
+    code, out, err = run_cli(capsys, "check", "rs", "--state", spec, "--op-a", "jx", "--op-b", "jy")
+    assert code == 1 and out == ""
+    assert "non-finite" in json.loads(err)["message"]
+
+
+def test_check_duan_indeterminate_slack_is_json_null(capsys, monkeypatch):
+    import qfiroof.cli
+
+    report = TwoModeReport(duan_lhs=2.5, duan_rhs=2.0, qfi_x_minus=0.0, qfi_p_plus=4.0,
+                           fisher_pair_slack=float("nan"),
+                           fisher_pair_status="indeterminate", entangled=False,
+                           useful_flags={"x1+x2": False})
+    monkeypatch.setattr(qfiroof.cli, "duan_report", lambda state, fock: report)
+    spec = json.dumps({"constructor": "tmsv", "params": {"r": 0.1}})
+    code, out, _ = run_cli(capsys, "check", "duan", "--state", spec, "--cutoff", "8")
+    assert code == 0
+    payload = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in output"))
+    assert payload["meta"]["fisher_pair_status"] == "indeterminate"
+    assert payload["meta"]["fisher_pair_slack"] is None
 
 
 def test_malformed_state_spec(capsys):

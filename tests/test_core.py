@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import random_hermitian, random_state
+from conftest import dense_variance, random_hermitian, random_state
 from qfiroof import (
     CutoffTooSmallError,
     DensityMatrix,
@@ -46,6 +46,72 @@ def test_density_matrix_rejects_bad_inputs():
         DensityMatrix(np.eye(2))  # trace 2
     with pytest.raises(ValueError):
         DensityMatrix(np.diag([1.5, -0.5]))  # negative eigenvalue
+
+
+def _spoiled(arr, bad):
+    arr = np.array(arr, dtype=complex)
+    arr.flat[0] = bad
+    return arr
+
+
+# A NaN used to pass every "dev > tol" check (False for NaN): eye(3)/3 with a
+# NaN in [0, 0] gave a non-violated Robertson-Schrodinger verdict with NaN slack.
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("build", [
+    lambda bad: HermitianOperator(_spoiled(np.eye(2), bad)),
+    lambda bad: PureState(_spoiled([1.0, 0.0], bad)),
+    lambda bad: DensityMatrix(_spoiled(np.eye(3) / 3, bad)),
+    lambda bad: DensityMatrix.from_factor(_spoiled(np.eye(3, 2) / np.sqrt(2), bad)),
+], ids=["HermitianOperator", "PureState", "DensityMatrix", "from_factor"])
+def test_constructors_reject_non_finite_entries(build, bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        build(bad)
+
+
+@pytest.mark.parametrize("dim,rank", [(d, r) for d in (2, 4, 6) for r in range(1, d + 1)]
+                         + [(3, 5)])
+def test_from_factor_eigensystem(dim, rank):
+    rng = np.random.default_rng(100 * dim + rank)
+    v = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    v /= np.linalg.norm(v)
+    rho = DensityMatrix.from_factor(v)
+    vecs, vals = rho.eigenvectors, rho.eigenvalues
+    assert vecs.shape == (dim, dim) and vals.shape == (dim,)
+    assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(dim))) < 1e-12
+    assert np.all(np.diff(vals) <= 0)
+    assert rho.rank() == min(dim, rank)
+    assert np.max(np.abs(rho.mat - v @ v.conj().T)) < 1e-12
+    assert np.max(np.abs((vecs * vals) @ vecs.conj().T - rho.mat)) < 1e-12
+    dense = DensityMatrix(rho.mat)
+    assert np.max(np.abs(vals - dense.eigenvalues)) < 1e-12
+
+
+def test_from_factor_rejects_bad_factors():
+    with pytest.raises(ValueError, match="trace"):
+        DensityMatrix.from_factor(np.ones((3, 2)))
+    with pytest.raises(ValueError, match="factor"):
+        DensityMatrix.from_factor(np.ones(3) / np.sqrt(3))  # not 2-d
+
+
+def test_pure_state_density_is_rank_one():
+    psi = spin_coherent_polar(2, 0.8, -0.4)
+    rho = psi.density()
+    assert rho.rank() == 1 and rho.eigenvalues[0] == pytest.approx(1.0, abs=1e-15)
+    assert abs(abs(np.vdot(rho.eigenvectors[:, 0], psi.vec)) - 1.0) < 1e-12
+    assert np.max(np.abs(rho.mat - np.outer(psi.vec, psi.vec.conj()))) < 1e-15
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_variance_matches_trace_formula_at_every_rank(dim):
+    for rank in range(1, dim + 1):
+        for seed in range(3):
+            rho = random_state(dim, seed=1000 * dim + 10 * rank + seed, rank=rank)
+            a = random_hermitian(dim, seed=7 + seed)
+            oracle = dense_variance(rho.mat, a.mat)
+            assert variance(rho, a) == pytest.approx(oracle, rel=1e-10, abs=1e-14)
+            psi = PureState(rho.eigenvectors[:, 0])
+            oracle = dense_variance(np.outer(psi.vec, psi.vec.conj()), a.mat)
+            assert variance(psi, a) == pytest.approx(oracle, rel=1e-10, abs=1e-14)
 
 
 def test_pure_state_normalization():

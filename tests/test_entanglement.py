@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import random_state
+from conftest import (dense_density, dense_qfi, dense_two_mode_quadratures, dense_variance,
+                      random_state)
 from qfiroof import (
     DensityMatrix,
     DimensionMismatchError,
@@ -63,6 +66,43 @@ def test_duan_two_mode_coherent_mixture_obeys_everything():
     assert not rep.entangled
     assert rep.fisher_pair_slack >= -1e-9
     assert not rep.more_useful_than_p_nonnegative
+
+
+@pytest.mark.parametrize("make_state", [
+    lambda c: two_mode_squeezed_vacuum(0.5, c),
+    lambda c: tensor(coherent_state(0.4, c), coherent_state(-0.2 + 0.5j, c)),
+    lambda c: coherent_mixture([(0.6, 0.4, -0.3), (0.4, -0.2, 0.5j)], cutoff=c),
+], ids=["tmsv", "coherent_product", "coherent_mixture"])
+def test_duan_report_matches_dense_kron_operators(make_state):
+    fock = make_fock_algebra(20)
+    state = make_state(20)
+    rho = dense_density(state)
+    ops = dense_two_mode_quadratures(fock)
+    rep = duan_report(state, fock)
+    lhs = dense_variance(rho, ops["x1+x2"]) + dense_variance(rho, ops["p1-p2"])
+    fq = {name: dense_qfi(rho, op) for name, op in ops.items()}
+    assert rep.duan_lhs == pytest.approx(lhs, rel=1e-10)
+    assert rep.qfi_x_minus == pytest.approx(fq["x1-x2"], rel=1e-10)
+    assert rep.qfi_p_plus == pytest.approx(fq["p1+p2"], rel=1e-10)
+    assert rep.fisher_pair_status == "ok"
+    assert rep.fisher_pair_slack == pytest.approx(
+        lhs - 4 / fq["x1-x2"] - 4 / fq["p1+p2"], rel=1e-10, abs=1e-10)
+    assert rep.useful_flags == {name: f > 4 + 1e-9 for name, f in fq.items()}
+
+
+def test_duan_report_memory_stays_bounded_at_cutoff_80():
+    # d = 6400: one dense two-mode operator alone would take 655 MB
+    fock = make_fock_algebra(80)
+    psi = two_mode_squeezed_vacuum(0.5, 80)
+    tracemalloc.start()
+    try:
+        rep = duan_report(psi, fock)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+    assert rep.duan_lhs == pytest.approx(2 * np.exp(-1.0), rel=1e-6)
+    assert rep.qfi_x_minus == pytest.approx(4 * np.exp(1.0), rel=1e-6)
 
 
 def test_duan_dimension_check():

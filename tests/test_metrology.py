@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import random_hermitian, random_state
+from conftest import dense_density, dense_qfi, random_hermitian, random_state
 from qfiroof import (
     DensityMatrix,
     HermitianOperator,
@@ -48,6 +48,22 @@ def test_qfi_pure_state_equals_four_variances():
     assert abs(qfi(psi, spin.jz) - 4 * variance(psi, spin.jz)) < 1e-10
     # rank-one density matrices go through the spectral formula and must agree
     assert abs(qfi(psi.density(), spin.jz) - 4 * variance(psi, spin.jz)) < 1e-10
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_qfi_matches_full_spectrum_pair_sum_at_every_rank(dim):
+    rng = np.random.default_rng(dim)
+    for rank in range(1, dim + 1):
+        for seed in range(3):
+            b = random_hermitian(dim, seed=31 + seed)
+            g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+            states = [random_state(dim, seed=2000 * dim + 10 * rank + seed, rank=rank),
+                      DensityMatrix.from_factor(g / np.linalg.norm(g))]
+            if rank == 1:
+                states.append(PureState(g[:, 0] / np.linalg.norm(g)))
+            for state in states:
+                oracle = dense_qfi(dense_density(state), b.mat)
+                assert qfi(state, b) == pytest.approx(oracle, rel=1e-10, abs=1e-14)
 
 
 def test_qfi_diagonal_qubit_sigma_x():

@@ -187,6 +187,13 @@ def test_coherent_mixture_single_mode_class_bounds():
     assert qfi(rho, fock.p) <= 2 + 1e-9
 
 
+def test_coherent_mixture_spectrum_matches_dense_eigensolve():
+    rho = coherent_mixture([(0.5, 0.3, -0.6j), (0.3, -0.4, 0.1), (0.2, 0.7j, 0.5)], cutoff=20)
+    dense = DensityMatrix(rho.mat)
+    assert rho.rank() == 3
+    assert np.max(np.abs(rho.eigenvalues - dense.eigenvalues)) < 1e-12
+
+
 def test_mixture_constructors_yield_valid_density_matrices():
     rho = coherent_mixture([(2.0, 0.1, 0.2j), (1.0, -0.3, 0.0)], cutoff=20)
     assert isinstance(rho, DensityMatrix)
