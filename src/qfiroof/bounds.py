@@ -48,8 +48,11 @@ class BoundReport:
         return self.lhs - self.rhs
 
     @property
-    def violated(self) -> bool:
-        return self.slack < VIOLATION_TOL
+    def violated(self) -> bool | None:
+        """True or False for a finite slack; None (indeterminate) for a NaN or infinite one."""
+        if not np.isfinite(self.slack):
+            return None
+        return bool(self.slack < VIOLATION_TOL)
 
     def to_dict(self) -> dict:
         return {

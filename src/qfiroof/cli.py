@@ -80,7 +80,7 @@ def _write_output(text: str, out: str | None) -> None:
 def _emit(rows: list[list[str]], header: list[str], args) -> None:
     if args.format == "json":
         payload = [dict(zip(header, row)) for row in rows]
-        _write_output(json.dumps(payload, indent=2), args.out)
+        _write_output(json.dumps(payload, indent=2, allow_nan=False), args.out)
     else:
         lines = [",".join(header)] + [",".join(row) for row in rows]
         _write_output("\n".join(lines) + "\n", args.out)
@@ -285,7 +285,7 @@ def cmd_check(args) -> None:
                 "more_useful_than_spin_coherent": report.more_useful_than_spin_coherent,
             },
         }
-        _write_output(json.dumps(payload, indent=2), args.out)
+        _write_output(json.dumps(payload, indent=2, allow_nan=False), args.out)
         return
     if name == "vxyz":
         report = vxyz_criterion(state, args.spin, args.parties, cfg=_optimizer_config(args))
@@ -309,7 +309,7 @@ def cmd_check(args) -> None:
                                         cfg=_optimizer_config(args))
         else:
             raise ValueError(f"unknown check name {name!r}")
-    _write_output(json.dumps(report.to_dict(), indent=2), args.out)
+    _write_output(json.dumps(report.to_dict(), indent=2, allow_nan=False), args.out)
 
 
 def cmd_roof(args) -> None:
@@ -324,12 +324,13 @@ def cmd_roof(args) -> None:
     else:
         raise ValueError(f"unknown functional {args.functional!r}")
     result = optimize_roof(state, functional, args.direction, cfg=_optimizer_config(args))
-    _write_output(json.dumps(qio.roof_result_to_json(result), indent=2), args.out)
+    _write_output(json.dumps(qio.roof_result_to_json(result), indent=2, allow_nan=False),
+                  args.out)
 
 
 def cmd_state_factory(args) -> None:
     state = build_state(_load_spec(args.spec), args.cutoff)
-    _write_output(json.dumps(qio.state_to_json(state), indent=2), args.out)
+    _write_output(json.dumps(qio.state_to_json(state), indent=2, allow_nan=False), args.out)
 
 
 # ---------------------------------------------------------------------------

@@ -244,7 +244,7 @@ def expectation(state: State, op: HermitianOperator) -> float:
         raise DimensionMismatchError(f"state dim {state.dim} != operator dim {op.dim}")
     if isinstance(state, PureState):
         return float(np.real(state.vec.conj() @ (op.mat @ state.vec)))
-    return float(np.real(np.trace(state.mat @ op.mat)))
+    return float(np.real(np.vdot(op.mat, state.mat)))   # sum_ij conj(A_ij) rho_ij, A Hermitian
 
 
 def _support(state: State) -> tuple[np.ndarray, np.ndarray]:

@@ -176,20 +176,27 @@ class RoofFunctional:
     """Functional evaluated on decomposition components.
 
     ``pure_values`` receives normalized component vectors as matrix columns
-    and returns one value per column; ``mixed_value`` receives a normalized
-    density matrix.  Both paths must agree for rank-one inputs.
+    and returns one value per column; ``mixed_values`` receives a stack of
+    normalized density matrices, shape ``(J, d, d)``, and returns one value
+    per matrix.  Both paths must agree for rank-one inputs.  The optimizer
+    hands every climb's components to one call of each per step.
     """
 
     def pure_values(self, cols: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def mixed_value(self, mat: np.ndarray) -> float:
+    def mixed_values(self, mats: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def on_state(self, state: State) -> float:
         if isinstance(state, PureState):
             return float(self.pure_values(state.vec[:, None])[0])
-        return float(self.mixed_value(state.mat))
+        return float(self.mixed_values(state.mat[None])[0])
+
+
+def _traces(mats: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Tr(rho_j A) for every matrix rho_j of the stack ``mats``."""
+    return np.einsum("jkl,lk->j", mats, a)
 
 
 class VarianceSum(RoofFunctional):
@@ -202,6 +209,7 @@ class VarianceSum(RoofFunctional):
         if len(dims) != 1:
             raise ValueError("operators act on different dimensions")
         self.mats = [op.mat for op in ops]
+        self.squares = [m @ m for m in self.mats]
 
     def pure_values(self, cols: np.ndarray) -> np.ndarray:
         total = np.zeros(cols.shape[1])
@@ -212,13 +220,12 @@ class VarianceSum(RoofFunctional):
             total += seconds - means**2
         return np.maximum(total, 0.0)
 
-    def mixed_value(self, mat: np.ndarray) -> float:
-        total = 0.0
-        for m in self.mats:
-            mean = np.real(np.trace(mat @ m))
-            second = np.real(np.trace(mat @ m @ m))
-            total += second - mean * mean
-        return max(total, 0.0)
+    def mixed_values(self, mats: np.ndarray) -> np.ndarray:
+        total = np.zeros(len(mats))
+        for m, sq in zip(self.mats, self.squares):
+            means = np.real(_traces(mats, m))
+            total += np.real(_traces(mats, sq)) - means**2
+        return np.maximum(total, 0.0)
 
 
 class RobertsonSchrodingerBound(RoofFunctional):
@@ -242,11 +249,11 @@ class RobertsonSchrodingerBound(RoofFunctional):
         eab = np.sum(cols.conj() * (self.ab @ cols), axis=0)
         return 2.0 * np.hypot(np.real(eab) - ea * eb, np.imag(eab))
 
-    def mixed_value(self, mat: np.ndarray) -> float:
-        ea = np.real(np.trace(mat @ self.a))
-        eb = np.real(np.trace(mat @ self.b))
-        eab = complex(np.trace(mat @ self.ab))
-        return 2.0 * float(np.hypot(eab.real - ea * eb, eab.imag))
+    def mixed_values(self, mats: np.ndarray) -> np.ndarray:
+        ea = np.real(_traces(mats, self.a))
+        eb = np.real(_traces(mats, self.b))
+        eab = _traces(mats, self.ab)
+        return 2.0 * np.hypot(eab.real - ea * eb, eab.imag)
 
 
 class CallableFunctional(RoofFunctional):
@@ -258,8 +265,8 @@ class CallableFunctional(RoofFunctional):
     def pure_values(self, cols: np.ndarray) -> np.ndarray:
         return np.array([self.fn(PureState(cols[:, k])) for k in range(cols.shape[1])])
 
-    def mixed_value(self, mat: np.ndarray) -> float:
-        return float(self.fn(DensityMatrix(mat)))
+    def mixed_values(self, mats: np.ndarray) -> np.ndarray:
+        return np.array([self.fn(DensityMatrix(mat)) for mat in mats])
 
 
 def _as_functional(functional) -> RoofFunctional:
@@ -302,43 +309,125 @@ class RoofResult:
     evaluations: int
 
 
-def _random_unit_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    h = 0.5 * (g + g.conj().T)
-    return h / np.linalg.norm(h)
+@dataclass(frozen=True)
+class _Plan:
+    """Where the components of a stack of climbs sit in their unitaries.
+
+    Climb ``i`` of the stack searches ``partitions[i]``.  Each singleton
+    block is one (climb, ancilla column) pair; each larger block is one
+    (climb, 0/1 column mask) pair.
+    """
+
+    single_climb: np.ndarray
+    single_col: np.ndarray
+    group_climb: np.ndarray
+    group_mask: np.ndarray
+
+    @classmethod
+    def build(cls, partitions: Sequence[Partition], n: int) -> "_Plan":
+        single_climb, single_col, group_climb, group_mask = [], [], [], []
+        for i, part in enumerate(partitions):
+            for block in part:
+                if len(block) == 1:
+                    single_climb.append(i)
+                    single_col.append(block[0])
+                else:
+                    group_climb.append(i)
+                    mask = np.zeros(n)
+                    mask[list(block)] = 1.0
+                    group_mask.append(mask)
+        return cls(np.array(single_climb, dtype=int), np.array(single_col, dtype=int),
+                   np.array(group_climb, dtype=int), np.reshape(group_mask, (-1, n)))
 
 
-def _expm_i(h: np.ndarray, eps: float) -> np.ndarray:
+def _objective(m: np.ndarray, us: np.ndarray, plan: _Plan,
+               functional: RoofFunctional) -> np.ndarray:
+    """sum_l p_l f(component_l) for each unitary of the stack ``us``."""
+    v = m @ us.swapaxes(-1, -2)                  # column a of v[i] is <a|_A U_i |Psi_p>
+    weights = np.sum(np.abs(v) ** 2, axis=-2)
+    w = weights[plan.single_climb, plan.single_col]
+    keep = w > WEIGHT_DROP
+    climbs = plan.single_climb[keep]
+    cols = v[climbs, :, plan.single_col[keep]].T / np.sqrt(w[keep])
+    terms = w[keep] * functional.pure_values(cols)
+    if len(plan.group_climb):
+        p = np.sum(weights[plan.group_climb] * plan.group_mask, axis=-1)
+        keep = p >= WEIGHT_DROP
+        sub = v[plan.group_climb[keep]] * plan.group_mask[keep, None, :]
+        sigma = sub @ sub.conj().swapaxes(-1, -2) / p[keep, None, None]
+        climbs = np.concatenate([climbs, plan.group_climb[keep]])
+        terms = np.concatenate([terms, p[keep] * functional.mixed_values(sigma)])
+    return np.bincount(climbs, weights=terms, minlength=len(us))
+
+
+PROPOSAL_BLOCK = 32   # steps whose proposals are drawn and eigendecomposed at once
+
+
+def _proposal_block(rngs: Sequence[np.random.Generator], n: int,
+                    steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigensystems of the next ``steps`` unit-norm Hermitian proposals of each stream.
+
+    Every step draws the real and then the imaginary part of an n x n
+    Ginibre matrix from its climb's stream; bulk draws give the same numbers.
+    """
+    z = np.stack([rng.standard_normal((steps, 2, n, n)) for rng in rngs])
+    g = z[:, :, 0] + 1j * z[:, :, 1]
+    h = 0.5 * (g + g.conj().swapaxes(-1, -2))
+    h /= np.linalg.norm(h, axis=(-2, -1), keepdims=True)
     vals, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(1j * eps * vals)) @ vecs.conj().T
+    return vals, vecs, vecs.conj().swapaxes(-1, -2)
 
 
-class _PartitionEvaluator:
-    """Objective sum_l p_l f(component_l) for a fixed partition, fast path."""
+def _lockstep_climb(m: np.ndarray, partitions: Sequence[Partition],
+                    us: np.ndarray, rngs: Sequence[np.random.Generator],
+                    functional: RoofFunctional, sign: float,
+                    cfg: OptimizerConfig) -> tuple[np.ndarray, np.ndarray, int]:
+    """Hill climbs i = 0..B-1 over ancilla unitaries, advanced together.
 
-    def __init__(self, m: np.ndarray, partition: Partition, functional: RoofFunctional):
-        self.m = m
-        self.functional = functional
-        self.singles = [block[0] for block in partition if len(block) == 1]
-        self.groups = [list(block) for block in partition if len(block) > 1]
-
-    def value(self, u: np.ndarray) -> float:
-        v = self.m @ u.T
-        weights = np.sum(np.abs(v) ** 2, axis=0)
-        total = 0.0
-        if self.singles:
-            w = weights[self.singles]
-            keep = w > WEIGHT_DROP
-            if np.any(keep):
-                cols = v[:, np.array(self.singles)[keep]] / np.sqrt(w[keep])
-                total += float(w[keep] @ self.functional.pure_values(cols))
-        for block in self.groups:
-            p = float(np.sum(weights[block]))
-            if p < WEIGHT_DROP:
-                continue
-            sub = v[:, block]
-            total += p * self.functional.mixed_value(sub @ sub.conj().T / p)
-        return total
+    Climb i searches ``partitions[i]`` from ``us[i]``, which it overwrites
+    with every accepted move, and draws its proposals from ``rngs[i]`` only;
+    each keeps its own value, rejection streak and step size, so the climbs
+    never read each other's state.  A climb whose step size falls below
+    ``cfg.tolerance`` stops.  Returns the signed objectives of the final
+    unitaries, which climbs stopped on the tolerance, and the number of
+    objective evaluations.
+    """
+    n = m.shape[1]
+    plan = _Plan.build(partitions, n)
+    vals = sign * _objective(m, us, plan, functional)
+    evaluations = len(us)
+    eps = np.full(len(us), cfg.step_scale)
+    rejects = np.zeros(len(us), dtype=int)
+    hit_tolerance = np.zeros(len(us), dtype=bool)
+    live = np.arange(len(us))
+    for step in range(cfg.local_steps):
+        stop = eps[live] < cfg.tolerance
+        if np.any(stop):
+            hit_tolerance[live[stop]] = True
+            live = live[~stop]
+            plan = _Plan.build([partitions[i] for i in live], n)
+        if not len(live):
+            break
+        k = step % PROPOSAL_BLOCK
+        if k == 0:
+            # the proposals do not depend on eps, so their eigensolves run ahead
+            count = min(PROPOSAL_BLOCK, cfg.local_steps - step)
+            lam = np.zeros((len(us), count, n))
+            vecs = np.zeros((len(us), count, n, n), dtype=complex)
+            vecs_h = np.zeros_like(vecs)
+            lam[live], vecs[live], vecs_h[live] = _proposal_block(
+                [rngs[i] for i in live], n, count)
+        phase = np.exp((1j * eps[live])[:, None] * lam[live, k])
+        cand = (vecs[live, k] * phase[:, None, :]) @ vecs_h[live, k] @ us[live]
+        cand_vals = sign * _objective(m, cand, plan, functional)
+        evaluations += len(live)
+        accept = cand_vals > vals[live]
+        us[live[accept]] = cand[accept]
+        vals[live[accept]] = cand_vals[accept]
+        rejects[live] = np.where(accept, 0, rejects[live] + 1)
+        shrink = live[~accept & (rejects[live] % REJECTION_STREAK == 0)]
+        eps[shrink] *= cfg.shrink
+    return vals, hit_tolerance, evaluations
 
 
 def optimize_roof(rho: State,
@@ -355,7 +444,17 @@ def optimize_roof(rho: State,
     always among the candidates), the others start Haar random.  Proposals
     are U <- exp(i eps H) U with H a random unit-norm Hermitian; eps starts
     at ``step_scale``, shrinks by ``shrink`` after every 20 consecutive
-    rejections, and the climb stops once eps < ``tolerance``.
+    rejections, and the climb stops once eps < ``tolerance``.  Restart r of
+    partition p draws from its own generator ``default_rng([seed, p, r])``.
+
+    All climbs of all partitions advance in lockstep as one stack of
+    unitaries: each step exponentiates every climb's proposal at once and
+    evaluates every climb's components in one ``pure_values`` and one
+    ``mixed_values`` call.  The climbs never read each other's state, so the
+    result equals that of running them one after another.  The trivial
+    partition (one block) always yields rho itself, whatever the unitary, so
+    it is evaluated once, without a search; if it wins, the result reports
+    ``converged=True``.
 
     The returned value is exact for the witness decomposition, hence always
     on the certified side of the true roof.
@@ -382,50 +481,39 @@ def optimize_roof(rho: State,
         _check_partition(part, ancilla_dim)
 
     sign = 1.0 if direction == "max" else -1.0
+    climbs = [(p_idx, r_idx) for p_idx, part in enumerate(partitions) if len(part) > 1
+              for r_idx in range(cfg.restarts)]
+    rngs = [np.random.default_rng([cfg.seed, p_idx, r_idx]) for p_idx, r_idx in climbs]
+    us = np.empty((len(climbs), ancilla_dim, ancilla_dim), dtype=complex)
+    for i, ((_, r_idx), rng) in enumerate(zip(climbs, rngs)):
+        us[i] = np.eye(ancilla_dim) if r_idx == 0 else haar_random_unitary(ancilla_dim, rng)
+    vals, hit_tolerance, evaluations = _lockstep_climb(
+        m, [partitions[p_idx] for p_idx, _ in climbs], us, rngs, functional, sign, cfg)
+
     best_value = -np.inf
-    best_u: np.ndarray | None = None
-    best_partition: Partition | None = None
-    best_converged = False
-    evaluations = 0
-
-    for p_idx, part in enumerate(partitions):
-        ev = _PartitionEvaluator(m, part, functional)
-        for r_idx in range(cfg.restarts):
-            rng = np.random.default_rng([cfg.seed, p_idx, r_idx])
-            u = (np.eye(ancilla_dim, dtype=complex) if r_idx == 0
-                 else haar_random_unitary(ancilla_dim, rng))
-            val = sign * ev.value(u)
+    best: int | None = None      # index of the winning climb; None for the trivial partition
+    climb = 0
+    for part in partitions:
+        if len(part) == 1:
             evaluations += 1
-            eps = cfg.step_scale
-            rejects = 0
-            hit_tolerance = False
-            for _ in range(cfg.local_steps):
-                if eps < cfg.tolerance:
-                    hit_tolerance = True
-                    break
-                h = _random_unit_hermitian(rng, ancilla_dim)
-                cand = _expm_i(h, eps) @ u
-                cand_val = sign * ev.value(cand)
-                evaluations += 1
-                if cand_val > val:
-                    u, val = cand, cand_val
-                    rejects = 0
-                else:
-                    rejects += 1
-                    if rejects % REJECTION_STREAK == 0:
-                        eps *= cfg.shrink
+            val = sign * functional.on_state(rho)
             if val > best_value:
-                best_value = val
-                best_u = u
-                best_partition = part
-                best_converged = hit_tolerance
-    assert best_u is not None and best_partition is not None
+                best_value, best = val, None
+            continue
+        for _ in range(cfg.restarts):
+            if vals[climb] > best_value:
+                best_value, best = vals[climb], climb
+            climb += 1
 
+    if best is None:
+        return RoofResult(value=float(sign * best_value),
+                          decomposition=Decomposition(((1.0, rho),)),
+                          converged=True, evaluations=evaluations)
     winner = Purification(target=rho, ancilla_dim=ancilla_dim, psi_p=base.psi_p,
-                          u_a=best_u, partition=best_partition)
-    return RoofResult(value=sign * best_value,
+                          u_a=us[best], partition=partitions[climbs[best][0]])
+    return RoofResult(value=float(sign * best_value),
                       decomposition=extract_decomposition(winner),
-                      converged=best_converged,
+                      converged=bool(hit_tolerance[best]),
                       evaluations=evaluations)
 
 
@@ -578,7 +666,7 @@ def eigen_partition_bound_K(rho: DensityMatrix, a: HermitianOperator,
         if p_rest < WEIGHT_DROP:
             candidates.append(float(lam[k] * l_pure[k]))
             continue
-        sigma = rho.mat - lam[k] * np.outer(vecs[:, k], vecs[:, k].conj())
-        candidates.append(float(lam[k] * l_pure[k] + p_rest * functional.mixed_value(sigma / p_rest)))
-    candidates.append(functional.mixed_value(rho.mat))
+        sigma = (rho.mat - lam[k] * np.outer(vecs[:, k], vecs[:, k].conj())) / p_rest
+        candidates.append(float(lam[k] * l_pure[k] + p_rest * functional.mixed_values(sigma[None])[0]))
+    candidates.append(float(functional.mixed_values(rho.mat[None])[0]))
     return max(candidates)

@@ -80,6 +80,25 @@ def test_L_squared_equals_variance_product_for_pure_qubits():
 # plain and improved product bounds
 # ---------------------------------------------------------------------------
 
+def test_nan_slack_is_indeterminate_not_satisfied():
+    from qfiroof import BoundReport
+
+    report = BoundReport(name="probe", lhs=float("nan"), rhs=1.0)
+    assert report.violated is None
+    assert report.to_dict()["violated"] is None
+    assert BoundReport(name="probe", lhs=0.5, rhs=1.0).violated is True
+    assert BoundReport(name="probe", lhs=1.0, rhs=1.0).violated is False
+
+
+def test_improved_rs_report_holds_python_scalars():
+    rho = random_state(3, seed=33)
+    spin = make_spin_algebra(1)
+    rep = check_improved_rs(rho, spin.jx, spin.jy, cfg=FAST)
+    assert type(rep.meta["roof_L"]) is float
+    assert type(rep.meta["K"]) is float
+    assert type(rep.violated) is bool
+
+
 def test_rs_check_random_states_never_violated():
     for seed in range(100):
         dim = 2 + seed % 3

@@ -184,6 +184,23 @@ def test_check_duan_indeterminate_slack_is_json_null(capsys, monkeypatch):
     assert payload["meta"]["fisher_pair_slack"] is None
 
 
+def test_non_finite_outputs_exit_through_error_path(capsys, monkeypatch):
+    import qfiroof.cli
+    from qfiroof import BoundReport, Decomposition, PureState, RoofResult
+
+    nan_report = BoundReport(name="robertson_schrodinger", lhs=float("nan"), rhs=1.0)
+    monkeypatch.setattr(qfiroof.cli, "check_robertson_schrodinger", lambda s, a, b: nan_report)
+    nan_roof = RoofResult(value=float("nan"), converged=False, evaluations=1,
+                          decomposition=Decomposition(((1.0, PureState([1, 0, 0])),)))
+    monkeypatch.setattr(qfiroof.cli, "optimize_roof", lambda *args, **kwargs: nan_roof)
+    spec = json.dumps({"constructor": "random", "params": {"dim": 3, "seed": 4}})
+    for argv in (("check", "rs", "--state", spec),
+                 ("roof", "--state", spec, "--ops", "jz", "--direction", "min")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "ValueError"
+
+
 def test_malformed_state_spec(capsys):
     code, _, err = run_cli(capsys, "check", "rs", "--state", "{not json")
     assert code == 1

@@ -348,6 +348,24 @@ def test_maximally_mixed_spin_one_variance():
     assert abs(variance(rho, spin.jx) - 2 / 3) < 1e-12
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_expectation_matches_trace_formula(dim):
+    for seed in range(3):
+        rho = random_state(dim, seed=900 + seed, rank=1 + seed % dim)
+        op = random_hermitian(dim, 910 + seed)
+        assert abs(expectation(rho, op) - np.trace(rho.mat @ op.mat).real) < 1e-12
+
+
+def test_expectation_coherent_mixture_matches_trace_formula():
+    from qfiroof import coherent_mixture
+
+    cutoff = 40
+    rho = coherent_mixture([(0.6, 0.3, -0.2), (0.4, -0.5, 0.4j)], cutoff)
+    fock = make_fock_algebra(cutoff)
+    x1 = tensor(fock.x, HermitianOperator(np.eye(cutoff)))
+    assert abs(expectation(rho, x1) - np.trace(rho.mat @ x1.mat).real) < 1e-12
+
+
 def test_expectation_dimension_mismatch(paulis):
     with pytest.raises(DimensionMismatchError):
         expectation(PureState([1, 0, 0]), paulis[0])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_hermitian, random_state
+from conftest import random_hermitian, random_state, scalar_reference_roof
 from qfiroof import (
     DensityMatrix,
     HermitianOperator,
@@ -27,9 +27,13 @@ from qfiroof import (
 )
 from qfiroof.core import haar_random_unitary
 from qfiroof.roofs import (
+    CallableFunctional,
     Decomposition,
     Purification,
+    _objective,
+    _Plan,
     decomposition_average,
+    default_mixed_partitions,
     set_partitions,
     singleton_partition,
     trivial_partition,
@@ -181,6 +185,94 @@ def test_callable_functional_adapter():
     res = optimize_roof(rho, lambda s: variance(s, op), "max",
                         cfg=OptimizerConfig(seed=1, restarts=2, local_steps=60))
     assert res.value <= variance(rho, op) + 1e-9
+
+
+def _functionals(dim, seed):
+    a, b = random_hermitian(dim, seed), random_hermitian(dim, seed + 1)
+    return [VarianceSum([a]), VarianceSum([a, b]), RobertsonSchrodingerBound(a, b),
+            CallableFunctional(lambda s: variance(s, a) + 0.5 * variance(s, b))]
+
+
+@pytest.mark.parametrize("dim, ancilla", [(2, 2), (3, 3), (3, 4), (4, 4)])
+def test_batched_objective_matches_extracted_decompositions(dim, ancilla):
+    rho = random_state(dim, seed=110 + ancilla)
+    base = purify(rho, ancilla)
+    m = base.psi_p.vec.reshape(dim, ancilla)
+    rng = np.random.default_rng(ancilla)
+    pairs = [(part, haar_random_unitary(ancilla, rng))
+             for part in set_partitions(ancilla) for _ in range(3)]
+    plan = _Plan.build([part for part, _ in pairs], ancilla)
+    us = np.array([u for _, u in pairs])
+    for functional in _functionals(dim, 120 + ancilla):
+        batched = _objective(m, us, plan, functional)
+        for (part, u), value in zip(pairs, batched):
+            pur = Purification(target=rho, ancilla_dim=ancilla, psi_p=base.psi_p,
+                               u_a=u, partition=part)
+            expected = decomposition_average(extract_decomposition(pur), functional)
+            assert abs(value - expected) < 1e-12
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_mixed_values_stack_matches_on_state(dim):
+    mats = np.array([random_state(dim, seed=130 + k, rank=1 + k % dim).mat for k in range(5)])
+    for functional in _functionals(dim, 140 + dim):
+        stacked = functional.mixed_values(mats)
+        assert stacked.shape == (5,)
+        for mat, value in zip(mats, stacked):
+            rho = DensityMatrix(mat)
+            assert abs(value - functional.on_state(rho)) < 1e-12
+            if rho.rank() == 1:
+                # the pure-state path is independent code
+                assert abs(value - functional.pure_values(rho.eigenvectors[:, :1])[0]) < 1e-12
+
+
+REFERENCE_CASES = [(dim, direction, kind, seed) for dim in (2, 3) for direction in ("min", "max")
+                   for kind in ("variance", "rs") for seed in (0, 1)]
+
+
+@pytest.mark.parametrize("dim, direction, kind, seed", REFERENCE_CASES)
+def test_lockstep_search_matches_scalar_reference(dim, direction, kind, seed):
+    rho = random_state(dim, seed=150 + seed)
+    a, b = random_hermitian(dim, 160 + seed), random_hermitian(dim, 170 + seed)
+    if kind == "variance":
+        functional, partitions = VarianceSum([a]), None
+    else:
+        functional, partitions = RobertsonSchrodingerBound(a, b), default_mixed_partitions(dim)
+    cfg = OptimizerConfig(seed=seed, restarts=3, local_steps=120)
+    res = optimize_roof(rho, functional, direction, partitions=partitions, cfg=cfg)
+    ref = scalar_reference_roof(rho, functional, direction, partitions=partitions, cfg=cfg)
+    assert type(res.value) is float
+    assert abs(res.value - ref.value) < 1e-9
+    assert abs(decomposition_average(res.decomposition, functional) - res.value) < 1e-12
+    trivial = sum(len(part) == 1 for part in partitions or [])
+    saved = trivial * (cfg.restarts * (cfg.local_steps + 1) - 1)
+    assert res.evaluations == ref.evaluations - saved
+
+
+def test_lockstep_search_matches_scalar_reference_through_tolerance_stops():
+    # at the default budget some climbs stop on the step-size tolerance while
+    # others keep going, so the stack shrinks mid-search
+    rho = random_state(2, seed=181)
+    a, b = _alpha_pair(0.7)
+    functional = RobertsonSchrodingerBound(a, b)
+    partitions = [singleton_partition(2), trivial_partition(2)]
+    cfg = OptimizerConfig(seed=4)
+    res = optimize_roof(rho, functional, "max", partitions=partitions, cfg=cfg)
+    ref = scalar_reference_roof(rho, functional, "max", partitions=partitions, cfg=cfg)
+    assert abs(res.value - ref.value) < 1e-9
+    assert res.converged == ref.converged
+    assert res.evaluations < 1 + cfg.restarts * (cfg.local_steps + 1)
+
+
+def test_trivial_only_search_is_one_evaluation_of_the_state():
+    rho = random_state(3, seed=191)
+    functional = RobertsonSchrodingerBound(random_hermitian(3, 192), random_hermitian(3, 193))
+    res = optimize_roof(rho, functional, "max", partitions=[trivial_partition(3)], cfg=FAST)
+    assert res.value == functional.on_state(rho)
+    assert res.evaluations == 1
+    assert res.converged
+    assert len(res.decomposition) == 1
+    assert res.decomposition.reconstructs(rho, tol=1e-12)
 
 
 # ---------------------------------------------------------------------------
