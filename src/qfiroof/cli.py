@@ -61,7 +61,11 @@ CSV_FMT = "{:.12g}"
 
 
 def _fmt(x) -> str:
-    return CSV_FMT.format(float(x))
+    """A figure value as text; a non-finite one is an error, not a row."""
+    x = float(x)
+    if not np.isfinite(x):
+        raise ValueError(f"non-finite figure value {x!r}")
+    return CSV_FMT.format(x)
 
 
 def _child_seed(seed: int, *indices: int) -> int:

@@ -491,13 +491,19 @@ def haar_random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def tensor(a, b):
-    """Kronecker composite of two operators or two states, system-1 indices first."""
+    """Kronecker composite of two operators or two states, system-1 indices first.
+
+    Two density matrices compose through their supports: the Kronecker
+    product of the factors V sqrt(lambda) is a factor of the product state,
+    so no eigensolve of the d_a d_b x d_a d_b matrix is needed.
+    """
     if isinstance(a, HermitianOperator) and isinstance(b, HermitianOperator):
         return HermitianOperator(np.kron(a.mat, b.mat))
     if isinstance(a, PureState) and isinstance(b, PureState):
         return PureState(np.kron(a.vec, b.vec))
     if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
-        return DensityMatrix(np.kron(a.mat, b.mat))
+        (lam_a, vs_a), (lam_b, vs_b) = _support(a), _support(b)
+        return DensityMatrix.from_factor(np.kron(vs_a * np.sqrt(lam_a), vs_b * np.sqrt(lam_b)))
     raise TypeError(f"cannot tensor {type(a).__name__} with {type(b).__name__}")
 
 

@@ -14,6 +14,7 @@ bound evaluations consume only the certified side.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -173,34 +174,33 @@ def extract_decomposition(pur: Purification) -> Decomposition:
 # ---------------------------------------------------------------------------
 
 class RoofFunctional:
-    """Functional evaluated on decomposition components.
+    """Functional of a decomposition component that reads only linear moments.
 
-    ``pure_values`` receives normalized component vectors as matrix columns
-    and returns one value per column; ``mixed_values`` receives a stack of
-    normalized density matrices, shape ``(J, d, d)``, and returns one value
-    per matrix.  Both paths must agree for rank-one inputs.  The optimizer
-    hands every climb's components to one call of each per step.
+    ``moment_ops(dim)`` returns an ``(x, dim, dim)`` stack of operators X_j
+    whose moments Tr(sigma X_j) determine f(sigma); by default the fixed
+    stack ``_ops`` a subclass builds from its operators.  ``from_moments(p, mom)``
+    receives block weights ``p`` (shape ``(K,)``, each at least
+    ``WEIGHT_DROP``) and the unnormalised moments ``mom[k, j] = p_k
+    Tr(sigma_k X_j)`` (shape ``(K, x)``, complex) and returns p_k f(sigma_k)
+    for every k.  The optimizer never forms sigma: it takes every climb's
+    moments from one Gram stack of the purification (see ``optimize_roof``).
     """
 
-    def pure_values(self, cols: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+    _ops: np.ndarray
 
-    def mixed_values(self, mats: np.ndarray) -> np.ndarray:
+    def moment_ops(self, dim: int) -> np.ndarray:
+        return self._ops
+
+    def from_moments(self, p: np.ndarray, mom: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def on_state(self, state: State) -> float:
-        if isinstance(state, PureState):
-            return float(self.pure_values(state.vec[:, None])[0])
-        return float(self.mixed_values(state.mat[None])[0])
-
-
-def _traces(mats: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Tr(rho_j A) for every matrix rho_j of the stack ``mats``."""
-    return np.einsum("jkl,lk->j", mats, a)
+        mom = np.einsum("xij,ji->x", self.moment_ops(state.dim), state_matrix(state))
+        return float(self.from_moments(np.ones(1), mom[None])[0])
 
 
 class VarianceSum(RoofFunctional):
-    """sum_n Var(A_n) on a component."""
+    """sum_n Var(A_n) on a component, from the moments of [A_1.., A_1^2..]."""
 
     def __init__(self, ops: Sequence[HermitianOperator]):
         if not ops:
@@ -208,65 +208,65 @@ class VarianceSum(RoofFunctional):
         dims = {op.dim for op in ops}
         if len(dims) != 1:
             raise ValueError("operators act on different dimensions")
-        self.mats = [op.mat for op in ops]
-        self.squares = [m @ m for m in self.mats]
+        mats = np.array([op.mat for op in ops])
+        self._ops = np.concatenate([mats, mats @ mats])
 
-    def pure_values(self, cols: np.ndarray) -> np.ndarray:
-        total = np.zeros(cols.shape[1])
-        for m in self.mats:
-            mc = m @ cols
-            means = np.real(np.sum(cols.conj() * mc, axis=0))
-            seconds = np.real(np.sum(mc.conj() * mc, axis=0))
-            total += seconds - means**2
-        return np.maximum(total, 0.0)
-
-    def mixed_values(self, mats: np.ndarray) -> np.ndarray:
-        total = np.zeros(len(mats))
-        for m, sq in zip(self.mats, self.squares):
-            means = np.real(_traces(mats, m))
-            total += np.real(_traces(mats, sq)) - means**2
+    def from_moments(self, p: np.ndarray, mom: np.ndarray) -> np.ndarray:
+        # p sum_n Var(A_n) = sum_n (p<A_n^2> - (p<A_n>)^2 / p)
+        half = mom.shape[1] // 2
+        means = mom[:, :half].real
+        total = np.sum(mom[:, half:].real - means * means / p[:, None], axis=1)
         return np.maximum(total, 0.0)
 
 
 class RobertsonSchrodingerBound(RoofFunctional):
     """The strengthened uncertainty bound L on a component.
 
-    L = sqrt( |<{A,B}> - 2<A><B>|^2 + |<i[A,B]>|^2 ), computed from the single
-    complex moment <AB>: the covariance term is twice its real part minus
-    2<A><B> and the commutator mean is minus twice its imaginary part.
+    L = sqrt( |<{A,B}> - 2<A><B>|^2 + |<i[A,B]>|^2 ), computed from the
+    moments of [A, B, AB]: the covariance term is twice the real part of
+    <AB> minus 2<A><B> and the commutator mean is minus twice its imaginary
+    part.
     """
 
     def __init__(self, a: HermitianOperator, b: HermitianOperator):
         if a.dim != b.dim:
             raise ValueError("operators act on different dimensions")
-        self.a = a.mat
-        self.b = b.mat
-        self.ab = a.mat @ b.mat
+        self._ops = np.array([a.mat, b.mat, a.mat @ b.mat])
 
-    def pure_values(self, cols: np.ndarray) -> np.ndarray:
-        ea = np.real(np.sum(cols.conj() * (self.a @ cols), axis=0))
-        eb = np.real(np.sum(cols.conj() * (self.b @ cols), axis=0))
-        eab = np.sum(cols.conj() * (self.ab @ cols), axis=0)
-        return 2.0 * np.hypot(np.real(eab) - ea * eb, np.imag(eab))
-
-    def mixed_values(self, mats: np.ndarray) -> np.ndarray:
-        ea = np.real(_traces(mats, self.a))
-        eb = np.real(_traces(mats, self.b))
-        eab = _traces(mats, self.ab)
-        return 2.0 * np.hypot(eab.real - ea * eb, eab.imag)
+    def from_moments(self, p: np.ndarray, mom: np.ndarray) -> np.ndarray:
+        ea, eb, eab = mom[:, 0].real, mom[:, 1].real, mom[:, 2]
+        return 2.0 * np.hypot(eab.real - ea * eb / p, eab.imag)
 
 
 class CallableFunctional(RoofFunctional):
-    """Adapter for plain ``state -> float`` callables (slower, fully general)."""
+    """Adapter for plain ``state -> float`` callables (slower, fully general).
+
+    Its moments are those of the matrix units |j><i|, which are the entries
+    p sigma_ij themselves; each component reaches the callable as a
+    ``DensityMatrix``.
+    """
 
     def __init__(self, fn: Callable[[State], float]):
         self.fn = fn
 
-    def pure_values(self, cols: np.ndarray) -> np.ndarray:
-        return np.array([self.fn(PureState(cols[:, k])) for k in range(cols.shape[1])])
+    def moment_ops(self, dim: int) -> np.ndarray:
+        return np.eye(dim * dim, dtype=complex).reshape(-1, dim, dim).swapaxes(-1, -2)
 
-    def mixed_values(self, mats: np.ndarray) -> np.ndarray:
-        return np.array([self.fn(DensityMatrix(mat)) for mat in mats])
+    def from_moments(self, p: np.ndarray, mom: np.ndarray) -> np.ndarray:
+        dim = math.isqrt(mom.shape[1])
+        return np.array([pk * self.fn(_component(sigma))
+                         for pk, sigma in zip(p, mom.reshape(-1, dim, dim))])
+
+    def on_state(self, state: State) -> float:
+        return float(self.fn(state))
+
+
+def _component(p_sigma: np.ndarray) -> DensityMatrix:
+    """The state sigma from p sigma.  Moments of a light block carry round-off
+    of order 1e-16 / p, so the negative eigenvalues it leaves are dropped."""
+    lam, vecs = np.linalg.eigh(0.5 * (p_sigma + p_sigma.conj().T))
+    lam = np.maximum(lam, 0.0)
+    return DensityMatrix.from_factor(vecs * np.sqrt(lam / np.sum(lam)))
 
 
 def _as_functional(functional) -> RoofFunctional:
@@ -309,55 +309,50 @@ class RoofResult:
     evaluations: int
 
 
-@dataclass(frozen=True)
-class _Plan:
-    """Where the components of a stack of climbs sit in their unitaries.
+def _gram_stack(m: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """G = m^dag [I, X_1, .., X_x] m as one n x (x+1)n matrix.
 
-    Climb ``i`` of the stack searches ``partitions[i]``.  Each singleton
-    block is one (climb, ancilla column) pair; each larger block is one
-    (climb, 0/1 column mask) pair.
+    Column a of v = m U^T is component vector a of unitary U, so its moments
+    v_a^dag X_j v_a = (conj(U) G_j U^T)_aa with G_j = m^dag X_j m: row a of
+    conj(U) @ G contracted with row a of U gives all of them at once.
     """
-
-    single_climb: np.ndarray
-    single_col: np.ndarray
-    group_climb: np.ndarray
-    group_mask: np.ndarray
-
-    @classmethod
-    def build(cls, partitions: Sequence[Partition], n: int) -> "_Plan":
-        single_climb, single_col, group_climb, group_mask = [], [], [], []
-        for i, part in enumerate(partitions):
-            for block in part:
-                if len(block) == 1:
-                    single_climb.append(i)
-                    single_col.append(block[0])
-                else:
-                    group_climb.append(i)
-                    mask = np.zeros(n)
-                    mask[list(block)] = 1.0
-                    group_mask.append(mask)
-        return cls(np.array(single_climb, dtype=int), np.array(single_col, dtype=int),
-                   np.array(group_climb, dtype=int), np.reshape(group_mask, (-1, n)))
+    mh = m.conj().T
+    grams = np.concatenate([(mh @ m)[None], mh @ ops @ m])
+    return grams.transpose(1, 0, 2).reshape(m.shape[1], -1)
 
 
-def _objective(m: np.ndarray, us: np.ndarray, plan: _Plan,
+def _block_matrix(partitions: Sequence[Partition], n: int) -> np.ndarray:
+    """0/1 matrix summing the ancilla rows of a stack of climbs into blocks.
+
+    Row i * width + b sums the rows of block b of climb i, where width is the
+    largest block count in the stack; a climb with fewer blocks leaves its
+    last rows zero (padded blocks, weight exactly 0).
+    """
+    width = max(len(part) for part in partitions)
+    rows, cols = zip(*[(i * width + b, i * n + a) for i, part in enumerate(partitions)
+                       for b, block in enumerate(part) for a in block])
+    s = np.zeros((len(partitions) * width, len(partitions) * n))
+    s[rows, cols] = 1.0
+    return s
+
+
+def _objective(gram: np.ndarray, us: np.ndarray, blocks: np.ndarray,
                functional: RoofFunctional) -> np.ndarray:
-    """sum_l p_l f(component_l) for each unitary of the stack ``us``."""
-    v = m @ us.swapaxes(-1, -2)                  # column a of v[i] is <a|_A U_i |Psi_p>
-    weights = np.sum(np.abs(v) ** 2, axis=-2)
-    w = weights[plan.single_climb, plan.single_col]
-    keep = w > WEIGHT_DROP
-    climbs = plan.single_climb[keep]
-    cols = v[climbs, :, plan.single_col[keep]].T / np.sqrt(w[keep])
-    terms = w[keep] * functional.pure_values(cols)
-    if len(plan.group_climb):
-        p = np.sum(weights[plan.group_climb] * plan.group_mask, axis=-1)
-        keep = p >= WEIGHT_DROP
-        sub = v[plan.group_climb[keep]] * plan.group_mask[keep, None, :]
-        sigma = sub @ sub.conj().swapaxes(-1, -2) / p[keep, None, None]
-        climbs = np.concatenate([climbs, plan.group_climb[keep]])
-        terms = np.concatenate([terms, p[keep] * functional.mixed_values(sigma)])
-    return np.bincount(climbs, weights=terms, minlength=len(us))
+    """sum_l p_l f(component_l) for each unitary of the stack ``us``.
+
+    One GEMM of every climb's unitary rows with the Gram stack, one row
+    contraction, one block sum; blocks lighter than ``WEIGHT_DROP`` (padded
+    ones included) contribute nothing.
+    """
+    rows = us.reshape(-1, us.shape[-1])
+    w = (rows.conj() @ gram).reshape(len(rows), -1, rows.shape[1])
+    # the block matrix is real, so it sums the (re, im) pairs as one real GEMM
+    mom = (blocks @ np.einsum("rjc,rc->rj", w, rows).view(float)).view(complex)
+    p = mom[:, 0].real
+    keep = p >= WEIGHT_DROP
+    terms = np.zeros(len(p))
+    terms[keep] = functional.from_moments(p[keep], mom[keep, 1:])
+    return terms.reshape(len(us), -1).sum(axis=1)
 
 
 PROPOSAL_BLOCK = 32   # steps whose proposals are drawn and eigendecomposed at once
@@ -378,56 +373,60 @@ def _proposal_block(rngs: Sequence[np.random.Generator], n: int,
     return vals, vecs, vecs.conj().swapaxes(-1, -2)
 
 
-def _lockstep_climb(m: np.ndarray, partitions: Sequence[Partition],
+def _lockstep_climb(gram: np.ndarray, partitions: Sequence[Partition],
                     us: np.ndarray, rngs: Sequence[np.random.Generator],
                     functional: RoofFunctional, sign: float,
                     cfg: OptimizerConfig) -> tuple[np.ndarray, np.ndarray, int]:
     """Hill climbs i = 0..B-1 over ancilla unitaries, advanced together.
 
-    Climb i searches ``partitions[i]`` from ``us[i]``, which it overwrites
-    with every accepted move, and draws its proposals from ``rngs[i]`` only;
-    each keeps its own value, rejection streak and step size, so the climbs
-    never read each other's state.  A climb whose step size falls below
-    ``cfg.tolerance`` stops.  Returns the signed objectives of the final
-    unitaries, which climbs stopped on the tolerance, and the number of
-    objective evaluations.
+    Climb i searches ``partitions[i]`` from ``us[i]``, which receives its
+    final unitary, and draws its proposals from ``rngs[i]`` only; each keeps
+    its own value, rejection streak and step size, so the climbs never read
+    each other's state.  A climb whose step size falls below
+    ``cfg.tolerance`` stops and leaves the stack.  Returns the signed
+    objectives of the final unitaries, which climbs stopped on the tolerance,
+    and the number of objective evaluations.
     """
-    n = m.shape[1]
-    plan = _Plan.build(partitions, n)
-    vals = sign * _objective(m, us, plan, functional)
+    if not len(us):
+        return np.empty(0), np.zeros(0, dtype=bool), 0
+    n = us.shape[-1]
+    live = np.arange(len(us))        # climb index of each row of the stack
+    u = us.copy()
+    blocks = _block_matrix(partitions, n)
+    vals = sign * _objective(gram, u, blocks, functional)
     evaluations = len(us)
     eps = np.full(len(us), cfg.step_scale)
     rejects = np.zeros(len(us), dtype=int)
+    final = np.empty(len(us))
     hit_tolerance = np.zeros(len(us), dtype=bool)
-    live = np.arange(len(us))
     for step in range(cfg.local_steps):
-        stop = eps[live] < cfg.tolerance
+        stop = eps < cfg.tolerance
         if np.any(stop):
             hit_tolerance[live[stop]] = True
-            live = live[~stop]
-            plan = _Plan.build([partitions[i] for i in live], n)
-        if not len(live):
-            break
+            us[live[stop]], final[live[stop]] = u[stop], vals[stop]
+            go = ~stop
+            live, u, vals, eps, rejects = live[go], u[go], vals[go], eps[go], rejects[go]
+            if not len(live):
+                return final, hit_tolerance, evaluations
+            if step % PROPOSAL_BLOCK:
+                lam, vecs, vecs_h = lam[go], vecs[go], vecs_h[go]
+            blocks = _block_matrix([partitions[i] for i in live], n)
         k = step % PROPOSAL_BLOCK
         if k == 0:
             # the proposals do not depend on eps, so their eigensolves run ahead
-            count = min(PROPOSAL_BLOCK, cfg.local_steps - step)
-            lam = np.zeros((len(us), count, n))
-            vecs = np.zeros((len(us), count, n, n), dtype=complex)
-            vecs_h = np.zeros_like(vecs)
-            lam[live], vecs[live], vecs_h[live] = _proposal_block(
-                [rngs[i] for i in live], n, count)
-        phase = np.exp((1j * eps[live])[:, None] * lam[live, k])
-        cand = (vecs[live, k] * phase[:, None, :]) @ vecs_h[live, k] @ us[live]
-        cand_vals = sign * _objective(m, cand, plan, functional)
+            lam, vecs, vecs_h = _proposal_block(
+                [rngs[i] for i in live], n, min(PROPOSAL_BLOCK, cfg.local_steps - step))
+        phase = np.exp((1j * eps)[:, None] * lam[:, k])
+        cand = (vecs[:, k] * phase[:, None, :]) @ vecs_h[:, k] @ u
+        cand_vals = sign * _objective(gram, cand, blocks, functional)
         evaluations += len(live)
-        accept = cand_vals > vals[live]
-        us[live[accept]] = cand[accept]
-        vals[live[accept]] = cand_vals[accept]
-        rejects[live] = np.where(accept, 0, rejects[live] + 1)
-        shrink = live[~accept & (rejects[live] % REJECTION_STREAK == 0)]
-        eps[shrink] *= cfg.shrink
-    return vals, hit_tolerance, evaluations
+        accept = cand_vals > vals
+        u = np.where(accept[:, None, None], cand, u)
+        vals = np.where(accept, cand_vals, vals)
+        rejects = np.where(accept, 0, rejects + 1)
+        eps = np.where(~accept & (rejects % REJECTION_STREAK == 0), eps * cfg.shrink, eps)
+    us[live], final[live] = u, vals
+    return final, hit_tolerance, evaluations
 
 
 def optimize_roof(rho: State,
@@ -448,10 +447,12 @@ def optimize_roof(rho: State,
     partition p draws from its own generator ``default_rng([seed, p, r])``.
 
     All climbs of all partitions advance in lockstep as one stack of
-    unitaries: each step exponentiates every climb's proposal at once and
-    evaluates every climb's components in one ``pure_values`` and one
-    ``mixed_values`` call.  The climbs never read each other's state, so the
-    result equals that of running them one after another.  The trivial
+    unitaries; a climb that stops leaves the stack.  No component is
+    formed: the Gram stack G = m^dag [I, X_1, ..] m of the purification
+    matrix m and the functional's ``moment_ops`` is built once, and each step
+    takes every climb's block moments from one GEMM with G (``_objective``).
+    The climbs never read each other's state, so the result equals that of
+    running them one after another.  The trivial
     partition (one block) always yields rho itself, whatever the unitary, so
     it is evaluated once, without a search; if it wins, the result reports
     ``converged=True``.
@@ -473,7 +474,8 @@ def optimize_roof(rho: State,
     if ancilla_dim is None:
         ancilla_dim = rho.dim
     base = purify(rho, ancilla_dim)
-    m = base.psi_p.vec.reshape(rho.dim, ancilla_dim)
+    gram = _gram_stack(base.psi_p.vec.reshape(rho.dim, ancilla_dim),
+                       functional.moment_ops(rho.dim))
     if partitions is None:
         partitions = [singleton_partition(ancilla_dim)]
     partitions = [tuple(tuple(b) for b in part) for part in partitions]
@@ -488,7 +490,7 @@ def optimize_roof(rho: State,
     for i, ((_, r_idx), rng) in enumerate(zip(climbs, rngs)):
         us[i] = np.eye(ancilla_dim) if r_idx == 0 else haar_random_unitary(ancilla_dim, rng)
     vals, hit_tolerance, evaluations = _lockstep_climb(
-        m, [partitions[p_idx] for p_idx, _ in climbs], us, rngs, functional, sign, cfg)
+        gram, [partitions[p_idx] for p_idx, _ in climbs], us, rngs, functional, sign, cfg)
 
     best_value = -np.inf
     best: int | None = None      # index of the winning climb; None for the trivial partition
@@ -651,22 +653,16 @@ def eigen_partition_bound_K(rho: DensityMatrix, a: HermitianOperator,
     Candidates: the full eigendecomposition average, the three mixed
     decompositions that keep one eigenvector pure and merge the other two,
     and the trivial decomposition (the plain Robertson-Schrodinger bound).
-    Degenerate spectra use the eigenbasis exactly as the solver returns it,
-    which keeps runs reproducible at the cost of possible suboptimality.
+    The first four are the roof objective at the identity unitary, which is
+    where restart 0 of ``concave_roof_L`` starts, so the roof is never below
+    K.  Degenerate spectra use the eigenbasis exactly as the solver returns
+    it, which keeps runs reproducible at the cost of possible suboptimality.
     """
     if rho.dim != 3:
         raise ValueError("the eigenvector-partition bound is defined for qutrits")
     functional = RobertsonSchrodingerBound(a, b)
-    lam = rho.eigenvalues
-    vecs = rho.eigenvectors
-    l_pure = functional.pure_values(vecs)
-    candidates = [float(lam @ l_pure)]
-    for k in range(3):
-        p_rest = 1.0 - lam[k]
-        if p_rest < WEIGHT_DROP:
-            candidates.append(float(lam[k] * l_pure[k]))
-            continue
-        sigma = (rho.mat - lam[k] * np.outer(vecs[:, k], vecs[:, k].conj())) / p_rest
-        candidates.append(float(lam[k] * l_pure[k] + p_rest * functional.mixed_values(sigma[None])[0]))
-    candidates.append(float(functional.mixed_values(rho.mat[None])[0]))
-    return max(candidates)
+    gram = _gram_stack(purify(rho).psi_p.vec.reshape(3, 3), functional.moment_ops(3))
+    groupings = [part for part in set_partitions(3) if len(part) > 1]
+    identities = np.broadcast_to(np.eye(3, dtype=complex), (len(groupings), 3, 3))
+    values = _objective(gram, identities, _block_matrix(groupings, 3), functional)
+    return max(float(np.max(values)), functional.on_state(rho))

@@ -17,7 +17,6 @@ from qfiroof.roofs import (
     REJECTION_STREAK,
     WEIGHT_DROP,
     Purification,
-    _as_functional,
     singleton_partition,
 )
 
@@ -79,6 +78,38 @@ def dense_qfi(rho: np.ndarray, b: np.ndarray) -> float:
     return float(2.0 * np.sum(w * np.abs(bmat) ** 2))
 
 
+def dense_variance_sum(rho: np.ndarray, ops) -> float:
+    """sum_n Var(A_n) from full-matrix traces, clamped at zero like ``VarianceSum``."""
+    return max(sum(dense_variance(rho, a) for a in ops), 0.0)
+
+
+def dense_rs_bound(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    """L = sqrt(|Tr(rho {A,B}) - 2<A><B>|^2 + |Tr(rho i[A,B])|^2)."""
+    ea, eb = np.trace(rho @ a).real, np.trace(rho @ b).real
+    cov = np.trace(rho @ (a @ b + b @ a)).real - 2.0 * ea * eb
+    comm = np.trace(rho @ (1j * (a @ b - b @ a))).real
+    return float(np.hypot(cov, comm))
+
+
+def closed_form_K(rho, a: np.ndarray, b: np.ndarray) -> float:
+    """The eigenvector-partition bound of a qutrit from its spectrum: the
+    eigendecomposition average, the three one-pure-two-merged groupings
+    (the merged component is rho minus the pure one, renormalised) and L."""
+    lam, vecs = rho.eigenvalues, rho.eigenvectors
+    pure = [np.outer(vecs[:, k], vecs[:, k].conj()) for k in range(3)]
+    l_pure = np.array([dense_rs_bound(proj, a, b) for proj in pure])
+    candidates = [float(lam @ l_pure)]
+    for k in range(3):
+        p_rest = 1.0 - lam[k]
+        if p_rest < WEIGHT_DROP:
+            candidates.append(float(lam[k] * l_pure[k]))
+            continue
+        sigma = (rho.mat - lam[k] * pure[k]) / p_rest
+        candidates.append(float(lam[k] * l_pure[k] + p_rest * dense_rs_bound(sigma, a, b)))
+    candidates.append(dense_rs_bound(rho.mat, a, b))
+    return max(candidates)
+
+
 def dense_two_mode_quadratures(fock) -> dict:
     """x1 +- x2 and p1 +- p2 as dense Kronecker-built c^2 x c^2 matrices."""
     eye = np.eye(fock.cutoff)
@@ -104,40 +135,34 @@ def _expm_i(h, eps):
 
 
 class _PartitionEvaluator:
-    """Objective sum_l p_l f(component_l) for a fixed partition."""
+    """Objective sum_l p_l f(sigma_l) for a fixed partition, each component
+    formed as a density matrix and handed to the dense formula ``dense_fn``."""
 
-    def __init__(self, m, partition, functional):
+    def __init__(self, m, partition, dense_fn):
         self.m = m
-        self.functional = functional
-        self.singles = [block[0] for block in partition if len(block) == 1]
-        self.groups = [list(block) for block in partition if len(block) > 1]
+        self.partition = [list(block) for block in partition]
+        self.dense_fn = dense_fn
 
     def value(self, u):
         v = self.m @ u.T
         weights = np.sum(np.abs(v) ** 2, axis=0)
         total = 0.0
-        if self.singles:
-            w = weights[self.singles]
-            keep = w > WEIGHT_DROP
-            if np.any(keep):
-                cols = v[:, np.array(self.singles)[keep]] / np.sqrt(w[keep])
-                total += float(w[keep] @ self.functional.pure_values(cols))
-        for block in self.groups:
+        for block in self.partition:
             p = float(np.sum(weights[block]))
             if p < WEIGHT_DROP:
                 continue
             sub = v[:, block]
-            total += p * self.functional.mixed_values((sub @ sub.conj().T / p)[None])[0]
+            total += p * self.dense_fn(sub @ sub.conj().T / p)
         return total
 
 
-def scalar_reference_roof(rho, functional, direction, partitions=None, cfg=None,
+def scalar_reference_roof(rho, dense_fn, direction, partitions=None, cfg=None,
                           ancilla_dim=None):
     """The roof search with every restart of every partition run on its own,
     the trivial partition included: same streams, starts, proposals and
-    acceptance as ``optimize_roof``.  Returns a ``RoofResult``."""
+    acceptance as ``optimize_roof``, the functional given as a dense formula
+    ``dense_fn(sigma_matrix) -> float``.  Returns a ``RoofResult``."""
     cfg = cfg or OptimizerConfig()
-    functional = _as_functional(functional)
     rho = state_density(rho)
     if ancilla_dim is None:
         ancilla_dim = rho.dim
@@ -155,7 +180,7 @@ def scalar_reference_roof(rho, functional, direction, partitions=None, cfg=None,
     evaluations = 0
 
     for p_idx, part in enumerate(partitions):
-        ev = _PartitionEvaluator(m, part, functional)
+        ev = _PartitionEvaluator(m, part, dense_fn)
         for r_idx in range(cfg.restarts):
             rng = np.random.default_rng([cfg.seed, p_idx, r_idx])
             u = (np.eye(ancilla_dim, dtype=complex) if r_idx == 0

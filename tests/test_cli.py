@@ -201,6 +201,18 @@ def test_non_finite_outputs_exit_through_error_path(capsys, monkeypatch):
         assert json.loads(err)["error"] == "ValueError"
 
 
+def test_non_finite_figure_row_exits_through_error_path(capsys, monkeypatch):
+    import qfiroof.cli
+    from qfiroof import BoundReport
+
+    nan_report = BoundReport(name="bfq", lhs=float("nan"), rhs=1.0)
+    monkeypatch.setattr(qfiroof.cli, "bfq_bound", lambda state: nan_report)
+    for fmt in ("csv", "json"):
+        code, out, err = run_cli(capsys, "figure-planar", "--j-list", "0.5", "--format", fmt)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "ValueError"
+
+
 def test_malformed_state_spec(capsys):
     code, _, err = run_cli(capsys, "check", "rs", "--state", "{not json")
     assert code == 1

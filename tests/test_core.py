@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from conftest import dense_variance, random_hermitian, random_state
 from qfiroof import (
@@ -313,6 +313,36 @@ def test_tensor_expectations_on_product_state(paulis):
     assert abs(expectation(both, tensor(eye, sz)) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("dims, ranks", [((2, 2), (2, 2)), ((3, 2), (1, 2)), ((3, 4), (3, 2))])
+def test_tensor_density_matrices_matches_dense_kron(dims, ranks):
+    a = random_state(dims[0], seed=310 + dims[0], rank=ranks[0])
+    b = random_state(dims[1], seed=320 + dims[1], rank=ranks[1])
+    product = tensor(a, b)
+    dense = DensityMatrix(np.kron(a.mat, b.mat))
+    assert np.max(np.abs(product.mat - dense.mat)) < 1e-12
+    assert np.max(np.abs(product.eigenvalues - dense.eigenvalues)) < 1e-12
+    assert product.rank() == ranks[0] * ranks[1]
+
+
+def test_tensor_density_matrices_at_cutoff_40_makes_no_dense_eigensolve(monkeypatch):
+    def mixture(alphas):
+        factor = np.stack([coherent_state(alpha, 40).vec for alpha in alphas], axis=1)
+        return DensityMatrix.from_factor(factor / np.sqrt(len(alphas)))
+
+    a, b = mixture([0.5, -0.4j]), mixture([0.3 + 0.2j, -0.6])
+    eigh = np.linalg.eigh
+
+    def small_eigh(mat, *args, **kwargs):
+        if np.shape(mat)[-1] > 100:
+            raise AssertionError(f"dense eigensolve of a {np.shape(mat)} matrix")
+        return eigh(mat, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", small_eigh)
+    product = tensor(a, b)
+    assert product.dim == 1600 and product.rank() == 4
+    assert abs(np.trace(product.mat).real - 1.0) < 1e-12
+
+
 def test_tensor_kind_mismatch():
     with pytest.raises(TypeError):
         tensor(PureState([1, 0]), HermitianOperator(np.eye(2)))
@@ -405,6 +435,50 @@ def test_variance_concave_under_mixing(seed1, seed2, p, dim):
     op = random_hermitian(dim, seed1 ^ seed2 ^ 0xABC)
     mix = DensityMatrix(p * rho1.mat + (1 - p) * rho2.mat)
     assert variance(mix, op) >= p * variance(rho1, op) + (1 - p) * variance(rho2, op) - 1e-10
+
+
+_ENTRY = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+
+
+def _valid_inputs(draw):
+    """A finite complex d x d matrix g, drawn entry by entry, and the four
+    constructor inputs made from it: a Hermitian matrix, a unit vector, a
+    unit-trace PSD matrix and a unit-norm d x r factor."""
+    dim = draw(st.integers(1, 4))
+    parts = draw(st.lists(_ENTRY, min_size=2 * dim * dim, max_size=2 * dim * dim))
+    g = np.reshape(parts[::2], (dim, dim)) + 1j * np.reshape(parts[1::2], (dim, dim))
+    rank = draw(st.integers(1, dim))
+    assume(np.linalg.norm(g[:, :rank]) > 1e-3 and np.linalg.norm(g[:, 0]) > 1e-3)
+    gram = g @ g.conj().T
+    return {
+        "HermitianOperator": (HermitianOperator, 0.5 * (g + g.conj().T)),
+        "PureState": (PureState, g[:, 0] / np.linalg.norm(g[:, 0])),
+        "DensityMatrix": (DensityMatrix, gram / np.trace(gram).real),
+        "from_factor": (DensityMatrix.from_factor, g[:, :rank] / np.linalg.norm(g[:, :rank])),
+    }
+
+
+KINDS = ["HermitianOperator", "PureState", "DensityMatrix", "from_factor"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@given(data=st.data())
+def test_constructors_accept_valid_finite_inputs(kind, data):
+    build, entries = _valid_inputs(data.draw)[kind]
+    build(entries)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@given(data=st.data(), bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+       imaginary=st.booleans())
+def test_constructors_reject_a_non_finite_entry_anywhere(kind, data, bad, imaginary):
+    build, entries = _valid_inputs(data.draw)[kind]
+    entries = entries.copy()
+    flat = entries.reshape(-1)
+    k = data.draw(st.integers(0, flat.size - 1))
+    flat[k] = complex(flat[k].real, bad) if imaginary else complex(bad, flat[k].imag)
+    with pytest.raises(ValueError, match="non-finite"):
+        build(entries)
 
 
 @given(st.integers(0, 10**6), st.sampled_from([2, 3, 4, 5]))

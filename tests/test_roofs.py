@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_hermitian, random_state, scalar_reference_roof
+from conftest import (
+    closed_form_K,
+    dense_rs_bound,
+    dense_variance_sum,
+    random_hermitian,
+    random_state,
+    scalar_reference_roof,
+)
 from qfiroof import (
     DensityMatrix,
     HermitianOperator,
@@ -27,11 +34,13 @@ from qfiroof import (
 )
 from qfiroof.core import haar_random_unitary
 from qfiroof.roofs import (
+    WEIGHT_DROP,
     CallableFunctional,
     Decomposition,
     Purification,
+    _block_matrix,
+    _gram_stack,
     _objective,
-    _Plan,
     decomposition_average,
     default_mixed_partitions,
     set_partitions,
@@ -188,23 +197,32 @@ def test_callable_functional_adapter():
 
 
 def _functionals(dim, seed):
+    """The four functional kinds, each with its dense formula of a density matrix."""
     a, b = random_hermitian(dim, seed), random_hermitian(dim, seed + 1)
-    return [VarianceSum([a]), VarianceSum([a, b]), RobertsonSchrodingerBound(a, b),
-            CallableFunctional(lambda s: variance(s, a) + 0.5 * variance(s, b))]
+    return [
+        (VarianceSum([a]), lambda s: dense_variance_sum(s, [a.mat])),
+        (VarianceSum([a, b]), lambda s: dense_variance_sum(s, [a.mat, b.mat])),
+        (RobertsonSchrodingerBound(a, b), lambda s: dense_rs_bound(s, a.mat, b.mat)),
+        (CallableFunctional(lambda s: variance(s, a) + 0.5 * variance(s, b)),
+         lambda s: dense_variance_sum(s, [a.mat]) + 0.5 * dense_variance_sum(s, [b.mat])),
+    ]
 
 
 @pytest.mark.parametrize("dim, ancilla", [(2, 2), (3, 3), (3, 4), (4, 4)])
 def test_batched_objective_matches_extracted_decompositions(dim, ancilla):
+    # every set partition of the ancilla x 3 Haar unitaries, evaluated as one
+    # stack (partitions with fewer blocks are padded) against re-evaluating
+    # the extracted witness decomposition component by component
     rho = random_state(dim, seed=110 + ancilla)
     base = purify(rho, ancilla)
     m = base.psi_p.vec.reshape(dim, ancilla)
     rng = np.random.default_rng(ancilla)
     pairs = [(part, haar_random_unitary(ancilla, rng))
              for part in set_partitions(ancilla) for _ in range(3)]
-    plan = _Plan.build([part for part, _ in pairs], ancilla)
+    blocks = _block_matrix([part for part, _ in pairs], ancilla)
     us = np.array([u for _, u in pairs])
-    for functional in _functionals(dim, 120 + ancilla):
-        batched = _objective(m, us, plan, functional)
+    for functional, _ in _functionals(dim, 120 + ancilla):
+        batched = _objective(_gram_stack(m, functional.moment_ops(dim)), us, blocks, functional)
         for (part, u), value in zip(pairs, batched):
             pur = Purification(target=rho, ancilla_dim=ancilla, psi_p=base.psi_p,
                                u_a=u, partition=part)
@@ -213,17 +231,48 @@ def test_batched_objective_matches_extracted_decompositions(dim, ancilla):
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
-def test_mixed_values_stack_matches_on_state(dim):
-    mats = np.array([random_state(dim, seed=130 + k, rank=1 + k % dim).mat for k in range(5)])
-    for functional in _functionals(dim, 140 + dim):
-        stacked = functional.mixed_values(mats)
-        assert stacked.shape == (5,)
-        for mat, value in zip(mats, stacked):
-            rho = DensityMatrix(mat)
-            assert abs(value - functional.on_state(rho)) < 1e-12
+def test_from_moments_stack_matches_dense_formulas(dim):
+    # a stack of states of every rank, with unnormalised moments p Tr(sigma X)
+    states = [random_state(dim, seed=130 + k, rank=1 + k % dim) for k in range(5)]
+    weights = np.linspace(0.2, 0.9, len(states))
+    for functional, dense in _functionals(dim, 140 + dim):
+        ops = functional.moment_ops(dim)
+        mom = np.array([p * np.einsum("xij,ji->x", ops, rho.mat)
+                        for p, rho in zip(weights, states)])
+        stacked = functional.from_moments(weights, mom)
+        assert stacked.shape == (len(states),)
+        for p, rho, value in zip(weights, states, stacked):
+            assert abs(value - p * dense(rho.mat)) < 1e-12
+            assert abs(functional.on_state(rho) - dense(rho.mat)) < 1e-12
             if rho.rank() == 1:
-                # the pure-state path is independent code
-                assert abs(value - functional.pure_values(rho.eigenvectors[:, :1])[0]) < 1e-12
+                psi = PureState(rho.eigenvectors[:, 0])
+                assert abs(functional.on_state(psi) - dense(rho.mat)) < 1e-12
+
+
+def test_rank_deficient_qutrit_search_raises_no_floating_point_error():
+    # at the identity the null eigenvector's ancilla column carries weight 0,
+    # and the two-block partitions are padded in a stack of three-block ones
+    rho = random_state(3, seed=201, rank=2)
+    a, b = random_hermitian(3, 202), random_hermitian(3, 203)
+    partitions = default_mixed_partitions(3)
+    cfg = OptimizerConfig(seed=5, restarts=3, local_steps=120)
+    us = np.broadcast_to(np.eye(3, dtype=complex), (len(partitions), 3, 3))
+    m = purify(rho).psi_p.vec.reshape(3, 3)
+    assert np.sum(np.abs(m[:, 2]) ** 2) < WEIGHT_DROP
+    with np.errstate(all="raise"):
+        for functional, dense in _functionals(3, 204):
+            at_identity = _objective(_gram_stack(m, functional.moment_ops(3)), us,
+                                     _block_matrix(partitions, 3), functional)
+            for part, value in zip(partitions, at_identity):
+                pur = Purification(target=rho, ancilla_dim=3, psi_p=purify(rho).psi_p,
+                                   u_a=np.eye(3), partition=part)
+                expected = decomposition_average(extract_decomposition(pur), functional)
+                assert abs(value - expected) < 1e-12
+            res = optimize_roof(rho, functional, "max", partitions=partitions, cfg=cfg)
+            ref = scalar_reference_roof(rho, dense, "max", partitions=partitions, cfg=cfg)
+            assert abs(res.value - ref.value) < 1e-9
+        k = eigen_partition_bound_K(rho, a, b)
+    assert abs(k - closed_form_K(rho, a.mat, b.mat)) < 1e-12
 
 
 REFERENCE_CASES = [(dim, direction, kind, seed) for dim in (2, 3) for direction in ("min", "max")
@@ -236,11 +285,13 @@ def test_lockstep_search_matches_scalar_reference(dim, direction, kind, seed):
     a, b = random_hermitian(dim, 160 + seed), random_hermitian(dim, 170 + seed)
     if kind == "variance":
         functional, partitions = VarianceSum([a]), None
+        dense = lambda s: dense_variance_sum(s, [a.mat])
     else:
         functional, partitions = RobertsonSchrodingerBound(a, b), default_mixed_partitions(dim)
+        dense = lambda s: dense_rs_bound(s, a.mat, b.mat)
     cfg = OptimizerConfig(seed=seed, restarts=3, local_steps=120)
     res = optimize_roof(rho, functional, direction, partitions=partitions, cfg=cfg)
-    ref = scalar_reference_roof(rho, functional, direction, partitions=partitions, cfg=cfg)
+    ref = scalar_reference_roof(rho, dense, direction, partitions=partitions, cfg=cfg)
     assert type(res.value) is float
     assert abs(res.value - ref.value) < 1e-9
     assert abs(decomposition_average(res.decomposition, functional) - res.value) < 1e-12
@@ -258,7 +309,8 @@ def test_lockstep_search_matches_scalar_reference_through_tolerance_stops():
     partitions = [singleton_partition(2), trivial_partition(2)]
     cfg = OptimizerConfig(seed=4)
     res = optimize_roof(rho, functional, "max", partitions=partitions, cfg=cfg)
-    ref = scalar_reference_roof(rho, functional, "max", partitions=partitions, cfg=cfg)
+    ref = scalar_reference_roof(rho, lambda s: dense_rs_bound(s, a.mat, b.mat), "max",
+                                partitions=partitions, cfg=cfg)
     assert abs(res.value - ref.value) < 1e-9
     assert res.converged == ref.converged
     assert res.evaluations < 1 + cfg.restarts * (cfg.local_steps + 1)
@@ -436,6 +488,29 @@ def test_partition_bound_dominates_plain_bound():
         rho = random_state(3, 700 + seed)
         k = eigen_partition_bound_K(rho, spin.jx, spin.jy)
         assert k >= rs_lower_bound_L(rho, spin.jx, spin.jy) - 1e-12
+
+
+def test_partition_bound_matches_closed_form():
+    spin = make_spin_algebra(1)
+    degenerate = DensityMatrix(np.diag([0.5, 0.25, 0.25]))
+    rotated = haar_random_unitary(3, np.random.default_rng(211))
+    states = [random_state(3, 212 + k, rank=1 + k % 3) for k in range(12)]
+    states += [degenerate, DensityMatrix(rotated @ degenerate.mat @ rotated.conj().T),
+               DensityMatrix.maximally_mixed(3)]
+    for rho in states:
+        for a, b in ((spin.jx, spin.jy), (random_hermitian(3, 230), random_hermitian(3, 231))):
+            k = eigen_partition_bound_K(rho, a, b)
+            assert abs(k - closed_form_K(rho, a.mat, b.mat)) < 1e-12
+
+
+def test_partition_bound_is_the_roof_start():
+    # K is the best roof objective at the identity, where restart 0 starts
+    spin = make_spin_algebra(1)
+    for seed in range(5):
+        rho = random_state(3, 240 + seed)
+        roof = concave_roof_L(rho, spin.jx, spin.jy,
+                              cfg=OptimizerConfig(seed=seed, restarts=1, local_steps=0))
+        assert roof.value == eigen_partition_bound_K(rho, spin.jx, spin.jy)
 
 
 def test_partition_bound_rejects_non_qutrit():
