@@ -21,10 +21,12 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .core import (
+    EIG_FLOOR,
     DensityMatrix,
     HermitianOperator,
     PureState,
     State,
+    eigh_stack,
     haar_random_unitary,
     state_matrix,
 )
@@ -194,6 +196,13 @@ class RoofFunctional:
     def from_moments(self, p: np.ndarray, mom: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def check_dim(self, dim: int) -> None:
+        """Raise ``ValueError`` unless the functional's operators act on ``dim``."""
+        op_dim = self.moment_ops(dim).shape[-1]
+        if op_dim != dim:
+            raise ValueError(f"the functional's operators act on dimension {op_dim}, "
+                             f"the state on dimension {dim}")
+
     def on_state(self, state: State) -> float:
         mom = np.einsum("xij,ji->x", self.moment_ops(state.dim), state_matrix(state))
         return float(self.from_moments(np.ones(1), mom[None])[0])
@@ -252,21 +261,26 @@ class CallableFunctional(RoofFunctional):
     def moment_ops(self, dim: int) -> np.ndarray:
         return np.eye(dim * dim, dtype=complex).reshape(-1, dim, dim).swapaxes(-1, -2)
 
+    def check_dim(self, dim: int) -> None:
+        pass      # the callable receives states of any dimension
+
     def from_moments(self, p: np.ndarray, mom: np.ndarray) -> np.ndarray:
+        # moments of a light block carry round-off of order 1e-16 / p, so the
+        # negative eigenvalues it leaves are dropped; one stacked eigensolve
+        # gives every component's eigensystem
         dim = math.isqrt(mom.shape[1])
-        return np.array([pk * self.fn(_component(sigma))
-                         for pk, sigma in zip(p, mom.reshape(-1, dim, dim))])
+        p_sigma = mom.reshape(-1, dim, dim)
+        lam, vecs = np.linalg.eigh(0.5 * (p_sigma + p_sigma.conj().swapaxes(-1, -2)))
+        lam = np.maximum(lam[:, ::-1], 0.0)
+        lam /= np.sum(lam, axis=1, keepdims=True)
+        lam[lam < EIG_FLOOR] = 0.0
+        vecs = vecs[..., ::-1]
+        mats = (vecs * lam[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
+        return np.array([pk * self.fn(DensityMatrix._assemble(mat, vals, basis))
+                         for pk, mat, vals, basis in zip(p, mats, lam, vecs)])
 
     def on_state(self, state: State) -> float:
         return float(self.fn(state))
-
-
-def _component(p_sigma: np.ndarray) -> DensityMatrix:
-    """The state sigma from p sigma.  Moments of a light block carry round-off
-    of order 1e-16 / p, so the negative eigenvalues it leaves are dropped."""
-    lam, vecs = np.linalg.eigh(0.5 * (p_sigma + p_sigma.conj().T))
-    lam = np.maximum(lam, 0.0)
-    return DensityMatrix.from_factor(vecs * np.sqrt(lam / np.sum(lam)))
 
 
 def _as_functional(functional) -> RoofFunctional:
@@ -293,6 +307,10 @@ class OptimizerConfig:
     tolerance: float = 1e-5
 
     def __post_init__(self):
+        for name in ("restarts", "local_steps"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.restarts < 1 or self.local_steps < 0:
             raise ValueError("restarts must be >= 1 and local_steps >= 0")
         if not (0.0 < self.shrink < 1.0):
@@ -321,56 +339,84 @@ def _gram_stack(m: np.ndarray, ops: np.ndarray) -> np.ndarray:
     return grams.transpose(1, 0, 2).reshape(m.shape[1], -1)
 
 
-def _block_matrix(partitions: Sequence[Partition], n: int) -> np.ndarray:
-    """0/1 matrix summing the ancilla rows of a stack of climbs into blocks.
+def _block_tensor(partitions: Sequence[Partition], n: int) -> np.ndarray:
+    """0/1 tensor summing each climb's ancilla rows into its blocks.
 
-    Row i * width + b sums the rows of block b of climb i, where width is the
-    largest block count in the stack; a climb with fewer blocks leaves its
-    last rows zero (padded blocks, weight exactly 0).
+    Entry [i, b, a] is 1 when ancilla index a lies in block b of climb i's
+    partition.  The block axis is as wide as the largest block count in the
+    stack; a climb with fewer blocks leaves its last rows zero (padded
+    blocks, weight exactly 0).
     """
     width = max(len(part) for part in partitions)
-    rows, cols = zip(*[(i * width + b, i * n + a) for i, part in enumerate(partitions)
-                       for b, block in enumerate(part) for a in block])
-    s = np.zeros((len(partitions) * width, len(partitions) * n))
-    s[rows, cols] = 1.0
+    s = np.zeros((len(partitions), width, n))
+    for i, part in enumerate(partitions):
+        for b, block in enumerate(part):
+            s[i, b, list(block)] = 1.0
     return s
 
 
 def _objective(gram: np.ndarray, us: np.ndarray, blocks: np.ndarray,
                functional: RoofFunctional) -> np.ndarray:
-    """sum_l p_l f(component_l) for each unitary of the stack ``us``.
+    """sum_l p_l f(component_l) for every unitary ``us[i, k]`` of a ``(C, K, n, n)`` stack.
 
-    One GEMM of every climb's unitary rows with the Gram stack, one row
-    contraction, one block sum; blocks lighter than ``WEIGHT_DROP`` (padded
-    ones included) contribute nothing.
+    Climb i's K candidate unitaries share its partition, ``blocks[i]`` (see
+    ``_block_tensor``).  One GEMM of every unitary row with the Gram stack,
+    one row contraction, one block sum per climb; blocks lighter than
+    ``WEIGHT_DROP`` (padded ones included) contribute nothing.  Returns the
+    ``(C, K)`` objectives.  A stack that is a ``swapaxes(1, 2)`` view of a
+    contiguous ``(C, n, K, n)`` array is read without a copy.
     """
-    rows = us.reshape(-1, us.shape[-1])
-    w = (rows.conj() @ gram).reshape(len(rows), -1, rows.shape[1])
-    # the block matrix is real, so it sums the (re, im) pairs as one real GEMM
-    mom = (blocks @ np.einsum("rjc,rc->rj", w, rows).view(float)).view(complex)
-    p = mom[:, 0].real
+    c, k, n = us.shape[0], us.shape[1], us.shape[-1]
+    rows = us.swapaxes(1, 2).reshape(-1, n)      # row a of us[i, k] is row (i, a, k)
+    w = (rows.conj() @ gram).reshape(len(rows), -1, n)
+    mom = np.einsum("rjc,rc->rj", w, rows).view(float).reshape(c, n, -1)
+    # the block tensor is real, so it sums the (re, im) pairs as one real GEMM per climb
+    mom = (blocks @ mom).reshape(c, blocks.shape[1], k, -1).view(complex)
+    p = mom[..., 0].real
     keep = p >= WEIGHT_DROP
-    terms = np.zeros(len(p))
-    terms[keep] = functional.from_moments(p[keep], mom[keep, 1:])
-    return terms.reshape(len(us), -1).sum(axis=1)
+    terms = np.zeros(p.shape)
+    terms[keep] = functional.from_moments(p[keep], mom[..., 1:][keep])
+    return terms.sum(axis=1)
 
 
-PROPOSAL_BLOCK = 32   # steps whose proposals are drawn and eigendecomposed at once
+PROPOSAL_BLOCK = 128  # steps of a qutrit climb whose proposals are drawn and diagonalised at once
+WINDOW = 16           # most steps of one climb tried per lockstep iteration (<= REJECTION_STREAK)
+WINDOW_ROWS = 48      # an n-dim ancilla tries WINDOW_ROWS // n steps, at most WINDOW
 
 
-def _proposal_block(rngs: Sequence[np.random.Generator], n: int,
-                    steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigensystems of the next ``steps`` unit-norm Hermitian proposals of each stream.
+def _proposal_eigensystems(rngs: Sequence[np.random.Generator], n: int,
+                           sizes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Eigensystems of the next ``sizes[i]`` unit-norm Hermitian proposals of
+    each stream ``rngs[i]``, concatenated along the first axis.
 
     Every step draws the real and then the imaginary part of an n x n
-    Ginibre matrix from its climb's stream; bulk draws give the same numbers.
+    Ginibre matrix; bulk draws give the same numbers.
     """
-    z = np.stack([rng.standard_normal((steps, 2, n, n)) for rng in rngs])
-    g = z[:, :, 0] + 1j * z[:, :, 1]
+    z = np.concatenate([rng.standard_normal((size, 2, n, n)) for rng, size in zip(rngs, sizes)])
+    g = z[:, 0] + 1j * z[:, 1]
     h = 0.5 * (g + g.conj().swapaxes(-1, -2))
     h /= np.linalg.norm(h, axis=(-2, -1), keepdims=True)
-    vals, vecs = np.linalg.eigh(h)
-    return vals, vecs, vecs.conj().swapaxes(-1, -2)
+    return eigh_stack(h)
+
+
+def _rotate(vecs: np.ndarray, phase: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Candidates V_k diag(phase_k) V_k^dag U of each climb, shape ``(C, K, n, n)``.
+
+    ``vecs`` is ``(C, K, n, n)``, ``phase`` ``(C, K, n)`` and ``u`` ``(C, n, n)``.
+    V^dag U is one product per climb.  For small n the K products with V run
+    as n broadcast terms, which avoids numpy's per-matrix cost on stacks of
+    tiny matrices, and give a view of a contiguous ``(C, n, K, n)`` array,
+    the layout ``_objective`` reads without a copy.
+    """
+    c, k, n = vecs.shape[:3]
+    z = (vecs.conj().swapaxes(-1, -2).reshape(c, k * n, n) @ u).reshape(c, k, n, n)
+    z *= phase[..., None]
+    if n > 4:
+        return vecs @ z
+    out = vecs[..., :, 0].swapaxes(1, 2)[..., None] * z[:, None, :, 0]
+    for l in range(1, n):
+        out += vecs[..., :, l].swapaxes(1, 2)[..., None] * z[:, None, :, l]
+    return out.swapaxes(1, 2)
 
 
 def _lockstep_climb(gram: np.ndarray, partitions: Sequence[Partition],
@@ -381,52 +427,100 @@ def _lockstep_climb(gram: np.ndarray, partitions: Sequence[Partition],
 
     Climb i searches ``partitions[i]`` from ``us[i]``, which receives its
     final unitary, and draws its proposals from ``rngs[i]`` only; each keeps
-    its own value, rejection streak and step size, so the climbs never read
-    each other's state.  A climb whose step size falls below
-    ``cfg.tolerance`` stops and leaves the stack.  Returns the signed
-    objectives of the final unitaries, which climbs stopped on the tolerance,
-    and the number of objective evaluations.
+    its own value, step count, rejection streak and step size, so the climbs
+    never read each other's state.  A climb whose step size falls below
+    ``cfg.tolerance`` stops and leaves the stack.
+
+    Each iteration tries, for every climb, a window of its next steps at
+    once: while a climb rejects, each of its candidates is exp(i eps_t H_t) U
+    with the same U, and eps_t shrinks at most once inside a window no
+    longer than ``REJECTION_STREAK``.  The climb then takes its first
+    improving candidate, or all the window's rejections; candidates after an
+    acceptance are discarded, so every climb passes through the same steps
+    as one taking a single step at a time.  The window is ``WINDOW_ROWS //
+    n`` steps, at most ``WINDOW``: a candidate's cost grows with n while an
+    iteration's fixed cost does not.  A ``CallableFunctional`` tries one step
+    at a time, since a discarded candidate would call the user's function
+    for nothing.  Returns the signed objectives of the final
+    unitaries, which climbs stopped on the tolerance, and the number of
+    objective evaluations: the steps taken, not the discarded candidates.
     """
     if not len(us):
         return np.empty(0), np.zeros(0, dtype=bool), 0
     n = us.shape[-1]
+    if isinstance(functional, CallableFunctional):
+        window = 1
+    else:
+        window = max(1, min(WINDOW, WINDOW_ROWS // n))
+    # a block holds about the matrix entries of PROPOSAL_BLOCK qutrit
+    # proposals, and at least 32 proposals (>= 2 * window)
+    block = max(32, PROPOSAL_BLOCK * 9 // (n * n))
     live = np.arange(len(us))        # climb index of each row of the stack
+    rows = np.arange(len(us))
     u = us.copy()
-    blocks = _block_matrix(partitions, n)
-    vals = sign * _objective(gram, u, blocks, functional)
+    blocks = _block_tensor(partitions, n)
+    vals = sign * _objective(gram, u[:, None], blocks, functional)[:, 0]
     evaluations = len(us)
     eps = np.full(len(us), cfg.step_scale)
-    rejects = np.zeros(len(us), dtype=int)
+    left = np.full(len(us), REJECTION_STREAK)     # rejections until the next shrink
+    steps = np.zeros(len(us), dtype=int)
     final = np.empty(len(us))
     hit_tolerance = np.zeros(len(us), dtype=bool)
-    for step in range(cfg.local_steps):
-        stop = eps < cfg.tolerance
-        if np.any(stop):
-            hit_tolerance[live[stop]] = True
-            us[live[stop]], final[live[stop]] = u[stop], vals[stop]
-            go = ~stop
-            live, u, vals, eps, rejects = live[go], u[go], vals[go], eps[go], rejects[go]
-            if not len(live):
-                return final, hit_tolerance, evaluations
-            if step % PROPOSAL_BLOCK:
-                lam, vecs, vecs_h = lam[go], vecs[go], vecs_h[go]
-            blocks = _block_matrix([partitions[i] for i in live], n)
-        k = step % PROPOSAL_BLOCK
-        if k == 0:
-            # the proposals do not depend on eps, so their eigensolves run ahead
-            lam, vecs, vecs_h = _proposal_block(
-                [rngs[i] for i in live], n, min(PROPOSAL_BLOCK, cfg.local_steps - step))
-        phase = np.exp((1j * eps)[:, None] * lam[:, k])
-        cand = (vecs[:, k] * phase[:, None, :]) @ vecs_h[:, k] @ u
+    # ring buffers: slot t % capacity of climb i holds the eigensystem of its
+    # proposal of step t for steps[i] <= t < drawn[i]; a window past a climb's
+    # last step reads slots it never uses
+    capacity = block + block // 2
+    lam = np.zeros((len(us), capacity, n))
+    vecs = np.zeros((len(us), capacity, n, n), dtype=complex)
+    drawn = np.zeros(len(us), dtype=int)
+    due = np.zeros(len(us), dtype=int)      # step at which a climb must refill or stop
+    offsets = np.arange(window + 1)
+    while True:
+        if np.any((steps >= due) | (eps < cfg.tolerance)):
+            stop = (steps >= cfg.local_steps) | (eps < cfg.tolerance)
+            if np.any(stop):
+                hit_tolerance[live[stop]] = steps[stop] < cfg.local_steps
+                us[live[stop]], final[live[stop]] = u[stop], vals[stop]
+                go = ~stop
+                if not np.any(go):
+                    return final, hit_tolerance, evaluations
+                live, u, vals, eps, left = live[go], u[go], vals[go], eps[go], left[go]
+                steps, drawn, blocks = steps[go], drawn[go], blocks[go]
+                lam, vecs = lam[go], vecs[go]
+                rows = rows[:len(live)]
+            # the proposals do not depend on eps, so their eigensolves run ahead;
+            # every climb half through its block refills in the same call
+            refill = np.flatnonzero((drawn - steps < block // 2) & (drawn < cfg.local_steps))
+            if len(refill):
+                sizes = np.minimum(block, cfg.local_steps - drawn[refill])
+                new_lam, new_vecs = _proposal_eigensystems([rngs[live[i]] for i in refill],
+                                                           n, sizes)
+                climb = np.repeat(refill, sizes)
+                slot = np.arange(len(climb)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+                slot = (slot + drawn[climb]) % capacity
+                lam[climb, slot], vecs[climb, slot] = new_lam, new_vecs
+                drawn[refill] += sizes
+            due = np.where(drawn < cfg.local_steps, drawn - window + 1, cfg.local_steps)
+        # eps_t[i, t] is climb i's step size after t rejections in the window
+        eps_t = np.where(offsets < left[:, None], eps[:, None], eps[:, None] * cfg.shrink)
+        valid = ((offsets[:-1] < (cfg.local_steps - steps)[:, None])
+                 & (eps_t[:, :-1] >= cfg.tolerance))
+        slot = (steps[:, None] + offsets[:-1]) % capacity
+        phase = np.exp(1j * eps_t[:, :-1, None] * lam[rows[:, None], slot])
+        cand = _rotate(vecs[rows[:, None], slot], phase, u)
         cand_vals = sign * _objective(gram, cand, blocks, functional)
-        evaluations += len(live)
-        accept = cand_vals > vals
-        u = np.where(accept[:, None, None], cand, u)
-        vals = np.where(accept, cand_vals, vals)
-        rejects = np.where(accept, 0, rejects + 1)
-        eps = np.where(~accept & (rejects % REJECTION_STREAK == 0), eps * cfg.shrink, eps)
-    us[live], final[live] = u, vals
-    return final, hit_tolerance, evaluations
+        improve = valid & (cand_vals > vals[:, None])
+        first = np.argmax(improve, axis=1)
+        accept = improve[rows, first]
+        # a climb takes its first improving candidate, or every valid one
+        # (the valid candidates are a prefix of the window)
+        taken = np.where(accept, first + 1, np.sum(valid, axis=1))
+        evaluations += int(np.sum(taken))
+        steps += taken
+        u = np.where(accept[:, None, None], cand[rows, first], u)
+        vals = np.where(accept, cand_vals[rows, first], vals)
+        eps = eps_t[rows, taken - accept]
+        left = np.where(accept, REJECTION_STREAK, (left - taken - 1) % REJECTION_STREAK + 1)
 
 
 def optimize_roof(rho: State,
@@ -449,13 +543,19 @@ def optimize_roof(rho: State,
     All climbs of all partitions advance in lockstep as one stack of
     unitaries; a climb that stops leaves the stack.  No component is
     formed: the Gram stack G = m^dag [I, X_1, ..] m of the purification
-    matrix m and the functional's ``moment_ops`` is built once, and each step
-    takes every climb's block moments from one GEMM with G (``_objective``).
-    The climbs never read each other's state, so the result equals that of
-    running them one after another.  The trivial
-    partition (one block) always yields rho itself, whatever the unitary, so
-    it is evaluated once, without a search; if it wins, the result reports
-    ``converged=True``.
+    matrix m and the functional's ``moment_ops`` is built once, and each
+    iteration takes the block moments of every climb's candidates from one
+    GEMM with G (``_objective``).  An iteration tries a window of each
+    climb's next proposals against its current unitary (up to 16 on a
+    qutrit ancilla, one for a plain callable) and keeps the first that
+    improves, so every climb takes the same steps as one that tries a single
+    proposal at a time.  ``evaluations`` counts those steps only, not the
+    candidates of a window that come after an acceptance.  The climbs never
+    read each other's state, so the result equals that of running them one
+    after another.  The trivial partition (one block) always yields rho
+    itself, whatever the unitary, so it is evaluated once, without a
+    search; if it wins, the result reports ``converged=True``.  A functional
+    whose operators act on another dimension than rho raises ``ValueError``.
 
     The returned value is exact for the witness decomposition, hence always
     on the certified side of the true roof.
@@ -465,6 +565,7 @@ def optimize_roof(rho: State,
     cfg = cfg or OptimizerConfig()
     functional = _as_functional(functional)
     rho = state_density(rho)
+    functional.check_dim(rho.dim)
     if rho.rank() == 1:
         # every decomposition of a pure state is the state itself
         psi = PureState(rho.eigenvectors[:, 0])
@@ -646,7 +747,7 @@ def _pure_from_bloch(bx: float, by: float, bz: float) -> PureState:
     return PureState(vecs[:, int(np.argmax(vals))])
 
 
-def eigen_partition_bound_K(rho: DensityMatrix, a: HermitianOperator,
+def eigen_partition_bound_K(rho: State, a: HermitianOperator,
                             b: HermitianOperator) -> float:
     """Best uncertainty bound over eigenvector groupings of a qutrit.
 
@@ -657,12 +758,15 @@ def eigen_partition_bound_K(rho: DensityMatrix, a: HermitianOperator,
     where restart 0 of ``concave_roof_L`` starts, so the roof is never below
     K.  Degenerate spectra use the eigenbasis exactly as the solver returns
     it, which keeps runs reproducible at the cost of possible suboptimality.
+    A ``PureState`` is its own only decomposition, so its K is its L.
     """
+    rho = state_density(rho)
     if rho.dim != 3:
         raise ValueError("the eigenvector-partition bound is defined for qutrits")
     functional = RobertsonSchrodingerBound(a, b)
+    functional.check_dim(3)
     gram = _gram_stack(purify(rho).psi_p.vec.reshape(3, 3), functional.moment_ops(3))
     groupings = [part for part in set_partitions(3) if len(part) > 1]
-    identities = np.broadcast_to(np.eye(3, dtype=complex), (len(groupings), 3, 3))
-    values = _objective(gram, identities, _block_matrix(groupings, 3), functional)
+    identities = np.broadcast_to(np.eye(3, dtype=complex), (len(groupings), 1, 3, 3))
+    values = _objective(gram, identities, _block_tensor(groupings, 3), functional)
     return max(float(np.max(values)), functional.on_state(rho))

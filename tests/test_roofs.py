@@ -34,11 +34,13 @@ from qfiroof import (
 )
 from qfiroof.core import haar_random_unitary
 from qfiroof.roofs import (
+    PROPOSAL_BLOCK,
     WEIGHT_DROP,
+    WINDOW,
     CallableFunctional,
     Decomposition,
     Purification,
-    _block_matrix,
+    _block_tensor,
     _gram_stack,
     _objective,
     decomposition_average,
@@ -179,6 +181,31 @@ def test_optimize_rejects_bad_direction():
         optimize_roof(rho, VarianceSum([random_hermitian(2, 49)]), "upward")
 
 
+def test_optimize_rejects_operators_of_another_dimension():
+    # a spin-1/2 functional on a qutrit fails before any Gram stack is built
+    spin = make_spin_algebra(0.5)
+    for rho in (random_state(3, seed=44), PureState([0.6, 0.0, 0.8])):
+        with pytest.raises(ValueError, match="dimension 2.*dimension 3"):
+            optimize_roof(rho, VarianceSum([spin.jz]), "min", cfg=FAST)
+        with pytest.raises(ValueError, match="dimension 2.*dimension 3"):
+            concave_roof_L(rho, spin.jx, spin.jy, cfg=FAST)
+
+
+def test_optimizer_config_validation():
+    for bad in (dict(restarts=0), dict(local_steps=-1), dict(shrink=1.0), dict(shrink=0.0),
+                dict(step_scale=0.0), dict(tolerance=-1e-5)):
+        with pytest.raises(ValueError):
+            OptimizerConfig(**bad)
+    # budgets are counts: a non-integral value would fail later inside range()
+    for bad in (dict(restarts=2.5), dict(local_steps=2.5), dict(restarts=2.0),
+                dict(local_steps="10"), dict(restarts=True)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            OptimizerConfig(**bad)
+    cfg = OptimizerConfig(restarts=np.int64(2), local_steps=np.int32(5))
+    res = convex_roof_variance(random_state(2, seed=45), random_hermitian(2, 46), cfg=cfg)
+    assert res.evaluations <= 2 * (5 + 1)
+
+
 def test_optimizer_deterministic():
     rho = random_state(3, seed=51)
     op = random_hermitian(3, 52)
@@ -211,23 +238,24 @@ def _functionals(dim, seed):
 @pytest.mark.parametrize("dim, ancilla", [(2, 2), (3, 3), (3, 4), (4, 4)])
 def test_batched_objective_matches_extracted_decompositions(dim, ancilla):
     # every set partition of the ancilla x 3 Haar unitaries, evaluated as one
-    # stack (partitions with fewer blocks are padded) against re-evaluating
-    # the extracted witness decomposition component by component
+    # (partitions, 3) stack (partitions with fewer blocks are padded) against
+    # re-evaluating the extracted witness decomposition component by component
     rho = random_state(dim, seed=110 + ancilla)
     base = purify(rho, ancilla)
     m = base.psi_p.vec.reshape(dim, ancilla)
     rng = np.random.default_rng(ancilla)
-    pairs = [(part, haar_random_unitary(ancilla, rng))
-             for part in set_partitions(ancilla) for _ in range(3)]
-    blocks = _block_matrix([part for part, _ in pairs], ancilla)
-    us = np.array([u for _, u in pairs])
+    partitions = list(set_partitions(ancilla))
+    us = np.array([[haar_random_unitary(ancilla, rng) for _ in range(3)] for _ in partitions])
+    blocks = _block_tensor(partitions, ancilla)
     for functional, _ in _functionals(dim, 120 + ancilla):
         batched = _objective(_gram_stack(m, functional.moment_ops(dim)), us, blocks, functional)
-        for (part, u), value in zip(pairs, batched):
-            pur = Purification(target=rho, ancilla_dim=ancilla, psi_p=base.psi_p,
-                               u_a=u, partition=part)
-            expected = decomposition_average(extract_decomposition(pur), functional)
-            assert abs(value - expected) < 1e-12
+        assert batched.shape == (len(partitions), 3)
+        for part, climb_us, climb_values in zip(partitions, us, batched):
+            for u, value in zip(climb_us, climb_values):
+                pur = Purification(target=rho, ancilla_dim=ancilla, psi_p=base.psi_p,
+                                   u_a=u, partition=part)
+                expected = decomposition_average(extract_decomposition(pur), functional)
+                assert abs(value - expected) < 1e-12
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
@@ -256,13 +284,13 @@ def test_rank_deficient_qutrit_search_raises_no_floating_point_error():
     a, b = random_hermitian(3, 202), random_hermitian(3, 203)
     partitions = default_mixed_partitions(3)
     cfg = OptimizerConfig(seed=5, restarts=3, local_steps=120)
-    us = np.broadcast_to(np.eye(3, dtype=complex), (len(partitions), 3, 3))
+    us = np.broadcast_to(np.eye(3, dtype=complex), (len(partitions), 1, 3, 3))
     m = purify(rho).psi_p.vec.reshape(3, 3)
     assert np.sum(np.abs(m[:, 2]) ** 2) < WEIGHT_DROP
     with np.errstate(all="raise"):
         for functional, dense in _functionals(3, 204):
             at_identity = _objective(_gram_stack(m, functional.moment_ops(3)), us,
-                                     _block_matrix(partitions, 3), functional)
+                                     _block_tensor(partitions, 3), functional)[:, 0]
             for part, value in zip(partitions, at_identity):
                 pur = Purification(target=rho, ancilla_dim=3, psi_p=purify(rho).psi_p,
                                    u_a=np.eye(3), partition=part)
@@ -275,12 +303,18 @@ def test_rank_deficient_qutrit_search_raises_no_floating_point_error():
     assert abs(k - closed_form_K(rho, a.mat, b.mat)) < 1e-12
 
 
-REFERENCE_CASES = [(dim, direction, kind, seed) for dim in (2, 3) for direction in ("min", "max")
+REFERENCE_CASES = [pytest.param(dim, direction, kind, seed, 120,
+                                id=f"{dim}-{direction}-{kind}-{seed}")
+                   for dim in (2, 3) for direction in ("min", "max")
                    for kind in ("variance", "rs") for seed in (0, 1)]
+# budgets that end a qutrit climb inside, at and just past its first window
+# and just past its first proposal block
+REFERENCE_CASES += [pytest.param(3, "max", "rs", 2, steps, id=f"3-max-rs-2-steps{steps}")
+                    for steps in (0, 1, WINDOW - 1, WINDOW, WINDOW + 1, PROPOSAL_BLOCK + 1)]
 
 
-@pytest.mark.parametrize("dim, direction, kind, seed", REFERENCE_CASES)
-def test_lockstep_search_matches_scalar_reference(dim, direction, kind, seed):
+@pytest.mark.parametrize("dim, direction, kind, seed, local_steps", REFERENCE_CASES)
+def test_lockstep_search_matches_scalar_reference(dim, direction, kind, seed, local_steps):
     rho = random_state(dim, seed=150 + seed)
     a, b = random_hermitian(dim, 160 + seed), random_hermitian(dim, 170 + seed)
     if kind == "variance":
@@ -289,7 +323,7 @@ def test_lockstep_search_matches_scalar_reference(dim, direction, kind, seed):
     else:
         functional, partitions = RobertsonSchrodingerBound(a, b), default_mixed_partitions(dim)
         dense = lambda s: dense_rs_bound(s, a.mat, b.mat)
-    cfg = OptimizerConfig(seed=seed, restarts=3, local_steps=120)
+    cfg = OptimizerConfig(seed=seed, restarts=3, local_steps=local_steps)
     res = optimize_roof(rho, functional, direction, partitions=partitions, cfg=cfg)
     ref = scalar_reference_roof(rho, dense, direction, partitions=partitions, cfg=cfg)
     assert type(res.value) is float
@@ -301,19 +335,27 @@ def test_lockstep_search_matches_scalar_reference(dim, direction, kind, seed):
 
 
 def test_lockstep_search_matches_scalar_reference_through_tolerance_stops():
-    # at the default budget some climbs stop on the step-size tolerance while
-    # others keep going, so the stack shrinks mid-search
-    rho = random_state(2, seed=181)
+    # some climbs stop on the step-size tolerance while others keep going,
+    # so the stack shrinks mid-search: a qubit at the default budget, and a
+    # qutrit with a shrink that is not a power of two and a tolerance that
+    # the step size crosses on a rejection inside a window
     a, b = _alpha_pair(0.7)
-    functional = RobertsonSchrodingerBound(a, b)
-    partitions = [singleton_partition(2), trivial_partition(2)]
-    cfg = OptimizerConfig(seed=4)
-    res = optimize_roof(rho, functional, "max", partitions=partitions, cfg=cfg)
-    ref = scalar_reference_roof(rho, lambda s: dense_rs_bound(s, a.mat, b.mat), "max",
-                                partitions=partitions, cfg=cfg)
-    assert abs(res.value - ref.value) < 1e-9
-    assert res.converged == ref.converged
-    assert res.evaluations < 1 + cfg.restarts * (cfg.local_steps + 1)
+    qubit = (random_state(2, seed=181), a, b, [singleton_partition(2), trivial_partition(2)],
+             OptimizerConfig(seed=4))
+    qutrit = (random_state(3, seed=181), random_hermitian(3, 182), random_hermitian(3, 183),
+              default_mixed_partitions(3),
+              OptimizerConfig(seed=6, restarts=3, local_steps=400, step_scale=0.7, shrink=0.3,
+                              tolerance=0.01))
+    for rho, a, b, partitions, cfg in (qubit, qutrit):
+        functional = RobertsonSchrodingerBound(a, b)
+        res = optimize_roof(rho, functional, "max", partitions=partitions, cfg=cfg)
+        ref = scalar_reference_roof(rho, lambda s: dense_rs_bound(s, a.mat, b.mat), "max",
+                                    partitions=partitions, cfg=cfg)
+        assert abs(res.value - ref.value) < 1e-9
+        assert res.converged == ref.converged
+        assert res.evaluations == ref.evaluations - (cfg.restarts * (cfg.local_steps + 1) - 1)
+        searched = len(partitions) - 1
+        assert res.evaluations < 1 + searched * cfg.restarts * (cfg.local_steps + 1)
 
 
 def test_trivial_only_search_is_one_evaluation_of_the_state():
@@ -480,6 +522,8 @@ def test_partition_bound_pure_qutrit_is_plain_L():
     spin = make_spin_algebra(1)
     k = eigen_partition_bound_K(rho, spin.jx, spin.jy)
     assert abs(k - rs_lower_bound_L(psi, spin.jx, spin.jy)) < 1e-9
+    # a PureState input is the same state
+    assert eigen_partition_bound_K(psi, spin.jx, spin.jy) == k
 
 
 def test_partition_bound_dominates_plain_bound():
