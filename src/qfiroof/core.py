@@ -524,110 +524,3 @@ def ground_state(h: HermitianOperator) -> tuple[float, PureState, bool]:
     degenerate = bool(len(vals) > 1 and (vals[1] - vals[0]) < DEGENERACY_REL_TOL * spread)
     return float(vals[0]), PureState(vecs[:, 0]), degenerate
 
-
-def eigh_stack(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.linalg.eigh`` of a stack ``(..., n, n)`` of Hermitian matrices.
-
-    A stack of 3 x 3 matrices is diagonalised in closed form (``_eigh3``),
-    which avoids LAPACK's per-matrix overhead; other sizes call LAPACK.
-    """
-    if h.shape[-1] == 3:
-        return _eigh3(h)
-    return np.linalg.eigh(h)
-
-
-def _pick(first: np.ndarray, second: np.ndarray, options):
-    """options[0] where ``first``, else options[1] where ``second``, else options[2]."""
-    return np.where(first, options[0], np.where(second, options[1], options[2]))
-
-
-def _abs2(z: np.ndarray) -> np.ndarray:
-    return z.real * z.real + z.imag * z.imag
-
-
-def _eigh3(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and unitary eigenvectors of 3 x 3 Hermitian matrices.
-
-    Every matrix entry is one array over the stack (struct of arrays).  The
-    eigenvalues of the traceless K = H - tr(H)/3 come from the trigonometric
-    solution of its characteristic cubic (Smith, CACM 4, 168 (1961)).  Of the
-    largest and the smallest, the one farther from the middle eigenvalue has
-    an eigenvector that is the longest cross product of two rows of K - lam I
-    (Kopp, Int. J. Mod. Phys. C 19, 523 (2008)).  The other two eigenpairs
-    come from the exact 2 x 2 problem of K on the orthogonal complement of
-    that vector, so the basis stays unitary to round-off at exact and near
-    degeneracies, where the cubic alone loses accuracy.
-    """
-    shape = h.shape[:-2]
-    h = h.reshape(-1, 3, 3)
-    m = (h[:, 0, 0].real + h[:, 1, 1].real + h[:, 2, 2].real) / 3.0
-    a0, a1, a2 = h[:, 0, 0].real - m, h[:, 1, 1].real - m, h[:, 2, 2].real - m
-    f, g, e = h[:, 0, 1], h[:, 0, 2], h[:, 1, 2]
-    fc, gc, ec = f.conj(), g.conj(), e.conj()
-    ff, gg, ee = _abs2(f), _abs2(g), _abs2(e)
-    p = (a0 * a0 + a1 * a1 + a2 * a2 + 2.0 * (ff + gg + ee)) / 6.0
-    det = a0 * a1 * a2 + 2.0 * (f * e * gc).real - a0 * ee - a1 * gg - a2 * ff
-    sp = np.sqrt(p)
-    cos3 = np.clip(0.5 * det / np.where(p > 0.0, p * sp, 1.0), -1.0, 1.0)
-    phi = np.arccos(cos3) / 3.0
-    top = 2.0 * sp * np.cos(phi)
-    bot = 2.0 * sp * np.cos(phi + 2.0 * np.pi / 3.0)
-    use_top = top + bot >= 0.0            # the middle eigenvalue -top-bot is nearer bot
-    lam = np.where(use_top, top, bot)
-
-    b0, b1, b2 = a0 - lam, a1 - lam, a2 - lam
-    crosses = ((f * e - g * b1, g * fc - b0 * e, b0 * b1 - ff),
-               (b1 * b2 - ee, e * gc - fc * b2, fc * ec - b1 * gc),
-               (ec * g - b2 * f, b2 * b0 - gg, gc * f - ec * b0))
-    n01, n12, n20 = (_abs2(c[0]) + _abs2(c[1]) + _abs2(c[2]) for c in crosses)
-    first, second = n01 >= np.maximum(n12, n20), n12 >= n20
-    norm2 = _pick(first, second, (n01, n12, n20))
-    flat = norm2 == 0.0                   # K = lam I: every basis is an eigenbasis
-    scale = 1.0 / np.sqrt(np.where(flat, 1.0, norm2))
-    v = [np.where(flat, float(i == 0), _pick(first, second, opts) * scale)
-         for i, opts in enumerate(zip(*crosses))]
-
-    # u: conj(v x e_k) for the smallest |v_k|; w = conj(v x u)
-    w2 = [_abs2(x) for x in v]
-    first, second = w2[0] <= np.minimum(w2[1], w2[2]), w2[1] <= w2[2]
-    zero = np.zeros_like(v[0])
-    scale = 1.0 / np.sqrt(_pick(first, second, (w2[1] + w2[2], w2[0] + w2[2], w2[0] + w2[1])))
-    u = [(_pick(first, second, opts) * scale).conj()
-         for opts in zip((zero, -v[2], v[1]), (v[2], zero, -v[0]), (-v[1], v[0], zero))]
-    w = [(v[1] * u[2] - v[2] * u[1]).conj(), (v[2] * u[0] - v[0] * u[2]).conj(),
-         (v[0] * u[1] - v[1] * u[0]).conj()]
-
-    def k_times(x):
-        return (a0 * x[0] + f * x[1] + g * x[2], fc * x[0] + a1 * x[1] + e * x[2],
-                gc * x[0] + ec * x[1] + a2 * x[2])
-
-    def inner(x, y):
-        return x[0].conj() * y[0] + x[1].conj() * y[1] + x[2].conj() * y[2]
-
-    kw = k_times(w)
-    k00, k11, k01 = inner(u, k_times(u)).real, inner(w, kw).real, inner(u, kw)
-    alpha = m + inner(v, k_times(v)).real
-    mean, delta = m + 0.5 * (k00 + k11), 0.5 * (k00 - k11)
-    rad = np.hypot(delta, np.abs(k01))
-    lo, hi = mean - rad, mean + rad
-    alpha = np.where(use_top, np.maximum(alpha, hi), np.minimum(alpha, lo))
-    # eigenvector (x, y) of the 2 x 2 block for hi, from whichever row is longer
-    pos = delta >= 0.0
-    x, y = np.where(pos, rad + delta, k01), np.where(pos, k01.conj(), rad - delta)
-    norm = np.sqrt(_abs2(x) + _abs2(y))
-    flat = norm == 0.0
-    scale = 1.0 / np.where(flat, 1.0, norm)
-    x, y = np.where(flat, 1.0, x * scale), y * scale
-    e_hi = [ui * x + wi * y for ui, wi in zip(u, w)]
-    e_lo = [wi * x.conj() - ui * y.conj() for ui, wi in zip(u, w)]
-
-    vals = np.empty((len(m), 3))
-    vals[:, 0] = np.where(use_top, lo, alpha)
-    vals[:, 1] = np.where(use_top, hi, lo)
-    vals[:, 2] = np.where(use_top, alpha, hi)
-    vecs = np.empty((len(m), 3, 3), dtype=complex)
-    for i in range(3):
-        vecs[:, i, 0] = np.where(use_top, e_lo[i], v[i])
-        vecs[:, i, 1] = np.where(use_top, e_hi[i], e_lo[i])
-        vecs[:, i, 2] = np.where(use_top, v[i], e_hi[i])
-    return vals.reshape(shape + (3,)), vecs.reshape(shape + (3, 3))

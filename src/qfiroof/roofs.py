@@ -26,7 +26,6 @@ from .core import (
     HermitianOperator,
     PureState,
     State,
-    eigh_stack,
     haar_random_unitary,
     state_matrix,
 )
@@ -379,9 +378,106 @@ def _objective(gram: np.ndarray, us: np.ndarray, blocks: np.ndarray,
     return terms.sum(axis=1)
 
 
-PROPOSAL_BLOCK = 128  # steps of a qutrit climb whose proposals are drawn and diagonalised at once
-WINDOW = 16           # most steps of one climb tried per lockstep iteration (<= REJECTION_STREAK)
-WINDOW_ROWS = 48      # an n-dim ancilla tries WINDOW_ROWS // n steps, at most WINDOW
+PROPOSAL_BLOCK = 128  # steps of a climb whose proposals are drawn and diagonalised at once
+WINDOW = 16           # steps of one climb tried per windowed iteration (<= REJECTION_STREAK)
+WINDOWED_MAX_DIM = 4  # largest ancilla searched in windows
+
+
+def _pick(first: np.ndarray, second: np.ndarray, options):
+    """options[0] where ``first``, else options[1] where ``second``, else options[2]."""
+    return np.where(first, options[0], np.where(second, options[1], options[2]))
+
+
+def _abs2(z: np.ndarray) -> np.ndarray:
+    return z.real * z.real + z.imag * z.imag
+
+
+def _eigh3(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and unitary eigenvectors of 3 x 3 Hermitian matrices.
+
+    Every matrix entry is one array over the stack (struct of arrays).  The
+    eigenvalues of the traceless K = H - tr(H)/3 come from the trigonometric
+    solution of its characteristic cubic (Smith, CACM 4, 168 (1961)).  Of the
+    largest and the smallest, the one farther from the middle eigenvalue has
+    an eigenvector that is the longest cross product of two rows of K - lam I
+    (Kopp, Int. J. Mod. Phys. C 19, 523 (2008)).  The other two eigenpairs
+    come from the exact 2 x 2 problem of K on the orthogonal complement of
+    that vector, so the basis stays unitary to round-off at exact and near
+    degeneracies, where the cubic alone loses accuracy.
+    """
+    shape = h.shape[:-2]
+    h = h.reshape(-1, 3, 3)
+    m = (h[:, 0, 0].real + h[:, 1, 1].real + h[:, 2, 2].real) / 3.0
+    a0, a1, a2 = h[:, 0, 0].real - m, h[:, 1, 1].real - m, h[:, 2, 2].real - m
+    f, g, e = h[:, 0, 1], h[:, 0, 2], h[:, 1, 2]
+    fc, gc, ec = f.conj(), g.conj(), e.conj()
+    ff, gg, ee = _abs2(f), _abs2(g), _abs2(e)
+    p = (a0 * a0 + a1 * a1 + a2 * a2 + 2.0 * (ff + gg + ee)) / 6.0
+    det = a0 * a1 * a2 + 2.0 * (f * e * gc).real - a0 * ee - a1 * gg - a2 * ff
+    sp = np.sqrt(p)
+    cos3 = np.clip(0.5 * det / np.where(p > 0.0, p * sp, 1.0), -1.0, 1.0)
+    phi = np.arccos(cos3) / 3.0
+    top = 2.0 * sp * np.cos(phi)
+    bot = 2.0 * sp * np.cos(phi + 2.0 * np.pi / 3.0)
+    use_top = top + bot >= 0.0            # the middle eigenvalue -top-bot is nearer bot
+    lam = np.where(use_top, top, bot)
+
+    b0, b1, b2 = a0 - lam, a1 - lam, a2 - lam
+    crosses = ((f * e - g * b1, g * fc - b0 * e, b0 * b1 - ff),
+               (b1 * b2 - ee, e * gc - fc * b2, fc * ec - b1 * gc),
+               (ec * g - b2 * f, b2 * b0 - gg, gc * f - ec * b0))
+    n01, n12, n20 = (_abs2(c[0]) + _abs2(c[1]) + _abs2(c[2]) for c in crosses)
+    first, second = n01 >= np.maximum(n12, n20), n12 >= n20
+    norm2 = _pick(first, second, (n01, n12, n20))
+    flat = norm2 == 0.0                   # K = lam I: every basis is an eigenbasis
+    scale = 1.0 / np.sqrt(np.where(flat, 1.0, norm2))
+    v = [np.where(flat, float(i == 0), _pick(first, second, opts) * scale)
+         for i, opts in enumerate(zip(*crosses))]
+
+    # u: conj(v x e_k) for the smallest |v_k|; w = conj(v x u)
+    w2 = [_abs2(x) for x in v]
+    first, second = w2[0] <= np.minimum(w2[1], w2[2]), w2[1] <= w2[2]
+    zero = np.zeros_like(v[0])
+    scale = 1.0 / np.sqrt(_pick(first, second, (w2[1] + w2[2], w2[0] + w2[2], w2[0] + w2[1])))
+    u = [(_pick(first, second, opts) * scale).conj()
+         for opts in zip((zero, -v[2], v[1]), (v[2], zero, -v[0]), (-v[1], v[0], zero))]
+    w = [(v[1] * u[2] - v[2] * u[1]).conj(), (v[2] * u[0] - v[0] * u[2]).conj(),
+         (v[0] * u[1] - v[1] * u[0]).conj()]
+
+    def k_times(x):
+        return (a0 * x[0] + f * x[1] + g * x[2], fc * x[0] + a1 * x[1] + e * x[2],
+                gc * x[0] + ec * x[1] + a2 * x[2])
+
+    def inner(x, y):
+        return x[0].conj() * y[0] + x[1].conj() * y[1] + x[2].conj() * y[2]
+
+    kw = k_times(w)
+    k00, k11, k01 = inner(u, k_times(u)).real, inner(w, kw).real, inner(u, kw)
+    alpha = m + inner(v, k_times(v)).real
+    mean, delta = m + 0.5 * (k00 + k11), 0.5 * (k00 - k11)
+    rad = np.hypot(delta, np.abs(k01))
+    lo, hi = mean - rad, mean + rad
+    alpha = np.where(use_top, np.maximum(alpha, hi), np.minimum(alpha, lo))
+    # eigenvector (x, y) of the 2 x 2 block for hi, from whichever row is longer
+    pos = delta >= 0.0
+    x, y = np.where(pos, rad + delta, k01), np.where(pos, k01.conj(), rad - delta)
+    norm = np.sqrt(_abs2(x) + _abs2(y))
+    flat = norm == 0.0
+    scale = 1.0 / np.where(flat, 1.0, norm)
+    x, y = np.where(flat, 1.0, x * scale), y * scale
+    e_hi = [ui * x + wi * y for ui, wi in zip(u, w)]
+    e_lo = [wi * x.conj() - ui * y.conj() for ui, wi in zip(u, w)]
+
+    vals = np.empty((len(m), 3))
+    vals[:, 0] = np.where(use_top, lo, alpha)
+    vals[:, 1] = np.where(use_top, hi, lo)
+    vals[:, 2] = np.where(use_top, alpha, hi)
+    vecs = np.empty((len(m), 3, 3), dtype=complex)
+    for i in range(3):
+        vecs[:, i, 0] = np.where(use_top, e_lo[i], v[i])
+        vecs[:, i, 1] = np.where(use_top, e_hi[i], e_lo[i])
+        vecs[:, i, 2] = np.where(use_top, v[i], e_hi[i])
+    return vals.reshape(shape + (3,)), vecs.reshape(shape + (3, 3))
 
 
 def _proposal_eigensystems(rngs: Sequence[np.random.Generator], n: int,
@@ -396,23 +492,23 @@ def _proposal_eigensystems(rngs: Sequence[np.random.Generator], n: int,
     g = z[:, 0] + 1j * z[:, 1]
     h = 0.5 * (g + g.conj().swapaxes(-1, -2))
     h /= np.linalg.norm(h, axis=(-2, -1), keepdims=True)
-    return eigh_stack(h)
+    if n == 3:
+        return _eigh3(h)
+    return np.linalg.eigh(h)
 
 
 def _rotate(vecs: np.ndarray, phase: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Candidates V_k diag(phase_k) V_k^dag U of each climb, shape ``(C, K, n, n)``.
 
     ``vecs`` is ``(C, K, n, n)``, ``phase`` ``(C, K, n)`` and ``u`` ``(C, n, n)``.
-    V^dag U is one product per climb.  For small n the K products with V run
-    as n broadcast terms, which avoids numpy's per-matrix cost on stacks of
-    tiny matrices, and give a view of a contiguous ``(C, n, K, n)`` array,
-    the layout ``_objective`` reads without a copy.
+    V^dag U is one product per climb.  The K products with V run as n
+    broadcast terms, which avoids numpy's per-matrix cost on stacks of tiny
+    matrices, and give a view of a contiguous ``(C, n, K, n)`` array, the
+    layout ``_objective`` reads without a copy.
     """
     c, k, n = vecs.shape[:3]
     z = (vecs.conj().swapaxes(-1, -2).reshape(c, k * n, n) @ u).reshape(c, k, n, n)
     z *= phase[..., None]
-    if n > 4:
-        return vecs @ z
     out = vecs[..., :, 0].swapaxes(1, 2)[..., None] * z[:, None, :, 0]
     for l in range(1, n):
         out += vecs[..., :, l].swapaxes(1, 2)[..., None] * z[:, None, :, l]
@@ -427,9 +523,62 @@ def _lockstep_climb(gram: np.ndarray, partitions: Sequence[Partition],
 
     Climb i searches ``partitions[i]`` from ``us[i]``, which receives its
     final unitary, and draws its proposals from ``rngs[i]`` only; each keeps
-    its own value, step count, rejection streak and step size, so the climbs
-    never read each other's state.  A climb whose step size falls below
-    ``cfg.tolerance`` stops and leaves the stack.
+    its own value, rejection streak and step size, so the climbs never read
+    each other's state.  A climb whose step size falls below
+    ``cfg.tolerance`` stops and leaves the stack.  Every iteration takes one
+    step of every climb.  Returns the signed objectives of the final
+    unitaries, which climbs stopped on the tolerance, and the number of
+    objective evaluations.
+    """
+    if not len(us):
+        return np.empty(0), np.zeros(0, dtype=bool), 0
+    n = us.shape[-1]
+    live = np.arange(len(us))        # climb index of each row of the stack
+    u = us.copy()
+    blocks = _block_tensor(partitions, n)
+    vals = sign * _objective(gram, u[:, None], blocks, functional)[:, 0]
+    evaluations = len(us)
+    eps = np.full(len(us), cfg.step_scale)
+    rejects = np.zeros(len(us), dtype=int)
+    final = np.empty(len(us))
+    hit_tolerance = np.zeros(len(us), dtype=bool)
+    for step in range(cfg.local_steps):
+        stop = eps < cfg.tolerance
+        if np.any(stop):
+            hit_tolerance[live[stop]] = True
+            us[live[stop]], final[live[stop]] = u[stop], vals[stop]
+            go = ~stop
+            live, u, vals, eps, rejects = live[go], u[go], vals[go], eps[go], rejects[go]
+            if not len(live):
+                return final, hit_tolerance, evaluations
+            blocks = blocks[go]
+            if step % PROPOSAL_BLOCK:
+                lam, vecs, vecs_h = lam[go], vecs[go], vecs_h[go]
+        k = step % PROPOSAL_BLOCK
+        if k == 0:
+            # the proposals do not depend on eps, so their eigensolves run ahead
+            size = min(PROPOSAL_BLOCK, cfg.local_steps - step)
+            lam, vecs = _proposal_eigensystems([rngs[i] for i in live], n, [size] * len(live))
+            lam, vecs = lam.reshape(len(live), size, n), vecs.reshape(len(live), size, n, n)
+            vecs_h = vecs.conj().swapaxes(-1, -2)
+        phase = np.exp((1j * eps)[:, None] * lam[:, k])
+        cand = (vecs[:, k] * phase[:, None, :]) @ vecs_h[:, k] @ u
+        cand_vals = sign * _objective(gram, cand[:, None], blocks, functional)[:, 0]
+        evaluations += len(live)
+        accept = cand_vals > vals
+        u = np.where(accept[:, None, None], cand, u)
+        vals = np.where(accept, cand_vals, vals)
+        rejects = np.where(accept, 0, rejects + 1)
+        eps = np.where(~accept & (rejects % REJECTION_STREAK == 0), eps * cfg.shrink, eps)
+    us[live], final[live] = u, vals
+    return final, hit_tolerance, evaluations
+
+
+def _windowed_climb(gram: np.ndarray, partitions: Sequence[Partition],
+                    us: np.ndarray, rngs: Sequence[np.random.Generator],
+                    functional: RoofFunctional, sign: float,
+                    cfg: OptimizerConfig) -> tuple[np.ndarray, np.ndarray, int]:
+    """The climbs of ``_lockstep_climb``, with the same steps and results.
 
     Each iteration tries, for every climb, a window of its next steps at
     once: while a climb rejects, each of its candidates is exp(i eps_t H_t) U
@@ -437,24 +586,12 @@ def _lockstep_climb(gram: np.ndarray, partitions: Sequence[Partition],
     longer than ``REJECTION_STREAK``.  The climb then takes its first
     improving candidate, or all the window's rejections; candidates after an
     acceptance are discarded, so every climb passes through the same steps
-    as one taking a single step at a time.  The window is ``WINDOW_ROWS //
-    n`` steps, at most ``WINDOW``: a candidate's cost grows with n while an
-    iteration's fixed cost does not.  A ``CallableFunctional`` tries one step
-    at a time, since a discarded candidate would call the user's function
-    for nothing.  Returns the signed objectives of the final
-    unitaries, which climbs stopped on the tolerance, and the number of
-    objective evaluations: the steps taken, not the discarded candidates.
+    as one taking a single step at a time.  The evaluation count is the
+    steps taken, not the discarded candidates.
     """
     if not len(us):
         return np.empty(0), np.zeros(0, dtype=bool), 0
     n = us.shape[-1]
-    if isinstance(functional, CallableFunctional):
-        window = 1
-    else:
-        window = max(1, min(WINDOW, WINDOW_ROWS // n))
-    # a block holds about the matrix entries of PROPOSAL_BLOCK qutrit
-    # proposals, and at least 32 proposals (>= 2 * window)
-    block = max(32, PROPOSAL_BLOCK * 9 // (n * n))
     live = np.arange(len(us))        # climb index of each row of the stack
     rows = np.arange(len(us))
     u = us.copy()
@@ -469,12 +606,12 @@ def _lockstep_climb(gram: np.ndarray, partitions: Sequence[Partition],
     # ring buffers: slot t % capacity of climb i holds the eigensystem of its
     # proposal of step t for steps[i] <= t < drawn[i]; a window past a climb's
     # last step reads slots it never uses
-    capacity = block + block // 2
+    capacity = PROPOSAL_BLOCK + PROPOSAL_BLOCK // 2
     lam = np.zeros((len(us), capacity, n))
     vecs = np.zeros((len(us), capacity, n, n), dtype=complex)
     drawn = np.zeros(len(us), dtype=int)
     due = np.zeros(len(us), dtype=int)      # step at which a climb must refill or stop
-    offsets = np.arange(window + 1)
+    offsets = np.arange(WINDOW + 1)
     while True:
         if np.any((steps >= due) | (eps < cfg.tolerance)):
             stop = (steps >= cfg.local_steps) | (eps < cfg.tolerance)
@@ -490,9 +627,10 @@ def _lockstep_climb(gram: np.ndarray, partitions: Sequence[Partition],
                 rows = rows[:len(live)]
             # the proposals do not depend on eps, so their eigensolves run ahead;
             # every climb half through its block refills in the same call
-            refill = np.flatnonzero((drawn - steps < block // 2) & (drawn < cfg.local_steps))
+            refill = np.flatnonzero((drawn - steps < PROPOSAL_BLOCK // 2)
+                                    & (drawn < cfg.local_steps))
             if len(refill):
-                sizes = np.minimum(block, cfg.local_steps - drawn[refill])
+                sizes = np.minimum(PROPOSAL_BLOCK, cfg.local_steps - drawn[refill])
                 new_lam, new_vecs = _proposal_eigensystems([rngs[live[i]] for i in refill],
                                                            n, sizes)
                 climb = np.repeat(refill, sizes)
@@ -500,7 +638,7 @@ def _lockstep_climb(gram: np.ndarray, partitions: Sequence[Partition],
                 slot = (slot + drawn[climb]) % capacity
                 lam[climb, slot], vecs[climb, slot] = new_lam, new_vecs
                 drawn[refill] += sizes
-            due = np.where(drawn < cfg.local_steps, drawn - window + 1, cfg.local_steps)
+            due = np.where(drawn < cfg.local_steps, drawn - WINDOW + 1, cfg.local_steps)
         # eps_t[i, t] is climb i's step size after t rejections in the window
         eps_t = np.where(offsets < left[:, None], eps[:, None], eps[:, None] * cfg.shrink)
         valid = ((offsets[:-1] < (cfg.local_steps - steps)[:, None])
@@ -545,12 +683,13 @@ def optimize_roof(rho: State,
     formed: the Gram stack G = m^dag [I, X_1, ..] m of the purification
     matrix m and the functional's ``moment_ops`` is built once, and each
     iteration takes the block moments of every climb's candidates from one
-    GEMM with G (``_objective``).  An iteration tries a window of each
-    climb's next proposals against its current unitary (up to 16 on a
-    qutrit ancilla, one for a plain callable) and keeps the first that
-    improves, so every climb takes the same steps as one that tries a single
-    proposal at a time.  ``evaluations`` counts those steps only, not the
-    candidates of a window that come after an acceptance.  The climbs never
+    GEMM with G (``_objective``).  On an ancilla of dimension up to 4 an
+    iteration tries a window of each climb's next 16 proposals against its
+    current unitary and keeps the first that improves, so every climb takes
+    the same steps as one that tries a single proposal at a time; larger
+    ancillas and plain callables take one step per iteration.
+    ``evaluations`` counts those steps only, not the candidates of a window
+    that come after an acceptance.  The climbs never
     read each other's state, so the result equals that of running them one
     after another.  The trivial partition (one block) always yields rho
     itself, whatever the unitary, so it is evaluated once, without a
@@ -590,7 +729,12 @@ def optimize_roof(rho: State,
     us = np.empty((len(climbs), ancilla_dim, ancilla_dim), dtype=complex)
     for i, ((_, r_idx), rng) in enumerate(zip(climbs, rngs)):
         us[i] = np.eye(ancilla_dim) if r_idx == 0 else haar_random_unitary(ancilla_dim, rng)
-    vals, hit_tolerance, evaluations = _lockstep_climb(
+    # a window pays on small ancillas; on larger ones its discarded
+    # candidates cost more than the iterations it saves, and a callable's
+    # would call the user's function for nothing
+    windowed = ancilla_dim <= WINDOWED_MAX_DIM and not isinstance(functional, CallableFunctional)
+    climb = _windowed_climb if windowed else _lockstep_climb
+    vals, hit_tolerance, evaluations = climb(
         gram, [partitions[p_idx] for p_idx, _ in climbs], us, rngs, functional, sign, cfg)
 
     best_value = -np.inf

@@ -23,7 +23,7 @@ from qfiroof import (
     tensor,
     variance,
 )
-from qfiroof.core import eigh_stack, haar_random_unitary
+from qfiroof.core import haar_random_unitary
 
 
 # ---------------------------------------------------------------------------
@@ -415,56 +415,6 @@ def test_ground_state_jz():
 def test_ground_state_degeneracy_flag():
     _, _, degenerate = ground_state(HermitianOperator(np.diag([0.0, 0.0, 1.0])))
     assert degenerate
-
-
-def _assert_eigensystem(h, vals, vecs, tol=1e-13):
-    """Sorted eigenvalues matching LAPACK, V diag(vals) V^dag = H and V^dag V = I."""
-    assert vals.shape == h.shape[:-1] and vecs.shape == h.shape
-    assert np.all(np.diff(vals, axis=-1) >= 0.0)
-    assert np.max(np.abs(vals - np.linalg.eigvalsh(h))) <= tol
-    recon = (vecs * vals[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
-    assert np.max(np.linalg.norm(recon - h, axis=(-2, -1))) <= tol
-    gram = vecs.conj().swapaxes(-1, -2) @ vecs
-    assert np.max(np.linalg.norm(gram - np.eye(h.shape[-1]), axis=(-2, -1))) <= tol
-
-
-def test_closed_form_eigh3_on_random_unit_norm_proposals():
-    # the roof search's proposals: Hermitian parts of Ginibre matrices, unit norm
-    z = np.random.default_rng(31).standard_normal((100_000, 2, 3, 3))
-    g = z[:, 0] + 1j * z[:, 1]
-    h = 0.5 * (g + g.conj().swapaxes(-1, -2))
-    h /= np.linalg.norm(h, axis=(-2, -1), keepdims=True)
-    _assert_eigensystem(h, *eigh_stack(h))
-    real = h.real + 0j
-    _assert_eigensystem(real, *eigh_stack(real))
-    # the stack shape is kept
-    vals, vecs = eigh_stack(h[:12].reshape(3, 4, 3, 3))
-    assert vals.shape == (3, 4, 3) and vecs.shape == (3, 4, 3, 3)
-
-
-def test_closed_form_eigh3_at_degeneracies_and_tiny_gaps():
-    rng = np.random.default_rng(32)
-    spectra = [[0.0, 0.0, 0.0], [0.4, 0.4, 0.4], [-0.5, -0.5, 1.0], [-1.0, 0.5, 0.5],
-               [0.0, 0.0, 1.0], [-1.0, 0.0, 1.0]]
-    for gap in (1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14):
-        spectra += [[-0.5, -0.5 + gap, 1.0], [-1.0, 0.5 - gap, 0.5],
-                    [0.3, 0.3 + gap, 0.3 + 2 * gap], [0.0, gap, 2 * gap], [0.7, 0.7, 0.7 + gap]]
-    units = np.array([haar_random_unitary(3, rng) for _ in range(20)])
-    for spectrum in spectra:
-        lam = np.array(spectrum)
-        h = (units * lam) @ units.conj().swapaxes(-1, -2)
-        h = 0.5 * (h + h.conj().swapaxes(-1, -2))
-        diagonal = np.array([np.diag(lam[perm]) for perm in ([0, 1, 2], [2, 0, 1], [1, 2, 0])])
-        for stack in (h, h.real + 0j, diagonal.astype(complex)):
-            _assert_eigensystem(stack, *eigh_stack(stack))
-
-
-def test_eigh_stack_uses_lapack_for_other_sizes():
-    for n in (1, 2, 4, 5):
-        h = np.array([random_hermitian(n, 40 + k).mat for k in range(6)])
-        vals, vecs = eigh_stack(h)
-        ref_vals, ref_vecs = np.linalg.eigh(h)
-        assert np.array_equal(vals, ref_vals) and np.array_equal(vecs, ref_vecs)
 
 
 def test_squeezing_hamiltonian_ground_state_j1():

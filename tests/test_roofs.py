@@ -37,10 +37,12 @@ from qfiroof.roofs import (
     PROPOSAL_BLOCK,
     WEIGHT_DROP,
     WINDOW,
+    WINDOWED_MAX_DIM,
     CallableFunctional,
     Decomposition,
     Purification,
     _block_tensor,
+    _eigh3,
     _gram_stack,
     _objective,
     decomposition_average,
@@ -303,29 +305,81 @@ def test_rank_deficient_qutrit_search_raises_no_floating_point_error():
     assert abs(k - closed_form_K(rho, a.mat, b.mat)) < 1e-12
 
 
-REFERENCE_CASES = [pytest.param(dim, direction, kind, seed, 120,
+def _assert_eigensystem(h, vals, vecs, tol=1e-13):
+    """Sorted eigenvalues matching LAPACK, V diag(vals) V^dag = H and V^dag V = I."""
+    assert vals.shape == h.shape[:-1] and vecs.shape == h.shape
+    assert np.all(np.diff(vals, axis=-1) >= 0.0)
+    assert np.max(np.abs(vals - np.linalg.eigvalsh(h))) <= tol
+    recon = (vecs * vals[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    assert np.max(np.linalg.norm(recon - h, axis=(-2, -1))) <= tol
+    gram = vecs.conj().swapaxes(-1, -2) @ vecs
+    assert np.max(np.linalg.norm(gram - np.eye(h.shape[-1]), axis=(-2, -1))) <= tol
+
+
+def test_closed_form_eigh3_on_random_unit_norm_proposals():
+    # the roof search's proposals: Hermitian parts of Ginibre matrices, unit norm
+    z = np.random.default_rng(31).standard_normal((100_000, 2, 3, 3))
+    g = z[:, 0] + 1j * z[:, 1]
+    h = 0.5 * (g + g.conj().swapaxes(-1, -2))
+    h /= np.linalg.norm(h, axis=(-2, -1), keepdims=True)
+    _assert_eigensystem(h, *_eigh3(h))
+    real = h.real + 0j
+    _assert_eigensystem(real, *_eigh3(real))
+    # the stack shape is kept
+    vals, vecs = _eigh3(h[:12].reshape(3, 4, 3, 3))
+    assert vals.shape == (3, 4, 3) and vecs.shape == (3, 4, 3, 3)
+
+
+def test_closed_form_eigh3_at_degeneracies_and_tiny_gaps():
+    rng = np.random.default_rng(32)
+    spectra = [[0.0, 0.0, 0.0], [0.4, 0.4, 0.4], [-0.5, -0.5, 1.0], [-1.0, 0.5, 0.5],
+               [0.0, 0.0, 1.0], [-1.0, 0.0, 1.0]]
+    for gap in (1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14):
+        spectra += [[-0.5, -0.5 + gap, 1.0], [-1.0, 0.5 - gap, 0.5],
+                    [0.3, 0.3 + gap, 0.3 + 2 * gap], [0.0, gap, 2 * gap], [0.7, 0.7, 0.7 + gap]]
+    units = np.array([haar_random_unitary(3, rng) for _ in range(20)])
+    for spectrum in spectra:
+        lam = np.array(spectrum)
+        h = (units * lam) @ units.conj().swapaxes(-1, -2)
+        h = 0.5 * (h + h.conj().swapaxes(-1, -2))
+        diagonal = np.array([np.diag(lam[perm]) for perm in ([0, 1, 2], [2, 0, 1], [1, 2, 0])])
+        for stack in (h, h.real + 0j, diagonal.astype(complex)):
+            _assert_eigensystem(stack, *_eigh3(stack))
+
+
+REFERENCE_CASES = [pytest.param(dim, direction, kind, seed, 120, None,
                                 id=f"{dim}-{direction}-{kind}-{seed}")
                    for dim in (2, 3) for direction in ("min", "max")
                    for kind in ("variance", "rs") for seed in (0, 1)]
 # budgets that end a qutrit climb inside, at and just past its first window
 # and just past its first proposal block
-REFERENCE_CASES += [pytest.param(3, "max", "rs", 2, steps, id=f"3-max-rs-2-steps{steps}")
+REFERENCE_CASES += [pytest.param(3, "max", "rs", 2, steps, None, id=f"3-max-rs-2-steps{steps}")
                     for steps in (0, 1, WINDOW - 1, WINDOW, WINDOW + 1, PROPOSAL_BLOCK + 1)]
+# the largest windowed ancilla, through a wrap of its proposal ring buffer,
+# and an ancilla searched one step per iteration
+REFERENCE_CASES += [pytest.param(4, direction, kind, 0, steps, ancilla,
+                                 id=f"4-{direction}-{kind}-0-ancilla{ancilla}")
+                    for ancilla, steps in ((WINDOWED_MAX_DIM, 2 * PROPOSAL_BLOCK + 1), (8, 120))
+                    for direction, kind in (("min", "variance"), ("max", "rs"))]
 
 
-@pytest.mark.parametrize("dim, direction, kind, seed, local_steps", REFERENCE_CASES)
-def test_lockstep_search_matches_scalar_reference(dim, direction, kind, seed, local_steps):
+@pytest.mark.parametrize("dim, direction, kind, seed, local_steps, ancilla", REFERENCE_CASES)
+def test_lockstep_search_matches_scalar_reference(dim, direction, kind, seed, local_steps,
+                                                  ancilla):
     rho = random_state(dim, seed=150 + seed)
     a, b = random_hermitian(dim, 160 + seed), random_hermitian(dim, 170 + seed)
     if kind == "variance":
         functional, partitions = VarianceSum([a]), None
         dense = lambda s: dense_variance_sum(s, [a.mat])
     else:
-        functional, partitions = RobertsonSchrodingerBound(a, b), default_mixed_partitions(dim)
+        functional = RobertsonSchrodingerBound(a, b)
+        partitions = default_mixed_partitions(ancilla or dim)
         dense = lambda s: dense_rs_bound(s, a.mat, b.mat)
     cfg = OptimizerConfig(seed=seed, restarts=3, local_steps=local_steps)
-    res = optimize_roof(rho, functional, direction, partitions=partitions, cfg=cfg)
-    ref = scalar_reference_roof(rho, dense, direction, partitions=partitions, cfg=cfg)
+    res = optimize_roof(rho, functional, direction, partitions=partitions, cfg=cfg,
+                        ancilla_dim=ancilla)
+    ref = scalar_reference_roof(rho, dense, direction, partitions=partitions, cfg=cfg,
+                                ancilla_dim=ancilla)
     assert type(res.value) is float
     assert abs(res.value - ref.value) < 1e-9
     assert abs(decomposition_average(res.decomposition, functional) - res.value) < 1e-12
@@ -338,19 +392,24 @@ def test_lockstep_search_matches_scalar_reference_through_tolerance_stops():
     # some climbs stop on the step-size tolerance while others keep going,
     # so the stack shrinks mid-search: a qubit at the default budget, and a
     # qutrit with a shrink that is not a power of two and a tolerance that
-    # the step size crosses on a rejection inside a window
+    # the step size crosses on a rejection inside a window, also in an
+    # ancilla searched one step per iteration
     a, b = _alpha_pair(0.7)
     qubit = (random_state(2, seed=181), a, b, [singleton_partition(2), trivial_partition(2)],
-             OptimizerConfig(seed=4))
+             OptimizerConfig(seed=4), 2)
     qutrit = (random_state(3, seed=181), random_hermitian(3, 182), random_hermitian(3, 183),
               default_mixed_partitions(3),
               OptimizerConfig(seed=6, restarts=3, local_steps=400, step_scale=0.7, shrink=0.3,
-                              tolerance=0.01))
-    for rho, a, b, partitions, cfg in (qubit, qutrit):
+                              tolerance=0.01), 3)
+    in_five = (*qutrit[:3], default_mixed_partitions(5),
+               OptimizerConfig(seed=6, restarts=3, local_steps=400, step_scale=0.7, shrink=0.3,
+                               tolerance=0.05), 5)
+    for rho, a, b, partitions, cfg, ancilla in (qubit, qutrit, in_five):
         functional = RobertsonSchrodingerBound(a, b)
-        res = optimize_roof(rho, functional, "max", partitions=partitions, cfg=cfg)
+        res = optimize_roof(rho, functional, "max", partitions=partitions, cfg=cfg,
+                            ancilla_dim=ancilla)
         ref = scalar_reference_roof(rho, lambda s: dense_rs_bound(s, a.mat, b.mat), "max",
-                                    partitions=partitions, cfg=cfg)
+                                    partitions=partitions, cfg=cfg, ancilla_dim=ancilla)
         assert abs(res.value - ref.value) < 1e-9
         assert res.converged == ref.converged
         assert res.evaluations == ref.evaluations - (cfg.restarts * (cfg.local_steps + 1) - 1)
