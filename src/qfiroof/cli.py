@@ -347,7 +347,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--cutoff", type=int, default=40, help="Fock truncation (default 40)")
     p.add_argument("--restarts", type=int, default=8, help="optimizer restarts")
-    p.add_argument("--local-steps", type=int, default=600, help="optimizer local steps")
+    p.add_argument("--local-steps", type=int, default=600, help="optimizer iteration budget per start")
 
 
 def _float_list(text: str) -> list[float]:

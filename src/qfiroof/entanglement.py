@@ -222,25 +222,33 @@ def collective_spin_ops(j, n_parties: int) -> tuple[HermitianOperator, ...]:
 
 
 def vxyz_criterion(state: State, j, n_parties: int,
-                   cfg: OptimizerConfig | None = None) -> BoundReport:
-    """Separability test via the convex roof of the collective variance sum.
+                   cfg: OptimizerConfig | None = None,
+                   ancilla_dim: int | None = None) -> BoundReport:
+    """Separability test on the collective variance sum, with its convex roof.
 
-    Separable states obey roof >= N j.  The optimizer value is an upper
-    bound on the true roof (any decomposition is a witness), so a reported
-    violation is conservative: the state is certainly entangled.  A
-    non-violating report is inconclusive rather than a separability proof.
+    Separable states of N spin-j parties obey sum_n Var(J_n) >= N j (Toth,
+    Knapp, Guhne & Briegel, PRL 99, 250405 (2007)), so ``lhs`` is the
+    state's variance sum and a violation proves entanglement.  ``meta``
+    also carries ``roof``, the best decomposition average of the variance
+    sum that the convex-roof search finds (``ancilla_dim`` as in
+    ``roof_sum_I``).  It is a witness: an upper bound on the true convex
+    roof, which lies between sum_n F_Q[rho, J_n] / 4 and ``lhs``.  The
+    roof is no separability test: a separable state can be decomposed into
+    entangled components, and the maximally mixed state of three qubits has
+    a basis of them averaging 9/8 < 3/2.
     """
     ops = collective_spin_ops(j, n_parties)
     if state.dim != ops[0].dim:
         raise DimensionMismatchError(
             f"state dim {state.dim}, expected {ops[0].dim}")
-    roof = roof_sum_I(state, ops, cfg=cfg)
+    roof = roof_sum_I(state, ops, cfg=cfg, ancilla_dim=ancilla_dim)
     spin = make_spin_algebra(j)
     return BoundReport(
-        name="collective_variance_roof",
-        lhs=roof.value,
+        name="collective_variance",
+        lhs=sum(variance(state, op) for op in ops),
         rhs=float(n_parties) * spin.j,
         meta={"n_parties": n_parties, "j": spin.j,
+              "roof": roof.value,
               "converged": roof.converged,
               "witness_is_upper_bound": True},
     )

@@ -3,8 +3,10 @@
 A mixed state has infinitely many decompositions into weighted components.
 Every decomposition is reachable from a fixed purification by a unitary on
 the ancilla, optionally followed by grouping the ancilla basis indices into
-blocks (which yields mixed components).  The optimizer below walks that
-unitary manifold with a seeded stochastic local search.
+blocks (which yields mixed components).  The optimizer below climbs that
+unitary manifold from seeded starts with a limited-memory BFGS ascent in
+the Hermitian Lie algebra, driven by the analytic Riemannian gradient, and
+an exact line search along each geodesic exp(i mu D) U.
 
 One-sidedness contract: every candidate decomposition is itself a witness,
 so a minimization always returns a value >= the true convex roof and a
@@ -14,7 +16,9 @@ bound evaluations consume only the certified side.
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -31,8 +35,10 @@ from .core import (
 )
 from .metrology import state_density
 
+log = logging.getLogger(__name__)
+
 WEIGHT_DROP = 1e-14       # decomposition components lighter than this are discarded
-REJECTION_STREAK = 20     # consecutive rejections before the step size shrinks
+FD_STEP = 1e-5            # central-difference step of a moment, relative to its block weight
 
 Partition = tuple[tuple[int, ...], ...]
 
@@ -183,8 +189,10 @@ class RoofFunctional:
     receives block weights ``p`` (shape ``(K,)``, each at least
     ``WEIGHT_DROP``) and the unnormalised moments ``mom[k, j] = p_k
     Tr(sigma_k X_j)`` (shape ``(K, x)``, complex) and returns p_k f(sigma_k)
-    for every k.  The optimizer never forms sigma: it takes every climb's
-    moments from one Gram stack of the purification (see ``optimize_roof``).
+    for every k; ``moment_grad(p, mom)`` returns its derivatives, from which
+    the optimizer builds the Riemannian gradient.  The optimizer never forms
+    sigma: it takes every start's moments from one Gram stack of the
+    purification (see ``optimize_roof``).
     """
 
     _ops: np.ndarray
@@ -193,6 +201,14 @@ class RoofFunctional:
         return self._ops
 
     def from_moments(self, p: np.ndarray, mom: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def moment_grad(self, p: np.ndarray, mom: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Derivatives of ``from_moments`` in ``p`` (shape ``(K,)``) and in ``mom``.
+
+        The moment derivative is complex, d/dRe + i d/dIm, so a change dM of
+        the moments changes the value by Re(conj(grad) dM).
+        """
         raise NotImplementedError
 
     def check_dim(self, dim: int) -> None:
@@ -226,6 +242,13 @@ class VarianceSum(RoofFunctional):
         total = np.sum(mom[:, half:].real - means * means / p[:, None], axis=1)
         return np.maximum(total, 0.0)
 
+    def moment_grad(self, p: np.ndarray, mom: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        half = mom.shape[1] // 2
+        ratio = mom[:, :half].real / p[:, None]
+        grad = np.ones(mom.shape, dtype=complex)
+        grad[:, :half] = -2.0 * ratio
+        return np.sum(ratio * ratio, axis=1), grad
+
 
 class RobertsonSchrodingerBound(RoofFunctional):
     """The strengthened uncertainty bound L on a component.
@@ -244,6 +267,18 @@ class RobertsonSchrodingerBound(RoofFunctional):
     def from_moments(self, p: np.ndarray, mom: np.ndarray) -> np.ndarray:
         ea, eb, eab = mom[:, 0].real, mom[:, 1].real, mom[:, 2]
         return 2.0 * np.hypot(eab.real - ea * eb / p, eab.imag)
+
+    def moment_grad(self, p: np.ndarray, mom: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # L is not differentiable where both of its terms vanish; there the
+        # zero subgradient is returned
+        ea, eb, eab = mom[:, 0].real, mom[:, 1].real, mom[:, 2]
+        cov, comm = eab.real - ea * eb / p, eab.imag
+        norm = np.hypot(cov, comm)
+        smooth = norm > 0.0
+        dcov = np.divide(2.0 * cov, norm, out=np.zeros_like(norm), where=smooth)
+        dcomm = np.divide(2.0 * comm, norm, out=np.zeros_like(norm), where=smooth)
+        grad = np.stack([-dcov * eb / p, -dcov * ea / p, dcov + 1j * dcomm], axis=1)
+        return dcov * ea * eb / (p * p), grad
 
 
 class CallableFunctional(RoofFunctional):
@@ -278,6 +313,42 @@ class CallableFunctional(RoofFunctional):
         return np.array([pk * self.fn(DensityMatrix._assemble(mat, vals, basis))
                          for pk, mat, vals, basis in zip(p, mats, lam, vecs)])
 
+    def moment_grad(self, p: np.ndarray, mom: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # the value is p f(sigma) with sigma the Hermitian part of the moments
+        # over its trace, so d/dp is f, and the d^2 Hermitian directions
+        # E_aa, E_ab + E_ba and i(E_ab - E_ba) (a < b) give a Hermitian
+        # moment derivative W: 2 Re W_ab and 2 Im W_ab are the last two slopes
+        dim = math.isqrt(mom.shape[1])
+        a, b = np.triu_indices(dim, 1)
+        units = np.eye(dim * dim)                    # row i dim + j is the matrix unit E_ij
+        upper, lower = units[a * dim + b], units[b * dim + a]
+        directions = np.concatenate([units[np.arange(dim) * (dim + 1)], upper + lower,
+                                     1j * (upper - lower)])
+        slopes = self._slopes(p, mom, directions)
+        diagonal, real, imag = np.split(slopes, [dim, dim + len(a)])
+        grad = np.zeros((len(p), dim, dim), dtype=complex)
+        grad[:, np.arange(dim), np.arange(dim)] = diagonal.T
+        grad[:, a, b] = 0.5 * (real + 1j * imag).T
+        grad[:, b, a] = grad[:, a, b].conj()
+        return self.from_moments(p, mom) / p, grad.reshape(len(p), -1)
+
+    def _slopes(self, p: np.ndarray, mom: np.ndarray, directions: np.ndarray) -> np.ndarray:
+        """Derivatives of ``from_moments`` along moment directions ``directions[r]``.
+
+        Central differences at steps h and h/2, h proportional to each block
+        weight, combined as 2 D(h/2) - D(h): that cancels the error linear in
+        h which a rank-deficient component leaves, whose perturbed spectrum
+        is clipped at zero.  Returns ``(r, K)``.
+        """
+        step = FD_STEP * np.array([1.0, -1.0, 0.5, -0.5])[:, None] * p     # (4, K)
+        moved = mom + directions[:, None, None, :] * step[..., None]
+        values = self.from_moments(np.broadcast_to(p, moved.shape[:-1]).ravel(),
+                                   moved.reshape(-1, mom.shape[1]))
+        values = values.reshape(len(directions), 4, len(p))
+        coarse = (values[:, 0] - values[:, 1]) / (2.0 * step[0])
+        fine = (values[:, 2] - values[:, 3]) / step[0]
+        return 2.0 * fine - coarse
+
     def on_state(self, state: State) -> float:
         return float(self.fn(state))
 
@@ -291,18 +362,21 @@ def _as_functional(functional) -> RoofFunctional:
 
 
 # ---------------------------------------------------------------------------
-# stochastic search over ancilla unitaries
+# quasi-Newton ascent over ancilla unitaries
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Random-restart local search settings; equal seeds reproduce results."""
+    """Multi-start roof ascent settings; equal seeds reproduce results.
+
+    ``restarts`` starts per searched partition, an iteration budget of
+    ``local_steps`` per start, and ``tolerance`` on the Frobenius norm of
+    the Riemannian gradient at which a start stops.
+    """
 
     seed: int = 7
     restarts: int = 8
     local_steps: int = 600
-    step_scale: float = 0.5
-    shrink: float = 0.5
     tolerance: float = 1e-5
 
     def __post_init__(self):
@@ -312,10 +386,8 @@ class OptimizerConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.restarts < 1 or self.local_steps < 0:
             raise ValueError("restarts must be >= 1 and local_steps >= 0")
-        if not (0.0 < self.shrink < 1.0):
-            raise ValueError("shrink must lie in (0, 1)")
-        if self.step_scale <= 0.0 or self.tolerance <= 0.0:
-            raise ValueError("step_scale and tolerance must be positive")
+        if not self.tolerance > 0.0:
+            raise ValueError("tolerance must be positive")
 
 
 @dataclass(frozen=True)
@@ -330,8 +402,7 @@ def _gram_stack(m: np.ndarray, ops: np.ndarray) -> np.ndarray:
     """G = m^dag [I, X_1, .., X_x] m as one n x (x+1)n matrix.
 
     Column a of v = m U^T is component vector a of unitary U, so its moments
-    v_a^dag X_j v_a = (conj(U) G_j U^T)_aa with G_j = m^dag X_j m: row a of
-    conj(U) @ G contracted with row a of U gives all of them at once.
+    v_a^dag X_j v_a = (conj(U) G_j U^T)_aa with G_j = m^dag X_j m.
     """
     mh = m.conj().T
     grams = np.concatenate([(mh @ m)[None], mh @ ops @ m])
@@ -354,311 +425,212 @@ def _block_tensor(partitions: Sequence[Partition], n: int) -> np.ndarray:
     return s
 
 
-def _objective(gram: np.ndarray, us: np.ndarray, blocks: np.ndarray,
-               functional: RoofFunctional) -> np.ndarray:
-    """sum_l p_l f(component_l) for every unitary ``us[i, k]`` of a ``(C, K, n, n)`` stack.
+def _block_terms(mom: np.ndarray, functional: RoofFunctional) -> np.ndarray:
+    """p f(component) of every block from its moments ``mom[..., j]`` (j = 0 the weight).
 
-    Climb i's K candidate unitaries share its partition, ``blocks[i]`` (see
-    ``_block_tensor``).  One GEMM of every unitary row with the Gram stack,
-    one row contraction, one block sum per climb; blocks lighter than
-    ``WEIGHT_DROP`` (padded ones included) contribute nothing.  Returns the
-    ``(C, K)`` objectives.  A stack that is a ``swapaxes(1, 2)`` view of a
-    contiguous ``(C, n, K, n)`` array is read without a copy.
+    Blocks lighter than ``WEIGHT_DROP`` (padded ones included) give 0.
     """
-    c, k, n = us.shape[0], us.shape[1], us.shape[-1]
-    rows = us.swapaxes(1, 2).reshape(-1, n)      # row a of us[i, k] is row (i, a, k)
-    w = (rows.conj() @ gram).reshape(len(rows), -1, n)
-    mom = np.einsum("rjc,rc->rj", w, rows).view(float).reshape(c, n, -1)
-    # the block tensor is real, so it sums the (re, im) pairs as one real GEMM per climb
-    mom = (blocks @ mom).reshape(c, blocks.shape[1], k, -1).view(complex)
     p = mom[..., 0].real
     keep = p >= WEIGHT_DROP
     terms = np.zeros(p.shape)
     terms[keep] = functional.from_moments(p[keep], mom[..., 1:][keep])
-    return terms.sum(axis=1)
+    return terms
 
 
-PROPOSAL_BLOCK = 128  # steps of a climb whose proposals are drawn and diagonalised at once
-WINDOW = 16           # steps of one climb tried per windowed iteration (<= REJECTION_STREAK)
-WINDOWED_MAX_DIM = 4  # largest ancilla searched in windows
+def _objective(gram: np.ndarray, us: np.ndarray, blocks: np.ndarray,
+               functional: RoofFunctional, gradient: bool = False):
+    """sum_l p_l f(component_l) for every unitary ``us[i, k]`` of a ``(C, K, n, n)`` stack.
 
+    Climb i's K unitaries share its partition, ``blocks[i]`` (see
+    ``_block_tensor``).  Two GEMMs give the full Q_j = conj(U) G_j U^T of
+    every unitary, whose diagonals are the row moments.  Returns the
+    ``(C, K)`` objectives; with ``gradient``, also the Riemannian gradients
+    (Hermitian, ``(C, K, n, n)``) and the Q stack ``(C, K, n, x+1, n)``.
 
-def _pick(first: np.ndarray, second: np.ndarray, options):
-    """options[0] where ``first``, else options[1] where ``second``, else options[2]."""
-    return np.where(first, options[0], np.where(second, options[1], options[2]))
-
-
-def _abs2(z: np.ndarray) -> np.ndarray:
-    return z.real * z.real + z.imag * z.imag
-
-
-def _eigh3(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and unitary eigenvectors of 3 x 3 Hermitian matrices.
-
-    Every matrix entry is one array over the stack (struct of arrays).  The
-    eigenvalues of the traceless K = H - tr(H)/3 come from the trigonometric
-    solution of its characteristic cubic (Smith, CACM 4, 168 (1961)).  Of the
-    largest and the smallest, the one farther from the middle eigenvalue has
-    an eigenvector that is the longest cross product of two rows of K - lam I
-    (Kopp, Int. J. Mod. Phys. C 19, 523 (2008)).  The other two eigenpairs
-    come from the exact 2 x 2 problem of K on the orthogonal complement of
-    that vector, so the basis stays unitary to round-off at exact and near
-    degeneracies, where the cubic alone loses accuracy.
+    The gradient: U <- exp(i eps H) U moves Q_j by i eps [Q_j, H^T], so with
+    c_aj the moment derivative (``moment_grad``) of row a's block and
+    Y = sum_j (conj(c_j) Q_j - Q_j conj(c_j)) (c_j diagonal), the objective
+    moves by eps Re Tr(i Y H^T) = eps Tr(Gamma H) with Gamma the Hermitian
+    part of conj(i Y).
     """
-    shape = h.shape[:-2]
-    h = h.reshape(-1, 3, 3)
-    m = (h[:, 0, 0].real + h[:, 1, 1].real + h[:, 2, 2].real) / 3.0
-    a0, a1, a2 = h[:, 0, 0].real - m, h[:, 1, 1].real - m, h[:, 2, 2].real - m
-    f, g, e = h[:, 0, 1], h[:, 0, 2], h[:, 1, 2]
-    fc, gc, ec = f.conj(), g.conj(), e.conj()
-    ff, gg, ee = _abs2(f), _abs2(g), _abs2(e)
-    p = (a0 * a0 + a1 * a1 + a2 * a2 + 2.0 * (ff + gg + ee)) / 6.0
-    det = a0 * a1 * a2 + 2.0 * (f * e * gc).real - a0 * ee - a1 * gg - a2 * ff
-    sp = np.sqrt(p)
-    cos3 = np.clip(0.5 * det / np.where(p > 0.0, p * sp, 1.0), -1.0, 1.0)
-    phi = np.arccos(cos3) / 3.0
-    top = 2.0 * sp * np.cos(phi)
-    bot = 2.0 * sp * np.cos(phi + 2.0 * np.pi / 3.0)
-    use_top = top + bot >= 0.0            # the middle eigenvalue -top-bot is nearer bot
-    lam = np.where(use_top, top, bot)
-
-    b0, b1, b2 = a0 - lam, a1 - lam, a2 - lam
-    crosses = ((f * e - g * b1, g * fc - b0 * e, b0 * b1 - ff),
-               (b1 * b2 - ee, e * gc - fc * b2, fc * ec - b1 * gc),
-               (ec * g - b2 * f, b2 * b0 - gg, gc * f - ec * b0))
-    n01, n12, n20 = (_abs2(c[0]) + _abs2(c[1]) + _abs2(c[2]) for c in crosses)
-    first, second = n01 >= np.maximum(n12, n20), n12 >= n20
-    norm2 = _pick(first, second, (n01, n12, n20))
-    flat = norm2 == 0.0                   # K = lam I: every basis is an eigenbasis
-    scale = 1.0 / np.sqrt(np.where(flat, 1.0, norm2))
-    v = [np.where(flat, float(i == 0), _pick(first, second, opts) * scale)
-         for i, opts in enumerate(zip(*crosses))]
-
-    # u: conj(v x e_k) for the smallest |v_k|; w = conj(v x u)
-    w2 = [_abs2(x) for x in v]
-    first, second = w2[0] <= np.minimum(w2[1], w2[2]), w2[1] <= w2[2]
-    zero = np.zeros_like(v[0])
-    scale = 1.0 / np.sqrt(_pick(first, second, (w2[1] + w2[2], w2[0] + w2[2], w2[0] + w2[1])))
-    u = [(_pick(first, second, opts) * scale).conj()
-         for opts in zip((zero, -v[2], v[1]), (v[2], zero, -v[0]), (-v[1], v[0], zero))]
-    w = [(v[1] * u[2] - v[2] * u[1]).conj(), (v[2] * u[0] - v[0] * u[2]).conj(),
-         (v[0] * u[1] - v[1] * u[0]).conj()]
-
-    def k_times(x):
-        return (a0 * x[0] + f * x[1] + g * x[2], fc * x[0] + a1 * x[1] + e * x[2],
-                gc * x[0] + ec * x[1] + a2 * x[2])
-
-    def inner(x, y):
-        return x[0].conj() * y[0] + x[1].conj() * y[1] + x[2].conj() * y[2]
-
-    kw = k_times(w)
-    k00, k11, k01 = inner(u, k_times(u)).real, inner(w, kw).real, inner(u, kw)
-    alpha = m + inner(v, k_times(v)).real
-    mean, delta = m + 0.5 * (k00 + k11), 0.5 * (k00 - k11)
-    rad = np.hypot(delta, np.abs(k01))
-    lo, hi = mean - rad, mean + rad
-    alpha = np.where(use_top, np.maximum(alpha, hi), np.minimum(alpha, lo))
-    # eigenvector (x, y) of the 2 x 2 block for hi, from whichever row is longer
-    pos = delta >= 0.0
-    x, y = np.where(pos, rad + delta, k01), np.where(pos, k01.conj(), rad - delta)
-    norm = np.sqrt(_abs2(x) + _abs2(y))
-    flat = norm == 0.0
-    scale = 1.0 / np.where(flat, 1.0, norm)
-    x, y = np.where(flat, 1.0, x * scale), y * scale
-    e_hi = [ui * x + wi * y for ui, wi in zip(u, w)]
-    e_lo = [wi * x.conj() - ui * y.conj() for ui, wi in zip(u, w)]
-
-    vals = np.empty((len(m), 3))
-    vals[:, 0] = np.where(use_top, lo, alpha)
-    vals[:, 1] = np.where(use_top, hi, lo)
-    vals[:, 2] = np.where(use_top, alpha, hi)
-    vecs = np.empty((len(m), 3, 3), dtype=complex)
-    for i in range(3):
-        vecs[:, i, 0] = np.where(use_top, e_lo[i], v[i])
-        vecs[:, i, 1] = np.where(use_top, e_hi[i], e_lo[i])
-        vecs[:, i, 2] = np.where(use_top, v[i], e_hi[i])
-    return vals.reshape(shape + (3,)), vecs.reshape(shape + (3, 3))
+    c, k, n = us.shape[:3]
+    big = gram.shape[1] // n
+    w = (us.conj().reshape(-1, n) @ gram).reshape(c * k, n * big, n)
+    q = (w @ us.reshape(c * k, n, n).swapaxes(-1, -2)).reshape(c, k, n, big, n)
+    mom = blocks[:, None] @ np.diagonal(q, axis1=2, axis2=4).swapaxes(-1, -2)   # (C, K, w, x+1)
+    terms = _block_terms(mom, functional)
+    values = terms.sum(axis=-1)
+    if not gradient:
+        return values
+    p = mom[..., 0].real
+    keep = p >= WEIGHT_DROP
+    coef = np.zeros(mom.shape, dtype=complex)
+    coef[..., 0][keep], coef[..., 1:][keep] = functional.moment_grad(p[keep], mom[..., 1:][keep])
+    row_coef = (blocks.swapaxes(-1, -2)[:, None] @ coef).conj()      # (C, K, n, x+1)
+    y = (row_coef[..., None, :] @ q)[..., 0, :] - np.einsum("ikajb,ikbj->ikab", q, row_coef)
+    return values, 0.5j * (y.swapaxes(-1, -2) - y.conj()), q
 
 
-def _proposal_eigensystems(rngs: Sequence[np.random.Generator], n: int,
-                           sizes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Eigensystems of the next ``sizes[i]`` unit-norm Hermitian proposals of
-    each stream ``rngs[i]``, concatenated along the first axis.
+def _line_coefficients(q: np.ndarray, vecs: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Coefficients of every block moment along U(mu) = exp(i mu D) U.
 
-    Every step draws the real and then the imaginary part of an n x n
-    Ginibre matrix; bulk draws give the same numbers.
+    With D = V diag(lam) V^dag, P_j = V^T Q_j conj(V) and S_b = V^dag
+    diag(1_b) V, block b's moment j is M_bj(mu) = sum_kl S_b[k, l] P_j[k, l]
+    e^{i mu (lam_l - lam_k)}.  ``q`` is ``(C, n, x+1, n)`` at U and ``vecs``
+    the ``(C, n, n)`` eigenvectors V; returns the ``(C, w, x+1, n^2)``
+    products S_b[k, l] P_j[k, l].
     """
-    z = np.concatenate([rng.standard_normal((size, 2, n, n)) for rng, size in zip(rngs, sizes)])
-    g = z[:, 0] + 1j * z[:, 1]
-    h = 0.5 * (g + g.conj().swapaxes(-1, -2))
-    h /= np.linalg.norm(h, axis=(-2, -1), keepdims=True)
-    if n == 3:
-        return _eigh3(h)
-    return np.linalg.eigh(h)
+    c, n, big = q.shape[:3]
+    p = (vecs.swapaxes(-1, -2) @ q.reshape(c, n, big * n)).reshape(c, n * big, n) @ vecs.conj()
+    s = vecs.conj().swapaxes(-1, -2)[:, None] @ (blocks[..., None] * vecs[:, None])
+    coef = s[:, :, None] * p.reshape(c, n, big, n).transpose(0, 2, 1, 3)[:, None]
+    return coef.reshape(c, blocks.shape[1], big, n * n)
 
 
-def _rotate(vecs: np.ndarray, phase: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Candidates V_k diag(phase_k) V_k^dag U of each climb, shape ``(C, K, n, n)``.
+def _line_values(coef: np.ndarray, lam: np.ndarray, mus: np.ndarray,
+                 functional: RoofFunctional) -> np.ndarray:
+    """Objective at U(mu) for every step ``mus[i, t]`` of a ``(C, T)`` grid.
 
-    ``vecs`` is ``(C, K, n, n)``, ``phase`` ``(C, K, n)`` and ``u`` ``(C, n, n)``.
-    V^dag U is one product per climb.  The K products with V run as n
-    broadcast terms, which avoids numpy's per-matrix cost on stacks of tiny
-    matrices, and give a view of a contiguous ``(C, n, K, n)`` array, the
-    layout ``_objective`` reads without a copy.
+    ``coef`` comes from ``_line_coefficients`` and ``lam`` is the ``(C, n)``
+    spectrum of the direction; one product with the phases e^{i mu (lam_l -
+    lam_k)} gives every block moment, and no unitary is formed.  Returns
+    ``(C, T)``.
     """
-    c, k, n = vecs.shape[:3]
-    z = (vecs.conj().swapaxes(-1, -2).reshape(c, k * n, n) @ u).reshape(c, k, n, n)
-    z *= phase[..., None]
-    out = vecs[..., :, 0].swapaxes(1, 2)[..., None] * z[:, None, :, 0]
-    for l in range(1, n):
-        out += vecs[..., :, l].swapaxes(1, 2)[..., None] * z[:, None, :, l]
-    return out.swapaxes(1, 2)
+    c, width, big, nn = coef.shape
+    turn = np.exp(1j * lam[:, :, None] * mus[:, None, :])              # (C, n, T)
+    phase = (turn.conj()[:, :, None] * turn[:, None]).reshape(c, nn, -1)
+    mom = coef.reshape(c, width * big, nn) @ phase
+    mom = mom.reshape(c, width, big, -1).transpose(0, 3, 1, 2)       # (C, T, w, x+1)
+    return _block_terms(mom, functional).sum(axis=-1)
 
 
-def _lockstep_climb(gram: np.ndarray, partitions: Sequence[Partition],
-                    us: np.ndarray, rngs: Sequence[np.random.Generator],
-                    functional: RoofFunctional, sign: float,
-                    cfg: OptimizerConfig) -> tuple[np.ndarray, np.ndarray, int]:
-    """Hill climbs i = 0..B-1 over ancilla unitaries, advanced together.
+BFGS_MEMORY = 6           # (step, gradient change) pairs kept per start
+# rotation angles mu max|lam| tried along each direction: pi / 4 down to pi / 4^12
+LINE_ANGLES = np.pi / 4.0 ** np.arange(12, 0, -1)
+TOLERANCE, NO_ASCENT, BUDGET = range(3)          # why a start stopped
+STOP_REASONS = ("tolerance", "no_ascent", "budget")
 
-    Climb i searches ``partitions[i]`` from ``us[i]``, which receives its
-    final unitary, and draws its proposals from ``rngs[i]`` only; each keeps
-    its own value, rejection streak and step size, so the climbs never read
-    each other's state.  A climb whose step size falls below
-    ``cfg.tolerance`` stops and leaves the stack.  Every iteration takes one
-    step of every climb.  Returns the signed objectives of the final
-    unitaries, which climbs stopped on the tolerance, and the number of
-    objective evaluations.
+
+def _lbfgs_direction(grad: np.ndarray, steps: np.ndarray, changes: np.ndarray,
+                     count: np.ndarray) -> np.ndarray:
+    """Limited-memory BFGS ascent directions of a stack of starts.
+
+    ``grad`` is ``(C, k)`` (Hermitian matrices as real vectors, whose dot
+    product is Re Tr(A B)); ``steps`` and ``changes`` are ``(C, m, k)``, the
+    newest pair first, of which the first ``count[i]`` are valid for start
+    i.  A change is g_old - g_new, the gradient change of the negated
+    objective, so every stored pair has positive curvature.
+    """
+    valid = np.arange(steps.shape[1]) < count[:, None]
+    inv = np.divide(1.0, np.einsum("imk,imk->im", steps, changes),
+                    out=np.zeros(valid.shape), where=valid)
+    r = grad.copy()
+    alpha = np.zeros(valid.shape)
+    for j in range(int(count.max(initial=0))):
+        alpha[:, j] = inv[:, j] * np.einsum("ik,ik->i", steps[:, j], r)
+        r -= alpha[:, j, None] * changes[:, j]
+    yy = np.einsum("ik,ik->i", changes[:, 0], changes[:, 0])
+    r *= np.divide(1.0, inv[:, 0] * yy, out=np.ones(len(r)), where=valid[:, 0])[:, None]
+    for j in reversed(range(int(count.max(initial=0)))):
+        beta = inv[:, j] * np.einsum("ik,ik->i", changes[:, j], r)
+        r += (alpha[:, j] - beta)[:, None] * steps[:, j]
+    return r
+
+
+def _ascend(gram: np.ndarray, partitions: Sequence[Partition], us: np.ndarray,
+            functional: RoofFunctional, sign: float,
+            cfg: OptimizerConfig) -> tuple[np.ndarray, np.ndarray, int]:
+    """Quasi-Newton ascents of ``sign`` times the objective, all starts in one stack.
+
+    Start i searches ``partitions[i]`` from ``us[i]``, which receives its
+    final unitary.  Each iteration takes, for every live start, a limited-
+    memory BFGS direction D in the Hermitian Lie algebra (the Riemannian
+    gradient when its memory is empty), scores the geodesic exp(i mu D) U
+    on the angle grid ``LINE_ANGLES`` through the moments' trigonometric
+    polynomials (``_line_values``), takes the vertex of the parabola
+    through the best grid point and its neighbours where the polynomials
+    score it higher, and forms and evaluates only the chosen unitary, with
+    its gradient.  A step that does not ascend
+    clears the memory, or, from the gradient direction, stops the start.
+    A start also stops once its gradient norm falls below ``cfg.tolerance``
+    or after ``cfg.local_steps`` iterations.  Starts never read each other's
+    state, and a stopped start leaves the stack.  Returns the signed
+    objectives of the final unitaries, why each start stopped (``TOLERANCE``,
+    ``NO_ASCENT`` or ``BUDGET``) and the number of iterations.
     """
     if not len(us):
-        return np.empty(0), np.zeros(0, dtype=bool), 0
-    n = us.shape[-1]
-    live = np.arange(len(us))        # climb index of each row of the stack
-    u = us.copy()
+        return np.empty(0), np.zeros(0, dtype=int), 0
+    c, n = len(us), us.shape[-1]
+    live = np.arange(c)
     blocks = _block_tensor(partitions, n)
-    vals = sign * _objective(gram, u[:, None], blocks, functional)[:, 0]
-    evaluations = len(us)
-    eps = np.full(len(us), cfg.step_scale)
-    rejects = np.zeros(len(us), dtype=int)
-    final = np.empty(len(us))
-    hit_tolerance = np.zeros(len(us), dtype=bool)
-    for step in range(cfg.local_steps):
-        stop = eps < cfg.tolerance
+    u = us.copy()
+    vals, grad, q = _objective(gram, u[:, None], blocks, functional, gradient=True)
+    vals, grad, q = sign * vals[:, 0], sign * grad[:, 0], q[:, 0]
+    steps = np.zeros((c, BFGS_MEMORY, 2 * n * n))
+    changes = np.zeros_like(steps)
+    count = np.zeros(c, dtype=int)
+    failed = np.zeros(c, dtype=bool)
+    final = np.empty(c)
+    reason = np.full(c, BUDGET)
+    iterations = 0
+    for it in range(cfg.local_steps + 1):
+        g = grad.view(float).reshape(len(live), -1)
+        small = np.einsum("ik,ik->i", g, g) < cfg.tolerance ** 2
+        stop = small | failed
         if np.any(stop):
-            hit_tolerance[live[stop]] = True
+            reason[live[stop]] = np.where(small[stop], TOLERANCE, NO_ASCENT)
             us[live[stop]], final[live[stop]] = u[stop], vals[stop]
             go = ~stop
-            live, u, vals, eps, rejects = live[go], u[go], vals[go], eps[go], rejects[go]
+            live, u, vals, grad, q, g = live[go], u[go], vals[go], grad[go], q[go], g[go]
+            blocks, steps, changes, count = blocks[go], steps[go], changes[go], count[go]
             if not len(live):
-                return final, hit_tolerance, evaluations
-            blocks = blocks[go]
-            if step % PROPOSAL_BLOCK:
-                lam, vecs, vecs_h = lam[go], vecs[go], vecs_h[go]
-        k = step % PROPOSAL_BLOCK
-        if k == 0:
-            # the proposals do not depend on eps, so their eigensolves run ahead
-            size = min(PROPOSAL_BLOCK, cfg.local_steps - step)
-            lam, vecs = _proposal_eigensystems([rngs[i] for i in live], n, [size] * len(live))
-            lam, vecs = lam.reshape(len(live), size, n), vecs.reshape(len(live), size, n, n)
-            vecs_h = vecs.conj().swapaxes(-1, -2)
-        phase = np.exp((1j * eps)[:, None] * lam[:, k])
-        cand = (vecs[:, k] * phase[:, None, :]) @ vecs_h[:, k] @ u
-        cand_vals = sign * _objective(gram, cand[:, None], blocks, functional)[:, 0]
-        evaluations += len(live)
-        accept = cand_vals > vals
-        u = np.where(accept[:, None, None], cand, u)
-        vals = np.where(accept, cand_vals, vals)
-        rejects = np.where(accept, 0, rejects + 1)
-        eps = np.where(~accept & (rejects % REJECTION_STREAK == 0), eps * cfg.shrink, eps)
+                return final, reason, iterations
+        if it == cfg.local_steps:
+            break
+        iterations += len(live)
+        d = _lbfgs_direction(g, steps, changes, count)
+        # a direction that does not ascend to first order falls back to the gradient
+        uphill = np.einsum("ik,ik->i", d, g) > 0.0
+        d = np.where(uphill[:, None], d, g)
+        count = np.where(uphill, count, 0)
+        steepest = count == 0
+        lam, vecs = np.linalg.eigh(d.view(complex).reshape(-1, n, n))
+        coef = _line_coefficients(q, vecs, blocks)
+        mus = np.zeros((len(live), len(LINE_ANGLES) + 1))
+        mus[:, 1:] = LINE_ANGLES / np.max(np.abs(lam), axis=1)[:, None]
+        line = np.empty(mus.shape)
+        line[:, 0] = vals
+        line[:, 1:] = sign * _line_values(coef, lam, mus[:, 1:], functional)
+        best = np.argmax(line, axis=1)
+        # vertex of the parabola through the best grid point and its neighbours
+        near = np.clip(best[:, None] + np.arange(-1, 2), 0, len(LINE_ANGLES))
+        (x0, x1, x2), (y0, y1, y2) = (np.take_along_axis(grid, near, axis=1).T
+                                      for grid in (mus, line))
+        num = (x1 - x0) ** 2 * (y1 - y2) - (x1 - x2) ** 2 * (y1 - y0)
+        den = (x1 - x0) * (y1 - y2) - (x1 - x2) * (y1 - y0)
+        inner = (best > 0) & (best < len(LINE_ANGLES)) & (den > 0.0)
+        vertex = x1 - 0.5 * np.divide(num, den, out=np.zeros(len(live)), where=inner)
+        at_vertex = sign * _line_values(coef, lam, vertex[:, None], functional)[:, 0]
+        mu = np.where(at_vertex > y1, vertex, x1)
+        rotation = (vecs * np.exp(1j * mu[:, None] * lam)[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
+        new_u = rotation @ u
+        new_vals, new_grad, new_q = _objective(gram, new_u[:, None], blocks, functional,
+                                               gradient=True)
+        new_vals, new_grad = sign * new_vals[:, 0], sign * new_grad[:, 0]
+        accept = (best > 0) & (new_vals > vals)
+        new_g = new_grad.view(float).reshape(len(live), -1)
+        step, change = mu[:, None] * d, g - new_g
+        curved = accept & (np.einsum("ik,ik->i", step, change) > 0.0)
+        steps[curved] = np.concatenate([step[curved, None], steps[curved, :-1]], axis=1)
+        changes[curved] = np.concatenate([change[curved, None], changes[curved, :-1]], axis=1)
+        count = np.where(curved, np.minimum(count + 1, BFGS_MEMORY), np.where(accept, count, 0))
+        failed = ~accept & steepest
+        u = np.where(accept[:, None, None], new_u, u)
+        vals = np.where(accept, new_vals, vals)
+        grad = np.where(accept[:, None, None], new_grad, grad)
+        q = np.where(accept[:, None, None, None], new_q[:, 0], q)
     us[live], final[live] = u, vals
-    return final, hit_tolerance, evaluations
-
-
-def _windowed_climb(gram: np.ndarray, partitions: Sequence[Partition],
-                    us: np.ndarray, rngs: Sequence[np.random.Generator],
-                    functional: RoofFunctional, sign: float,
-                    cfg: OptimizerConfig) -> tuple[np.ndarray, np.ndarray, int]:
-    """The climbs of ``_lockstep_climb``, with the same steps and results.
-
-    Each iteration tries, for every climb, a window of its next steps at
-    once: while a climb rejects, each of its candidates is exp(i eps_t H_t) U
-    with the same U, and eps_t shrinks at most once inside a window no
-    longer than ``REJECTION_STREAK``.  The climb then takes its first
-    improving candidate, or all the window's rejections; candidates after an
-    acceptance are discarded, so every climb passes through the same steps
-    as one taking a single step at a time.  The evaluation count is the
-    steps taken, not the discarded candidates.
-    """
-    if not len(us):
-        return np.empty(0), np.zeros(0, dtype=bool), 0
-    n = us.shape[-1]
-    live = np.arange(len(us))        # climb index of each row of the stack
-    rows = np.arange(len(us))
-    u = us.copy()
-    blocks = _block_tensor(partitions, n)
-    vals = sign * _objective(gram, u[:, None], blocks, functional)[:, 0]
-    evaluations = len(us)
-    eps = np.full(len(us), cfg.step_scale)
-    left = np.full(len(us), REJECTION_STREAK)     # rejections until the next shrink
-    steps = np.zeros(len(us), dtype=int)
-    final = np.empty(len(us))
-    hit_tolerance = np.zeros(len(us), dtype=bool)
-    # ring buffers: slot t % capacity of climb i holds the eigensystem of its
-    # proposal of step t for steps[i] <= t < drawn[i]; a window past a climb's
-    # last step reads slots it never uses
-    capacity = PROPOSAL_BLOCK + PROPOSAL_BLOCK // 2
-    lam = np.zeros((len(us), capacity, n))
-    vecs = np.zeros((len(us), capacity, n, n), dtype=complex)
-    drawn = np.zeros(len(us), dtype=int)
-    due = np.zeros(len(us), dtype=int)      # step at which a climb must refill or stop
-    offsets = np.arange(WINDOW + 1)
-    while True:
-        if np.any((steps >= due) | (eps < cfg.tolerance)):
-            stop = (steps >= cfg.local_steps) | (eps < cfg.tolerance)
-            if np.any(stop):
-                hit_tolerance[live[stop]] = steps[stop] < cfg.local_steps
-                us[live[stop]], final[live[stop]] = u[stop], vals[stop]
-                go = ~stop
-                if not np.any(go):
-                    return final, hit_tolerance, evaluations
-                live, u, vals, eps, left = live[go], u[go], vals[go], eps[go], left[go]
-                steps, drawn, blocks = steps[go], drawn[go], blocks[go]
-                lam, vecs = lam[go], vecs[go]
-                rows = rows[:len(live)]
-            # the proposals do not depend on eps, so their eigensolves run ahead;
-            # every climb half through its block refills in the same call
-            refill = np.flatnonzero((drawn - steps < PROPOSAL_BLOCK // 2)
-                                    & (drawn < cfg.local_steps))
-            if len(refill):
-                sizes = np.minimum(PROPOSAL_BLOCK, cfg.local_steps - drawn[refill])
-                new_lam, new_vecs = _proposal_eigensystems([rngs[live[i]] for i in refill],
-                                                           n, sizes)
-                climb = np.repeat(refill, sizes)
-                slot = np.arange(len(climb)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-                slot = (slot + drawn[climb]) % capacity
-                lam[climb, slot], vecs[climb, slot] = new_lam, new_vecs
-                drawn[refill] += sizes
-            due = np.where(drawn < cfg.local_steps, drawn - WINDOW + 1, cfg.local_steps)
-        # eps_t[i, t] is climb i's step size after t rejections in the window
-        eps_t = np.where(offsets < left[:, None], eps[:, None], eps[:, None] * cfg.shrink)
-        valid = ((offsets[:-1] < (cfg.local_steps - steps)[:, None])
-                 & (eps_t[:, :-1] >= cfg.tolerance))
-        slot = (steps[:, None] + offsets[:-1]) % capacity
-        phase = np.exp(1j * eps_t[:, :-1, None] * lam[rows[:, None], slot])
-        cand = _rotate(vecs[rows[:, None], slot], phase, u)
-        cand_vals = sign * _objective(gram, cand, blocks, functional)
-        improve = valid & (cand_vals > vals[:, None])
-        first = np.argmax(improve, axis=1)
-        accept = improve[rows, first]
-        # a climb takes its first improving candidate, or every valid one
-        # (the valid candidates are a prefix of the window)
-        taken = np.where(accept, first + 1, np.sum(valid, axis=1))
-        evaluations += int(np.sum(taken))
-        steps += taken
-        u = np.where(accept[:, None, None], cand[rows, first], u)
-        vals = np.where(accept, cand_vals[rows, first], vals)
-        eps = eps_t[rows, taken - accept]
-        left = np.where(accept, REJECTION_STREAK, (left - taken - 1) % REJECTION_STREAK + 1)
+    return final, reason, iterations
 
 
 def optimize_roof(rho: State,
@@ -670,37 +642,38 @@ def optimize_roof(rho: State,
     """Best weighted component average of ``functional`` over decompositions.
 
     ``direction`` is ``"min"`` or ``"max"``.  For each partition the search
-    runs ``cfg.restarts`` hill climbs over ancilla unitaries: restart 0
-    starts from the identity (so the eigendecomposition and its groupings are
-    always among the candidates), the others start Haar random.  Proposals
-    are U <- exp(i eps H) U with H a random unit-norm Hermitian; eps starts
-    at ``step_scale``, shrinks by ``shrink`` after every 20 consecutive
-    rejections, and the climb stops once eps < ``tolerance``.  Restart r of
-    partition p draws from its own generator ``default_rng([seed, p, r])``.
+    runs ``cfg.restarts`` ascents over ancilla unitaries: restart 0 starts
+    from the identity (so the eigendecomposition and its groupings are
+    always among the candidates), the others start Haar random; restart r
+    of partition p draws its start from ``default_rng([seed, p, r])``.
+    Every start of every partition advances in one stack (``_ascend``): a
+    limited-memory BFGS direction in the Hermitian Lie algebra, built from
+    the analytic Riemannian gradient, and an exact line search along the
+    geodesic exp(i mu D) U.  A start stops on the gradient tolerance
+    ``cfg.tolerance``, when a step along the gradient finds no ascent, or
+    after ``cfg.local_steps`` iterations, and then leaves the stack.
 
-    All climbs of all partitions advance in lockstep as one stack of
-    unitaries; a climb that stops leaves the stack.  No component is
-    formed: the Gram stack G = m^dag [I, X_1, ..] m of the purification
-    matrix m and the functional's ``moment_ops`` is built once, and each
-    iteration takes the block moments of every climb's candidates from one
-    GEMM with G (``_objective``).  On an ancilla of dimension up to 4 an
-    iteration tries a window of each climb's next 16 proposals against its
-    current unitary and keeps the first that improves, so every climb takes
-    the same steps as one that tries a single proposal at a time; larger
-    ancillas and plain callables take one step per iteration.
-    ``evaluations`` counts those steps only, not the candidates of a window
-    that come after an acceptance.  The climbs never
-    read each other's state, so the result equals that of running them one
-    after another.  The trivial partition (one block) always yields rho
-    itself, whatever the unitary, so it is evaluated once, without a
-    search; if it wins, the result reports ``converged=True``.  A functional
-    whose operators act on another dimension than rho raises ``ValueError``.
+    No component is formed: the Gram stack G = m^dag [I, X_1, ..] m of the
+    purification matrix m and the functional's ``moment_ops`` is built
+    once, and each iteration takes every start's moments and gradient from
+    one GEMM with G (``_objective``) and scores its line-search grid from
+    the same moments.  ``evaluations`` counts one per start plus one per
+    iteration.  ``converged`` says that the winning start stopped on the
+    tolerance or on no ascent, not on the budget.  The trivial partition
+    (one block) always yields rho itself, whatever the unitary, so it is
+    evaluated once, without a search; if it wins, the result reports
+    ``converged=True``.  A functional whose operators act on another
+    dimension than rho raises ``ValueError``.  Each call logs one debug
+    line with its starts, iterations, evaluations, stop reasons and wall
+    time.
 
-    The returned value is exact for the witness decomposition, hence always
-    on the certified side of the true roof.
+    The returned value is that of the witness unitary, evaluated after its
+    last step, so it is exact for the witness decomposition and always on
+    the certified side of the true roof.
     """
     if direction not in ("min", "max"):
         raise ValueError("direction must be 'min' or 'max'")
+    started = time.perf_counter()
     cfg = cfg or OptimizerConfig()
     functional = _as_functional(functional)
     rho = state_density(rho)
@@ -725,20 +698,16 @@ def optimize_roof(rho: State,
     sign = 1.0 if direction == "max" else -1.0
     climbs = [(p_idx, r_idx) for p_idx, part in enumerate(partitions) if len(part) > 1
               for r_idx in range(cfg.restarts)]
-    rngs = [np.random.default_rng([cfg.seed, p_idx, r_idx]) for p_idx, r_idx in climbs]
     us = np.empty((len(climbs), ancilla_dim, ancilla_dim), dtype=complex)
-    for i, ((_, r_idx), rng) in enumerate(zip(climbs, rngs)):
-        us[i] = np.eye(ancilla_dim) if r_idx == 0 else haar_random_unitary(ancilla_dim, rng)
-    # a window pays on small ancillas; on larger ones its discarded
-    # candidates cost more than the iterations it saves, and a callable's
-    # would call the user's function for nothing
-    windowed = ancilla_dim <= WINDOWED_MAX_DIM and not isinstance(functional, CallableFunctional)
-    climb = _windowed_climb if windowed else _lockstep_climb
-    vals, hit_tolerance, evaluations = climb(
-        gram, [partitions[p_idx] for p_idx, _ in climbs], us, rngs, functional, sign, cfg)
+    for i, (p_idx, r_idx) in enumerate(climbs):
+        us[i] = (np.eye(ancilla_dim) if r_idx == 0 else
+                 haar_random_unitary(ancilla_dim, np.random.default_rng([cfg.seed, p_idx, r_idx])))
+    vals, reason, iterations = _ascend(
+        gram, [partitions[p_idx] for p_idx, _ in climbs], us, functional, sign, cfg)
+    evaluations = len(climbs) + iterations
 
     best_value = -np.inf
-    best: int | None = None      # index of the winning climb; None for the trivial partition
+    best: int | None = None      # index of the winning start; None for the trivial partition
     climb = 0
     for part in partitions:
         if len(part) == 1:
@@ -751,6 +720,11 @@ def optimize_roof(rho: State,
             if vals[climb] > best_value:
                 best_value, best = vals[climb], climb
             climb += 1
+    log.debug("optimize_roof: %d starts, %d iterations, %d evaluations, stopped on %s, %.4f s",
+              len(climbs), iterations, evaluations,
+              ", ".join(f"{name} {np.sum(reason == code)}"
+                        for code, name in enumerate(STOP_REASONS)),
+              time.perf_counter() - started)
 
     if best is None:
         return RoofResult(value=float(sign * best_value),
@@ -760,7 +734,7 @@ def optimize_roof(rho: State,
                           u_a=us[best], partition=partitions[climbs[best][0]])
     return RoofResult(value=float(sign * best_value),
                       decomposition=extract_decomposition(winner),
-                      converged=bool(hit_tolerance[best]),
+                      converged=bool(reason[best] != BUDGET),
                       evaluations=evaluations)
 
 

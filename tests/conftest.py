@@ -3,6 +3,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from qfiroof import (
+    Decomposition,
     HermitianOperator,
     OptimizerConfig,
     RandomStateConfig,
@@ -14,9 +15,12 @@ from qfiroof import (
 from qfiroof.core import haar_random_unitary
 from qfiroof.metrology import state_density
 from qfiroof.roofs import (
-    REJECTION_STREAK,
+    BUDGET,
     WEIGHT_DROP,
     Purification,
+    _as_functional,
+    _ascend,
+    _gram_stack,
     singleton_partition,
 )
 
@@ -119,101 +123,53 @@ def dense_two_mode_quadratures(fock) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# scalar reference roof search: one restart at a time, one unitary per step;
-# the library advances every climb together as one batch
+# scalar reference roof search: one start at a time; the library advances
+# every start of every partition together as one compacted stack
 # ---------------------------------------------------------------------------
 
-def _random_unit_hermitian(rng, n):
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    h = 0.5 * (g + g.conj().T)
-    return h / np.linalg.norm(h)
-
-
-def _expm_i(h, eps):
-    vals, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(1j * eps * vals)) @ vecs.conj().T
-
-
-class _PartitionEvaluator:
-    """Objective sum_l p_l f(sigma_l) for a fixed partition, each component
-    formed as a density matrix and handed to the dense formula ``dense_fn``."""
-
-    def __init__(self, m, partition, dense_fn):
-        self.m = m
-        self.partition = [list(block) for block in partition]
-        self.dense_fn = dense_fn
-
-    def value(self, u):
-        v = self.m @ u.T
-        weights = np.sum(np.abs(v) ** 2, axis=0)
-        total = 0.0
-        for block in self.partition:
-            p = float(np.sum(weights[block]))
-            if p < WEIGHT_DROP:
-                continue
-            sub = v[:, block]
-            total += p * self.dense_fn(sub @ sub.conj().T / p)
-        return total
-
-
-def scalar_reference_roof(rho, dense_fn, direction, partitions=None, cfg=None,
+def scalar_reference_roof(rho, functional, direction, partitions=None, cfg=None,
                           ancilla_dim=None):
-    """The roof search with every restart of every partition run on its own,
-    the trivial partition included: same streams, starts, proposals and
-    acceptance as ``optimize_roof``, the functional given as a dense formula
-    ``dense_fn(sigma_matrix) -> float``.  Returns a ``RoofResult``."""
+    """The roof search with every start of every partition run on its own
+    as a stack of one: same starts and generator streams as
+    ``optimize_roof``, the trivial partition evaluated once.  Returns a
+    ``RoofResult``."""
     cfg = cfg or OptimizerConfig()
+    functional = _as_functional(functional)
     rho = state_density(rho)
     if ancilla_dim is None:
         ancilla_dim = rho.dim
     base = purify(rho, ancilla_dim)
-    m = base.psi_p.vec.reshape(rho.dim, ancilla_dim)
+    gram = _gram_stack(base.psi_p.vec.reshape(rho.dim, ancilla_dim),
+                       functional.moment_ops(rho.dim))
     if partitions is None:
         partitions = [singleton_partition(ancilla_dim)]
     partitions = [tuple(tuple(b) for b in part) for part in partitions]
 
     sign = 1.0 if direction == "max" else -1.0
-    best_value = -np.inf
-    best_u = None
-    best_partition = None
-    best_converged = False
+    best_value, best_u, best_partition, best_converged = -np.inf, None, None, True
     evaluations = 0
-
     for p_idx, part in enumerate(partitions):
-        ev = _PartitionEvaluator(m, part, dense_fn)
+        if len(part) == 1:
+            evaluations += 1
+            val = sign * functional.on_state(rho)
+            if val > best_value:
+                best_value, best_u, best_partition, best_converged = val, None, part, True
+            continue
         for r_idx in range(cfg.restarts):
             rng = np.random.default_rng([cfg.seed, p_idx, r_idx])
             u = (np.eye(ancilla_dim, dtype=complex) if r_idx == 0
-                 else haar_random_unitary(ancilla_dim, rng))
-            val = sign * ev.value(u)
-            evaluations += 1
-            eps = cfg.step_scale
-            rejects = 0
-            hit_tolerance = False
-            for _ in range(cfg.local_steps):
-                if eps < cfg.tolerance:
-                    hit_tolerance = True
-                    break
-                h = _random_unit_hermitian(rng, ancilla_dim)
-                cand = _expm_i(h, eps) @ u
-                cand_val = sign * ev.value(cand)
-                evaluations += 1
-                if cand_val > val:
-                    u, val = cand, cand_val
-                    rejects = 0
-                else:
-                    rejects += 1
-                    if rejects % REJECTION_STREAK == 0:
-                        eps *= cfg.shrink
-            if val > best_value:
-                best_value = val
-                best_u = u
-                best_partition = part
-                best_converged = hit_tolerance
+                 else haar_random_unitary(ancilla_dim, rng))[None]
+            vals, reason, iterations = _ascend(gram, [part], u, functional, sign, cfg)
+            evaluations += 1 + iterations
+            if vals[0] > best_value:
+                best_value, best_u, best_partition = vals[0], u[0], part
+                best_converged = bool(reason[0] != BUDGET)
 
-    winner = Purification(target=rho, ancilla_dim=ancilla_dim, psi_p=base.psi_p,
-                          u_a=best_u, partition=best_partition)
-    return RoofResult(value=sign * best_value,
-                      decomposition=extract_decomposition(winner),
-                      converged=best_converged,
-                      evaluations=evaluations)
+    if best_u is None:
+        decomposition = Decomposition(((1.0, rho),))
+    else:
+        decomposition = extract_decomposition(Purification(
+            target=rho, ancilla_dim=ancilla_dim, psi_p=base.psi_p, u_a=best_u,
+            partition=best_partition))
+    return RoofResult(value=float(sign * best_value), decomposition=decomposition,
+                      converged=best_converged, evaluations=evaluations)

@@ -243,3 +243,36 @@ def test_vxyz_three_parties():
     rep_mm = vxyz_criterion(DensityMatrix.maximally_mixed(8), 0.5, 3,
                             cfg=OptimizerConfig(seed=2, restarts=2, local_steps=50))
     assert not rep_mm.violated
+
+
+def test_vxyz_ancilla_reaches_the_roof_search(monkeypatch):
+    # a rank-4 state of four qubits searched in a four-level ancilla
+    import qfiroof.entanglement
+    from qfiroof import roof_sum_I
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append((kwargs, roof_sum_I(*args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(qfiroof.entanglement, "roof_sum_I", recording)
+    rho = random_state(16, seed=305, rank=4)
+    rep = vxyz_criterion(rho, 0.5, 4, cfg=FAST, ancilla_dim=4)
+    (kwargs, roof), = calls
+    assert kwargs["ancilla_dim"] == 4
+    assert roof.decomposition.reconstructs(rho, tol=1e-9)
+    assert len(roof.decomposition) <= 4
+    fisher_floor = sum(dense_qfi(rho.mat, op.mat) for op in collective_spin_ops(0.5, 4)) / 4
+    assert rep.meta["roof"] == roof.value
+    assert fisher_floor - 1e-9 <= roof.value <= rep.lhs + 1e-9
+
+
+def test_vxyz_roof_of_a_separable_state_can_fall_below_the_floor():
+    # the maximally mixed three-qubit state is separable, yet it has
+    # decompositions into entangled states averaging below N j, so the
+    # verdict reads the state's own variance sum, not the roof
+    rep = vxyz_criterion(DensityMatrix.maximally_mixed(8), 0.5, 3,
+                         cfg=OptimizerConfig(seed=2, restarts=2, local_steps=50))
+    assert abs(rep.lhs - 2.25) < 1e-12
+    assert rep.meta["roof"] < rep.rhs - 0.3
+    assert not rep.violated

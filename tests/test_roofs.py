@@ -1,10 +1,15 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
     closed_form_K,
+    dense_density,
+    dense_qfi,
     dense_rs_bound,
+    dense_variance,
     dense_variance_sum,
     random_hermitian,
     random_state,
@@ -34,16 +39,14 @@ from qfiroof import (
 )
 from qfiroof.core import haar_random_unitary
 from qfiroof.roofs import (
-    PROPOSAL_BLOCK,
     WEIGHT_DROP,
-    WINDOW,
-    WINDOWED_MAX_DIM,
     CallableFunctional,
     Decomposition,
     Purification,
     _block_tensor,
-    _eigh3,
     _gram_stack,
+    _line_coefficients,
+    _line_values,
     _objective,
     decomposition_average,
     default_mixed_partitions,
@@ -194,8 +197,8 @@ def test_optimize_rejects_operators_of_another_dimension():
 
 
 def test_optimizer_config_validation():
-    for bad in (dict(restarts=0), dict(local_steps=-1), dict(shrink=1.0), dict(shrink=0.0),
-                dict(step_scale=0.0), dict(tolerance=-1e-5)):
+    for bad in (dict(restarts=0), dict(local_steps=-1), dict(tolerance=-1e-5),
+                dict(tolerance=0.0), dict(tolerance=float("nan"))):
         with pytest.raises(ValueError):
             OptimizerConfig(**bad)
     # budgets are counts: a non-integral value would fail later inside range()
@@ -281,7 +284,8 @@ def test_from_moments_stack_matches_dense_formulas(dim):
 
 def test_rank_deficient_qutrit_search_raises_no_floating_point_error():
     # at the identity the null eigenvector's ancilla column carries weight 0,
-    # and the two-block partitions are padded in a stack of three-block ones
+    # and the two-block partitions are padded in a stack of three-block ones;
+    # the search reads moments, gradients and line-search moments of both
     rho = random_state(3, seed=201, rank=2)
     a, b = random_hermitian(3, 202), random_hermitian(3, 203)
     partitions = default_mixed_partitions(3)
@@ -299,122 +303,240 @@ def test_rank_deficient_qutrit_search_raises_no_floating_point_error():
                 expected = decomposition_average(extract_decomposition(pur), functional)
                 assert abs(value - expected) < 1e-12
             res = optimize_roof(rho, functional, "max", partitions=partitions, cfg=cfg)
-            ref = scalar_reference_roof(rho, dense, "max", partitions=partitions, cfg=cfg)
+            ref = scalar_reference_roof(rho, functional, "max", partitions=partitions, cfg=cfg)
             assert abs(res.value - ref.value) < 1e-9
+            assert abs(_dense_average(res.decomposition, dense) - res.value) < 1e-12
         k = eigen_partition_bound_K(rho, a, b)
     assert abs(k - closed_form_K(rho, a.mat, b.mat)) < 1e-12
 
 
-def _assert_eigensystem(h, vals, vecs, tol=1e-13):
-    """Sorted eigenvalues matching LAPACK, V diag(vals) V^dag = H and V^dag V = I."""
-    assert vals.shape == h.shape[:-1] and vecs.shape == h.shape
-    assert np.all(np.diff(vals, axis=-1) >= 0.0)
-    assert np.max(np.abs(vals - np.linalg.eigvalsh(h))) <= tol
-    recon = (vecs * vals[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
-    assert np.max(np.linalg.norm(recon - h, axis=(-2, -1))) <= tol
-    gram = vecs.conj().swapaxes(-1, -2) @ vecs
-    assert np.max(np.linalg.norm(gram - np.eye(h.shape[-1]), axis=(-2, -1))) <= tol
+def _dense_average(dec, dense):
+    """sum_k p_k dense(sigma_k) of a witness, every component as a dense matrix."""
+    return sum(p * dense(dense_density(state)) for p, state in dec.components)
 
 
-def test_closed_form_eigh3_on_random_unit_norm_proposals():
-    # the roof search's proposals: Hermitian parts of Ginibre matrices, unit norm
-    z = np.random.default_rng(31).standard_normal((100_000, 2, 3, 3))
-    g = z[:, 0] + 1j * z[:, 1]
+def _random_hermitian_stack(rng, count, n):
+    g = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
     h = 0.5 * (g + g.conj().swapaxes(-1, -2))
-    h /= np.linalg.norm(h, axis=(-2, -1), keepdims=True)
-    _assert_eigensystem(h, *_eigh3(h))
-    real = h.real + 0j
-    _assert_eigensystem(real, *_eigh3(real))
-    # the stack shape is kept
-    vals, vecs = _eigh3(h[:12].reshape(3, 4, 3, 3))
-    assert vals.shape == (3, 4, 3) and vecs.shape == (3, 4, 3, 3)
+    return h / np.linalg.norm(h, axis=(-2, -1), keepdims=True)
 
 
-def test_closed_form_eigh3_at_degeneracies_and_tiny_gaps():
-    rng = np.random.default_rng(32)
-    spectra = [[0.0, 0.0, 0.0], [0.4, 0.4, 0.4], [-0.5, -0.5, 1.0], [-1.0, 0.5, 0.5],
-               [0.0, 0.0, 1.0], [-1.0, 0.0, 1.0]]
-    for gap in (1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14):
-        spectra += [[-0.5, -0.5 + gap, 1.0], [-1.0, 0.5 - gap, 0.5],
-                    [0.3, 0.3 + gap, 0.3 + 2 * gap], [0.0, gap, 2 * gap], [0.7, 0.7, 0.7 + gap]]
-    units = np.array([haar_random_unitary(3, rng) for _ in range(20)])
-    for spectrum in spectra:
-        lam = np.array(spectrum)
-        h = (units * lam) @ units.conj().swapaxes(-1, -2)
-        h = 0.5 * (h + h.conj().swapaxes(-1, -2))
-        diagonal = np.array([np.diag(lam[perm]) for perm in ([0, 1, 2], [2, 0, 1], [1, 2, 0])])
-        for stack in (h, h.real + 0j, diagonal.astype(complex)):
-            _assert_eigensystem(stack, *_eigh3(stack))
+def _rotated(h, mus, us):
+    """exp(i mu H) U for every mu of each stack row, shape (C, T, n, n)."""
+    lam, vecs = np.linalg.eigh(h)
+    phases = np.exp(1j * mus[:, :, None] * lam[:, None, :])
+    rot = (vecs[:, None] * phases[:, :, None, :]) @ vecs.conj().swapaxes(-1, -2)[:, None]
+    return rot @ us[:, None]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_moment_grad_matches_central_differences(dim):
+    # every functional kind at components of every rank, against central
+    # differences of from_moments along paths P(t) = (1 + tE) P (1 + tE)^dag
+    # of the unnormalised component P = p sigma, which keep its rank and
+    # move its weight and all its moments
+    states = [random_state(dim, seed=250 + k, rank=1 + k % dim) for k in range(5)]
+    weights = np.linspace(0.2, 0.9, len(states))
+    comps = weights[:, None, None] * np.array([rho.mat for rho in states])
+    rng = np.random.default_rng(dim)
+    h = 1e-5
+    for functional, _ in _functionals(dim, 260 + dim):
+        ops = functional.moment_ops(dim)
+
+        def at(path):
+            return functional.from_moments(np.trace(path, axis1=1, axis2=2).real,
+                                           np.einsum("xij,kji->kx", ops, path))
+
+        dp, dmom = functional.moment_grad(weights, np.einsum("xij,kji->kx", ops, comps))
+        for _ in range(3):
+            e = rng.standard_normal((len(states), dim, dim)) + 1j * rng.standard_normal(
+                (len(states), dim, dim))
+            tangent = e @ comps + comps @ e.conj().swapaxes(-1, -2)
+
+            def moved(t):
+                step = np.eye(dim) + t * e
+                return step @ comps @ step.conj().swapaxes(-1, -2)
+
+            numeric = (at(moved(h)) - at(moved(-h))) / (2 * h)
+            analytic = (dp * np.trace(tangent, axis1=1, axis2=2).real
+                        + np.sum((dmom.conj() * np.einsum("xij,kji->kx", ops, tangent)).real,
+                                 axis=1))
+            assert np.max(np.abs(numeric - analytic)) < 1e-8 * (1 + np.max(np.abs(analytic)))
+
+
+GRADIENT_CASES = [(2, 2), (3, 3), (4, 4), (3, 4)]
+
+
+@pytest.mark.parametrize("dim, ancilla", GRADIENT_CASES)
+def test_riemannian_gradient_matches_central_differences(dim, ancilla):
+    # every set partition of the ancilla, every functional kind: the
+    # directional derivative Tr(Gamma H) along exp(i eps H) U against a
+    # central difference of the objective of explicitly rotated unitaries
+    rho = random_state(dim, seed=270 + ancilla)
+    m = purify(rho, ancilla).psi_p.vec.reshape(dim, ancilla)
+    rng = np.random.default_rng(280 + dim + ancilla)
+    partitions = list(set_partitions(ancilla))
+    us = np.array([haar_random_unitary(ancilla, rng) for _ in partitions])
+    blocks = _block_tensor(partitions, ancilla)
+    eps = 1e-5
+    for functional, _ in _functionals(dim, 290 + ancilla):
+        gram = _gram_stack(m, functional.moment_ops(dim))
+        values, grad, q = _objective(gram, us[:, None], blocks, functional, gradient=True)
+        assert grad.shape == (len(partitions), 1, ancilla, ancilla)
+        assert q.shape[:3] == (len(partitions), 1, ancilla)
+        assert np.max(np.abs(grad - grad.conj().swapaxes(-1, -2))) == 0.0
+        assert np.array_equal(values, _objective(gram, us[:, None], blocks, functional))
+        for _ in range(3):
+            h = _random_hermitian_stack(rng, len(partitions), ancilla)
+            moved = _rotated(h, np.array([[eps, -eps]] * len(partitions)), us)
+            ends = _objective(gram, moved, blocks, functional)
+            numeric = (ends[:, 0] - ends[:, 1]) / (2 * eps)
+            analytic = np.einsum("iab,iba->i", grad[:, 0], h).real
+            assert np.max(np.abs(numeric - analytic)) < 1e-8
+
+
+@pytest.mark.parametrize("dim, ancilla", GRADIENT_CASES)
+def test_line_search_polynomial_matches_formed_unitaries(dim, ancilla):
+    # the trigonometric polynomials of the block moments along exp(i mu D) U
+    # against the objective of the explicitly formed unitaries, on a grid of
+    # step sizes per start; the trivial partition included
+    rho = random_state(dim, seed=300 + ancilla)
+    m = purify(rho, ancilla).psi_p.vec.reshape(dim, ancilla)
+    rng = np.random.default_rng(310 + dim + ancilla)
+    partitions = list(set_partitions(ancilla))
+    us = np.array([haar_random_unitary(ancilla, rng) for _ in partitions])
+    blocks = _block_tensor(partitions, ancilla)
+    for functional, _ in _functionals(dim, 320 + ancilla):
+        gram = _gram_stack(m, functional.moment_ops(dim))
+        _, _, q = _objective(gram, us[:, None], blocks, functional, gradient=True)
+        d = _random_hermitian_stack(rng, len(partitions), ancilla) * rng.uniform(0.1, 5.0)
+        lam, vecs = np.linalg.eigh(d)
+        mus = np.sort(rng.uniform(0.0, 3.0, (len(partitions), 7)), axis=1)
+        mus[:, 0] = 0.0
+        line = _line_values(_line_coefficients(q[:, 0], vecs, blocks), lam, mus, functional)
+        formed = _objective(gram, _rotated(d, mus, us), blocks, functional)
+        assert line.shape == formed.shape == mus.shape
+        assert np.max(np.abs(line - formed)) < 1e-12
+
+
+def _oracle_case(dim, kind, seed):
+    """The state, functional, partitions and dense formula of one search case;
+    qubit pairs lie in the xy plane, where the z line saturates the bound."""
+    rho = random_state(dim, seed=150 + seed)
+    if kind == "variance":
+        a = random_hermitian(dim, 160 + seed)
+        return rho, a, None, VarianceSum([a]), None, lambda s: dense_variance_sum(s, [a.mat])
+    a, b = (_alpha_pair(0.3 + seed) if dim == 2 else
+            (random_hermitian(dim, 160 + seed), random_hermitian(dim, 170 + seed)))
+    return (rho, a, b, RobertsonSchrodingerBound(a, b), default_mixed_partitions,
+            lambda s: dense_rs_bound(s, a.mat, b.mat))
+
+
+def _assert_oracles(rho, a, b, direction, kind, res, steps):
+    """The certified side of every case, and its known value where the search converges."""
+    mat, am = rho.mat, a.mat
+    if kind == "variance":
+        fisher, var = dense_qfi(mat, am) / 4, dense_variance(mat, am)
+        assert fisher - 1e-9 <= res.value <= var + 1e-9
+        if steps >= 100:
+            target = fisher if direction == "min" else var
+            assert abs(res.value - target) <= 1e-7 * target
+        return
+    l_rho = dense_rs_bound(mat, am, b.mat)
+    if direction == "min":
+        # the trivial partition gives L(rho); every component obeys L >= |<i[A, B]>|
+        comm = abs(np.trace(mat @ (1j * (am @ b.mat - b.mat @ am))).real)
+        assert comm - 1e-9 <= res.value <= l_rho + 1e-12
+        return
+    ceiling = 2.0 * np.sqrt(dense_variance(mat, am) * dense_variance(mat, b.mat))
+    assert l_rho - 1e-12 <= res.value <= ceiling + 1e-9
+    if rho.dim == 3:
+        assert res.value >= closed_form_K(rho, am, b.mat) - 1e-9
+    if rho.dim == 2 and steps >= 100:
+        # the z-line decomposition attains the ceiling for pairs in the xy plane
+        assert res.value >= ceiling - 1e-7
 
 
 REFERENCE_CASES = [pytest.param(dim, direction, kind, seed, 120, None,
                                 id=f"{dim}-{direction}-{kind}-{seed}")
                    for dim in (2, 3) for direction in ("min", "max")
                    for kind in ("variance", "rs") for seed in (0, 1)]
-# budgets that end a qutrit climb inside, at and just past its first window
-# and just past its first proposal block
+# iteration budgets from none to past the point where every start has stopped
 REFERENCE_CASES += [pytest.param(3, "max", "rs", 2, steps, None, id=f"3-max-rs-2-steps{steps}")
-                    for steps in (0, 1, WINDOW - 1, WINDOW, WINDOW + 1, PROPOSAL_BLOCK + 1)]
-# the largest windowed ancilla, through a wrap of its proposal ring buffer,
-# and an ancilla searched one step per iteration
+                    for steps in (0, 1, 15, 16, 17, 129)]
+# a four-level system in its own ancilla and in one twice as large
 REFERENCE_CASES += [pytest.param(4, direction, kind, 0, steps, ancilla,
                                  id=f"4-{direction}-{kind}-0-ancilla{ancilla}")
-                    for ancilla, steps in ((WINDOWED_MAX_DIM, 2 * PROPOSAL_BLOCK + 1), (8, 120))
+                    for ancilla, steps in ((4, 257), (8, 120))
                     for direction, kind in (("min", "variance"), ("max", "rs"))]
 
 
 @pytest.mark.parametrize("dim, direction, kind, seed, local_steps, ancilla", REFERENCE_CASES)
 def test_lockstep_search_matches_scalar_reference(dim, direction, kind, seed, local_steps,
                                                   ancilla):
-    rho = random_state(dim, seed=150 + seed)
-    a, b = random_hermitian(dim, 160 + seed), random_hermitian(dim, 170 + seed)
-    if kind == "variance":
-        functional, partitions = VarianceSum([a]), None
-        dense = lambda s: dense_variance_sum(s, [a.mat])
-    else:
-        functional = RobertsonSchrodingerBound(a, b)
-        partitions = default_mixed_partitions(ancilla or dim)
-        dense = lambda s: dense_rs_bound(s, a.mat, b.mat)
+    rho, a, b, functional, partitions, dense = _oracle_case(dim, kind, seed)
+    partitions = partitions and partitions(ancilla or dim)
     cfg = OptimizerConfig(seed=seed, restarts=3, local_steps=local_steps)
     res = optimize_roof(rho, functional, direction, partitions=partitions, cfg=cfg,
                         ancilla_dim=ancilla)
-    ref = scalar_reference_roof(rho, dense, direction, partitions=partitions, cfg=cfg,
-                                ancilla_dim=ancilla)
     assert type(res.value) is float
+    # the witness is exact: its dense re-evaluation is the reported value
+    assert res.decomposition.reconstructs(rho, tol=1e-9)
+    assert abs(_dense_average(res.decomposition, dense) - res.value) < 1e-12
+    _assert_oracles(rho, a, b, direction, kind, res, local_steps)
+    searched = sum(len(part) > 1 for part in partitions or [singleton_partition(ancilla or dim)])
+    trivial = len(partitions or []) - searched
+    assert res.evaluations <= trivial + searched * cfg.restarts * (local_steps + 1)
+    # each start run on its own takes the same steps
+    ref = scalar_reference_roof(rho, functional, direction, partitions=partitions, cfg=cfg,
+                                ancilla_dim=ancilla)
     assert abs(res.value - ref.value) < 1e-9
-    assert abs(decomposition_average(res.decomposition, functional) - res.value) < 1e-12
-    trivial = sum(len(part) == 1 for part in partitions or [])
-    saved = trivial * (cfg.restarts * (cfg.local_steps + 1) - 1)
-    assert res.evaluations == ref.evaluations - saved
+    assert res.evaluations == ref.evaluations
+    assert res.converged == ref.converged
 
 
 def test_lockstep_search_matches_scalar_reference_through_tolerance_stops():
-    # some climbs stop on the step-size tolerance while others keep going,
-    # so the stack shrinks mid-search: a qubit at the default budget, and a
-    # qutrit with a shrink that is not a power of two and a tolerance that
-    # the step size crosses on a rejection inside a window, also in an
-    # ancilla searched one step per iteration
+    # starts stop on the gradient tolerance at different iterations, so the
+    # stack shrinks mid-search: a qubit at the default budget, and a qutrit
+    # with a coarse tolerance in its own ancilla and in one of dimension 5
     a, b = _alpha_pair(0.7)
     qubit = (random_state(2, seed=181), a, b, [singleton_partition(2), trivial_partition(2)],
              OptimizerConfig(seed=4), 2)
     qutrit = (random_state(3, seed=181), random_hermitian(3, 182), random_hermitian(3, 183),
               default_mixed_partitions(3),
-              OptimizerConfig(seed=6, restarts=3, local_steps=400, step_scale=0.7, shrink=0.3,
-                              tolerance=0.01), 3)
+              OptimizerConfig(seed=6, restarts=3, local_steps=400, tolerance=0.01), 3)
     in_five = (*qutrit[:3], default_mixed_partitions(5),
-               OptimizerConfig(seed=6, restarts=3, local_steps=400, step_scale=0.7, shrink=0.3,
-                               tolerance=0.05), 5)
+               OptimizerConfig(seed=6, restarts=3, local_steps=400, tolerance=0.05), 5)
     for rho, a, b, partitions, cfg, ancilla in (qubit, qutrit, in_five):
         functional = RobertsonSchrodingerBound(a, b)
         res = optimize_roof(rho, functional, "max", partitions=partitions, cfg=cfg,
                             ancilla_dim=ancilla)
-        ref = scalar_reference_roof(rho, lambda s: dense_rs_bound(s, a.mat, b.mat), "max",
-                                    partitions=partitions, cfg=cfg, ancilla_dim=ancilla)
+        ref = scalar_reference_roof(rho, functional, "max", partitions=partitions, cfg=cfg,
+                                    ancilla_dim=ancilla)
         assert abs(res.value - ref.value) < 1e-9
-        assert res.converged == ref.converged
-        assert res.evaluations == ref.evaluations - (cfg.restarts * (cfg.local_steps + 1) - 1)
+        assert res.converged and ref.converged
+        assert res.evaluations == ref.evaluations
         searched = len(partitions) - 1
         assert res.evaluations < 1 + searched * cfg.restarts * (cfg.local_steps + 1)
+
+
+def test_default_convex_roof_converges_to_fisher_information(caplog):
+    # the ascent stops on the gradient tolerance, not on the budget, and
+    # logs one line per roof
+    with caplog.at_level(logging.DEBUG, logger="qfiroof.roofs"):
+        for s in range(10):
+            rho = random_state(3, 330 + s)
+            op = random_hermitian(3, 340 + s)
+            res = convex_roof_variance(rho, op)
+            target = qfi(rho, op) / 4
+            assert res.converged
+            assert target - 1e-12 <= res.value <= target * (1 + 1e-8)
+    lines = [r.getMessage() for r in caplog.records if r.name == "qfiroof.roofs"]
+    assert len(lines) == 10
+    for line in lines:
+        assert line.startswith("optimize_roof: 8 starts, ")
+        assert "evaluations, stopped on tolerance" in line
+        assert "no_ascent" in line and "budget 0," in line and line.endswith(" s")
 
 
 def test_trivial_only_search_is_one_evaluation_of_the_state():
