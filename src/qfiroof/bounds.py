@@ -195,7 +195,6 @@ class FjCurve:
     j: float
     grid: np.ndarray
     values: np.ndarray
-    hull_adjusted: bool
     hull_x: np.ndarray
     hull_y: np.ndarray
 
@@ -309,8 +308,7 @@ def fj_curve(j, grid, lam_points: int = 200, lam2_points: int = 41,
     hull_x = np.array([cloud[i][0] for i in hull_idx])
     hull_y = np.array([cloud[i][1] for i in hull_idx])
     values = np.interp(grid, hull_x, hull_y)
-    return FjCurve(j=j, grid=grid, values=values, hull_adjusted=True,
-                   hull_x=hull_x, hull_y=hull_y)
+    return FjCurve(j=j, grid=grid, values=values, hull_x=hull_x, hull_y=hull_y)
 
 
 def spin_length_bound(state: State, curve: FjCurve | None = None) -> BoundReport:

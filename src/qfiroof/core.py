@@ -130,20 +130,26 @@ class PureState:
 
 
 class DensityMatrix:
-    """Unit-trace positive-semidefinite Hermitian matrix with cached eigensystem.
+    """Unit-trace positive-semidefinite Hermitian matrix held by its support.
 
-    Eigenvalues are stored in descending order; ``eigenvectors[:, k]`` is the
-    eigenvector belonging to ``eigenvalues[k]``.  Values below ``EIG_FLOOR``
-    are clamped to exactly zero, which keeps rank-deficient directions out of
-    the variance and Fisher-information sums: those read only the support,
-    the eigenvectors of the positive eigenvalues.
+    Every instance carries its support (lambda_S, V_S): the positive
+    eigenvalues in descending order and, as the columns of a d x r matrix,
+    their orthonormal eigenvectors.  Eigenvalues below ``EIG_FLOOR`` are
+    clamped to exactly zero and so lie outside the support; the variance and
+    Fisher-information sums read only the support.
 
-    The constructor takes a dense d x d matrix and pays one full O(d^3)
-    eigensolve.  ``from_factor`` builds rho = v v^dag from a d x r factor at
-    O(d^2 r) cost, with no d x d eigensolve.
+    ``mat`` is the d x d matrix, ``eigenvalues`` all d eigenvalues in
+    descending order (the kernel's as exact zeros) and ``eigenvectors`` a
+    d x d unitary whose column k belongs to ``eigenvalues[k]``.  The
+    constructor takes a dense d x d matrix, pays one full O(d^3) eigensolve
+    and fills all three at once; its support is a pair of views of that
+    eigensystem.  ``from_factor`` stores only the support, at O(d r^2) cost
+    for a d x r factor; its ``mat`` (O(d^2 r)) and its eigensystem (a
+    complete QR for the kernel basis, O(d^3)) are formed on first access and
+    then cached.
     """
 
-    __slots__ = ("mat", "eigenvalues", "eigenvectors")
+    __slots__ = ("mat", "eigenvalues", "eigenvectors", "_lam", "_vs")
 
     def __init__(self, entries):
         mat = _as_complex_matrix(entries)
@@ -164,29 +170,57 @@ class DensityMatrix:
         recon = (vecs * vals) @ vecs.conj().T
         if np.max(np.abs(recon - mat)) > 1e-10:
             raise ValueError("eigendecomposition does not reconstruct the matrix")
-        self.mat = mat
-        self.eigenvalues = vals
-        self.eigenvectors = vecs
+        self._fill(mat, vals, vecs)
+
+    def _fill(self, mat: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> None:
+        r = int(np.count_nonzero(vals > 0.0))
+        self.mat, self.eigenvalues, self.eigenvectors = mat, vals, vecs
+        self._lam, self._vs = vals[:r], vecs[:, :r]
+
+    def __getattr__(self, name: str):
+        # reached only when a slot is unset: a dense form of a factor-built
+        # state that nothing has read yet
+        if name == "mat":
+            self.mat = (self._vs * self._lam) @ self._vs.conj().T
+        elif name in ("eigenvalues", "eigenvectors"):
+            d, r = self._vs.shape
+            vals = np.zeros(d)
+            vals[:r] = self._lam
+            if r < d:
+                vecs, _ = np.linalg.qr(self._vs, mode="complete")
+                vecs[:, :r] = self._vs
+            else:
+                vecs = self._vs
+            self.eigenvalues, self.eigenvectors = vals, vecs
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        return object.__getattribute__(self, name)
 
     @property
     def dim(self) -> int:
-        return self.mat.shape[0]
+        return self._vs.shape[0]
 
     def rank(self, tol: float = EIG_FLOOR) -> int:
-        return int(np.count_nonzero(self.eigenvalues > tol))
+        """Number of eigenvalues above a nonnegative ``tol``."""
+        return int(np.count_nonzero(self._lam > tol))
 
     def purity(self) -> float:
-        return float(np.sum(self.eigenvalues**2))
+        return float(np.sum(self._lam**2))
 
     @classmethod
     def from_factor(cls, v) -> "DensityMatrix":
-        """rho = v v^dag for a d x r factor v, at O(d^2 r) cost.
+        """rho = v v^dag for a d x r factor v, keeping only its support.
 
-        The support comes from a thin SVD of v (eigenvalues are the squared
-        singular values, already descending); a complete QR of the support
-        fills in an orthonormal basis of the kernel, so ``eigenvalues`` and
-        ``eigenvectors`` keep their length-d and d x d shapes.  The trace,
-        finiteness and reconstruction checks of the dense constructor apply.
+        A thin SVD v = U S W^dag gives the support: the squared singular
+        values above ``EIG_FLOOR`` (already descending) and their columns of
+        U.  The finiteness and trace checks of the dense constructor apply,
+        and its reconstruction check becomes a factored bound at O(d r^2):
+        with B = U^dag v, E = v - U B and Lambda the floored squared singular
+        values, v v^dag - U Lambda U^dag = U (B B^dag - Lambda) U^dag
+        + U B E^dag + E B^dag U^dag + E E^dag, so its largest entry is at
+        most ||B B^dag - Lambda||_F + 2 ||B||_F ||E||_F + ||E||_F^2.
+        No d x d array is formed here; see the class docstring for the
+        dense forms.
         """
         v = np.asarray(v, dtype=complex)
         if v.ndim != 2 or 0 in v.shape:
@@ -198,28 +232,25 @@ class DensityMatrix:
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"trace {tr!r} differs from 1 beyond tolerance")
         vals = np.where(vals < EIG_FLOOR, 0.0, vals)
-        mat = v @ v.conj().T
-        recon = (u * vals) @ u.conj().T
-        recon -= mat
-        if np.max(np.abs(recon)) > 1e-10:
+        b = u.conj().T @ v
+        e = v - u @ b
+        gram = b @ b.conj().T
+        gram[np.diag_indices_from(gram)] -= vals
+        e_norm = np.linalg.norm(e)
+        bound = np.linalg.norm(gram) + (2.0 * np.linalg.norm(b) + e_norm) * e_norm
+        if not bound <= 1e-10:
             raise ValueError("eigendecomposition does not reconstruct the matrix")
-        del recon  # free one d x d array before the QR allocates the basis
-        r = u.shape[1]
-        if r < v.shape[0]:
-            q, _ = np.linalg.qr(u, mode="complete")
-            q[:, :r] = u
-            u = q
-            vals = np.concatenate([vals, np.zeros(v.shape[0] - r)])
-        return cls._assemble(mat, vals, u)
+        r = int(np.count_nonzero(vals))
+        rho = cls.__new__(cls)
+        rho._lam, rho._vs = vals[:r], u[:, :r]
+        return rho
 
     @classmethod
     def _assemble(cls, mat: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> "DensityMatrix":
         """A density matrix from parts that already satisfy the invariants
         (descending floored eigenvalues, unitary eigenvectors); no checks."""
         rho = cls.__new__(cls)
-        rho.mat = mat
-        rho.eigenvalues = vals
-        rho.eigenvectors = vecs
+        rho._fill(mat, vals, vecs)
         return rho
 
     @staticmethod
@@ -258,8 +289,7 @@ def _support(state: State) -> tuple[np.ndarray, np.ndarray]:
     eigenvectors as columns; a pure state is its own rank-1 support."""
     if isinstance(state, PureState):
         return np.ones(1), state.vec[:, None]
-    r = state.rank(0.0)
-    return state.eigenvalues[:r], state.eigenvectors[:, :r]
+    return state._lam, state._vs
 
 
 def _support_variance(lam: np.ndarray, vs: np.ndarray, w: np.ndarray) -> float:
@@ -415,6 +445,8 @@ def coherent_state(alpha: complex, cutoff: int) -> PureState:
     """
     from scipy.special import gammainc
 
+    if not np.isfinite(alpha):
+        raise ValueError(f"alpha = {alpha!r} is not finite")
     mu = abs(alpha) ** 2
     tail = float(gammainc(cutoff, mu)) if mu > 0 else 0.0
     if tail > 1e-10:

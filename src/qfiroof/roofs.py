@@ -30,6 +30,7 @@ from .core import (
     HermitianOperator,
     PureState,
     State,
+    _support,
     haar_random_unitary,
     state_matrix,
 )
@@ -149,9 +150,9 @@ def purify(rho: DensityMatrix, ancilla_dim: int | None = None) -> Purification:
         ancilla_dim = rho.dim
     if ancilla_dim < rho.rank():
         raise ValueError(f"ancilla dim {ancilla_dim} smaller than rank {rho.rank()}")
+    lam, vs = _support(rho)
     m = np.zeros((rho.dim, ancilla_dim), dtype=complex)
-    cols = min(rho.dim, ancilla_dim)
-    m[:, :cols] = rho.eigenvectors[:, :cols] * np.sqrt(rho.eigenvalues[:cols])
+    m[:, :len(lam)] = vs * np.sqrt(lam)
     return Purification(target=rho,
                         ancilla_dim=ancilla_dim,
                         psi_p=PureState(m.ravel()),
@@ -680,7 +681,7 @@ def optimize_roof(rho: State,
     functional.check_dim(rho.dim)
     if rho.rank() == 1:
         # every decomposition of a pure state is the state itself
-        psi = PureState(rho.eigenvectors[:, 0])
+        psi = PureState(_support(rho)[1][:, 0])
         return RoofResult(value=functional.on_state(psi),
                           decomposition=Decomposition(((1.0, psi),)),
                           converged=True, evaluations=1)

@@ -53,7 +53,6 @@ class PlanarSqueezedResult:
     j: float
     state: PureState
     var_sum: float
-    c_j: float
     mean_spin: np.ndarray
     iterations: int
 
@@ -93,8 +92,8 @@ def planar_squeezed_state(j, tol: float = 1e-12, max_iterations: int = 500) -> P
     mean_spin = np.array([expectation(psi, op) for op in spin.as_tuple()])
     if np.linalg.norm(mean_spin) < 1e-8:
         raise ConvergenceError("iteration collapsed onto a zero-mean-spin state")
-    return PlanarSqueezedResult(j=j, state=psi, var_sum=var_sum, c_j=var_sum,
-                                mean_spin=mean_spin, iterations=iterations)
+    return PlanarSqueezedResult(j=j, state=psi, var_sum=var_sum, mean_spin=mean_spin,
+                                iterations=iterations)
 
 
 def two_mode_squeezed_vacuum(r: float, cutoff: int) -> PureState:
@@ -104,8 +103,8 @@ def two_mode_squeezed_vacuum(r: float, cutoff: int) -> PureState:
     positions, which puts the squeezing into the operator combinations used
     by the pair-variance entanglement criterion.
     """
-    if r < 0:
-        raise ValueError("squeezing parameter must be nonnegative")
+    if not (np.isfinite(r) and r >= 0):
+        raise ValueError(f"squeezing parameter r = {r!r} must be finite and nonnegative")
     th = np.tanh(r)
     if th > 0 and th ** (2 * cutoff) >= 1e-12:
         raise CutoffTooSmallError(
@@ -132,9 +131,11 @@ def singlet_state(j) -> PureState:
 
 
 def _mixture(components: list[tuple[float, PureState]]) -> DensityMatrix:
+    if not components:
+        raise ValueError("a mixture needs at least one component")
     weights = np.array([p for p, _ in components], dtype=float)
-    if np.any(weights <= 0):
-        raise ValueError("mixture weights must be positive")
+    if not np.all(np.isfinite(weights) & (weights > 0)):
+        raise ValueError("mixture weights must be finite and positive")
     weights = weights / weights.sum()
     factor = np.stack([psi.vec for _, psi in components], axis=1) * np.sqrt(weights)
     return DensityMatrix.from_factor(factor)

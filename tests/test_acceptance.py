@@ -167,12 +167,12 @@ def test_criterion_06_planar_anchors():
     res_one = planar_squeezed_state(1.0)
     bfq_half = bfq_bound(res_half.state)
     bfq_one = bfq_bound(res_one.state)
-    ok = (abs(res_half.c_j - 0.25) < 1e-6 and abs(res_one.c_j - 0.4375) < 1e-6
+    ok = (abs(res_half.var_sum - 0.25) < 1e-6 and abs(res_one.var_sum - 0.4375) < 1e-6
           and abs(bfq_half.rhs - 1.0) < 1e-6 and abs(bfq_one.rhs - 2.25) < 1e-6)
-    _verdict(6, ok, f"planar anchors: c(1/2)={res_half.c_j:.8f}, c(1)={res_one.c_j:.8f}, "
+    _verdict(6, ok, f"planar anchors: c(1/2)={res_half.var_sum:.8f}, c(1)={res_one.var_sum:.8f}, "
                     f"bounds {bfq_half.rhs:.6f}, {bfq_one.rhs:.6f}")
-    assert abs(res_half.c_j - 0.25) < 1e-6
-    assert abs(res_one.c_j - 0.4375) < 1e-6
+    assert abs(res_half.var_sum - 0.25) < 1e-6
+    assert abs(res_one.var_sum - 0.4375) < 1e-6
     assert abs(bfq_half.rhs - 1.0) < 1e-6
     assert abs(bfq_one.rhs - 2.25) < 1e-6
 

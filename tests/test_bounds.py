@@ -246,7 +246,7 @@ def test_bfq_x_polarized_saturates():
 def test_bfq_planar_squeezed_bound_value():
     res = planar_squeezed_state(1.0)
     rep = bfq_bound(res.state)
-    assert abs(rep.rhs - 4 * (1.0 - res.c_j)) < 1e-9
+    assert abs(rep.rhs - 4 * (1.0 - res.var_sum)) < 1e-9
     assert rep.slack >= -1e-9
 
 
@@ -320,7 +320,6 @@ def test_fj_shape(j):
     assert np.all(curve.values >= 0)
     assert np.all(np.diff(curve.values) >= -1e-12)
     assert np.all(np.diff(curve.values, 2) >= -1e-8)
-    assert curve.hull_adjusted
 
 
 def test_fj_rejects_bad_grid():

@@ -71,6 +71,21 @@ def test_constructors_reject_non_finite_entries(build, bad):
         build(bad)
 
 
+def _assert_same_eigensystem(rho, dense):
+    """Equal eigenvalues, and eigenvectors equal up to a phase in the support
+    (nondegenerate in these tests) and up to a unitary in the kernel."""
+    vals, vecs = rho.eigenvalues, rho.eigenvectors
+    dim, rank = rho.dim, rho.rank()
+    assert vecs.shape == (dim, dim) and vals.shape == (dim,)
+    assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(dim))) < 1e-12
+    assert np.all(np.diff(vals) <= 0)
+    assert np.max(np.abs(vals - dense.eigenvalues)) < 1e-12
+    overlaps = np.abs(np.sum(vecs[:, :rank].conj() * dense.eigenvectors[:, :rank], axis=0))
+    assert np.max(np.abs(overlaps - 1.0)) < 1e-12
+    kernel, dense_kernel = vecs[:, rank:], dense.eigenvectors[:, rank:]
+    assert np.max(np.abs(kernel @ kernel.conj().T - dense_kernel @ dense_kernel.conj().T)) < 1e-12
+
+
 @pytest.mark.parametrize("dim,rank", [(d, r) for d in (2, 4, 6) for r in range(1, d + 1)]
                          + [(3, 5)])
 def test_from_factor_eigensystem(dim, rank):
@@ -79,14 +94,10 @@ def test_from_factor_eigensystem(dim, rank):
     v /= np.linalg.norm(v)
     rho = DensityMatrix.from_factor(v)
     vecs, vals = rho.eigenvectors, rho.eigenvalues
-    assert vecs.shape == (dim, dim) and vals.shape == (dim,)
-    assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(dim))) < 1e-12
-    assert np.all(np.diff(vals) <= 0)
     assert rho.rank() == min(dim, rank)
     assert np.max(np.abs(rho.mat - v @ v.conj().T)) < 1e-12
     assert np.max(np.abs((vecs * vals) @ vecs.conj().T - rho.mat)) < 1e-12
-    dense = DensityMatrix(rho.mat)
-    assert np.max(np.abs(vals - dense.eigenvalues)) < 1e-12
+    _assert_same_eigensystem(rho, DensityMatrix(v @ v.conj().T))
 
 
 def test_from_factor_rejects_bad_factors():
@@ -94,6 +105,44 @@ def test_from_factor_rejects_bad_factors():
         DensityMatrix.from_factor(np.ones((3, 2)))
     with pytest.raises(ValueError, match="factor"):
         DensityMatrix.from_factor(np.ones(3) / np.sqrt(3))  # not 2-d
+
+
+def _factor_with_spectrum(dim, cols, vals, seed):
+    """A dim x cols factor whose v v^dag has the given nonzero eigenvalues."""
+    rng = np.random.default_rng(seed)
+    u = haar_random_unitary(dim, rng)[:, :len(vals)]
+    w = haar_random_unitary(cols, rng)[:len(vals)]
+    return (u * np.sqrt(vals)) @ w
+
+
+@pytest.mark.parametrize("dim", [5, 3])
+def test_from_factor_floors_an_eigenvalue_like_the_dense_constructor(dim):
+    v = _factor_with_spectrum(dim, 3, [0.6, 0.4 - 1e-14, 1e-14], seed=dim)
+    rho = DensityMatrix.from_factor(v)
+    dense = DensityMatrix(v @ v.conj().T)
+    assert rho.rank() == dense.rank() == 2
+    assert rho.purity() == pytest.approx(dense.purity(), abs=1e-12)
+    assert np.max(np.abs(rho.mat - dense.mat)) < 1e-12
+    _assert_same_eigensystem(rho, dense)
+
+
+@pytest.mark.parametrize("spoil", ["vectors", "values"])
+def test_from_factor_rejects_an_inaccurate_svd(monkeypatch, spoil):
+    v = _factor_with_spectrum(6, 3, [0.5, 0.3, 0.2], seed=5)
+    svd = np.linalg.svd
+
+    def inaccurate_svd(a, *args, **kwargs):
+        u, s, wh = svd(a, *args, **kwargs)
+        if spoil == "vectors":
+            u = u + 1e-9 * np.ones_like(u)
+        else:   # moves 1e-9 between two eigenvalues, keeping the trace
+            s = np.sqrt(s * s + 1e-9 * np.array([1.0, -1.0, 0.0]))
+        return u, s, wh
+
+    DensityMatrix.from_factor(v)
+    monkeypatch.setattr(np.linalg, "svd", inaccurate_svd)
+    with pytest.raises(ValueError, match="reconstruct"):
+        DensityMatrix.from_factor(v)
 
 
 def test_pure_state_density_is_rank_one():

@@ -105,6 +105,42 @@ def test_duan_report_memory_stays_bounded_at_cutoff_80():
     assert rep.qfi_x_minus == pytest.approx(4 * np.exp(1.0), rel=1e-6)
 
 
+MIXTURE = [(0.4, 0.3 + 0.2j, -0.5), (0.6, 0.1j, 0.6 - 0.3j)]
+
+
+def test_duan_report_of_a_mixture_stays_bounded_at_cutoff_80():
+    # a mixed state keeps only its d x 2 support: its d x d matrix alone
+    # would take 655 MB at d = 6400
+    reference = duan_report(coherent_mixture(MIXTURE, 40), make_fock_algebra(40))
+    fock = make_fock_algebra(80)
+    tracemalloc.start()
+    try:
+        rep = duan_report(coherent_mixture(MIXTURE, 80), fock)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
+    for name in ("duan_lhs", "qfi_x_minus", "qfi_p_plus", "fisher_pair_slack"):
+        assert getattr(rep, name) == pytest.approx(getattr(reference, name), abs=1e-9)
+    assert rep.useful_flags == reference.useful_flags
+
+
+def test_mixed_states_at_cutoff_40_need_no_qr_or_eigh(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("d x d factorization of a support-held state")
+
+    monkeypatch.setattr(np.linalg, "qr", forbidden)
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    fock = make_fock_algebra(40)
+    a = coherent_mixture([(0.5, 0.5), (0.5, -0.4j)], 40)
+    b = coherent_mixture([(0.5, 0.3 + 0.2j), (0.5, -0.6)], 40)
+    product = tensor(a, b)
+    assert product.dim == 1600 and product.rank() == 4
+    for state in (product, coherent_mixture(MIXTURE, 40)):
+        rep = duan_report(state, fock)
+        assert rep.fisher_pair_status == "ok" and not rep.entangled
+
+
 def test_duan_dimension_check():
     fock = make_fock_algebra(40)
     with pytest.raises(DimensionMismatchError):

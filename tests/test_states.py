@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from qfiroof import (
     DensityMatrix,
     HermitianOperator,
     coherent_mixture,
+    coherent_state,
     expectation,
     make_fock_algebra,
     make_spin_algebra,
@@ -66,13 +69,13 @@ def test_spin_squeezed_bound_tracks_fisher_information():
 # ---------------------------------------------------------------------------
 
 def test_planar_exact_anchors():
-    assert abs(planar_squeezed_state(0.5).c_j - 0.25) < 1e-10
-    assert abs(planar_squeezed_state(1.0).c_j - 7 / 16) < 1e-10
+    assert abs(planar_squeezed_state(0.5).var_sum - 0.25) < 1e-10
+    assert abs(planar_squeezed_state(1.0).var_sum - 7 / 16) < 1e-10
 
 
 def test_planar_constant_small_against_j():
     res = planar_squeezed_state(10)
-    assert res.c_j < 0.3 * 10
+    assert res.var_sum < 0.3 * 10
     assert np.linalg.norm(res.mean_spin) > 1e-3
 
 
@@ -92,13 +95,12 @@ def test_planar_descent_is_monotone():
         cur = variance(psi, spin.jx) + variance(psi, spin.jy)
         assert cur <= prev + 1e-12
         prev = cur
-    assert abs(planar_squeezed_state(2).c_j - prev) < 1e-6
+    assert abs(planar_squeezed_state(2).var_sum - prev) < 1e-6
 
 
 def test_planar_result_reports_iteration_count():
     res = planar_squeezed_state(1.5)
     assert res.iterations >= 1
-    assert abs(res.var_sum - res.c_j) < 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -199,3 +201,22 @@ def test_mixture_constructors_yield_valid_density_matrices():
     assert isinstance(rho, DensityMatrix)
     assert abs(np.trace(rho.mat) - 1) < 1e-12
     assert rho.eigenvalues[-1] >= -1e-10
+
+
+@pytest.mark.parametrize("build", [
+    lambda: coherent_state(np.nan, 10),
+    lambda: coherent_state(complex(0.1, np.inf), 10),
+    lambda: two_mode_squeezed_vacuum(np.nan, 10),
+    lambda: two_mode_squeezed_vacuum(np.inf, 10),
+    lambda: coherent_mixture([(np.inf, 0.1), (0.5, 0.2)], 10),
+    lambda: coherent_mixture([(np.nan, 0.1), (0.5, 0.2)], 10),
+    lambda: coherent_mixture([], 10),
+    lambda: spin_coherent_mixture(1, []),
+], ids=["alpha-nan", "alpha-inf", "r-nan", "r-inf", "weight-inf", "weight-nan",
+        "no-entries", "no-spin-entries"])
+def test_invalid_parameters_raise_before_any_arithmetic(build):
+    # a RuntimeWarning from the arithmetic would surface instead of the typed error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite|at least one component"):
+            build()
