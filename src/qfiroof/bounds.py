@@ -134,6 +134,9 @@ def check_weighted_sum(state: State, a: HermitianOperator, b: HermitianOperator,
     from below by |<i[A,B]>|, which can never exceed any decomposition
     average of L; the reported bound is the larger of the two.
     """
+    for name, weight in (("alpha", alpha), ("beta", beta)):
+        if not np.isfinite(weight):
+            raise ValueError(f"weight {name} must be finite, got {weight!r}")
     if alpha < 0 or beta < 0:
         raise ValueError("weights must be nonnegative")
     c_abs = abs(expectation(state, commutator_i(a, b)))

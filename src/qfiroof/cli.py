@@ -17,6 +17,7 @@ import numpy as np
 
 from . import io as qio
 from .bounds import (
+    BoundReport,
     bfq_bound,
     check_improved_hr,
     check_improved_rs,
@@ -102,54 +103,53 @@ def _parse_complex(value) -> complex:
     raise ValueError(f"cannot read complex number from {value!r}")
 
 
+def _z_polar_mixture(j) -> DensityMatrix:
+    """Equal mixture of the two extremal J_z states of a spin j."""
+    dim = make_spin_algebra(j).dim
+    mat = np.zeros((dim, dim), dtype=complex)
+    mat[0, 0] = 0.5
+    mat[-1, -1] = 0.5
+    return DensityMatrix(mat)
+
+
+# Each constructor takes the spec's params and the Fock cutoff (the params'
+# own "cutoff" if given, else --cutoff); the README's constructor table lists
+# the params each one reads.
+STATES = {
+    "coherent": lambda p, c: coherent_state(_parse_complex(p["alpha"]), c),
+    "coherent_product": lambda p, c: tensor(coherent_state(_parse_complex(p["alpha1"]), c),
+                                            coherent_state(_parse_complex(p["alpha2"]), c)),
+    "vacuum": lambda p, c: coherent_state(0.0, c),
+    "tmsv": lambda p, c: two_mode_squeezed_vacuum(p["r"], c),
+    "spin_coherent": lambda p, c: spin_coherent_state(p["j"], p["c"]),
+    "spin_coherent_polar": lambda p, c: spin_coherent_polar(p["j"], p["theta"], p["phi"]),
+    "spin_squeezed": lambda p, c: spin_squeezed_state(p["j"], p["lam"]),
+    "planar_squeezed": lambda p, c: planar_squeezed_state(p["j"]).state,
+    "singlet": lambda p, c: singlet_state(p["j"]),
+    "random": lambda p, c: random_density_matrix(RandomStateConfig(
+        dim=p["dim"], rank=p.get("rank", p["dim"]), seed=p["seed"])),
+    "maximally_mixed": lambda p, c: DensityMatrix.maximally_mixed(p["dim"]),
+    "z_polar_mixture": lambda p, c: _z_polar_mixture(p["j"]),
+    "coherent_mixture": lambda p, c: coherent_mixture(
+        [(e[0], *map(_parse_complex, e[1:])) for e in p["entries"]], c),
+    "spin_coherent_mixture": lambda p, c: spin_coherent_mixture(
+        p["j"], [(e[0], e[1]) for e in p["entries"]]),
+}
+
+
 def build_state(spec: dict, cutoff: int):
     """Build a state from the JSON mini-format.
 
     Either {"matrix": {...}} with an inline serialized state, or
-    {"constructor": name, "params": {...}} naming one of the factory
-    functions below.
+    {"constructor": name, "params": {...}} naming an entry of ``STATES``.
     """
     if "matrix" in spec:
         return qio.state_from_json(spec["matrix"])
     name = spec.get("constructor")
+    if not isinstance(name, str) or name not in STATES:
+        raise ValueError(f"unknown state constructor {name!r}")
     params = spec.get("params", {})
-    if name == "coherent":
-        return coherent_state(_parse_complex(params["alpha"]), params.get("cutoff", cutoff))
-    if name == "coherent_product":
-        c = params.get("cutoff", cutoff)
-        return tensor(coherent_state(_parse_complex(params["alpha1"]), c),
-                      coherent_state(_parse_complex(params["alpha2"]), c))
-    if name == "vacuum":
-        return coherent_state(0.0, params.get("cutoff", cutoff))
-    if name == "tmsv":
-        return two_mode_squeezed_vacuum(params["r"], params.get("cutoff", cutoff))
-    if name == "spin_coherent":
-        return spin_coherent_state(params["j"], params["c"])
-    if name == "spin_coherent_polar":
-        return spin_coherent_polar(params["j"], params["theta"], params["phi"])
-    if name == "spin_squeezed":
-        return spin_squeezed_state(params["j"], params["lam"])
-    if name == "planar_squeezed":
-        return planar_squeezed_state(params["j"]).state
-    if name == "singlet":
-        return singlet_state(params["j"])
-    if name == "random":
-        return random_density_matrix(RandomStateConfig(
-            dim=params["dim"], rank=params.get("rank", params["dim"]), seed=params["seed"]))
-    if name == "maximally_mixed":
-        return DensityMatrix.maximally_mixed(params["dim"])
-    if name == "z_polar_mixture":
-        spin = make_spin_algebra(params["j"])
-        mat = np.zeros((spin.dim, spin.dim), dtype=complex)
-        mat[0, 0] = 0.5
-        mat[-1, -1] = 0.5
-        return DensityMatrix(mat)
-    if name == "coherent_mixture":
-        entries = [(e[0], *(map(_parse_complex, e[1:]))) for e in params["entries"]]
-        return coherent_mixture(entries, params.get("cutoff", cutoff))
-    if name == "spin_coherent_mixture":
-        return spin_coherent_mixture(params["j"], [(e[0], e[1]) for e in params["entries"]])
-    raise ValueError(f"unknown state constructor {name!r}")
+    return STATES[name](params, params.get("cutoff", cutoff))
 
 
 def _load_spec(arg: str) -> dict:
@@ -249,70 +249,54 @@ def cmd_figure_spinsq(args) -> None:
 # check / roof / state-factory
 # ---------------------------------------------------------------------------
 
+def _operator_pair(state, args) -> tuple[HermitianOperator, HermitianOperator]:
+    return (build_operator(args.op_a, state.dim, args.cutoff),
+            build_operator(args.op_b, state.dim, args.cutoff))
+
+
+def _duan_check(state, args) -> BoundReport:
+    report = duan_report(state, make_fock_algebra(args.cutoff))
+    return BoundReport(
+        name="duan",
+        lhs=report.duan_lhs,
+        rhs=report.duan_rhs,
+        meta={
+            "qfi_x_minus": report.qfi_x_minus,
+            "qfi_p_plus": report.qfi_p_plus,
+            # an indeterminate relation has a NaN slack, which JSON cannot carry
+            "fisher_pair_slack": (report.fisher_pair_slack
+                                  if report.fisher_pair_status == "ok" else None),
+            "fisher_pair_status": report.fisher_pair_status,
+            "useful_flags": report.useful_flags,
+        },
+    )
+
+
+# Each check maps (state, args) to a BoundReport; the names are the choices
+# of ``qfiroof check``.
+CHECKS = {
+    "rs": lambda state, args: check_robertson_schrodinger(
+        state, *_operator_pair(state, args)),
+    "improved-rs": lambda state, args: check_improved_rs(
+        state, *_operator_pair(state, args), cfg=_optimizer_config(args)),
+    "improved-hr": lambda state, args: check_improved_hr(
+        state, *_operator_pair(state, args)),
+    "weighted-sum": lambda state, args: check_weighted_sum(
+        state, *_operator_pair(state, args), args.alpha, args.beta,
+        cfg=_optimizer_config(args)),
+    "bfq": lambda state, args: bfq_bound(state),
+    "sud": lambda state, args: su_d_bound(state),
+    "spin-length": lambda state, args: spin_length_bound(state),
+    "duan": _duan_check,
+    "two-spin": lambda state, args: two_spin_report(state, args.j1, args.j2),
+    "vxyz": lambda state, args: vxyz_criterion(state, args.spin, args.parties,
+                                               cfg=_optimizer_config(args)),
+}
+
+
 def cmd_check(args) -> None:
     state = build_state(_load_spec(args.state), args.cutoff)
-    name = args.name
-    if name == "duan":
-        fock = make_fock_algebra(args.cutoff)
-        report = duan_report(state, fock)
-        payload = {
-            "name": "duan",
-            "lhs": report.duan_lhs,
-            "rhs": report.duan_rhs,
-            "slack": report.duan_lhs - report.duan_rhs,
-            "violated": report.entangled,
-            "meta": {
-                "qfi_x_minus": report.qfi_x_minus,
-                "qfi_p_plus": report.qfi_p_plus,
-                # an indeterminate relation has a NaN slack, which JSON cannot carry
-                "fisher_pair_slack": (report.fisher_pair_slack
-                                      if report.fisher_pair_status == "ok" else None),
-                "fisher_pair_status": report.fisher_pair_status,
-                "useful_flags": report.useful_flags,
-            },
-        }
-        _write_output(json.dumps(payload, indent=2, allow_nan=False), args.out)
-        return
-    if name == "two-spin":
-        report = two_spin_report(state, args.j1, args.j2)
-        payload = {
-            "name": "two_spin",
-            "lhs": report.collective_var_sum,
-            "rhs": report.separable_floor,
-            "slack": report.collective_var_sum - report.separable_floor,
-            "violated": report.entangled,
-            "meta": {
-                "fq_sum_minus": report.fq_sum_minus,
-                "spin_coherent_fisher_cap": report.spin_coherent_fisher_cap,
-                "three_axis_lhs": report.three_axis_lhs,
-                "three_axis_rhs": report.three_axis_rhs,
-                "more_useful_than_spin_coherent": report.more_useful_than_spin_coherent,
-            },
-        }
-        _write_output(json.dumps(payload, indent=2, allow_nan=False), args.out)
-        return
-    if name == "vxyz":
-        report = vxyz_criterion(state, args.spin, args.parties, cfg=_optimizer_config(args))
-    elif name == "bfq":
-        report = bfq_bound(state)
-    elif name == "sud":
-        report = su_d_bound(state)
-    elif name == "spin-length":
-        report = spin_length_bound(state)
-    else:
-        a = build_operator(args.op_a, state.dim, args.cutoff)
-        b = build_operator(args.op_b, state.dim, args.cutoff)
-        if name == "rs":
-            report = check_robertson_schrodinger(state, a, b)
-        elif name == "improved-rs":
-            report = check_improved_rs(state, a, b, cfg=_optimizer_config(args))
-        elif name == "improved-hr":
-            report = check_improved_hr(state, a, b)
-        elif name == "weighted-sum":
-            report = check_weighted_sum(state, a, b, args.alpha, args.beta,
-                                        cfg=_optimizer_config(args))
-        else:
-            raise ValueError(f"unknown check name {name!r}")
+    report = CHECKS[args.name](state, args)
     _write_output(json.dumps(report.to_dict(), indent=2, allow_nan=False), args.out)
 
 
@@ -381,9 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="evaluate a named inequality on a state")
     _add_common(p)
-    p.add_argument("name", choices=("rs", "improved-rs", "improved-hr", "weighted-sum",
-                                    "bfq", "sud", "spin-length", "duan", "two-spin",
-                                    "vxyz"))
+    p.add_argument("name", choices=tuple(CHECKS))
     p.add_argument("--state", required=True, help="state spec JSON or @file")
     p.add_argument("--op-a", default="jx")
     p.add_argument("--op-b", default="jy")

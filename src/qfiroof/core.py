@@ -254,10 +254,6 @@ class DensityMatrix:
         return rho
 
     @staticmethod
-    def from_pure(psi: PureState) -> "DensityMatrix":
-        return psi.density()
-
-    @staticmethod
     def maximally_mixed(dim: int) -> "DensityMatrix":
         return DensityMatrix(np.eye(dim) / dim)
 

@@ -134,70 +134,46 @@ def coherent_mixture_usefulness(state: State, fock: FockAlgebra) -> dict:
             for name, (op, sign) in combos.items()}
 
 
-@dataclass(frozen=True)
-class TwoSpinReport:
-    """Collective-variance criterion and Fisher usefulness for two spins.
+def two_spin_report(state: State, j1, j2) -> BoundReport:
+    """Collective-variance separability test for two spins, with its Fisher side.
 
-    ``three_axis_lhs`` is the combination 8 sum_l Var(J_l^(1) + J_l^(2)) +
-    sum_l F_Q[rho, J_l^(1) - J_l^(2)] and ``three_axis_rhs`` is 12(j1 + j2).
-    ``three_axis_lhs >= three_axis_rhs`` is not a theorem: the singlet
-    saturates it, but over pure two-qubit states the left side has minimum 11.
-    """
-
-    j1: float
-    j2: float
-    collective_var_sum: float
-    separable_floor: float
-    fq_sum_minus: float
-    spin_coherent_fisher_cap: float
-    three_axis_lhs: float
-    three_axis_rhs: float
-    entangled: bool
-    more_useful_than_spin_coherent: bool
-
-
-def two_spin_report(state: State, j1, j2,
-                    sign_var: int = +1, sign_fq: int = -1) -> TwoSpinReport:
-    """Evaluate the two-spin variance criterion and its usefulness companion.
-
-    ``sign_var`` and ``sign_fq`` pick the relative sign inside the collective
-    variance and Fisher operators; the default pairs summed variances with
-    differential Fisher terms, which is the combination a singlet maximizes.
-    ``three_axis_lhs``/``three_axis_rhs`` are 8 sum Var(J^+) + sum F_Q[J^-]
-    and 12(j1 + j2); lhs >= rhs is not a theorem (the pure two-qubit minimum
-    of lhs is 11).  With the sum Var(J^-) of a ``sign_var=-1`` call, the
-    relation 12 sum Var(J^+) + 8 sum Var(J^-) + sum F_Q[J^-] >= 24(j1 + j2)
-    holds for every state.
+    With J_l^+- = J_l^(1) +- J_l^(2), separable states obey
+    sum_l Var(J_l^+) >= j1 + j2, so ``lhs`` is that variance sum and a
+    violation proves entanglement.  ``meta`` also carries sum_l Var(J_l^-),
+    sum_l F_Q[rho, J_l^-] against the cap 4(j1 + j2) of mixtures of products
+    of spin-coherent states, and ``summed_relation_slack``, the slack of
+    12 sum Var(J^+) + 8 sum Var(J^-) + sum F_Q[J^-] >= 24(j1 + j2), which
+    holds for every state (derivation in the README).
     """
     spin1 = make_spin_algebra(j1)
     spin2 = make_spin_algebra(j2)
     dim = spin1.dim * spin2.dim
     if state.dim != dim:
         raise DimensionMismatchError(f"state dim {state.dim}, expected {dim}")
-    if sign_var not in (-1, 1) or sign_fq not in (-1, 1):
-        raise ValueError("signs must be +1 or -1")
     eye1 = HermitianOperator(np.eye(spin1.dim))
     eye2 = HermitianOperator(np.eye(spin2.dim))
 
-    var_sum = 0.0
-    fq_sum = 0.0
+    var_plus = var_minus = fq_minus = 0.0
     for op1, op2 in zip(spin1.as_tuple(), spin2.as_tuple()):
         a = tensor(op1, eye2)
         b = tensor(eye1, op2)
-        var_sum += variance(state, a + sign_var * b)
-        fq_sum += qfi(state, a + sign_fq * b)
+        minus = a - b
+        var_plus += variance(state, a + b)
+        var_minus += variance(state, minus)
+        fq_minus += qfi(state, minus)
 
     j_total = spin1.j + spin2.j
-    return TwoSpinReport(
-        j1=spin1.j, j2=spin2.j,
-        collective_var_sum=var_sum,
-        separable_floor=j_total,
-        fq_sum_minus=fq_sum,
-        spin_coherent_fisher_cap=4.0 * j_total,
-        three_axis_lhs=8.0 * var_sum + fq_sum,
-        three_axis_rhs=12.0 * j_total,
-        entangled=var_sum < j_total - USEFULNESS_TOL,
-        more_useful_than_spin_coherent=fq_sum > 4.0 * j_total + USEFULNESS_TOL,
+    return BoundReport(
+        name="two_spin",
+        lhs=var_plus,
+        rhs=j_total,
+        meta={"j1": spin1.j, "j2": spin2.j,
+              "var_sum_minus": var_minus,
+              "fq_sum_minus": fq_minus,
+              "spin_coherent_fisher_cap": 4.0 * j_total,
+              "more_useful_than_spin_coherent": fq_minus > 4.0 * j_total + USEFULNESS_TOL,
+              "summed_relation_slack": (12.0 * var_plus + 8.0 * var_minus + fq_minus
+                                        - 24.0 * j_total)},
     )
 
 

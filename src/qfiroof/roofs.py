@@ -387,8 +387,8 @@ class OptimizerConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.restarts < 1 or self.local_steps < 0:
             raise ValueError("restarts must be >= 1 and local_steps >= 0")
-        if not self.tolerance > 0.0:
-            raise ValueError("tolerance must be positive")
+        if not 0.0 < self.tolerance < np.inf:
+            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance!r}")
 
 
 @dataclass(frozen=True)

@@ -224,38 +224,36 @@ def test_criterion_08_continuous_variable_checks():
 
 def test_criterion_09_two_spin_checks():
     rep_singlet = two_spin_report(singlet_state(0.5), 0.5, 0.5)
-    singlet_ok = (abs(rep_singlet.fq_sum_minus - 12.0) < 1e-9
-                  and abs(rep_singlet.collective_var_sum) < 1e-12)
+    singlet_ok = (abs(rep_singlet.meta["fq_sum_minus"] - 12.0) < 1e-9
+                  and abs(rep_singlet.lhs) < 1e-12)
     product = tensor(spin_coherent_state(0.5, (0.4, 1.0, -0.3)),
                      spin_coherent_state(0.5, (0.9, -0.2, 0.6)))
     rep_prod = two_spin_report(product, 0.5, 0.5)
-    product_ok = abs(rep_prod.fq_sum_minus - 4.0) < 1e-9
+    product_ok = abs(rep_prod.meta["fq_sum_minus"] - 4.0) < 1e-9
 
     # 12 sumVar(J+) + 8 sumVar(J-) + sumF_Q[J-] >= 24(j1+j2), J+- = J^(1) +- J^(2), holds for every
     # state: Var(A+B) + Var(A-B) = 2Var(A) + 2Var(B) and sumVar(J^(i)) >= j_i give 4 sumVar(J+) +
     # 4 sumVar(J-) >= 8(j1+j2); averaged over the decomposition with mean Var(J_m-) = F_Q[J_m-]/4,
     # concavity of Var swaps 4Var(J_m-) for F_Q[J_m-]; then sum over m.
-    def summed_slack(rho):
-        rep_plus = two_spin_report(rho, 0.5, 0.5)
-        rep_minus = two_spin_report(rho, 0.5, 0.5, sign_var=-1)
-        lhs = (12.0 * rep_plus.collective_var_sum + 8.0 * rep_minus.collective_var_sum
-               + rep_plus.fq_sum_minus)
-        return lhs - 24.0 * (rep_plus.j1 + rep_plus.j2), rep_plus
+    def summed_slack(rep):
+        lhs = 12.0 * rep.lhs + 8.0 * rep.meta["var_sum_minus"] + rep.meta["fq_sum_minus"]
+        return lhs - 24.0 * (rep.meta["j1"] + rep.meta["j2"])
 
-    product_slack, _ = summed_slack(product)
+    product_slack = summed_slack(rep_prod)
     saturation_ok = abs(product_slack) < 1e-9
 
     worst = np.inf
     violations = 0
     combination_violations = 0
     for s in range(100):
-        rho = random_state(4, 52_000 + s)
-        slack, rep = summed_slack(rho)
+        rep = two_spin_report(random_state(4, 52_000 + s), 0.5, 0.5)
+        slack = summed_slack(rep)
         worst = min(worst, slack)
         if slack < -1e-9:
             violations += 1
-        # The 8/12 combination is not a bound; its count is only reported.
-        if rep.three_axis_lhs - rep.three_axis_rhs < -1e-9:
+        # The 8/12 combination 8 sumVar(J+) + sumF_Q[J-] >= 12(j1+j2) is not a bound; its
+        # count is only reported.
+        if 8.0 * rep.lhs + rep.meta["fq_sum_minus"] - 12.0 * rep.rhs < -1e-9:
             combination_violations += 1
     relation_ok = worst >= -1e-9
 

@@ -215,9 +215,20 @@ def test_weighted_sum_random_qutrits_hold():
 
 def test_weighted_sum_rejects_negative_weights():
     rho = random_state(2, seed=17)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="weights must be nonnegative"):
         check_weighted_sum(rho, random_hermitian(2, 18), random_hermitian(2, 19),
                            -1.0, 1.0)
+
+
+@pytest.mark.parametrize("alpha, beta, message", [
+    (float("nan"), 1.0, "weight alpha must be finite"),
+    (1.0, float("inf"), "weight beta must be finite"),
+    (-float("inf"), 1.0, "weight alpha must be finite"),
+])
+def test_weighted_sum_rejects_non_finite_weights(alpha, beta, message):
+    rho = random_state(2, seed=17)
+    with pytest.raises(ValueError, match=message):
+        check_weighted_sum(rho, random_hermitian(2, 18), random_hermitian(2, 19), alpha, beta)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qfiroof.cli import build_operator, build_state, main
+from qfiroof.cli import CHECKS, STATES, build_operator, build_state, main
 from qfiroof.entanglement import TwoModeReport
 
 
@@ -107,8 +109,52 @@ def test_check_two_spin_singlet(capsys):
                            "--j1", "0.5", "--j2", "0.5")
     assert code == 0
     payload = json.loads(out)
+    assert payload["name"] == "two_spin"
+    assert payload["lhs"] == pytest.approx(0.0, abs=1e-12)
+    assert payload["rhs"] == 1.0
     assert payload["violated"] is True
+    assert set(payload["meta"]) == {"j1", "j2", "var_sum_minus", "fq_sum_minus",
+                                    "spin_coherent_fisher_cap",
+                                    "more_useful_than_spin_coherent", "summed_relation_slack"}
     assert payload["meta"]["fq_sum_minus"] == pytest.approx(12.0, abs=1e-9)
+    assert payload["meta"]["summed_relation_slack"] == pytest.approx(12.0, abs=1e-9)
+
+
+QUTRIT = {"constructor": "random", "params": {"dim": 3, "seed": 4}}
+FAST_ROOF = ("--restarts", "2", "--local-steps", "60")
+# a small state each check accepts, and the extra arguments it needs
+CHECK_CASES = {
+    "rs": (QUTRIT, ()),
+    "improved-rs": (QUTRIT, FAST_ROOF),
+    "improved-hr": (QUTRIT, ()),
+    "weighted-sum": (QUTRIT, ("--alpha", "2", "--beta", "0.5", *FAST_ROOF)),
+    "bfq": ({"constructor": "spin_squeezed", "params": {"j": 2, "lam": 1.0}}, ()),
+    "sud": (QUTRIT, ()),
+    "spin-length": ({"constructor": "spin_coherent_polar",
+                     "params": {"j": 1, "theta": 0.4, "phi": 0.1}}, ()),
+    "duan": ({"constructor": "tmsv", "params": {"r": 0.1}}, ("--cutoff", "8")),
+    "two-spin": ({"constructor": "singlet", "params": {"j": 0.5}}, ()),
+    "vxyz": ({"constructor": "singlet", "params": {"j": 0.5}}, FAST_ROOF),
+}
+
+
+@pytest.mark.parametrize("name", list(CHECKS))
+def test_every_check_prints_a_bound_report(capsys, name):
+    spec, extra = CHECK_CASES[name]
+    code, out, err = run_cli(capsys, "check", name, "--state", json.dumps(spec), *extra)
+    assert code == 0 and err == ""
+    payload = json.loads(out, parse_constant=lambda c: pytest.fail(f"{c} in output"))
+    assert set(payload) == {"name", "lhs", "rhs", "slack", "violated", "meta"}
+    assert payload["slack"] == pytest.approx(payload["lhs"] - payload["rhs"], abs=1e-12)
+
+
+def test_check_weighted_sum_rejects_nan_weight(capsys):
+    code, out, err = run_cli(capsys, "check", "weighted-sum", "--state", json.dumps(QUTRIT),
+                             "--alpha", "nan")
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ValueError"
+    assert "weight alpha must be finite" in payload["message"]
 
 
 def test_roof_pure_state_min_is_variance(capsys):
@@ -156,7 +202,18 @@ def test_unknown_constructor_gives_json_error(capsys):
     assert code == 1
     assert out == ""
     payload = json.loads(err)
-    assert "nope" in payload["message"]
+    assert payload["error"] == "ValueError"
+    assert payload["message"] == "unknown state constructor 'nope'"
+
+
+def test_non_string_constructor_gives_json_error(capsys):
+    code, out, err = run_cli(capsys, "check", "rs", "--state",
+                             json.dumps({"constructor": ["nope"]}))
+    assert code == 1
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ValueError"
+    assert payload["message"] == "unknown state constructor ['nope']"
 
 
 def test_check_rs_rejects_nan_state(capsys):
@@ -248,6 +305,43 @@ def test_build_operator_two_mode_quadratures():
     assert op.dim == 16
     with pytest.raises(ValueError):
         build_operator("x", dim=16, cutoff=4)
+
+
+# one sample params dict per README constructor
+STATE_SAMPLES = {
+    "coherent": {"alpha": [0.3, 0.1], "cutoff": 12},
+    "coherent_product": {"alpha1": [0.3, 0.0], "alpha2": 0.2, "cutoff": 12},
+    "vacuum": {},  # no params cutoff: the cutoff argument applies
+    "tmsv": {"r": 0.1, "cutoff": 8},
+    "spin_coherent": {"j": 1, "c": [0.1, 0.2, 0.3]},
+    "spin_coherent_polar": {"j": 1.5, "theta": 0.4, "phi": 0.2},
+    "spin_squeezed": {"j": 2, "lam": 1.0},
+    "planar_squeezed": {"j": 1},
+    "singlet": {"j": 0.5},
+    "random": {"dim": 4, "rank": 2, "seed": 9},
+    "maximally_mixed": {"dim": 3},
+    "z_polar_mixture": {"j": 1},
+    "coherent_mixture": {"entries": [[0.5, [0.3, 0], [0, 0.2]], [0.5, [-0.3, 0], [0, -0.2]]],
+                         "cutoff": 12},
+    "spin_coherent_mixture": {"j": 1, "entries": [[0.5, [0.1, 0.2, 0.3]], [0.5, [0, -0.4, 0]]]},
+}
+STATE_DIMS = {"coherent": 12, "coherent_product": 144, "vacuum": 40, "tmsv": 64,
+              "spin_coherent": 3, "spin_coherent_polar": 4, "spin_squeezed": 5,
+              "planar_squeezed": 3, "singlet": 4, "random": 4, "maximally_mixed": 3,
+              "z_polar_mixture": 3, "coherent_mixture": 144, "spin_coherent_mixture": 3}
+
+
+def test_readme_constructor_table_matches_registry():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| constructor | params |", 1)[1].split("\n\n", 1)[0]
+    names = set(re.findall(r"^\| `(\w+)` \|", table, flags=re.MULTILINE))
+    assert names == set(STATES) == set(STATE_SAMPLES)
+
+
+@pytest.mark.parametrize("name", list(STATES))
+def test_every_constructor_builds(name):
+    state = build_state({"constructor": name, "params": STATE_SAMPLES[name]}, cutoff=40)
+    assert state.dim == STATE_DIMS[name]
 
 
 def test_build_state_inline_matrix():

@@ -160,26 +160,34 @@ def test_usefulness_flags_vacuum_product():
 
 def test_two_spin_singlet_report():
     rep = two_spin_report(singlet_state(0.5), 0.5, 0.5)
-    assert abs(rep.collective_var_sum) < 1e-12
-    assert rep.entangled
-    assert abs(rep.fq_sum_minus - 12.0) < 1e-9
-    assert rep.more_useful_than_spin_coherent
-    assert rep.three_axis_lhs >= rep.three_axis_rhs - 1e-9
+    assert rep.name == "two_spin"
+    assert abs(rep.lhs) < 1e-12
+    assert rep.rhs == 1.0
+    assert rep.violated
+    # differential variances are 1 each, so sum Var(J^-) = 3
+    assert abs(rep.meta["var_sum_minus"] - 3.0) < 1e-9
+    assert abs(rep.meta["fq_sum_minus"] - 12.0) < 1e-9
+    assert rep.meta["more_useful_than_spin_coherent"]
+    # 12 * 0 + 8 * 3 + 12 - 24 = 12
+    assert abs(rep.meta["summed_relation_slack"] - 12.0) < 1e-9
 
 
 def test_two_spin_product_coherent_hits_class_cap_exactly():
     psi = tensor(spin_coherent_state(0.5, (0.3, 0.7, -0.1)),
                  spin_coherent_state(0.5, (1.0, -0.4, 0.2)))
     rep = two_spin_report(psi, 0.5, 0.5)
-    assert abs(rep.fq_sum_minus - 4.0) < 1e-9
-    assert not rep.more_useful_than_spin_coherent
-    assert rep.collective_var_sum >= rep.separable_floor - 1e-9
+    assert abs(rep.meta["fq_sum_minus"] - 4.0) < 1e-9
+    assert rep.meta["spin_coherent_fisher_cap"] == 4.0
+    assert not rep.meta["more_useful_than_spin_coherent"]
+    assert rep.slack >= -1e-9
+    assert rep.violated is False
 
 
 def test_two_spin_maximally_mixed():
     rep = two_spin_report(DensityMatrix.maximally_mixed(4), 0.5, 0.5)
-    assert abs(rep.collective_var_sum - 1.5) < 1e-12
-    assert not rep.entangled
+    assert abs(rep.lhs - 1.5) < 1e-12
+    assert abs(rep.meta["var_sum_minus"] - 1.5) < 1e-12
+    assert not rep.violated
 
 
 def test_two_spin_mixed_spins():
@@ -187,41 +195,36 @@ def test_two_spin_mixed_spins():
         0.5, 1.0, [(0.6, (0.1, 0.2, 0.3), (0.9, 0.0, -0.4)),
                    (0.4, (1.1, -0.5, 0.0), (0.0, 0.6, 0.8))])
     rep = two_spin_report(rho, 0.5, 1.0)
-    assert rep.fq_sum_minus <= rep.spin_coherent_fisher_cap + 1e-9
+    assert (rep.meta["j1"], rep.meta["j2"], rep.rhs) == (0.5, 1.0, 1.5)
+    assert rep.meta["fq_sum_minus"] <= rep.meta["spin_coherent_fisher_cap"] + 1e-9
+    summed = (12.0 * rep.lhs + 8.0 * rep.meta["var_sum_minus"] + rep.meta["fq_sum_minus"]
+              - 24.0 * rep.rhs)
+    assert abs(rep.meta["summed_relation_slack"] - summed) < 1e-12
+    assert summed >= -1e-9
 
 
-def test_two_spin_three_axis_combination_behavior():
-    """The 8*sum Var(J+) + sum F_Q[J-] combination is NOT bounded by 12(j1+j2).
+def test_two_spin_eight_twelve_combination_is_not_a_bound():
+    """8 sum Var(J^+) + sum F_Q[J^-] is NOT bounded below by 12(j1+j2).
 
-    Pure product states satisfy the would-be bound (their lhs is
+    Pure product states satisfy the would-be bound (their value is
     12 * (sum of single-party variance sums) >= 12(j1+j2)) and the singlet
-    saturates it exactly, but generic entangled pure states dip below: the
-    minimum over pure two-qubit states is 11 < 12.  The report fields are
-    still exposed so the combination can be studied; no theorem is asserted.
+    saturates it exactly, but generic entangled states dip below: the
+    minimum over pure two-qubit states is 11 < 12.  So the report carries
+    the valid summed relation instead.
     """
-    # singlet saturates exactly
-    rep = two_spin_report(singlet_state(0.5), 0.5, 0.5)
-    assert abs(rep.three_axis_lhs - rep.three_axis_rhs) < 1e-9
-    # pure products always satisfy
+    def combination_slack(state):
+        rep = two_spin_report(state, 0.5, 0.5)
+        return 8.0 * rep.lhs + rep.meta["fq_sum_minus"] - 12.0 * rep.rhs
+
+    assert abs(combination_slack(singlet_state(0.5))) < 1e-9
     psi = tensor(spin_coherent_state(0.5, (0.4, -0.2, 0.9)),
                  spin_coherent_state(0.5, (0.0, 1.3, 0.2)))
-    rep = two_spin_report(psi, 0.5, 0.5)
-    assert rep.three_axis_lhs >= rep.three_axis_rhs - 1e-9
-    # but random states can violate; seed 123012 is a reproducible example
+    assert combination_slack(psi) >= -1e-9
+    # seed 123012 is a reproducible counterexample that still meets the summed relation
     from qfiroof import RandomStateConfig, random_density_matrix
     violator = random_density_matrix(RandomStateConfig(dim=4, rank=4, seed=123_012))
-    rep = two_spin_report(violator, 0.5, 0.5)
-    assert rep.three_axis_lhs < rep.three_axis_rhs - 1e-3
-
-
-def test_two_spin_sign_parameters():
-    psi = singlet_state(0.5)
-    rep = two_spin_report(psi, 0.5, 0.5, sign_var=-1, sign_fq=+1)
-    # swapped signs: differential variances are 1 each, collective QFI is 0
-    assert abs(rep.collective_var_sum - 3.0) < 1e-9
-    assert abs(rep.fq_sum_minus) < 1e-9
-    with pytest.raises(ValueError):
-        two_spin_report(psi, 0.5, 0.5, sign_var=0)
+    assert combination_slack(violator) < -1e-3
+    assert two_spin_report(violator, 0.5, 0.5).meta["summed_relation_slack"] >= -1e-9
 
 
 def test_two_spin_dimension_check():

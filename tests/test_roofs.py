@@ -198,7 +198,8 @@ def test_optimize_rejects_operators_of_another_dimension():
 
 def test_optimizer_config_validation():
     for bad in (dict(restarts=0), dict(local_steps=-1), dict(tolerance=-1e-5),
-                dict(tolerance=0.0), dict(tolerance=float("nan"))):
+                dict(tolerance=0.0), dict(tolerance=float("nan")),
+                dict(tolerance=float("inf"))):
         with pytest.raises(ValueError):
             OptimizerConfig(**bad)
     # budgets are counts: a non-integral value would fail later inside range()
