@@ -87,8 +87,7 @@ def check_robertson_schrodinger(state: State, a: HermitianOperator,
 
 
 def check_improved_rs(state: State, a: HermitianOperator, b: HermitianOperator,
-                      cfg: OptimizerConfig | None = None,
-                      partitions=None) -> BoundReport:
+                      cfg: OptimizerConfig | None = None) -> BoundReport:
     """Variance product against the concave roof of the uncertainty bound.
 
     The right-hand side maximizes the weighted average of L over mixed-state
@@ -97,7 +96,7 @@ def check_improved_rs(state: State, a: HermitianOperator, b: HermitianOperator,
     closed-form eigenvector-partition bound K in the metadata.
     """
     rho = state_density(state)
-    roof = concave_roof_L(rho, a, b, cfg=cfg, partitions=partitions)
+    roof = concave_roof_L(rho, a, b, cfg=cfg)
     meta = {
         "L": rs_lower_bound_L(rho, a, b),
         "roof_L": roof.value,
@@ -239,15 +238,20 @@ def _lower_hull(points: list[tuple[float, float]]) -> tuple[np.ndarray, np.ndarr
             np.array([points[i][1] for i in idx]))
 
 
-def fj_curve(j, grid, lam_points: int = 200, lam2_points: int = 41,
-             gap_tol: float = 1.5e-3, max_refine: int = 12) -> FjCurve:
+FJ_LAM_POINTS = 200       # logarithmic grid of the J_z multiplier, 1e-3 .. 1e3
+FJ_LAM2_POINTS = 41       # logarithmic grid of the J_x multiplier (half-integer j only)
+FJ_GAP_TOL = 1.5e-3       # hull vertices further apart in X than this are refined
+FJ_MAX_REFINE = 12        # refinement rounds at most
+
+
+def fj_curve(j, grid) -> FjCurve:
     """Scan Lagrangian ground states and hull the resulting (X, Var/j) cloud.
 
     The Hamiltonian family is J_x^2 - lam J_z - lam2 J_x with lam on a
     logarithmic grid; lam2 is needed only for half-integer j, where the
     minimizing states carry a nonzero <J_x>.  Degenerate ground states are
     skipped.  After the base scan the hull is refined adaptively: wherever
-    two neighboring hull vertices are further apart than ``gap_tol`` in X,
+    two neighboring hull vertices are further apart than ``FJ_GAP_TOL`` in X,
     the geometric midpoint of their multipliers is scanned as well, until
     the hull is resolved.  The achievable anchor points (0, 0) and (1, 1/2)
     are always included, and the lower convex hull is taken in X.
@@ -261,8 +265,8 @@ def fj_curve(j, grid, lam_points: int = 200, lam2_points: int = 41,
     j = spin.j
     jx2 = spin.jx.mat @ spin.jx.mat
     half_integer = (int(round(2 * j)) % 2) == 1
-    lam_grid = np.logspace(-3, 3, lam_points)
-    lam2_grid = np.logspace(-3, 3, lam2_points) if half_integer else np.array([0.0])
+    lam_grid = np.logspace(-3, 3, FJ_LAM_POINTS)
+    lam2_grid = np.logspace(-3, 3, FJ_LAM2_POINTS) if half_integer else np.array([0.0])
 
     def scan(lam: float, lam2: float) -> tuple[float, float] | None:
         h = HermitianOperator(jx2 - lam * spin.jz.mat - lam2 * spin.jx.mat)
@@ -282,13 +286,13 @@ def fj_curve(j, grid, lam_points: int = 200, lam2_points: int = 41,
                 cloud.append((pt[0], pt[1], lam, lam2))
 
     lam2_floor = lam2_grid[0] if half_integer else 0.0
-    for _ in range(max_refine):
+    for _ in range(FJ_MAX_REFINE):
         hull_idx = _lower_hull_indices([(c[0], c[1]) for c in cloud])
         new_points: list[tuple[float, float, float, float]] = []
         for i, k in zip(hull_idx, hull_idx[1:]):
             xa, _, la, l2a = cloud[i]
             xb, _, lb, l2b = cloud[k]
-            if xb - xa <= gap_tol:
+            if xb - xa <= FJ_GAP_TOL:
                 continue
             if np.isnan(la) and np.isnan(lb):
                 continue  # nothing but anchors survived the scan

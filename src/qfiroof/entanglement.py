@@ -23,33 +23,44 @@ from .core import (
     _support_qfi,
     _support_variance,
     make_spin_algebra,
-    tensor,
     variance,
 )
-from .metrology import qfi
 from .roofs import OptimizerConfig, roof_sum_I
 
 USEFULNESS_TOL = 1e-9
 QFI_DEGENERATE = 1e-12
 
 
-def _quadrature_image(psi: np.ndarray, q: np.ndarray, sign: int) -> np.ndarray:
-    """W = (Q (x) 1 + sign 1 (x) Q) V_S without forming the d x d operator.
+def _pair_image(psi: np.ndarray, q1: np.ndarray, q2: np.ndarray, sign: int) -> np.ndarray:
+    """W = (Q1 (x) 1 + sign 1 (x) Q2) V_S without forming the d x d operator.
 
-    ``psi`` holds the r support vectors reshaped to (r, c, c), mode 1 first;
-    Q (x) 1 acts as Q Psi and 1 (x) Q as Psi Q^T, at O(r c^3) cost.
+    ``psi`` holds the r support vectors reshaped to (r, d1, d2), system 1
+    first; Q1 (x) 1 acts as Q1 Psi and 1 (x) Q2 as Psi Q2^T, at
+    O(r d1 d2 (d1 + d2)) cost.
     """
-    w = q @ psi + sign * (psi @ q.T)
+    w = q1 @ psi + sign * (psi @ q2.T)
     return w.reshape(psi.shape[0], -1).T
 
 
-def _two_mode_support(state: State, fock: FockAlgebra):
-    """(lambda_S, V_S, Psi): the support, and each support vector as a c x c matrix."""
+def _quadrature_pairs(state: State, fock: FockAlgebra):
+    """The support (lambda_S, V_S) and, for each of x1+x2, x1-x2, p1+p2 and
+    p1-p2, its image W = (Q (x) 1 +- 1 (x) Q) V_S and its Fisher
+    information F_Q[rho, Q1 +- Q2], each computed once.  Each support
+    vector is reshaped to a c x c matrix, mode 1 first."""
     if state.dim != fock.cutoff**2:
         raise DimensionMismatchError(
             f"state dim {state.dim} is not cutoff^2 = {fock.cutoff ** 2}")
     lam, vs = _support(state)
-    return lam, vs, vs.T.reshape(-1, fock.cutoff, fock.cutoff)
+    psi = vs.T.reshape(-1, fock.cutoff, fock.cutoff)
+    x, p = fock.x.mat, fock.p.mat
+    images = {name: _pair_image(psi, q, q, sign) for name, q, sign in (
+        ("x1+x2", x, +1), ("x1-x2", x, -1), ("p1+p2", p, +1), ("p1-p2", p, -1))}
+    return lam, vs, images, {name: _support_qfi(lam, vs, w) for name, w in images.items()}
+
+
+def _above_p_nonnegative_cap(fisher: dict) -> dict:
+    """Which combinations have a Fisher information above the P-nonnegative cap of 4."""
+    return {name: bool(f > 4.0 + USEFULNESS_TOL) for name, f in fisher.items()}
 
 
 @dataclass(frozen=True)
@@ -85,13 +96,11 @@ def duan_report(state: State, fock: FockAlgebra) -> TwoModeReport:
     each support vector reshaped to c x c.  No d x d operator (d = c^2) is
     built: the cost is O(r c^3 + d r^2) time and O(d r) memory.
     """
-    lam, vs, psi = _two_mode_support(state, fock)
-    x, p = fock.x.mat, fock.p.mat
-    var_x_plus = _support_variance(lam, vs, _quadrature_image(psi, x, +1))
-    var_p_minus = _support_variance(lam, vs, _quadrature_image(psi, p, -1))
+    lam, vs, images, fisher = _quadrature_pairs(state, fock)
+    var_x_plus = _support_variance(lam, vs, images["x1+x2"])
+    var_p_minus = _support_variance(lam, vs, images["p1-p2"])
     lhs = var_x_plus + var_p_minus
-    f_p_plus = _support_qfi(lam, vs, _quadrature_image(psi, p, +1))
-    f_x_minus = _support_qfi(lam, vs, _quadrature_image(psi, x, -1))
+    f_p_plus, f_x_minus = fisher["p1+p2"], fisher["x1-x2"]
 
     status = "ok"
     fisher_pair_rhs = 0.0
@@ -104,7 +113,6 @@ def duan_report(state: State, fock: FockAlgebra) -> TwoModeReport:
             fisher_pair_rhs += 4.0 / f
     fisher_pair_gap = lhs - fisher_pair_rhs if status == "ok" else np.nan
 
-    flags = coherent_mixture_usefulness(state, fock)
     return TwoModeReport(
         duan_lhs=lhs,
         duan_rhs=2.0,
@@ -113,7 +121,7 @@ def duan_report(state: State, fock: FockAlgebra) -> TwoModeReport:
         fisher_pair_slack=float(fisher_pair_gap),
         fisher_pair_status=status,
         entangled=lhs < 2.0 - USEFULNESS_TOL,
-        useful_flags=flags,
+        useful_flags=_above_p_nonnegative_cap(fisher),
     )
 
 
@@ -122,16 +130,7 @@ def coherent_mixture_usefulness(state: State, fock: FockAlgebra) -> dict:
 
     Reads only the support of the state; builds no d x d operator.
     """
-    lam, vs, psi = _two_mode_support(state, fock)
-    combos = {
-        "x1+x2": (fock.x.mat, +1),
-        "x1-x2": (fock.x.mat, -1),
-        "p1+p2": (fock.p.mat, +1),
-        "p1-p2": (fock.p.mat, -1),
-    }
-    return {name: bool(_support_qfi(lam, vs, _quadrature_image(psi, op, sign))
-                       > 4.0 + USEFULNESS_TOL)
-            for name, (op, sign) in combos.items()}
+    return _above_p_nonnegative_cap(_quadrature_pairs(state, fock)[3])
 
 
 def two_spin_report(state: State, j1, j2) -> BoundReport:
@@ -144,23 +143,25 @@ def two_spin_report(state: State, j1, j2) -> BoundReport:
     of spin-coherent states, and ``summed_relation_slack``, the slack of
     12 sum Var(J^+) + 8 sum Var(J^-) + sum F_Q[J^-] >= 24(j1 + j2), which
     holds for every state (derivation in the README).
+
+    Every moment is taken over the support of the state, with the
+    single-spin operators applied to each support vector reshaped to
+    d1 x d2; no d x d operator (d = d1 d2) is built.
     """
     spin1 = make_spin_algebra(j1)
     spin2 = make_spin_algebra(j2)
     dim = spin1.dim * spin2.dim
     if state.dim != dim:
         raise DimensionMismatchError(f"state dim {state.dim}, expected {dim}")
-    eye1 = HermitianOperator(np.eye(spin1.dim))
-    eye2 = HermitianOperator(np.eye(spin2.dim))
+    lam, vs = _support(state)
+    psi = vs.T.reshape(-1, spin1.dim, spin2.dim)
 
     var_plus = var_minus = fq_minus = 0.0
     for op1, op2 in zip(spin1.as_tuple(), spin2.as_tuple()):
-        a = tensor(op1, eye2)
-        b = tensor(eye1, op2)
-        minus = a - b
-        var_plus += variance(state, a + b)
-        var_minus += variance(state, minus)
-        fq_minus += qfi(state, minus)
+        minus = _pair_image(psi, op1.mat, op2.mat, -1)
+        var_plus += _support_variance(lam, vs, _pair_image(psi, op1.mat, op2.mat, +1))
+        var_minus += _support_variance(lam, vs, minus)
+        fq_minus += _support_qfi(lam, vs, minus)
 
     j_total = spin1.j + spin2.j
     return BoundReport(

@@ -40,6 +40,7 @@ log = logging.getLogger(__name__)
 
 WEIGHT_DROP = 1e-14       # decomposition components lighter than this are discarded
 FD_STEP = 1e-5            # central-difference step of a moment, relative to its block weight
+UNITARY_TOL = 1e-9        # largest entry of u u^dag - 1 an ancilla unitary may carry
 
 Partition = tuple[tuple[int, ...], ...]
 
@@ -72,32 +73,6 @@ class Decomposition:
 
     def __len__(self) -> int:
         return len(self.components)
-
-
-@dataclass(frozen=True)
-class Purification:
-    """Joint pure state on system x ancilla tracing back to the target.
-
-    ``partition`` groups ancilla basis indices; each block contributes one
-    (possibly mixed) component to the induced decomposition.
-    """
-
-    target: DensityMatrix
-    ancilla_dim: int
-    psi_p: PureState
-    u_a: np.ndarray
-    partition: Partition
-
-    def __post_init__(self):
-        _check_partition(self.partition, self.ancilla_dim)
-        recon = self.system_columns() @ self.system_columns().conj().T
-        if np.max(np.abs(recon - self.target.mat)) > 1e-9:
-            raise ValueError("ancilla trace of the purification does not match the target")
-
-    def system_columns(self) -> np.ndarray:
-        """d x ancilla_dim matrix whose column a is <a|_A U_A |Psi_p>."""
-        m = self.psi_p.vec.reshape(self.target.dim, self.ancilla_dim)
-        return m @ self.u_a.T
 
 
 def _check_partition(partition: Partition, n: int) -> None:
@@ -140,10 +115,12 @@ def set_partitions(n: int) -> Iterator[Partition]:
     return rec(0)
 
 
-def purify(rho: DensityMatrix, ancilla_dim: int | None = None) -> Purification:
-    """Eigendecomposition purification sum_k sqrt(lambda_k) |k>_S |k>_A.
+def purify(rho: DensityMatrix, ancilla_dim: int | None = None) -> np.ndarray:
+    """Purification matrix m = [V_S sqrt(lambda_S), 0] of rho, d x ancilla_dim.
 
-    The ancilla defaults to the system size and may be enlarged; richer
+    m m^dag = rho, and column a of m U^T is the unnormalised component
+    vector a of the decomposition that ancilla unitary U induces.  The
+    ancilla defaults to the system size and may be enlarged; richer
     decompositions (more components) need a bigger ancilla.
     """
     if ancilla_dim is None:
@@ -153,18 +130,28 @@ def purify(rho: DensityMatrix, ancilla_dim: int | None = None) -> Purification:
     lam, vs = _support(rho)
     m = np.zeros((rho.dim, ancilla_dim), dtype=complex)
     m[:, :len(lam)] = vs * np.sqrt(lam)
-    return Purification(target=rho,
-                        ancilla_dim=ancilla_dim,
-                        psi_p=PureState(m.ravel()),
-                        u_a=np.eye(ancilla_dim, dtype=complex),
-                        partition=singleton_partition(ancilla_dim))
+    return m
 
 
-def extract_decomposition(pur: Purification) -> Decomposition:
-    """Decomposition induced by the purification's ancilla unitary and partition."""
-    v = pur.system_columns()
+def extract_decomposition(m: np.ndarray, u: np.ndarray, partition: Partition) -> Decomposition:
+    """Decomposition of m m^dag induced by the ancilla unitary ``u`` and ``partition``.
+
+    Block b of the partition groups columns of v = m u^T into one component
+    of weight p_b, the squared norm of those columns: a pure one for a
+    one-index block, else the mixed state with factor v_b / sqrt(p_b).  An
+    n x n unitary ``u`` (n the columns of m) keeps v v^dag = m m^dag, so
+    the components mix back to the purified state.
+    """
+    n = m.shape[1]
+    _check_partition(partition, n)
+    u = np.asarray(u)
+    if u.shape != (n, n):
+        raise ValueError(f"ancilla unitary must be {n} x {n}, got shape {u.shape}")
+    if not np.max(np.abs(u @ u.conj().T - np.eye(n))) <= UNITARY_TOL:
+        raise ValueError("ancilla matrix is not unitary")
+    v = m @ u.T
     comps: list[tuple[float, State]] = []
-    for block in pur.partition:
+    for block in partition:
         sub = v[:, list(block)]
         p = float(np.sum(np.abs(sub) ** 2))
         if p < WEIGHT_DROP:
@@ -172,8 +159,7 @@ def extract_decomposition(pur: Purification) -> Decomposition:
         if len(block) == 1:
             comps.append((p, PureState(sub[:, 0] / np.sqrt(p))))
         else:
-            sigma = sub @ sub.conj().T
-            comps.append((p, DensityMatrix(sigma / p)))
+            comps.append((p, DensityMatrix.from_factor(sub / np.sqrt(p))))
     return Decomposition(components=tuple(comps))
 
 
@@ -220,8 +206,13 @@ class RoofFunctional:
                              f"the state on dimension {dim}")
 
     def on_state(self, state: State) -> float:
-        mom = np.einsum("xij,ji->x", self.moment_ops(state.dim), state_matrix(state))
-        return float(self.from_moments(np.ones(1), mom[None])[0])
+        """f(state): the one-block objective of its support purification V_S sqrt(lambda_S)."""
+        lam, vs = _support(state)
+        r = len(lam)
+        gram = _gram_stack(vs * np.sqrt(lam), self.moment_ops(state.dim))
+        identity = np.eye(r, dtype=complex)[None, None]
+        return float(_objective(gram, identity, _block_tensor([trivial_partition(r)], r),
+                                self)[0, 0])
 
 
 class VarianceSum(RoofFunctional):
@@ -559,8 +550,6 @@ def _ascend(gram: np.ndarray, partitions: Sequence[Partition], us: np.ndarray,
     objectives of the final unitaries, why each start stopped (``TOLERANCE``,
     ``NO_ASCENT`` or ``BUDGET``) and the number of iterations.
     """
-    if not len(us):
-        return np.empty(0), np.zeros(0, dtype=int), 0
     c, n = len(us), us.shape[-1]
     live = np.arange(c)
     blocks = _block_tensor(partitions, n)
@@ -660,10 +649,11 @@ def optimize_roof(rho: State,
     one GEMM with G (``_objective``) and scores its line-search grid from
     the same moments.  ``evaluations`` counts one per start plus one per
     iteration.  ``converged`` says that the winning start stopped on the
-    tolerance or on no ascent, not on the budget.  The trivial partition
-    (one block) always yields rho itself, whatever the unitary, so it is
-    evaluated once, without a search; if it wins, the result reports
-    ``converged=True``.  A functional whose operators act on another
+    tolerance or on no ascent, not on the budget.  A one-block partition
+    yields rho itself, whatever the unitary, so it gets a single start, at
+    the identity; its Riemannian gradient vanishes, so that start stops on
+    the tolerance before any iteration.  The winner is the best start, the
+    first of equals.  A functional whose operators act on another
     dimension than rho raises ``ValueError``.  Each call logs one debug
     line with its starts, iterations, evaluations, stop reasons and wall
     time.
@@ -687,18 +677,19 @@ def optimize_roof(rho: State,
                           converged=True, evaluations=1)
     if ancilla_dim is None:
         ancilla_dim = rho.dim
-    base = purify(rho, ancilla_dim)
-    gram = _gram_stack(base.psi_p.vec.reshape(rho.dim, ancilla_dim),
-                       functional.moment_ops(rho.dim))
+    m = purify(rho, ancilla_dim)
+    gram = _gram_stack(m, functional.moment_ops(rho.dim))
     if partitions is None:
         partitions = [singleton_partition(ancilla_dim)]
     partitions = [tuple(tuple(b) for b in part) for part in partitions]
+    if not partitions:
+        raise ValueError("need at least one partition")
     for part in partitions:
         _check_partition(part, ancilla_dim)
 
     sign = 1.0 if direction == "max" else -1.0
-    climbs = [(p_idx, r_idx) for p_idx, part in enumerate(partitions) if len(part) > 1
-              for r_idx in range(cfg.restarts)]
+    climbs = [(p_idx, r_idx) for p_idx, part in enumerate(partitions)
+              for r_idx in range(cfg.restarts if len(part) > 1 else 1)]
     us = np.empty((len(climbs), ancilla_dim, ancilla_dim), dtype=complex)
     for i, (p_idx, r_idx) in enumerate(climbs):
         us[i] = (np.eye(ancilla_dim) if r_idx == 0 else
@@ -706,35 +697,14 @@ def optimize_roof(rho: State,
     vals, reason, iterations = _ascend(
         gram, [partitions[p_idx] for p_idx, _ in climbs], us, functional, sign, cfg)
     evaluations = len(climbs) + iterations
-
-    best_value = -np.inf
-    best: int | None = None      # index of the winning start; None for the trivial partition
-    climb = 0
-    for part in partitions:
-        if len(part) == 1:
-            evaluations += 1
-            val = sign * functional.on_state(rho)
-            if val > best_value:
-                best_value, best = val, None
-            continue
-        for _ in range(cfg.restarts):
-            if vals[climb] > best_value:
-                best_value, best = vals[climb], climb
-            climb += 1
+    best = int(np.argmax(vals))
     log.debug("optimize_roof: %d starts, %d iterations, %d evaluations, stopped on %s, %.4f s",
               len(climbs), iterations, evaluations,
               ", ".join(f"{name} {np.sum(reason == code)}"
                         for code, name in enumerate(STOP_REASONS)),
               time.perf_counter() - started)
-
-    if best is None:
-        return RoofResult(value=float(sign * best_value),
-                          decomposition=Decomposition(((1.0, rho),)),
-                          converged=True, evaluations=evaluations)
-    winner = Purification(target=rho, ancilla_dim=ancilla_dim, psi_p=base.psi_p,
-                          u_a=us[best], partition=partitions[climbs[best][0]])
-    return RoofResult(value=float(sign * best_value),
-                      decomposition=extract_decomposition(winner),
+    return RoofResult(value=float(sign * vals[best]),
+                      decomposition=extract_decomposition(m, us[best], partitions[climbs[best][0]]),
                       converged=bool(reason[best] != BUDGET),
                       evaluations=evaluations)
 
@@ -773,23 +743,16 @@ def roof_sum_R(rho: State, ops: Sequence[HermitianOperator],
     return optimize_roof(rho, VarianceSum(ops), "max", cfg=cfg, ancilla_dim=ancilla_dim)
 
 
-def default_mixed_partitions(ancilla_dim: int,
-                             extra: Iterable[Partition] = ()) -> list[Partition]:
+def default_mixed_partitions(ancilla_dim: int) -> list[Partition]:
     """Partition list for mixed-component roofs.
 
     Up to three ancilla indices this is the full set-partition lattice; the
     Bell number explodes beyond that, so larger ancillas fall back to the
-    pure-state partition plus the trivial one plus anything user-supplied.
+    pure-state partition plus the trivial one.
     """
     if ancilla_dim <= 3:
-        parts = list(set_partitions(ancilla_dim))
-    else:
-        parts = [singleton_partition(ancilla_dim), trivial_partition(ancilla_dim)]
-    for part in extra:
-        cand = tuple(tuple(b) for b in part)
-        if cand not in parts:
-            parts.append(cand)
-    return parts
+        return list(set_partitions(ancilla_dim))
+    return [singleton_partition(ancilla_dim), trivial_partition(ancilla_dim)]
 
 
 def concave_roof_L(rho: State, a: HermitianOperator, b: HermitianOperator,
@@ -873,19 +836,20 @@ def eigen_partition_bound_K(rho: State, a: HermitianOperator,
     Candidates: the full eigendecomposition average, the three mixed
     decompositions that keep one eigenvector pure and merge the other two,
     and the trivial decomposition (the plain Robertson-Schrodinger bound).
-    The first four are the roof objective at the identity unitary, which is
-    where restart 0 of ``concave_roof_L`` starts, so the roof is never below
-    K.  Degenerate spectra use the eigenbasis exactly as the solver returns
-    it, which keeps runs reproducible at the cost of possible suboptimality.
-    A ``PureState`` is its own only decomposition, so its K is its L.
+    They are the roof objective at the identity unitary over all five set
+    partitions, which is where restart 0 of ``concave_roof_L`` starts, so
+    the roof is never below K.  Degenerate spectra use the eigenbasis
+    exactly as the solver returns it, which keeps runs reproducible at the
+    cost of possible suboptimality.  A ``PureState`` is its own only
+    decomposition, so its K is its L.
     """
     rho = state_density(rho)
     if rho.dim != 3:
         raise ValueError("the eigenvector-partition bound is defined for qutrits")
     functional = RobertsonSchrodingerBound(a, b)
     functional.check_dim(3)
-    gram = _gram_stack(purify(rho).psi_p.vec.reshape(3, 3), functional.moment_ops(3))
-    groupings = [part for part in set_partitions(3) if len(part) > 1]
-    identities = np.broadcast_to(np.eye(3, dtype=complex), (len(groupings), 1, 3, 3))
-    values = _objective(gram, identities, _block_tensor(groupings, 3), functional)
-    return max(float(np.max(values)), functional.on_state(rho))
+    partitions = list(set_partitions(3))
+    identities = np.broadcast_to(np.eye(3, dtype=complex), (len(partitions), 1, 3, 3))
+    values = _objective(_gram_stack(purify(rho), functional.moment_ops(3)), identities,
+                        _block_tensor(partitions, 3), functional)
+    return float(np.max(values))

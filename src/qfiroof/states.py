@@ -57,7 +57,11 @@ class PlanarSqueezedResult:
     iterations: int
 
 
-def planar_squeezed_state(j, tol: float = 1e-12, max_iterations: int = 500) -> PlanarSqueezedResult:
+PLANAR_TOL = 1e-12         # variance-sum decrease at which the iteration has settled
+PLANAR_MAX_ITERATIONS = 500
+
+
+def planar_squeezed_state(j) -> PlanarSqueezedResult:
     """Minimize Var(J_x) + Var(J_y) by self-consistent Lagrangian iteration.
 
     Each round takes the ground state of
@@ -73,7 +77,7 @@ def planar_squeezed_state(j, tol: float = 1e-12, max_iterations: int = 500) -> P
     psi = spin_coherent_state(j, (0.0, np.pi / 2.0, 0.0))  # |j>_x seed
     var_sum = variance(psi, spin.jx) + variance(psi, spin.jy)
     iterations = 0
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, PLANAR_MAX_ITERATIONS + 1):
         mx = expectation(psi, spin.jx)
         my = expectation(psi, spin.jy)
         h = HermitianOperator(quad - 2.0 * mx * jx - 2.0 * my * jy)
@@ -83,12 +87,12 @@ def planar_squeezed_state(j, tol: float = 1e-12, max_iterations: int = 500) -> P
             raise ConvergenceError(
                 f"variance sum increased from {var_sum!r} to {next_sum!r}")
         psi = psi_next
-        done = var_sum - next_sum < tol
+        done = var_sum - next_sum < PLANAR_TOL
         var_sum = next_sum
         if done:
             break
     else:
-        raise ConvergenceError(f"no convergence after {max_iterations} iterations")
+        raise ConvergenceError(f"no convergence after {PLANAR_MAX_ITERATIONS} iterations")
     mean_spin = np.array([expectation(psi, op) for op in spin.as_tuple()])
     if np.linalg.norm(mean_spin) < 1e-8:
         raise ConvergenceError("iteration collapsed onto a zero-mean-spin state")

@@ -17,7 +17,6 @@ from qfiroof.metrology import state_density
 from qfiroof.roofs import (
     BUDGET,
     WEIGHT_DROP,
-    Purification,
     _as_functional,
     _ascend,
     _gram_stack,
@@ -138,9 +137,8 @@ def scalar_reference_roof(rho, functional, direction, partitions=None, cfg=None,
     rho = state_density(rho)
     if ancilla_dim is None:
         ancilla_dim = rho.dim
-    base = purify(rho, ancilla_dim)
-    gram = _gram_stack(base.psi_p.vec.reshape(rho.dim, ancilla_dim),
-                       functional.moment_ops(rho.dim))
+    m = purify(rho, ancilla_dim)
+    gram = _gram_stack(m, functional.moment_ops(rho.dim))
     if partitions is None:
         partitions = [singleton_partition(ancilla_dim)]
     partitions = [tuple(tuple(b) for b in part) for part in partitions]
@@ -168,8 +166,6 @@ def scalar_reference_roof(rho, functional, direction, partitions=None, cfg=None,
     if best_u is None:
         decomposition = Decomposition(((1.0, rho),))
     else:
-        decomposition = extract_decomposition(Purification(
-            target=rho, ancilla_dim=ancilla_dim, psi_p=base.psi_p, u_a=best_u,
-            partition=best_partition))
+        decomposition = extract_decomposition(m, best_u, best_partition)
     return RoofResult(value=float(sign * best_value), decomposition=decomposition,
                       converged=best_converged, evaluations=evaluations)

@@ -23,7 +23,7 @@ from qfiroof import (
     two_spin_report,
     vxyz_criterion,
 )
-from qfiroof import coherent_state
+from qfiroof import coherent_state, entanglement
 
 FAST = OptimizerConfig(seed=23, restarts=4, local_steps=250)
 
@@ -147,6 +147,22 @@ def test_duan_dimension_check():
         duan_report(coherent_state(0.1, 40), fock)
 
 
+def test_duan_report_computes_each_quadrature_fisher_information_once(monkeypatch):
+    # the four combinations' Fisher informations serve both the Fisher-pair
+    # relation and the usefulness flags
+    calls = []
+    support_qfi = entanglement._support_qfi
+    monkeypatch.setattr(entanglement, "_support_qfi",
+                        lambda *args: calls.append(args) or support_qfi(*args))
+    fock = make_fock_algebra(20)
+    for state in (two_mode_squeezed_vacuum(0.5, 20),
+                  coherent_mixture([(0.6, 0.4, -0.3), (0.4, -0.2, 0.5j)], cutoff=20)):
+        calls.clear()
+        rep = duan_report(state, fock)
+        assert len(calls) == 4
+        assert rep.useful_flags == coherent_mixture_usefulness(state, fock)
+
+
 def test_usefulness_flags_vacuum_product():
     fock = make_fock_algebra(30)
     psi = tensor(coherent_state(0.0, 30), coherent_state(0.0, 30))
@@ -225,6 +241,38 @@ def test_two_spin_eight_twelve_combination_is_not_a_bound():
     violator = random_density_matrix(RandomStateConfig(dim=4, rank=4, seed=123_012))
     assert combination_slack(violator) < -1e-3
     assert two_spin_report(violator, 0.5, 0.5).meta["summed_relation_slack"] >= -1e-9
+
+
+@pytest.mark.parametrize("j1, j2, make_state", [
+    (0.5, 0.5, lambda: random_state(4, seed=61)),
+    (0.5, 1.0, lambda: random_state(6, seed=62, rank=2)),
+    (1.0, 0.5, lambda: tensor(spin_coherent_state(1.0, (0.2, 0.8, -0.5)),
+                              spin_coherent_state(0.5, (1.1, 0.0, 0.3)))),
+    (0.5, 1.0, lambda: spin_coherent_product_mixture(
+        0.5, 1.0, [(0.6, (0.1, 0.2, 0.3), (0.9, 0.0, -0.4)),
+                   (0.4, (1.1, -0.5, 0.0), (0.0, 0.6, 0.8))])),
+], ids=["qubits", "qubit_qutrit_rank2", "qutrit_qubit_product", "product_mixture"])
+def test_two_spin_report_matches_dense_kron_operators(j1, j2, make_state):
+    state = make_state()
+    rho = dense_density(state)
+    spin1, spin2 = make_spin_algebra(j1), make_spin_algebra(j2)
+    var_plus = var_minus = fq_minus = 0.0
+    for op1, op2 in zip(spin1.as_tuple(), spin2.as_tuple()):
+        a, b = np.kron(op1.mat, np.eye(spin2.dim)), np.kron(np.eye(spin1.dim), op2.mat)
+        var_plus += dense_variance(rho, a + b)
+        var_minus += dense_variance(rho, a - b)
+        fq_minus += dense_qfi(rho, a - b)
+    rep = two_spin_report(state, j1, j2)
+    assert abs(rep.lhs - var_plus) < 1e-12
+    assert rep.rhs == j1 + j2
+    expected = {"j1": j1, "j2": j2, "var_sum_minus": var_minus, "fq_sum_minus": fq_minus,
+                "spin_coherent_fisher_cap": 4.0 * (j1 + j2),
+                "more_useful_than_spin_coherent": fq_minus > 4.0 * (j1 + j2) + 1e-9,
+                "summed_relation_slack": (12.0 * var_plus + 8.0 * var_minus + fq_minus
+                                          - 24.0 * (j1 + j2))}
+    assert rep.meta.keys() == expected.keys()
+    for key, value in expected.items():
+        assert abs(rep.meta[key] - value) < 1e-12, key
 
 
 def test_two_spin_dimension_check():

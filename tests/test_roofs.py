@@ -35,6 +35,7 @@ from qfiroof import (
     roof_sum_R,
     rs_lower_bound_L,
     singlet_state,
+    spin_coherent_mixture,
     variance,
 )
 from qfiroof.core import haar_random_unitary
@@ -42,7 +43,6 @@ from qfiroof.roofs import (
     WEIGHT_DROP,
     CallableFunctional,
     Decomposition,
-    Purification,
     _block_tensor,
     _gram_stack,
     _line_coefficients,
@@ -64,24 +64,23 @@ FAST = OptimizerConfig(seed=13, restarts=4, local_steps=250)
 
 def test_purify_pure_state_single_schmidt_coefficient():
     psi = PureState([0.6, 0.8j])
-    pur = purify(psi.density())
-    m = pur.psi_p.vec.reshape(2, 2)
+    m = purify(psi.density())
     schmidt = np.linalg.svd(m, compute_uv=False)
     assert abs(schmidt[0] - 1.0) < 1e-10
     assert schmidt[1] < 1e-10
 
 
 def test_purify_maximally_mixed_qubit():
-    pur = purify(DensityMatrix.maximally_mixed(2))
-    m = pur.psi_p.vec.reshape(2, 2)
+    m = purify(DensityMatrix.maximally_mixed(2))
     schmidt = np.linalg.svd(m, compute_uv=False)
     assert np.allclose(schmidt, [1 / np.sqrt(2)] * 2, atol=1e-12)
 
 
 def test_purify_reconstructs_random_qutrit():
     rho = random_state(3, seed=21)
-    pur = purify(rho, ancilla_dim=3)
-    recon = pur.system_columns() @ pur.system_columns().conj().T
+    m = purify(rho, ancilla_dim=3)
+    assert m.shape == (3, 3)
+    recon = m @ m.conj().T
     assert np.max(np.abs(recon - rho.mat)) < 1e-12
 
 
@@ -93,8 +92,9 @@ def test_purify_rejects_small_ancilla():
 
 def test_purify_enlarged_ancilla():
     rho = random_state(2, seed=23)
-    pur = purify(rho, ancilla_dim=5)
-    dec = extract_decomposition(pur)
+    m = purify(rho, ancilla_dim=5)
+    assert m.shape == (2, 5) and not np.any(m[:, 2:])
+    dec = extract_decomposition(m, np.eye(5), singleton_partition(5))
     assert dec.reconstructs(rho, tol=1e-10)
 
 
@@ -104,7 +104,7 @@ def test_purify_enlarged_ancilla():
 
 def test_extract_identity_unitary_gives_eigendecomposition():
     rho = random_state(3, seed=31)
-    dec = extract_decomposition(purify(rho))
+    dec = extract_decomposition(purify(rho), np.eye(3), singleton_partition(3))
     weights = sorted((p for p, _ in dec.components), reverse=True)
     assert np.allclose(weights, rho.eigenvalues[rho.eigenvalues > 1e-14], atol=1e-10)
     assert dec.reconstructs(rho, tol=1e-10)
@@ -112,10 +112,7 @@ def test_extract_identity_unitary_gives_eigendecomposition():
 
 def test_extract_trivial_partition_returns_state_itself():
     rho = random_state(3, seed=32)
-    base = purify(rho)
-    pur = Purification(target=rho, ancilla_dim=3, psi_p=base.psi_p,
-                       u_a=base.u_a, partition=trivial_partition(3))
-    dec = extract_decomposition(pur)
+    dec = extract_decomposition(purify(rho), np.eye(3), trivial_partition(3))
     assert len(dec) == 1
     p, comp = dec.components[0]
     assert abs(p - 1.0) < 1e-12
@@ -124,11 +121,8 @@ def test_extract_trivial_partition_returns_state_itself():
 
 def test_extract_random_unitary_reconstructs():
     rho = DensityMatrix.maximally_mixed(2)
-    base = purify(rho)
     u = haar_random_unitary(2, np.random.default_rng(4))
-    pur = Purification(target=rho, ancilla_dim=2, psi_p=base.psi_p,
-                       u_a=u, partition=singleton_partition(2))
-    dec = extract_decomposition(pur)
+    dec = extract_decomposition(purify(rho), u, singleton_partition(2))
     assert len(dec) == 2
     assert all(isinstance(s, PureState) for _, s in dec.components)
     assert abs(sum(p for p, _ in dec.components) - 1.0) < 1e-12
@@ -139,13 +133,11 @@ def test_extract_random_unitary_reconstructs():
 @settings(max_examples=25)
 def test_extract_always_reconstructs(seed, dim):
     rho = random_state(dim, seed)
-    base = purify(rho)
     rng = np.random.default_rng(seed + 1)
     parts = list(set_partitions(dim)) if dim <= 3 else [singleton_partition(dim)]
-    pur = Purification(target=rho, ancilla_dim=dim, psi_p=base.psi_p,
-                       u_a=haar_random_unitary(dim, rng),
-                       partition=parts[seed % len(parts)])
-    assert extract_decomposition(pur).reconstructs(rho, tol=1e-8)
+    dec = extract_decomposition(purify(rho), haar_random_unitary(dim, rng),
+                                parts[seed % len(parts)])
+    assert dec.reconstructs(rho, tol=1e-8)
 
 
 def test_set_partitions_count():
@@ -247,8 +239,7 @@ def test_batched_objective_matches_extracted_decompositions(dim, ancilla):
     # (partitions, 3) stack (partitions with fewer blocks are padded) against
     # re-evaluating the extracted witness decomposition component by component
     rho = random_state(dim, seed=110 + ancilla)
-    base = purify(rho, ancilla)
-    m = base.psi_p.vec.reshape(dim, ancilla)
+    m = purify(rho, ancilla)
     rng = np.random.default_rng(ancilla)
     partitions = list(set_partitions(ancilla))
     us = np.array([[haar_random_unitary(ancilla, rng) for _ in range(3)] for _ in partitions])
@@ -258,9 +249,7 @@ def test_batched_objective_matches_extracted_decompositions(dim, ancilla):
         assert batched.shape == (len(partitions), 3)
         for part, climb_us, climb_values in zip(partitions, us, batched):
             for u, value in zip(climb_us, climb_values):
-                pur = Purification(target=rho, ancilla_dim=ancilla, psi_p=base.psi_p,
-                                   u_a=u, partition=part)
-                expected = decomposition_average(extract_decomposition(pur), functional)
+                expected = decomposition_average(extract_decomposition(m, u, part), functional)
                 assert abs(value - expected) < 1e-12
 
 
@@ -292,16 +281,15 @@ def test_rank_deficient_qutrit_search_raises_no_floating_point_error():
     partitions = default_mixed_partitions(3)
     cfg = OptimizerConfig(seed=5, restarts=3, local_steps=120)
     us = np.broadcast_to(np.eye(3, dtype=complex), (len(partitions), 1, 3, 3))
-    m = purify(rho).psi_p.vec.reshape(3, 3)
+    m = purify(rho)
     assert np.sum(np.abs(m[:, 2]) ** 2) < WEIGHT_DROP
     with np.errstate(all="raise"):
         for functional, dense in _functionals(3, 204):
             at_identity = _objective(_gram_stack(m, functional.moment_ops(3)), us,
                                      _block_tensor(partitions, 3), functional)[:, 0]
             for part, value in zip(partitions, at_identity):
-                pur = Purification(target=rho, ancilla_dim=3, psi_p=purify(rho).psi_p,
-                                   u_a=np.eye(3), partition=part)
-                expected = decomposition_average(extract_decomposition(pur), functional)
+                expected = decomposition_average(extract_decomposition(m, np.eye(3), part),
+                                                 functional)
                 assert abs(value - expected) < 1e-12
             res = optimize_roof(rho, functional, "max", partitions=partitions, cfg=cfg)
             ref = scalar_reference_roof(rho, functional, "max", partitions=partitions, cfg=cfg)
@@ -374,7 +362,7 @@ def test_riemannian_gradient_matches_central_differences(dim, ancilla):
     # directional derivative Tr(Gamma H) along exp(i eps H) U against a
     # central difference of the objective of explicitly rotated unitaries
     rho = random_state(dim, seed=270 + ancilla)
-    m = purify(rho, ancilla).psi_p.vec.reshape(dim, ancilla)
+    m = purify(rho, ancilla)
     rng = np.random.default_rng(280 + dim + ancilla)
     partitions = list(set_partitions(ancilla))
     us = np.array([haar_random_unitary(ancilla, rng) for _ in partitions])
@@ -402,7 +390,7 @@ def test_line_search_polynomial_matches_formed_unitaries(dim, ancilla):
     # against the objective of the explicitly formed unitaries, on a grid of
     # step sizes per start; the trivial partition included
     rho = random_state(dim, seed=300 + ancilla)
-    m = purify(rho, ancilla).psi_p.vec.reshape(dim, ancilla)
+    m = purify(rho, ancilla)
     rng = np.random.default_rng(310 + dim + ancilla)
     partitions = list(set_partitions(ancilla))
     us = np.array([haar_random_unitary(ancilla, rng) for _ in partitions])
@@ -739,6 +727,20 @@ def test_partition_bound_is_the_roof_start():
         assert roof.value == eigen_partition_bound_K(rho, spin.jx, spin.jy)
 
 
+def test_roof_search_and_K_leave_a_factor_built_state_unformed():
+    # both read only the support (lambda_S, V_S) of a factor-built state
+    spin = make_spin_algebra(1)
+    rho = spin_coherent_mixture(1, [(0.6, (0.3, 0.9, -0.2)), (0.4, (1.2, -0.4, 0.5))])
+    res = optimize_roof(rho, RobertsonSchrodingerBound(spin.jx, spin.jy), "max",
+                        partitions=default_mixed_partitions(2), cfg=FAST, ancilla_dim=2)
+    with pytest.raises(AttributeError):
+        object.__getattribute__(rho, "mat")
+    assert res.value >= eigen_partition_bound_K(rho, spin.jx, spin.jy) - 1e-9
+    with pytest.raises(AttributeError):
+        object.__getattribute__(rho, "mat")
+    assert res.decomposition.reconstructs(rho, tol=1e-9)
+
+
 def test_partition_bound_rejects_non_qutrit():
     spin = make_spin_algebra(0.5)
     with pytest.raises(ValueError):
@@ -748,8 +750,7 @@ def test_partition_bound_rejects_non_qutrit():
 def test_rank_deficient_state_with_matching_ancilla():
     # rank-2 qutrit purifies into a 2-level ancilla
     rho = random_state(3, seed=95, rank=2)
-    pur = purify(rho, ancilla_dim=2)
-    dec = extract_decomposition(pur)
+    dec = extract_decomposition(purify(rho, ancilla_dim=2), np.eye(2), singleton_partition(2))
     assert len(dec) == 2
     assert dec.reconstructs(rho, tol=1e-10)
     res = optimize_roof(rho, VarianceSum([random_hermitian(3, 96)]), "min",
@@ -759,9 +760,7 @@ def test_rank_deficient_state_with_matching_ancilla():
 
 
 def test_user_supplied_mixed_partition_dim4():
-    from qfiroof.roofs import default_mixed_partitions
-    parts = default_mixed_partitions(4, extra=[((0, 1), (2, 3))])
-    assert ((0, 1), (2, 3)) in parts
+    parts = default_mixed_partitions(4) + [((0, 1), (2, 3))]
     rho = random_state(4, seed=97)
     a = random_hermitian(4, 98)
     b = random_hermitian(4, 99)
@@ -774,17 +773,27 @@ def test_user_supplied_mixed_partition_dim4():
 
 def test_partition_validation():
     rho = random_state(2, seed=101)
-    base = purify(rho)
-    with pytest.raises(ValueError):
-        Purification(target=rho, ancilla_dim=2, psi_p=base.psi_p,
-                     u_a=base.u_a, partition=((0,),))  # does not cover index 1
-    with pytest.raises(ValueError):
-        Purification(target=rho, ancilla_dim=2, psi_p=base.psi_p,
-                     u_a=base.u_a, partition=((0, 1), (1,)))  # overlap
-    with pytest.raises(ValueError):
-        Purification(target=random_state(2, seed=102), ancilla_dim=2,
-                     psi_p=base.psi_p, u_a=base.u_a,
-                     partition=((0,), (1,)))  # traces back to the wrong state
+    m, eye = purify(rho), np.eye(2)
+    with pytest.raises(ValueError, match="cover"):
+        extract_decomposition(m, eye, ((0,),))  # does not cover index 1
+    with pytest.raises(ValueError, match="two partition blocks"):
+        extract_decomposition(m, eye, ((0, 1), (1,)))  # overlap
+    with pytest.raises(ValueError, match="nonempty"):
+        extract_decomposition(m, eye, ((0, 1), ()))
+    with pytest.raises(ValueError, match="at least one partition"):
+        optimize_roof(rho, VarianceSum([random_hermitian(2, 102)]), "min", partitions=[])
+
+
+def test_extract_rejects_a_non_unitary_or_misshapen_ancilla_matrix():
+    # u u^dag = 1 is what makes the components mix back to m m^dag
+    m = purify(random_state(3, seed=103))
+    u = haar_random_unitary(3, np.random.default_rng(104))
+    for bad in (1.001 * u, u[:, [0, 0, 2]], np.full((3, 3), np.nan)):
+        with pytest.raises(ValueError, match="not unitary"):
+            extract_decomposition(m, bad, singleton_partition(3))
+    for bad in (np.eye(2), np.eye(4), u[:2], u[0]):
+        with pytest.raises(ValueError, match="must be 3 x 3"):
+            extract_decomposition(m, bad, singleton_partition(3))
 
 
 def test_decomposition_validation():
