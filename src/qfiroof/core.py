@@ -170,9 +170,6 @@ class DensityMatrix:
         recon = (vecs * vals) @ vecs.conj().T
         if np.max(np.abs(recon - mat)) > 1e-10:
             raise ValueError("eigendecomposition does not reconstruct the matrix")
-        self._fill(mat, vals, vecs)
-
-    def _fill(self, mat: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> None:
         r = int(np.count_nonzero(vals > 0.0))
         self.mat, self.eigenvalues, self.eigenvectors = mat, vals, vecs
         self._lam, self._vs = vals[:r], vecs[:, :r]
@@ -243,14 +240,6 @@ class DensityMatrix:
         r = int(np.count_nonzero(vals))
         rho = cls.__new__(cls)
         rho._lam, rho._vs = vals[:r], u[:, :r]
-        return rho
-
-    @classmethod
-    def _assemble(cls, mat: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> "DensityMatrix":
-        """A density matrix from parts that already satisfy the invariants
-        (descending floored eigenvalues, unitary eigenvectors); no checks."""
-        rho = cls.__new__(cls)
-        rho._fill(mat, vals, vecs)
         return rho
 
     @staticmethod

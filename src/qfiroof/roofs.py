@@ -17,16 +17,15 @@ bound evaluations consume only the certified side.
 from __future__ import annotations
 
 import logging
-import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .core import (
-    EIG_FLOOR,
     DensityMatrix,
+    DimensionMismatchError,
     HermitianOperator,
     PureState,
     State,
@@ -39,7 +38,6 @@ from .metrology import state_density
 log = logging.getLogger(__name__)
 
 WEIGHT_DROP = 1e-14       # decomposition components lighter than this are discarded
-FD_STEP = 1e-5            # central-difference step of a moment, relative to its block weight
 UNITARY_TOL = 1e-9        # largest entry of u u^dag - 1 an ancilla unitary may carry
 
 Partition = tuple[tuple[int, ...], ...]
@@ -57,10 +55,12 @@ class Decomposition:
 
     def __post_init__(self):
         weights = [p for p, _ in self.components]
-        if any(p <= 0.0 for p in weights):
-            raise ValueError("decomposition weights must be positive")
+        if not all(0.0 < p < np.inf for p in weights):
+            raise ValueError(f"decomposition weights must be positive and finite, got {weights!r}")
         if abs(sum(weights) - 1.0) > 1e-10:
             raise ValueError(f"weights sum to {sum(weights)!r}, not 1")
+        if len({state.dim for _, state in self.components}) > 1:
+            raise DimensionMismatchError("decomposition components act on different dimensions")
 
     def mixture(self) -> np.ndarray:
         out = np.zeros((self.components[0][1].dim,) * 2, dtype=complex)
@@ -170,22 +170,18 @@ def extract_decomposition(m: np.ndarray, u: np.ndarray, partition: Partition) ->
 class RoofFunctional:
     """Functional of a decomposition component that reads only linear moments.
 
-    ``moment_ops(dim)`` returns an ``(x, dim, dim)`` stack of operators X_j
-    whose moments Tr(sigma X_j) determine f(sigma); by default the fixed
-    stack ``_ops`` a subclass builds from its operators.  ``from_moments(p, mom)``
-    receives block weights ``p`` (shape ``(K,)``, each at least
-    ``WEIGHT_DROP``) and the unnormalised moments ``mom[k, j] = p_k
-    Tr(sigma_k X_j)`` (shape ``(K, x)``, complex) and returns p_k f(sigma_k)
-    for every k; ``moment_grad(p, mom)`` returns its derivatives, from which
-    the optimizer builds the Riemannian gradient.  The optimizer never forms
-    sigma: it takes every start's moments from one Gram stack of the
-    purification (see ``optimize_roof``).
+    ``ops`` is the ``(x, d, d)`` stack of operators X_j whose moments
+    Tr(sigma X_j) determine f(sigma); each subclass builds it from its
+    operators.  ``from_moments(p, mom)`` receives block weights ``p``
+    (shape ``(K,)``, each at least ``WEIGHT_DROP``) and the unnormalised
+    moments ``mom[k, j] = p_k Tr(sigma_k X_j)`` (shape ``(K, x)``, complex)
+    and returns p_k f(sigma_k) for every k; ``moment_grad(p, mom)`` returns
+    its derivatives, from which the optimizer builds the Riemannian
+    gradient.  The optimizer never forms sigma: it takes every start's
+    moments from one Gram stack of the purification (see ``optimize_roof``).
     """
 
-    _ops: np.ndarray
-
-    def moment_ops(self, dim: int) -> np.ndarray:
-        return self._ops
+    ops: np.ndarray
 
     def from_moments(self, p: np.ndarray, mom: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -199,17 +195,18 @@ class RoofFunctional:
         raise NotImplementedError
 
     def check_dim(self, dim: int) -> None:
-        """Raise ``ValueError`` unless the functional's operators act on ``dim``."""
-        op_dim = self.moment_ops(dim).shape[-1]
+        """Raise ``DimensionMismatchError`` unless the functional's operators act on ``dim``."""
+        op_dim = self.ops.shape[-1]
         if op_dim != dim:
-            raise ValueError(f"the functional's operators act on dimension {op_dim}, "
-                             f"the state on dimension {dim}")
+            raise DimensionMismatchError(f"the functional's operators act on dimension {op_dim}, "
+                                         f"the state on dimension {dim}")
 
     def on_state(self, state: State) -> float:
         """f(state): the one-block objective of its support purification V_S sqrt(lambda_S)."""
+        self.check_dim(state.dim)
         lam, vs = _support(state)
         r = len(lam)
-        gram = _gram_stack(vs * np.sqrt(lam), self.moment_ops(state.dim))
+        gram = _gram_stack(vs * np.sqrt(lam), self.ops)
         identity = np.eye(r, dtype=complex)[None, None]
         return float(_objective(gram, identity, _block_tensor([trivial_partition(r)], r),
                                 self)[0, 0])
@@ -223,9 +220,9 @@ class VarianceSum(RoofFunctional):
             raise ValueError("need at least one operator")
         dims = {op.dim for op in ops}
         if len(dims) != 1:
-            raise ValueError("operators act on different dimensions")
+            raise DimensionMismatchError("operators act on different dimensions")
         mats = np.array([op.mat for op in ops])
-        self._ops = np.concatenate([mats, mats @ mats])
+        self.ops = np.concatenate([mats, mats @ mats])
 
     def from_moments(self, p: np.ndarray, mom: np.ndarray) -> np.ndarray:
         # p sum_n Var(A_n) = sum_n (p<A_n^2> - (p<A_n>)^2 / p)
@@ -253,8 +250,8 @@ class RobertsonSchrodingerBound(RoofFunctional):
 
     def __init__(self, a: HermitianOperator, b: HermitianOperator):
         if a.dim != b.dim:
-            raise ValueError("operators act on different dimensions")
-        self._ops = np.array([a.mat, b.mat, a.mat @ b.mat])
+            raise DimensionMismatchError("operators act on different dimensions")
+        self.ops = np.array([a.mat, b.mat, a.mat @ b.mat])
 
     def from_moments(self, p: np.ndarray, mom: np.ndarray) -> np.ndarray:
         ea, eb, eab = mom[:, 0].real, mom[:, 1].real, mom[:, 2]
@@ -273,84 +270,9 @@ class RobertsonSchrodingerBound(RoofFunctional):
         return dcov * ea * eb / (p * p), grad
 
 
-class CallableFunctional(RoofFunctional):
-    """Adapter for plain ``state -> float`` callables (slower, fully general).
-
-    Its moments are those of the matrix units |j><i|, which are the entries
-    p sigma_ij themselves; each component reaches the callable as a
-    ``DensityMatrix``.
-    """
-
-    def __init__(self, fn: Callable[[State], float]):
-        self.fn = fn
-
-    def moment_ops(self, dim: int) -> np.ndarray:
-        return np.eye(dim * dim, dtype=complex).reshape(-1, dim, dim).swapaxes(-1, -2)
-
-    def check_dim(self, dim: int) -> None:
-        pass      # the callable receives states of any dimension
-
-    def from_moments(self, p: np.ndarray, mom: np.ndarray) -> np.ndarray:
-        # moments of a light block carry round-off of order 1e-16 / p, so the
-        # negative eigenvalues it leaves are dropped; one stacked eigensolve
-        # gives every component's eigensystem
-        dim = math.isqrt(mom.shape[1])
-        p_sigma = mom.reshape(-1, dim, dim)
-        lam, vecs = np.linalg.eigh(0.5 * (p_sigma + p_sigma.conj().swapaxes(-1, -2)))
-        lam = np.maximum(lam[:, ::-1], 0.0)
-        lam /= np.sum(lam, axis=1, keepdims=True)
-        lam[lam < EIG_FLOOR] = 0.0
-        vecs = vecs[..., ::-1]
-        mats = (vecs * lam[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
-        return np.array([pk * self.fn(DensityMatrix._assemble(mat, vals, basis))
-                         for pk, mat, vals, basis in zip(p, mats, lam, vecs)])
-
-    def moment_grad(self, p: np.ndarray, mom: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # the value is p f(sigma) with sigma the Hermitian part of the moments
-        # over its trace, so d/dp is f, and the d^2 Hermitian directions
-        # E_aa, E_ab + E_ba and i(E_ab - E_ba) (a < b) give a Hermitian
-        # moment derivative W: 2 Re W_ab and 2 Im W_ab are the last two slopes
-        dim = math.isqrt(mom.shape[1])
-        a, b = np.triu_indices(dim, 1)
-        units = np.eye(dim * dim)                    # row i dim + j is the matrix unit E_ij
-        upper, lower = units[a * dim + b], units[b * dim + a]
-        directions = np.concatenate([units[np.arange(dim) * (dim + 1)], upper + lower,
-                                     1j * (upper - lower)])
-        slopes = self._slopes(p, mom, directions)
-        diagonal, real, imag = np.split(slopes, [dim, dim + len(a)])
-        grad = np.zeros((len(p), dim, dim), dtype=complex)
-        grad[:, np.arange(dim), np.arange(dim)] = diagonal.T
-        grad[:, a, b] = 0.5 * (real + 1j * imag).T
-        grad[:, b, a] = grad[:, a, b].conj()
-        return self.from_moments(p, mom) / p, grad.reshape(len(p), -1)
-
-    def _slopes(self, p: np.ndarray, mom: np.ndarray, directions: np.ndarray) -> np.ndarray:
-        """Derivatives of ``from_moments`` along moment directions ``directions[r]``.
-
-        Central differences at steps h and h/2, h proportional to each block
-        weight, combined as 2 D(h/2) - D(h): that cancels the error linear in
-        h which a rank-deficient component leaves, whose perturbed spectrum
-        is clipped at zero.  Returns ``(r, K)``.
-        """
-        step = FD_STEP * np.array([1.0, -1.0, 0.5, -0.5])[:, None] * p     # (4, K)
-        moved = mom + directions[:, None, None, :] * step[..., None]
-        values = self.from_moments(np.broadcast_to(p, moved.shape[:-1]).ravel(),
-                                   moved.reshape(-1, mom.shape[1]))
-        values = values.reshape(len(directions), 4, len(p))
-        coarse = (values[:, 0] - values[:, 1]) / (2.0 * step[0])
-        fine = (values[:, 2] - values[:, 3]) / step[0]
-        return 2.0 * fine - coarse
-
-    def on_state(self, state: State) -> float:
-        return float(self.fn(state))
-
-
-def _as_functional(functional) -> RoofFunctional:
-    if isinstance(functional, RoofFunctional):
-        return functional
-    if callable(functional):
-        return CallableFunctional(functional)
-    raise TypeError("functional must be a RoofFunctional or a callable")
+def _require_functional(functional) -> None:
+    if not isinstance(functional, RoofFunctional):
+        raise TypeError(f"functional must be a RoofFunctional, got {type(functional).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +546,7 @@ def _ascend(gram: np.ndarray, partitions: Sequence[Partition], us: np.ndarray,
 
 
 def optimize_roof(rho: State,
-                  functional,
+                  functional: RoofFunctional,
                   direction: str,
                   partitions: Iterable[Partition] | None = None,
                   cfg: OptimizerConfig | None = None,
@@ -644,7 +566,7 @@ def optimize_roof(rho: State,
     after ``cfg.local_steps`` iterations, and then leaves the stack.
 
     No component is formed: the Gram stack G = m^dag [I, X_1, ..] m of the
-    purification matrix m and the functional's ``moment_ops`` is built
+    purification matrix m and the functional's ``ops`` is built
     once, and each iteration takes every start's moments and gradient from
     one GEMM with G (``_objective``) and scores its line-search grid from
     the same moments.  ``evaluations`` counts one per start plus one per
@@ -653,8 +575,9 @@ def optimize_roof(rho: State,
     yields rho itself, whatever the unitary, so it gets a single start, at
     the identity; its Riemannian gradient vanishes, so that start stops on
     the tolerance before any iteration.  The winner is the best start, the
-    first of equals.  A functional whose operators act on another
-    dimension than rho raises ``ValueError``.  Each call logs one debug
+    first of equals.  A functional that is not a ``RoofFunctional`` raises
+    ``TypeError``, one whose operators act on another dimension than rho
+    ``DimensionMismatchError``.  Each call logs one debug
     line with its starts, iterations, evaluations, stop reasons and wall
     time.
 
@@ -666,7 +589,7 @@ def optimize_roof(rho: State,
         raise ValueError("direction must be 'min' or 'max'")
     started = time.perf_counter()
     cfg = cfg or OptimizerConfig()
-    functional = _as_functional(functional)
+    _require_functional(functional)
     rho = state_density(rho)
     functional.check_dim(rho.dim)
     if rho.rank() == 1:
@@ -678,7 +601,7 @@ def optimize_roof(rho: State,
     if ancilla_dim is None:
         ancilla_dim = rho.dim
     m = purify(rho, ancilla_dim)
-    gram = _gram_stack(m, functional.moment_ops(rho.dim))
+    gram = _gram_stack(m, functional.ops)
     if partitions is None:
         partitions = [singleton_partition(ancilla_dim)]
     partitions = [tuple(tuple(b) for b in part) for part in partitions]
@@ -709,9 +632,9 @@ def optimize_roof(rho: State,
                       evaluations=evaluations)
 
 
-def decomposition_average(dec: Decomposition, functional) -> float:
+def decomposition_average(dec: Decomposition, functional: RoofFunctional) -> float:
     """sum_k p_k f(component_k); re-evaluates a witness decomposition."""
-    functional = _as_functional(functional)
+    _require_functional(functional)
     return float(sum(p * functional.on_state(state) for p, state in dec.components))
 
 
@@ -850,6 +773,6 @@ def eigen_partition_bound_K(rho: State, a: HermitianOperator,
     functional.check_dim(3)
     partitions = list(set_partitions(3))
     identities = np.broadcast_to(np.eye(3, dtype=complex), (len(partitions), 1, 3, 3))
-    values = _objective(_gram_stack(purify(rho), functional.moment_ops(3)), identities,
+    values = _objective(_gram_stack(purify(rho), functional.ops), identities,
                         _block_tensor(partitions, 3), functional)
     return float(np.max(values))

@@ -17,7 +17,6 @@ from qfiroof.metrology import state_density
 from qfiroof.roofs import (
     BUDGET,
     WEIGHT_DROP,
-    _as_functional,
     _ascend,
     _gram_stack,
     singleton_partition,
@@ -133,12 +132,11 @@ def scalar_reference_roof(rho, functional, direction, partitions=None, cfg=None,
     ``optimize_roof``, the trivial partition evaluated once.  Returns a
     ``RoofResult``."""
     cfg = cfg or OptimizerConfig()
-    functional = _as_functional(functional)
     rho = state_density(rho)
     if ancilla_dim is None:
         ancilla_dim = rho.dim
     m = purify(rho, ancilla_dim)
-    gram = _gram_stack(m, functional.moment_ops(rho.dim))
+    gram = _gram_stack(m, functional.ops)
     if partitions is None:
         partitions = [singleton_partition(ancilla_dim)]
     partitions = [tuple(tuple(b) for b in part) for part in partitions]

@@ -338,6 +338,17 @@ def test_readme_constructor_table_matches_registry():
     assert names == set(STATES) == set(STATE_SAMPLES)
 
 
+def test_readme_python_example_runs(capsys):
+    # the library quick start: the convex roof of Var(J_z) against F_Q/4
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    quarter_fisher, roof, converged = capsys.readouterr().out.split()
+    assert abs(float(roof) - float(quarter_fisher)) < 1e-6
+    assert converged == "True"
+
+
 @pytest.mark.parametrize("name", list(STATES))
 def test_every_constructor_builds(name):
     state = build_state({"constructor": name, "params": STATE_SAMPLES[name]}, cutoff=40)

@@ -17,11 +17,13 @@ from conftest import (
 )
 from qfiroof import (
     DensityMatrix,
+    DimensionMismatchError,
     HermitianOperator,
     OptimizerConfig,
     PureState,
     RobertsonSchrodingerBound,
     VarianceSum,
+    check_robertson_schrodinger,
     concave_roof_L,
     convex_roof_variance,
     eigen_partition_bound_K,
@@ -41,7 +43,6 @@ from qfiroof import (
 from qfiroof.core import haar_random_unitary
 from qfiroof.roofs import (
     WEIGHT_DROP,
-    CallableFunctional,
     Decomposition,
     _block_tensor,
     _gram_stack,
@@ -188,6 +189,23 @@ def test_optimize_rejects_operators_of_another_dimension():
             concave_roof_L(rho, spin.jx, spin.jy, cfg=FAST)
 
 
+def test_moment_functionals_reject_operators_of_another_dimension():
+    # the typed error that variance and qfi raise, not a numpy matmul error
+    half, one = make_spin_algebra(0.5), make_spin_algebra(1)
+    qutrit = random_state(3, seed=47)
+    dec = Decomposition(((0.5, PureState([1, 0, 0])), (0.5, PureState([0, 1, 0]))))
+    for call in (lambda: rs_lower_bound_L(qutrit, half.jx, half.jy),
+                 lambda: check_robertson_schrodinger(qutrit, half.jx, half.jy),
+                 lambda: decomposition_average(dec, RobertsonSchrodingerBound(half.jx, half.jy)),
+                 lambda: decomposition_average(dec, VarianceSum([half.jz])),
+                 lambda: VarianceSum([half.jz, one.jz]),
+                 lambda: RobertsonSchrodingerBound(half.jx, one.jy)):
+        with pytest.raises(DimensionMismatchError):
+            call()
+    with pytest.raises(DimensionMismatchError, match="dimension 2.*dimension 3"):
+        rs_lower_bound_L(qutrit, half.jx, half.jy)
+
+
 def test_optimizer_config_validation():
     for bad in (dict(restarts=0), dict(local_steps=-1), dict(tolerance=-1e-5),
                 dict(tolerance=0.0), dict(tolerance=float("nan")),
@@ -213,23 +231,24 @@ def test_optimizer_deterministic():
     assert r1.evaluations == r2.evaluations
 
 
-def test_callable_functional_adapter():
+def test_roof_entry_points_take_only_roof_functionals():
     rho = random_state(2, seed=53)
     op = random_hermitian(2, 54)
-    res = optimize_roof(rho, lambda s: variance(s, op), "max",
-                        cfg=OptimizerConfig(seed=1, restarts=2, local_steps=60))
-    assert res.value <= variance(rho, op) + 1e-9
+    dec = Decomposition(((1.0, rho),))
+    for bad in (lambda s: variance(s, op), VarianceSum, None):
+        with pytest.raises(TypeError, match="RoofFunctional"):
+            optimize_roof(rho, bad, "max", cfg=FAST)
+        with pytest.raises(TypeError, match="RoofFunctional"):
+            decomposition_average(dec, bad)
 
 
 def _functionals(dim, seed):
-    """The four functional kinds, each with its dense formula of a density matrix."""
+    """The three functional kinds, each with its dense formula of a density matrix."""
     a, b = random_hermitian(dim, seed), random_hermitian(dim, seed + 1)
     return [
         (VarianceSum([a]), lambda s: dense_variance_sum(s, [a.mat])),
         (VarianceSum([a, b]), lambda s: dense_variance_sum(s, [a.mat, b.mat])),
         (RobertsonSchrodingerBound(a, b), lambda s: dense_rs_bound(s, a.mat, b.mat)),
-        (CallableFunctional(lambda s: variance(s, a) + 0.5 * variance(s, b)),
-         lambda s: dense_variance_sum(s, [a.mat]) + 0.5 * dense_variance_sum(s, [b.mat])),
     ]
 
 
@@ -245,7 +264,7 @@ def test_batched_objective_matches_extracted_decompositions(dim, ancilla):
     us = np.array([[haar_random_unitary(ancilla, rng) for _ in range(3)] for _ in partitions])
     blocks = _block_tensor(partitions, ancilla)
     for functional, _ in _functionals(dim, 120 + ancilla):
-        batched = _objective(_gram_stack(m, functional.moment_ops(dim)), us, blocks, functional)
+        batched = _objective(_gram_stack(m, functional.ops), us, blocks, functional)
         assert batched.shape == (len(partitions), 3)
         for part, climb_us, climb_values in zip(partitions, us, batched):
             for u, value in zip(climb_us, climb_values):
@@ -259,7 +278,7 @@ def test_from_moments_stack_matches_dense_formulas(dim):
     states = [random_state(dim, seed=130 + k, rank=1 + k % dim) for k in range(5)]
     weights = np.linspace(0.2, 0.9, len(states))
     for functional, dense in _functionals(dim, 140 + dim):
-        ops = functional.moment_ops(dim)
+        ops = functional.ops
         mom = np.array([p * np.einsum("xij,ji->x", ops, rho.mat)
                         for p, rho in zip(weights, states)])
         stacked = functional.from_moments(weights, mom)
@@ -285,7 +304,7 @@ def test_rank_deficient_qutrit_search_raises_no_floating_point_error():
     assert np.sum(np.abs(m[:, 2]) ** 2) < WEIGHT_DROP
     with np.errstate(all="raise"):
         for functional, dense in _functionals(3, 204):
-            at_identity = _objective(_gram_stack(m, functional.moment_ops(3)), us,
+            at_identity = _objective(_gram_stack(m, functional.ops), us,
                                      _block_tensor(partitions, 3), functional)[:, 0]
             for part, value in zip(partitions, at_identity):
                 expected = decomposition_average(extract_decomposition(m, np.eye(3), part),
@@ -330,7 +349,7 @@ def test_moment_grad_matches_central_differences(dim):
     rng = np.random.default_rng(dim)
     h = 1e-5
     for functional, _ in _functionals(dim, 260 + dim):
-        ops = functional.moment_ops(dim)
+        ops = functional.ops
 
         def at(path):
             return functional.from_moments(np.trace(path, axis1=1, axis2=2).real,
@@ -369,7 +388,7 @@ def test_riemannian_gradient_matches_central_differences(dim, ancilla):
     blocks = _block_tensor(partitions, ancilla)
     eps = 1e-5
     for functional, _ in _functionals(dim, 290 + ancilla):
-        gram = _gram_stack(m, functional.moment_ops(dim))
+        gram = _gram_stack(m, functional.ops)
         values, grad, q = _objective(gram, us[:, None], blocks, functional, gradient=True)
         assert grad.shape == (len(partitions), 1, ancilla, ancilla)
         assert q.shape[:3] == (len(partitions), 1, ancilla)
@@ -396,7 +415,7 @@ def test_line_search_polynomial_matches_formed_unitaries(dim, ancilla):
     us = np.array([haar_random_unitary(ancilla, rng) for _ in partitions])
     blocks = _block_tensor(partitions, ancilla)
     for functional, _ in _functionals(dim, 320 + ancilla):
-        gram = _gram_stack(m, functional.moment_ops(dim))
+        gram = _gram_stack(m, functional.ops)
         _, _, q = _objective(gram, us[:, None], blocks, functional, gradient=True)
         d = _random_hermitian_stack(rng, len(partitions), ancilla) * rng.uniform(0.1, 5.0)
         lam, vecs = np.linalg.eigh(d)
@@ -802,6 +821,13 @@ def test_decomposition_validation():
         Decomposition(((0.4, psi), (0.4, psi)))  # weights sum to 0.8
     with pytest.raises(ValueError):
         Decomposition(((-0.5, psi), (1.5, psi)))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            Decomposition(((bad, psi),))
+        with pytest.raises(ValueError, match="positive and finite"):
+            Decomposition(((0.5, psi), (bad, psi)))
+    with pytest.raises(DimensionMismatchError, match="different dimensions"):
+        Decomposition(((0.5, psi), (0.5, PureState([1, 0, 0]))))
 
 
 # ---------------------------------------------------------------------------
