@@ -502,11 +502,21 @@ def random_density_matrix(cfg: RandomStateConfig) -> DensityMatrix:
 
 def haar_random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a Ginibre matrix with phase fixing."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return _haar_from_ginibre(_ginibre(dim, rng))
+
+
+def _ginibre(dim: int, rng: np.random.Generator) -> np.ndarray:
+    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+
+def _haar_from_ginibre(g: np.ndarray) -> np.ndarray:
+    """Q of G = QR with the phases of diag(R) moved into Q, for a stack of matrices G.
+
+    A stack gives each matrix the same LAPACK factorization as on its own.
+    """
     q, r = np.linalg.qr(g)
-    phases = np.diag(r).copy()
-    phases /= np.abs(phases)
-    return q * phases
+    phases = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (phases / np.abs(phases))[..., None, :]
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,9 @@ from .core import (
     HermitianOperator,
     PureState,
     State,
+    _ginibre,
+    _haar_from_ginibre,
     _support,
-    haar_random_unitary,
     state_matrix,
 )
 from .metrology import state_density
@@ -69,6 +70,10 @@ class Decomposition:
         return out
 
     def reconstructs(self, target: State, tol: float = 1e-8) -> bool:
+        dim = self.components[0][1].dim
+        if target.dim != dim:
+            raise DimensionMismatchError(f"the components act on dimension {dim}, "
+                                         f"the target on dimension {target.dim}")
         return bool(np.max(np.abs(self.mixture() - state_matrix(target))) <= tol)
 
     def __len__(self) -> int:
@@ -173,12 +178,12 @@ class RoofFunctional:
     ``ops`` is the ``(x, d, d)`` stack of operators X_j whose moments
     Tr(sigma X_j) determine f(sigma); each subclass builds it from its
     operators.  ``from_moments(p, mom)`` receives block weights ``p``
-    (shape ``(K,)``, each at least ``WEIGHT_DROP``) and the unnormalised
-    moments ``mom[k, j] = p_k Tr(sigma_k X_j)`` (shape ``(K, x)``, complex)
-    and returns p_k f(sigma_k) for every k; ``moment_grad(p, mom)`` returns
-    its derivatives, from which the optimizer builds the Riemannian
-    gradient.  The optimizer never forms sigma: it takes every start's
-    moments from one Gram stack of the purification (see ``optimize_roof``).
+    (any shape ``(...)``, each positive) and the unnormalised moments
+    ``mom[..., j] = p Tr(sigma X_j)`` (shape ``(..., x)``, complex) and
+    returns p f(sigma) for every block; ``moment_grad(p, mom)`` returns its
+    derivatives, from which the optimizer builds the Riemannian gradient.
+    The optimizer never forms sigma: it takes every start's moments from
+    one Gram stack of the purification (see ``optimize_roof``).
     """
 
     ops: np.ndarray
@@ -187,7 +192,7 @@ class RoofFunctional:
         raise NotImplementedError
 
     def moment_grad(self, p: np.ndarray, mom: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Derivatives of ``from_moments`` in ``p`` (shape ``(K,)``) and in ``mom``.
+        """Derivatives of ``from_moments`` in ``p`` (shape ``(...)``) and in ``mom``.
 
         The moment derivative is complex, d/dRe + i d/dIm, so a change dM of
         the moments changes the value by Re(conj(grad) dM).
@@ -226,17 +231,17 @@ class VarianceSum(RoofFunctional):
 
     def from_moments(self, p: np.ndarray, mom: np.ndarray) -> np.ndarray:
         # p sum_n Var(A_n) = sum_n (p<A_n^2> - (p<A_n>)^2 / p)
-        half = mom.shape[1] // 2
-        means = mom[:, :half].real
-        total = np.sum(mom[:, half:].real - means * means / p[:, None], axis=1)
+        half = mom.shape[-1] // 2
+        means = mom[..., :half].real
+        total = np.sum(mom[..., half:].real - means * means / p[..., None], axis=-1)
         return np.maximum(total, 0.0)
 
     def moment_grad(self, p: np.ndarray, mom: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        half = mom.shape[1] // 2
-        ratio = mom[:, :half].real / p[:, None]
+        half = mom.shape[-1] // 2
+        ratio = mom[..., :half].real / p[..., None]
         grad = np.ones(mom.shape, dtype=complex)
-        grad[:, :half] = -2.0 * ratio
-        return np.sum(ratio * ratio, axis=1), grad
+        grad[..., :half] = -2.0 * ratio
+        return np.sum(ratio * ratio, axis=-1), grad
 
 
 class RobertsonSchrodingerBound(RoofFunctional):
@@ -254,20 +259,27 @@ class RobertsonSchrodingerBound(RoofFunctional):
         self.ops = np.array([a.mat, b.mat, a.mat @ b.mat])
 
     def from_moments(self, p: np.ndarray, mom: np.ndarray) -> np.ndarray:
-        ea, eb, eab = mom[:, 0].real, mom[:, 1].real, mom[:, 2]
-        return 2.0 * np.hypot(eab.real - ea * eb / p, eab.imag)
+        return 2.0 * np.abs(self._centred(p, mom))
 
     def moment_grad(self, p: np.ndarray, mom: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # L is not differentiable where both of its terms vanish; there the
-        # zero subgradient is returned
-        ea, eb, eab = mom[:, 0].real, mom[:, 1].real, mom[:, 2]
-        cov, comm = eab.real - ea * eb / p, eab.imag
-        norm = np.hypot(cov, comm)
-        smooth = norm > 0.0
-        dcov = np.divide(2.0 * cov, norm, out=np.zeros_like(norm), where=smooth)
-        dcomm = np.divide(2.0 * comm, norm, out=np.zeros_like(norm), where=smooth)
-        grad = np.stack([-dcov * eb / p, -dcov * ea / p, dcov + 1j * dcomm], axis=1)
+        # with z = p<AB> - p<A> p<B> / p the value is 2|z| and its derivative
+        # in p<AB> is 2z/|z|; L is not differentiable where z = 0, and there
+        # the zero subgradient is returned
+        ea, eb = mom[..., 0].real, mom[..., 1].real
+        z = self._centred(p, mom)
+        norm = np.abs(z)
+        dz = 2.0 * z / np.where(norm > 0.0, norm, np.inf)
+        dcov = dz.real
+        grad = np.empty(mom.shape, dtype=complex)
+        grad[..., 0] = -dcov * eb / p
+        grad[..., 1] = -dcov * ea / p
+        grad[..., 2] = dz
         return dcov * ea * eb / (p * p), grad
+
+    @staticmethod
+    def _centred(p: np.ndarray, mom: np.ndarray) -> np.ndarray:
+        """z = p(<AB> - <A><B>): 2 Re z is the covariance term and -2 Im z the commutator mean."""
+        return mom[..., 2] - mom[..., 0].real * mom[..., 1].real / p
 
 
 def _require_functional(functional) -> None:
@@ -339,16 +351,23 @@ def _block_tensor(partitions: Sequence[Partition], n: int) -> np.ndarray:
     return s
 
 
-def _block_terms(mom: np.ndarray, functional: RoofFunctional) -> np.ndarray:
+def _block_terms(mom: np.ndarray, functional: RoofFunctional, gradient: bool = False):
     """p f(component) of every block from its moments ``mom[..., j]`` (j = 0 the weight).
 
-    Blocks lighter than ``WEIGHT_DROP`` (padded ones included) give 0.
+    Blocks lighter than ``WEIGHT_DROP`` (padded ones included) give 0: the
+    functional scores them at weight 1, so that it never divides by a
+    vanishing weight, and the score is dropped.  With ``gradient``, also
+    returns the derivatives in every moment, the weight included (shape of
+    ``mom``, 0 on the light blocks).
     """
     p = mom[..., 0].real
     keep = p >= WEIGHT_DROP
-    terms = np.zeros(p.shape)
-    terms[keep] = functional.from_moments(p[keep], mom[..., 1:][keep])
-    return terms
+    p = np.where(keep, p, 1.0)
+    terms = np.where(keep, functional.from_moments(p, mom[..., 1:]), 0.0)
+    if not gradient:
+        return terms
+    dp, dmom = functional.moment_grad(p, mom[..., 1:])
+    return terms, keep[..., None] * np.concatenate([dp[..., None], dmom], axis=-1)
 
 
 def _objective(gram: np.ndarray, us: np.ndarray, blocks: np.ndarray,
@@ -371,18 +390,14 @@ def _objective(gram: np.ndarray, us: np.ndarray, blocks: np.ndarray,
     big = gram.shape[1] // n
     w = (us.conj().reshape(-1, n) @ gram).reshape(c * k, n * big, n)
     q = (w @ us.reshape(c * k, n, n).swapaxes(-1, -2)).reshape(c, k, n, big, n)
-    mom = blocks[:, None] @ np.diagonal(q, axis1=2, axis2=4).swapaxes(-1, -2)   # (C, K, w, x+1)
-    terms = _block_terms(mom, functional)
-    values = terms.sum(axis=-1)
+    mom = blocks[:, None] @ q.diagonal(axis1=2, axis2=4).swapaxes(-1, -2)   # (C, K, w, x+1)
     if not gradient:
-        return values
-    p = mom[..., 0].real
-    keep = p >= WEIGHT_DROP
-    coef = np.zeros(mom.shape, dtype=complex)
-    coef[..., 0][keep], coef[..., 1:][keep] = functional.moment_grad(p[keep], mom[..., 1:][keep])
+        return _block_terms(mom, functional).sum(axis=-1)
+    terms, coef = _block_terms(mom, functional, gradient=True)
     row_coef = (blocks.swapaxes(-1, -2)[:, None] @ coef).conj()      # (C, K, n, x+1)
-    y = (row_coef[..., None, :] @ q)[..., 0, :] - np.einsum("ikajb,ikbj->ikab", q, row_coef)
-    return values, 0.5j * (y.swapaxes(-1, -2) - y.conj()), q
+    # Y_ab = sum_j Q_j[a, b] (conj(c_aj) - conj(c_bj))
+    y = (q * (row_coef[..., None] - row_coef.swapaxes(-1, -2)[..., None, :, :])).sum(axis=-2)
+    return terms.sum(axis=-1), 0.5j * (y.swapaxes(-1, -2) - y.conj()), q
 
 
 def _line_coefficients(q: np.ndarray, vecs: np.ndarray, blocks: np.ndarray) -> np.ndarray:
@@ -391,14 +406,15 @@ def _line_coefficients(q: np.ndarray, vecs: np.ndarray, blocks: np.ndarray) -> n
     With D = V diag(lam) V^dag, P_j = V^T Q_j conj(V) and S_b = V^dag
     diag(1_b) V, block b's moment j is M_bj(mu) = sum_kl S_b[k, l] P_j[k, l]
     e^{i mu (lam_l - lam_k)}.  ``q`` is ``(C, n, x+1, n)`` at U and ``vecs``
-    the ``(C, n, n)`` eigenvectors V; returns the ``(C, w, x+1, n^2)``
-    products S_b[k, l] P_j[k, l].
+    the ``(C, n, n)`` eigenvectors V; returns the ``(C, n^2, w, x+1)``
+    products S_b[k, l] P_j[k, l], indexed by (k, l), b and j.
     """
     c, n, big = q.shape[:3]
     p = (vecs.swapaxes(-1, -2) @ q.reshape(c, n, big * n)).reshape(c, n * big, n) @ vecs.conj()
     s = vecs.conj().swapaxes(-1, -2)[:, None] @ (blocks[..., None] * vecs[:, None])
-    coef = s[:, :, None] * p.reshape(c, n, big, n).transpose(0, 2, 1, 3)[:, None]
-    return coef.reshape(c, blocks.shape[1], big, n * n)
+    coef = (s.transpose(0, 2, 3, 1)[..., None]
+            * p.reshape(c, n, big, n).swapaxes(-1, -2)[:, :, :, None])
+    return coef.reshape(c, n * n, blocks.shape[1], big)
 
 
 def _line_values(coef: np.ndarray, lam: np.ndarray, mus: np.ndarray,
@@ -410,11 +426,10 @@ def _line_values(coef: np.ndarray, lam: np.ndarray, mus: np.ndarray,
     lam_k)} gives every block moment, and no unitary is formed.  Returns
     ``(C, T)``.
     """
-    c, width, big, nn = coef.shape
-    turn = np.exp(1j * lam[:, :, None] * mus[:, None, :])              # (C, n, T)
-    phase = (turn.conj()[:, :, None] * turn[:, None]).reshape(c, nn, -1)
-    mom = coef.reshape(c, width * big, nn) @ phase
-    mom = mom.reshape(c, width, big, -1).transpose(0, 3, 1, 2)       # (C, T, w, x+1)
+    c, nn, width, big = coef.shape
+    turn = np.exp(1j * mus[:, :, None] * lam[:, None, :])              # (C, T, n)
+    phase = (turn.conj()[..., None] * turn[..., None, :]).reshape(c, -1, nn)
+    mom = (phase @ coef.reshape(c, nn, width * big)).reshape(c, -1, width, big)   # (C, T, w, x+1)
     return _block_terms(mom, functional).sum(axis=-1)
 
 
@@ -425,29 +440,38 @@ TOLERANCE, NO_ASCENT, BUDGET = range(3)          # why a start stopped
 STOP_REASONS = ("tolerance", "no_ascent", "budget")
 
 
-def _lbfgs_direction(grad: np.ndarray, steps: np.ndarray, changes: np.ndarray,
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two ``(C, k)`` stacks."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _lbfgs_direction(grad: np.ndarray, pairs: np.ndarray, inv: np.ndarray,
                      count: np.ndarray) -> np.ndarray:
     """Limited-memory BFGS ascent directions of a stack of starts.
 
     ``grad`` is ``(C, k)`` (Hermitian matrices as real vectors, whose dot
-    product is Re Tr(A B)); ``steps`` and ``changes`` are ``(C, m, k)``, the
-    newest pair first, of which the first ``count[i]`` are valid for start
-    i.  A change is g_old - g_new, the gradient change of the negated
-    objective, so every stored pair has positive curvature.
+    product is Re Tr(A B)).  ``pairs`` is ``(m, 2, C, k)``, newest pair
+    first: ``pairs[j]`` holds the step and the gradient change of every
+    start's j-th pair, of which the first ``count[i]`` are valid for start
+    i.  ``inv`` is ``(m, C)``, 1 / (step . change) of each valid pair and 0
+    past them.  A change is g_old - g_new, the gradient change of the
+    negated objective, so every stored pair has positive curvature.  The
+    two-loop recursion scales by (s . y) / (y . y) of the newest pair.
     """
-    valid = np.arange(steps.shape[1]) < count[:, None]
-    inv = np.divide(1.0, np.einsum("imk,imk->im", steps, changes),
-                    out=np.zeros(valid.shape), where=valid)
     r = grad.copy()
-    alpha = np.zeros(valid.shape)
-    for j in range(int(count.max(initial=0))):
-        alpha[:, j] = inv[:, j] * np.einsum("ik,ik->i", steps[:, j], r)
-        r -= alpha[:, j, None] * changes[:, j]
-    yy = np.einsum("ik,ik->i", changes[:, 0], changes[:, 0])
-    r *= np.divide(1.0, inv[:, 0] * yy, out=np.ones(len(r)), where=valid[:, 0])[:, None]
-    for j in reversed(range(int(count.max(initial=0)))):
-        beta = inv[:, j] * np.einsum("ik,ik->i", changes[:, j], r)
-        r += (alpha[:, j] - beta)[:, None] * steps[:, j]
+    alpha = []
+    for j in range(count.max(initial=0)):
+        step, change = pairs[j]
+        alpha.append(inv[j] * _dots(step, r))
+        r -= alpha[j][:, None] * change
+    if alpha:
+        newest = pairs[0, 1]
+        r *= np.divide(1.0, inv[0] * _dots(newest, newest), out=np.ones(len(r)),
+                       where=count > 0)[:, None]
+    for j in reversed(range(len(alpha))):
+        step, change = pairs[j]
+        beta = inv[j] * _dots(change, r)
+        r += (alpha[j] - beta)[:, None] * step
     return r
 
 
@@ -464,13 +488,15 @@ def _ascend(gram: np.ndarray, partitions: Sequence[Partition], us: np.ndarray,
     polynomials (``_line_values``), takes the vertex of the parabola
     through the best grid point and its neighbours where the polynomials
     score it higher, and forms and evaluates only the chosen unitary, with
-    its gradient.  A step that does not ascend
-    clears the memory, or, from the gradient direction, stops the start.
-    A start also stops once its gradient norm falls below ``cfg.tolerance``
-    or after ``cfg.local_steps`` iterations.  Starts never read each other's
-    state, and a stopped start leaves the stack.  Returns the signed
-    objectives of the final unitaries, why each start stopped (``TOLERANCE``,
-    ``NO_ASCENT`` or ``BUDGET``) and the number of iterations.
+    its gradient.  An accepted step with positive curvature is pushed onto
+    the start's memory in place, the oldest pair dropping out.  A step that
+    does not ascend clears the memory, or, from the gradient direction,
+    stops the start.  A start also stops once its gradient norm falls below
+    ``cfg.tolerance`` or after ``cfg.local_steps`` iterations.  Starts never
+    read each other's state, and a stopped start leaves the stack.  Returns
+    the signed objectives of the final unitaries, why each start stopped
+    (``TOLERANCE``, ``NO_ASCENT`` or ``BUDGET``) and the number of
+    iterations.
     """
     c, n = len(us), us.shape[-1]
     live = np.arange(c)
@@ -478,64 +504,73 @@ def _ascend(gram: np.ndarray, partitions: Sequence[Partition], us: np.ndarray,
     u = us.copy()
     vals, grad, q = _objective(gram, u[:, None], blocks, functional, gradient=True)
     vals, grad, q = sign * vals[:, 0], sign * grad[:, 0], q[:, 0]
-    steps = np.zeros((c, BFGS_MEMORY, 2 * n * n))
-    changes = np.zeros_like(steps)
+    # every start's memory, newest pair first (see _lbfgs_direction)
+    pairs = np.zeros((BFGS_MEMORY, 2, c, 2 * n * n))
+    inv = np.zeros((BFGS_MEMORY, c))
     count = np.zeros(c, dtype=int)
     failed = np.zeros(c, dtype=bool)
     final = np.empty(c)
     reason = np.full(c, BUDGET)
     iterations = 0
+    top = len(LINE_ANGLES)
+    grid = np.concatenate([[0.0], LINE_ANGLES])
     for it in range(cfg.local_steps + 1):
         g = grad.view(float).reshape(len(live), -1)
-        small = np.einsum("ik,ik->i", g, g) < cfg.tolerance ** 2
+        small = _dots(g, g) < cfg.tolerance ** 2
         stop = small | failed
-        if np.any(stop):
-            reason[live[stop]] = np.where(small[stop], TOLERANCE, NO_ASCENT)
-            us[live[stop]], final[live[stop]] = u[stop], vals[stop]
-            go = ~stop
+        if stop.any():
+            done, go = stop.nonzero()[0], (~stop).nonzero()[0]
+            reason[live[done]] = np.where(small[done], TOLERANCE, NO_ASCENT)
+            us[live[done]], final[live[done]] = u[done], vals[done]
             live, u, vals, grad, q, g = live[go], u[go], vals[go], grad[go], q[go], g[go]
-            blocks, steps, changes, count = blocks[go], steps[go], changes[go], count[go]
+            blocks, pairs, inv, count = blocks[go], pairs[:, :, go], inv[:, go], count[go]
             if not len(live):
                 return final, reason, iterations
         if it == cfg.local_steps:
             break
         iterations += len(live)
-        d = _lbfgs_direction(g, steps, changes, count)
-        # a direction that does not ascend to first order falls back to the gradient
-        uphill = np.einsum("ik,ik->i", d, g) > 0.0
+        d = _lbfgs_direction(g, pairs, inv, count)
+        # a direction that does not ascend to first order falls back to the
+        # gradient and clears the memory
+        uphill = _dots(d, g) > 0.0
         d = np.where(uphill[:, None], d, g)
-        count = np.where(uphill, count, 0)
+        count *= uphill
+        inv *= uphill
         steepest = count == 0
         lam, vecs = np.linalg.eigh(d.view(complex).reshape(-1, n, n))
         coef = _line_coefficients(q, vecs, blocks)
-        mus = np.zeros((len(live), len(LINE_ANGLES) + 1))
-        mus[:, 1:] = LINE_ANGLES / np.max(np.abs(lam), axis=1)[:, None]
-        line = np.empty(mus.shape)
-        line[:, 0] = vals
-        line[:, 1:] = sign * _line_values(coef, lam, mus[:, 1:], functional)
-        best = np.argmax(line, axis=1)
-        # vertex of the parabola through the best grid point and its neighbours
-        near = np.clip(best[:, None] + np.arange(-1, 2), 0, len(LINE_ANGLES))
-        (x0, x1, x2), (y0, y1, y2) = (np.take_along_axis(grid, near, axis=1).T
-                                      for grid in (mus, line))
+        mus = grid / np.abs(lam).max(axis=1)[:, None]
+        line = np.concatenate(
+            [vals[:, None], sign * _line_values(coef, lam, mus[:, 1:], functional)], axis=1)
+        best = line.argmax(axis=1)
+        # vertex of the parabola through the best grid point and its
+        # neighbours, where that point lies inside the grid
+        rows = np.arange(len(live))
+        near = np.minimum(np.maximum(best, 1), top - 1)[:, None] + (-1, 0, 1)
+        (x0, x1, x2), (y0, y1, y2) = mus[rows[:, None], near].T, line[rows[:, None], near].T
         num = (x1 - x0) ** 2 * (y1 - y2) - (x1 - x2) ** 2 * (y1 - y0)
         den = (x1 - x0) * (y1 - y2) - (x1 - x2) * (y1 - y0)
-        inner = (best > 0) & (best < len(LINE_ANGLES)) & (den > 0.0)
+        inner = (best > 0) & (best < top) & (den > 0.0)
         vertex = x1 - 0.5 * np.divide(num, den, out=np.zeros(len(live)), where=inner)
         at_vertex = sign * _line_values(coef, lam, vertex[:, None], functional)[:, 0]
-        mu = np.where(at_vertex > y1, vertex, x1)
+        mu = np.where(inner & (at_vertex > y1), vertex, mus[rows, best])
         rotation = (vecs * np.exp(1j * mu[:, None] * lam)[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
         new_u = rotation @ u
         new_vals, new_grad, new_q = _objective(gram, new_u[:, None], blocks, functional,
                                                gradient=True)
         new_vals, new_grad = sign * new_vals[:, 0], sign * new_grad[:, 0]
         accept = (best > 0) & (new_vals > vals)
-        new_g = new_grad.view(float).reshape(len(live), -1)
-        step, change = mu[:, None] * d, g - new_g
-        curved = accept & (np.einsum("ik,ik->i", step, change) > 0.0)
-        steps[curved] = np.concatenate([step[curved, None], steps[curved, :-1]], axis=1)
-        changes[curved] = np.concatenate([change[curved, None], changes[curved, :-1]], axis=1)
-        count = np.where(curved, np.minimum(count + 1, BFGS_MEMORY), np.where(accept, count, 0))
+        pair = np.array([mu[:, None] * d, g - new_grad.view(float).reshape(len(live), -1)])
+        curvature = _dots(*pair)
+        curved = accept & (curvature > 0.0)
+        push = curved.nonzero()[0]
+        if len(push):
+            pairs[1:, :, push], inv[1:, push] = pairs[:-1, :, push], inv[:-1, push]
+            # not pairs[0, :, push], whose split integer indices put the push axis first
+            pairs[0][:, push], inv[0, push] = pair[:, push], 1.0 / curvature[push]
+        # a rejected step clears the memory; a pushed pair lengthens it
+        count = np.minimum(count + curved, BFGS_MEMORY) * accept
+        inv *= accept
         failed = ~accept & steepest
         u = np.where(accept[:, None, None], new_u, u)
         vals = np.where(accept, new_vals, vals)
@@ -557,7 +592,9 @@ def optimize_roof(rho: State,
     runs ``cfg.restarts`` ascents over ancilla unitaries: restart 0 starts
     from the identity (so the eigendecomposition and its groupings are
     always among the candidates), the others start Haar random; restart r
-    of partition p draws its start from ``default_rng([seed, p, r])``.
+    of partition p draws its Ginibre matrix from ``default_rng([seed, p,
+    r])``, and one batched QR turns every draw into the unitary that
+    ``haar_random_unitary`` gives on that generator.
     Every start of every partition advances in one stack (``_ascend``): a
     limited-memory BFGS direction in the Hermitian Lie algebra, built from
     the analytic Riemannian gradient, and an exact line search along the
@@ -613,19 +650,21 @@ def optimize_roof(rho: State,
     sign = 1.0 if direction == "max" else -1.0
     climbs = [(p_idx, r_idx) for p_idx, part in enumerate(partitions)
               for r_idx in range(cfg.restarts if len(part) > 1 else 1)]
-    us = np.empty((len(climbs), ancilla_dim, ancilla_dim), dtype=complex)
-    for i, (p_idx, r_idx) in enumerate(climbs):
-        us[i] = (np.eye(ancilla_dim) if r_idx == 0 else
-                 haar_random_unitary(ancilla_dim, np.random.default_rng([cfg.seed, p_idx, r_idx])))
+    us = np.tile(np.eye(ancilla_dim, dtype=complex), (len(climbs), 1, 1))
+    haar = [i for i, (_, r_idx) in enumerate(climbs) if r_idx > 0]
+    if haar:
+        us[haar] = _haar_from_ginibre(np.array([
+            _ginibre(ancilla_dim, np.random.default_rng([cfg.seed, *climbs[i]])) for i in haar]))
     vals, reason, iterations = _ascend(
         gram, [partitions[p_idx] for p_idx, _ in climbs], us, functional, sign, cfg)
     evaluations = len(climbs) + iterations
     best = int(np.argmax(vals))
-    log.debug("optimize_roof: %d starts, %d iterations, %d evaluations, stopped on %s, %.4f s",
-              len(climbs), iterations, evaluations,
-              ", ".join(f"{name} {np.sum(reason == code)}"
-                        for code, name in enumerate(STOP_REASONS)),
-              time.perf_counter() - started)
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("optimize_roof: %d starts, %d iterations, %d evaluations, stopped on %s, %.4f s",
+                  len(climbs), iterations, evaluations,
+                  ", ".join(f"{name} {np.sum(reason == code)}"
+                            for code, name in enumerate(STOP_REASONS)),
+                  time.perf_counter() - started)
     return RoofResult(value=float(sign * vals[best]),
                       decomposition=extract_decomposition(m, us[best], partitions[climbs[best][0]]),
                       converged=bool(reason[best] != BUDGET),
@@ -716,14 +755,16 @@ _PAULIS = (
 )
 
 
-def qubit_z_line_decomposition(rho: DensityMatrix) -> Decomposition:
+def qubit_z_line_decomposition(rho: State) -> Decomposition:
     """Two-point decomposition of a qubit along the Bloch z direction.
 
     Both components sit where the vertical line through the Bloch vector
     pierces the sphere, so they share every x/y moment with the mixture;
     this makes the decomposition saturate the concave-roof uncertainty bound
-    for operator pairs in the xy plane.
+    for operator pairs in the xy plane.  A pure qubit is its own one-point
+    decomposition.
     """
+    rho = state_density(rho)
     if rho.dim != 2:
         raise ValueError("z-line decomposition is defined for qubits only")
     bloch = np.array([np.real(np.trace(rho.mat @ s)) for s in _PAULIS])

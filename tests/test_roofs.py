@@ -42,10 +42,12 @@ from qfiroof import (
 )
 from qfiroof.core import haar_random_unitary
 from qfiroof.roofs import (
+    BFGS_MEMORY,
     WEIGHT_DROP,
     Decomposition,
     _block_tensor,
     _gram_stack,
+    _lbfgs_direction,
     _line_coefficients,
     _line_values,
     _objective,
@@ -558,6 +560,79 @@ def test_trivial_only_search_is_one_evaluation_of_the_state():
     assert res.decomposition.reconstructs(rho, tol=1e-12)
 
 
+def _bfgs_inverse_hessian(steps, changes, k):
+    """Dense inverse Hessian of the textbook BFGS recursion from H_0 = gamma I,
+    gamma = (s.y)/(y.y) of the newest pair, over ``steps``/``changes`` given
+    newest first and applied oldest first."""
+    if not steps:
+        return np.eye(k)
+    s0, y0 = steps[0], changes[0]
+    h = (s0 @ y0) / (y0 @ y0) * np.eye(k)
+    for s, y in zip(reversed(steps), reversed(changes)):
+        rho = 1.0 / (s @ y)
+        left = np.eye(k) - rho * np.outer(s, y)
+        h = left @ h @ left.T + rho * np.outer(s, s)
+    return h
+
+
+def test_lbfgs_direction_matches_dense_bfgs_recursion():
+    # count 0, partial memory, full memory and mixed counts in one stack;
+    # slots past a start's count hold stale pairs that must not contribute
+    rng = np.random.default_rng(17)
+    k, memory = 8, BFGS_MEMORY
+    count = np.array([0, 2, memory, 1, 4, memory, 3, 0])
+    c = len(count)
+    pairs = rng.standard_normal((memory, 2, c, k))
+    for j in range(memory):
+        for i in range(c):
+            # y = A s with A symmetric positive definite keeps s.y > 0
+            a = rng.standard_normal((k, k))
+            pairs[j, 1, i] = (a @ a.T + np.eye(k)) @ pairs[j, 0, i]
+    curvature = np.einsum("mck,mck->mc", pairs[:, 0], pairs[:, 1])
+    inv = np.where(np.arange(memory)[:, None] < count, 1.0 / curvature, 0.0)
+    grad = rng.standard_normal((c, k))
+    d = _lbfgs_direction(grad, pairs, inv, count)
+    for i in range(c):
+        h = _bfgs_inverse_hessian(list(pairs[:count[i], 0, i]), list(pairs[:count[i], 1, i]), k)
+        expected = h @ grad[i]
+        assert np.linalg.norm(d[i] - expected) <= 1e-12 * np.linalg.norm(expected)
+    assert np.array_equal(d[count == 0], grad[count == 0])
+
+
+def test_starts_draw_from_their_own_streams():
+    # with no iterations the search returns the best of its starts: restart
+    # 0 of each partition at the identity, restart r of partition p at the
+    # Haar unitary of default_rng([seed, p, r]), one start per one-block one
+    winners = set()
+    for direction, kind, ancilla in (("max", "rs", None), ("min", "rs", None),
+                                     ("min", "variance", 4), ("max", "variance", 5)):
+        rho, _, _, functional, partitions, _ = _oracle_case(3, kind, 5)
+        n = ancilla or 3
+        partitions = partitions(n) if partitions else [singleton_partition(n)]
+        m = purify(rho, n)
+        sign = 1.0 if direction == "max" else -1.0
+        for seed in range(29, 45):
+            cfg = OptimizerConfig(seed=seed, restarts=4, local_steps=0)
+            res = optimize_roof(rho, functional, direction, partitions=partitions, cfg=cfg,
+                                ancilla_dim=ancilla)
+            starts, values = [], []
+            for p_idx, part in enumerate(partitions):
+                for r_idx in range(cfg.restarts if len(part) > 1 else 1):
+                    u = (np.eye(n) if r_idx == 0 else
+                         haar_random_unitary(n, np.random.default_rng([seed, p_idx, r_idx])))
+                    starts.append((p_idx, r_idx))
+                    values.append(decomposition_average(extract_decomposition(m, u, part),
+                                                        functional))
+            best = int(np.argmax(sign * np.array(values)))
+            winners.add(starts[best])
+            assert abs(res.value - values[best]) < 1e-12
+            assert res.evaluations == len(values)
+            assert abs(decomposition_average(res.decomposition, functional) - res.value) < 1e-12
+    # the cases are won by starts of every restart index and of several partitions
+    assert {r for _, r in winners} == {0, 1, 2, 3}
+    assert len({p for p, _ in winners}) >= 4
+
+
 # ---------------------------------------------------------------------------
 # named roofs
 # ---------------------------------------------------------------------------
@@ -676,6 +751,14 @@ def test_z_line_center_of_ball():
     assert np.allclose([p for p, _ in dec.components], [0.5, 0.5])
     vecs = sorted(np.abs(s.vec[0]) for _, s in dec.components)
     assert np.allclose(vecs, [0, 1], atol=1e-10)  # the two z poles
+
+
+def test_z_line_pure_qubit_is_its_own_decomposition():
+    for psi in (PureState([1, 0]), PureState([0.6, 0.8j])):
+        dec = qubit_z_line_decomposition(psi)
+        assert len(dec) == 1
+        assert abs(dec.components[0][0] - 1.0) < 1e-12
+        assert dec.reconstructs(psi, tol=1e-12)
 
 
 def test_z_line_rejects_non_qubit():
@@ -828,6 +911,13 @@ def test_decomposition_validation():
             Decomposition(((0.5, psi), (bad, psi)))
     with pytest.raises(DimensionMismatchError, match="different dimensions"):
         Decomposition(((0.5, psi), (0.5, PureState([1, 0, 0]))))
+
+
+def test_reconstructs_rejects_target_of_another_dimension():
+    dec = Decomposition(((1.0, PureState([1, 0])),))
+    for target in (PureState([1, 0, 0]), DensityMatrix.maximally_mixed(3)):
+        with pytest.raises(DimensionMismatchError, match="dimension 2.*dimension 3"):
+            dec.reconstructs(target)
 
 
 # ---------------------------------------------------------------------------
