@@ -16,9 +16,10 @@ from .core import (
     ground_state,
     make_spin_algebra,
     make_su_d_generators,
+    state_density,
     variance,
 )
-from .metrology import qfi, state_density
+from .metrology import qfi
 from .roofs import (
     OptimizerConfig,
     RobertsonSchrodingerBound,

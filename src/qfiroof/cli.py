@@ -300,17 +300,24 @@ def cmd_check(args) -> None:
     _write_output(json.dumps(report.to_dict(), indent=2, allow_nan=False), args.out)
 
 
+def _rs_bound(ops: list[HermitianOperator]) -> RobertsonSchrodingerBound:
+    if len(ops) != 2:
+        raise ValueError("the rs-bound functional needs exactly two operators")
+    return RobertsonSchrodingerBound(*ops)
+
+
+# Each functional maps the parsed operators to a RoofFunctional; the names are
+# the choices of ``qfiroof roof --functional``.
+FUNCTIONALS = {
+    "variance-sum": VarianceSum,
+    "rs-bound": _rs_bound,
+}
+
+
 def cmd_roof(args) -> None:
     state = build_state(_load_spec(args.state), args.cutoff)
     ops = [build_operator(spec, state.dim, args.cutoff) for spec in args.ops]
-    if args.functional == "variance-sum":
-        functional = VarianceSum(ops)
-    elif args.functional == "rs-bound":
-        if len(ops) != 2:
-            raise ValueError("the rs-bound functional needs exactly two operators")
-        functional = RobertsonSchrodingerBound(ops[0], ops[1])
-    else:
-        raise ValueError(f"unknown functional {args.functional!r}")
+    functional = FUNCTIONALS[args.functional](ops)
     result = optimize_roof(state, functional, args.direction, cfg=_optimizer_config(args))
     _write_output(json.dumps(qio.roof_result_to_json(result), indent=2, allow_nan=False),
                   args.out)
@@ -382,8 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True)
     p.add_argument("--ops", nargs="+", required=True, help="operator specs")
     p.add_argument("--direction", choices=("min", "max"), required=True)
-    p.add_argument("--functional", choices=("variance-sum", "rs-bound"),
-                   default="variance-sum")
+    p.add_argument("--functional", choices=tuple(FUNCTIONALS), default="variance-sum")
     p.set_defaults(func=cmd_roof)
 
     p = sub.add_parser("state-factory", help="construct and serialize a state")

@@ -20,7 +20,6 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIG_FLOOR = 1e-12          # eigenvalues below this are treated as exactly zero
 MIN_EIG_TOL = -1e-10       # most negative eigenvalue a density matrix may carry
-NORM_TOL = 1e-12
 DEGENERACY_REL_TOL = 1e-9  # relative gap below which a ground state counts as degenerate
 
 
@@ -76,12 +75,6 @@ class HermitianOperator:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "HermitianOperator":
-        return HermitianOperator(-self.mat)
-
-    def square(self) -> "HermitianOperator":
-        return HermitianOperator(self.mat @ self.mat)
-
     def _require_same_dim(self, other: "HermitianOperator") -> None:
         if self.dim != other.dim:
             raise DimensionMismatchError(f"dims {self.dim} and {other.dim} differ")
@@ -95,13 +88,6 @@ def commutator_i(a: HermitianOperator, b: HermitianOperator) -> HermitianOperato
     if a.dim != b.dim:
         raise DimensionMismatchError(f"dims {a.dim} and {b.dim} differ")
     return HermitianOperator(1j * (a.mat @ b.mat - b.mat @ a.mat))
-
-
-def anticommutator(a: HermitianOperator, b: HermitianOperator) -> HermitianOperator:
-    """{A, B} = AB + BA."""
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"dims {a.dim} and {b.dim} differ")
-    return HermitianOperator(a.mat @ b.mat + b.mat @ a.mat)
 
 
 class PureState:
@@ -135,21 +121,16 @@ class DensityMatrix:
     Every instance carries its support (lambda_S, V_S): the positive
     eigenvalues in descending order and, as the columns of a d x r matrix,
     their orthonormal eigenvectors.  Eigenvalues below ``EIG_FLOOR`` are
-    clamped to exactly zero and so lie outside the support; the variance and
-    Fisher-information sums read only the support.
+    clamped to exactly zero and so lie outside the support; every moment,
+    variance and Fisher information reads only the support.
 
-    ``mat`` is the d x d matrix, ``eigenvalues`` all d eigenvalues in
-    descending order (the kernel's as exact zeros) and ``eigenvectors`` a
-    d x d unitary whose column k belongs to ``eigenvalues[k]``.  The
-    constructor takes a dense d x d matrix, pays one full O(d^3) eigensolve
-    and fills all three at once; its support is a pair of views of that
-    eigensystem.  ``from_factor`` stores only the support, at O(d r^2) cost
-    for a d x r factor; its ``mat`` (O(d^2 r)) and its eigensystem (a
-    complete QR for the kernel basis, O(d^3)) are formed on first access and
-    then cached.
+    ``mat`` is the d x d matrix.  The constructor takes a dense d x d
+    matrix, pays one full O(d^3) eigensolve and keeps its validated input
+    as ``mat``.  ``from_factor`` stores only the support, at O(d r^2) cost
+    for a d x r factor, and forms ``mat`` (O(d^2 r)) on its first read.
     """
 
-    __slots__ = ("mat", "eigenvalues", "eigenvectors", "_lam", "_vs")
+    __slots__ = ("_mat", "_lam", "_vs")
 
     def __init__(self, entries):
         mat = _as_complex_matrix(entries)
@@ -171,27 +152,16 @@ class DensityMatrix:
         if np.max(np.abs(recon - mat)) > 1e-10:
             raise ValueError("eigendecomposition does not reconstruct the matrix")
         r = int(np.count_nonzero(vals > 0.0))
-        self.mat, self.eigenvalues, self.eigenvectors = mat, vals, vecs
+        self._mat = mat
         self._lam, self._vs = vals[:r], vecs[:, :r]
 
-    def __getattr__(self, name: str):
-        # reached only when a slot is unset: a dense form of a factor-built
-        # state that nothing has read yet
-        if name == "mat":
-            self.mat = (self._vs * self._lam) @ self._vs.conj().T
-        elif name in ("eigenvalues", "eigenvectors"):
-            d, r = self._vs.shape
-            vals = np.zeros(d)
-            vals[:r] = self._lam
-            if r < d:
-                vecs, _ = np.linalg.qr(self._vs, mode="complete")
-                vecs[:, :r] = self._vs
-            else:
-                vecs = self._vs
-            self.eigenvalues, self.eigenvectors = vals, vecs
-        else:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        return object.__getattribute__(self, name)
+    @property
+    def mat(self) -> np.ndarray:
+        """The d x d matrix, formed from the support on the first read of a
+        factor-built state."""
+        if self._mat is None:
+            self._mat = (self._vs * self._lam) @ self._vs.conj().T
+        return self._mat
 
     @property
     def dim(self) -> int:
@@ -216,8 +186,7 @@ class DensityMatrix:
         values, v v^dag - U Lambda U^dag = U (B B^dag - Lambda) U^dag
         + U B E^dag + E B^dag U^dag + E E^dag, so its largest entry is at
         most ||B B^dag - Lambda||_F + 2 ||B||_F ||E||_F + ||E||_F^2.
-        No d x d array is formed here; see the class docstring for the
-        dense forms.
+        No d x d array is formed here.
         """
         v = np.asarray(v, dtype=complex)
         if v.ndim != 2 or 0 in v.shape:
@@ -239,7 +208,7 @@ class DensityMatrix:
             raise ValueError("eigendecomposition does not reconstruct the matrix")
         r = int(np.count_nonzero(vals))
         rho = cls.__new__(cls)
-        rho._lam, rho._vs = vals[:r], u[:, :r]
+        rho._mat, rho._lam, rho._vs = None, vals[:r], u[:, :r]
         return rho
 
     @staticmethod
@@ -260,15 +229,6 @@ def state_matrix(state: State) -> np.ndarray:
     return state.mat
 
 
-def expectation(state: State, op: HermitianOperator) -> float:
-    """<A> = Tr(rho A)."""
-    if state.dim != op.dim:
-        raise DimensionMismatchError(f"state dim {state.dim} != operator dim {op.dim}")
-    if isinstance(state, PureState):
-        return float(np.real(state.vec.conj() @ (op.mat @ state.vec)))
-    return float(np.real(np.vdot(op.mat, state.mat)))   # sum_ij conj(A_ij) rho_ij, A Hermitian
-
-
 def _support(state: State) -> tuple[np.ndarray, np.ndarray]:
     """(lambda_S, V_S): the positive eigenvalues of a state and their
     eigenvectors as columns; a pure state is its own rank-1 support."""
@@ -277,13 +237,31 @@ def _support(state: State) -> tuple[np.ndarray, np.ndarray]:
     return state._lam, state._vs
 
 
+def state_density(state: State) -> DensityMatrix:
+    """Promote a state-vector argument to its density matrix."""
+    return state.density() if isinstance(state, PureState) else state
+
+
+def _support_mean(lam: np.ndarray, vs: np.ndarray, w: np.ndarray) -> float:
+    """<B> = sum_k lam_k Re<v_k|W_k> from the support and its image W = B V_S."""
+    return lam @ np.einsum("ik,ik->k", vs.conj(), w).real
+
+
+def expectation(state: State, op: HermitianOperator) -> float:
+    """<A> = Tr(rho A) over the support of the state; O(d^2 r) for rank r."""
+    if state.dim != op.dim:
+        raise DimensionMismatchError(f"state dim {state.dim} != operator dim {op.dim}")
+    lam, vs = _support(state)
+    return float(_support_mean(lam, vs, op.mat @ vs))
+
+
 def _support_variance(lam: np.ndarray, vs: np.ndarray, w: np.ndarray) -> float:
     """Var(B) from the support and its image W = B V_S, at O(d r) cost.
 
     Var = sum_k lam_k ||W_k||^2 - (sum_k lam_k Re<k|W_k>)^2, clamped at zero
     against round-off.
     """
-    mean = lam @ np.einsum("ik,ik->k", vs.conj(), w).real
+    mean = _support_mean(lam, vs, w)
     second = lam @ np.einsum("ik,ik->k", w.conj(), w).real
     var = float(second - mean * mean)
     if var < 0.0:

@@ -8,19 +8,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DensityMatrix,
     DimensionMismatchError,
     HermitianOperator,
-    PureState,
     State,
     _support,
     _support_qfi,
     commutator_i,
     expectation,
+    state_matrix,
     variance,
 )
-
-PAIR_SKIP = 1e-12  # eigenvalue pairs with lambda_k + lambda_l below this contribute zero
 
 
 class VanishingSignalError(ValueError):
@@ -57,40 +54,37 @@ class SldResult:
 def sld(state: State, b: HermitianOperator) -> SldResult:
     """Symmetric logarithmic derivative L with i[rho, B] = {rho, L}/2.
 
-    L is assembled in the eigenbasis of rho with the same rank-deficient
-    pair-skipping rule as the Fisher information; its mean vanishes and
-    Tr(rho L^2) equals F_Q.
+    Assembled from the support (lambda_S, V_S) alone.  With W = B V_S,
+    B_S = V_S^dag W and R = W - V_S B_S, the part of W in the kernel:
+    L = 2i [V_S (r o B_S) V_S^dag + V_S R^dag - R V_S^dag], with
+    r_kl = (lam_k - lam_l) / (lam_k + lam_l).  A support-kernel pair has
+    ratio +-1, and the kernel-kernel block of L is zero; inside the support
+    lam_k + lam_l >= 2 EIG_FLOOR, so no pair is skipped.  Its mean vanishes
+    and Tr(rho L^2) equals F_Q.
     """
     if state.dim != b.dim:
         raise DimensionMismatchError(f"state dim {state.dim} != operator dim {b.dim}")
-    rho = state.density() if isinstance(state, PureState) else state
-    lam = rho.eigenvalues
-    vecs = rho.eigenvectors
-    bmat = vecs.conj().T @ b.mat @ vecs
-    s = lam[:, None] + lam[None, :]
-    d = lam[:, None] - lam[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(s < PAIR_SKIP, 0.0, d / np.where(s < PAIR_SKIP, 1.0, s))
-    l_eig = 2j * ratio * bmat
-    l_mat = vecs @ l_eig @ vecs.conj().T
+    lam, vs = _support(state)
+    w = b.mat @ vs
+    vs_dag = vs.conj().T
+    b_s = vs_dag @ w
+    resid = w - vs @ b_s
+    ratio = (lam[:, None] - lam[None, :]) / (lam[:, None] + lam[None, :])
+    l_mat = 2j * (vs @ (ratio * b_s) @ vs_dag + vs @ resid.conj().T - resid @ vs_dag)
     ell = HermitianOperator(l_mat)
 
-    lhs = 1j * (rho.mat @ b.mat - b.mat @ rho.mat)
-    rhs = 0.5 * (rho.mat @ l_mat + l_mat @ rho.mat)
+    rho = state_matrix(state)
+    lhs = 1j * (rho @ b.mat - b.mat @ rho)
+    rhs = 0.5 * (rho @ l_mat + l_mat @ rho)
     residual = np.linalg.norm(lhs - rhs)
     scale = max(np.linalg.norm(lhs), 1.0)
     if residual > 1e-8 * scale:
         raise ArithmeticError(
             f"SLD defining equation violated: residual {residual:.3e} vs scale {scale:.3e}")
 
-    f = float(np.real(np.trace(rho.mat @ l_mat @ l_mat)))
-    mean = expectation(rho, ell)
-    return SldResult(sld=ell, qfi=f, mean_sld=mean)
-
-
-def state_density(state: State) -> DensityMatrix:
-    """Promote a state-vector argument to its density matrix."""
-    return state.density() if isinstance(state, PureState) else state
+    lv = l_mat @ vs
+    f = float(lam @ np.einsum("ik,ik->k", lv.conj(), lv).real)   # sum_k lam_k ||L v_k||^2
+    return SldResult(sld=ell, qfi=f, mean_sld=expectation(state, ell))
 
 
 @dataclass(frozen=True)
@@ -118,7 +112,7 @@ def cramer_rao(state: State, b: HermitianOperator, m: int,
     if m < 1:
         raise ValueError("m must be at least 1")
     f = qfi(state, b)
-    if f <= PAIR_SKIP:
+    if f <= 1e-12:
         raise UnestimableParameterError(f"F_Q = {f:.3e}; the parameter is unestimable")
     err = error_propagation(state, a, b) if a is not None else None
     return EstimationReport(cramer_rao=1.0 / (m * f), repetitions=m, error_propagation=err)
@@ -143,23 +137,22 @@ def check_sld_saturation(state: State, a: HermitianOperator,
     residual vanishes, Var(A) F_Q[rho, B] = |<i[A,B]>|^2 is saturated; the
     product identity is verified as well before reporting saturation.
     """
-    if variance(state, a) <= 0.0:
+    var_a = variance(state, a)
+    if var_a <= 0.0:
         raise ValueError("A has zero variance on this state; rescaling is meaningless")
-    rho = state_density(state)
-    m = 1j * (rho.mat @ b.mat - b.mat @ rho.mat)
-    n = 0.5 * (rho.mat @ a.mat + a.mat @ rho.mat)
+    rho = state_matrix(state)
+    m = 1j * (rho @ b.mat - b.mat @ rho)
+    n = 0.5 * (rho @ a.mat + a.mat @ rho)
+    lhs = var_a * qfi(state, b)
+    rhs = abs(expectation(state, commutator_i(a, b))) ** 2
     m_norm = np.linalg.norm(m)
-    n_sq = np.real(np.vdot(n, n))
     if m_norm < 1e-14:
         # [rho, B] = 0: both sides of the product relation vanish.
-        lhs = variance(state, a) * qfi(state, b)
-        rhs = abs(expectation(state, commutator_i(a, b))) ** 2
         return (lhs < 1e-12 and rhs < 1e-12), 0.0
+    n_sq = np.real(np.vdot(n, n))
     c = float(np.real(np.vdot(n, m)) / n_sq) if n_sq > 0 else 0.0
     residual = np.linalg.norm(m - c * n)
     if residual >= 1e-8 * m_norm:
         return False, c
-    lhs = variance(state, a) * qfi(state, b)
-    rhs = abs(expectation(state, commutator_i(a, b))) ** 2
     saturated = abs(lhs - rhs) <= 1e-8 * max(abs(lhs), abs(rhs), 1e-30)
     return saturated, c

@@ -32,9 +32,9 @@ from .core import (
     _ginibre,
     _haar_from_ginibre,
     _support,
+    state_density,
     state_matrix,
 )
-from .metrology import state_density
 
 log = logging.getLogger(__name__)
 
@@ -212,9 +212,9 @@ class RoofFunctional:
         lam, vs = _support(state)
         r = len(lam)
         gram = _gram_stack(vs * np.sqrt(lam), self.ops)
-        identity = np.eye(r, dtype=complex)[None, None]
+        identity = np.eye(r, dtype=complex)[None]
         return float(_objective(gram, identity, _block_tensor([trivial_partition(r)], r),
-                                self)[0, 0])
+                                self)[0])
 
 
 class VarianceSum(RoofFunctional):
@@ -372,13 +372,13 @@ def _block_terms(mom: np.ndarray, functional: RoofFunctional, gradient: bool = F
 
 def _objective(gram: np.ndarray, us: np.ndarray, blocks: np.ndarray,
                functional: RoofFunctional, gradient: bool = False):
-    """sum_l p_l f(component_l) for every unitary ``us[i, k]`` of a ``(C, K, n, n)`` stack.
+    """sum_l p_l f(component_l) for every unitary ``us[i]`` of a ``(C, n, n)`` stack.
 
-    Climb i's K unitaries share its partition, ``blocks[i]`` (see
+    Unitary i groups the ancilla by its partition, ``blocks[i]`` (see
     ``_block_tensor``).  Two GEMMs give the full Q_j = conj(U) G_j U^T of
     every unitary, whose diagonals are the row moments.  Returns the
-    ``(C, K)`` objectives; with ``gradient``, also the Riemannian gradients
-    (Hermitian, ``(C, K, n, n)``) and the Q stack ``(C, K, n, x+1, n)``.
+    ``(C,)`` objectives; with ``gradient``, also the Riemannian gradients
+    (Hermitian, ``(C, n, n)``) and the Q stack ``(C, n, x+1, n)``.
 
     The gradient: U <- exp(i eps H) U moves Q_j by i eps [Q_j, H^T], so with
     c_aj the moment derivative (``moment_grad``) of row a's block and
@@ -386,15 +386,15 @@ def _objective(gram: np.ndarray, us: np.ndarray, blocks: np.ndarray,
     moves by eps Re Tr(i Y H^T) = eps Tr(Gamma H) with Gamma the Hermitian
     part of conj(i Y).
     """
-    c, k, n = us.shape[:3]
+    c, n = us.shape[:2]
     big = gram.shape[1] // n
-    w = (us.conj().reshape(-1, n) @ gram).reshape(c * k, n * big, n)
-    q = (w @ us.reshape(c * k, n, n).swapaxes(-1, -2)).reshape(c, k, n, big, n)
-    mom = blocks[:, None] @ q.diagonal(axis1=2, axis2=4).swapaxes(-1, -2)   # (C, K, w, x+1)
+    w = (us.conj().reshape(-1, n) @ gram).reshape(c, n * big, n)
+    q = (w @ us.swapaxes(-1, -2)).reshape(c, n, big, n)
+    mom = blocks @ q.diagonal(axis1=1, axis2=3).swapaxes(-1, -2)   # (C, w, x+1)
     if not gradient:
         return _block_terms(mom, functional).sum(axis=-1)
     terms, coef = _block_terms(mom, functional, gradient=True)
-    row_coef = (blocks.swapaxes(-1, -2)[:, None] @ coef).conj()      # (C, K, n, x+1)
+    row_coef = (blocks.swapaxes(-1, -2) @ coef).conj()      # (C, n, x+1)
     # Y_ab = sum_j Q_j[a, b] (conj(c_aj) - conj(c_bj))
     y = (q * (row_coef[..., None] - row_coef.swapaxes(-1, -2)[..., None, :, :])).sum(axis=-2)
     return terms.sum(axis=-1), 0.5j * (y.swapaxes(-1, -2) - y.conj()), q
@@ -502,8 +502,8 @@ def _ascend(gram: np.ndarray, partitions: Sequence[Partition], us: np.ndarray,
     live = np.arange(c)
     blocks = _block_tensor(partitions, n)
     u = us.copy()
-    vals, grad, q = _objective(gram, u[:, None], blocks, functional, gradient=True)
-    vals, grad, q = sign * vals[:, 0], sign * grad[:, 0], q[:, 0]
+    vals, grad, q = _objective(gram, u, blocks, functional, gradient=True)
+    vals, grad = sign * vals, sign * grad
     # every start's memory, newest pair first (see _lbfgs_direction)
     pairs = np.zeros((BFGS_MEMORY, 2, c, 2 * n * n))
     inv = np.zeros((BFGS_MEMORY, c))
@@ -556,9 +556,8 @@ def _ascend(gram: np.ndarray, partitions: Sequence[Partition], us: np.ndarray,
         mu = np.where(inner & (at_vertex > y1), vertex, mus[rows, best])
         rotation = (vecs * np.exp(1j * mu[:, None] * lam)[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
         new_u = rotation @ u
-        new_vals, new_grad, new_q = _objective(gram, new_u[:, None], blocks, functional,
-                                               gradient=True)
-        new_vals, new_grad = sign * new_vals[:, 0], sign * new_grad[:, 0]
+        new_vals, new_grad, new_q = _objective(gram, new_u, blocks, functional, gradient=True)
+        new_vals, new_grad = sign * new_vals, sign * new_grad
         accept = (best > 0) & (new_vals > vals)
         pair = np.array([mu[:, None] * d, g - new_grad.view(float).reshape(len(live), -1)])
         curvature = _dots(*pair)
@@ -575,7 +574,7 @@ def _ascend(gram: np.ndarray, partitions: Sequence[Partition], us: np.ndarray,
         u = np.where(accept[:, None, None], new_u, u)
         vals = np.where(accept, new_vals, vals)
         grad = np.where(accept[:, None, None], new_grad, grad)
-        q = np.where(accept[:, None, None, None], new_q[:, 0], q)
+        q = np.where(accept[:, None, None, None], new_q, q)
     us[live], final[live] = u, vals
     return final, reason, iterations
 
@@ -813,7 +812,7 @@ def eigen_partition_bound_K(rho: State, a: HermitianOperator,
     functional = RobertsonSchrodingerBound(a, b)
     functional.check_dim(3)
     partitions = list(set_partitions(3))
-    identities = np.broadcast_to(np.eye(3, dtype=complex), (len(partitions), 1, 3, 3))
+    identities = np.broadcast_to(np.eye(3, dtype=complex), (len(partitions), 3, 3))
     values = _objective(_gram_stack(purify(rho), functional.ops), identities,
                         _block_tensor(partitions, 3), functional)
     return float(np.max(values))

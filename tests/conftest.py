@@ -12,8 +12,7 @@ from qfiroof import (
     purify,
     random_density_matrix,
 )
-from qfiroof.core import haar_random_unitary
-from qfiroof.metrology import state_density
+from qfiroof.core import haar_random_unitary, state_density
 from qfiroof.roofs import (
     BUDGET,
     WEIGHT_DROP,
@@ -80,6 +79,18 @@ def dense_qfi(rho: np.ndarray, b: np.ndarray) -> float:
     return float(2.0 * np.sum(w * np.abs(bmat) ** 2))
 
 
+def dense_sld(rho: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """L = sum_{k,l} 2i (l_k - l_l) / (l_k + l_l) B_kl |k><l| in the full
+    eigenbasis of rho, eigenvalues below 1e-12 set to zero and pairs with
+    l_k + l_l < 1e-12 skipped."""
+    lam, vecs = np.linalg.eigh(rho)
+    lam = np.where(lam < 1e-12, 0.0, lam)
+    bmat = vecs.conj().T @ b @ vecs
+    s = lam[:, None] + lam[None, :]
+    ratio = np.where(s < 1e-12, 0.0, (lam[:, None] - lam[None, :]) / np.where(s < 1e-12, 1.0, s))
+    return vecs @ (2j * ratio * bmat) @ vecs.conj().T
+
+
 def dense_variance_sum(rho: np.ndarray, ops) -> float:
     """sum_n Var(A_n) from full-matrix traces, clamped at zero like ``VarianceSum``."""
     return max(sum(dense_variance(rho, a) for a in ops), 0.0)
@@ -97,7 +108,8 @@ def closed_form_K(rho, a: np.ndarray, b: np.ndarray) -> float:
     """The eigenvector-partition bound of a qutrit from its spectrum: the
     eigendecomposition average, the three one-pure-two-merged groupings
     (the merged component is rho minus the pure one, renormalised) and L."""
-    lam, vecs = rho.eigenvalues, rho.eigenvectors
+    lam, vecs = np.linalg.eigh(rho.mat)
+    lam = np.where(lam < 1e-12, 0.0, lam)
     pure = [np.outer(vecs[:, k], vecs[:, k].conj()) for k in range(3)]
     l_pure = np.array([dense_rs_bound(proj, a, b) for proj in pure])
     candidates = [float(lam @ l_pure)]

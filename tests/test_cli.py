@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qfiroof.cli import CHECKS, STATES, build_operator, build_state, main
+from qfiroof.cli import CHECKS, STATES, _child_seed, build_operator, build_state, main
 from qfiroof.entanglement import TwoModeReport
 
 
@@ -170,6 +170,31 @@ def test_roof_pure_state_min_is_variance(capsys):
     from qfiroof import make_spin_algebra, spin_coherent_polar, variance
     psi = spin_coherent_polar(1.0, 0.8, 0.3)
     assert payload["value"] == pytest.approx(variance(psi, make_spin_algebra(1).jz), abs=1e-12)
+
+
+def test_roof_rs_bound_matches_the_library_search(capsys):
+    from qfiroof import OptimizerConfig, RobertsonSchrodingerBound, make_spin_algebra, optimize_roof
+    code, out, err = run_cli(capsys, "roof", "--state", json.dumps(QUTRIT), "--ops", "jx", "jy",
+                             "--functional", "rs-bound", "--direction", "max", "--seed", "3",
+                             *FAST_ROOF)
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    spin = make_spin_algebra(1)
+    cfg = OptimizerConfig(seed=_child_seed(3, 0xD0), restarts=2, local_steps=60)
+    expected = optimize_roof(build_state(QUTRIT, 40), RobertsonSchrodingerBound(spin.jx, spin.jy),
+                             "max", cfg=cfg)
+    assert payload["value"] == expected.value
+    assert payload["evaluations"] == expected.evaluations
+    assert len(payload["decomposition"]) == len(expected.decomposition)
+
+
+def test_roof_rs_bound_rejects_three_operators(capsys):
+    code, out, err = run_cli(capsys, "roof", "--state", json.dumps(QUTRIT), "--ops", "jx", "jy",
+                             "jz", "--functional", "rs-bound", "--direction", "max")
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ValueError"
+    assert "exactly two operators" in payload["message"]
 
 
 def test_state_factory_roundtrip(capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import dense_density, dense_qfi, random_hermitian, random_state
+from conftest import dense_density, dense_qfi, dense_sld, random_hermitian, random_state
 from qfiroof import (
     DensityMatrix,
     HermitianOperator,
@@ -161,6 +161,23 @@ def test_sld_identities(seed, dim):
     assert abs(res.qfi - qfi(rho, op)) < 1e-9
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4, 6])
+def test_sld_matches_the_eigenbasis_reference_at_every_rank(dim):
+    # L from the support against the full-eigenbasis formula, on dense-built,
+    # factor-built and pure states
+    rng = np.random.default_rng(60 + dim)
+    for rank in range(1, dim + 1):
+        v = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+        v /= np.linalg.norm(v)
+        states = [random_state(dim, seed=70 * dim + rank, rank=rank), DensityMatrix.from_factor(v)]
+        if rank == 1:
+            states.append(PureState(v[:, 0]))
+        b = random_hermitian(dim, 80 * dim + rank)
+        for state in states:
+            ell = sld(state, b).sld.mat
+            assert np.max(np.abs(ell - dense_sld(dense_density(state), b.mat))) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # error propagation and the Cramer-Rao chain
 # ---------------------------------------------------------------------------
@@ -249,6 +266,16 @@ def test_sld_saturation_detected():
     saturated2, c2 = check_sld_saturation(rho, 2.0 * ell, b)
     assert saturated2
     assert abs(c2 - 0.5) < 1e-8
+
+
+def test_sld_saturation_commuting_state_and_generator():
+    # [rho, B] = 0: Var(A) F_Q[rho, B] = 0 = |<i[A,B]>|^2, so the relation is
+    # saturated whatever A is, with scale 0
+    rho = DensityMatrix(np.diag([0.5, 0.3, 0.2]))
+    b = HermitianOperator(np.diag([1.0, -1.0, 0.5]))
+    a = random_hermitian(3, 18)
+    assert variance(rho, a) > 0.1
+    assert check_sld_saturation(rho, a, b) == (True, 0.0)
 
 
 def test_sld_saturation_generic_triple_fails():
