@@ -260,7 +260,7 @@ def fj_curve(j, grid) -> FjCurve:
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("empty evaluation grid")
-    if np.any(grid < 0) or np.any(grid > 1):
+    if not np.all((grid >= 0) & (grid <= 1)):
         raise ValueError("grid values must lie in [0, 1]")
     spin = make_spin_algebra(j)
     j = spin.j
@@ -312,9 +312,7 @@ def fj_curve(j, grid) -> FjCurve:
             break
         cloud.extend(new_points)
 
-    hull_idx = _lower_hull_indices([(c[0], c[1]) for c in cloud])
-    hull_x = np.array([cloud[i][0] for i in hull_idx])
-    hull_y = np.array([cloud[i][1] for i in hull_idx])
+    hull_x, hull_y = _lower_hull([(c[0], c[1]) for c in cloud])
     values = np.interp(grid, hull_x, hull_y)
     return FjCurve(j=j, grid=grid, values=values, hull_x=hull_x, hull_y=hull_y)
 
@@ -342,9 +340,8 @@ def spin_length_bound(state: State, curve: FjCurve | None = None) -> BoundReport
 # constrained minimum of a variance sum
 # ---------------------------------------------------------------------------
 
-def _default_multiplier_grid(points_per_side: int = 20) -> np.ndarray:
-    side = np.logspace(-3, 3, points_per_side)
-    return np.concatenate([-side[::-1], [0.0], side])
+_SIDE = np.logspace(-3, 3, 20)
+MULTIPLIER_GRID = np.concatenate([-_SIDE[::-1], [0.0], _SIDE])   # default multiplier scan
 
 
 def minvar_constrained(a_ops, b_ops=(), targets=(),
@@ -365,10 +362,12 @@ def minvar_constrained(a_ops, b_ops=(), targets=(),
         raise ValueError("need at least one variance operator")
     if len(b_ops) != len(targets):
         raise ValueError("one target per constraint operator required")
+    if not np.all(np.isfinite(targets)):
+        raise ValueError(f"targets must be finite, got {targets!r}")
     if lambda_grid is None:
-        lambda_grid = _default_multiplier_grid()
+        lambda_grid = MULTIPLIER_GRID
     if mu_grid is None:
-        mu_grid = _default_multiplier_grid()
+        mu_grid = MULTIPLIER_GRID
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     mu_grid = np.asarray(mu_grid, dtype=float)
 

@@ -37,6 +37,12 @@ def _require_finite(arr: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} has non-finite entries")
 
 
+def _require_count(value, what: str, least: int) -> None:
+    # bool is an int subclass, and a float such as 2.0 or 2.5 is no count
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
+
+
 def _as_complex_matrix(entries) -> np.ndarray:
     mat = np.asarray(entries, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -383,21 +389,16 @@ class FockAlgebra:
     """
 
     cutoff: int
-    a: np.ndarray
-    a_dag: np.ndarray
     x: HermitianOperator
     p: HermitianOperator
 
 
 def make_fock_algebra(cutoff: int) -> FockAlgebra:
-    if cutoff < 2:
-        raise ValueError(f"cutoff={cutoff} must be at least 2")
-    n = np.arange(1, cutoff)
-    a = np.diag(np.sqrt(n), k=1).astype(complex)
-    a_dag = a.conj().T
-    x = HermitianOperator((a + a_dag) / np.sqrt(2.0))
-    p = HermitianOperator((a - a_dag) / (1j * np.sqrt(2.0)))
-    return FockAlgebra(cutoff=cutoff, a=a, a_dag=a_dag, x=x, p=p)
+    _require_count(cutoff, "cutoff", 2)
+    a = np.diag(np.sqrt(np.arange(1, cutoff)), k=1).astype(complex)
+    x = HermitianOperator((a + a.conj().T) / np.sqrt(2.0))
+    p = HermitianOperator((a - a.conj().T) / (1j * np.sqrt(2.0)))
+    return FockAlgebra(cutoff=cutoff, x=x, p=p)
 
 
 def coherent_state(alpha: complex, cutoff: int) -> PureState:
@@ -437,6 +438,7 @@ def spin_coherent_state(j, c) -> PureState:
     c = np.asarray(c, dtype=float)
     if c.shape != (3,):
         raise ValueError("c must be a real 3-vector")
+    _require_finite(c, "rotation vector c")
     gen = c[0] * spin.jx.mat + c[1] * spin.jy.mat + c[2] * spin.jz.mat
     vals, vecs = np.linalg.eigh(gen)
     u = (vecs * np.exp(-1j * vals)) @ vecs.conj().T

@@ -11,6 +11,7 @@ from .core import (
     DimensionMismatchError,
     HermitianOperator,
     State,
+    _require_count,
     _support,
     _support_qfi,
     commutator_i,
@@ -92,7 +93,6 @@ class EstimationReport:
     """Cramer-Rao bound 1/(m F_Q) next to the error-propagation variance, if any."""
 
     cramer_rao: float
-    repetitions: int
     error_propagation: float | None = None
 
 
@@ -109,13 +109,12 @@ def error_propagation(state: State, a: HermitianOperator, b: HermitianOperator) 
 def cramer_rao(state: State, b: HermitianOperator, m: int,
                a: HermitianOperator | None = None) -> EstimationReport:
     """Best precision allowed by the Fisher information for m repetitions."""
-    if m < 1:
-        raise ValueError("m must be at least 1")
+    _require_count(m, "m", 1)
     f = qfi(state, b)
     if f <= 1e-12:
         raise UnestimableParameterError(f"F_Q = {f:.3e}; the parameter is unestimable")
     err = error_propagation(state, a, b) if a is not None else None
-    return EstimationReport(cramer_rao=1.0 / (m * f), repetitions=m, error_propagation=err)
+    return EstimationReport(cramer_rao=1.0 / (m * f), error_propagation=err)
 
 
 def variance_qfi_gap(state: State, a: HermitianOperator) -> float:

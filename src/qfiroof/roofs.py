@@ -30,6 +30,7 @@ from .core import (
     PureState,
     State,
     _ginibre,
+    _require_count,
     _haar_from_ginibre,
     _support,
     state_density,
@@ -295,7 +296,7 @@ def _require_functional(functional) -> None:
 class OptimizerConfig:
     """Multi-start roof ascent settings; equal seeds reproduce results.
 
-    ``restarts`` starts per searched partition, an iteration budget of
+    ``restarts`` starts per searched partition shape, an iteration budget of
     ``local_steps`` per start, and ``tolerance`` on the Frobenius norm of
     the Riemannian gradient at which a start stops.
     """
@@ -306,12 +307,8 @@ class OptimizerConfig:
     tolerance: float = 1e-5
 
     def __post_init__(self):
-        for name in ("restarts", "local_steps"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.restarts < 1 or self.local_steps < 0:
-            raise ValueError("restarts must be >= 1 and local_steps >= 0")
+        for name, least in (("seed", 0), ("restarts", 1), ("local_steps", 0)):
+            _require_count(getattr(self, name), name, least)
         if not 0.0 < self.tolerance < np.inf:
             raise ValueError(f"tolerance must be positive and finite, got {self.tolerance!r}")
 
@@ -587,13 +584,15 @@ def optimize_roof(rho: State,
                   ancilla_dim: int | None = None) -> RoofResult:
     """Best weighted component average of ``functional`` over decompositions.
 
-    ``direction`` is ``"min"`` or ``"max"``.  For each partition the search
-    runs ``cfg.restarts`` ascents over ancilla unitaries: restart 0 starts
-    from the identity (so the eigendecomposition and its groupings are
-    always among the candidates), the others start Haar random; restart r
-    of partition p draws its Ginibre matrix from ``default_rng([seed, p,
-    r])``, and one batched QR turns every draw into the unitary that
-    ``haar_random_unitary`` gives on that generator.
+    ``direction`` is ``"min"`` or ``"max"``.  Restart 0 of every partition
+    ascends from the identity, so the eigendecomposition and its groupings
+    are always among the candidates.  Partitions of one block-size shape
+    span the same decompositions (U -> P U for an ancilla permutation P, and
+    Haar measure is P-invariant), so only the first of each shape in the
+    list also runs restarts 1 .. ``cfg.restarts - 1`` from Haar random
+    unitaries: restart r of partition p draws its Ginibre matrix from
+    ``default_rng([seed, p, r])``, and one batched QR turns every draw into
+    the unitary that ``haar_random_unitary`` gives on that generator.
     Every start of every partition advances in one stack (``_ascend``): a
     limited-memory BFGS direction in the Hermitian Lie algebra, built from
     the analytic Riemannian gradient, and an exact line search along the
@@ -647,8 +646,11 @@ def optimize_roof(rho: State,
         _check_partition(part, ancilla_dim)
 
     sign = 1.0 if direction == "max" else -1.0
+    leads = {}      # the first partition of each block-size shape
+    for p_idx, part in enumerate(partitions):
+        leads.setdefault(tuple(sorted(map(len, part))), p_idx)
     climbs = [(p_idx, r_idx) for p_idx, part in enumerate(partitions)
-              for r_idx in range(cfg.restarts if len(part) > 1 else 1)]
+              for r_idx in range(cfg.restarts if len(part) > 1 and p_idx in leads.values() else 1)]
     us = np.tile(np.eye(ancilla_dim, dtype=complex), (len(climbs), 1, 1))
     haar = [i for i, (_, r_idx) in enumerate(climbs) if r_idx > 0]
     if haar:
@@ -707,9 +709,10 @@ def roof_sum_R(rho: State, ops: Sequence[HermitianOperator],
 def default_mixed_partitions(ancilla_dim: int) -> list[Partition]:
     """Partition list for mixed-component roofs.
 
-    Up to three ancilla indices this is the full set-partition lattice; the
-    Bell number explodes beyond that, so larger ancillas fall back to the
-    pure-state partition plus the trivial one.
+    Up to three ancilla indices this is the full set-partition lattice, each
+    partition an identity start (one eigenvector grouping); the Bell number
+    explodes beyond that, so larger ancillas fall back to the pure-state
+    partition plus the trivial one.
     """
     if ancilla_dim <= 3:
         return list(set_partitions(ancilla_dim))

@@ -141,7 +141,8 @@ def scalar_reference_roof(rho, functional, direction, partitions=None, cfg=None,
                           ancilla_dim=None):
     """The roof search with every start of every partition run on its own
     as a stack of one: same starts and generator streams as
-    ``optimize_roof``, the trivial partition evaluated once.  Returns a
+    ``optimize_roof``, the trivial partition evaluated once, Haar restarts
+    only on the first partition of each block-size shape.  Returns a
     ``RoofResult``."""
     cfg = cfg or OptimizerConfig()
     rho = state_density(rho)
@@ -152,6 +153,7 @@ def scalar_reference_roof(rho, functional, direction, partitions=None, cfg=None,
     if partitions is None:
         partitions = [singleton_partition(ancilla_dim)]
     partitions = [tuple(tuple(b) for b in part) for part in partitions]
+    shapes = [sorted(len(b) for b in part) for part in partitions]
 
     sign = 1.0 if direction == "max" else -1.0
     best_value, best_u, best_partition, best_converged = -np.inf, None, None, True
@@ -163,7 +165,7 @@ def scalar_reference_roof(rho, functional, direction, partitions=None, cfg=None,
             if val > best_value:
                 best_value, best_u, best_partition, best_converged = val, None, part, True
             continue
-        for r_idx in range(cfg.restarts):
+        for r_idx in range(cfg.restarts if shapes.index(shapes[p_idx]) == p_idx else 1):
             rng = np.random.default_rng([cfg.seed, p_idx, r_idx])
             u = (np.eye(ancilla_dim, dtype=complex) if r_idx == 0
                  else haar_random_unitary(ancilla_dim, rng))[None]

@@ -338,6 +338,9 @@ def test_fj_rejects_bad_grid():
         fj_curve(1, [])
     with pytest.raises(ValueError):
         fj_curve(1, [1.5])
+    # NaN compares false against both ends of the interval
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        fj_curve(1, [0.5, float("nan")])
 
 
 def test_spin_length_bound_holds_on_random_states():
@@ -419,3 +422,8 @@ def test_minvar_validates_arguments():
         minvar_constrained([], [], [])
     with pytest.raises(ValueError):
         minvar_constrained([spin.jx], [spin.jz], [])
+    # a NaN target would pass the range check and interpolate to NaN
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="targets must be finite"):
+            minvar_constrained([spin.jx], [spin.jz], [bad],
+                               lambda_grid=[0.0], mu_grid=np.linspace(-2, 2, 11))

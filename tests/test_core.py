@@ -252,6 +252,13 @@ def test_fock_two_level_truncation():
     assert np.allclose(fock.x.mat, [[0, 1 / np.sqrt(2)], [1 / np.sqrt(2), 0]])
 
 
+def test_fock_cutoff_is_an_integer_of_at_least_two():
+    for bad in (1, 2.5, 3.0, True, float("nan")):
+        with pytest.raises(ValueError, match="cutoff must be an integer >= 2"):
+            make_fock_algebra(bad)
+    assert make_fock_algebra(np.int64(3)).x.dim == 3
+
+
 def test_fock_canonical_commutator_off_the_edge():
     fock = make_fock_algebra(12)
     comm = fock.x.mat @ fock.p.mat - fock.p.mat @ fock.x.mat
@@ -297,6 +304,12 @@ def test_spin_coherent_identity_rotation():
     expected = np.zeros(4)
     expected[0] = 1.0
     assert np.allclose(psi.vec, expected)
+
+
+def test_spin_coherent_state_rejects_nonfinite_rotations():
+    for bad in ((float("nan"), 0.0, 0.0), (0.0, float("inf"), 0.0), (1.0, 0.0)):
+        with pytest.raises(ValueError, match="3-vector|non-finite"):
+            spin_coherent_state(1, bad)
 
 
 def test_spin_coherent_x_direction():

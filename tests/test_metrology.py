@@ -223,6 +223,15 @@ def test_cramer_rao_unestimable():
         cramer_rao(rho, spin.jz, m=1)
 
 
+def test_cramer_rao_takes_a_positive_integer_count():
+    spin = make_spin_algebra(1)
+    psi = spin_coherent_polar(1, np.pi / 2, 0.0)
+    for bad in (0, -3, float("nan"), 2.5, 2.0, True, "2"):
+        with pytest.raises(ValueError, match="m must be an integer >= 1"):
+            cramer_rao(psi, spin.jz, m=bad)
+    assert cramer_rao(psi, spin.jz, m=np.int64(4)).cramer_rao == pytest.approx(1 / 8, abs=1e-12)
+
+
 @given(st.integers(0, 10**6), st.sampled_from([2, 3]))
 def test_error_propagation_dominates_cramer_rao(seed, dim):
     rho = random_state(dim, seed)

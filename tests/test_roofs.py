@@ -214,12 +214,17 @@ def test_optimizer_config_validation():
                 dict(tolerance=float("inf"))):
         with pytest.raises(ValueError):
             OptimizerConfig(**bad)
-    # budgets are counts: a non-integral value would fail later inside range()
+    # budgets and the seed are counts: a non-integral value would fail later inside
+    # range() or the Haar draw
     for bad in (dict(restarts=2.5), dict(local_steps=2.5), dict(restarts=2.0),
-                dict(local_steps="10"), dict(restarts=True)):
+                dict(local_steps="10"), dict(restarts=True), dict(seed=1.5), dict(seed="3"),
+                dict(seed=True)):
         with pytest.raises(ValueError, match="must be an integer"):
             OptimizerConfig(**bad)
-    cfg = OptimizerConfig(restarts=np.int64(2), local_steps=np.int32(5))
+    # a negative seed would fail only inside the first Haar draw
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        OptimizerConfig(seed=-1, restarts=1)
+    cfg = OptimizerConfig(seed=np.uint32(9), restarts=np.int64(2), local_steps=np.int32(5))
     res = convex_roof_variance(random_state(2, seed=45), random_hermitian(2, 46), cfg=cfg)
     assert res.evaluations <= 2 * (5 + 1)
 
@@ -609,8 +614,9 @@ def test_lbfgs_direction_matches_dense_bfgs_recursion():
 
 def test_starts_draw_from_their_own_streams():
     # with no iterations the search returns the best of its starts: restart
-    # 0 of each partition at the identity, restart r of partition p at the
-    # Haar unitary of default_rng([seed, p, r]), one start per one-block one
+    # 0 of each partition at the identity, restart r > 0 of the first
+    # partition p of each block-size shape at the Haar unitary of
+    # default_rng([seed, p, r]), one start per one-block one
     winners = set()
     for direction, kind, ancilla in (("max", "rs", None), ("min", "rs", None),
                                      ("min", "variance", 4), ("max", "variance", 5)):
@@ -624,8 +630,10 @@ def test_starts_draw_from_their_own_streams():
             res = optimize_roof(rho, functional, direction, partitions=partitions, cfg=cfg,
                                 ancilla_dim=ancilla)
             starts, values = [], []
+            shapes = [sorted(len(b) for b in part) for part in partitions]
             for p_idx, part in enumerate(partitions):
-                for r_idx in range(cfg.restarts if len(part) > 1 else 1):
+                lead = len(part) > 1 and shapes.index(shapes[p_idx]) == p_idx
+                for r_idx in range(cfg.restarts if lead else 1):
                     u = (np.eye(n) if r_idx == 0 else
                          haar_random_unitary(n, np.random.default_rng([seed, p_idx, r_idx])))
                     starts.append((p_idx, r_idx))
@@ -639,6 +647,22 @@ def test_starts_draw_from_their_own_streams():
     # the cases are won by starts of every restart index and of several partitions
     assert {r for _, r in winners} == {0, 1, 2, 3}
     assert len({p for p, _ in winners}) >= 4
+
+
+def test_haar_restarts_only_on_the_first_partition_of_each_shape():
+    # with no iterations every start is one evaluation: a qutrit roof has the
+    # trivial start, R on {0,1}{2}, the identity on {0,2}{1} and {0}{1,2},
+    # and R on the singleton partition
+    rho = random_state(3, seed=211)
+    a, b = random_hermitian(3, 212), random_hermitian(3, 213)
+    for restarts, starts in ((4, 11), (8, 19)):
+        cfg = OptimizerConfig(seed=3, restarts=restarts, local_steps=0)
+        assert concave_roof_L(rho, a, b, cfg=cfg).evaluations == starts
+    # the shape is that of the sorted block sizes, whatever the block order
+    partitions = [((0, 1), (2,)), ((0, 2), (1,)), ((1,), (0, 2))]
+    res = optimize_roof(rho, RobertsonSchrodingerBound(a, b), "max", partitions=partitions,
+                        cfg=OptimizerConfig(seed=3, restarts=3, local_steps=0))
+    assert res.evaluations == 3 + 1 + 1
 
 
 # ---------------------------------------------------------------------------
