@@ -248,9 +248,9 @@ def state_density(state: State) -> DensityMatrix:
     return state.density() if isinstance(state, PureState) else state
 
 
-def _support_mean(lam: np.ndarray, vs: np.ndarray, w: np.ndarray) -> float:
+def _support_mean(lam: np.ndarray, vs: np.ndarray, w: np.ndarray) -> np.ndarray | float:
     """<B> = sum_k lam_k Re<v_k|W_k> from the support and its image W = B V_S."""
-    return lam @ np.einsum("ik,ik->k", vs.conj(), w).real
+    return np.einsum("ik,...ik->...k", vs.conj(), w).real @ lam
 
 
 def expectation(state: State, op: HermitianOperator) -> float:
@@ -261,37 +261,35 @@ def expectation(state: State, op: HermitianOperator) -> float:
     return float(_support_mean(lam, vs, op.mat @ vs))
 
 
-def _support_variance(lam: np.ndarray, vs: np.ndarray, w: np.ndarray) -> float:
+def _support_variance(lam: np.ndarray, vs: np.ndarray, w: np.ndarray) -> np.ndarray | float:
     """Var(B) from the support and its image W = B V_S, at O(d r) cost.
 
     Var = sum_k lam_k ||W_k||^2 - (sum_k lam_k Re<k|W_k>)^2, clamped at zero
-    against round-off.
+    against round-off.  A stack of images (..., d, r) gives a stack of values.
     """
     mean = _support_mean(lam, vs, w)
-    second = lam @ np.einsum("ik,ik->k", w.conj(), w).real
-    var = float(second - mean * mean)
-    if var < 0.0:
-        if var < -1e-12:
-            log.debug("variance clamped to zero from %.3e", var)
-        var = 0.0
-    return var
+    var = np.einsum("...ik,...ik->...k", w.conj(), w).real @ lam - mean * mean
+    if var.min() < -1e-12:
+        log.debug("variance clamped to zero from %.3e", var.min())
+    return np.maximum(var, 0.0)
 
 
-def _support_qfi(lam: np.ndarray, vs: np.ndarray, w: np.ndarray) -> float:
+def _support_qfi(lam: np.ndarray, vs: np.ndarray, w: np.ndarray) -> np.ndarray | float:
     """F_Q[rho, B] from the support and its image W = B V_S, at O(d r^2) cost.
 
     With B_S = V_S^dag W (Toth & Apellaniz, J. Phys. A 47, 424006 (2014)):
     F = 4 sum_k lam_k ||W_k - (V_S B_S)_k||^2
         + 2 sum_{k,l in S} (lam_k - lam_l)^2 / (lam_k + lam_l) |(B_S)_kl|^2.
     The first sum collects the pairs of a support vector with the kernel,
-    where the pair weight reduces to lam_k.
+    where the pair weight reduces to lam_k.  Broadcasts like ``_support_variance``.
     """
     b_s = vs.conj().T @ w
-    resid = w - vs @ b_s
-    outside = lam @ np.einsum("ik,ik->k", resid.conj(), resid).real
+    resid = vs @ b_s
+    resid -= w  # the residual negated, in place: only its norm is read
+    outside = np.einsum("...ik,...ik->...k", resid.conj(), resid).real @ lam
     diff = lam[:, None] - lam[None, :]
-    inside = np.sum(diff * diff / (lam[:, None] + lam[None, :]) * np.abs(b_s) ** 2)
-    return float(4.0 * outside + 2.0 * inside)
+    inside = (diff * diff / (lam[:, None] + lam[None, :]) * np.abs(b_s) ** 2).sum((-2, -1))
+    return 4.0 * outside + 2.0 * inside
 
 
 def variance(state: State, op: HermitianOperator) -> float:
@@ -300,7 +298,7 @@ def variance(state: State, op: HermitianOperator) -> float:
     if state.dim != op.dim:
         raise DimensionMismatchError(f"state dim {state.dim} != operator dim {op.dim}")
     lam, vs = _support(state)
-    return _support_variance(lam, vs, op.mat @ vs)
+    return float(_support_variance(lam, vs, op.mat @ vs))
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +407,7 @@ def coherent_state(alpha: complex, cutoff: int) -> PureState:
     """
     from scipy.special import gammainc
 
+    _require_count(cutoff, "cutoff", 1)
     if not np.isfinite(alpha):
         raise ValueError(f"alpha = {alpha!r} is not finite")
     mu = abs(alpha) ** 2
@@ -416,11 +415,9 @@ def coherent_state(alpha: complex, cutoff: int) -> PureState:
     if tail > 1e-10:
         raise CutoffTooSmallError(
             f"tail mass {tail:.3e} beyond cutoff {cutoff} for |alpha|^2 = {mu:.3f}")
-    amps = np.zeros(cutoff, dtype=complex)
-    amps[0] = 1.0
-    for n in range(1, cutoff):
-        amps[n] = amps[n - 1] * alpha / np.sqrt(n)
-    amps *= np.exp(-mu / 2.0)
+    # alpha^n / sqrt(n!) as the running product of the steps alpha / sqrt(n)
+    steps = np.concatenate(([1.0], alpha / np.sqrt(np.arange(1, cutoff))))
+    amps = np.cumprod(steps) * np.exp(-mu / 2.0)
     return PureState(amps / np.linalg.norm(amps))
 
 
@@ -513,7 +510,7 @@ def tensor(a, b):
     if isinstance(a, HermitianOperator) and isinstance(b, HermitianOperator):
         return HermitianOperator(np.kron(a.mat, b.mat))
     if isinstance(a, PureState) and isinstance(b, PureState):
-        return PureState(np.kron(a.vec, b.vec))
+        return PureState((a.vec[:, None] * b.vec).ravel())  # np.kron's products, C-level
     if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
         (lam_a, vs_a), (lam_b, vs_b) = _support(a), _support(b)
         return DensityMatrix.from_factor(np.kron(vs_a * np.sqrt(lam_a), vs_b * np.sqrt(lam_b)))

@@ -40,7 +40,7 @@ def qfi(state: State, b: HermitianOperator) -> float:
     if state.dim != b.dim:
         raise DimensionMismatchError(f"state dim {state.dim} != operator dim {b.dim}")
     lam, vs = _support(state)
-    return _support_qfi(lam, vs, b.mat @ vs)
+    return float(_support_qfi(lam, vs, b.mat @ vs))
 
 
 @dataclass(frozen=True)

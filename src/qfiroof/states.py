@@ -12,6 +12,7 @@ from .core import (
     DensityMatrix,
     HermitianOperator,
     PureState,
+    _require_count,
     coherent_state,
     ground_state,
     make_spin_algebra,
@@ -107,6 +108,7 @@ def two_mode_squeezed_vacuum(r: float, cutoff: int) -> PureState:
     positions, which puts the squeezing into the operator combinations used
     by the pair-variance entanglement criterion.
     """
+    _require_count(cutoff, "cutoff", 1)
     if not (np.isfinite(r) and r >= 0):
         raise ValueError(f"squeezing parameter r = {r!r} must be finite and nonnegative")
     th = np.tanh(r)
@@ -114,8 +116,7 @@ def two_mode_squeezed_vacuum(r: float, cutoff: int) -> PureState:
         raise CutoffTooSmallError(
             f"tanh(r)^(2 cutoff) = {th ** (2 * cutoff):.3e} too large at cutoff {cutoff}")
     vec = np.zeros(cutoff * cutoff, dtype=complex)
-    for n in range(cutoff):
-        vec[n * cutoff + n] = (-th) ** n
+    vec[::cutoff + 1] = (-th) ** np.arange(cutoff)   # the diagonal |n>|n>
     vec *= np.sqrt(1.0 - th * th)
     return PureState(vec / np.linalg.norm(vec))
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -23,7 +25,7 @@ from qfiroof import (
     tensor,
     variance,
 )
-from qfiroof.core import _support, haar_random_unitary
+from qfiroof.core import _support, _support_qfi, _support_variance, haar_random_unitary
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +168,20 @@ def test_variance_matches_trace_formula_at_every_rank(dim):
             assert variance(psi, a) == pytest.approx(oracle, rel=1e-10, abs=1e-14)
 
 
+def test_support_kernels_broadcast_over_a_stack_of_images():
+    rho = random_state(12, seed=4242, rank=3)
+    lam, vs = _support(rho)
+    images = np.stack([random_hermitian(12, seed).mat @ vs for seed in (11, 12, 13)])
+    assert images.shape == (3, 12, 3)
+    for kernel in (_support_variance, _support_qfi):
+        stacked = kernel(lam, vs, images)
+        assert stacked.shape == (3,)
+        single = [kernel(lam, vs, w) for w in images]
+        assert np.max(np.abs(stacked - single)) < 1e-12
+        # a single (d, r) image still gives one scalar
+        assert np.ndim(single[0]) == 0 and float(single[0]) == single[0]
+
+
 def test_pure_state_normalization():
     psi = PureState([1 / np.sqrt(2), 1j / np.sqrt(2)])
     assert abs(np.linalg.norm(psi.vec) - 1) < 1e-12
@@ -288,6 +304,16 @@ def test_coherent_state_saturates_position_momentum_uncertainty():
     psi = coherent_state(0.7 + 0.4j, 40)
     prod = variance(psi, fock.x) * variance(psi, fock.p)
     assert abs(prod - 0.25) < 1e-8
+
+
+@pytest.mark.parametrize("alpha, cutoff", [(0.0, 1), (1e-3, 2), (0.7 + 0.4j, 40)],
+                         ids=["vacuum-cutoff-1", "cutoff-2", "cutoff-40"])
+def test_coherent_state_amplitudes_match_the_closed_form(alpha, cutoff):
+    # e^{-|alpha|^2/2} alpha^n / sqrt(n!), renormalised after truncation
+    closed = np.array([np.exp(-abs(alpha) ** 2 / 2) * alpha**n / math.sqrt(math.factorial(n))
+                       for n in range(cutoff)], dtype=complex)
+    closed /= np.linalg.norm(closed)
+    assert np.max(np.abs(coherent_state(alpha, cutoff).vec - closed)) < 1e-14
 
 
 def test_coherent_state_tail_rejection():

@@ -149,7 +149,7 @@ def test_duan_dimension_check():
 
 def test_duan_report_computes_each_quadrature_fisher_information_once(monkeypatch):
     # the four combinations' Fisher informations serve both the Fisher-pair
-    # relation and the usefulness flags
+    # relation and the usefulness flags, from one batched support pass
     calls = []
     support_qfi = entanglement._support_qfi
     monkeypatch.setattr(entanglement, "_support_qfi",
@@ -159,7 +159,9 @@ def test_duan_report_computes_each_quadrature_fisher_information_once(monkeypatc
                   coherent_mixture([(0.6, 0.4, -0.3), (0.4, -0.2, 0.5j)], cutoff=20)):
         calls.clear()
         rep = duan_report(state, fock)
-        assert len(calls) == 4
+        assert len(calls) == 1
+        (_, vs, images), = calls
+        assert images.shape == (2, 2, 400, vs.shape[1])  # x1+-x2 and p1+-p2
         assert rep.useful_flags == coherent_mixture_usefulness(state, fock)
 
 

@@ -138,6 +138,15 @@ def test_tmsv_fisher_information_of_antisqueezed_quadrature():
     assert abs(qfi(psi, x1 - x2) - 4 * np.exp(1.0)) < 1e-2
 
 
+def test_tmsv_diagonal_matches_the_closed_form():
+    r, cutoff = 0.5, 40
+    closed = (-np.tanh(r)) ** np.arange(cutoff)
+    closed /= np.linalg.norm(closed)
+    vec = two_mode_squeezed_vacuum(r, cutoff).vec.reshape(cutoff, cutoff)
+    assert np.max(np.abs(np.diag(vec) - closed)) < 1e-14
+    assert not np.any(vec[~np.eye(cutoff, dtype=bool)])
+
+
 def test_tmsv_cutoff_guard():
     with pytest.raises(CutoffTooSmallError):
         two_mode_squeezed_vacuum(2.0, 10)
@@ -203,6 +212,23 @@ def test_mixture_constructors_yield_valid_density_matrices():
     assert isinstance(rho, DensityMatrix)
     assert abs(np.trace(rho.mat) - 1) < 1e-12
     assert np.linalg.eigvalsh(rho.mat)[0] >= -1e-10
+
+
+@pytest.mark.parametrize("build", [
+    lambda: coherent_state(0.0, 12.5),
+    lambda: coherent_state(0.1, 40.0),
+    lambda: coherent_state(1.0, 12.5),
+    lambda: coherent_state(0.0, 0),
+    lambda: coherent_state(0.0, True),
+    lambda: two_mode_squeezed_vacuum(0.5, 40.0),
+    lambda: two_mode_squeezed_vacuum(0.5, 12.5),
+    lambda: two_mode_squeezed_vacuum(0.0, 0),
+    lambda: two_mode_squeezed_vacuum(0.0, True),
+], ids=["coherent-12.5", "coherent-40.0", "coherent-12.5-tail", "coherent-0", "coherent-True",
+        "tmsv-40.0", "tmsv-12.5", "tmsv-0", "tmsv-True"])
+def test_fock_cutoffs_are_validated_before_any_array_is_built(build):
+    with pytest.raises(ValueError, match="cutoff must be an integer >= 1"):
+        build()
 
 
 @pytest.mark.parametrize("build", [
