@@ -91,9 +91,10 @@ def check_improved_rs(state: State, a: HermitianOperator, b: HermitianOperator,
                       cfg: OptimizerConfig | None = None) -> BoundReport:
     """Variance product against the concave roof of the uncertainty bound.
 
-    The right-hand side maximizes the weighted average of L over mixed-state
-    decompositions; it dominates the plain bound because the trivial
-    decomposition is always among the candidates.  Qutrits also report the
+    The right-hand side maximizes the weighted average of L over pure
+    decompositions; it dominates the plain bound because one of the search's
+    candidate starts splits rho into pure components with its means, which
+    score at least L(rho) (see ``concave_roof_L``).  Qutrits also report the
     closed-form eigenvector-partition bound K in the metadata.
     """
     rho = state_density(state)

@@ -1,12 +1,17 @@
 """Convex and concave roofs of variance-like functionals over decompositions.
 
-A mixed state has infinitely many decompositions into weighted components.
-Every decomposition is reachable from a fixed purification by a unitary on
-the ancilla, optionally followed by grouping the ancilla basis indices into
-blocks (which yields mixed components).  The optimizer below climbs that
-unitary manifold from seeded starts with a limited-memory BFGS ascent in
-the Hermitian Lie algebra, driven by the analytic Riemannian gradient, and
-an exact line search along each geodesic exp(i mu D) U.
+A mixed state has infinitely many decompositions into weighted pure
+components.  Every one with at most n components is reachable from a fixed
+purification by a unitary on an n-level ancilla.  The optimizer below climbs
+that unitary manifold from seeded starts with a limited-memory BFGS ascent
+in the Hermitian Lie algebra, driven by the analytic Riemannian gradient,
+and an exact line search along each geodesic exp(i mu D) U.
+
+Mixed components are never searched.  Convex roofs are defined over pure
+decompositions, and for the concave roof of the uncertainty bound L a
+rotation inside any mixed component splits it into pure ones that share its
+means and together score at least as much (``_split_block``); groupings of
+the eigenvectors enter only as refined starts.
 
 One-sidedness contract: every candidate decomposition is itself a witness,
 so a minimization always returns a value >= the true convex roof and a
@@ -17,9 +22,10 @@ bound evaluations consume only the certified side.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -41,8 +47,6 @@ log = logging.getLogger(__name__)
 
 WEIGHT_DROP = 1e-14       # decomposition components lighter than this are discarded
 UNITARY_TOL = 1e-9        # largest entry of u u^dag - 1 an ancilla unitary may carry
-
-Partition = tuple[tuple[int, ...], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -81,46 +85,6 @@ class Decomposition:
         return len(self.components)
 
 
-def _check_partition(partition: Partition, n: int) -> None:
-    seen: set[int] = set()
-    for block in partition:
-        if not block:
-            raise ValueError("partition blocks must be nonempty")
-        for k in block:
-            if k in seen:
-                raise ValueError(f"index {k} appears in two partition blocks")
-            seen.add(k)
-    if seen != set(range(n)):
-        raise ValueError(f"partition must cover 0..{n - 1}")
-
-
-def singleton_partition(n: int) -> Partition:
-    return tuple((k,) for k in range(n))
-
-
-def trivial_partition(n: int) -> Partition:
-    return (tuple(range(n)),)
-
-
-def set_partitions(n: int) -> Iterator[Partition]:
-    """All partitions of {0, .., n-1} into nonempty blocks (Bell-number many)."""
-    blocks: list[list[int]] = []
-
-    def rec(k: int) -> Iterator[Partition]:
-        if k == n:
-            yield tuple(tuple(b) for b in blocks)
-            return
-        for b in blocks:
-            b.append(k)
-            yield from rec(k + 1)
-            b.pop()
-        blocks.append([k])
-        yield from rec(k + 1)
-        blocks.pop()
-
-    return rec(0)
-
-
 def purify(rho: DensityMatrix, ancilla_dim: int | None = None) -> np.ndarray:
     """Purification matrix m = [V_S sqrt(lambda_S), 0] of rho, d x ancilla_dim.
 
@@ -139,34 +103,25 @@ def purify(rho: DensityMatrix, ancilla_dim: int | None = None) -> np.ndarray:
     return m
 
 
-def extract_decomposition(m: np.ndarray, u: np.ndarray, partition: Partition) -> Decomposition:
-    """Decomposition of m m^dag induced by the ancilla unitary ``u`` and ``partition``.
+def extract_decomposition(m: np.ndarray, u: np.ndarray) -> Decomposition:
+    """Pure-state decomposition of m m^dag induced by the ancilla unitary ``u``.
 
-    Block b of the partition groups columns of v = m u^T into one component
-    of weight p_b, the squared norm of those columns: a pure one for a
-    one-index block, else the mixed state with factor v_b / sqrt(p_b).  An
+    Column a of v = m u^T is the unnormalised vector of component a: its
+    weight p_a is the squared norm of the column and its state v_a /
+    sqrt(p_a); components lighter than ``WEIGHT_DROP`` are dropped.  An
     n x n unitary ``u`` (n the columns of m) keeps v v^dag = m m^dag, so
     the components mix back to the purified state.
     """
     n = m.shape[1]
-    _check_partition(partition, n)
     u = np.asarray(u)
     if u.shape != (n, n):
         raise ValueError(f"ancilla unitary must be {n} x {n}, got shape {u.shape}")
     if not np.max(np.abs(u @ u.conj().T - np.eye(n))) <= UNITARY_TOL:
         raise ValueError("ancilla matrix is not unitary")
     v = m @ u.T
-    comps: list[tuple[float, State]] = []
-    for block in partition:
-        sub = v[:, list(block)]
-        p = float(np.sum(np.abs(sub) ** 2))
-        if p < WEIGHT_DROP:
-            continue
-        if len(block) == 1:
-            comps.append((p, PureState(sub[:, 0] / np.sqrt(p))))
-        else:
-            comps.append((p, DensityMatrix.from_factor(sub / np.sqrt(p))))
-    return Decomposition(components=tuple(comps))
+    weights = np.sum(np.abs(v) ** 2, axis=0)
+    return Decomposition(tuple((float(p), PureState(v[:, a] / np.sqrt(p)))
+                               for a, p in enumerate(weights) if p >= WEIGHT_DROP))
 
 
 # ---------------------------------------------------------------------------
@@ -178,10 +133,10 @@ class RoofFunctional:
 
     ``ops`` is the ``(x, d, d)`` stack of operators X_j whose moments
     Tr(sigma X_j) determine f(sigma); each subclass builds it from its
-    operators.  ``from_moments(p, mom)`` receives block weights ``p``
+    operators.  ``from_moments(p, mom)`` receives component weights ``p``
     (any shape ``(...)``, each positive) and the unnormalised moments
     ``mom[..., j] = p Tr(sigma X_j)`` (shape ``(..., x)``, complex) and
-    returns p f(sigma) for every block; ``moment_grad(p, mom)`` returns its
+    returns p f(sigma) for every component; ``moment_grad(p, mom)`` returns its
     derivatives, from which the optimizer builds the Riemannian gradient.
     The optimizer never forms sigma: it takes every start's moments from
     one Gram stack of the purification (see ``optimize_roof``).
@@ -207,15 +162,22 @@ class RoofFunctional:
             raise DimensionMismatchError(f"the functional's operators act on dimension {op_dim}, "
                                          f"the state on dimension {dim}")
 
-    def on_state(self, state: State) -> float:
-        """f(state): the one-block objective of its support purification V_S sqrt(lambda_S)."""
+    def _support_moments(self, state: State) -> np.ndarray:
+        """Weight and moments of every support vector of ``state``, shape ``(r, x+1)``.
+
+        Row k is lambda_k and lambda_k <v_k|X_j|v_k>: the diagonal of the
+        Gram stack m^dag [I, X_1, ..] m of the support purification m =
+        V_S sqrt(lambda_S), whose blocks sum to the moments of any grouping
+        of the eigenvectors.
+        """
         self.check_dim(state.dim)
         lam, vs = _support(state)
-        r = len(lam)
-        gram = _gram_stack(vs * np.sqrt(lam), self.ops)
-        identity = np.eye(r, dtype=complex)[None]
-        return float(_objective(gram, identity, _block_tensor([trivial_partition(r)], r),
-                                self)[0])
+        mom = np.einsum("ik,xik->kx", vs.conj(), self.ops @ vs) * lam[:, None]
+        return np.concatenate([lam[:, None], mom], axis=1)
+
+    def on_state(self, state: State) -> float:
+        """f(state), from the summed moments of its support vectors."""
+        return float(_block_terms(self._support_moments(state).sum(axis=0), self))
 
 
 class VarianceSum(RoofFunctional):
@@ -296,7 +258,7 @@ def _require_functional(functional) -> None:
 class OptimizerConfig:
     """Multi-start roof ascent settings; equal seeds reproduce results.
 
-    ``restarts`` starts per searched partition shape, an iteration budget of
+    ``restarts`` starts per roof search, an iteration budget of
     ``local_steps`` per start, and ``tolerance`` on the Frobenius norm of
     the Riemannian gradient at which a start stops.
     """
@@ -332,30 +294,14 @@ def _gram_stack(m: np.ndarray, ops: np.ndarray) -> np.ndarray:
     return grams.transpose(1, 0, 2).reshape(m.shape[1], -1)
 
 
-def _block_tensor(partitions: Sequence[Partition], n: int) -> np.ndarray:
-    """0/1 tensor summing each climb's ancilla rows into its blocks.
-
-    Entry [i, b, a] is 1 when ancilla index a lies in block b of climb i's
-    partition.  The block axis is as wide as the largest block count in the
-    stack; a climb with fewer blocks leaves its last rows zero (padded
-    blocks, weight exactly 0).
-    """
-    width = max(len(part) for part in partitions)
-    s = np.zeros((len(partitions), width, n))
-    for i, part in enumerate(partitions):
-        for b, block in enumerate(part):
-            s[i, b, list(block)] = 1.0
-    return s
-
-
 def _block_terms(mom: np.ndarray, functional: RoofFunctional, gradient: bool = False):
-    """p f(component) of every block from its moments ``mom[..., j]`` (j = 0 the weight).
+    """p f(component) of every component from its moments ``mom[..., j]`` (j = 0 the weight).
 
-    Blocks lighter than ``WEIGHT_DROP`` (padded ones included) give 0: the
-    functional scores them at weight 1, so that it never divides by a
-    vanishing weight, and the score is dropped.  With ``gradient``, also
-    returns the derivatives in every moment, the weight included (shape of
-    ``mom``, 0 on the light blocks).
+    Components lighter than ``WEIGHT_DROP`` give 0: the functional scores
+    them at weight 1, so that it never divides by a vanishing weight, and
+    the score is dropped.  With ``gradient``, also returns the derivatives
+    in every moment, the weight included (shape of ``mom``, 0 on the light
+    components).
     """
     p = mom[..., 0].real
     keep = p >= WEIGHT_DROP
@@ -367,18 +313,17 @@ def _block_terms(mom: np.ndarray, functional: RoofFunctional, gradient: bool = F
     return terms, keep[..., None] * np.concatenate([dp[..., None], dmom], axis=-1)
 
 
-def _objective(gram: np.ndarray, us: np.ndarray, blocks: np.ndarray,
-               functional: RoofFunctional, gradient: bool = False):
-    """sum_l p_l f(component_l) for every unitary ``us[i]`` of a ``(C, n, n)`` stack.
+def _objective(gram: np.ndarray, us: np.ndarray, functional: RoofFunctional,
+               gradient: bool = False):
+    """sum_a p_a f(component_a) for every unitary ``us[i]`` of a ``(C, n, n)`` stack.
 
-    Unitary i groups the ancilla by its partition, ``blocks[i]`` (see
-    ``_block_tensor``).  Two GEMMs give the full Q_j = conj(U) G_j U^T of
-    every unitary, whose diagonals are the row moments.  Returns the
-    ``(C,)`` objectives; with ``gradient``, also the Riemannian gradients
-    (Hermitian, ``(C, n, n)``) and the Q stack ``(C, n, x+1, n)``.
+    Two GEMMs give the full Q_j = conj(U) G_j U^T of every unitary, whose
+    diagonals are the component moments.  Returns the ``(C,)`` objectives;
+    with ``gradient``, also the Riemannian gradients (Hermitian,
+    ``(C, n, n)``) and the Q stack ``(C, n, x+1, n)``.
 
     The gradient: U <- exp(i eps H) U moves Q_j by i eps [Q_j, H^T], so with
-    c_aj the moment derivative (``moment_grad``) of row a's block and
+    c_aj the moment derivative (``moment_grad``) of component a and
     Y = sum_j (conj(c_j) Q_j - Q_j conj(c_j)) (c_j diagonal), the objective
     moves by eps Re Tr(i Y H^T) = eps Tr(Gamma H) with Gamma the Hermitian
     part of conj(i Y).
@@ -387,31 +332,32 @@ def _objective(gram: np.ndarray, us: np.ndarray, blocks: np.ndarray,
     big = gram.shape[1] // n
     w = (us.conj().reshape(-1, n) @ gram).reshape(c, n * big, n)
     q = (w @ us.swapaxes(-1, -2)).reshape(c, n, big, n)
-    mom = blocks @ q.diagonal(axis1=1, axis2=3).swapaxes(-1, -2)   # (C, w, x+1)
+    mom = q.diagonal(axis1=1, axis2=3).swapaxes(-1, -2)      # (C, n, x+1)
     if not gradient:
         return _block_terms(mom, functional).sum(axis=-1)
     terms, coef = _block_terms(mom, functional, gradient=True)
-    row_coef = (blocks.swapaxes(-1, -2) @ coef).conj()      # (C, n, x+1)
+    row_coef = coef.conj()
     # Y_ab = sum_j Q_j[a, b] (conj(c_aj) - conj(c_bj))
     y = (q * (row_coef[..., None] - row_coef.swapaxes(-1, -2)[..., None, :, :])).sum(axis=-2)
     return terms.sum(axis=-1), 0.5j * (y.swapaxes(-1, -2) - y.conj()), q
 
 
-def _line_coefficients(q: np.ndarray, vecs: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """Coefficients of every block moment along U(mu) = exp(i mu D) U.
+def _line_coefficients(q: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Coefficients of every component moment along U(mu) = exp(i mu D) U.
 
-    With D = V diag(lam) V^dag, P_j = V^T Q_j conj(V) and S_b = V^dag
-    diag(1_b) V, block b's moment j is M_bj(mu) = sum_kl S_b[k, l] P_j[k, l]
-    e^{i mu (lam_l - lam_k)}.  ``q`` is ``(C, n, x+1, n)`` at U and ``vecs``
-    the ``(C, n, n)`` eigenvectors V; returns the ``(C, n^2, w, x+1)``
-    products S_b[k, l] P_j[k, l], indexed by (k, l), b and j.
+    With D = V diag(lam) V^dag and P_j = V^T Q_j conj(V), component a's
+    moment j is M_aj(mu) = sum_kl conj(V[a, k]) V[a, l] P_j[k, l]
+    e^{i mu (lam_l - lam_k)}.  ``q`` is ``(C, n, x+1, n)`` at U and
+    ``vecs`` the ``(C, n, n)`` eigenvectors V; returns the
+    ``(C, n^2, n, x+1)`` products conj(V[a, k]) V[a, l] P_j[k, l], indexed
+    by (k, l), a and j.
     """
     c, n, big = q.shape[:3]
     p = (vecs.swapaxes(-1, -2) @ q.reshape(c, n, big * n)).reshape(c, n * big, n) @ vecs.conj()
-    s = vecs.conj().swapaxes(-1, -2)[:, None] @ (blocks[..., None] * vecs[:, None])
-    coef = (s.transpose(0, 2, 3, 1)[..., None]
-            * p.reshape(c, n, big, n).swapaxes(-1, -2)[:, :, :, None])
-    return coef.reshape(c, n * n, blocks.shape[1], big)
+    rows = vecs.swapaxes(-1, -2)                                  # rows[k, a] = V[a, k]
+    s = rows.conj()[:, :, None, :] * rows[:, None, :, :]          # (C, k, l, a)
+    coef = s[..., None] * p.reshape(c, n, big, n).swapaxes(-1, -2)[:, :, :, None]
+    return coef.reshape(c, n * n, n, big)
 
 
 def _line_values(coef: np.ndarray, lam: np.ndarray, mus: np.ndarray,
@@ -420,13 +366,13 @@ def _line_values(coef: np.ndarray, lam: np.ndarray, mus: np.ndarray,
 
     ``coef`` comes from ``_line_coefficients`` and ``lam`` is the ``(C, n)``
     spectrum of the direction; one product with the phases e^{i mu (lam_l -
-    lam_k)} gives every block moment, and no unitary is formed.  Returns
+    lam_k)} gives every component moment, and no unitary is formed.  Returns
     ``(C, T)``.
     """
-    c, nn, width, big = coef.shape
+    c, nn, n, big = coef.shape
     turn = np.exp(1j * mus[:, :, None] * lam[:, None, :])              # (C, T, n)
     phase = (turn.conj()[..., None] * turn[..., None, :]).reshape(c, -1, nn)
-    mom = (phase @ coef.reshape(c, nn, width * big)).reshape(c, -1, width, big)   # (C, T, w, x+1)
+    mom = (phase @ coef.reshape(c, nn, n * big)).reshape(c, -1, n, big)   # (C, T, n, x+1)
     return _block_terms(mom, functional).sum(axis=-1)
 
 
@@ -472,15 +418,14 @@ def _lbfgs_direction(grad: np.ndarray, pairs: np.ndarray, inv: np.ndarray,
     return r
 
 
-def _ascend(gram: np.ndarray, partitions: Sequence[Partition], us: np.ndarray,
-            functional: RoofFunctional, sign: float,
+def _ascend(gram: np.ndarray, us: np.ndarray, functional: RoofFunctional, sign: float,
             cfg: OptimizerConfig) -> tuple[np.ndarray, np.ndarray, int]:
     """Quasi-Newton ascents of ``sign`` times the objective, all starts in one stack.
 
-    Start i searches ``partitions[i]`` from ``us[i]``, which receives its
-    final unitary.  Each iteration takes, for every live start, a limited-
-    memory BFGS direction D in the Hermitian Lie algebra (the Riemannian
-    gradient when its memory is empty), scores the geodesic exp(i mu D) U
+    Start i climbs from ``us[i]``, which receives its final unitary.  Each
+    iteration takes, for every live start, a limited-memory BFGS direction
+    D in the Hermitian Lie algebra (the Riemannian gradient when its memory
+    is empty), scores the geodesic exp(i mu D) U
     on the angle grid ``LINE_ANGLES`` through the moments' trigonometric
     polynomials (``_line_values``), takes the vertex of the parabola
     through the best grid point and its neighbours where the polynomials
@@ -497,9 +442,8 @@ def _ascend(gram: np.ndarray, partitions: Sequence[Partition], us: np.ndarray,
     """
     c, n = len(us), us.shape[-1]
     live = np.arange(c)
-    blocks = _block_tensor(partitions, n)
     u = us.copy()
-    vals, grad, q = _objective(gram, u, blocks, functional, gradient=True)
+    vals, grad, q = _objective(gram, u, functional, gradient=True)
     vals, grad = sign * vals, sign * grad
     # every start's memory, newest pair first (see _lbfgs_direction)
     pairs = np.zeros((BFGS_MEMORY, 2, c, 2 * n * n))
@@ -520,7 +464,7 @@ def _ascend(gram: np.ndarray, partitions: Sequence[Partition], us: np.ndarray,
             reason[live[done]] = np.where(small[done], TOLERANCE, NO_ASCENT)
             us[live[done]], final[live[done]] = u[done], vals[done]
             live, u, vals, grad, q, g = live[go], u[go], vals[go], grad[go], q[go], g[go]
-            blocks, pairs, inv, count = blocks[go], pairs[:, :, go], inv[:, go], count[go]
+            pairs, inv, count = pairs[:, :, go], inv[:, go], count[go]
             if not len(live):
                 return final, reason, iterations
         if it == cfg.local_steps:
@@ -535,7 +479,7 @@ def _ascend(gram: np.ndarray, partitions: Sequence[Partition], us: np.ndarray,
         inv *= uphill
         steepest = count == 0
         lam, vecs = np.linalg.eigh(d.view(complex).reshape(-1, n, n))
-        coef = _line_coefficients(q, vecs, blocks)
+        coef = _line_coefficients(q, vecs)
         mus = grid / np.abs(lam).max(axis=1)[:, None]
         line = np.concatenate(
             [vals[:, None], sign * _line_values(coef, lam, mus[:, 1:], functional)], axis=1)
@@ -553,7 +497,7 @@ def _ascend(gram: np.ndarray, partitions: Sequence[Partition], us: np.ndarray,
         mu = np.where(inner & (at_vertex > y1), vertex, mus[rows, best])
         rotation = (vecs * np.exp(1j * mu[:, None] * lam)[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
         new_u = rotation @ u
-        new_vals, new_grad, new_q = _objective(gram, new_u, blocks, functional, gradient=True)
+        new_vals, new_grad, new_q = _objective(gram, new_u, functional, gradient=True)
         new_vals, new_grad = sign * new_vals, sign * new_grad
         accept = (best > 0) & (new_vals > vals)
         pair = np.array([mu[:, None] * d, g - new_grad.view(float).reshape(len(live), -1)])
@@ -579,42 +523,31 @@ def _ascend(gram: np.ndarray, partitions: Sequence[Partition], us: np.ndarray,
 def optimize_roof(rho: State,
                   functional: RoofFunctional,
                   direction: str,
-                  partitions: Iterable[Partition] | None = None,
                   cfg: OptimizerConfig | None = None,
                   ancilla_dim: int | None = None) -> RoofResult:
-    """Best weighted component average of ``functional`` over decompositions.
+    """Best weighted component average of ``functional`` over pure decompositions.
 
-    ``direction`` is ``"min"`` or ``"max"``.  Restart 0 of every partition
-    ascends from the identity, so the eigendecomposition and its groupings
-    are always among the candidates.  Partitions of one block-size shape
-    span the same decompositions (U -> P U for an ancilla permutation P, and
-    Haar measure is P-invariant), so only the first of each shape in the
-    list also runs restarts 1 .. ``cfg.restarts - 1`` from Haar random
-    unitaries: restart r of partition p draws its Ginibre matrix from
-    ``default_rng([seed, p, r])``, and one batched QR turns every draw into
-    the unitary that ``haar_random_unitary`` gives on that generator.
-    Every start of every partition advances in one stack (``_ascend``): a
-    limited-memory BFGS direction in the Hermitian Lie algebra, built from
-    the analytic Riemannian gradient, and an exact line search along the
-    geodesic exp(i mu D) U.  A start stops on the gradient tolerance
-    ``cfg.tolerance``, when a step along the gradient finds no ascent, or
-    after ``cfg.local_steps`` iterations, and then leaves the stack.
+    ``direction`` is ``"min"`` or ``"max"``.  Restart 0 ascends from the
+    identity, so the eigendecomposition is always a candidate, and restart
+    r > 0 from the Haar random unitary that ``haar_random_unitary`` gives on
+    ``default_rng([seed, 0, r])`` (one batched QR makes them all).  All
+    starts advance in one stack (``_ascend``) by limited-memory BFGS steps
+    in the Hermitian Lie algebra, built from the analytic Riemannian
+    gradient, with an exact line search along the geodesic exp(i mu D) U.
+    A start stops on the gradient tolerance ``cfg.tolerance``, when a step
+    along the gradient finds no ascent, or after ``cfg.local_steps``
+    iterations, and then leaves the stack.
 
-    No component is formed: the Gram stack G = m^dag [I, X_1, ..] m of the
-    purification matrix m and the functional's ``ops`` is built
-    once, and each iteration takes every start's moments and gradient from
-    one GEMM with G (``_objective``) and scores its line-search grid from
-    the same moments.  ``evaluations`` counts one per start plus one per
-    iteration.  ``converged`` says that the winning start stopped on the
-    tolerance or on no ascent, not on the budget.  A one-block partition
-    yields rho itself, whatever the unitary, so it gets a single start, at
-    the identity; its Riemannian gradient vanishes, so that start stops on
-    the tolerance before any iteration.  The winner is the best start, the
-    first of equals.  A functional that is not a ``RoofFunctional`` raises
-    ``TypeError``, one whose operators act on another dimension than rho
-    ``DimensionMismatchError``.  Each call logs one debug
-    line with its starts, iterations, evaluations, stop reasons and wall
-    time.
+    No component is formed: every moment, gradient and line-search score
+    comes from the Gram stack G = m^dag [I, X_1, ..] m of the purification
+    matrix m and the functional's ``ops``, built once (``_objective``).
+    ``evaluations`` counts one per start plus one per iteration.  The winner
+    is the best start, the first of equals, and ``converged`` says that it
+    stopped on the tolerance or on no ascent, not on the budget.  A
+    functional that is not a ``RoofFunctional`` raises ``TypeError``, one
+    whose operators act on another dimension than rho
+    ``DimensionMismatchError``.  Each call logs one debug line with its
+    starts, iterations, evaluations, stop reasons and wall time.
 
     The returned value is that of the witness unitary, evaluated after its
     last step, so it is exact for the witness decomposition and always on
@@ -622,52 +555,49 @@ def optimize_roof(rho: State,
     """
     if direction not in ("min", "max"):
         raise ValueError("direction must be 'min' or 'max'")
-    started = time.perf_counter()
-    cfg = cfg or OptimizerConfig()
     _require_functional(functional)
     rho = state_density(rho)
     functional.check_dim(rho.dim)
     if rho.rank() == 1:
-        # every decomposition of a pure state is the state itself
-        psi = PureState(_support(rho)[1][:, 0])
-        return RoofResult(value=functional.on_state(psi),
-                          decomposition=Decomposition(((1.0, psi),)),
-                          converged=True, evaluations=1)
-    if ancilla_dim is None:
-        ancilla_dim = rho.dim
+        return _pure_roof(rho, functional)
     m = purify(rho, ancilla_dim)
-    gram = _gram_stack(m, functional.ops)
-    if partitions is None:
-        partitions = [singleton_partition(ancilla_dim)]
-    partitions = [tuple(tuple(b) for b in part) for part in partitions]
-    if not partitions:
-        raise ValueError("need at least one partition")
-    for part in partitions:
-        _check_partition(part, ancilla_dim)
+    return _search(m, _gram_stack(m, functional.ops), functional,
+                   1.0 if direction == "max" else -1.0, cfg, np.eye(m.shape[1], dtype=complex))
 
-    sign = 1.0 if direction == "max" else -1.0
-    leads = {}      # the first partition of each block-size shape
-    for p_idx, part in enumerate(partitions):
-        leads.setdefault(tuple(sorted(map(len, part))), p_idx)
-    climbs = [(p_idx, r_idx) for p_idx, part in enumerate(partitions)
-              for r_idx in range(cfg.restarts if len(part) > 1 and p_idx in leads.values() else 1)]
-    us = np.tile(np.eye(ancilla_dim, dtype=complex), (len(climbs), 1, 1))
-    haar = [i for i, (_, r_idx) in enumerate(climbs) if r_idx > 0]
-    if haar:
-        us[haar] = _haar_from_ginibre(np.array([
-            _ginibre(ancilla_dim, np.random.default_rng([cfg.seed, *climbs[i]])) for i in haar]))
-    vals, reason, iterations = _ascend(
-        gram, [partitions[p_idx] for p_idx, _ in climbs], us, functional, sign, cfg)
-    evaluations = len(climbs) + iterations
+
+def _pure_roof(rho: DensityMatrix, functional: RoofFunctional) -> RoofResult:
+    """Every decomposition of a pure state is the state itself."""
+    psi = PureState(_support(rho)[1][:, 0])
+    return RoofResult(value=functional.on_state(psi), decomposition=Decomposition(((1.0, psi),)),
+                      converged=True, evaluations=1)
+
+
+def _search(m: np.ndarray, gram: np.ndarray, functional: RoofFunctional, sign: float,
+            cfg: OptimizerConfig | None, start: np.ndarray, scored: int = 1) -> RoofResult:
+    """The roof search of ``optimize_roof`` with restart 0 at the unitary ``start``.
+
+    ``scored`` objective evaluations chose ``start``; they count towards
+    ``evaluations`` in its place.
+    """
+    started = time.perf_counter()
+    cfg = cfg or OptimizerConfig()
+    n = m.shape[1]
+    us = np.empty((cfg.restarts, n, n), dtype=complex)
+    us[0] = start
+    if cfg.restarts > 1:
+        us[1:] = _haar_from_ginibre(np.array([
+            _ginibre(n, np.random.default_rng([cfg.seed, 0, r])) for r in range(1, cfg.restarts)]))
+    vals, reason, iterations = _ascend(gram, us, functional, sign, cfg)
+    evaluations = scored + cfg.restarts - 1 + iterations
     best = int(np.argmax(vals))
     if log.isEnabledFor(logging.DEBUG):
         log.debug("optimize_roof: %d starts, %d iterations, %d evaluations, stopped on %s, %.4f s",
-                  len(climbs), iterations, evaluations,
+                  cfg.restarts, iterations, evaluations,
                   ", ".join(f"{name} {np.sum(reason == code)}"
                             for code, name in enumerate(STOP_REASONS)),
                   time.perf_counter() - started)
     return RoofResult(value=float(sign * vals[best]),
-                      decomposition=extract_decomposition(m, us[best], partitions[climbs[best][0]]),
+                      decomposition=extract_decomposition(m, us[best]),
                       converged=bool(reason[best] != BUDGET),
                       evaluations=evaluations)
 
@@ -706,44 +636,109 @@ def roof_sum_R(rho: State, ops: Sequence[HermitianOperator],
     return optimize_roof(rho, VarianceSum(ops), "max", cfg=cfg, ancilla_dim=ancilla_dim)
 
 
-def default_mixed_partitions(ancilla_dim: int) -> list[Partition]:
-    """Partition list for mixed-component roofs.
-
-    Up to three ancilla indices this is the full set-partition lattice, each
-    partition an identity start (one eigenvector grouping); the Bell number
-    explodes beyond that, so larger ancillas fall back to the pure-state
-    partition plus the trivial one.
-    """
-    if ancilla_dim <= 3:
-        return list(set_partitions(ancilla_dim))
-    return [singleton_partition(ancilla_dim), trivial_partition(ancilla_dim)]
-
-
 def concave_roof_L(rho: State, a: HermitianOperator, b: HermitianOperator,
                    cfg: OptimizerConfig | None = None,
-                   partitions: Iterable[Partition] | None = None,
                    ancilla_dim: int | None = None) -> RoofResult:
-    """Maximized average Robertson-Schrodinger bound over mixed-state decompositions.
+    """Maximized average Robertson-Schrodinger bound L over decompositions.
 
-    Single-qubit inputs additionally evaluate the closed-form decomposition
-    along the Bloch z line, which is the known maximizer there.
+    Mixed components never score more than pure ones: a rotation inside a
+    mixed component splits it into pure components that share its means
+    <A> and <B> (``_split_block``), their values of z = <AB> - <A><B>
+    average to the component's, and L = 2|z|, so by the triangle inequality
+    they score at least the component's L (see the README).  So the search
+    runs over pure decompositions, and restart 0 ascends from the best of
+    the eigenvector groupings of ``_eigen_groupings`` split this way
+    (``_split_start``): the value is never below K (qutrits) nor below
+    L(rho), at any ancilla dimension.  Restarts 1 .. R-1 are the Haar
+    starts of ``optimize_roof``, and ``evaluations`` also counts every
+    scored grouping but the one climbed.
     """
-    rho = state_density(rho)
-    if ancilla_dim is None:
-        ancilla_dim = rho.dim
-    if partitions is None:
-        partitions = default_mixed_partitions(ancilla_dim)
     functional = RobertsonSchrodingerBound(a, b)
-    result = optimize_roof(rho, functional, "max", partitions=partitions,
-                           cfg=cfg, ancilla_dim=ancilla_dim)
-    if rho.dim == 2:
-        witness = qubit_z_line_decomposition(rho)
-        wv = decomposition_average(witness, functional)
-        if wv > result.value:
-            result = RoofResult(value=wv, decomposition=witness,
-                                converged=result.converged,
-                                evaluations=result.evaluations + len(witness))
-    return result
+    rho = state_density(rho)
+    functional.check_dim(rho.dim)
+    if rho.rank() == 1:
+        return _pure_roof(rho, functional)
+    m = purify(rho, ancilla_dim)
+    gram = _gram_stack(m, functional.ops)
+    return _search(m, gram, functional, 1.0, cfg, *_split_start(gram, functional))
+
+
+# ---------------------------------------------------------------------------
+# mixed components split into pure ones with the same means
+# ---------------------------------------------------------------------------
+
+def _eigen_groupings(n: int) -> list[list[tuple[int, ...]]]:
+    """Groupings of n eigenvector indices: every index alone, all merged, and
+    each index alone with the rest merged (for a qutrit, all five)."""
+    every = tuple(range(n))
+    return ([[(k,) for k in every], [every]]
+            + [[(k,), every[:k] + every[k + 1:]] for k in every])
+
+
+def _split_block(g: np.ndarray) -> np.ndarray:
+    """Unitary w on one block of ancilla indices that splits its component into pure ones.
+
+    ``g`` holds the block's Gram matrices G_I, G_A, G_B (``(3, k, k)``).
+    With the block's means a = Tr G_A / Tr G_I and b = Tr G_B / Tr G_I,
+    X = conj(w) zeroes the diagonals of X H X^dag for the traceless H_1 =
+    G_A - a G_I and H_2 = G_B - b G_I (Fillmore, Amer. Math. Monthly 76, 167
+    (1969)), so every component of the block's rows of w has means a and b.
+    Two passes of k - 1 rotations of indices (i, j), the largest positive
+    and the most negative diagonal entry, build X: real ones zero diag H_1,
+    then ones of phase e^{i phi} with Re(e^{-i phi} H_1[i, j]) = 0, which
+    keep those zeros, zero diag H_2.  Each angle t solves alpha + beta cos 2t
+    + gamma sin 2t = 0 for entry i.  A block lighter than ``WEIGHT_DROP`` is
+    left as it is.
+    """
+    k = g.shape[-1]
+    weight = g[0].trace().real
+    if weight < WEIGHT_DROP:
+        return np.eye(k, dtype=complex)
+    # scalar rotations of nested lists: at these sizes numpy's per-call cost dominates
+    h = (g[1:] - (g[1:].trace(axis1=1, axis2=2).real / weight)[:, None, None] * g[0]).tolist()
+    x = np.eye(k, dtype=complex).tolist()
+    for target in h:
+        for _ in range(k - 1):
+            d = [target[a][a].real for a in range(k)]
+            i, j = d.index(max(d)), d.index(min(d))
+            if not d[i] > 0.0 > d[j]:
+                break
+            h1_ij = h[0][i][j]
+            phase = 1j * h1_ij / abs(h1_ij) if target is h[1] and h1_ij else 1.0
+            alpha, beta = 0.5 * (d[i] + d[j]), 0.5 * (d[i] - d[j])
+            gamma = (phase.conjugate() * target[i][j]).real
+            cosine = max(-1.0, min(1.0, -alpha / math.hypot(beta, gamma)))
+            t = 0.5 * (math.atan2(gamma, beta) + math.acos(cosine))
+            c, s = math.cos(t), math.sin(t)
+            sp, sm = s * phase, -s * phase.conjugate()
+            # rows i and j of H_1, H_2 and X, then columns i and j of H_1 and H_2
+            for mat in (*h, x):
+                ri, rj = mat[i], mat[j]
+                mat[i] = [c * p + sp * q for p, q in zip(ri, rj)]
+                mat[j] = [sm * p + c * q for p, q in zip(ri, rj)]
+            for row in (*h[0], *h[1]):
+                p, q = row[i], row[j]
+                row[i] = c * p + sp.conjugate() * q
+                row[j] = sm.conjugate() * p + c * q
+    return np.array(x).conj()
+
+
+def _split_start(gram: np.ndarray, functional: RoofFunctional) -> tuple[np.ndarray, int]:
+    """Restart 0 of ``concave_roof_L`` and the number of groupings scored to choose it.
+
+    Every grouping of ``_eigen_groupings``, each block split by
+    ``_split_block``, is a block-diagonal unitary; all are scored in one
+    ``_objective`` call.  ``gram`` is the Gram stack of [A, B, AB].
+    """
+    n = gram.shape[0]
+    grams = gram.reshape(n, -1, n).swapaxes(0, 1)[:3]
+    groupings = _eigen_groupings(n)
+    us = np.tile(np.eye(n, dtype=complex), (len(groupings), 1, 1))
+    for u, grouping in zip(us, groupings):
+        for block in grouping:
+            if len(block) > 1:
+                u[np.ix_(block, block)] = _split_block(grams[:, block][:, :, block])
+    return us[int(np.argmax(_objective(gram, us, functional)))], len(us)
 
 
 # ---------------------------------------------------------------------------
@@ -801,21 +796,22 @@ def eigen_partition_bound_K(rho: State, a: HermitianOperator,
 
     Candidates: the full eigendecomposition average, the three mixed
     decompositions that keep one eigenvector pure and merge the other two,
-    and the trivial decomposition (the plain Robertson-Schrodinger bound).
-    They are the roof objective at the identity unitary over all five set
-    partitions, which is where restart 0 of ``concave_roof_L`` starts, so
-    the roof is never below K.  Degenerate spectra use the eigenbasis
-    exactly as the solver returns it, which keeps runs reproducible at the
-    cost of possible suboptimality.  A ``PureState`` is its own only
-    decomposition, so its K is its L.
+    and the trivial decomposition (the plain Robertson-Schrodinger bound);
+    each block's moments are the sums of its eigenvectors' moments.  These
+    are the groupings that restart 0 of ``concave_roof_L`` starts from,
+    split into pure components that score at least as much, so the roof is
+    never below K.  Degenerate spectra use the eigenbasis exactly as the
+    solver returns it, which keeps runs reproducible at the cost of possible
+    suboptimality.  A ``PureState`` is its own only decomposition, so its K
+    is its L.
     """
     rho = state_density(rho)
     if rho.dim != 3:
         raise ValueError("the eigenvector-partition bound is defined for qutrits")
     functional = RobertsonSchrodingerBound(a, b)
-    functional.check_dim(3)
-    partitions = list(set_partitions(3))
-    identities = np.broadcast_to(np.eye(3, dtype=complex), (len(partitions), 3, 3))
-    values = _objective(_gram_stack(purify(rho), functional.ops), identities,
-                        _block_tensor(partitions, 3), functional)
-    return float(np.max(values))
+    mom = functional._support_moments(rho)
+    groupings = _eigen_groupings(len(mom))
+    blocks = [block for grouping in groupings for block in grouping]
+    owner = [g for g, grouping in enumerate(groupings) for _ in grouping]
+    terms = _block_terms(np.array([mom[list(block)].sum(axis=0) for block in blocks]), functional)
+    return float(np.max(np.bincount(owner, weights=terms)))

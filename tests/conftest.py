@@ -3,7 +3,6 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from qfiroof import (
-    Decomposition,
     HermitianOperator,
     OptimizerConfig,
     RandomStateConfig,
@@ -18,7 +17,6 @@ from qfiroof.roofs import (
     WEIGHT_DROP,
     _ascend,
     _gram_stack,
-    singleton_partition,
 )
 
 settings.register_profile(
@@ -134,50 +132,34 @@ def dense_two_mode_quadratures(fock) -> dict:
 
 # ---------------------------------------------------------------------------
 # scalar reference roof search: one start at a time; the library advances
-# every start of every partition together as one compacted stack
+# every start together as one compacted stack
 # ---------------------------------------------------------------------------
 
-def scalar_reference_roof(rho, functional, direction, partitions=None, cfg=None,
-                          ancilla_dim=None):
-    """The roof search with every start of every partition run on its own
-    as a stack of one: same starts and generator streams as
-    ``optimize_roof``, the trivial partition evaluated once, Haar restarts
-    only on the first partition of each block-size shape.  Returns a
-    ``RoofResult``."""
+def scalar_reference_roof(rho, functional, direction, start=None, cfg=None, ancilla_dim=None):
+    """The roof search with every start run on its own as a stack of one:
+    restart 0 at the unitary ``start`` (the identity by default), restart r
+    > 0 at the Haar unitary of ``default_rng([seed, 0, r])``, like
+    ``optimize_roof``.  Returns a ``RoofResult`` whose ``evaluations``
+    count one per start plus one per iteration."""
     cfg = cfg or OptimizerConfig()
     rho = state_density(rho)
     if ancilla_dim is None:
         ancilla_dim = rho.dim
     m = purify(rho, ancilla_dim)
     gram = _gram_stack(m, functional.ops)
-    if partitions is None:
-        partitions = [singleton_partition(ancilla_dim)]
-    partitions = [tuple(tuple(b) for b in part) for part in partitions]
-    shapes = [sorted(len(b) for b in part) for part in partitions]
+    if start is None:
+        start = np.eye(ancilla_dim, dtype=complex)
 
     sign = 1.0 if direction == "max" else -1.0
-    best_value, best_u, best_partition, best_converged = -np.inf, None, None, True
+    best_value, best_u, best_converged = -np.inf, None, True
     evaluations = 0
-    for p_idx, part in enumerate(partitions):
-        if len(part) == 1:
-            evaluations += 1
-            val = sign * functional.on_state(rho)
-            if val > best_value:
-                best_value, best_u, best_partition, best_converged = val, None, part, True
-            continue
-        for r_idx in range(cfg.restarts if shapes.index(shapes[p_idx]) == p_idx else 1):
-            rng = np.random.default_rng([cfg.seed, p_idx, r_idx])
-            u = (np.eye(ancilla_dim, dtype=complex) if r_idx == 0
-                 else haar_random_unitary(ancilla_dim, rng))[None]
-            vals, reason, iterations = _ascend(gram, [part], u, functional, sign, cfg)
-            evaluations += 1 + iterations
-            if vals[0] > best_value:
-                best_value, best_u, best_partition = vals[0], u[0], part
-                best_converged = bool(reason[0] != BUDGET)
-
-    if best_u is None:
-        decomposition = Decomposition(((1.0, rho),))
-    else:
-        decomposition = extract_decomposition(m, best_u, best_partition)
-    return RoofResult(value=float(sign * best_value), decomposition=decomposition,
+    for r_idx in range(cfg.restarts):
+        rng = np.random.default_rng([cfg.seed, 0, r_idx])
+        u = (start if r_idx == 0 else haar_random_unitary(ancilla_dim, rng))[None].copy()
+        vals, reason, iterations = _ascend(gram, u, functional, sign, cfg)
+        evaluations += 1 + iterations
+        if vals[0] > best_value:
+            best_value, best_u, best_converged = vals[0], u[0], bool(reason[0] != BUDGET)
+    return RoofResult(value=float(sign * best_value),
+                      decomposition=extract_decomposition(m, best_u),
                       converged=best_converged, evaluations=evaluations)

@@ -21,9 +21,11 @@ from qfiroof import (
     HermitianOperator,
     OptimizerConfig,
     PureState,
+    RandomStateConfig,
     RobertsonSchrodingerBound,
     VarianceSum,
     check_robertson_schrodinger,
+    collective_spin_ops,
     concave_roof_L,
     convex_roof_variance,
     eigen_partition_bound_K,
@@ -33,6 +35,7 @@ from qfiroof import (
     purify,
     qfi,
     qubit_z_line_decomposition,
+    random_density_matrix,
     roof_sum_I,
     roof_sum_R,
     rs_lower_bound_L,
@@ -45,17 +48,15 @@ from qfiroof.roofs import (
     BFGS_MEMORY,
     WEIGHT_DROP,
     Decomposition,
-    _block_tensor,
+    _eigen_groupings,
     _gram_stack,
     _lbfgs_direction,
     _line_coefficients,
     _line_values,
     _objective,
+    _split_block,
+    _split_start,
     decomposition_average,
-    default_mixed_partitions,
-    set_partitions,
-    singleton_partition,
-    trivial_partition,
 )
 
 FAST = OptimizerConfig(seed=13, restarts=4, local_steps=250)
@@ -97,7 +98,7 @@ def test_purify_enlarged_ancilla():
     rho = random_state(2, seed=23)
     m = purify(rho, ancilla_dim=5)
     assert m.shape == (2, 5) and not np.any(m[:, 2:])
-    dec = extract_decomposition(m, np.eye(5), singleton_partition(5))
+    dec = extract_decomposition(m, np.eye(5))
     assert dec.reconstructs(rho, tol=1e-10)
 
 
@@ -107,25 +108,16 @@ def test_purify_enlarged_ancilla():
 
 def test_extract_identity_unitary_gives_eigendecomposition():
     rho = random_state(3, seed=31)
-    dec = extract_decomposition(purify(rho), np.eye(3), singleton_partition(3))
+    dec = extract_decomposition(purify(rho), np.eye(3))
     weights = sorted((p for p, _ in dec.components), reverse=True)
     assert np.allclose(weights, _support(rho)[0], atol=1e-10)
     assert dec.reconstructs(rho, tol=1e-10)
 
 
-def test_extract_trivial_partition_returns_state_itself():
-    rho = random_state(3, seed=32)
-    dec = extract_decomposition(purify(rho), np.eye(3), trivial_partition(3))
-    assert len(dec) == 1
-    p, comp = dec.components[0]
-    assert abs(p - 1.0) < 1e-12
-    assert np.max(np.abs(comp.mat - rho.mat)) < 1e-10
-
-
 def test_extract_random_unitary_reconstructs():
     rho = DensityMatrix.maximally_mixed(2)
     u = haar_random_unitary(2, np.random.default_rng(4))
-    dec = extract_decomposition(purify(rho), u, singleton_partition(2))
+    dec = extract_decomposition(purify(rho), u)
     assert len(dec) == 2
     assert all(isinstance(s, PureState) for _, s in dec.components)
     assert abs(sum(p for p, _ in dec.components) - 1.0) < 1e-12
@@ -137,15 +129,8 @@ def test_extract_random_unitary_reconstructs():
 def test_extract_always_reconstructs(seed, dim):
     rho = random_state(dim, seed)
     rng = np.random.default_rng(seed + 1)
-    parts = list(set_partitions(dim)) if dim <= 3 else [singleton_partition(dim)]
-    dec = extract_decomposition(purify(rho), haar_random_unitary(dim, rng),
-                                parts[seed % len(parts)])
+    dec = extract_decomposition(purify(rho), haar_random_unitary(dim, rng))
     assert dec.reconstructs(rho, tol=1e-8)
-
-
-def test_set_partitions_count():
-    assert len(list(set_partitions(3))) == 5
-    assert len(list(set_partitions(4))) == 15
 
 
 # ---------------------------------------------------------------------------
@@ -259,32 +244,31 @@ def _functionals(dim, seed):
     ]
 
 
-def _objective_rows(gram, us, blocks, functional):
-    """``_objective`` of a ``(C, T, n, n)`` stack whose row i's T unitaries
-    share the partition ``blocks[i]``; returns the ``(C, T)`` objectives."""
+def _objective_rows(gram, us, functional):
+    """``_objective`` of a ``(C, T, n, n)`` stack; returns the ``(C, T)`` objectives."""
     c, t, n = us.shape[:3]
-    values = _objective(gram, us.reshape(c * t, n, n), np.repeat(blocks, t, axis=0), functional)
-    return values.reshape(c, t)
+    return _objective(gram, us.reshape(c * t, n, n), functional).reshape(c, t)
+
+
+def _l_start(rho, functional, ancilla=None):
+    """Restart 0 of ``concave_roof_L`` and the number of groupings scored to choose it."""
+    return _split_start(_gram_stack(purify(rho, ancilla), functional.ops), functional)
 
 
 @pytest.mark.parametrize("dim, ancilla", [(2, 2), (3, 3), (3, 4), (4, 4)])
 def test_batched_objective_matches_extracted_decompositions(dim, ancilla):
-    # every set partition of the ancilla x 3 Haar unitaries, evaluated as one
-    # (partitions, 3) stack (partitions with fewer blocks are padded) against
-    # re-evaluating the extracted witness decomposition component by component
+    # a (4, 3) stack of Haar unitaries evaluated as one against re-evaluating
+    # the extracted witness decomposition component by component
     rho = random_state(dim, seed=110 + ancilla)
     m = purify(rho, ancilla)
     rng = np.random.default_rng(ancilla)
-    partitions = list(set_partitions(ancilla))
-    us = np.array([[haar_random_unitary(ancilla, rng) for _ in range(3)] for _ in partitions])
-    blocks = _block_tensor(partitions, ancilla)
+    us = np.array([[haar_random_unitary(ancilla, rng) for _ in range(3)] for _ in range(4)])
     for functional, _ in _functionals(dim, 120 + ancilla):
-        batched = _objective_rows(_gram_stack(m, functional.ops), us, blocks, functional)
-        assert batched.shape == (len(partitions), 3)
-        for part, climb_us, climb_values in zip(partitions, us, batched):
-            for u, value in zip(climb_us, climb_values):
-                expected = decomposition_average(extract_decomposition(m, u, part), functional)
-                assert abs(value - expected) < 1e-12
+        batched = _objective_rows(_gram_stack(m, functional.ops), us, functional)
+        assert batched.shape == (4, 3)
+        for u, value in zip(us.reshape(-1, ancilla, ancilla), batched.ravel()):
+            expected = decomposition_average(extract_decomposition(m, u), functional)
+            assert abs(value - expected) < 1e-12
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
@@ -308,29 +292,31 @@ def test_from_moments_stack_matches_dense_formulas(dim):
 
 def test_rank_deficient_qutrit_search_raises_no_floating_point_error():
     # at the identity the null eigenvector's ancilla column carries weight 0,
-    # and the two-block partitions are padded in a stack of three-block ones;
+    # and the split groupings of concave_roof_L rotate it into their blocks;
     # the search reads moments, gradients and line-search moments of both
     rho = random_state(3, seed=201, rank=2)
     a, b = random_hermitian(3, 202), random_hermitian(3, 203)
-    partitions = default_mixed_partitions(3)
     cfg = OptimizerConfig(seed=5, restarts=3, local_steps=120)
-    us = np.broadcast_to(np.eye(3, dtype=complex), (len(partitions), 3, 3))
     m = purify(rho)
+    eye = np.eye(3, dtype=complex)
     assert np.sum(np.abs(m[:, 2]) ** 2) < WEIGHT_DROP
     with np.errstate(all="raise"):
         for functional, dense in _functionals(3, 204):
-            at_identity = _objective(_gram_stack(m, functional.ops), us,
-                                     _block_tensor(partitions, 3), functional)
-            for part, value in zip(partitions, at_identity):
-                expected = decomposition_average(extract_decomposition(m, np.eye(3), part),
-                                                 functional)
-                assert abs(value - expected) < 1e-12
-            res = optimize_roof(rho, functional, "max", partitions=partitions, cfg=cfg)
-            ref = scalar_reference_roof(rho, functional, "max", partitions=partitions, cfg=cfg)
+            at_identity = _objective(_gram_stack(m, functional.ops), eye[None], functional)[0]
+            expected = decomposition_average(extract_decomposition(m, eye), functional)
+            assert abs(at_identity - expected) < 1e-12
+            res = optimize_roof(rho, functional, "max", cfg=cfg)
+            ref = scalar_reference_roof(rho, functional, "max", cfg=cfg)
             assert abs(res.value - ref.value) < 1e-9
             assert abs(_dense_average(res.decomposition, dense) - res.value) < 1e-12
+        functional = RobertsonSchrodingerBound(a, b)
+        roof = concave_roof_L(rho, a, b, cfg=cfg)
+        ref = scalar_reference_roof(rho, functional, "max", start=_l_start(rho, functional)[0],
+                                    cfg=cfg)
         k = eigen_partition_bound_K(rho, a, b)
+    assert abs(roof.value - ref.value) < 1e-9
     assert abs(k - closed_form_K(rho, a.mat, b.mat)) < 1e-12
+    assert roof.value >= k - 1e-12
 
 
 def _dense_average(dec, dense):
@@ -392,27 +378,26 @@ GRADIENT_CASES = [(2, 2), (3, 3), (4, 4), (3, 4)]
 
 @pytest.mark.parametrize("dim, ancilla", GRADIENT_CASES)
 def test_riemannian_gradient_matches_central_differences(dim, ancilla):
-    # every set partition of the ancilla, every functional kind: the
+    # Haar unitaries of the ancilla, every functional kind: the
     # directional derivative Tr(Gamma H) along exp(i eps H) U against a
     # central difference of the objective of explicitly rotated unitaries
     rho = random_state(dim, seed=270 + ancilla)
     m = purify(rho, ancilla)
     rng = np.random.default_rng(280 + dim + ancilla)
-    partitions = list(set_partitions(ancilla))
-    us = np.array([haar_random_unitary(ancilla, rng) for _ in partitions])
-    blocks = _block_tensor(partitions, ancilla)
+    count = 5
+    us = np.array([haar_random_unitary(ancilla, rng) for _ in range(count)])
     eps = 1e-5
     for functional, _ in _functionals(dim, 290 + ancilla):
         gram = _gram_stack(m, functional.ops)
-        values, grad, q = _objective(gram, us, blocks, functional, gradient=True)
-        assert grad.shape == (len(partitions), ancilla, ancilla)
-        assert q.shape[:2] == (len(partitions), ancilla)
+        values, grad, q = _objective(gram, us, functional, gradient=True)
+        assert grad.shape == (count, ancilla, ancilla)
+        assert q.shape[:2] == (count, ancilla)
         assert np.max(np.abs(grad - grad.conj().swapaxes(-1, -2))) == 0.0
-        assert np.array_equal(values, _objective(gram, us, blocks, functional))
+        assert np.array_equal(values, _objective(gram, us, functional))
         for _ in range(3):
-            h = _random_hermitian_stack(rng, len(partitions), ancilla)
-            moved = _rotated(h, np.array([[eps, -eps]] * len(partitions)), us)
-            ends = _objective_rows(gram, moved, blocks, functional)
+            h = _random_hermitian_stack(rng, count, ancilla)
+            moved = _rotated(h, np.array([[eps, -eps]] * count), us)
+            ends = _objective_rows(gram, moved, functional)
             numeric = (ends[:, 0] - ends[:, 1]) / (2 * eps)
             analytic = np.einsum("iab,iba->i", grad, h).real
             assert np.max(np.abs(numeric - analytic)) < 1e-8
@@ -420,39 +405,53 @@ def test_riemannian_gradient_matches_central_differences(dim, ancilla):
 
 @pytest.mark.parametrize("dim, ancilla", GRADIENT_CASES)
 def test_line_search_polynomial_matches_formed_unitaries(dim, ancilla):
-    # the trigonometric polynomials of the block moments along exp(i mu D) U
-    # against the objective of the explicitly formed unitaries, on a grid of
-    # step sizes per start; the trivial partition included
+    # the trigonometric polynomials of the component moments along
+    # exp(i mu D) U against the objective of the explicitly formed unitaries,
+    # on a grid of step sizes per start
     rho = random_state(dim, seed=300 + ancilla)
     m = purify(rho, ancilla)
     rng = np.random.default_rng(310 + dim + ancilla)
-    partitions = list(set_partitions(ancilla))
-    us = np.array([haar_random_unitary(ancilla, rng) for _ in partitions])
-    blocks = _block_tensor(partitions, ancilla)
+    count = 5
+    us = np.array([haar_random_unitary(ancilla, rng) for _ in range(count)])
     for functional, _ in _functionals(dim, 320 + ancilla):
         gram = _gram_stack(m, functional.ops)
-        _, _, q = _objective(gram, us, blocks, functional, gradient=True)
-        d = _random_hermitian_stack(rng, len(partitions), ancilla) * rng.uniform(0.1, 5.0)
+        _, _, q = _objective(gram, us, functional, gradient=True)
+        d = _random_hermitian_stack(rng, count, ancilla) * rng.uniform(0.1, 5.0)
         lam, vecs = np.linalg.eigh(d)
-        mus = np.sort(rng.uniform(0.0, 3.0, (len(partitions), 7)), axis=1)
+        mus = np.sort(rng.uniform(0.0, 3.0, (count, 7)), axis=1)
         mus[:, 0] = 0.0
-        line = _line_values(_line_coefficients(q, vecs, blocks), lam, mus, functional)
-        formed = _objective_rows(gram, _rotated(d, mus, us), blocks, functional)
+        line = _line_values(_line_coefficients(q, vecs), lam, mus, functional)
+        formed = _objective_rows(gram, _rotated(d, mus, us), functional)
         assert line.shape == formed.shape == mus.shape
         assert np.max(np.abs(line - formed)) < 1e-12
 
 
 def _oracle_case(dim, kind, seed):
-    """The state, functional, partitions and dense formula of one search case;
+    """The state, operators, functional and dense formula of one search case;
     qubit pairs lie in the xy plane, where the z line saturates the bound."""
     rho = random_state(dim, seed=150 + seed)
     if kind == "variance":
         a = random_hermitian(dim, 160 + seed)
-        return rho, a, None, VarianceSum([a]), None, lambda s: dense_variance_sum(s, [a.mat])
+        return rho, a, None, VarianceSum([a]), lambda s: dense_variance_sum(s, [a.mat])
     a, b = (_alpha_pair(0.3 + seed) if dim == 2 else
             (random_hermitian(dim, 160 + seed), random_hermitian(dim, 170 + seed)))
-    return (rho, a, b, RobertsonSchrodingerBound(a, b), default_mixed_partitions,
-            lambda s: dense_rs_bound(s, a.mat, b.mat))
+    return rho, a, b, RobertsonSchrodingerBound(a, b), lambda s: dense_rs_bound(s, a.mat, b.mat)
+
+
+def _searched(rho, a, b, functional, direction, cfg, ancilla):
+    """The roof under test and the restart-0 unitary and the evaluations that
+    chose it: ``concave_roof_L`` for the maximized bound L, else
+    ``optimize_roof`` from the identity."""
+    if isinstance(functional, RobertsonSchrodingerBound) and direction == "max":
+        return (concave_roof_L(rho, a, b, cfg=cfg, ancilla_dim=ancilla),
+                *_l_start(rho, functional, ancilla))
+    return optimize_roof(rho, functional, direction, cfg=cfg, ancilla_dim=ancilla), None, 1
+
+
+def _eigen_average(mat, dense):
+    """sum_k lambda_k f(v_k) over the eigendecomposition of a density matrix."""
+    lam, vecs = np.linalg.eigh(mat)
+    return sum(p * dense(np.outer(v, v.conj())) for p, v in zip(lam, vecs.T))
 
 
 def _assert_oracles(rho, a, b, direction, kind, res, steps):
@@ -467,17 +466,20 @@ def _assert_oracles(rho, a, b, direction, kind, res, steps):
         return
     l_rho = dense_rs_bound(mat, am, b.mat)
     if direction == "min":
-        # the trivial partition gives L(rho); every component obeys L >= |<i[A, B]>|
+        # restart 0 starts at the eigendecomposition; every component obeys
+        # L >= |<i[A, B]>|
         comm = abs(np.trace(mat @ (1j * (am @ b.mat - b.mat @ am))).real)
-        assert comm - 1e-9 <= res.value <= l_rho + 1e-12
+        eigen = _eigen_average(mat, lambda s: dense_rs_bound(s, am, b.mat))
+        assert comm - 1e-9 <= res.value <= eigen + 1e-12
         return
     ceiling = 2.0 * np.sqrt(dense_variance(mat, am) * dense_variance(mat, b.mat))
     assert l_rho - 1e-12 <= res.value <= ceiling + 1e-9
     if rho.dim == 3:
-        assert res.value >= closed_form_K(rho, am, b.mat) - 1e-9
-    if rho.dim == 2 and steps >= 100:
-        # the z-line decomposition attains the ceiling for pairs in the xy plane
-        assert res.value >= ceiling - 1e-7
+        assert res.value >= closed_form_K(rho, am, b.mat) - 1e-12
+    if rho.dim == 2:
+        # the split trivial grouping is the z-line decomposition, which
+        # attains the ceiling for pairs in the xy plane
+        assert res.value >= ceiling - 1e-12
 
 
 REFERENCE_CASES = [pytest.param(dim, direction, kind, seed, 120, None,
@@ -497,24 +499,20 @@ REFERENCE_CASES += [pytest.param(4, direction, kind, 0, steps, ancilla,
 @pytest.mark.parametrize("dim, direction, kind, seed, local_steps, ancilla", REFERENCE_CASES)
 def test_lockstep_search_matches_scalar_reference(dim, direction, kind, seed, local_steps,
                                                   ancilla):
-    rho, a, b, functional, partitions, dense = _oracle_case(dim, kind, seed)
-    partitions = partitions and partitions(ancilla or dim)
+    rho, a, b, functional, dense = _oracle_case(dim, kind, seed)
     cfg = OptimizerConfig(seed=seed, restarts=3, local_steps=local_steps)
-    res = optimize_roof(rho, functional, direction, partitions=partitions, cfg=cfg,
-                        ancilla_dim=ancilla)
+    res, start, scored = _searched(rho, a, b, functional, direction, cfg, ancilla)
     assert type(res.value) is float
     # the witness is exact: its dense re-evaluation is the reported value
     assert res.decomposition.reconstructs(rho, tol=1e-9)
     assert abs(_dense_average(res.decomposition, dense) - res.value) < 1e-12
     _assert_oracles(rho, a, b, direction, kind, res, local_steps)
-    searched = sum(len(part) > 1 for part in partitions or [singleton_partition(ancilla or dim)])
-    trivial = len(partitions or []) - searched
-    assert res.evaluations <= trivial + searched * cfg.restarts * (local_steps + 1)
+    assert res.evaluations <= scored - 1 + cfg.restarts * (local_steps + 1)
     # each start run on its own takes the same steps
-    ref = scalar_reference_roof(rho, functional, direction, partitions=partitions, cfg=cfg,
+    ref = scalar_reference_roof(rho, functional, direction, start=start, cfg=cfg,
                                 ancilla_dim=ancilla)
     assert abs(res.value - ref.value) < 1e-9
-    assert res.evaluations == ref.evaluations
+    assert res.evaluations == ref.evaluations + scored - 1
     assert res.converged == ref.converged
 
 
@@ -523,24 +521,19 @@ def test_lockstep_search_matches_scalar_reference_through_tolerance_stops():
     # stack shrinks mid-search: a qubit at the default budget, and a qutrit
     # with a coarse tolerance in its own ancilla and in one of dimension 5
     a, b = _alpha_pair(0.7)
-    qubit = (random_state(2, seed=181), a, b, [singleton_partition(2), trivial_partition(2)],
-             OptimizerConfig(seed=4), 2)
+    qubit = (random_state(2, seed=181), a, b, OptimizerConfig(seed=4), 2)
     qutrit = (random_state(3, seed=181), random_hermitian(3, 182), random_hermitian(3, 183),
-              default_mixed_partitions(3),
               OptimizerConfig(seed=6, restarts=3, local_steps=400, tolerance=0.01), 3)
-    in_five = (*qutrit[:3], default_mixed_partitions(5),
-               OptimizerConfig(seed=6, restarts=3, local_steps=400, tolerance=0.05), 5)
-    for rho, a, b, partitions, cfg, ancilla in (qubit, qutrit, in_five):
+    in_five = (*qutrit[:3], OptimizerConfig(seed=6, restarts=3, local_steps=400, tolerance=0.05), 5)
+    for rho, a, b, cfg, ancilla in (qubit, qutrit, in_five):
         functional = RobertsonSchrodingerBound(a, b)
-        res = optimize_roof(rho, functional, "max", partitions=partitions, cfg=cfg,
-                            ancilla_dim=ancilla)
-        ref = scalar_reference_roof(rho, functional, "max", partitions=partitions, cfg=cfg,
+        res, start, scored = _searched(rho, a, b, functional, "max", cfg, ancilla)
+        ref = scalar_reference_roof(rho, functional, "max", start=start, cfg=cfg,
                                     ancilla_dim=ancilla)
         assert abs(res.value - ref.value) < 1e-9
         assert res.converged and ref.converged
-        assert res.evaluations == ref.evaluations
-        searched = len(partitions) - 1
-        assert res.evaluations < 1 + searched * cfg.restarts * (cfg.local_steps + 1)
+        assert res.evaluations == ref.evaluations + scored - 1
+        assert res.evaluations < scored - 1 + cfg.restarts * (cfg.local_steps + 1)
 
 
 def test_default_convex_roof_converges_to_fisher_information(caplog):
@@ -560,17 +553,6 @@ def test_default_convex_roof_converges_to_fisher_information(caplog):
         assert line.startswith("optimize_roof: 8 starts, ")
         assert "evaluations, stopped on tolerance" in line
         assert "no_ascent" in line and "budget 0," in line and line.endswith(" s")
-
-
-def test_trivial_only_search_is_one_evaluation_of_the_state():
-    rho = random_state(3, seed=191)
-    functional = RobertsonSchrodingerBound(random_hermitian(3, 192), random_hermitian(3, 193))
-    res = optimize_roof(rho, functional, "max", partitions=[trivial_partition(3)], cfg=FAST)
-    assert res.value == functional.on_state(rho)
-    assert res.evaluations == 1
-    assert res.converged
-    assert len(res.decomposition) == 1
-    assert res.decomposition.reconstructs(rho, tol=1e-12)
 
 
 def _bfgs_inverse_hessian(steps, changes, k):
@@ -614,55 +596,43 @@ def test_lbfgs_direction_matches_dense_bfgs_recursion():
 
 def test_starts_draw_from_their_own_streams():
     # with no iterations the search returns the best of its starts: restart
-    # 0 of each partition at the identity, restart r > 0 of the first
-    # partition p of each block-size shape at the Haar unitary of
-    # default_rng([seed, p, r]), one start per one-block one
+    # 0 at the identity (at the best split eigenvector grouping for the
+    # maximized bound L), restart r > 0 at the Haar unitary of
+    # default_rng([seed, 0, r])
     winners = set()
     for direction, kind, ancilla in (("max", "rs", None), ("min", "rs", None),
                                      ("min", "variance", 4), ("max", "variance", 5)):
-        rho, _, _, functional, partitions, _ = _oracle_case(3, kind, 5)
+        rho, a, b, functional, _ = _oracle_case(3, kind, 5)
         n = ancilla or 3
-        partitions = partitions(n) if partitions else [singleton_partition(n)]
         m = purify(rho, n)
         sign = 1.0 if direction == "max" else -1.0
         for seed in range(29, 45):
             cfg = OptimizerConfig(seed=seed, restarts=4, local_steps=0)
-            res = optimize_roof(rho, functional, direction, partitions=partitions, cfg=cfg,
-                                ancilla_dim=ancilla)
-            starts, values = [], []
-            shapes = [sorted(len(b) for b in part) for part in partitions]
-            for p_idx, part in enumerate(partitions):
-                lead = len(part) > 1 and shapes.index(shapes[p_idx]) == p_idx
-                for r_idx in range(cfg.restarts if lead else 1):
-                    u = (np.eye(n) if r_idx == 0 else
-                         haar_random_unitary(n, np.random.default_rng([seed, p_idx, r_idx])))
-                    starts.append((p_idx, r_idx))
-                    values.append(decomposition_average(extract_decomposition(m, u, part),
-                                                        functional))
+            res, start, scored = _searched(rho, a, b, functional, direction, cfg, ancilla)
+            values = []
+            for r_idx in range(cfg.restarts):
+                u = (np.eye(n) if start is None else start) if r_idx == 0 else \
+                    haar_random_unitary(n, np.random.default_rng([seed, 0, r_idx]))
+                values.append(decomposition_average(extract_decomposition(m, u), functional))
             best = int(np.argmax(sign * np.array(values)))
-            winners.add(starts[best])
+            winners.add(best)
             assert abs(res.value - values[best]) < 1e-12
-            assert res.evaluations == len(values)
+            assert res.evaluations == scored - 1 + len(values)
             assert abs(decomposition_average(res.decomposition, functional) - res.value) < 1e-12
-    # the cases are won by starts of every restart index and of several partitions
-    assert {r for _, r in winners} == {0, 1, 2, 3}
-    assert len({p for p, _ in winners}) >= 4
+    # the cases are won by starts of every restart index
+    assert winners == {0, 1, 2, 3}
 
 
-def test_haar_restarts_only_on_the_first_partition_of_each_shape():
-    # with no iterations every start is one evaluation: a qutrit roof has the
-    # trivial start, R on {0,1}{2}, the identity on {0,2}{1} and {0}{1,2},
-    # and R on the singleton partition
+def test_concave_roof_L_makes_one_start_per_restart():
+    # with no iterations a qutrit roof scores its five split groupings in
+    # one call, climbs from the best, and evaluates R - 1 Haar starts; in a
+    # five-level ancilla it scores seven groupings
     rho = random_state(3, seed=211)
     a, b = random_hermitian(3, 212), random_hermitian(3, 213)
-    for restarts, starts in ((4, 11), (8, 19)):
+    for restarts, ancilla, evaluations in ((4, None, 8), (8, None, 12), (4, 5, 10)):
         cfg = OptimizerConfig(seed=3, restarts=restarts, local_steps=0)
-        assert concave_roof_L(rho, a, b, cfg=cfg).evaluations == starts
-    # the shape is that of the sorted block sizes, whatever the block order
-    partitions = [((0, 1), (2,)), ((0, 2), (1,)), ((1,), (0, 2))]
-    res = optimize_roof(rho, RobertsonSchrodingerBound(a, b), "max", partitions=partitions,
-                        cfg=OptimizerConfig(seed=3, restarts=3, local_steps=0))
-    assert res.evaluations == 3 + 1 + 1
+        assert concave_roof_L(rho, a, b, cfg=cfg, ancilla_dim=ancilla).evaluations == evaluations
+    assert [len(g) for g in _eigen_groupings(3)] == [3, 1, 2, 2, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -712,7 +682,6 @@ def test_roof_sum_I_dominates_fisher_sum():
 
 
 def test_roof_sum_I_singlet_collective_vanishes():
-    from qfiroof.entanglement import collective_spin_ops
     psi = singlet_state(0.5)
     ops = collective_spin_ops(0.5, 2)
     res = roof_sum_I(psi, ops, FAST)
@@ -757,6 +726,70 @@ def test_concave_roof_L_maximally_mixed_qubit():
     res = concave_roof_L(rho, a, b, cfg=FAST)
     # saturation: value^2 / 4 = Var(A) Var(B) = 1
     assert abs(0.25 * res.value**2 - 1.0) < 1e-8
+
+
+def test_concave_roof_L_saturates_the_qubit_ceiling_without_iterations():
+    # for a pair in the xy plane the split trivial grouping is the z-line
+    # decomposition, which attains 2 sqrt(Var(A) Var(B))
+    for seed in range(100):
+        rho = random_state(2, 1200 + seed)
+        a, b = _alpha_pair(0.1 + 0.06 * seed)
+        res = concave_roof_L(rho, a, b, cfg=OptimizerConfig(seed=seed, restarts=1, local_steps=0))
+        ceiling = 2.0 * np.sqrt(variance(rho, a) * variance(rho, b))
+        assert abs(res.value - ceiling) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# mixed components split into pure ones with the same means
+# ---------------------------------------------------------------------------
+
+def _random_grouping(rng, n):
+    labels = rng.integers(0, n, n)
+    return [list(np.flatnonzero(labels == label)) for label in np.unique(labels)]
+
+
+SPLIT_CASES = [(dim, rank, ancilla) for dim in range(2, 6) for rank in range(1, dim + 1)
+               for ancilla in sorted({rank, dim, dim + 2})]
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.05, 0.3, 1.0])
+def test_split_components_keep_their_block_means_and_never_lower_L(eps):
+    # a random grouping of the components of a Haar unitary, every block split
+    # by _split_block: the pure components reconstruct rho, share their
+    # block's means of A and B = A + eps H, and score at least the block's L
+    for case, (dim, rank, ancilla) in enumerate(SPLIT_CASES):
+        rng = np.random.default_rng([case, int(100 * eps)])
+        rho = random_state(dim, seed=400 + case, rank=rank)
+        a = random_hermitian(dim, 500 + case)
+        b = HermitianOperator(a.mat + eps * random_hermitian(dim, 600 + case).mat)
+        functional = RobertsonSchrodingerBound(a, b)
+        m = purify(rho, ancilla)
+        u0 = haar_random_unitary(ancilla, rng)
+        grams = _gram_stack(m, functional.ops).reshape(ancilla, -1, ancilla).swapaxes(0, 1)
+        q = u0.conj() @ grams[:3] @ u0.T        # G_I, G_A, G_B of the components of u0
+        grouping = _random_grouping(rng, ancilla)
+        w = np.eye(ancilla, dtype=complex)
+        for block in grouping:
+            w[np.ix_(block, block)] = _split_block(q[:, block][:, :, block])
+        u = w @ u0
+        assert extract_decomposition(m, u).reconstructs(rho, tol=1e-12)
+        mixed, split = m @ u0.T, m @ u.T
+        for block in grouping:
+            weight = np.sum(np.abs(mixed[:, block]) ** 2)
+            if weight < WEIGHT_DROP:
+                continue
+            sigma = mixed[:, block] @ mixed[:, block].conj().T / weight
+            means = [np.trace(sigma @ op.mat).real for op in (a, b)]
+            average = 0.0
+            for vec in split[:, block].T:
+                p = np.vdot(vec, vec).real
+                if p < WEIGHT_DROP:
+                    continue
+                pure = np.outer(vec, vec.conj()) / p
+                for op, mean in zip((a, b), means):
+                    assert abs(np.trace(pure @ op.mat).real - mean) < 1e-9
+                average += p * dense_rs_bound(pure, a.mat, b.mat)
+            assert average >= weight * dense_rs_bound(sigma, a.mat, b.mat) - 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -852,23 +885,25 @@ def test_partition_bound_matches_closed_form():
 
 
 def test_partition_bound_is_the_roof_start():
-    # K is the best roof objective at the identity, where restart 0 starts
+    # restart 0 of the roof starts at K's groupings, each split into pure
+    # components that score at least as much: with no iterations the roof
+    # is at least K and L on criterion 5's states
     spin = make_spin_algebra(1)
-    for seed in range(5):
-        rho = random_state(3, 240 + seed)
+    for s in range(50):
+        rho = random_density_matrix(RandomStateConfig(dim=3, rank=3, seed=50_000 + s))
         roof = concave_roof_L(rho, spin.jx, spin.jy,
-                              cfg=OptimizerConfig(seed=seed, restarts=1, local_steps=0))
-        assert roof.value == eigen_partition_bound_K(rho, spin.jx, spin.jy)
+                              cfg=OptimizerConfig(seed=51_000 + s, restarts=1, local_steps=0))
+        assert roof.value >= eigen_partition_bound_K(rho, spin.jx, spin.jy) - 1e-12
+        assert roof.value >= rs_lower_bound_L(rho, spin.jx, spin.jy) - 1e-12
 
 
 def test_roof_search_and_K_leave_a_factor_built_state_unformed():
     # both read only the support (lambda_S, V_S) of a factor-built state
     spin = make_spin_algebra(1)
     rho = spin_coherent_mixture(1, [(0.6, (0.3, 0.9, -0.2)), (0.4, (1.2, -0.4, 0.5))])
-    res = optimize_roof(rho, RobertsonSchrodingerBound(spin.jx, spin.jy), "max",
-                        partitions=default_mixed_partitions(2), cfg=FAST, ancilla_dim=2)
+    res = concave_roof_L(rho, spin.jx, spin.jy, cfg=FAST, ancilla_dim=2)
     assert rho._mat is None
-    assert res.value >= eigen_partition_bound_K(rho, spin.jx, spin.jy) - 1e-9
+    assert res.value >= eigen_partition_bound_K(rho, spin.jx, spin.jy) - 1e-12
     assert rho._mat is None
     assert res.decomposition.reconstructs(rho, tol=1e-9)
 
@@ -882,7 +917,7 @@ def test_partition_bound_rejects_non_qutrit():
 def test_rank_deficient_state_with_matching_ancilla():
     # rank-2 qutrit purifies into a 2-level ancilla
     rho = random_state(3, seed=95, rank=2)
-    dec = extract_decomposition(purify(rho, ancilla_dim=2), np.eye(2), singleton_partition(2))
+    dec = extract_decomposition(purify(rho, ancilla_dim=2), np.eye(2))
     assert len(dec) == 2
     assert dec.reconstructs(rho, tol=1e-10)
     res = optimize_roof(rho, VarianceSum([random_hermitian(3, 96)]), "min",
@@ -891,29 +926,19 @@ def test_rank_deficient_state_with_matching_ancilla():
     assert res.decomposition.reconstructs(rho, tol=1e-8)
 
 
-def test_user_supplied_mixed_partition_dim4():
-    parts = default_mixed_partitions(4) + [((0, 1), (2, 3))]
-    rho = random_state(4, seed=97)
-    a = random_hermitian(4, 98)
-    b = random_hermitian(4, 99)
-    res = concave_roof_L(rho, a, b, cfg=OptimizerConfig(seed=3, restarts=2,
-                                                        local_steps=100),
-                         partitions=parts)
-    assert res.value >= rs_lower_bound_L(rho, a, b) - 1e-9
-    assert res.decomposition.reconstructs(rho, tol=1e-8)
-
-
-def test_partition_validation():
-    rho = random_state(2, seed=101)
-    m, eye = purify(rho), np.eye(2)
-    with pytest.raises(ValueError, match="cover"):
-        extract_decomposition(m, eye, ((0,),))  # does not cover index 1
-    with pytest.raises(ValueError, match="two partition blocks"):
-        extract_decomposition(m, eye, ((0, 1), (1,)))  # overlap
-    with pytest.raises(ValueError, match="nonempty"):
-        extract_decomposition(m, eye, ((0, 1), ()))
-    with pytest.raises(ValueError, match="at least one partition"):
-        optimize_roof(rho, VarianceSum([random_hermitian(2, 102)]), "min", partitions=[])
+def test_concave_roof_L_above_ancilla_three():
+    # no ancilla cap: a random two-qubit state in its own ancilla and in one
+    # twice as large, for its collective spin pair and a random pair
+    rho = random_density_matrix(RandomStateConfig(dim=4, rank=4, seed=97))
+    jx, jy = collective_spin_ops(0.5, 2)[:2]
+    cfg = OptimizerConfig(seed=3, restarts=2, local_steps=100)
+    for a, b in ((jx, jy), (random_hermitian(4, 98), random_hermitian(4, 99))):
+        for ancilla in (4, 8):
+            res = concave_roof_L(rho, a, b, cfg=cfg, ancilla_dim=ancilla)
+            assert res.decomposition.reconstructs(rho, tol=1e-10)
+            assert res.value >= rs_lower_bound_L(rho, a, b) - 1e-12
+            assert abs(decomposition_average(res.decomposition,
+                                             RobertsonSchrodingerBound(a, b)) - res.value) < 1e-12
 
 
 def test_extract_rejects_a_non_unitary_or_misshapen_ancilla_matrix():
@@ -922,10 +947,10 @@ def test_extract_rejects_a_non_unitary_or_misshapen_ancilla_matrix():
     u = haar_random_unitary(3, np.random.default_rng(104))
     for bad in (1.001 * u, u[:, [0, 0, 2]], np.full((3, 3), np.nan)):
         with pytest.raises(ValueError, match="not unitary"):
-            extract_decomposition(m, bad, singleton_partition(3))
+            extract_decomposition(m, bad)
     for bad in (np.eye(2), np.eye(4), u[:2], u[0]):
         with pytest.raises(ValueError, match="must be 3 x 3"):
-            extract_decomposition(m, bad, singleton_partition(3))
+            extract_decomposition(m, bad)
 
 
 def test_decomposition_validation():
