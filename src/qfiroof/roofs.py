@@ -136,8 +136,9 @@ class RoofFunctional:
     operators.  ``from_moments(p, mom)`` receives component weights ``p``
     (any shape ``(...)``, each positive) and the unnormalised moments
     ``mom[..., j] = p Tr(sigma X_j)`` (shape ``(..., x)``, complex) and
-    returns p f(sigma) for every component; ``moment_grad(p, mom)`` returns its
-    derivatives, from which the optimizer builds the Riemannian gradient.
+    returns p f(sigma) for every component; ``moment_grad(p, mom)`` returns
+    the same values and their derivatives, from which the optimizer builds
+    the Riemannian gradient.
     The optimizer never forms sigma: it takes every start's moments from
     one Gram stack of the purification (see ``optimize_roof``).
     """
@@ -147,11 +148,13 @@ class RoofFunctional:
     def from_moments(self, p: np.ndarray, mom: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def moment_grad(self, p: np.ndarray, mom: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Derivatives of ``from_moments`` in ``p`` (shape ``(...)``) and in ``mom``.
+    def moment_grad(self, p: np.ndarray, mom: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``from_moments`` and its derivatives in ``p`` (shape ``(...)``) and in ``mom``.
 
-        The moment derivative is complex, d/dRe + i d/dIm, so a change dM of
-        the moments changes the value by Re(conj(grad) dM).
+        The value is bit for bit that of ``from_moments``, from the same
+        pass.  The moment derivative is complex, d/dRe + i d/dIm, so a
+        change dM of the moments changes the value by Re(conj(grad) dM).
         """
         raise NotImplementedError
 
@@ -199,12 +202,15 @@ class VarianceSum(RoofFunctional):
         total = np.sum(mom[..., half:].real - means * means / p[..., None], axis=-1)
         return np.maximum(total, 0.0)
 
-    def moment_grad(self, p: np.ndarray, mom: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def moment_grad(self, p: np.ndarray, mom: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         half = mom.shape[-1] // 2
-        ratio = mom[..., :half].real / p[..., None]
+        means = mom[..., :half].real
+        total = np.sum(mom[..., half:].real - means * means / p[..., None], axis=-1)
+        ratio = means / p[..., None]
         grad = np.ones(mom.shape, dtype=complex)
         grad[..., :half] = -2.0 * ratio
-        return np.sum(ratio * ratio, axis=-1), grad
+        return np.maximum(total, 0.0), np.sum(ratio * ratio, axis=-1), grad
 
 
 class RobertsonSchrodingerBound(RoofFunctional):
@@ -224,7 +230,8 @@ class RobertsonSchrodingerBound(RoofFunctional):
     def from_moments(self, p: np.ndarray, mom: np.ndarray) -> np.ndarray:
         return 2.0 * np.abs(self._centred(p, mom))
 
-    def moment_grad(self, p: np.ndarray, mom: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def moment_grad(self, p: np.ndarray, mom: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # with z = p<AB> - p<A> p<B> / p the value is 2|z| and its derivative
         # in p<AB> is 2z/|z|; L is not differentiable where z = 0, and there
         # the zero subgradient is returned
@@ -237,7 +244,7 @@ class RobertsonSchrodingerBound(RoofFunctional):
         grad[..., 0] = -dcov * eb / p
         grad[..., 1] = -dcov * ea / p
         grad[..., 2] = dz
-        return dcov * ea * eb / (p * p), grad
+        return 2.0 * norm, dcov * ea * eb / (p * p), grad
 
     @staticmethod
     def _centred(p: np.ndarray, mom: np.ndarray) -> np.ndarray:
@@ -301,16 +308,22 @@ def _block_terms(mom: np.ndarray, functional: RoofFunctional, gradient: bool = F
     them at weight 1, so that it never divides by a vanishing weight, and
     the score is dropped.  With ``gradient``, also returns the derivatives
     in every moment, the weight included (shape of ``mom``, 0 on the light
-    components).
+    components).  When every component is heavy enough, as it almost
+    always is, no select or mask runs.
     """
     p = mom[..., 0].real
     keep = p >= WEIGHT_DROP
-    p = np.where(keep, p, 1.0)
-    terms = np.where(keep, functional.from_moments(p, mom[..., 1:]), 0.0)
+    whole = keep.all()
+    if not whole:
+        p = np.where(keep, p, 1.0)
     if not gradient:
-        return terms
-    dp, dmom = functional.moment_grad(p, mom[..., 1:])
-    return terms, keep[..., None] * np.concatenate([dp[..., None], dmom], axis=-1)
+        terms = functional.from_moments(p, mom[..., 1:])
+        return terms if whole else np.where(keep, terms, 0.0)
+    terms, dp, dmom = functional.moment_grad(p, mom[..., 1:])
+    coef = np.concatenate([dp[..., None], dmom], axis=-1)
+    if whole:
+        return terms, coef
+    return np.where(keep, terms, 0.0), keep[..., None] * coef
 
 
 def _objective(gram: np.ndarray, us: np.ndarray, functional: RoofFunctional,
@@ -379,43 +392,56 @@ def _line_values(coef: np.ndarray, lam: np.ndarray, mus: np.ndarray,
 BFGS_MEMORY = 6           # (step, gradient change) pairs kept per start
 # rotation angles mu max|lam| tried along each direction: pi / 4 down to pi / 4^12
 LINE_ANGLES = np.pi / 4.0 ** np.arange(12, 0, -1)
+NEIGHBOURS = np.array([-1, 0, 1])                 # a grid point and its neighbours
 TOLERANCE, NO_ASCENT, BUDGET = range(3)          # why a start stopped
 STOP_REASONS = ("tolerance", "no_ascent", "budget")
 
 
-def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of two ``(C, k)`` stacks."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
-def _lbfgs_direction(grad: np.ndarray, pairs: np.ndarray, inv: np.ndarray,
-                     count: np.ndarray) -> np.ndarray:
+def _lbfgs_direction(grad: np.ndarray, steps: np.ndarray, changes: np.ndarray,
+                     inv: np.ndarray, count: np.ndarray) -> np.ndarray:
     """Limited-memory BFGS ascent directions of a stack of starts.
 
     ``grad`` is ``(C, k)`` (Hermitian matrices as real vectors, whose dot
-    product is Re Tr(A B)).  ``pairs`` is ``(m, 2, C, k)``, newest pair
-    first: ``pairs[j]`` holds the step and the gradient change of every
-    start's j-th pair, of which the first ``count[i]`` are valid for start
-    i.  ``inv`` is ``(m, C)``, 1 / (step . change) of each valid pair and 0
-    past them.  A change is g_old - g_new, the gradient change of the
-    negated objective, so every stored pair has positive curvature.  The
-    two-loop recursion scales by (s . y) / (y . y) of the newest pair.
+    product is Re Tr(A B)).  ``steps`` and ``changes`` are ``(m, C, k)``,
+    newest pair first: ``steps[j]`` and ``changes[j]`` hold the step and the
+    gradient change of every start's j-th pair, of which the first
+    ``count[i]`` are valid for start i.  ``inv`` is ``(m, C)``, 1 / (step .
+    change) of each valid pair and 0 past them.  A change is g_old - g_new,
+    the gradient change of the negated objective, so every stored pair has
+    positive curvature.  The two-loop recursion scales by (s . y) / (y . y)
+    of the newest pair.
     """
     r = grad.copy()
+    depth = count.max(initial=0)
     alpha = []
-    for j in range(count.max(initial=0)):
-        step, change = pairs[j]
-        alpha.append(inv[j] * _dots(step, r))
-        r -= alpha[j][:, None] * change
-    if alpha:
-        newest = pairs[0, 1]
-        r *= np.divide(1.0, inv[0] * _dots(newest, newest), out=np.ones(len(r)),
+    for j in range(depth):
+        alpha.append(inv[j] * np.vecdot(steps[j], r))
+        r -= alpha[j][:, None] * changes[j]
+    if depth:
+        newest = changes[0]
+        r *= np.divide(1.0, inv[0] * np.vecdot(newest, newest), out=np.ones(len(r)),
                        where=count > 0)[:, None]
-    for j in reversed(range(len(alpha))):
-        step, change = pairs[j]
-        beta = inv[j] * _dots(change, r)
-        r += (alpha[j] - beta)[:, None] * step
+    for j in reversed(range(depth)):
+        beta = inv[j] * np.vecdot(changes[j], r)
+        r += (alpha[j] - beta)[:, None] * steps[j]
     return r
+
+
+def _select(mask: np.ndarray, new: np.ndarray, old: np.ndarray) -> np.ndarray:
+    """Rows of the ``(C, ...)`` stack ``new`` where ``mask``, of ``old`` elsewhere."""
+    return np.where(mask.reshape(-1, *(1,) * (new.ndim - 1)), new, old)
+
+
+def _push(memory: tuple[np.ndarray, ...], newest: tuple[np.ndarray, ...],
+          rows: np.ndarray | None = None) -> None:
+    """Shift the ``(m, C, ...)`` stacks of ``memory`` one slot older and put
+    ``newest`` first, for the starts ``rows`` (``newest`` holds their rows
+    only) or for every start."""
+    for stack, new in zip(memory, newest):
+        if rows is None:
+            stack[1:], stack[0] = stack[:-1], new
+        else:
+            stack[1:, rows], stack[0, rows] = stack[:-1, rows], new
 
 
 def _ascend(gram: np.ndarray, us: np.ndarray, functional: RoofFunctional, sign: float,
@@ -431,14 +457,17 @@ def _ascend(gram: np.ndarray, us: np.ndarray, functional: RoofFunctional, sign: 
     through the best grid point and its neighbours where the polynomials
     score it higher, and forms and evaluates only the chosen unitary, with
     its gradient.  An accepted step with positive curvature is pushed onto
-    the start's memory in place, the oldest pair dropping out.  A step that
-    does not ascend clears the memory, or, from the gradient direction,
-    stops the start.  A start also stops once its gradient norm falls below
-    ``cfg.tolerance`` or after ``cfg.local_steps`` iterations.  Starts never
-    read each other's state, and a stopped start leaves the stack.  Returns
-    the signed objectives of the final unitaries, why each start stopped
-    (``TOLERANCE``, ``NO_ASCENT`` or ``BUDGET``) and the number of
-    iterations.
+    the start's memory, two ``(BFGS_MEMORY, C, 2n^2)`` stacks of steps and
+    gradient changes, newest first, the oldest pair dropping out.  A step
+    that does not ascend clears the memory, or, from the gradient
+    direction, stops the start.  A start also stops once its gradient norm
+    falls below ``cfg.tolerance`` or after ``cfg.local_steps`` iterations.
+    Starts never read each other's state, and a stopped start leaves the
+    stack.  When every live start is uphill, or every one is accepted, the
+    iteration skips the per-start selects (``_select``), which leaves every
+    start's arithmetic unchanged.  Returns the signed objectives of the
+    final unitaries, why each start stopped (``TOLERANCE``, ``NO_ASCENT`` or
+    ``BUDGET``) and the number of iterations.
     """
     c, n = len(us), us.shape[-1]
     live = np.arange(c)
@@ -446,10 +475,11 @@ def _ascend(gram: np.ndarray, us: np.ndarray, functional: RoofFunctional, sign: 
     vals, grad, q = _objective(gram, u, functional, gradient=True)
     vals, grad = sign * vals, sign * grad
     # every start's memory, newest pair first (see _lbfgs_direction)
-    pairs = np.zeros((BFGS_MEMORY, 2, c, 2 * n * n))
+    steps = np.zeros((BFGS_MEMORY, c, 2 * n * n))
+    changes = np.zeros((BFGS_MEMORY, c, 2 * n * n))
     inv = np.zeros((BFGS_MEMORY, c))
     count = np.zeros(c, dtype=int)
-    failed = np.zeros(c, dtype=bool)
+    failed = False
     final = np.empty(c)
     reason = np.full(c, BUDGET)
     iterations = 0
@@ -457,27 +487,27 @@ def _ascend(gram: np.ndarray, us: np.ndarray, functional: RoofFunctional, sign: 
     grid = np.concatenate([[0.0], LINE_ANGLES])
     for it in range(cfg.local_steps + 1):
         g = grad.view(float).reshape(len(live), -1)
-        small = _dots(g, g) < cfg.tolerance ** 2
-        stop = small | failed
+        small = np.vecdot(g, g) < cfg.tolerance ** 2
+        stop = small if failed is False else small | failed
         if stop.any():
             done, go = stop.nonzero()[0], (~stop).nonzero()[0]
             reason[live[done]] = np.where(small[done], TOLERANCE, NO_ASCENT)
             us[live[done]], final[live[done]] = u[done], vals[done]
             live, u, vals, grad, q, g = live[go], u[go], vals[go], grad[go], q[go], g[go]
-            pairs, inv, count = pairs[:, :, go], inv[:, go], count[go]
+            steps, changes, inv, count = steps[:, go], changes[:, go], inv[:, go], count[go]
             if not len(live):
                 return final, reason, iterations
         if it == cfg.local_steps:
             break
         iterations += len(live)
-        d = _lbfgs_direction(g, pairs, inv, count)
+        d = _lbfgs_direction(g, steps, changes, inv, count)
         # a direction that does not ascend to first order falls back to the
         # gradient and clears the memory
-        uphill = _dots(d, g) > 0.0
-        d = np.where(uphill[:, None], d, g)
-        count *= uphill
-        inv *= uphill
-        steepest = count == 0
+        uphill = np.vecdot(d, g) > 0.0
+        if not uphill.all():
+            d = _select(uphill, d, g)
+            count *= uphill
+            inv *= uphill
         lam, vecs = np.linalg.eigh(d.view(complex).reshape(-1, n, n))
         coef = _line_coefficients(q, vecs)
         mus = grid / np.abs(lam).max(axis=1)[:, None]
@@ -487,35 +517,43 @@ def _ascend(gram: np.ndarray, us: np.ndarray, functional: RoofFunctional, sign: 
         # vertex of the parabola through the best grid point and its
         # neighbours, where that point lies inside the grid
         rows = np.arange(len(live))
-        near = np.minimum(np.maximum(best, 1), top - 1)[:, None] + (-1, 0, 1)
-        (x0, x1, x2), (y0, y1, y2) = mus[rows[:, None], near].T, line[rows[:, None], near].T
-        num = (x1 - x0) ** 2 * (y1 - y2) - (x1 - x2) ** 2 * (y1 - y0)
-        den = (x1 - x0) * (y1 - y2) - (x1 - x2) * (y1 - y0)
+        near = np.minimum(np.maximum(best, 1), top - 1)[:, None] + NEIGHBOURS
+        x, y = mus[rows[:, None], near], line[rows[:, None], near]
+        # [x1 - x0, x1 - x2] times [y1 - y2, y1 - y0]; with x0 .. y2 the
+        # columns of x and y, num = (x1 - x0)^2 (y1 - y2) - (x1 - x2)^2 (y1 - y0)
+        # and den = (x1 - x0)(y1 - y2) - (x1 - x2)(y1 - y0)
+        dx, dy = x[:, 1:2] - x[:, ::2], y[:, 1:2] - y[:, ::-2]
+        num, den = dx ** 2 * dy, dx * dy
+        num, den = num[:, 0] - num[:, 1], den[:, 0] - den[:, 1]
         inner = (best > 0) & (best < top) & (den > 0.0)
-        vertex = x1 - 0.5 * np.divide(num, den, out=np.zeros(len(live)), where=inner)
+        vertex = x[:, 1] - 0.5 * np.divide(num, den, out=np.zeros(len(live)), where=inner)
         at_vertex = sign * _line_values(coef, lam, vertex[:, None], functional)[:, 0]
-        mu = np.where(inner & (at_vertex > y1), vertex, mus[rows, best])
+        mu = np.where(inner & (at_vertex > y[:, 1]), vertex, mus[rows, best])
         rotation = (vecs * np.exp(1j * mu[:, None] * lam)[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
         new_u = rotation @ u
         new_vals, new_grad, new_q = _objective(gram, new_u, functional, gradient=True)
         new_vals, new_grad = sign * new_vals, sign * new_grad
         accept = (best > 0) & (new_vals > vals)
-        pair = np.array([mu[:, None] * d, g - new_grad.view(float).reshape(len(live), -1)])
-        curvature = _dots(*pair)
+        step, change = mu[:, None] * d, g - new_grad.view(float).reshape(len(live), -1)
+        curvature = np.vecdot(step, change)
         curved = accept & (curvature > 0.0)
-        push = curved.nonzero()[0]
-        if len(push):
-            pairs[1:, :, push], inv[1:, push] = pairs[:-1, :, push], inv[:-1, push]
-            # not pairs[0, :, push], whose split integer indices put the push axis first
-            pairs[0][:, push], inv[0, push] = pair[:, push], 1.0 / curvature[push]
-        # a rejected step clears the memory; a pushed pair lengthens it
-        count = np.minimum(count + curved, BFGS_MEMORY) * accept
-        inv *= accept
-        failed = ~accept & steepest
-        u = np.where(accept[:, None, None], new_u, u)
-        vals = np.where(accept, new_vals, vals)
-        grad = np.where(accept[:, None, None], new_grad, grad)
-        q = np.where(accept[:, None, None, None], new_q, q)
+        if curved.all():
+            _push((steps, changes, inv), (step, change, 1.0 / curvature))
+        elif curved.any():
+            push = curved.nonzero()[0]
+            _push((steps, changes, inv), (step[push], change[push], 1.0 / curvature[push]), push)
+        if accept.all():
+            count = np.minimum(count + curved, BFGS_MEMORY)
+            failed = False
+            u, vals, grad, q = new_u, new_vals, new_grad, new_q
+        else:
+            # a rejected step clears the memory, and stops a start that
+            # took it along the gradient
+            failed = ~accept & (count == 0)
+            count = np.minimum(count + curved, BFGS_MEMORY) * accept
+            inv *= accept
+            u, vals = _select(accept, new_u, u), _select(accept, new_vals, vals)
+            grad, q = _select(accept, new_grad, grad), _select(accept, new_q, q)
     us[live], final[live] = u, vals
     return final, reason, iterations
 

@@ -43,6 +43,7 @@ from qfiroof import (
     spin_coherent_mixture,
     variance,
 )
+from qfiroof import roofs
 from qfiroof.core import _support, haar_random_unitary
 from qfiroof.roofs import (
     BFGS_MEMORY,
@@ -356,7 +357,10 @@ def test_moment_grad_matches_central_differences(dim):
             return functional.from_moments(np.trace(path, axis1=1, axis2=2).real,
                                            np.einsum("xij,kji->kx", ops, path))
 
-        dp, dmom = functional.moment_grad(weights, np.einsum("xij,kji->kx", ops, comps))
+        mom = np.einsum("xij,kji->kx", ops, comps)
+        value, dp, dmom = functional.moment_grad(weights, mom)
+        # the value from the gradient's pass is from_moments' own, bit for bit
+        assert np.array_equal(value, functional.from_moments(weights, mom))
         for _ in range(3):
             e = rng.standard_normal((len(states), dim, dim)) + 1j * rng.standard_normal(
                 (len(states), dim, dim))
@@ -536,6 +540,49 @@ def test_lockstep_search_matches_scalar_reference_through_tolerance_stops():
         assert res.evaluations < scored - 1 + cfg.restarts * (cfg.local_steps + 1)
 
 
+def test_lockstep_search_matches_scalar_reference_through_mixed_iterations(monkeypatch):
+    # within one stack iteration some starts accept and others reject, some
+    # push no pair while others do, and some fall back from a downhill
+    # direction, so _ascend leaves its every-start shortcuts for per-start
+    # selects (_select) and pushes (_push), counted here.  A direction from
+    # positive-curvature pairs ascends up to rounding, so every start whose
+    # memory holds exactly two pairs is handed its negated direction: a
+    # rule local to the start, the same in the stack and on its own.
+    rho, a, b, functional, _ = _oracle_case(4, "rs", 1)
+    cfg = OptimizerConfig(seed=1, restarts=3, local_steps=120)
+    lbfgs, select, push = roofs._lbfgs_direction, roofs._select, roofs._push
+    mixed = {"accept": 0, "uphill": 0, "push": 0}
+
+    def downhill_at_two(grad, steps, changes, inv, count):
+        d = lbfgs(grad, steps, changes, inv, count)
+        d[count == 2] *= -1.0
+        return d
+
+    def counted_select(mask, new, old):
+        if mask.any() and not mask.all():
+            # the direction is (C, k), of the accepted stacks only vals is (C,)
+            if new.ndim == 1:
+                mixed["accept"] += 1
+            elif new.ndim == 2:
+                mixed["uphill"] += 1
+        return select(mask, new, old)
+
+    def counted_push(memory, newest, rows=None):
+        if rows is not None:
+            mixed["push"] += 1
+        push(memory, newest, rows)
+
+    monkeypatch.setattr(roofs, "_lbfgs_direction", downhill_at_two)
+    monkeypatch.setattr(roofs, "_select", counted_select)
+    monkeypatch.setattr(roofs, "_push", counted_push)
+    res = optimize_roof(rho, functional, "min", cfg=cfg)
+    assert min(mixed.values()) > 0, mixed
+    ref = scalar_reference_roof(rho, functional, "min", cfg=cfg)
+    assert res.value == ref.value
+    assert res.evaluations == ref.evaluations
+    assert res.converged == ref.converged
+
+
 def test_default_convex_roof_converges_to_fisher_information(caplog):
     # the ascent stops on the gradient tolerance, not on the budget, and
     # logs one line per roof
@@ -577,18 +624,19 @@ def test_lbfgs_direction_matches_dense_bfgs_recursion():
     k, memory = 8, BFGS_MEMORY
     count = np.array([0, 2, memory, 1, 4, memory, 3, 0])
     c = len(count)
-    pairs = rng.standard_normal((memory, 2, c, k))
+    steps = rng.standard_normal((memory, c, k))
+    changes = np.empty_like(steps)
     for j in range(memory):
         for i in range(c):
             # y = A s with A symmetric positive definite keeps s.y > 0
             a = rng.standard_normal((k, k))
-            pairs[j, 1, i] = (a @ a.T + np.eye(k)) @ pairs[j, 0, i]
-    curvature = np.einsum("mck,mck->mc", pairs[:, 0], pairs[:, 1])
+            changes[j, i] = (a @ a.T + np.eye(k)) @ steps[j, i]
+    curvature = np.einsum("mck,mck->mc", steps, changes)
     inv = np.where(np.arange(memory)[:, None] < count, 1.0 / curvature, 0.0)
     grad = rng.standard_normal((c, k))
-    d = _lbfgs_direction(grad, pairs, inv, count)
+    d = _lbfgs_direction(grad, steps, changes, inv, count)
     for i in range(c):
-        h = _bfgs_inverse_hessian(list(pairs[:count[i], 0, i]), list(pairs[:count[i], 1, i]), k)
+        h = _bfgs_inverse_hessian(list(steps[:count[i], i]), list(changes[:count[i], i]), k)
         expected = h @ grad[i]
         assert np.linalg.norm(d[i] - expected) <= 1e-12 * np.linalg.norm(expected)
     assert np.array_equal(d[count == 0], grad[count == 0])
