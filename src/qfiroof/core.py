@@ -508,19 +508,13 @@ def tensor(a, b):
     so no eigensolve of the d_a d_b x d_a d_b matrix is needed.
     """
     if isinstance(a, HermitianOperator) and isinstance(b, HermitianOperator):
-        return HermitianOperator(_kron(a.mat, b.mat))
+        return HermitianOperator(np.kron(a.mat, b.mat))
     if isinstance(a, PureState) and isinstance(b, PureState):
         return PureState((a.vec[:, None] * b.vec).ravel())  # np.kron's products, C-level
     if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
         (lam_a, vs_a), (lam_b, vs_b) = _support(a), _support(b)
-        return DensityMatrix.from_factor(_kron(vs_a * np.sqrt(lam_a), vs_b * np.sqrt(lam_b)))
+        return DensityMatrix.from_factor(np.kron(vs_a * np.sqrt(lam_a), vs_b * np.sqrt(lam_b)))
     raise TypeError(f"cannot tensor {type(a).__name__} with {type(b).__name__}")
-
-
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of two matrices, bit for bit, as one broadcast product and a reshape."""
-    rows, cols = a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(rows, cols)
 
 
 def ground_state(h: HermitianOperator) -> tuple[float, PureState, bool]:

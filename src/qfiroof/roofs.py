@@ -479,7 +479,7 @@ def _ascend(gram: np.ndarray, us: np.ndarray, functional: RoofFunctional, sign: 
     changes = np.zeros((BFGS_MEMORY, c, 2 * n * n))
     inv = np.zeros((BFGS_MEMORY, c))
     count = np.zeros(c, dtype=int)
-    failed = False
+    failed = np.zeros(c, dtype=bool)
     final = np.empty(c)
     reason = np.full(c, BUDGET)
     iterations = 0
@@ -488,7 +488,7 @@ def _ascend(gram: np.ndarray, us: np.ndarray, functional: RoofFunctional, sign: 
     for it in range(cfg.local_steps + 1):
         g = grad.view(float).reshape(len(live), -1)
         small = np.vecdot(g, g) < cfg.tolerance ** 2
-        stop = small if failed is False else small | failed
+        stop = small | failed
         if stop.any():
             done, go = stop.nonzero()[0], (~stop).nonzero()[0]
             reason[live[done]] = np.where(small[done], TOLERANCE, NO_ASCENT)
@@ -542,14 +542,13 @@ def _ascend(gram: np.ndarray, us: np.ndarray, functional: RoofFunctional, sign: 
         elif curved.any():
             push = curved.nonzero()[0]
             _push((steps, changes, inv), (step[push], change[push], 1.0 / curvature[push]), push)
+        # a rejected step clears the memory, and stops a start that took it
+        # along the gradient
+        failed = ~accept & (count == 0)
         if accept.all():
             count = np.minimum(count + curved, BFGS_MEMORY)
-            failed = False
             u, vals, grad, q = new_u, new_vals, new_grad, new_q
         else:
-            # a rejected step clears the memory, and stops a start that
-            # took it along the gradient
-            failed = ~accept & (count == 0)
             count = np.minimum(count + curved, BFGS_MEMORY) * accept
             inv *= accept
             u, vals = _select(accept, new_u, u), _select(accept, new_vals, vals)

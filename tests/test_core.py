@@ -415,20 +415,6 @@ def test_tensor_density_matrices_matches_dense_kron(dims, ranks):
     assert product.rank() == ranks[0] * ranks[1]
 
 
-@pytest.mark.parametrize("dims, ranks", [((2, 2), (2, 2)), ((3, 4), (3, 2)), ((12, 10), (5, 6))])
-def test_tensor_outer_products_equal_np_kron_bitwise(dims, ranks):
-    # the operator and density-matrix branches form np.kron's products as
-    # one broadcast product: the same bits, operators and factors alike
-    a_op, b_op = random_hermitian(dims[0], 340 + dims[0]), random_hermitian(dims[1], 350 + dims[1])
-    assert np.array_equal(tensor(a_op, b_op).mat, HermitianOperator(np.kron(a_op.mat, b_op.mat)).mat)
-    a = random_state(dims[0], seed=360 + dims[0], rank=ranks[0])
-    b = random_state(dims[1], seed=370 + dims[1], rank=ranks[1])
-    (lam_a, vs_a), (lam_b, vs_b) = _support(a), _support(b)
-    kron = DensityMatrix.from_factor(np.kron(vs_a * np.sqrt(lam_a), vs_b * np.sqrt(lam_b)))
-    for got, expected in zip(_support(tensor(a, b)), _support(kron)):
-        assert np.array_equal(got, expected)
-
-
 def test_tensor_density_matrices_at_cutoff_40_makes_no_dense_eigensolve(monkeypatch):
     def mixture(alphas):
         factor = np.stack([coherent_state(alpha, 40).vec for alpha in alphas], axis=1)
