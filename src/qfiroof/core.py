@@ -51,18 +51,23 @@ def _as_complex_matrix(entries) -> np.ndarray:
     return mat
 
 
+def _hermitian_matrix(entries, what: str) -> np.ndarray:
+    """The Hermitian part of a square matrix that deviates from it by at most
+    ``HERMITICITY_TOL``, so that eigensolves see an exactly Hermitian input."""
+    mat = _as_complex_matrix(entries)
+    dev = np.max(np.abs(mat - mat.conj().T))
+    if dev > HERMITICITY_TOL:
+        raise ValueError(f"{what} is not Hermitian (max deviation {dev:.3e})")
+    return 0.5 * (mat + mat.conj().T)
+
+
 class HermitianOperator:
     """Dense complex square matrix certified Hermitian at construction."""
 
     __slots__ = ("mat",)
 
     def __init__(self, entries):
-        mat = _as_complex_matrix(entries)
-        dev = np.max(np.abs(mat - mat.conj().T))
-        if dev > HERMITICITY_TOL:
-            raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
-        # Symmetrize so downstream eigensolves see an exactly Hermitian input.
-        self.mat = 0.5 * (mat + mat.conj().T)
+        self.mat = _hermitian_matrix(entries, "matrix")
 
     @property
     def dim(self) -> int:
@@ -139,11 +144,7 @@ class DensityMatrix:
     __slots__ = ("_mat", "_lam", "_vs")
 
     def __init__(self, entries):
-        mat = _as_complex_matrix(entries)
-        dev = np.max(np.abs(mat - mat.conj().T))
-        if dev > HERMITICITY_TOL:
-            raise ValueError(f"density matrix is not Hermitian (max deviation {dev:.3e})")
-        mat = 0.5 * (mat + mat.conj().T)
+        mat = _hermitian_matrix(entries, "density matrix")
         tr = np.trace(mat).real
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"trace {tr!r} differs from 1 beyond tolerance")
@@ -173,9 +174,9 @@ class DensityMatrix:
     def dim(self) -> int:
         return self._vs.shape[0]
 
-    def rank(self, tol: float = EIG_FLOOR) -> int:
-        """Number of eigenvalues above a nonnegative ``tol``."""
-        return int(np.count_nonzero(self._lam > tol))
+    def rank(self) -> int:
+        """The size of the support: the number of eigenvalues not below ``EIG_FLOOR``."""
+        return len(self._lam)
 
     def purity(self) -> float:
         return float(np.sum(self._lam**2))

@@ -8,10 +8,11 @@ in the Hermitian Lie algebra, driven by the analytic Riemannian gradient,
 and an exact line search along each geodesic exp(i mu D) U.
 
 Mixed components are never searched.  Convex roofs are defined over pure
-decompositions, and for the concave roof of the uncertainty bound L a
-rotation inside any mixed component splits it into pure ones that share its
-means and together score at least as much (``_split_block``); groupings of
-the eigenvectors enter only as refined starts.
+decompositions, and for the concave roofs of the uncertainty bound L and of
+a sum of at most two variances a rotation inside any mixed component splits
+it into pure ones that share its means and together score at least as much
+(``_split_block``); groupings of the eigenvectors, split this way, enter
+only as the first start of every maximization.
 
 One-sidedness contract: every candidate decomposition is itself a witness,
 so a minimization always returns a value >= the true convex roof and a
@@ -564,21 +565,26 @@ def optimize_roof(rho: State,
                   ancilla_dim: int | None = None) -> RoofResult:
     """Best weighted component average of ``functional`` over pure decompositions.
 
-    ``direction`` is ``"min"`` or ``"max"``.  Restart 0 ascends from the
-    identity, so the eigendecomposition is always a candidate, and restart
-    r > 0 from the Haar random unitary that ``haar_random_unitary`` gives on
-    ``default_rng([seed, 0, r])`` (one batched QR makes them all).  All
-    starts advance in one stack (``_ascend``) by limited-memory BFGS steps
-    in the Hermitian Lie algebra, built from the analytic Riemannian
-    gradient, with an exact line search along the geodesic exp(i mu D) U.
-    A start stops on the gradient tolerance ``cfg.tolerance``, when a step
-    along the gradient finds no ascent, or after ``cfg.local_steps``
-    iterations, and then leaves the stack.
+    ``direction`` is ``"min"`` or ``"max"``, and it alone picks restart 0.
+    A maximization ascends from the best eigenvector grouping split into
+    pure components that keep each block's means (``_split_start``), so its
+    value is never below that of any grouping it scores; a minimization
+    ascends from the identity, so the eigendecomposition is always a
+    candidate.  Restart r > 0 ascends from the Haar random unitary that
+    ``haar_random_unitary`` gives on ``default_rng([seed, 0, r])`` (one
+    batched QR makes them all).  All starts advance in one stack
+    (``_ascend``) by limited-memory BFGS steps in the Hermitian Lie algebra,
+    built from the analytic Riemannian gradient, with an exact line search
+    along the geodesic exp(i mu D) U.  A start stops on the gradient
+    tolerance ``cfg.tolerance``, when a step along the gradient finds no
+    ascent, or after ``cfg.local_steps`` iterations, and then leaves the
+    stack.  A pure state is its own only decomposition.
 
     No component is formed: every moment, gradient and line-search score
     comes from the Gram stack G = m^dag [I, X_1, ..] m of the purification
     matrix m and the functional's ``ops``, built once (``_objective``).
-    ``evaluations`` counts one per start plus one per iteration.  The winner
+    ``evaluations`` counts one per start plus one per iteration, and for a
+    maximization also every scored grouping but the one climbed.  The winner
     is the best start, the first of equals, and ``converged`` says that it
     stopped on the tolerance or on no ascent, not on the budget.  A
     functional that is not a ``RoofFunctional`` raises ``TypeError``, one
@@ -590,37 +596,27 @@ def optimize_roof(rho: State,
     last step, so it is exact for the witness decomposition and always on
     the certified side of the true roof.
     """
+    started = time.perf_counter()
     if direction not in ("min", "max"):
         raise ValueError("direction must be 'min' or 'max'")
     _require_functional(functional)
     rho = state_density(rho)
     functional.check_dim(rho.dim)
     if rho.rank() == 1:
-        return _pure_roof(rho, functional)
-    m = purify(rho, ancilla_dim)
-    return _search(m, _gram_stack(m, functional.ops), functional,
-                   1.0 if direction == "max" else -1.0, cfg, np.eye(m.shape[1], dtype=complex))
-
-
-def _pure_roof(rho: DensityMatrix, functional: RoofFunctional) -> RoofResult:
-    """Every decomposition of a pure state is the state itself."""
-    psi = PureState(_support(rho)[1][:, 0])
-    return RoofResult(value=functional.on_state(psi), decomposition=Decomposition(((1.0, psi),)),
-                      converged=True, evaluations=1)
-
-
-def _search(m: np.ndarray, gram: np.ndarray, functional: RoofFunctional, sign: float,
-            cfg: OptimizerConfig | None, start: np.ndarray, scored: int = 1) -> RoofResult:
-    """The roof search of ``optimize_roof`` with restart 0 at the unitary ``start``.
-
-    ``scored`` objective evaluations chose ``start``; they count towards
-    ``evaluations`` in its place.
-    """
-    started = time.perf_counter()
+        psi = PureState(_support(rho)[1][:, 0])
+        return RoofResult(value=functional.on_state(psi), decomposition=Decomposition(((1.0, psi),)),
+                          converged=True, evaluations=1)
     cfg = cfg or OptimizerConfig()
+    m = purify(rho, ancilla_dim)
+    gram = _gram_stack(m, functional.ops)
     n = m.shape[1]
     us = np.empty((cfg.restarts, n, n), dtype=complex)
-    us[0] = start
+    if direction == "max":
+        sign = 1.0
+        us[0], scored = _split_start(gram, functional)
+    else:
+        sign, scored = -1.0, 1
+        us[0] = np.eye(n)
     if cfg.restarts > 1:
         us[1:] = _haar_from_ginibre(np.array([
             _ginibre(n, np.random.default_rng([cfg.seed, 0, r])) for r in range(1, cfg.restarts)]))
@@ -683,21 +679,12 @@ def concave_roof_L(rho: State, a: HermitianOperator, b: HermitianOperator,
     <A> and <B> (``_split_block``), their values of z = <AB> - <A><B>
     average to the component's, and L = 2|z|, so by the triangle inequality
     they score at least the component's L (see the README).  So the search
-    runs over pure decompositions, and restart 0 ascends from the best of
-    the eigenvector groupings of ``_eigen_groupings`` split this way
-    (``_split_start``): the value is never below K (qutrits) nor below
-    L(rho), at any ancilla dimension.  Restarts 1 .. R-1 are the Haar
-    starts of ``optimize_roof``, and ``evaluations`` also counts every
-    scored grouping but the one climbed.
+    of ``optimize_roof`` over pure decompositions is the roof, and its
+    restart 0, the best split eigenvector grouping, keeps the value never
+    below K (qutrits) nor below L(rho), at any ancilla dimension.
     """
-    functional = RobertsonSchrodingerBound(a, b)
-    rho = state_density(rho)
-    functional.check_dim(rho.dim)
-    if rho.rank() == 1:
-        return _pure_roof(rho, functional)
-    m = purify(rho, ancilla_dim)
-    gram = _gram_stack(m, functional.ops)
-    return _search(m, gram, functional, 1.0, cfg, *_split_start(gram, functional))
+    return optimize_roof(rho, RobertsonSchrodingerBound(a, b), "max", cfg=cfg,
+                         ancilla_dim=ancilla_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -720,6 +707,7 @@ def _split_block(g: np.ndarray) -> np.ndarray:
     X = conj(w) zeroes the diagonals of X H X^dag for the traceless H_1 =
     G_A - a G_I and H_2 = G_B - b G_I (Fillmore, Amer. Math. Monthly 76, 167
     (1969)), so every component of the block's rows of w has means a and b.
+    Without G_B (a functional of one moment operator) only H_1 is zeroed.
     Two passes of k - 1 rotations of indices (i, j), the largest positive
     and the most negative diagonal entry, build X: real ones zero diag H_1,
     then ones of phase e^{i phi} with Re(e^{-i phi} H_1[i, j]) = 0, which
@@ -741,7 +729,7 @@ def _split_block(g: np.ndarray) -> np.ndarray:
             if not d[i] > 0.0 > d[j]:
                 break
             h1_ij = h[0][i][j]
-            phase = 1j * h1_ij / abs(h1_ij) if target is h[1] and h1_ij else 1.0
+            phase = 1j * h1_ij / abs(h1_ij) if target is not h[0] and h1_ij else 1.0
             alpha, beta = 0.5 * (d[i] + d[j]), 0.5 * (d[i] - d[j])
             gamma = (phase.conjugate() * target[i][j]).real
             cosine = max(-1.0, min(1.0, -alpha / math.hypot(beta, gamma)))
@@ -753,7 +741,7 @@ def _split_block(g: np.ndarray) -> np.ndarray:
                 ri, rj = mat[i], mat[j]
                 mat[i] = [c * p + sp * q for p, q in zip(ri, rj)]
                 mat[j] = [sm * p + c * q for p, q in zip(ri, rj)]
-            for row in (*h[0], *h[1]):
+            for row in [line for mat in h for line in mat]:
                 p, q = row[i], row[j]
                 row[i] = c * p + sp.conjugate() * q
                 row[j] = sm.conjugate() * p + c * q
@@ -761,11 +749,17 @@ def _split_block(g: np.ndarray) -> np.ndarray:
 
 
 def _split_start(gram: np.ndarray, functional: RoofFunctional) -> tuple[np.ndarray, int]:
-    """Restart 0 of ``concave_roof_L`` and the number of groupings scored to choose it.
+    """Restart 0 of a maximization and the number of groupings scored to choose it.
 
     Every grouping of ``_eigen_groupings``, each block split by
-    ``_split_block``, is a block-diagonal unitary; all are scored in one
-    ``_objective`` call.  ``gram`` is the Gram stack of [A, B, AB].
+    ``_split_block`` on the first two moment operators of ``functional``
+    ([A, B] of the bound L and of a sum of two or more variances, [A, A^2]
+    of one variance), is a block-diagonal unitary and a pure decomposition
+    whose components keep their block's two means; all are scored in one
+    ``_objective`` call.  ``gram`` is the functional's Gram stack.  For L
+    and for a sum of at most two variances, every split scores at least its
+    grouping (see the README); for such a sum the split trivial grouping
+    scores sum_n Var_rho(A_n), the concave roof itself.
     """
     n = gram.shape[0]
     grams = gram.reshape(n, -1, n).swapaxes(0, 1)[:3]
@@ -835,11 +829,11 @@ def eigen_partition_bound_K(rho: State, a: HermitianOperator,
     decompositions that keep one eigenvector pure and merge the other two,
     and the trivial decomposition (the plain Robertson-Schrodinger bound);
     each block's moments are the sums of its eigenvectors' moments.  These
-    are the groupings that restart 0 of ``concave_roof_L`` starts from,
-    split into pure components that score at least as much, so the roof is
-    never below K.  Degenerate spectra use the eigenbasis exactly as the
-    solver returns it, which keeps runs reproducible at the cost of possible
-    suboptimality.  A ``PureState`` is its own only decomposition, so its K
+    are the groupings from which ``_split_start`` picks restart 0 of every
+    maximization, ``concave_roof_L`` included, each split into pure
+    components that score at least as much, so the roof is never below K.
+    Degenerate spectra use the eigenbasis exactly as the solver returns it,
+    which keeps runs reproducible at the cost of possible suboptimality.  A ``PureState`` is its own only decomposition, so its K
     is its L.
     """
     rho = state_density(rho)

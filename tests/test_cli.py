@@ -173,7 +173,8 @@ def test_roof_pure_state_min_is_variance(capsys):
 
 
 def test_roof_rs_bound_matches_the_library_search(capsys):
-    from qfiroof import OptimizerConfig, RobertsonSchrodingerBound, make_spin_algebra, optimize_roof
+    from qfiroof import (OptimizerConfig, RobertsonSchrodingerBound, concave_roof_L,
+                         make_spin_algebra, optimize_roof)
     code, out, err = run_cli(capsys, "roof", "--state", json.dumps(QUTRIT), "--ops", "jx", "jy",
                              "--functional", "rs-bound", "--direction", "max", "--seed", "3",
                              *FAST_ROOF)
@@ -181,11 +182,15 @@ def test_roof_rs_bound_matches_the_library_search(capsys):
     payload = json.loads(out)
     spin = make_spin_algebra(1)
     cfg = OptimizerConfig(seed=_child_seed(3, 0xD0), restarts=2, local_steps=60)
-    expected = optimize_roof(build_state(QUTRIT, 40), RobertsonSchrodingerBound(spin.jx, spin.jy),
-                             "max", cfg=cfg)
+    rho = build_state(QUTRIT, 40)
+    expected = optimize_roof(rho, RobertsonSchrodingerBound(spin.jx, spin.jy), "max", cfg=cfg)
     assert payload["value"] == expected.value
     assert payload["evaluations"] == expected.evaluations
     assert len(payload["decomposition"]) == len(expected.decomposition)
+    # the roof of `check improved-rs` is the same search
+    named = concave_roof_L(rho, spin.jx, spin.jy, cfg=cfg)
+    assert payload["value"] == named.value
+    assert payload["evaluations"] == named.evaluations
 
 
 def test_roof_rs_bound_rejects_three_operators(capsys):

@@ -49,6 +49,7 @@ from qfiroof.roofs import (
     BFGS_MEMORY,
     WEIGHT_DROP,
     Decomposition,
+    RoofFunctional,
     _eigen_groupings,
     _gram_stack,
     _lbfgs_direction,
@@ -235,13 +236,29 @@ def test_roof_entry_points_take_only_roof_functionals():
             decomposition_average(dec, bad)
 
 
+class _SquaredMean(RoofFunctional):
+    """<A>^2 on a component: a functional of a single moment operator."""
+
+    def __init__(self, a):
+        self.ops = a.mat[None]
+
+    def from_moments(self, p, mom):
+        mean = mom[..., 0].real
+        return mean * mean / p
+
+    def moment_grad(self, p, mom):
+        ratio = mom[..., 0].real / p
+        return self.from_moments(p, mom), -ratio * ratio, (2.0 * ratio)[..., None] + 0j
+
+
 def _functionals(dim, seed):
-    """The three functional kinds, each with its dense formula of a density matrix."""
+    """The functional kinds, each with its dense formula of a density matrix."""
     a, b = random_hermitian(dim, seed), random_hermitian(dim, seed + 1)
     return [
         (VarianceSum([a]), lambda s: dense_variance_sum(s, [a.mat])),
         (VarianceSum([a, b]), lambda s: dense_variance_sum(s, [a.mat, b.mat])),
         (RobertsonSchrodingerBound(a, b), lambda s: dense_rs_bound(s, a.mat, b.mat)),
+        (_SquaredMean(a), lambda s: np.trace(s @ a.mat).real ** 2),
     ]
 
 
@@ -251,8 +268,8 @@ def _objective_rows(gram, us, functional):
     return _objective(gram, us.reshape(c * t, n, n), functional).reshape(c, t)
 
 
-def _l_start(rho, functional, ancilla=None):
-    """Restart 0 of ``concave_roof_L`` and the number of groupings scored to choose it."""
+def _max_start(rho, functional, ancilla=None):
+    """Restart 0 of a maximization and the number of groupings scored to choose it."""
     return _split_start(_gram_stack(purify(rho, ancilla), functional.ops), functional)
 
 
@@ -293,8 +310,8 @@ def test_from_moments_stack_matches_dense_formulas(dim):
 
 def test_rank_deficient_qutrit_search_raises_no_floating_point_error():
     # at the identity the null eigenvector's ancilla column carries weight 0,
-    # and the split groupings of concave_roof_L rotate it into their blocks;
-    # the search reads moments, gradients and line-search moments of both
+    # and the split groupings that start a maximization rotate it into their
+    # blocks; the search reads moments, gradients and line-search moments of both
     rho = random_state(3, seed=201, rank=2)
     a, b = random_hermitian(3, 202), random_hermitian(3, 203)
     cfg = OptimizerConfig(seed=5, restarts=3, local_steps=120)
@@ -307,12 +324,13 @@ def test_rank_deficient_qutrit_search_raises_no_floating_point_error():
             expected = decomposition_average(extract_decomposition(m, eye), functional)
             assert abs(at_identity - expected) < 1e-12
             res = optimize_roof(rho, functional, "max", cfg=cfg)
-            ref = scalar_reference_roof(rho, functional, "max", cfg=cfg)
+            ref = scalar_reference_roof(rho, functional, "max",
+                                        start=_max_start(rho, functional)[0], cfg=cfg)
             assert abs(res.value - ref.value) < 1e-9
             assert abs(_dense_average(res.decomposition, dense) - res.value) < 1e-12
         functional = RobertsonSchrodingerBound(a, b)
         roof = concave_roof_L(rho, a, b, cfg=cfg)
-        ref = scalar_reference_roof(rho, functional, "max", start=_l_start(rho, functional)[0],
+        ref = scalar_reference_roof(rho, functional, "max", start=_max_start(rho, functional)[0],
                                     cfg=cfg)
         k = eigen_partition_bound_K(rho, a, b)
     assert abs(roof.value - ref.value) < 1e-9
@@ -442,14 +460,14 @@ def _oracle_case(dim, kind, seed):
     return rho, a, b, RobertsonSchrodingerBound(a, b), lambda s: dense_rs_bound(s, a.mat, b.mat)
 
 
-def _searched(rho, a, b, functional, direction, cfg, ancilla):
+def _searched(rho, functional, direction, cfg, ancilla):
     """The roof under test and the restart-0 unitary and the evaluations that
-    chose it: ``concave_roof_L`` for the maximized bound L, else
-    ``optimize_roof`` from the identity."""
-    if isinstance(functional, RobertsonSchrodingerBound) and direction == "max":
-        return (concave_roof_L(rho, a, b, cfg=cfg, ancilla_dim=ancilla),
-                *_l_start(rho, functional, ancilla))
-    return optimize_roof(rho, functional, direction, cfg=cfg, ancilla_dim=ancilla), None, 1
+    chose it: the best split grouping of a maximization, the identity of a
+    minimization."""
+    res = optimize_roof(rho, functional, direction, cfg=cfg, ancilla_dim=ancilla)
+    if direction == "max":
+        return res, *_max_start(rho, functional, ancilla)
+    return res, None, 1
 
 
 def _eigen_average(mat, dense):
@@ -505,7 +523,7 @@ def test_lockstep_search_matches_scalar_reference(dim, direction, kind, seed, lo
                                                   ancilla):
     rho, a, b, functional, dense = _oracle_case(dim, kind, seed)
     cfg = OptimizerConfig(seed=seed, restarts=3, local_steps=local_steps)
-    res, start, scored = _searched(rho, a, b, functional, direction, cfg, ancilla)
+    res, start, scored = _searched(rho, functional, direction, cfg, ancilla)
     assert type(res.value) is float
     # the witness is exact: its dense re-evaluation is the reported value
     assert res.decomposition.reconstructs(rho, tol=1e-9)
@@ -531,7 +549,7 @@ def test_lockstep_search_matches_scalar_reference_through_tolerance_stops():
     in_five = (*qutrit[:3], OptimizerConfig(seed=6, restarts=3, local_steps=400, tolerance=0.05), 5)
     for rho, a, b, cfg, ancilla in (qubit, qutrit, in_five):
         functional = RobertsonSchrodingerBound(a, b)
-        res, start, scored = _searched(rho, a, b, functional, "max", cfg, ancilla)
+        res, start, scored = _searched(rho, functional, "max", cfg, ancilla)
         ref = scalar_reference_roof(rho, functional, "max", start=start, cfg=cfg,
                                     ancilla_dim=ancilla)
         assert abs(res.value - ref.value) < 1e-9
@@ -644,19 +662,24 @@ def test_lbfgs_direction_matches_dense_bfgs_recursion():
 
 def test_starts_draw_from_their_own_streams():
     # with no iterations the search returns the best of its starts: restart
-    # 0 at the identity (at the best split eigenvector grouping for the
-    # maximized bound L), restart r > 0 at the Haar unitary of
-    # default_rng([seed, 0, r])
-    winners = set()
+    # 0 at the best split eigenvector grouping of a maximization and at the
+    # identity of a minimization, restart r > 0 at the Haar unitary of
+    # default_rng([seed, 0, r]).  The split start is the exact roof of one
+    # variance, so the variance maximization sums four variances
+    cases = [("max", random_state(3, 5),
+              VarianceSum([random_hermitian(3, 300 + k) for k in range(4)]), 3)]
     for direction, kind, ancilla in (("max", "rs", None), ("min", "rs", None),
-                                     ("min", "variance", 4), ("max", "variance", 5)):
-        rho, a, b, functional, _ = _oracle_case(3, kind, 5)
+                                     ("min", "variance", 4)):
+        rho, _, _, functional, _ = _oracle_case(3, kind, 5)
+        cases.append((direction, rho, functional, ancilla))
+    winners = set()
+    for direction, rho, functional, ancilla in cases:
         n = ancilla or 3
         m = purify(rho, n)
         sign = 1.0 if direction == "max" else -1.0
         for seed in range(29, 45):
             cfg = OptimizerConfig(seed=seed, restarts=4, local_steps=0)
-            res, start, scored = _searched(rho, a, b, functional, direction, cfg, ancilla)
+            res, start, scored = _searched(rho, functional, direction, cfg, ancilla)
             values = []
             for r_idx in range(cfg.restarts):
                 u = (np.eye(n) if start is None else start) if r_idx == 0 else \
@@ -719,6 +742,12 @@ def test_roof_sum_single_operator_identities():
     assert abs(roof_sum_I(rho, [op], cfg).value - qfi(rho, op) / 4) <= 0.02 * qfi(rho, op) / 4
     r = roof_sum_R(rho, [op], cfg)
     assert abs(r.value - variance(rho, op)) <= 0.01 * variance(rho, op)
+    # with no search the split trivial grouping, whose pure components keep
+    # the means of one or two operators, is already the concave roof sum Var
+    start_only = OptimizerConfig(seed=6, restarts=1, local_steps=0)
+    for ops in ([op], [op, random_hermitian(3, 83)]):
+        r = roof_sum_R(rho, ops, start_only)
+        assert abs(r.value - sum(variance(rho, o) for o in ops)) <= 1e-12
 
 
 def test_roof_sum_I_dominates_fisher_sum():
