@@ -67,7 +67,6 @@ from .bounds import (
 )
 from .entanglement import (
     TwoModeReport,
-    coherent_mixture_usefulness,
     collective_spin_ops,
     duan_report,
     two_spin_report,

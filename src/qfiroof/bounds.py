@@ -265,6 +265,8 @@ def fj_curve(j, grid) -> FjCurve:
         raise ValueError("grid values must lie in [0, 1]")
     spin = make_spin_algebra(j)
     j = spin.j
+    if j == 0.0:
+        raise ValueError("fj_curve needs spin j > 0; spin 0 has no polarization to scan")
     jx2 = spin.jx.mat @ spin.jx.mat
     half_integer = (int(round(2 * j)) % 2) == 1
     lam_grid = np.logspace(-3, 3, FJ_LAM_POINTS)
@@ -343,11 +345,11 @@ def spin_length_bound(state: State, curve: FjCurve | None = None) -> BoundReport
 
 _SIDE = np.logspace(-3, 3, 20)
 MULTIPLIER_GRID = np.concatenate([-_SIDE[::-1], [0.0], _SIDE])   # default multiplier scan
+TARGET_TOL = 1e-6         # a target this far outside the scanned constraint values is still feasible
 
 
 def minvar_constrained(a_ops, b_ops=(), targets=(),
-                       lambda_grid=None, mu_grid=None,
-                       target_tol: float = 1e-6) -> float:
+                       lambda_grid=None, mu_grid=None) -> float:
     """Minimal sum of Var(A_n) over states whose <B_n> hit the targets.
 
     Scans ground states of sum_n (A_n^2 - lambda_n A_n) - sum_n mu_n B_n over
@@ -396,17 +398,15 @@ def minvar_constrained(a_ops, b_ops=(), targets=(),
     if len(b_ops) == 1:
         xs = np.array([c[0] for c in coords])
         target = targets[0]
-        if target < xs.min() - target_tol or target > xs.max() + target_tol:
+        if target < xs.min() - TARGET_TOL or target > xs.max() + TARGET_TOL:
             raise InfeasibleTargetError(
                 f"target {target} outside scanned range [{xs.min():.6f}, {xs.max():.6f}]")
         hull_x, hull_y = _lower_hull(list(zip(xs.tolist(), sums)))
         return float(np.interp(np.clip(target, hull_x[0], hull_x[-1]), hull_x, hull_y))
-    return _lower_envelope_nd(np.asarray(coords), np.asarray(sums),
-                              np.asarray(targets), target_tol)
+    return _lower_envelope_nd(np.asarray(coords), np.asarray(sums), np.asarray(targets))
 
 
-def _lower_envelope_nd(coords: np.ndarray, values: np.ndarray,
-                       target: np.ndarray, tol: float) -> float:
+def _lower_envelope_nd(coords: np.ndarray, values: np.ndarray, target: np.ndarray) -> float:
     """Evaluate the lower convex envelope of scattered values at one point.
 
     The envelope is the pointwise maximum of the lower-facet planes of the
@@ -418,7 +418,7 @@ def _lower_envelope_nd(coords: np.ndarray, values: np.ndarray,
     try:
         tri = Delaunay(coords)
     except QhullError:
-        exact = values[np.all(np.abs(coords - target) <= tol, axis=1)]
+        exact = values[np.all(np.abs(coords - target) <= TARGET_TOL, axis=1)]
         if exact.size:
             return float(exact.min())
         raise InfeasibleTargetError("constraint coordinates are degenerate")

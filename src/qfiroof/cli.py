@@ -1,9 +1,11 @@
 """Command-line front end: figure data generation, bound checks, roofs, and
 state construction.
 
-All commands are deterministic for a fixed ``--seed``; numeric CSV fields
-use 12 significant digits so identical runs produce identical bytes.
-Errors exit nonzero with a JSON payload on stderr.
+Each subcommand accepts only the flags it reads.  All commands are
+deterministic (for a fixed ``--seed`` where they take one); numeric CSV
+fields use 12 significant digits so identical runs produce identical bytes.
+A command line that argparse rejects exits 2 with a usage message on stderr;
+every other error exits 1 with a JSON payload on stderr.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .core import (
     spin_coherent_state,
     tensor,
     variance,
+    _require_count,
 )
 from .entanglement import duan_report, two_spin_report, vxyz_criterion
 from .roofs import (
@@ -196,6 +199,7 @@ def _optimizer_config(args) -> OptimizerConfig:
 
 def cmd_figure_rs(args) -> None:
     """Random qutrits against the plain, eigenvector-partition, and roof bounds."""
+    _require_count(args.samples, "samples", 1)
     spin = make_spin_algebra(1)
     a, b = spin.jx, spin.jy
     header = ["sample", "lhs_minus_rhs_rs", "lhs_minus_rhs_k", "lhs_minus_rhs_roof"]
@@ -332,13 +336,21 @@ def cmd_state_factory(args) -> None:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=1, help="master seed (default 1)")
-    p.add_argument("--out", default=None, help="output path, '-' or omitted for stdout")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--cutoff", type=int, default=40, help="Fock truncation (default 40)")
-    p.add_argument("--restarts", type=int, default=8, help="optimizer restarts")
-    p.add_argument("--local-steps", type=int, default=600, help="optimizer iteration budget per start")
+# Flags that several subcommands share; each subcommand adds those it reads.
+_SHARED_FLAGS = {
+    "--out": dict(default=None, help="output path, '-' or omitted for stdout"),
+    "--format": dict(choices=("csv", "json"), default="csv"),
+    "--cutoff": dict(type=int, default=40, help="Fock truncation (default 40)"),
+    "--seed": dict(type=int, default=1, help="master seed (default 1)"),
+    "--restarts": dict(type=int, default=8, help="optimizer restarts"),
+    "--local-steps": dict(type=int, default=600, help="optimizer iteration budget per start"),
+}
+_OPTIMIZER_FLAGS = ("--seed", "--restarts", "--local-steps")
+
+
+def _add_shared(p: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        p.add_argument(flag, **_SHARED_FLAGS[flag])
 
 
 def _float_list(text: str) -> list[float]:
@@ -352,18 +364,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("figure-rs", help="random-qutrit bound comparison data")
-    _add_common(p)
+    _add_shared(p, "--out", "--format", *_OPTIMIZER_FLAGS)
     p.add_argument("--samples", type=int, default=200)
     p.set_defaults(func=cmd_figure_rs)
 
     p = sub.add_parser("figure-planar", help="planar-squeezed bound sweep over j")
-    _add_common(p)
+    _add_shared(p, "--out", "--format")
     p.add_argument("--j-list", type=_float_list,
                    default=[0.5, 1, 1.5, 2, 2.5, 3, 3.5, 4, 4.5, 5])
     p.set_defaults(func=cmd_figure_planar)
 
     p = sub.add_parser("figure-spinsq", help="one-axis-squeezing sweep at fixed j")
-    _add_common(p)
+    _add_shared(p, "--out", "--format")
     p.add_argument("--j", type=float, default=50)
     p.add_argument("--lambda-min", type=float, default=1e-2)
     p.add_argument("--lambda-max", type=float, default=1e6)
@@ -371,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_figure_spinsq)
 
     p = sub.add_parser("check", help="evaluate a named inequality on a state")
-    _add_common(p)
+    _add_shared(p, "--out", "--cutoff", *_OPTIMIZER_FLAGS)
     p.add_argument("name", choices=tuple(CHECKS))
     p.add_argument("--state", required=True, help="state spec JSON or @file")
     p.add_argument("--op-a", default="jx")
@@ -385,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("roof", help="optimize a functional over decompositions")
-    _add_common(p)
+    _add_shared(p, "--out", "--cutoff", *_OPTIMIZER_FLAGS)
     p.add_argument("--state", required=True)
     p.add_argument("--ops", nargs="+", required=True, help="operator specs")
     p.add_argument("--direction", choices=("min", "max"), required=True)
@@ -393,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_roof)
 
     p = sub.add_parser("state-factory", help="construct and serialize a state")
-    _add_common(p)
+    _add_shared(p, "--out", "--cutoff")
     p.add_argument("spec", help="state spec JSON or @file")
     p.set_defaults(func=cmd_state_factory)
 

@@ -64,11 +64,6 @@ def _quadrature_pairs(state: State, fock: FockAlgebra):
     return lam, vs, images, _support_qfi(lam, vs, images)
 
 
-def _above_p_nonnegative_cap(fisher: np.ndarray) -> dict:
-    """Which Duan combinations have a Fisher information above the P-nonnegative cap of 4."""
-    return {name: bool(fisher[at] > 4.0 + USEFULNESS_TOL) for name, at in _PAIRS.items()}
-
-
 @dataclass(frozen=True)
 class TwoModeReport:
     """Pair-variance entanglement criterion and its Fisher-information side."""
@@ -96,6 +91,8 @@ def duan_report(state: State, fock: FockAlgebra) -> TwoModeReport:
     A vanishing Fisher term would make that bound degenerate; it is treated
     as zero contribution only when the matching variance also vanishes,
     otherwise the check is reported as numerically indeterminate.
+    ``useful_flags`` marks each of x1+-x2 and p1+-p2 whose Fisher
+    information exceeds 4, the cap of the P-nonnegative states.
 
     Every moment is taken over the support of the state (its r eigenvectors
     of positive eigenvalue): four single-mode images, each made once, and one
@@ -128,16 +125,9 @@ def duan_report(state: State, fock: FockAlgebra) -> TwoModeReport:
         fisher_pair_slack=float(fisher_pair_gap),
         fisher_pair_status=status,
         entangled=lhs < 2.0 - USEFULNESS_TOL,
-        useful_flags=_above_p_nonnegative_cap(fisher),
+        useful_flags={name: bool(fisher[at] > 4.0 + USEFULNESS_TOL)
+                      for name, at in _PAIRS.items()},
     )
-
-
-def coherent_mixture_usefulness(state: State, fock: FockAlgebra) -> dict:
-    """Flag quadrature combinations whose QFI exceeds the P-nonnegative cap of 4.
-
-    Reads only the support of the state; builds no d x d operator.
-    """
-    return _above_p_nonnegative_cap(_quadrature_pairs(state, fock)[3])
 
 
 def two_spin_report(state: State, j1, j2) -> BoundReport:

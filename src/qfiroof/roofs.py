@@ -776,49 +776,22 @@ def _split_start(gram: np.ndarray, functional: RoofFunctional) -> tuple[np.ndarr
 # closed-form constructions
 # ---------------------------------------------------------------------------
 
-_PAULIS = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
-
-
 def qubit_z_line_decomposition(rho: State) -> Decomposition:
     """Two-point decomposition of a qubit along the Bloch z direction.
 
     Both components sit where the vertical line through the Bloch vector
     pierces the sphere, so they share every x/y moment with the mixture;
     this makes the decomposition saturate the concave-roof uncertainty bound
-    for operator pairs in the xy plane.  A pure qubit is its own one-point
-    decomposition.
+    for operator pairs in the xy plane.  It is the trivial grouping split by
+    ``_split_block`` on sigma_x and sigma_y.  A pure qubit is its own
+    one-point decomposition.
     """
     rho = state_density(rho)
     if rho.dim != 2:
         raise ValueError("z-line decomposition is defined for qubits only")
-    bloch = np.array([np.real(np.trace(rho.mat @ s)) for s in _PAULIS])
-    bx, by, bz = bloch
-    planar_sq = bx * bx + by * by
-    t_sq = 1.0 - planar_sq
-    if t_sq < 1e-24:
-        # Bloch vector on the equator boundary: rho is already pure.
-        return Decomposition(((1.0, _pure_from_bloch(bx, by, 0.0)),))
-    t = np.sqrt(t_sq)
-    p_up = 0.5 * (1.0 + bz / t)
-    p_dn = 0.5 * (1.0 - bz / t)
-    comps: list[tuple[float, State]] = []
-    if p_up > WEIGHT_DROP:
-        comps.append((p_up, _pure_from_bloch(bx, by, t)))
-    if p_dn > WEIGHT_DROP:
-        comps.append((p_dn, _pure_from_bloch(bx, by, -t)))
-    total = sum(p for p, _ in comps)
-    comps = [(p / total, s) for p, s in comps]
-    return Decomposition(tuple(comps))
-
-
-def _pure_from_bloch(bx: float, by: float, bz: float) -> PureState:
-    mat = 0.5 * (np.eye(2, dtype=complex) + bx * _PAULIS[0] + by * _PAULIS[1] + bz * _PAULIS[2])
-    vals, vecs = np.linalg.eigh(mat)
-    return PureState(vecs[:, int(np.argmax(vals))])
+    m = purify(rho)
+    one_x_y = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]]])
+    return extract_decomposition(m, _split_block(m.conj().T @ one_x_y @ m))
 
 
 def eigen_partition_bound_K(rho: State, a: HermitianOperator,

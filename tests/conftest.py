@@ -122,6 +122,13 @@ def closed_form_K(rho, a: np.ndarray, b: np.ndarray) -> float:
     return max(candidates)
 
 
+def p_plus_eigenstate(fock) -> np.ndarray:
+    """The lowest eigenvector of the truncated p1 + p2 on two modes: its
+    Fisher information for p1 + p2 vanishes while Var(x1 + x2) does not."""
+    eye = np.eye(fock.cutoff)
+    return np.linalg.eigh(np.kron(fock.p.mat, eye) + np.kron(eye, fock.p.mat))[1][:, 0]
+
+
 def dense_two_mode_quadratures(fock) -> dict:
     """x1 +- x2 and p1 +- p2 as dense Kronecker-built c^2 x c^2 matrices."""
     eye = np.eye(fock.cutoff)

@@ -365,6 +365,11 @@ def test_spin_length_bound_rejects_spin_zero():
         spin_length_bound(PureState([1.0]))
 
 
+def test_fj_rejects_spin_zero():
+    with pytest.raises(ValueError, match="spin"):
+        fj_curve(0, np.linspace(0, 1, 11))
+
+
 def test_spin_length_bound_rejects_foreign_curve():
     curve = fj_curve(0.5, np.linspace(0, 1, 11))
     with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 from pathlib import Path
@@ -5,8 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qfiroof.cli import CHECKS, STATES, _child_seed, build_operator, build_state, main
-from qfiroof.entanglement import TwoModeReport
+from conftest import p_plus_eigenstate
+from qfiroof import make_fock_algebra
+from qfiroof.cli import (CHECKS, STATES, _child_seed, build_operator, build_parser, build_state,
+                         main)
 
 
 def run_cli(capsys, *argv):
@@ -255,16 +258,11 @@ def test_check_rs_rejects_nan_state(capsys):
     assert "non-finite" in json.loads(err)["message"]
 
 
-def test_check_duan_indeterminate_slack_is_json_null(capsys, monkeypatch):
-    import qfiroof.cli
-
-    report = TwoModeReport(duan_lhs=2.5, duan_rhs=2.0, qfi_x_minus=0.0, qfi_p_plus=4.0,
-                           fisher_pair_slack=float("nan"),
-                           fisher_pair_status="indeterminate", entangled=False,
-                           useful_flags={"x1+x2": False})
-    monkeypatch.setattr(qfiroof.cli, "duan_report", lambda state, fock: report)
-    spec = json.dumps({"constructor": "tmsv", "params": {"r": 0.1}})
-    code, out, _ = run_cli(capsys, "check", "duan", "--state", spec, "--cutoff", "8")
+def test_check_duan_indeterminate_slack_is_json_null(capsys):
+    psi = p_plus_eigenstate(make_fock_algebra(6))
+    spec = json.dumps({"matrix": {"dim": 36, "kind": "pure",
+                                  "re": psi.real.tolist(), "im": psi.imag.tolist()}})
+    code, out, _ = run_cli(capsys, "check", "duan", "--state", spec, "--cutoff", "6")
     assert code == 0
     payload = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in output"))
     assert payload["meta"]["fisher_pair_status"] == "indeterminate"
@@ -298,6 +296,42 @@ def test_non_finite_figure_row_exits_through_error_path(capsys, monkeypatch):
         code, out, err = run_cli(capsys, "figure-planar", "--j-list", "0.5", "--format", fmt)
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == "ValueError"
+
+
+@pytest.mark.parametrize("samples", ["0", "-2"])
+def test_figure_rs_rejects_sample_counts_below_one(capsys, samples):
+    code, out, err = run_cli(capsys, "figure-rs", "--samples", samples)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "ValueError",
+                               "message": f"samples must be an integer >= 1, got {samples}"}
+
+
+# flags that the subcommand's command never reads are not accepted
+UNREAD_FLAGS = [
+    ("figure-rs", "--cutoff", "40"),
+    *[(cmd, flag, value) for cmd in ("figure-planar", "figure-spinsq")
+      for flag, value in (("--seed", "1"), ("--cutoff", "40"),
+                          ("--restarts", "2"), ("--local-steps", "50"))],
+    ("check", "--format", "csv"),
+    ("roof", "--format", "csv"),
+    *[("state-factory", flag, value) for flag, value in
+      (("--seed", "5"), ("--format", "json"), ("--restarts", "2"), ("--local-steps", "50"))],
+]
+REQUIRED_ARGS = {
+    "check": ["rs", "--state", json.dumps(QUTRIT)],
+    "roof": ["--state", json.dumps(QUTRIT), "--ops", "jz", "--direction", "min"],
+    "state-factory": [json.dumps(QUTRIT)],
+}
+
+
+@pytest.mark.parametrize("command,flag,value", UNREAD_FLAGS,
+                         ids=[f"{c}{f}" for c, f, _ in UNREAD_FLAGS])
+def test_unread_flag_is_a_usage_error(capsys, command, flag, value):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, *REQUIRED_ARGS.get(command, []), flag, value])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments" in captured.err
 
 
 def test_malformed_state_spec(capsys):
@@ -366,6 +400,21 @@ def test_readme_constructor_table_matches_registry():
     table = readme.split("| constructor | params |", 1)[1].split("\n\n", 1)[0]
     names = set(re.findall(r"^\| `(\w+)` \|", table, flags=re.MULTILINE))
     assert names == set(STATES) == set(STATE_SAMPLES)
+
+
+def test_readme_flag_table_matches_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| subcommand | flags |", 1)[1].split("\n\n", 1)[0]
+    documented = {command: set(re.findall(r"`(--[\w-]+)", flags))
+                  for command, flags in re.findall(r"^\| `([\w-]+)` \|(.*)\|$", table,
+                                                   flags=re.MULTILINE)}
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    accepted = {command: {flag for action in parser._actions for flag in action.option_strings
+                          if flag.startswith("--") and flag != "--help"}
+                for command, parser in subparsers.choices.items()}
+    assert documented == accepted
+    assert sum(map(len, accepted.values())) == 40
 
 
 def test_readme_python_example_runs(capsys):

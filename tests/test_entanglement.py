@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import (dense_density, dense_qfi, dense_two_mode_quadratures, dense_variance,
-                      random_state)
+                      p_plus_eigenstate, random_state)
 from qfiroof import (
     DensityMatrix,
     DimensionMismatchError,
     OptimizerConfig,
+    PureState,
     coherent_mixture,
-    coherent_mixture_usefulness,
     collective_spin_ops,
     duan_report,
     make_fock_algebra,
@@ -141,6 +141,15 @@ def test_mixed_states_at_cutoff_40_need_no_qr_or_eigh(monkeypatch):
         assert rep.fisher_pair_status == "ok" and not rep.entangled
 
 
+def test_duan_vanishing_fisher_term_with_nonzero_variance_is_indeterminate():
+    fock = make_fock_algebra(6)
+    rep = duan_report(PureState(p_plus_eigenstate(fock)), fock)
+    assert rep.qfi_p_plus < 1e-20
+    assert rep.duan_lhs > 1.0  # Var(x1 + x2) does not vanish with F_Q[p1 + p2]
+    assert rep.fisher_pair_status == "indeterminate"
+    assert np.isnan(rep.fisher_pair_slack)
+
+
 def test_duan_dimension_check():
     fock = make_fock_algebra(40)
     with pytest.raises(DimensionMismatchError):
@@ -162,13 +171,15 @@ def test_duan_report_computes_each_quadrature_fisher_information_once(monkeypatc
         assert len(calls) == 1
         (_, vs, images), = calls
         assert images.shape == (2, 2, 400, vs.shape[1])  # x1+-x2 and p1+-p2
-        assert rep.useful_flags == coherent_mixture_usefulness(state, fock)
+        # the flags read the same Fisher informations as the Fisher-pair relation
+        assert rep.useful_flags["x1-x2"] == (rep.qfi_x_minus > 4 + 1e-9)
+        assert rep.useful_flags["p1+p2"] == (rep.qfi_p_plus > 4 + 1e-9)
 
 
 def test_usefulness_flags_vacuum_product():
     fock = make_fock_algebra(30)
     psi = tensor(coherent_state(0.0, 30), coherent_state(0.0, 30))
-    flags = coherent_mixture_usefulness(psi, fock)
+    flags = duan_report(psi, fock).useful_flags
     assert not any(flags.values())
 
 
