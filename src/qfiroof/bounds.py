@@ -131,9 +131,10 @@ def check_weighted_sum(state: State, a: HermitianOperator, b: HermitianOperator,
                        cfg: OptimizerConfig | None = None) -> BoundReport:
     """alpha Var(A) + beta F_Q[rho, B]/4 >= sqrt(alpha beta) * (convex roof of L).
 
-    The roof is approached from above by the optimizer witness and certified
-    from below by |<i[A,B]>|, which can never exceed any decomposition
-    average of L; the reported bound is the larger of the two.
+    The reported bound is sqrt(alpha beta) |<i[A,B]>|, which never exceeds the
+    roof: |<i[A,B]>| bounds every decomposition average of L from below.  The
+    optimizer's witness approaches the roof from above, so a verdict against
+    it could flag the theorem itself; it goes to ``meta["roof_witness"]``.
     """
     for name, weight in (("alpha", alpha), ("beta", beta)):
         if not np.isfinite(weight):
@@ -142,15 +143,13 @@ def check_weighted_sum(state: State, a: HermitianOperator, b: HermitianOperator,
         raise ValueError("weights must be nonnegative")
     c_abs = abs(expectation(state, commutator_i(a, b)))
     meta: dict = {"commutator_mean_abs": c_abs}
-    roof_bound = c_abs
     if alpha * beta > 0:
         witness = optimize_roof(state, RobertsonSchrodingerBound(a, b), "min", cfg=cfg)
         meta["roof_witness"] = witness.value
-        roof_bound = max(c_abs, witness.value)
     return BoundReport(
         name="weighted_variance_fisher_sum",
         lhs=alpha * variance(state, a) + beta * qfi(state, b) / 4.0,
-        rhs=float(np.sqrt(alpha * beta)) * roof_bound,
+        rhs=float(np.sqrt(alpha * beta)) * c_abs,
         meta=meta,
     )
 

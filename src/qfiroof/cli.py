@@ -79,16 +79,17 @@ def _child_seed(seed: int, *indices: int) -> int:
 def _write_output(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         Path(out).write_text(text)
 
 
+def _write_json(payload, out: str | None) -> None:
+    _write_output(json.dumps(payload, indent=2, allow_nan=False) + "\n", out)
+
+
 def _emit(rows: list[list[str]], header: list[str], args) -> None:
     if args.format == "json":
-        payload = [dict(zip(header, row)) for row in rows]
-        _write_output(json.dumps(payload, indent=2, allow_nan=False), args.out)
+        _write_json([dict(zip(header, row)) for row in rows], args.out)
     else:
         lines = [",".join(header)] + [",".join(row) for row in rows]
         _write_output("\n".join(lines) + "\n", args.out)
@@ -108,11 +109,9 @@ def _parse_complex(value) -> complex:
 
 def _z_polar_mixture(j) -> DensityMatrix:
     """Equal mixture of the two extremal J_z states of a spin j."""
-    dim = make_spin_algebra(j).dim
-    mat = np.zeros((dim, dim), dtype=complex)
-    mat[0, 0] = 0.5
-    mat[-1, -1] = 0.5
-    return DensityMatrix(mat)
+    weights = np.zeros(make_spin_algebra(j).dim)
+    weights[[0, -1]] = 0.5
+    return DensityMatrix(np.diag(weights))
 
 
 # Each constructor takes the spec's params and the Fock cutoff (the params'
@@ -167,9 +166,7 @@ def build_operator(arg: str, dim: int, cutoff: int) -> HermitianOperator:
         return qio.operator_from_json(_load_spec(arg))
     name = arg.lower()
     if name in ("jx", "jy", "jz"):
-        j = (dim - 1) / 2.0
-        spin = make_spin_algebra(j)
-        return {"jx": spin.jx, "jy": spin.jy, "jz": spin.jz}[name]
+        return getattr(make_spin_algebra((dim - 1) / 2.0), name)
     if name in ("x", "p"):
         fock = make_fock_algebra(cutoff)
         if dim != cutoff:
@@ -187,8 +184,8 @@ def build_operator(arg: str, dim: int, cutoff: int) -> HermitianOperator:
     raise ValueError(f"unknown operator spec {arg!r}")
 
 
-def _optimizer_config(args) -> OptimizerConfig:
-    return OptimizerConfig(seed=_child_seed(args.seed, 0xD0),
+def _optimizer_config(args, path: tuple[int, ...] = (0xD0,)) -> OptimizerConfig:
+    return OptimizerConfig(seed=_child_seed(args.seed, *path),
                            restarts=args.restarts,
                            local_steps=args.local_steps)
 
@@ -212,9 +209,7 @@ def cmd_figure_rs(args) -> None:
         lhs = variance(rho, a) * variance(rho, b)
         l_val = rs_lower_bound_L(rho, a, b)
         k_val = eigen_partition_bound_K(rho, a, b)
-        cfg = OptimizerConfig(seed=_child_seed(args.seed, 2, i),
-                              restarts=args.restarts, local_steps=args.local_steps)
-        roof = concave_roof_L(rho, a, b, cfg=cfg)
+        roof = concave_roof_L(rho, a, b, cfg=_optimizer_config(args, (2, i)))
         if k_val > l_val + 1e-6:
             improved_k += 1
         if roof.value > l_val + 1e-6:
@@ -225,28 +220,31 @@ def cmd_figure_rs(args) -> None:
     _emit(rows, header, args)
 
 
+def _bfq_row(x, state) -> list[str]:
+    """A sweep point x, F_Q[J_z], its variance bound b_fq, and the reference 2j."""
+    report = bfq_bound(state)
+    return [_fmt(x), _fmt(report.lhs), _fmt(report.rhs),
+            _fmt(report.meta["su2_mixture_reference"])]
+
+
 def cmd_figure_planar(args) -> None:
     """Fisher information and its variance-based lower bound for planar squeezing."""
-    header = ["j", "fq_jz", "b_fq", "reference_2j"]
-    rows = []
-    for j in args.j_list:
-        res = planar_squeezed_state(j)
-        report = bfq_bound(res.state)
-        rows.append([_fmt(j), _fmt(report.lhs), _fmt(report.rhs), _fmt(2 * res.j)])
-    _emit(rows, header, args)
+    if not args.j_list:
+        raise ValueError("j_list must name at least one spin")
+    rows = [_bfq_row(j, planar_squeezed_state(j).state) for j in args.j_list]
+    _emit(rows, ["j", "fq_jz", "b_fq", "reference_2j"], args)
 
 
 def cmd_figure_spinsq(args) -> None:
     """Same comparison along a one-axis-squeezing sweep at fixed j."""
-    header = ["lambda", "fq_jz", "b_fq", "reference_2j"]
-    rows = []
+    _require_count(args.lambda_points, "lambda_points", 1)
+    for name in ("lambda_min", "lambda_max"):
+        if not 0.0 < getattr(args, name) < np.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {getattr(args, name)!r}")
     lam_grid = np.logspace(np.log10(args.lambda_min), np.log10(args.lambda_max),
                            args.lambda_points)
-    for lam in lam_grid:
-        psi = spin_squeezed_state(args.j, lam)
-        report = bfq_bound(psi)
-        rows.append([_fmt(lam), _fmt(report.lhs), _fmt(report.rhs), _fmt(2 * args.j)])
-    _emit(rows, header, args)
+    rows = [_bfq_row(lam, spin_squeezed_state(args.j, lam)) for lam in lam_grid]
+    _emit(rows, ["lambda", "fq_jz", "b_fq", "reference_2j"], args)
 
 
 # ---------------------------------------------------------------------------
@@ -276,32 +274,39 @@ def _duan_check(state, args) -> BoundReport:
     )
 
 
-# Each check maps (state, args) to a BoundReport; the names are the choices
-# of ``qfiroof check``.
+_PAIR_FLAGS = ("--op-a", "--op-b")
+_OPTIMIZER_FLAGS = ("--seed", "--restarts", "--local-steps")
+
+# Each check maps (state, args) to a BoundReport and names the flags it reads
+# besides --state, --cutoff and --out; the names are the subcommands of
+# ``qfiroof check``.
 CHECKS = {
-    "rs": lambda state, args: check_robertson_schrodinger(
-        state, *_operator_pair(state, args)),
-    "improved-rs": lambda state, args: check_improved_rs(
+    "rs": (lambda state, args: check_robertson_schrodinger(
+        state, *_operator_pair(state, args)), _PAIR_FLAGS),
+    "improved-rs": (lambda state, args: check_improved_rs(
         state, *_operator_pair(state, args), cfg=_optimizer_config(args)),
-    "improved-hr": lambda state, args: check_improved_hr(
-        state, *_operator_pair(state, args)),
-    "weighted-sum": lambda state, args: check_weighted_sum(
+        (*_PAIR_FLAGS, *_OPTIMIZER_FLAGS)),
+    "improved-hr": (lambda state, args: check_improved_hr(
+        state, *_operator_pair(state, args)), _PAIR_FLAGS),
+    "weighted-sum": (lambda state, args: check_weighted_sum(
         state, *_operator_pair(state, args), args.alpha, args.beta,
-        cfg=_optimizer_config(args)),
-    "bfq": lambda state, args: bfq_bound(state),
-    "sud": lambda state, args: su_d_bound(state),
-    "spin-length": lambda state, args: spin_length_bound(state),
-    "duan": _duan_check,
-    "two-spin": lambda state, args: two_spin_report(state, args.j1, args.j2),
-    "vxyz": lambda state, args: vxyz_criterion(state, args.spin, args.parties,
-                                               cfg=_optimizer_config(args)),
+        cfg=_optimizer_config(args)), (*_PAIR_FLAGS, "--alpha", "--beta", *_OPTIMIZER_FLAGS)),
+    "bfq": (lambda state, args: bfq_bound(state), ()),
+    "sud": (lambda state, args: su_d_bound(state), ()),
+    "spin-length": (lambda state, args: spin_length_bound(state), ()),
+    "duan": (_duan_check, ()),
+    "two-spin": (lambda state, args: two_spin_report(state, args.j1, args.j2),
+                 ("--j1", "--j2")),
+    "vxyz": (lambda state, args: vxyz_criterion(state, args.spin, args.parties,
+                                                cfg=_optimizer_config(args)),
+             ("--spin", "--parties", *_OPTIMIZER_FLAGS)),
 }
 
 
 def cmd_check(args) -> None:
     state = build_state(_load_spec(args.state), args.cutoff)
-    report = CHECKS[args.name](state, args)
-    _write_output(json.dumps(report.to_dict(), indent=2, allow_nan=False), args.out)
+    check, _ = CHECKS[args.name]
+    _write_json(check(state, args).to_dict(), args.out)
 
 
 def _rs_bound(ops: list[HermitianOperator]) -> RobertsonSchrodingerBound:
@@ -312,10 +317,7 @@ def _rs_bound(ops: list[HermitianOperator]) -> RobertsonSchrodingerBound:
 
 # Each functional maps the parsed operators to a RoofFunctional; the names are
 # the choices of ``qfiroof roof --functional``.
-FUNCTIONALS = {
-    "variance-sum": VarianceSum,
-    "rs-bound": _rs_bound,
-}
+FUNCTIONALS = {"variance-sum": VarianceSum, "rs-bound": _rs_bound}
 
 
 def cmd_roof(args) -> None:
@@ -323,38 +325,77 @@ def cmd_roof(args) -> None:
     ops = [build_operator(spec, state.dim, args.cutoff) for spec in args.ops]
     functional = FUNCTIONALS[args.functional](ops)
     result = optimize_roof(state, functional, args.direction, cfg=_optimizer_config(args))
-    _write_output(json.dumps(qio.roof_result_to_json(result), indent=2, allow_nan=False),
-                  args.out)
+    _write_json(qio.roof_result_to_json(result), args.out)
 
 
 def cmd_state_factory(args) -> None:
     state = build_state(_load_spec(args.spec), args.cutoff)
-    _write_output(json.dumps(qio.state_to_json(state), indent=2, allow_nan=False), args.out)
+    _write_json(qio.state_to_json(state), args.out)
 
 
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
 
-# Flags that several subcommands share; each subcommand adds those it reads.
-_SHARED_FLAGS = {
+def _float_list(text: str) -> list[float]:
+    return [float(tok) for tok in text.split(",") if tok.strip()]
+
+
+# Every flag's argparse settings, state-factory's positional spec included;
+# COMMANDS and CHECKS name the flags each command reads.
+FLAGS = {
+    "spec": dict(help="state spec JSON or @file"),
+    "--state": dict(required=True, help="state spec JSON or @file"),
     "--out": dict(default=None, help="output path, '-' or omitted for stdout"),
     "--format": dict(choices=("csv", "json"), default="csv"),
     "--cutoff": dict(type=int, default=40, help="Fock truncation (default 40)"),
     "--seed": dict(type=int, default=1, help="master seed (default 1)"),
     "--restarts": dict(type=int, default=8, help="optimizer restarts"),
     "--local-steps": dict(type=int, default=600, help="optimizer iteration budget per start"),
+    "--samples": dict(type=int, default=200),
+    "--j-list": dict(type=_float_list, default=[0.5, 1, 1.5, 2, 2.5, 3, 3.5, 4, 4.5, 5]),
+    "--j": dict(type=float, default=50),
+    "--lambda-min": dict(type=float, default=1e-2),
+    "--lambda-max": dict(type=float, default=1e6),
+    "--lambda-points": dict(type=int, default=25),
+    "--ops": dict(nargs="+", required=True, help="operator specs"),
+    "--direction": dict(choices=("min", "max"), required=True),
+    "--functional": dict(choices=tuple(FUNCTIONALS), default="variance-sum"),
+    "--op-a": dict(default="jx"),
+    "--op-b": dict(default="jy"),
+    "--alpha": dict(type=float, default=1.0),
+    "--beta": dict(type=float, default=1.0),
+    "--j1": dict(type=float, default=0.5),
+    "--j2": dict(type=float, default=0.5),
+    "--parties": dict(type=int, default=2),
+    "--spin": dict(type=float, default=0.5),
 }
-_OPTIMIZER_FLAGS = ("--seed", "--restarts", "--local-steps")
+
+# Each subcommand: (function, help, the flags it reads); ``check`` has one
+# subcommand of its own per entry of CHECKS.
+COMMANDS = {
+    "figure-rs": (cmd_figure_rs, "random-qutrit bound comparison data",
+                  ("--samples", *_OPTIMIZER_FLAGS, "--format", "--out")),
+    "figure-planar": (cmd_figure_planar, "planar-squeezed bound sweep over j",
+                      ("--j-list", "--format", "--out")),
+    "figure-spinsq": (cmd_figure_spinsq, "one-axis-squeezing sweep at fixed j",
+                      ("--j", "--lambda-min", "--lambda-max", "--lambda-points", "--format",
+                       "--out")),
+    "check": (cmd_check, "evaluate a named inequality on a state", ()),
+    "roof": (cmd_roof, "optimize a functional over decompositions",
+             ("--state", "--ops", "--direction", "--functional", "--cutoff",
+              *_OPTIMIZER_FLAGS, "--out")),
+    "state-factory": (cmd_state_factory, "construct and serialize a state",
+                      ("spec", "--cutoff", "--out")),
+}
 
 
-def _add_shared(p: argparse.ArgumentParser, *flags: str) -> None:
+def _add_command(sub, name: str, func, help_text: str | None, flags) -> argparse.ArgumentParser:
+    p = sub.add_parser(name, help=help_text)
     for flag in flags:
-        p.add_argument(flag, **_SHARED_FLAGS[flag])
-
-
-def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+        p.add_argument(flag, **FLAGS[flag])
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -362,53 +403,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qfiroof",
         description="Fisher-information and variance-roof uncertainty toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("figure-rs", help="random-qutrit bound comparison data")
-    _add_shared(p, "--out", "--format", *_OPTIMIZER_FLAGS)
-    p.add_argument("--samples", type=int, default=200)
-    p.set_defaults(func=cmd_figure_rs)
-
-    p = sub.add_parser("figure-planar", help="planar-squeezed bound sweep over j")
-    _add_shared(p, "--out", "--format")
-    p.add_argument("--j-list", type=_float_list,
-                   default=[0.5, 1, 1.5, 2, 2.5, 3, 3.5, 4, 4.5, 5])
-    p.set_defaults(func=cmd_figure_planar)
-
-    p = sub.add_parser("figure-spinsq", help="one-axis-squeezing sweep at fixed j")
-    _add_shared(p, "--out", "--format")
-    p.add_argument("--j", type=float, default=50)
-    p.add_argument("--lambda-min", type=float, default=1e-2)
-    p.add_argument("--lambda-max", type=float, default=1e6)
-    p.add_argument("--lambda-points", type=int, default=25)
-    p.set_defaults(func=cmd_figure_spinsq)
-
-    p = sub.add_parser("check", help="evaluate a named inequality on a state")
-    _add_shared(p, "--out", "--cutoff", *_OPTIMIZER_FLAGS)
-    p.add_argument("name", choices=tuple(CHECKS))
-    p.add_argument("--state", required=True, help="state spec JSON or @file")
-    p.add_argument("--op-a", default="jx")
-    p.add_argument("--op-b", default="jy")
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--j1", type=float, default=0.5)
-    p.add_argument("--j2", type=float, default=0.5)
-    p.add_argument("--parties", type=int, default=2)
-    p.add_argument("--spin", type=float, default=0.5)
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("roof", help="optimize a functional over decompositions")
-    _add_shared(p, "--out", "--cutoff", *_OPTIMIZER_FLAGS)
-    p.add_argument("--state", required=True)
-    p.add_argument("--ops", nargs="+", required=True, help="operator specs")
-    p.add_argument("--direction", choices=("min", "max"), required=True)
-    p.add_argument("--functional", choices=tuple(FUNCTIONALS), default="variance-sum")
-    p.set_defaults(func=cmd_roof)
-
-    p = sub.add_parser("state-factory", help="construct and serialize a state")
-    _add_shared(p, "--out", "--cutoff")
-    p.add_argument("spec", help="state spec JSON or @file")
-    p.set_defaults(func=cmd_state_factory)
-
+    parsers = {name: _add_command(sub, name, *entry) for name, entry in COMMANDS.items()}
+    checks = parsers["check"].add_subparsers(dest="name", required=True)
+    for name, (_, flags) in CHECKS.items():
+        _add_command(checks, name, cmd_check, None, ("--state", *flags, "--cutoff", "--out"))
     return parser
 
 

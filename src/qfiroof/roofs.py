@@ -716,11 +716,20 @@ def _split_block(g: np.ndarray) -> np.ndarray:
     left as it is.
     """
     k = g.shape[-1]
-    weight = g[0].trace().real
+    weight = float(g[0].trace().real)
     if weight < WEIGHT_DROP:
         return np.eye(k, dtype=complex)
     # scalar rotations of nested lists: at these sizes numpy's per-call cost dominates
     h = (g[1:] - (g[1:].trace(axis1=1, axis2=2).real / weight)[:, None, None] * g[0]).tolist()
+    # diag H_t = p_l sum_m p_m (mu_l - mu_m) / W with p = diag G_I and the component
+    # means mu_l = G_t[l, l] / p_l: differences of means, so that no O(1) terms
+    # cancel in a nearly pure block
+    p_diag = g[0].diagonal().real.tolist()
+    for target, moments in zip(h, g[1:].diagonal(axis1=1, axis2=2).real.tolist()):
+        mu = [m / q if q > 0.0 else 0.0 for m, q in zip(moments, p_diag)]
+        for a in range(k):
+            spread = sum([q * (mu[a] - nu) for q, nu in zip(p_diag, mu)])
+            target[a][a] = p_diag[a] * spread / weight
     x = np.eye(k, dtype=complex).tolist()
     for target in h:
         for _ in range(k - 1):

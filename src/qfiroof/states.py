@@ -73,6 +73,8 @@ def planar_squeezed_state(j) -> PlanarSqueezedResult:
     """
     spin = make_spin_algebra(j)
     j = spin.j
+    if j == 0.0:
+        raise ValueError("planar_squeezed_state needs spin j > 0; spin 0 has no mean spin")
     jx, jy = spin.jx.mat, spin.jy.mat
     quad = jx @ jx + jy @ jy
     psi = spin_coherent_state(j, (0.0, np.pi / 2.0, 0.0))  # |j>_x seed

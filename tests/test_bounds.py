@@ -213,6 +213,19 @@ def test_weighted_sum_random_qutrits_hold():
         assert rep.slack >= -1e-9
 
 
+def test_weighted_sum_verdict_does_not_rest_on_the_roof_witness():
+    # with no search the min witness sits well above the convex roof of L; the
+    # verdict tests only the certified |<i[A,B]>| side, so the theorem holds
+    spin = make_spin_algebra(1)
+    cfg = OptimizerConfig(restarts=1, local_steps=0)
+    for seed in range(9000, 9200):
+        rho = random_state(3, seed)
+        rep = check_weighted_sum(rho, spin.jx, spin.jy, 1.0, 1.0, cfg=cfg)
+        assert rep.rhs == rep.meta["commutator_mean_abs"]
+        assert rep.meta["roof_witness"] >= rep.rhs - 1e-12
+        assert rep.slack > 0.07 and not rep.violated
+
+
 def test_weighted_sum_rejects_negative_weights():
     rho = random_state(2, seed=17)
     with pytest.raises(ValueError, match="weights must be nonnegative"):

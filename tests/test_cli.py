@@ -306,6 +306,22 @@ def test_figure_rs_rejects_sample_counts_below_one(capsys, samples):
                                "message": f"samples must be an integer >= 1, got {samples}"}
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("figure-spinsq", "--lambda-points", "0"), "lambda_points must be an integer >= 1, got 0"),
+    (("figure-spinsq", "--lambda-min", "-1"), "lambda_min must be finite and > 0, got -1.0"),
+    (("figure-spinsq", "--lambda-min", "0"), "lambda_min must be finite and > 0, got 0.0"),
+    (("figure-spinsq", "--lambda-max", "inf"), "lambda_max must be finite and > 0, got inf"),
+    (("figure-spinsq", "--lambda-max", "nan"), "lambda_max must be finite and > 0, got nan"),
+    (("figure-planar", "--j-list", ","), "j_list must name at least one spin"),
+    (("figure-planar", "--j-list", "0.5,0"),
+     "planar_squeezed_state needs spin j > 0; spin 0 has no mean spin"),
+])
+def test_figure_grids_are_validated_before_any_row(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "ValueError", "message": message}
+
+
 # flags that the subcommand's command never reads are not accepted
 UNREAD_FLAGS = [
     ("figure-rs", "--cutoff", "40"),
@@ -329,6 +345,43 @@ REQUIRED_ARGS = {
 def test_unread_flag_is_a_usage_error(capsys, command, flag, value):
     with pytest.raises(SystemExit) as exit_info:
         main([command, *REQUIRED_ARGS.get(command, []), flag, value])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments" in captured.err
+
+
+# the flags each check reads besides --state, --cutoff and --out
+CHECK_FLAGS = {
+    "rs": {"--op-a", "--op-b"},
+    "improved-rs": {"--op-a", "--op-b", "--seed", "--restarts", "--local-steps"},
+    "improved-hr": {"--op-a", "--op-b"},
+    "weighted-sum": {"--op-a", "--op-b", "--alpha", "--beta", "--seed", "--restarts",
+                     "--local-steps"},
+    "bfq": set(),
+    "sud": set(),
+    "spin-length": set(),
+    "duan": set(),
+    "two-spin": {"--j1", "--j2"},
+    "vxyz": {"--spin", "--parties", "--seed", "--restarts", "--local-steps"},
+}
+# a valid value for every flag that some check reads
+CHECK_FLAG_VALUES = {"--op-a": "jx", "--op-b": "jy", "--alpha": "2", "--beta": "0.5",
+                     "--j1": "0.5", "--j2": "1", "--parties": "2", "--spin": "0.5",
+                     "--seed": "3", "--restarts": "2", "--local-steps": "50"}
+UNREAD_CHECK_FLAGS = [(name, flag) for name, flags in CHECK_FLAGS.items()
+                      for flag in CHECK_FLAG_VALUES if flag not in flags]
+
+
+def test_unread_check_flags_cover_every_check():
+    assert set(CHECK_FLAGS) == set(CHECKS)
+    assert len(UNREAD_CHECK_FLAGS) == 87
+
+
+@pytest.mark.parametrize("name,flag", UNREAD_CHECK_FLAGS,
+                         ids=[f"{name}{flag}" for name, flag in UNREAD_CHECK_FLAGS])
+def test_unread_check_flag_is_a_usage_error(capsys, name, flag):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["check", name, "--state", json.dumps(QUTRIT), flag, CHECK_FLAG_VALUES[flag]])
     assert exit_info.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "unrecognized arguments" in captured.err
@@ -402,19 +455,31 @@ def test_readme_constructor_table_matches_registry():
     assert names == set(STATES) == set(STATE_SAMPLES)
 
 
+def _accepted_flags(parser, command=""):
+    """The flags of every leaf subcommand, a nested one named like 'check rs'."""
+    subparsers = [action for action in parser._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    if not subparsers:
+        return {command: {flag for action in parser._actions for flag in action.option_strings
+                          if flag.startswith("--") and flag != "--help"}}
+    return {leaf: flags for name, child in subparsers[0].choices.items()
+            for leaf, flags in _accepted_flags(child, f"{command} {name}".strip()).items()}
+
+
 def test_readme_flag_table_matches_parser():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     table = readme.split("| subcommand | flags |", 1)[1].split("\n\n", 1)[0]
     documented = {command: set(re.findall(r"`(--[\w-]+)", flags))
-                  for command, flags in re.findall(r"^\| `([\w-]+)` \|(.*)\|$", table,
+                  for command, flags in re.findall(r"^\| `([\w -]+)` \|(.*)\|$", table,
                                                    flags=re.MULTILINE)}
-    subparsers = next(action for action in build_parser()._actions
-                      if isinstance(action, argparse._SubParsersAction))
-    accepted = {command: {flag for action in parser._actions for flag in action.option_strings
-                          if flag.startswith("--") and flag != "--help"}
-                for command, parser in subparsers.choices.items()}
+    accepted = _accepted_flags(build_parser())
     assert documented == accepted
-    assert sum(map(len, accepted.values())) == 40
+    assert sum(map(len, accepted.values())) == 79
+    assert sum(len(flags) for command, flags in accepted.items()
+               if command.startswith("check ")) == 53
+    assert {command: flags - {"--state", "--cutoff", "--out"}
+            for command, flags in accepted.items() if command.startswith("check ")} == {
+        f"check {name}": flags for name, flags in CHECK_FLAGS.items()}
 
 
 def test_readme_python_example_runs(capsys):

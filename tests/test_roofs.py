@@ -887,6 +887,26 @@ def test_z_line_weights_and_variances():
     assert dec.reconstructs(rho, tol=1e-10)
 
 
+@pytest.mark.parametrize("gap", [1e-3, 1e-6, 1e-9])
+def test_z_line_weights_near_the_sphere_match_mpmath(gap):
+    # equatorial qubits at 1 - r = gap: the exact z-line weights of the float
+    # matrix, (1 +- b_z / sqrt(1 - b_x^2 - b_y^2)) / 2, in 50-digit arithmetic
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    for phi in np.linspace(0.0, 2 * np.pi, 13):
+        bx, by = (1 - gap) * np.cos(phi), (1 - gap) * np.sin(phi)
+        mat = 0.5 * np.array([[1, bx - 1j * by], [bx + 1j * by, 1]])
+        dec = qubit_z_line_decomposition(DensityMatrix(mat))
+        bz = mpmath.mpf(mat[0, 0].real) - mpmath.mpf(mat[1, 1].real)
+        z_top = mpmath.sqrt(1 - (2 * mpmath.mpf(mat[1, 0].real)) ** 2
+                            - (2 * mpmath.mpf(mat[1, 0].imag)) ** 2)
+        assert len(dec) == 2
+        for p, comp in dec.components:
+            up = abs(comp.vec[0]) > abs(comp.vec[1])
+            exact = (1 + bz / z_top) / 2 if up else (1 - bz / z_top) / 2
+            assert abs(p - float(exact)) < 1e-11
+
+
 def test_z_line_center_of_ball():
     dec = qubit_z_line_decomposition(DensityMatrix.maximally_mixed(2))
     assert len(dec) == 2

@@ -105,6 +105,12 @@ def test_planar_result_reports_iteration_count():
     assert res.iterations >= 1
 
 
+def test_planar_rejects_spin_zero():
+    # spin 0 has no mean spin to keep: a typed input error, not a failed iteration
+    with pytest.raises(ValueError, match="needs spin j > 0"):
+        planar_squeezed_state(0)
+
+
 # ---------------------------------------------------------------------------
 # two-mode squeezed vacuum
 # ---------------------------------------------------------------------------
