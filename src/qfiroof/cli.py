@@ -108,8 +108,11 @@ def _parse_complex(value) -> complex:
 
 
 def _z_polar_mixture(j) -> DensityMatrix:
-    """Equal mixture of the two extremal J_z states of a spin j."""
-    weights = np.zeros(make_spin_algebra(j).dim)
+    """Equal mixture of the two extremal J_z states of a spin j > 0."""
+    spin = make_spin_algebra(j)
+    if spin.j == 0.0:
+        raise ValueError("z_polar_mixture needs spin j > 0; at spin 0 its two J_z states coincide")
+    weights = np.zeros(spin.dim)
     weights[[0, -1]] = 0.5
     return DensityMatrix(np.diag(weights))
 

@@ -145,7 +145,7 @@ class DensityMatrix:
 
     def __init__(self, entries):
         mat = _hermitian_matrix(entries, "density matrix")
-        tr = np.trace(mat).real
+        tr = float(np.trace(mat).real)
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"trace {tr!r} differs from 1 beyond tolerance")
         vals, vecs = np.linalg.eigh(mat)
@@ -307,6 +307,8 @@ def variance(state: State, op: HermitianOperator) -> float:
 # ---------------------------------------------------------------------------
 
 def _check_half_integer(j) -> float:
+    if not np.isfinite(j):
+        raise ValueError(f"j must be finite, got {j!r}")
     two_j = 2 * j
     if abs(two_j - round(two_j)) > 1e-12 or round(two_j) < 0:
         raise ValueError(f"j={j} is not a nonnegative half-integer")

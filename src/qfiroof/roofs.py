@@ -5,7 +5,8 @@ components.  Every one with at most n components is reachable from a fixed
 purification by a unitary on an n-level ancilla.  The optimizer below climbs
 that unitary manifold from seeded starts with a limited-memory BFGS ascent
 in the Hermitian Lie algebra, driven by the analytic Riemannian gradient,
-and an exact line search along each geodesic exp(i mu D) U.
+and a line search along each geodesic exp(i mu D) U that scores formed
+candidate unitaries with the same objective as every other step.
 
 Mixed components are never searched.  Convex roofs are defined over pure
 decompositions, and for the concave roofs of the uncertainty bound L and of
@@ -329,12 +330,14 @@ def _block_terms(mom: np.ndarray, functional: RoofFunctional, gradient: bool = F
 
 def _objective(gram: np.ndarray, us: np.ndarray, functional: RoofFunctional,
                gradient: bool = False):
-    """sum_a p_a f(component_a) for every unitary ``us[i]`` of a ``(C, n, n)`` stack.
+    """sum_a p_a f(component_a) for every unitary of a ``(..., n, n)`` stack ``us``.
 
-    Two GEMMs give the full Q_j = conj(U) G_j U^T of every unitary, whose
-    diagonals are the component moments.  Returns the ``(C,)`` objectives;
-    with ``gradient``, also the Riemannian gradients (Hermitian,
-    ``(C, n, n)``) and the Q stack ``(C, n, x+1, n)``.
+    One GEMM gives W = conj(U) G, and one batched mat-vec the component
+    moments (W_j U^T)_aa = W_j[a] . U[a] of every unitary, in both modes, so
+    a plain pass scores bit for bit like a gradient pass.  Returns the
+    ``(...)`` objectives; with ``gradient`` (a ``(C, n, n)`` stack), also
+    the Riemannian gradients (Hermitian, ``(C, n, n)``), for which a second
+    GEMM forms the full Q_j = W_j U^T.
 
     The gradient: U <- exp(i eps H) U moves Q_j by i eps [Q_j, H^T], so with
     c_aj the moment derivative (``moment_grad``) of component a and
@@ -342,52 +345,29 @@ def _objective(gram: np.ndarray, us: np.ndarray, functional: RoofFunctional,
     moves by eps Re Tr(i Y H^T) = eps Tr(Gamma H) with Gamma the Hermitian
     part of conj(i Y).
     """
-    c, n = us.shape[:2]
-    big = gram.shape[1] // n
-    w = (us.conj().reshape(-1, n) @ gram).reshape(c, n * big, n)
-    q = (w @ us.swapaxes(-1, -2)).reshape(c, n, big, n)
-    mom = q.diagonal(axis1=1, axis2=3).swapaxes(-1, -2)      # (C, n, x+1)
+    n = us.shape[-1]
+    w = (us.conj().reshape(-1, n) @ gram).reshape(*us.shape[:-1], -1, n)   # (..., n, x+1, n)
+    mom = (w @ us[..., None])[..., 0]                                      # (..., n, x+1)
     if not gradient:
         return _block_terms(mom, functional).sum(axis=-1)
     terms, coef = _block_terms(mom, functional, gradient=True)
+    c, big = len(us), w.shape[2]
+    q = (w.reshape(c, n * big, n) @ us.swapaxes(-1, -2)).reshape(c, n, big, n)
     row_coef = coef.conj()
     # Y_ab = sum_j Q_j[a, b] (conj(c_aj) - conj(c_bj))
     y = (q * (row_coef[..., None] - row_coef.swapaxes(-1, -2)[..., None, :, :])).sum(axis=-2)
-    return terms.sum(axis=-1), 0.5j * (y.swapaxes(-1, -2) - y.conj()), q
+    return terms.sum(axis=-1), 0.5j * (y.swapaxes(-1, -2) - y.conj())
 
 
-def _line_coefficients(q: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Coefficients of every component moment along U(mu) = exp(i mu D) U.
+def _geodesic(vecs: np.ndarray, lam: np.ndarray, back: np.ndarray, mus: np.ndarray) -> np.ndarray:
+    """exp(i mu D) U = V e^{i mu lam} (V^dag U) for every step ``mus[i, t]`` of a ``(C, T)`` grid.
 
-    With D = V diag(lam) V^dag and P_j = V^T Q_j conj(V), component a's
-    moment j is M_aj(mu) = sum_kl conj(V[a, k]) V[a, l] P_j[k, l]
-    e^{i mu (lam_l - lam_k)}.  ``q`` is ``(C, n, x+1, n)`` at U and
-    ``vecs`` the ``(C, n, n)`` eigenvectors V; returns the
-    ``(C, n^2, n, x+1)`` products conj(V[a, k]) V[a, l] P_j[k, l], indexed
-    by (k, l), a and j.
+    ``vecs`` and ``lam`` are the ``(C, n, n)`` eigenvectors and ``(C, n)``
+    spectra of the directions D, ``back`` the ``(C, n, n)`` products V^dag U;
+    returns the ``(C, T, n, n)`` candidate unitaries.
     """
-    c, n, big = q.shape[:3]
-    p = (vecs.swapaxes(-1, -2) @ q.reshape(c, n, big * n)).reshape(c, n * big, n) @ vecs.conj()
-    rows = vecs.swapaxes(-1, -2)                                  # rows[k, a] = V[a, k]
-    s = rows.conj()[:, :, None, :] * rows[:, None, :, :]          # (C, k, l, a)
-    coef = s[..., None] * p.reshape(c, n, big, n).swapaxes(-1, -2)[:, :, :, None]
-    return coef.reshape(c, n * n, n, big)
-
-
-def _line_values(coef: np.ndarray, lam: np.ndarray, mus: np.ndarray,
-                 functional: RoofFunctional) -> np.ndarray:
-    """Objective at U(mu) for every step ``mus[i, t]`` of a ``(C, T)`` grid.
-
-    ``coef`` comes from ``_line_coefficients`` and ``lam`` is the ``(C, n)``
-    spectrum of the direction; one product with the phases e^{i mu (lam_l -
-    lam_k)} gives every component moment, and no unitary is formed.  Returns
-    ``(C, T)``.
-    """
-    c, nn, n, big = coef.shape
-    turn = np.exp(1j * mus[:, :, None] * lam[:, None, :])              # (C, T, n)
-    phase = (turn.conj()[..., None] * turn[..., None, :]).reshape(c, -1, nn)
-    mom = (phase @ coef.reshape(c, nn, n * big)).reshape(c, -1, n, big)   # (C, T, n, x+1)
-    return _block_terms(mom, functional).sum(axis=-1)
+    turn = np.exp(1j * mus[:, :, None] * lam[:, None, :])                 # (C, T, n)
+    return (vecs[:, None] * turn[:, :, None, :]) @ back[:, None]
 
 
 BFGS_MEMORY = 6           # (step, gradient change) pairs kept per start
@@ -452,12 +432,12 @@ def _ascend(gram: np.ndarray, us: np.ndarray, functional: RoofFunctional, sign: 
     Start i climbs from ``us[i]``, which receives its final unitary.  Each
     iteration takes, for every live start, a limited-memory BFGS direction
     D in the Hermitian Lie algebra (the Riemannian gradient when its memory
-    is empty), scores the geodesic exp(i mu D) U
-    on the angle grid ``LINE_ANGLES`` through the moments' trigonometric
-    polynomials (``_line_values``), takes the vertex of the parabola
-    through the best grid point and its neighbours where the polynomials
-    score it higher, and forms and evaluates only the chosen unitary, with
-    its gradient.  An accepted step with positive curvature is pushed onto
+    is empty), forms the geodesic exp(i mu D) U on the angle grid
+    ``LINE_ANGLES`` as one stack of unitaries (``_geodesic``) and scores
+    it with ``_objective``, takes the vertex of the parabola through the
+    best grid point and its neighbours where its formed unitary scores
+    higher, and evaluates the winning candidate once more, with its
+    gradient.  An accepted step with positive curvature is pushed onto
     the start's memory, two ``(BFGS_MEMORY, C, 2n^2)`` stacks of steps and
     gradient changes, newest first, the oldest pair dropping out.  A step
     that does not ascend clears the memory, or, from the gradient
@@ -473,7 +453,7 @@ def _ascend(gram: np.ndarray, us: np.ndarray, functional: RoofFunctional, sign: 
     c, n = len(us), us.shape[-1]
     live = np.arange(c)
     u = us.copy()
-    vals, grad, q = _objective(gram, u, functional, gradient=True)
+    vals, grad = _objective(gram, u, functional, gradient=True)
     vals, grad = sign * vals, sign * grad
     # every start's memory, newest pair first (see _lbfgs_direction)
     steps = np.zeros((BFGS_MEMORY, c, 2 * n * n))
@@ -494,7 +474,7 @@ def _ascend(gram: np.ndarray, us: np.ndarray, functional: RoofFunctional, sign: 
             done, go = stop.nonzero()[0], (~stop).nonzero()[0]
             reason[live[done]] = np.where(small[done], TOLERANCE, NO_ASCENT)
             us[live[done]], final[live[done]] = u[done], vals[done]
-            live, u, vals, grad, q, g = live[go], u[go], vals[go], grad[go], q[go], g[go]
+            live, u, vals, grad, g = live[go], u[go], vals[go], grad[go], g[go]
             steps, changes, inv, count = steps[:, go], changes[:, go], inv[:, go], count[go]
             if not len(live):
                 return final, reason, iterations
@@ -510,10 +490,10 @@ def _ascend(gram: np.ndarray, us: np.ndarray, functional: RoofFunctional, sign: 
             count *= uphill
             inv *= uphill
         lam, vecs = np.linalg.eigh(d.view(complex).reshape(-1, n, n))
-        coef = _line_coefficients(q, vecs)
+        back = vecs.conj().swapaxes(-1, -2) @ u
         mus = grid / np.abs(lam).max(axis=1)[:, None]
-        line = np.concatenate(
-            [vals[:, None], sign * _line_values(coef, lam, mus[:, 1:], functional)], axis=1)
+        on_grid = _geodesic(vecs, lam, back, mus[:, 1:])
+        line = np.concatenate([vals[:, None], sign * _objective(gram, on_grid, functional)], axis=1)
         best = line.argmax(axis=1)
         # vertex of the parabola through the best grid point and its
         # neighbours, where that point lies inside the grid
@@ -528,11 +508,12 @@ def _ascend(gram: np.ndarray, us: np.ndarray, functional: RoofFunctional, sign: 
         num, den = num[:, 0] - num[:, 1], den[:, 0] - den[:, 1]
         inner = (best > 0) & (best < top) & (den > 0.0)
         vertex = x[:, 1] - 0.5 * np.divide(num, den, out=np.zeros(len(live)), where=inner)
-        at_vertex = sign * _line_values(coef, lam, vertex[:, None], functional)[:, 0]
-        mu = np.where(inner & (at_vertex > y[:, 1]), vertex, mus[rows, best])
-        rotation = (vecs * np.exp(1j * mu[:, None] * lam)[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
-        new_u = rotation @ u
-        new_vals, new_grad, new_q = _objective(gram, new_u, functional, gradient=True)
+        at_vertex = _geodesic(vecs, lam, back, vertex[:, None])[:, 0]
+        higher = inner & (sign * _objective(gram, at_vertex, functional) > y[:, 1])
+        mu = np.where(higher, vertex, mus[rows, best])
+        # the winning candidate; at best = 0 the step is rejected whatever it is
+        new_u = _select(higher, at_vertex, on_grid[rows, np.maximum(best, 1) - 1])
+        new_vals, new_grad = _objective(gram, new_u, functional, gradient=True)
         new_vals, new_grad = sign * new_vals, sign * new_grad
         accept = (best > 0) & (new_vals > vals)
         step, change = mu[:, None] * d, g - new_grad.view(float).reshape(len(live), -1)
@@ -548,12 +529,12 @@ def _ascend(gram: np.ndarray, us: np.ndarray, functional: RoofFunctional, sign: 
         failed = ~accept & (count == 0)
         if accept.all():
             count = np.minimum(count + curved, BFGS_MEMORY)
-            u, vals, grad, q = new_u, new_vals, new_grad, new_q
+            u, vals, grad = new_u, new_vals, new_grad
         else:
             count = np.minimum(count + curved, BFGS_MEMORY) * accept
             inv *= accept
             u, vals = _select(accept, new_u, u), _select(accept, new_vals, vals)
-            grad, q = _select(accept, new_grad, grad), _select(accept, new_q, q)
+            grad = _select(accept, new_grad, grad)
     us[live], final[live] = u, vals
     return final, reason, iterations
 
@@ -574,15 +555,15 @@ def optimize_roof(rho: State,
     ``haar_random_unitary`` gives on ``default_rng([seed, 0, r])`` (one
     batched QR makes them all).  All starts advance in one stack
     (``_ascend``) by limited-memory BFGS steps in the Hermitian Lie algebra,
-    built from the analytic Riemannian gradient, with an exact line search
-    along the geodesic exp(i mu D) U.  A start stops on the gradient
+    built from the analytic Riemannian gradient, with a line search along
+    the geodesic exp(i mu D) U.  A start stops on the gradient
     tolerance ``cfg.tolerance``, when a step along the gradient finds no
     ascent, or after ``cfg.local_steps`` iterations, and then leaves the
     stack.  A pure state is its own only decomposition.
 
     No component is formed: every moment, gradient and line-search score
-    comes from the Gram stack G = m^dag [I, X_1, ..] m of the purification
-    matrix m and the functional's ``ops``, built once (``_objective``).
+    comes from ``_objective`` on the Gram stack G = m^dag [I, X_1, ..] m of
+    the purification matrix m and the functional's ``ops``, built once.
     ``evaluations`` counts one per start plus one per iteration, and for a
     maximization also every scored grouping but the one climbed.  The winner
     is the best start, the first of equals, and ``converged`` says that it

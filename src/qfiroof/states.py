@@ -40,6 +40,8 @@ def spin_squeezed_state(j, lam: float) -> PureState:
     if lam <= 0:
         raise ValueError("lam must be positive")
     spin = make_spin_algebra(j)
+    if spin.j == 0.0:
+        raise ValueError("spin_squeezed_state needs spin j > 0; spin 0 has no spin to squeeze")
     h = HermitianOperator(spin.jy.mat @ spin.jy.mat - lam * spin.jx.mat)
     _, psi, degenerate = ground_state(h)
     if degenerate:

@@ -216,6 +216,15 @@ def test_state_factory_roundtrip(capsys):
     assert np.allclose(mat, np.eye(3) / 3)
 
 
+def test_state_factory_rejects_spin_zero_polar_mixture(capsys):
+    spec = json.dumps({"constructor": "z_polar_mixture", "params": {"j": 0}})
+    code, out, err = run_cli(capsys, "state-factory", spec)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "ValueError",
+        "message": "z_polar_mixture needs spin j > 0; at spin 0 its two J_z states coincide"}
+
+
 def test_check_json_determinism(capsys):
     spec = json.dumps({"constructor": "random", "params": {"dim": 3, "seed": 21}})
     args = ("check", "improved-rs", "--state", spec, "--seed", "5",
@@ -315,6 +324,10 @@ def test_figure_rs_rejects_sample_counts_below_one(capsys, samples):
     (("figure-planar", "--j-list", ","), "j_list must name at least one spin"),
     (("figure-planar", "--j-list", "0.5,0"),
      "planar_squeezed_state needs spin j > 0; spin 0 has no mean spin"),
+    (("figure-planar", "--j-list", "inf"), "j must be finite, got inf"),
+    (("figure-planar", "--j-list", "0.5,nan"), "j must be finite, got nan"),
+    (("figure-spinsq", "--j", "0", "--lambda-points", "2"),
+     "spin_squeezed_state needs spin j > 0; spin 0 has no spin to squeeze"),
 ])
 def test_figure_grids_are_validated_before_any_row(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

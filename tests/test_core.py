@@ -48,8 +48,9 @@ def test_density_matrix_invariants():
 
 
 def test_density_matrix_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        DensityMatrix(np.eye(2))  # trace 2
+    # the trace is quoted as a plain float, not a numpy repr
+    with pytest.raises(ValueError, match=r"^trace 2\.0 differs from 1"):
+        DensityMatrix(np.eye(2))
     with pytest.raises(ValueError):
         DensityMatrix(np.diag([1.5, -0.5]))  # negative eigenvalue
 
@@ -221,6 +222,12 @@ def test_spin_casimir_and_commutators(j):
 def test_spin_rejects_non_half_integer():
     with pytest.raises(ValueError):
         make_spin_algebra(0.7)
+
+
+@pytest.mark.parametrize("j", [np.inf, -np.inf, np.nan])
+def test_spin_rejects_non_finite_spin(j):
+    with pytest.raises(ValueError, match="j must be finite"):
+        make_spin_algebra(j)
 
 
 # ---------------------------------------------------------------------------

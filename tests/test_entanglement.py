@@ -125,6 +125,32 @@ def test_duan_report_of_a_mixture_stays_bounded_at_cutoff_80():
     assert rep.useful_flags == reference.useful_flags
 
 
+def test_vxyz_roof_memory_stays_bounded_at_six_qubits(monkeypatch):
+    # a rank-4 state of six qubits at the default 64-level ancilla: a line
+    # search array of n^3 entries per component moment would take 180 MB
+    import qfiroof.entanglement
+    from qfiroof import roof_sum_I
+    roofs = []
+
+    def recording(*args, **kwargs):
+        roofs.append(roof_sum_I(*args, **kwargs))
+        return roofs[-1]
+
+    monkeypatch.setattr(qfiroof.entanglement, "roof_sum_I", recording)
+    rho = random_state(64, seed=3, rank=4)
+    tracemalloc.start()
+    try:
+        rep = vxyz_criterion(rho, 0.5, 6, cfg=OptimizerConfig(seed=7, restarts=2, local_steps=100))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48e6
+    (roof,) = roofs
+    fisher_floor = sum(dense_qfi(rho.mat, op.mat) for op in collective_spin_ops(0.5, 6)) / 4
+    assert rep.meta["roof"] == roof.value >= fisher_floor - 1e-9
+    assert roof.decomposition.reconstructs(rho, tol=1e-9)
+
+
 def test_mixed_states_at_cutoff_40_need_no_qr_or_eigh(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("d x d factorization of a support-held state")

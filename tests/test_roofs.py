@@ -53,8 +53,6 @@ from qfiroof.roofs import (
     _eigen_groupings,
     _gram_stack,
     _lbfgs_direction,
-    _line_coefficients,
-    _line_values,
     _objective,
     _split_block,
     _split_start,
@@ -262,12 +260,6 @@ def _functionals(dim, seed):
     ]
 
 
-def _objective_rows(gram, us, functional):
-    """``_objective`` of a ``(C, T, n, n)`` stack; returns the ``(C, T)`` objectives."""
-    c, t, n = us.shape[:3]
-    return _objective(gram, us.reshape(c * t, n, n), functional).reshape(c, t)
-
-
 def _max_start(rho, functional, ancilla=None):
     """Restart 0 of a maximization and the number of groupings scored to choose it."""
     return _split_start(_gram_stack(purify(rho, ancilla), functional.ops), functional)
@@ -282,7 +274,7 @@ def test_batched_objective_matches_extracted_decompositions(dim, ancilla):
     rng = np.random.default_rng(ancilla)
     us = np.array([[haar_random_unitary(ancilla, rng) for _ in range(3)] for _ in range(4)])
     for functional, _ in _functionals(dim, 120 + ancilla):
-        batched = _objective_rows(_gram_stack(m, functional.ops), us, functional)
+        batched = _objective(_gram_stack(m, functional.ops), us, functional)
         assert batched.shape == (4, 3)
         for u, value in zip(us.reshape(-1, ancilla, ancilla), batched.ravel()):
             expected = decomposition_average(extract_decomposition(m, u), functional)
@@ -411,41 +403,34 @@ def test_riemannian_gradient_matches_central_differences(dim, ancilla):
     eps = 1e-5
     for functional, _ in _functionals(dim, 290 + ancilla):
         gram = _gram_stack(m, functional.ops)
-        values, grad, q = _objective(gram, us, functional, gradient=True)
+        values, grad = _objective(gram, us, functional, gradient=True)
         assert grad.shape == (count, ancilla, ancilla)
-        assert q.shape[:2] == (count, ancilla)
         assert np.max(np.abs(grad - grad.conj().swapaxes(-1, -2))) == 0.0
         assert np.array_equal(values, _objective(gram, us, functional))
         for _ in range(3):
             h = _random_hermitian_stack(rng, count, ancilla)
             moved = _rotated(h, np.array([[eps, -eps]] * count), us)
-            ends = _objective_rows(gram, moved, functional)
+            ends = _objective(gram, moved, functional)
             numeric = (ends[:, 0] - ends[:, 1]) / (2 * eps)
             analytic = np.einsum("iab,iba->i", grad, h).real
             assert np.max(np.abs(numeric - analytic)) < 1e-8
 
 
-@pytest.mark.parametrize("dim, ancilla", GRADIENT_CASES)
-def test_line_search_polynomial_matches_formed_unitaries(dim, ancilla):
-    # the trigonometric polynomials of the component moments along
-    # exp(i mu D) U against the objective of the explicitly formed unitaries,
-    # on a grid of step sizes per start
-    rho = random_state(dim, seed=300 + ancilla)
-    m = purify(rho, ancilla)
-    rng = np.random.default_rng(310 + dim + ancilla)
-    count = 5
-    us = np.array([haar_random_unitary(ancilla, rng) for _ in range(count)])
-    for functional, _ in _functionals(dim, 320 + ancilla):
-        gram = _gram_stack(m, functional.ops)
-        _, _, q = _objective(gram, us, functional, gradient=True)
-        d = _random_hermitian_stack(rng, count, ancilla) * rng.uniform(0.1, 5.0)
-        lam, vecs = np.linalg.eigh(d)
-        mus = np.sort(rng.uniform(0.0, 3.0, (count, 7)), axis=1)
-        mus[:, 0] = 0.0
-        line = _line_values(_line_coefficients(q, vecs), lam, mus, functional)
-        formed = _objective_rows(gram, _rotated(d, mus, us), functional)
-        assert line.shape == formed.shape == mus.shape
-        assert np.max(np.abs(line - formed)) < 1e-12
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_geodesic_candidates_match_the_matrix_exponential(n):
+    # the line search's candidates V e^{i mu lam} (V^dag U) against expm(i mu D) U
+    from scipy.linalg import expm
+    rng = np.random.default_rng(330 + n)
+    count = 3
+    us = np.array([haar_random_unitary(n, rng) for _ in range(count)])
+    d = _random_hermitian_stack(rng, count, n) * 4.0
+    lam, vecs = np.linalg.eigh(d)
+    mus = rng.uniform(0.0, 2.0, (count, 5))
+    formed = roofs._geodesic(vecs, lam, vecs.conj().swapaxes(-1, -2) @ us, mus)
+    assert formed.shape == (count, 5, n, n)
+    for i in range(count):
+        for t in range(5):
+            assert np.max(np.abs(formed[i, t] - expm(1j * mus[i, t] * d[i]) @ us[i])) < 1e-12
 
 
 def _oracle_case(dim, kind, seed):

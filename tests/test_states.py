@@ -57,6 +57,12 @@ def test_spin_squeezed_rejects_nonpositive_lambda():
         spin_squeezed_state(2, 0.0)
 
 
+def test_spin_squeezed_rejects_spin_zero():
+    # a single level has no spin to squeeze: a typed input error, not a table of zeros
+    with pytest.raises(ValueError, match="needs spin j > 0"):
+        spin_squeezed_state(0, 1.0)
+
+
 def test_spin_squeezed_bound_tracks_fisher_information():
     # sweep: the variance-based lower bound never exceeds F_Q itself
     spin = make_spin_algebra(6)
