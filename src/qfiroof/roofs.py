@@ -3,10 +3,12 @@
 A mixed state has infinitely many decompositions into weighted pure
 components.  Every one with at most n components is reachable from a fixed
 purification by a unitary on an n-level ancilla.  The optimizer below climbs
-that unitary manifold from seeded starts with a limited-memory BFGS ascent
-in the Hermitian Lie algebra, driven by the analytic Riemannian gradient,
-and a line search along each geodesic exp(i mu D) U that scores formed
-candidate unitaries with the same objective as every other step.
+that unitary manifold from seeded starts along directions in the Hermitian
+Lie algebra, driven by the analytic Riemannian gradient, with a line search
+along each geodesic exp(i mu D) U that scores formed candidate unitaries
+with the same objective as every other step.  A maximization on an ancilla
+of at most three levels takes saddle-free Newton directions from the exact
+Riemannian Hessian; every other search takes limited-memory BFGS directions.
 
 Mixed components are never searched.  Convex roofs are defined over pure
 decompositions, and for the concave roofs of the uncertainty bound L and of
@@ -260,7 +262,7 @@ def _require_functional(functional) -> None:
 
 
 # ---------------------------------------------------------------------------
-# quasi-Newton ascent over ancilla unitaries
+# Newton and quasi-Newton ascent over ancilla unitaries
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -334,7 +336,10 @@ def _objective(gram: np.ndarray, us: np.ndarray, functional: RoofFunctional,
 
     One GEMM gives W = conj(U) G, and one batched mat-vec the component
     moments (W_j U^T)_aa = W_j[a] . U[a] of every unitary, in both modes, so
-    a plain pass scores bit for bit like a gradient pass.  Returns the
+    a plain pass scores bit for bit like a gradient pass.  ``gram`` may hold
+    only the first r rows of the Gram stack when the others are zero (a
+    purification of rank r padded with zero columns); then W takes only the
+    first r columns of conj(U).  Returns the
     ``(...)`` objectives; with ``gradient`` (a ``(C, n, n)`` stack), also
     the Riemannian gradients (Hermitian, ``(C, n, n)``), for which a second
     GEMM forms the full Q_j = W_j U^T.
@@ -345,8 +350,8 @@ def _objective(gram: np.ndarray, us: np.ndarray, functional: RoofFunctional,
     moves by eps Re Tr(i Y H^T) = eps Tr(Gamma H) with Gamma the Hermitian
     part of conj(i Y).
     """
-    n = us.shape[-1]
-    w = (us.conj().reshape(-1, n) @ gram).reshape(*us.shape[:-1], -1, n)   # (..., n, x+1, n)
+    n, r = us.shape[-1], gram.shape[0]
+    w = (us[..., :r].conj().reshape(-1, r) @ gram).reshape(*us.shape[:-1], -1, n)  # (..., n, x+1, n)
     mom = (w @ us[..., None])[..., 0]                                      # (..., n, x+1)
     if not gradient:
         return _block_terms(mom, functional).sum(axis=-1)
@@ -371,6 +376,8 @@ def _geodesic(vecs: np.ndarray, lam: np.ndarray, back: np.ndarray, mus: np.ndarr
 
 
 BFGS_MEMORY = 6           # (step, gradient change) pairs kept per start
+HESSIAN_STEP = 1e-5       # rotation eps of the gradient differences that give a Newton Hessian
+CURVATURE_FLOOR = 1e-8    # Hessian eigenvalues smaller in magnitude are inverted as this
 # rotation angles mu max|lam| tried along each direction: pi / 4 down to pi / 4^12
 LINE_ANGLES = np.pi / 4.0 ** np.arange(12, 0, -1)
 NEIGHBOURS = np.array([-1, 0, 1])                 # a grid point and its neighbours
@@ -408,6 +415,76 @@ def _lbfgs_direction(grad: np.ndarray, steps: np.ndarray, changes: np.ndarray,
     return r
 
 
+def _takes_newton_steps(sign: float, n: int) -> bool:
+    """Whether ``_ascend`` climbs by Newton directions: a maximization on an
+    ancilla whose n(n - 1) gauge-free generators are no more than the L-BFGS
+    memory, that is n <= 3."""
+    return sign > 0 and n * (n - 1) <= BFGS_MEMORY
+
+
+def _newton_frame(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The off-diagonal Hermitian generators E_l of the n-level ancilla and their rotations.
+
+    Returns the k = n(n - 1) generators (e_ab + e_ba) / sqrt 2 and i(e_ab -
+    e_ba) / sqrt 2, a < b, orthonormal under Re Tr(AB), as the rows of a
+    ``(k, 2n^2)`` real matrix, and the ``(2k, n, n)`` unitaries exp(i eps
+    E_l) and then exp(-i eps E_l), eps = ``HESSIAN_STEP``.  The diagonal
+    generators are left out: they only rephase the components, so every
+    Riemannian gradient is zero on them.
+    """
+    a, b = np.triu_indices(n, 1)
+    pairs = np.arange(len(a))
+    gens = np.zeros((2, len(a), n, n), dtype=complex)
+    gens[0, pairs, a, b] = gens[0, pairs, b, a] = math.sqrt(0.5)
+    gens[1, pairs, a, b], gens[1, pairs, b, a] = 1j * math.sqrt(0.5), -1j * math.sqrt(0.5)
+    gens = gens.reshape(-1, n, n)
+    lam, vecs = np.linalg.eigh(gens)
+    moves = _geodesic(vecs, lam, vecs.conj().swapaxes(-1, -2),
+                      np.tile([HESSIAN_STEP, -HESSIAN_STEP], (len(gens), 1)))
+    return gens.view(float).reshape(len(gens), -1), moves.swapaxes(0, 1).reshape(-1, n, n)
+
+
+def _scores(gram: np.ndarray, u: np.ndarray, functional: RoofFunctional, sign: float,
+            frame: np.ndarray | None, moves: np.ndarray | None):
+    """Signed objectives, Riemannian gradients and, for Newton steps, Hessians of a stack.
+
+    ``u`` is a ``(C, n, n)`` stack.  Without ``frame`` (L-BFGS steps) this
+    is one gradient pass of ``_objective`` and the Hessians are None.  With
+    ``frame`` and ``moves`` of ``_newton_frame`` the same pass also scores
+    the rotated unitaries exp(+-i eps E_l) U, and the ``(C, k, k)`` Hessian
+    in the frame is h_lm = Re Tr((Gamma_l+ - Gamma_l-) E_m) / 2 eps,
+    symmetrized, with Gamma_l+- the gradients at the rotated unitaries: for
+    the bi-invariant metric, the Riemannian Hessian along the geodesics
+    exp(itH) U.
+    """
+    if frame is None:
+        vals, grad = _objective(gram, u, functional, gradient=True)
+        return sign * vals, sign * grad, None
+    c, n = u.shape[:2]
+    k = len(frame)
+    stack = np.concatenate([u[:, None], moves @ u[:, None]], axis=1).reshape(-1, n, n)
+    vals, grad = _objective(gram, stack, functional, gradient=True)
+    grad = sign * grad.reshape(c, 1 + 2 * k, n, n)
+    coords = grad[:, 1:].view(float).reshape(c, 2, k, -1) @ frame.T
+    hess = (coords[:, 0] - coords[:, 1]) / (2.0 * HESSIAN_STEP)
+    return sign * vals.reshape(c, -1)[:, 0], grad[:, 0], 0.5 * (hess + hess.swapaxes(-1, -2))
+
+
+def _newton_direction(grad: np.ndarray, hess: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """Saddle-free Newton ascent directions of a stack of starts.
+
+    ``grad`` is ``(C, 2n^2)`` (see ``_lbfgs_direction``) and ``hess`` the
+    ``(C, k, k)`` Hessians in the generators of ``frame``.  With g_E the
+    gradient's coordinates and V diag(w) V^T the Hessian, the direction is
+    sum_l c_l E_l with c = V diag(1 / max(|w|, CURVATURE_FLOOR)) V^T g_E: the
+    Newton step where the Hessian is negative definite, and an ascent
+    direction wherever the gradient is not zero.
+    """
+    w, v = np.linalg.eigh(hess)
+    turned = (grad @ frame.T)[:, None, :] @ v / np.maximum(np.abs(w), CURVATURE_FLOOR)[:, None, :]
+    return (turned @ v.swapaxes(-1, -2))[:, 0] @ frame
+
+
 def _select(mask: np.ndarray, new: np.ndarray, old: np.ndarray) -> np.ndarray:
     """Rows of the ``(C, ...)`` stack ``new`` where ``mask``, of ``old`` elsewhere."""
     return np.where(mask.reshape(-1, *(1,) * (new.ndim - 1)), new, old)
@@ -427,39 +504,58 @@ def _push(memory: tuple[np.ndarray, ...], newest: tuple[np.ndarray, ...],
 
 def _ascend(gram: np.ndarray, us: np.ndarray, functional: RoofFunctional, sign: float,
             cfg: OptimizerConfig) -> tuple[np.ndarray, np.ndarray, int]:
-    """Quasi-Newton ascents of ``sign`` times the objective, all starts in one stack.
+    """Newton or quasi-Newton ascents of ``sign`` times the objective, all starts in one stack.
 
     Start i climbs from ``us[i]``, which receives its final unitary.  Each
-    iteration takes, for every live start, a limited-memory BFGS direction
-    D in the Hermitian Lie algebra (the Riemannian gradient when its memory
-    is empty), forms the geodesic exp(i mu D) U on the angle grid
+    iteration takes, for every live start, a direction D in the Hermitian
+    Lie algebra, forms the geodesic exp(i mu D) U on the angle grid
     ``LINE_ANGLES`` as one stack of unitaries (``_geodesic``) and scores
     it with ``_objective``, takes the vertex of the parabola through the
     best grid point and its neighbours where its formed unitary scores
     higher, and evaluates the winning candidate once more, with its
-    gradient.  An accepted step with positive curvature is pushed onto
-    the start's memory, two ``(BFGS_MEMORY, C, 2n^2)`` stacks of steps and
-    gradient changes, newest first, the oldest pair dropping out.  A step
-    that does not ascend clears the memory, or, from the gradient
-    direction, stops the start.  A start also stops once its gradient norm
-    falls below ``cfg.tolerance`` or after ``cfg.local_steps`` iterations.
-    Starts never read each other's state, and a stopped start leaves the
-    stack.  When every live start is uphill, or every one is accepted, the
-    iteration skips the per-start selects (``_select``), which leaves every
-    start's arithmetic unchanged.  Returns the signed objectives of the
-    final unitaries, why each start stopped (``TOLERANCE``, ``NO_ASCENT`` or
+    gradient (``_scores``).
+
+    The direction rule is fixed before the loop (``_takes_newton_steps``).
+    A maximization on an ancilla of n <= 3 takes saddle-free Newton
+    directions (``_newton_direction``) from the exact Riemannian Hessian,
+    whose n(n - 1) x n(n - 1) entries the gradient pass at each accepted
+    point gives from 2n(n - 1) rotated unitaries in the same stack; such a
+    direction always ascends, and a step that does not stops the start.
+    The rule has two conditions.  Up to n = 3 the 2n(n - 1) rotated
+    unitaries are no more than the line search's 12 grid candidates; at
+    larger n they cost more, and L-BFGS keeps those searches.  And L = 2|z|
+    has a kink at z = 0: a maximization moves components away from it, a
+    minimization drives them into it, where the curvature is unbounded and
+    Newton steps were measured slower than L-BFGS ones.
+
+    Every other search takes limited-memory BFGS directions (the
+    Riemannian gradient when the memory is empty).  An accepted step with
+    positive curvature is pushed onto the start's memory, two
+    ``(BFGS_MEMORY, C, 2n^2)`` stacks of steps and gradient changes, newest
+    first, the oldest pair dropping out.  A step that does not ascend
+    clears the memory, or, from the gradient direction, stops the start.
+
+    A start also stops once its gradient norm falls below
+    ``cfg.tolerance`` or after ``cfg.local_steps`` iterations.  Starts never
+    read each other's state, and a stopped start leaves the stack.  When
+    every live start is uphill, or every one is accepted, the iteration
+    skips the per-start selects (``_select``), which leaves every start's
+    arithmetic unchanged.  Returns the signed objectives of the final
+    unitaries, why each start stopped (``TOLERANCE``, ``NO_ASCENT`` or
     ``BUDGET``) and the number of iterations.
     """
     c, n = len(us), us.shape[-1]
+    newton = _takes_newton_steps(sign, n)
+    frame, moves = _newton_frame(n) if newton else (None, None)
     live = np.arange(c)
     u = us.copy()
-    vals, grad = _objective(gram, u, functional, gradient=True)
-    vals, grad = sign * vals, sign * grad
-    # every start's memory, newest pair first (see _lbfgs_direction)
-    steps = np.zeros((BFGS_MEMORY, c, 2 * n * n))
-    changes = np.zeros((BFGS_MEMORY, c, 2 * n * n))
-    inv = np.zeros((BFGS_MEMORY, c))
-    count = np.zeros(c, dtype=int)
+    vals, grad, hess = _scores(gram, u, functional, sign, frame, moves)
+    if not newton:
+        # every start's memory, newest pair first (see _lbfgs_direction)
+        steps = np.zeros((BFGS_MEMORY, c, 2 * n * n))
+        changes = np.zeros((BFGS_MEMORY, c, 2 * n * n))
+        inv = np.zeros((BFGS_MEMORY, c))
+        count = np.zeros(c, dtype=int)
     failed = np.zeros(c, dtype=bool)
     final = np.empty(c)
     reason = np.full(c, BUDGET)
@@ -475,20 +571,26 @@ def _ascend(gram: np.ndarray, us: np.ndarray, functional: RoofFunctional, sign: 
             reason[live[done]] = np.where(small[done], TOLERANCE, NO_ASCENT)
             us[live[done]], final[live[done]] = u[done], vals[done]
             live, u, vals, grad, g = live[go], u[go], vals[go], grad[go], g[go]
-            steps, changes, inv, count = steps[:, go], changes[:, go], inv[:, go], count[go]
+            if newton:
+                hess = hess[go]
+            else:
+                steps, changes, inv, count = steps[:, go], changes[:, go], inv[:, go], count[go]
             if not len(live):
                 return final, reason, iterations
         if it == cfg.local_steps:
             break
         iterations += len(live)
-        d = _lbfgs_direction(g, steps, changes, inv, count)
-        # a direction that does not ascend to first order falls back to the
-        # gradient and clears the memory
-        uphill = np.vecdot(d, g) > 0.0
-        if not uphill.all():
-            d = _select(uphill, d, g)
-            count *= uphill
-            inv *= uphill
+        if newton:
+            d = _newton_direction(g, hess, frame)
+        else:
+            d = _lbfgs_direction(g, steps, changes, inv, count)
+            # a direction that does not ascend to first order falls back to
+            # the gradient and clears the memory
+            uphill = np.vecdot(d, g) > 0.0
+            if not uphill.all():
+                d = _select(uphill, d, g)
+                count *= uphill
+                inv *= uphill
         lam, vecs = np.linalg.eigh(d.view(complex).reshape(-1, n, n))
         back = vecs.conj().swapaxes(-1, -2) @ u
         mus = grid / np.abs(lam).max(axis=1)[:, None]
@@ -513,26 +615,31 @@ def _ascend(gram: np.ndarray, us: np.ndarray, functional: RoofFunctional, sign: 
         mu = np.where(higher, vertex, mus[rows, best])
         # the winning candidate; at best = 0 the step is rejected whatever it is
         new_u = _select(higher, at_vertex, on_grid[rows, np.maximum(best, 1) - 1])
-        new_vals, new_grad = _objective(gram, new_u, functional, gradient=True)
-        new_vals, new_grad = sign * new_vals, sign * new_grad
+        new_vals, new_grad, new_hess = _scores(gram, new_u, functional, sign, frame, moves)
         accept = (best > 0) & (new_vals > vals)
-        step, change = mu[:, None] * d, g - new_grad.view(float).reshape(len(live), -1)
-        curvature = np.vecdot(step, change)
-        curved = accept & (curvature > 0.0)
-        if curved.all():
-            _push((steps, changes, inv), (step, change, 1.0 / curvature))
-        elif curved.any():
-            push = curved.nonzero()[0]
-            _push((steps, changes, inv), (step[push], change[push], 1.0 / curvature[push]), push)
-        # a rejected step clears the memory, and stops a start that took it
-        # along the gradient
-        failed = ~accept & (count == 0)
-        if accept.all():
+        if newton:
+            # a rejected start stops before its Hessian is read again
+            failed, hess = ~accept, new_hess
+        else:
+            step, change = mu[:, None] * d, g - new_grad.view(float).reshape(len(live), -1)
+            curvature = np.vecdot(step, change)
+            curved = accept & (curvature > 0.0)
+            if curved.all():
+                _push((steps, changes, inv), (step, change, 1.0 / curvature))
+            elif curved.any():
+                push = curved.nonzero()[0]
+                _push((steps, changes, inv), (step[push], change[push], 1.0 / curvature[push]),
+                      push)
+            # a rejected step clears the memory, and stops a start that took
+            # it along the gradient
+            failed = ~accept & (count == 0)
             count = np.minimum(count + curved, BFGS_MEMORY)
+            if not accept.all():
+                count *= accept
+                inv *= accept
+        if accept.all():
             u, vals, grad = new_u, new_vals, new_grad
         else:
-            count = np.minimum(count + curved, BFGS_MEMORY) * accept
-            inv *= accept
             u, vals = _select(accept, new_u, u), _select(accept, new_vals, vals)
             grad = _select(accept, new_grad, grad)
     us[live], final[live] = u, vals
@@ -554,24 +661,29 @@ def optimize_roof(rho: State,
     candidate.  Restart r > 0 ascends from the Haar random unitary that
     ``haar_random_unitary`` gives on ``default_rng([seed, 0, r])`` (one
     batched QR makes them all).  All starts advance in one stack
-    (``_ascend``) by limited-memory BFGS steps in the Hermitian Lie algebra,
-    built from the analytic Riemannian gradient, with a line search along
-    the geodesic exp(i mu D) U.  A start stops on the gradient
-    tolerance ``cfg.tolerance``, when a step along the gradient finds no
-    ascent, or after ``cfg.local_steps`` iterations, and then leaves the
-    stack.  A pure state is its own only decomposition.
+    (``_ascend``) by steps in the Hermitian Lie algebra, with a line search
+    along the geodesic exp(i mu D) U: saddle-free Newton steps from the
+    exact Riemannian Hessian for a maximization on an ancilla of n <= 3,
+    limited-memory BFGS steps for every other search.  A start stops on the
+    gradient tolerance ``cfg.tolerance``, when a step along the gradient
+    (or a Newton step) finds no ascent, or after ``cfg.local_steps``
+    iterations, and then leaves the stack.  A pure state is its own only
+    decomposition.
 
-    No component is formed: every moment, gradient and line-search score
-    comes from ``_objective`` on the Gram stack G = m^dag [I, X_1, ..] m of
-    the purification matrix m and the functional's ``ops``, built once.
-    ``evaluations`` counts one per start plus one per iteration, and for a
-    maximization also every scored grouping but the one climbed.  The winner
+    No component is formed: every moment, gradient, Hessian and line-search
+    score comes from ``_objective`` on the Gram stack G = m^dag [I, X_1, ..]
+    m of the purification matrix m and the functional's ``ops``, built once;
+    the search reads only its first r rows (r the rank of rho), since m's
+    padding columns make the others zero.  ``evaluations`` counts one per
+    start plus one per iteration, and for a maximization also every scored
+    grouping but the one climbed.  The winner
     is the best start, the first of equals, and ``converged`` says that it
     stopped on the tolerance or on no ascent, not on the budget.  A
     functional that is not a ``RoofFunctional`` raises ``TypeError``, one
     whose operators act on another dimension than rho
     ``DimensionMismatchError``.  Each call logs one debug line with its
-    starts, iterations, evaluations, stop reasons and wall time.
+    starts, direction rule (``newton`` or ``lbfgs``), iterations,
+    evaluations, stop reasons and wall time.
 
     The returned value is that of the witness unitary, evaluated after its
     last step, so it is exact for the witness decomposition and always on
@@ -601,12 +713,14 @@ def optimize_roof(rho: State,
     if cfg.restarts > 1:
         us[1:] = _haar_from_ginibre(np.array([
             _ginibre(n, np.random.default_rng([cfg.seed, 0, r])) for r in range(1, cfg.restarts)]))
-    vals, reason, iterations = _ascend(gram, us, functional, sign, cfg)
+    # rows past the rank are zero: m's padding columns
+    vals, reason, iterations = _ascend(gram[:rho.rank()], us, functional, sign, cfg)
     evaluations = scored + cfg.restarts - 1 + iterations
     best = int(np.argmax(vals))
     if log.isEnabledFor(logging.DEBUG):
-        log.debug("optimize_roof: %d starts, %d iterations, %d evaluations, stopped on %s, %.4f s",
-                  cfg.restarts, iterations, evaluations,
+        log.debug("optimize_roof: %d starts, %s directions, %d iterations, %d evaluations, "
+                  "stopped on %s, %.4f s", cfg.restarts,
+                  "newton" if _takes_newton_steps(sign, n) else "lbfgs", iterations, evaluations,
                   ", ".join(f"{name} {np.sum(reason == code)}"
                             for code, name in enumerate(STOP_REASONS)),
                   time.perf_counter() - started)

@@ -407,6 +407,10 @@ def test_riemannian_gradient_matches_central_differences(dim, ancilla):
         assert grad.shape == (count, ancilla, ancilla)
         assert np.max(np.abs(grad - grad.conj().swapaxes(-1, -2))) == 0.0
         assert np.array_equal(values, _objective(gram, us, functional))
+        # the Gram rows past the rank are zero, and the search scores without them
+        trimmed = _objective(gram[:dim], us, functional, gradient=True)
+        assert np.max(np.abs(trimmed[0] - values)) < 1e-12
+        assert np.max(np.abs(trimmed[1] - grad)) < 1e-12
         for _ in range(3):
             h = _random_hermitian_stack(rng, count, ancilla)
             moved = _rotated(h, np.array([[eps, -eps]] * count), us)
@@ -414,6 +418,71 @@ def test_riemannian_gradient_matches_central_differences(dim, ancilla):
             numeric = (ends[:, 0] - ends[:, 1]) / (2 * eps)
             analytic = np.einsum("iab,iba->i", grad, h).real
             assert np.max(np.abs(numeric - analytic)) < 1e-8
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_newton_hessian_matches_second_differences(n):
+    # Haar unitaries of the ancilla, every functional kind: the Hessian's
+    # quadratic form c^T h c of a gauge-free direction H = sum_l c_l E_l
+    # against the second central difference of the objective along exp(itH) U
+    rho = random_state(n, seed=300 + n)
+    m = purify(rho)
+    rng = np.random.default_rng(310 + n)
+    count = 5
+    us = np.array([haar_random_unitary(n, rng) for _ in range(count)])
+    frame, moves = roofs._newton_frame(n)
+    k = n * (n - 1)
+    assert frame.shape == (k, 2 * n * n) and moves.shape == (2 * k, n, n)
+    assert np.allclose(frame @ frame.T, np.eye(k), atol=1e-15)
+    t = 1e-4
+    for functional, _ in _functionals(n, 320 + n):
+        gram = _gram_stack(m, functional.ops)
+        values, grad = _objective(gram, us, functional, gradient=True)
+        for sign in (1.0, -1.0):
+            signed, g, hess = roofs._scores(gram, us.copy(), functional, sign, frame, moves)
+            assert hess.shape == (count, k, k)
+            assert np.array_equal(hess, hess.swapaxes(-1, -2))
+            assert np.max(np.abs(signed - sign * values)) < 1e-12
+            assert np.max(np.abs(g - sign * grad)) < 1e-12
+            # the frame spans the gradient: its diagonal generators are gauge
+            coords = g.view(float).reshape(count, -1) @ frame.T
+            assert np.max(np.abs(coords @ frame - g.view(float).reshape(count, -1))) < 1e-12
+            for _ in range(3):
+                h = _random_hermitian_stack(rng, count, n)
+                h[:, np.arange(n), np.arange(n)] = 0.0
+                c = h.view(float).reshape(count, -1) @ frame.T
+                quadratic = np.einsum("il,ilm,im->i", c, hess, c)
+                ends = sign * _objective(gram, _rotated(h, np.array([[t, -t]] * count), us),
+                                         functional)
+                second = (ends[:, 0] - 2.0 * sign * values + ends[:, 1]) / t ** 2
+                assert np.max(np.abs(quadratic - second)) <= 1e-5 * np.max(np.abs(second))
+
+
+def test_newton_steps_only_for_maximizations_on_small_ancillas(monkeypatch, caplog):
+    # a qubit or qutrit maximization never takes an L-BFGS direction; a
+    # qutrit minimization and a maximization on four levels still do, and
+    # each roof's debug line names its direction rule
+    calls = []
+
+    def counted(grad, steps, changes, inv, count):
+        calls.append(len(grad))
+        return _lbfgs_direction(grad, steps, changes, inv, count)
+
+    monkeypatch.setattr(roofs, "_lbfgs_direction", counted)
+    cfg = OptimizerConfig(seed=3, restarts=3, local_steps=60)
+    cases = [(2, None, "max", "newton"), (3, None, "max", "newton"), (3, None, "min", "lbfgs"),
+             (3, 4, "max", "lbfgs"), (4, None, "max", "lbfgs")]
+    for dim, ancilla, direction, rule in cases:
+        rho = random_state(dim, seed=340 + dim)
+        functional = RobertsonSchrodingerBound(random_hermitian(dim, 341), random_hermitian(dim, 342))
+        calls.clear()
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="qfiroof.roofs"):
+            res = optimize_roof(rho, functional, direction, cfg=cfg, ancilla_dim=ancilla)
+        assert res.evaluations > cfg.restarts + 5
+        assert (len(calls) > 0) == (rule == "lbfgs"), (dim, ancilla, direction)
+        (line,) = [r.getMessage() for r in caplog.records if r.name == "qfiroof.roofs"]
+        assert line.startswith(f"optimize_roof: 3 starts, {rule} directions, ")
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
