@@ -161,6 +161,8 @@ def bfq_bound(state: State) -> BoundReport:
     spin-coherent states cannot exceed.
     """
     j = (state.dim - 1) / 2.0
+    if j == 0.0:
+        raise ValueError("bfq_bound needs spin j > 0; a dim-1 state is spin 0")
     spin = make_spin_algebra(j)
     var_x = variance(state, spin.jx)
     var_y = variance(state, spin.jy)

@@ -353,8 +353,9 @@ FLAGS = {
     "--format": dict(choices=("csv", "json"), default="csv"),
     "--cutoff": dict(type=int, default=40, help="Fock truncation (default 40)"),
     "--seed": dict(type=int, default=1, help="master seed (default 1)"),
-    "--restarts": dict(type=int, default=8, help="optimizer restarts"),
-    "--local-steps": dict(type=int, default=600, help="optimizer iteration budget per start"),
+    "--restarts": dict(type=int, default=OptimizerConfig.restarts, help="optimizer restarts"),
+    "--local-steps": dict(type=int, default=OptimizerConfig.local_steps,
+                          help="optimizer iteration budget per start"),
     "--samples": dict(type=int, default=200),
     "--j-list": dict(type=_float_list, default=[0.5, 1, 1.5, 2, 2.5, 3, 3.5, 4, 4.5, 5]),
     "--j": dict(type=float, default=50),

@@ -220,6 +220,7 @@ class DensityMatrix:
 
     @staticmethod
     def maximally_mixed(dim: int) -> "DensityMatrix":
+        _require_count(dim, "dim", 1)
         return DensityMatrix(np.eye(dim) / dim)
 
     def __repr__(self) -> str:
@@ -249,6 +250,16 @@ def state_density(state: State) -> DensityMatrix:
     return state.density() if isinstance(state, PureState) else state
 
 
+def _support_image(state: State, op: HermitianOperator
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lambda_S, V_S, B V_S): the support of a state and its image under an
+    operator on the same dimension, O(d^2 r) for rank r."""
+    if state.dim != op.dim:
+        raise DimensionMismatchError(f"state dim {state.dim} != operator dim {op.dim}")
+    lam, vs = _support(state)
+    return lam, vs, op.mat @ vs
+
+
 def _support_mean(lam: np.ndarray, vs: np.ndarray, w: np.ndarray) -> np.ndarray | float:
     """<B> = sum_k lam_k Re<v_k|W_k> from the support and its image W = B V_S."""
     return np.einsum("ik,...ik->...k", vs.conj(), w).real @ lam
@@ -256,10 +267,7 @@ def _support_mean(lam: np.ndarray, vs: np.ndarray, w: np.ndarray) -> np.ndarray 
 
 def expectation(state: State, op: HermitianOperator) -> float:
     """<A> = Tr(rho A) over the support of the state; O(d^2 r) for rank r."""
-    if state.dim != op.dim:
-        raise DimensionMismatchError(f"state dim {state.dim} != operator dim {op.dim}")
-    lam, vs = _support(state)
-    return float(_support_mean(lam, vs, op.mat @ vs))
+    return float(_support_mean(*_support_image(state, op)))
 
 
 def _support_variance(lam: np.ndarray, vs: np.ndarray, w: np.ndarray) -> np.ndarray | float:
@@ -296,10 +304,7 @@ def _support_qfi(lam: np.ndarray, vs: np.ndarray, w: np.ndarray) -> np.ndarray |
 def variance(state: State, op: HermitianOperator) -> float:
     """(Delta A)^2 = <A^2> - <A>^2 over the support of the state, clamped at
     zero against round-off; O(d^2 r) for rank r."""
-    if state.dim != op.dim:
-        raise DimensionMismatchError(f"state dim {state.dim} != operator dim {op.dim}")
-    lam, vs = _support(state)
-    return float(_support_variance(lam, vs, op.mat @ vs))
+    return float(_support_variance(*_support_image(state, op)))
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +473,9 @@ class RandomStateConfig:
     seed: int
 
     def __post_init__(self):
-        if not 1 <= self.rank <= self.dim:
+        for name, least in (("dim", 1), ("rank", 1), ("seed", 0)):
+            _require_count(getattr(self, name), name, least)
+        if self.rank > self.dim:
             raise ValueError(f"rank {self.rank} outside [1, {self.dim}]")
 
 

@@ -19,6 +19,7 @@ from .core import (
     FockAlgebra,
     HermitianOperator,
     State,
+    _require_count,
     _support,
     _support_qfi,
     _support_variance,
@@ -148,6 +149,9 @@ def two_spin_report(state: State, j1, j2) -> BoundReport:
     """
     spin1 = make_spin_algebra(j1)
     spin2 = make_spin_algebra(j2)
+    if 0.0 in (spin1.j, spin2.j):
+        raise ValueError(f"two_spin_report needs spins j1, j2 > 0, got j1 = {spin1.j}, "
+                         f"j2 = {spin2.j}; a spin 0 party has no spin")
     dim = spin1.dim * spin2.dim
     if state.dim != dim:
         raise DimensionMismatchError(f"state dim {state.dim}, expected {dim}")
@@ -176,8 +180,9 @@ def two_spin_report(state: State, j1, j2) -> BoundReport:
 def collective_spin_ops(j, n_parties: int) -> tuple[HermitianOperator, ...]:
     """Collective J_x, J_y, J_z for n spin-j parties, built as tensor sums."""
     spin = make_spin_algebra(j)
-    if n_parties < 1:
-        raise ValueError("need at least one party")
+    if spin.j == 0.0:
+        raise ValueError("collective_spin_ops needs spin j > 0; spin 0 has no collective spin")
+    _require_count(n_parties, "n_parties", 1)
     eye = np.eye(spin.dim)
     out = []
     for op in spin.as_tuple():

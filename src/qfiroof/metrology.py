@@ -8,11 +8,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DimensionMismatchError,
     HermitianOperator,
     State,
     _require_count,
-    _support,
+    _support_image,
     _support_qfi,
     commutator_i,
     expectation,
@@ -37,10 +36,7 @@ def qfi(state: State, b: HermitianOperator) -> float:
     d x d basis change is made.  A pure state is the rank-1 case, where the
     formula is four times the variance of B.
     """
-    if state.dim != b.dim:
-        raise DimensionMismatchError(f"state dim {state.dim} != operator dim {b.dim}")
-    lam, vs = _support(state)
-    return float(_support_qfi(lam, vs, b.mat @ vs))
+    return float(_support_qfi(*_support_image(state, b)))
 
 
 @dataclass(frozen=True)
@@ -63,10 +59,7 @@ def sld(state: State, b: HermitianOperator) -> SldResult:
     lam_k + lam_l >= 2 EIG_FLOOR, so no pair is skipped.  Its mean vanishes
     and Tr(rho L^2) equals F_Q.
     """
-    if state.dim != b.dim:
-        raise DimensionMismatchError(f"state dim {state.dim} != operator dim {b.dim}")
-    lam, vs = _support(state)
-    w = b.mat @ vs
+    lam, vs, w = _support_image(state, b)
     vs_dag = vs.conj().T
     b_s = vs_dag @ w
     resid = w - vs @ b_s

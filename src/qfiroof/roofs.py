@@ -99,6 +99,7 @@ def purify(rho: DensityMatrix, ancilla_dim: int | None = None) -> np.ndarray:
     """
     if ancilla_dim is None:
         ancilla_dim = rho.dim
+    _require_count(ancilla_dim, "ancilla_dim", 1)
     if ancilla_dim < rho.rank():
         raise ValueError(f"ancilla dim {ancilla_dim} smaller than rank {rho.rank()}")
     lam, vs = _support(rho)
@@ -137,28 +138,25 @@ class RoofFunctional:
 
     ``ops`` is the ``(x, d, d)`` stack of operators X_j whose moments
     Tr(sigma X_j) determine f(sigma); each subclass builds it from its
-    operators.  ``from_moments(p, mom)`` receives component weights ``p``
-    (any shape ``(...)``, each positive) and the unnormalised moments
-    ``mom[..., j] = p Tr(sigma X_j)`` (shape ``(..., x)``, complex) and
-    returns p f(sigma) for every component; ``moment_grad(p, mom)`` returns
-    the same values and their derivatives, from which the optimizer builds
-    the Riemannian gradient.
+    operators.  ``terms`` maps component weights and moments to p f(sigma)
+    and, for the optimizer's Riemannian gradient, to its derivatives.
     The optimizer never forms sigma: it takes every start's moments from
     one Gram stack of the purification (see ``optimize_roof``).
     """
 
     ops: np.ndarray
 
-    def from_moments(self, p: np.ndarray, mom: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+    def terms(self, p: np.ndarray, mom: np.ndarray, gradient: bool = False):
+        """p f(sigma) of every component, and with ``gradient`` its derivatives.
 
-    def moment_grad(self, p: np.ndarray, mom: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``from_moments`` and its derivatives in ``p`` (shape ``(...)``) and in ``mom``.
-
-        The value is bit for bit that of ``from_moments``, from the same
-        pass.  The moment derivative is complex, d/dRe + i d/dIm, so a
+        ``p`` holds the component weights (shape ``(...)``, each positive)
+        and ``mom`` the unnormalised moments ``mom[..., j] = p Tr(sigma X_j)``
+        (shape ``(..., x)``, complex).  With ``gradient``, also returns the
+        ``(..., x+1)`` coefficient row: the derivative in p, then those in
+        the moments.  A moment derivative is complex, d/dRe + i d/dIm, so a
         change dM of the moments changes the value by Re(conj(grad) dM).
+        Both passes compute the value before they branch, so it is bit for
+        bit the same.
         """
         raise NotImplementedError
 
@@ -199,22 +197,19 @@ class VarianceSum(RoofFunctional):
         mats = np.array([op.mat for op in ops])
         self.ops = np.concatenate([mats, mats @ mats])
 
-    def from_moments(self, p: np.ndarray, mom: np.ndarray) -> np.ndarray:
+    def terms(self, p: np.ndarray, mom: np.ndarray, gradient: bool = False):
         # p sum_n Var(A_n) = sum_n (p<A_n^2> - (p<A_n>)^2 / p)
         half = mom.shape[-1] // 2
         means = mom[..., :half].real
         total = np.sum(mom[..., half:].real - means * means / p[..., None], axis=-1)
-        return np.maximum(total, 0.0)
-
-    def moment_grad(self, p: np.ndarray, mom: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        half = mom.shape[-1] // 2
-        means = mom[..., :half].real
-        total = np.sum(mom[..., half:].real - means * means / p[..., None], axis=-1)
+        value = np.maximum(total, 0.0)
+        if not gradient:
+            return value
         ratio = means / p[..., None]
-        grad = np.ones(mom.shape, dtype=complex)
-        grad[..., :half] = -2.0 * ratio
-        return np.maximum(total, 0.0), np.sum(ratio * ratio, axis=-1), grad
+        coef = np.ones((*mom.shape[:-1], mom.shape[-1] + 1), dtype=complex)
+        coef[..., 0] = np.sum(ratio * ratio, axis=-1)
+        coef[..., 1:half + 1] = -2.0 * ratio
+        return value, coef
 
 
 class RobertsonSchrodingerBound(RoofFunctional):
@@ -231,29 +226,24 @@ class RobertsonSchrodingerBound(RoofFunctional):
             raise DimensionMismatchError("operators act on different dimensions")
         self.ops = np.array([a.mat, b.mat, a.mat @ b.mat])
 
-    def from_moments(self, p: np.ndarray, mom: np.ndarray) -> np.ndarray:
-        return 2.0 * np.abs(self._centred(p, mom))
-
-    def moment_grad(self, p: np.ndarray, mom: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # with z = p<AB> - p<A> p<B> / p the value is 2|z| and its derivative
-        # in p<AB> is 2z/|z|; L is not differentiable where z = 0, and there
-        # the zero subgradient is returned
+    def terms(self, p: np.ndarray, mom: np.ndarray, gradient: bool = False):
+        # z = p(<AB> - <A><B>): 2 Re z is the covariance term and -2 Im z the
+        # commutator mean, so the value is 2|z|
         ea, eb = mom[..., 0].real, mom[..., 1].real
-        z = self._centred(p, mom)
+        z = mom[..., 2] - ea * eb / p
         norm = np.abs(z)
+        if not gradient:
+            return 2.0 * norm
+        # the derivative in p<AB> is 2z/|z|; L is not differentiable where
+        # z = 0, and there the zero subgradient is returned
         dz = 2.0 * z / np.where(norm > 0.0, norm, np.inf)
         dcov = dz.real
-        grad = np.empty(mom.shape, dtype=complex)
-        grad[..., 0] = -dcov * eb / p
-        grad[..., 1] = -dcov * ea / p
-        grad[..., 2] = dz
-        return 2.0 * norm, dcov * ea * eb / (p * p), grad
-
-    @staticmethod
-    def _centred(p: np.ndarray, mom: np.ndarray) -> np.ndarray:
-        """z = p(<AB> - <A><B>): 2 Re z is the covariance term and -2 Im z the commutator mean."""
-        return mom[..., 2] - mom[..., 0].real * mom[..., 1].real / p
+        coef = np.empty((*mom.shape[:-1], 4), dtype=complex)
+        coef[..., 0] = dcov * ea * eb / (p * p)
+        coef[..., 1] = -dcov * eb / p
+        coef[..., 2] = -dcov * ea / p
+        coef[..., 3] = dz
+        return 2.0 * norm, coef
 
 
 def _require_functional(functional) -> None:
@@ -308,26 +298,22 @@ def _gram_stack(m: np.ndarray, ops: np.ndarray) -> np.ndarray:
 def _block_terms(mom: np.ndarray, functional: RoofFunctional, gradient: bool = False):
     """p f(component) of every component from its moments ``mom[..., j]`` (j = 0 the weight).
 
-    Components lighter than ``WEIGHT_DROP`` give 0: the functional scores
-    them at weight 1, so that it never divides by a vanishing weight, and
-    the score is dropped.  With ``gradient``, also returns the derivatives
-    in every moment, the weight included (shape of ``mom``, 0 on the light
-    components).  When every component is heavy enough, as it almost
-    always is, no select or mask runs.
+    ``functional.terms`` of the weights and moments, with or without its
+    coefficient rows.  Components lighter than ``WEIGHT_DROP`` give 0: the
+    functional scores them at weight 1, so that it never divides by a
+    vanishing weight, and their values and coefficients are dropped.  When
+    every component is heavy enough, as it almost always is, no select or
+    mask runs.
     """
     p = mom[..., 0].real
     keep = p >= WEIGHT_DROP
     whole = keep.all()
-    if not whole:
-        p = np.where(keep, p, 1.0)
-    if not gradient:
-        terms = functional.from_moments(p, mom[..., 1:])
-        return terms if whole else np.where(keep, terms, 0.0)
-    terms, dp, dmom = functional.moment_grad(p, mom[..., 1:])
-    coef = np.concatenate([dp[..., None], dmom], axis=-1)
+    out = functional.terms(p if whole else np.where(keep, p, 1.0), mom[..., 1:], gradient)
     if whole:
-        return terms, coef
-    return np.where(keep, terms, 0.0), keep[..., None] * coef
+        return out
+    if not gradient:
+        return np.where(keep, out, 0.0)
+    return np.where(keep, out[0], 0.0), keep[..., None] * out[1]
 
 
 def _objective(gram: np.ndarray, us: np.ndarray, functional: RoofFunctional,
@@ -335,17 +321,18 @@ def _objective(gram: np.ndarray, us: np.ndarray, functional: RoofFunctional,
     """sum_a p_a f(component_a) for every unitary of a ``(..., n, n)`` stack ``us``.
 
     One GEMM gives W = conj(U) G, and one batched mat-vec the component
-    moments (W_j U^T)_aa = W_j[a] . U[a] of every unitary, in both modes, so
-    a plain pass scores bit for bit like a gradient pass.  ``gram`` may hold
-    only the first r rows of the Gram stack when the others are zero (a
-    purification of rank r padded with zero columns); then W takes only the
-    first r columns of conj(U).  Returns the
+    moments (W_j U^T)_aa = W_j[a] . U[a] of every unitary, in both modes,
+    and ``functional.terms`` computes the values before it branches on
+    ``gradient``, so a plain pass scores bit for bit like a gradient pass.
+    ``gram`` may hold only the first r rows of the Gram stack when the
+    others are zero (a purification of rank r padded with zero columns);
+    then W takes only the first r columns of conj(U).  Returns the
     ``(...)`` objectives; with ``gradient`` (a ``(C, n, n)`` stack), also
     the Riemannian gradients (Hermitian, ``(C, n, n)``), for which a second
     GEMM forms the full Q_j = W_j U^T.
 
     The gradient: U <- exp(i eps H) U moves Q_j by i eps [Q_j, H^T], so with
-    c_aj the moment derivative (``moment_grad``) of component a and
+    c_aj the coefficient row of component a (``terms``; j = 0 the weight) and
     Y = sum_j (conj(c_j) Q_j - Q_j conj(c_j)) (c_j diagonal), the objective
     moves by eps Re Tr(i Y H^T) = eps Tr(Gamma H) with Gamma the Hermitian
     part of conj(i Y).
@@ -910,8 +897,8 @@ def eigen_partition_bound_K(rho: State, a: HermitianOperator,
     maximization, ``concave_roof_L`` included, each split into pure
     components that score at least as much, so the roof is never below K.
     Degenerate spectra use the eigenbasis exactly as the solver returns it,
-    which keeps runs reproducible at the cost of possible suboptimality.  A ``PureState`` is its own only decomposition, so its K
-    is its L.
+    which keeps runs reproducible at the cost of possible suboptimality.  A
+    ``PureState`` is its own only decomposition, so its K is its L.
     """
     rho = state_density(rho)
     if rho.dim != 3:

@@ -258,6 +258,12 @@ def test_bfq_z_polar_mixture_saturates():
         assert abs(rep.rhs) < 1e-12
 
 
+def test_bfq_rejects_spin_zero():
+    # a dim-1 state has lhs = rhs = 0: an input error, not a verdict
+    with pytest.raises(ValueError, match="spin 0"):
+        bfq_bound(PureState([1.0]))
+
+
 def test_bfq_x_polarized_saturates():
     for j in (0.5, 1.5, 4):
         psi = spin_coherent_polar(j, np.pi / 2, 0.0)

@@ -388,6 +388,20 @@ def test_random_density_matrix_mean_purity():
         assert abs(mean - expected) < 0.02 * expected
 
 
+@pytest.mark.parametrize("fields", [dict(dim=3.0), dict(rank=True), dict(seed=-1),
+                                    dict(seed=1.5), dict(dim=0, rank=0)],
+                         ids=["dim-float", "rank-bool", "seed-negative", "seed-float", "dim-zero"])
+def test_random_state_config_takes_only_integer_counts(fields):
+    with pytest.raises(ValueError, match="must be an integer"):
+        RandomStateConfig(**{"dim": 3, "rank": 3, "seed": 1, **fields})
+
+
+def test_maximally_mixed_rejects_dimension_zero():
+    for dim in (0, 2.0):
+        with pytest.raises(ValueError, match="dim must be an integer >= 1"):
+            DensityMatrix.maximally_mixed(dim)
+
+
 def test_random_state_config_validation():
     with pytest.raises(ValueError):
         RandomStateConfig(dim=2, rank=3, seed=0)

@@ -319,9 +319,23 @@ def test_two_spin_dimension_check():
         two_spin_report(DensityMatrix.maximally_mixed(4), 0.5, 1.0)
 
 
+def test_two_spin_rejects_spin_zero():
+    for j1, j2 in ((0, 0.5), (0.5, 0)):
+        with pytest.raises(ValueError, match="spin 0"):
+            two_spin_report(DensityMatrix.maximally_mixed(2), j1, j2)
+
+
 # ---------------------------------------------------------------------------
 # collective variance roof criterion
 # ---------------------------------------------------------------------------
+
+def test_collective_spin_ops_reject_spin_zero_and_non_integer_parties():
+    with pytest.raises(ValueError, match="spin 0"):
+        vxyz_criterion(PureState([1.0]), 0, 2, cfg=FAST)
+    for parties in (2.5, 2.0, True):
+        with pytest.raises(ValueError, match="n_parties must be an integer"):
+            collective_spin_ops(0.5, parties)
+
 
 def test_vxyz_singlet_flags_entanglement():
     rep = vxyz_criterion(singlet_state(0.5), 0.5, 2, cfg=FAST)

@@ -94,6 +94,16 @@ def test_purify_rejects_small_ancilla():
         purify(rho, ancilla_dim=2)
 
 
+def test_ancilla_dim_must_be_an_integer():
+    rho = random_state(3, seed=22)
+    spin = make_spin_algebra(1)
+    for ancilla in (4.0, True):
+        with pytest.raises(ValueError, match="ancilla_dim must be an integer"):
+            purify(rho, ancilla)
+        with pytest.raises(ValueError, match="ancilla_dim must be an integer"):
+            concave_roof_L(rho, spin.jx, spin.jy, cfg=FAST, ancilla_dim=ancilla)
+
+
 def test_purify_enlarged_ancilla():
     rho = random_state(2, seed=23)
     m = purify(rho, ancilla_dim=5)
@@ -240,13 +250,13 @@ class _SquaredMean(RoofFunctional):
     def __init__(self, a):
         self.ops = a.mat[None]
 
-    def from_moments(self, p, mom):
+    def terms(self, p, mom, gradient=False):
         mean = mom[..., 0].real
-        return mean * mean / p
-
-    def moment_grad(self, p, mom):
-        ratio = mom[..., 0].real / p
-        return self.from_moments(p, mom), -ratio * ratio, (2.0 * ratio)[..., None] + 0j
+        value = mean * mean / p
+        if not gradient:
+            return value
+        ratio = mean / p
+        return value, np.stack([-ratio * ratio, 2.0 * ratio], axis=-1) + 0j
 
 
 def _functionals(dim, seed):
@@ -290,7 +300,7 @@ def test_from_moments_stack_matches_dense_formulas(dim):
         ops = functional.ops
         mom = np.array([p * np.einsum("xij,ji->x", ops, rho.mat)
                         for p, rho in zip(weights, states)])
-        stacked = functional.from_moments(weights, mom)
+        stacked = functional.terms(weights, mom)
         assert stacked.shape == (len(states),)
         for p, rho, value in zip(weights, states, stacked):
             assert abs(value - p * dense(rho.mat)) < 1e-12
@@ -312,7 +322,10 @@ def test_rank_deficient_qutrit_search_raises_no_floating_point_error():
     assert np.sum(np.abs(m[:, 2]) ** 2) < WEIGHT_DROP
     with np.errstate(all="raise"):
         for functional, dense in _functionals(3, 204):
-            at_identity = _objective(_gram_stack(m, functional.ops), eye[None], functional)[0]
+            gram = _gram_stack(m, functional.ops)
+            at_identity = _objective(gram, eye[None], functional)[0]
+            # the gradient pass drops the light component as the plain pass does
+            assert _objective(gram, eye[None], functional, gradient=True)[0][0] == at_identity
             expected = decomposition_average(extract_decomposition(m, eye), functional)
             assert abs(at_identity - expected) < 1e-12
             res = optimize_roof(rho, functional, "max", cfg=cfg)
@@ -352,7 +365,7 @@ def _rotated(h, mus, us):
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_moment_grad_matches_central_differences(dim):
     # every functional kind at components of every rank, against central
-    # differences of from_moments along paths P(t) = (1 + tE) P (1 + tE)^dag
+    # differences of terms along paths P(t) = (1 + tE) P (1 + tE)^dag
     # of the unnormalised component P = p sigma, which keep its rank and
     # move its weight and all its moments
     states = [random_state(dim, seed=250 + k, rank=1 + k % dim) for k in range(5)]
@@ -364,13 +377,14 @@ def test_moment_grad_matches_central_differences(dim):
         ops = functional.ops
 
         def at(path):
-            return functional.from_moments(np.trace(path, axis1=1, axis2=2).real,
-                                           np.einsum("xij,kji->kx", ops, path))
+            return functional.terms(np.trace(path, axis1=1, axis2=2).real,
+                                    np.einsum("xij,kji->kx", ops, path))
 
         mom = np.einsum("xij,kji->kx", ops, comps)
-        value, dp, dmom = functional.moment_grad(weights, mom)
-        # the value from the gradient's pass is from_moments' own, bit for bit
-        assert np.array_equal(value, functional.from_moments(weights, mom))
+        value, coef = functional.terms(weights, mom, gradient=True)
+        dp, dmom = coef[:, 0].real, coef[:, 1:]
+        # the value from the gradient's pass is the plain pass's own, bit for bit
+        assert np.array_equal(value, functional.terms(weights, mom))
         for _ in range(3):
             e = rng.standard_normal((len(states), dim, dim)) + 1j * rng.standard_normal(
                 (len(states), dim, dim))
