@@ -360,8 +360,7 @@ def make_su_d_generators(d: int) -> list[HermitianOperator]:
     symmetric and antisymmetric off-diagonal pair for (k, l), pairs in
     lexicographic order, followed by the diagonal generators.
     """
-    if d < 2:
-        raise ValueError(f"d={d} must be at least 2")
+    _require_count(d, "d", 2)
     gens: list[HermitianOperator] = []
     for k in range(d):
         for l in range(k + 1, d):

@@ -5,8 +5,9 @@ components.  Every one with at most n components is reachable from a fixed
 purification by a unitary on an n-level ancilla.  The optimizer below climbs
 that unitary manifold from seeded starts along directions in the Hermitian
 Lie algebra, driven by the analytic Riemannian gradient, with a line search
-along each geodesic exp(i mu D) U that scores formed candidate unitaries
-with the same objective as every other step.  A maximization on an ancilla
+along each geodesic exp(i mu D) U that scores the formed candidate unitaries
+of an angle grid and of the direction's own unit step mu = 1 with the same
+objective as every other step.  A maximization on an ancilla
 of at most three levels takes saddle-free Newton directions from the exact
 Riemannian Hessian; every other search takes limited-memory BFGS directions.
 
@@ -25,6 +26,7 @@ bound evaluations consume only the certified side.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import time
@@ -363,11 +365,11 @@ def _geodesic(vecs: np.ndarray, lam: np.ndarray, back: np.ndarray, mus: np.ndarr
 
 
 BFGS_MEMORY = 6           # (step, gradient change) pairs kept per start
-HESSIAN_STEP = 1e-5       # rotation eps of the gradient differences that give a Newton Hessian
+HESSIAN_STEP = 1e-8       # rotation eps of the gradient differences that give a Newton Hessian
 CURVATURE_FLOOR = 1e-8    # Hessian eigenvalues smaller in magnitude are inverted as this
-# rotation angles mu max|lam| tried along each direction: pi / 4 down to pi / 4^12
+# rotation angles mu max|lam| tried along each direction, besides the unit step
+# mu = 1: pi / 4 down to pi / 4^12
 LINE_ANGLES = np.pi / 4.0 ** np.arange(12, 0, -1)
-NEIGHBOURS = np.array([-1, 0, 1])                 # a grid point and its neighbours
 TOLERANCE, NO_ASCENT, BUDGET = range(3)          # why a start stopped
 STOP_REASONS = ("tolerance", "no_ascent", "budget")
 
@@ -409,15 +411,17 @@ def _takes_newton_steps(sign: float, n: int) -> bool:
     return sign > 0 and n * (n - 1) <= BFGS_MEMORY
 
 
+@functools.cache
 def _newton_frame(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The off-diagonal Hermitian generators E_l of the n-level ancilla and their rotations.
 
     Returns the k = n(n - 1) generators (e_ab + e_ba) / sqrt 2 and i(e_ab -
     e_ba) / sqrt 2, a < b, orthonormal under Re Tr(AB), as the rows of a
-    ``(k, 2n^2)`` real matrix, and the ``(2k, n, n)`` unitaries exp(i eps
-    E_l) and then exp(-i eps E_l), eps = ``HESSIAN_STEP``.  The diagonal
-    generators are left out: they only rephase the components, so every
-    Riemannian gradient is zero on them.
+    ``(k, 2n^2)`` real matrix, and the ``(k, n, n)`` unitaries exp(i eps
+    E_l), eps = ``HESSIAN_STEP``.  The diagonal generators are left out:
+    they only rephase the components, so every Riemannian gradient is zero
+    on them.  Built once per n and shared by every roof, so both arrays are
+    read-only.
     """
     a, b = np.triu_indices(n, 1)
     pairs = np.arange(len(a))
@@ -427,8 +431,10 @@ def _newton_frame(n: int) -> tuple[np.ndarray, np.ndarray]:
     gens = gens.reshape(-1, n, n)
     lam, vecs = np.linalg.eigh(gens)
     moves = _geodesic(vecs, lam, vecs.conj().swapaxes(-1, -2),
-                      np.tile([HESSIAN_STEP, -HESSIAN_STEP], (len(gens), 1)))
-    return gens.view(float).reshape(len(gens), -1), moves.swapaxes(0, 1).reshape(-1, n, n)
+                      np.full((len(gens), 1), HESSIAN_STEP))[:, 0]
+    frame = gens.view(float).reshape(len(gens), -1)
+    frame.flags.writeable = moves.flags.writeable = False
+    return frame, moves
 
 
 def _scores(gram: np.ndarray, u: np.ndarray, functional: RoofFunctional, sign: float,
@@ -438,11 +444,11 @@ def _scores(gram: np.ndarray, u: np.ndarray, functional: RoofFunctional, sign: f
     ``u`` is a ``(C, n, n)`` stack.  Without ``frame`` (L-BFGS steps) this
     is one gradient pass of ``_objective`` and the Hessians are None.  With
     ``frame`` and ``moves`` of ``_newton_frame`` the same pass also scores
-    the rotated unitaries exp(+-i eps E_l) U, and the ``(C, k, k)`` Hessian
-    in the frame is h_lm = Re Tr((Gamma_l+ - Gamma_l-) E_m) / 2 eps,
-    symmetrized, with Gamma_l+- the gradients at the rotated unitaries: for
-    the bi-invariant metric, the Riemannian Hessian along the geodesics
-    exp(itH) U.
+    the k rotated unitaries exp(i eps E_l) U, and the ``(C, k, k)`` Hessian
+    in the frame is the one-sided difference h_lm = Re Tr((Gamma_l - Gamma)
+    E_m) / eps, symmetrized, with Gamma the gradient at U and Gamma_l those
+    at the rotated unitaries: for the bi-invariant metric, the Riemannian
+    Hessian along the geodesics exp(itH) U.
     """
     if frame is None:
         vals, grad = _objective(gram, u, functional, gradient=True)
@@ -451,9 +457,9 @@ def _scores(gram: np.ndarray, u: np.ndarray, functional: RoofFunctional, sign: f
     k = len(frame)
     stack = np.concatenate([u[:, None], moves @ u[:, None]], axis=1).reshape(-1, n, n)
     vals, grad = _objective(gram, stack, functional, gradient=True)
-    grad = sign * grad.reshape(c, 1 + 2 * k, n, n)
-    coords = grad[:, 1:].view(float).reshape(c, 2, k, -1) @ frame.T
-    hess = (coords[:, 0] - coords[:, 1]) / (2.0 * HESSIAN_STEP)
+    grad = sign * grad.reshape(c, 1 + k, n, n)
+    coords = grad.view(float).reshape(c, 1 + k, -1) @ frame.T
+    hess = (coords[:, 1:] - coords[:, :1]) / HESSIAN_STEP
     return sign * vals.reshape(c, -1)[:, 0], grad[:, 0], 0.5 * (hess + hess.swapaxes(-1, -2))
 
 
@@ -495,22 +501,21 @@ def _ascend(gram: np.ndarray, us: np.ndarray, functional: RoofFunctional, sign: 
 
     Start i climbs from ``us[i]``, which receives its final unitary.  Each
     iteration takes, for every live start, a direction D in the Hermitian
-    Lie algebra, forms the geodesic exp(i mu D) U on the angle grid
-    ``LINE_ANGLES`` as one stack of unitaries (``_geodesic``) and scores
-    it with ``_objective``, takes the vertex of the parabola through the
-    best grid point and its neighbours where its formed unitary scores
-    higher, and evaluates the winning candidate once more, with its
-    gradient (``_scores``).
+    Lie algebra and makes two scoring passes.  The first scores the
+    geodesic exp(i mu D) U at the angle grid ``LINE_ANGLES`` and at the
+    direction's own unit step mu = 1, formed as one stack of unitaries
+    (``_geodesic``), with ``_objective``; the second evaluates the winning
+    candidate once more, with its gradient (``_scores``).
 
     The direction rule is fixed before the loop (``_takes_newton_steps``).
     A maximization on an ancilla of n <= 3 takes saddle-free Newton
     directions (``_newton_direction``) from the exact Riemannian Hessian,
     whose n(n - 1) x n(n - 1) entries the gradient pass at each accepted
-    point gives from 2n(n - 1) rotated unitaries in the same stack; such a
+    point gives from n(n - 1) rotated unitaries in the same stack; such a
     direction always ascends, and a step that does not stops the start.
-    The rule has two conditions.  Up to n = 3 the 2n(n - 1) rotated
-    unitaries are no more than the line search's 12 grid candidates; at
-    larger n they cost more, and L-BFGS keeps those searches.  And L = 2|z|
+    The rule has two conditions.  Newton directions at n >= 4 wait on a
+    large-ancilla workload to measure them (a prototype was faster at n = 4
+    and 6 but slower at 8), so L-BFGS keeps those searches.  And L = 2|z|
     has a kink at z = 0: a maximization moves components away from it, a
     minimization drives them into it, where the curvature is unbounded and
     Newton steps were measured slower than L-BFGS ones.
@@ -547,8 +552,6 @@ def _ascend(gram: np.ndarray, us: np.ndarray, functional: RoofFunctional, sign: 
     final = np.empty(c)
     reason = np.full(c, BUDGET)
     iterations = 0
-    top = len(LINE_ANGLES)
-    grid = np.concatenate([[0.0], LINE_ANGLES])
     for it in range(cfg.local_steps + 1):
         g = grad.view(float).reshape(len(live), -1)
         small = np.vecdot(g, g) < cfg.tolerance ** 2
@@ -580,28 +583,16 @@ def _ascend(gram: np.ndarray, us: np.ndarray, functional: RoofFunctional, sign: 
                 inv *= uphill
         lam, vecs = np.linalg.eigh(d.view(complex).reshape(-1, n, n))
         back = vecs.conj().swapaxes(-1, -2) @ u
-        mus = grid / np.abs(lam).max(axis=1)[:, None]
-        on_grid = _geodesic(vecs, lam, back, mus[:, 1:])
-        line = np.concatenate([vals[:, None], sign * _objective(gram, on_grid, functional)], axis=1)
-        best = line.argmax(axis=1)
-        # vertex of the parabola through the best grid point and its
-        # neighbours, where that point lies inside the grid
-        rows = np.arange(len(live))
-        near = np.minimum(np.maximum(best, 1), top - 1)[:, None] + NEIGHBOURS
-        x, y = mus[rows[:, None], near], line[rows[:, None], near]
-        # [x1 - x0, x1 - x2] times [y1 - y2, y1 - y0]; with x0 .. y2 the
-        # columns of x and y, num = (x1 - x0)^2 (y1 - y2) - (x1 - x2)^2 (y1 - y0)
-        # and den = (x1 - x0)(y1 - y2) - (x1 - x2)(y1 - y0)
-        dx, dy = x[:, 1:2] - x[:, ::2], y[:, 1:2] - y[:, ::-2]
-        num, den = dx ** 2 * dy, dx * dy
-        num, den = num[:, 0] - num[:, 1], den[:, 0] - den[:, 1]
-        inner = (best > 0) & (best < top) & (den > 0.0)
-        vertex = x[:, 1] - 0.5 * np.divide(num, den, out=np.zeros(len(live)), where=inner)
-        at_vertex = _geodesic(vecs, lam, back, vertex[:, None])[:, 0]
-        higher = inner & (sign * _objective(gram, at_vertex, functional) > y[:, 1])
-        mu = np.where(higher, vertex, mus[rows, best])
-        # the winning candidate; at best = 0 the step is rejected whatever it is
-        new_u = _select(higher, at_vertex, on_grid[rows, np.maximum(best, 1) - 1])
+        # the grid's angles, then the direction's own unit step
+        mus = np.concatenate([LINE_ANGLES / np.abs(lam).max(axis=1)[:, None],
+                              np.ones((len(live), 1))], axis=1)
+        line = _geodesic(vecs, lam, back, mus)
+        scores = np.concatenate([vals[:, None], sign * _objective(gram, line, functional)], axis=1)
+        best = scores.argmax(axis=1)
+        # the winning candidate; at best = 0, the current point, the step is
+        # rejected whatever it is
+        rows, pick = np.arange(len(live)), np.maximum(best, 1) - 1
+        new_u, mu = line[rows, pick], mus[rows, pick]
         new_vals, new_grad, new_hess = _scores(gram, new_u, functional, sign, frame, moves)
         accept = (best > 0) & (new_vals > vals)
         if newton:
@@ -668,9 +659,10 @@ def optimize_roof(rho: State,
     stopped on the tolerance or on no ascent, not on the budget.  A
     functional that is not a ``RoofFunctional`` raises ``TypeError``, one
     whose operators act on another dimension than rho
-    ``DimensionMismatchError``.  Each call logs one debug line with its
-    starts, direction rule (``newton`` or ``lbfgs``), iterations,
-    evaluations, stop reasons and wall time.
+    ``DimensionMismatchError``, and an ``ancilla_dim`` that is not an
+    integer >= 1 ``ValueError``, on a pure state too.  Each call logs one
+    debug line with its starts, direction rule (``newton`` or ``lbfgs``),
+    iterations, evaluations, stop reasons and wall time.
 
     The returned value is that of the witness unitary, evaluated after its
     last step, so it is exact for the witness decomposition and always on
@@ -682,6 +674,8 @@ def optimize_roof(rho: State,
     _require_functional(functional)
     rho = state_density(rho)
     functional.check_dim(rho.dim)
+    if ancilla_dim is not None:
+        _require_count(ancilla_dim, "ancilla_dim", 1)
     if rho.rank() == 1:
         psi = PureState(_support(rho)[1][:, 0])
         return RoofResult(value=functional.on_state(psi), decomposition=Decomposition(((1.0, psi),)),

@@ -266,6 +266,12 @@ def test_su_d_rejects_small_d():
         make_su_d_generators(1)
 
 
+@pytest.mark.parametrize("d", [2.0, True])
+def test_su_d_takes_only_integer_d(d):
+    with pytest.raises(ValueError, match="d must be an integer"):
+        make_su_d_generators(d)
+
+
 # ---------------------------------------------------------------------------
 # Fock space and coherent states
 # ---------------------------------------------------------------------------

@@ -104,6 +104,15 @@ def test_ancilla_dim_must_be_an_integer():
             concave_roof_L(rho, spin.jx, spin.jy, cfg=FAST, ancilla_dim=ancilla)
 
 
+def test_pure_state_roof_checks_ancilla_dim():
+    # a rank-1 state is its own decomposition and needs no purification, but
+    # its ancilla_dim is still checked
+    spin = make_spin_algebra(1)
+    for ancilla in (4.0, 0, True):
+        with pytest.raises(ValueError, match="ancilla_dim must be an integer"):
+            optimize_roof(PureState([1, 0, 0]), VarianceSum([spin.jz]), "min", ancilla_dim=ancilla)
+
+
 def test_purify_enlarged_ancilla():
     rho = random_state(2, seed=23)
     m = purify(rho, ancilla_dim=5)
@@ -446,7 +455,7 @@ def test_newton_hessian_matches_second_differences(n):
     us = np.array([haar_random_unitary(n, rng) for _ in range(count)])
     frame, moves = roofs._newton_frame(n)
     k = n * (n - 1)
-    assert frame.shape == (k, 2 * n * n) and moves.shape == (2 * k, n, n)
+    assert frame.shape == (k, 2 * n * n) and moves.shape == (k, n, n)
     assert np.allclose(frame @ frame.T, np.eye(k), atol=1e-15)
     t = 1e-4
     for functional, _ in _functionals(n, 320 + n):
@@ -497,6 +506,46 @@ def test_newton_steps_only_for_maximizations_on_small_ancillas(monkeypatch, capl
         assert (len(calls) > 0) == (rule == "lbfgs"), (dim, ancilla, direction)
         (line,) = [r.getMessage() for r in caplog.records if r.name == "qfiroof.roofs"]
         assert line.startswith(f"optimize_roof: 3 starts, {rule} directions, ")
+
+
+def test_each_iteration_makes_two_scoring_passes(monkeypatch):
+    # a qutrit maximization from one start scores its split groupings once
+    # and takes one gradient pass, then per iteration one pass over the line
+    # search's candidates and one gradient pass at the winner; every line
+    # search scores the direction's unit step mu = 1 with the angle grid
+    rho = random_state(3, seed=350)
+    a, b = random_hermitian(3, 351), random_hermitian(3, 352)
+    roofs._newton_frame(3)      # built, and cached, before the count starts
+    objective, geodesic = roofs._objective, roofs._geodesic
+    passes, searched = [], []
+
+    def counted(*args, **kwargs):
+        passes.append(1)
+        return objective(*args, **kwargs)
+
+    def recorded(vecs, lam, back, mus):
+        searched.append(mus.copy())
+        return geodesic(vecs, lam, back, mus)
+
+    monkeypatch.setattr(roofs, "_objective", counted)
+    monkeypatch.setattr(roofs, "_geodesic", recorded)
+    res = concave_roof_L(rho, a, b, cfg=OptimizerConfig(seed=5, restarts=1, local_steps=60))
+    iterations = res.evaluations - len(_eigen_groupings(3))
+    assert iterations > 0
+    assert len(passes) == 1 + 1 + 2 * iterations
+    assert len(searched) == iterations
+    for mus in searched:
+        assert mus.shape == (1, len(roofs.LINE_ANGLES) + 1)
+        assert np.any(mus == 1.0)
+
+
+def test_newton_frame_is_built_once_and_read_only():
+    frame, moves = roofs._newton_frame(3)
+    again = roofs._newton_frame(3)
+    assert again[0] is frame and again[1] is moves
+    assert not frame.flags.writeable and not moves.flags.writeable
+    with pytest.raises(ValueError):
+        moves[0] = 0.0
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
