@@ -9,11 +9,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    DimensionMismatchError,
     HermitianOperator,
     State,
     commutator_i,
     expectation,
-    ground_state,
     make_spin_algebra,
     make_su_d_generators,
     state_density,
@@ -32,7 +32,7 @@ VIOLATION_TOL = -1e-9  # slack below this marks a bound as violated
 
 
 class InfeasibleTargetError(ValueError):
-    """No scanned ground state reaches the requested constraint targets."""
+    """A constraint target lies outside the range of its operator's expectation values."""
 
 
 @dataclass(frozen=True)
@@ -190,250 +190,248 @@ def su_d_bound(state: State) -> BoundReport:
 
 
 # ---------------------------------------------------------------------------
-# spin-length bound via constrained variance minimization
+# constrained minimum of a variance sum by Legendre duality, and the spin-length bound
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FjCurve:
-    """Minimal Var(J_x)/j as a function of X = <J_z>/j, convex on [0, 1]."""
-
-    j: float
-    grid: np.ndarray
-    values: np.ndarray
-    hull_x: np.ndarray
-    hull_y: np.ndarray
-
-    def __call__(self, x: float) -> float:
-        x = abs(float(x))
-        if x > 1.0 + 1e-12:
-            raise ValueError(f"|X| = {x} outside [0, 1]")
-        return float(np.interp(min(x, 1.0), self.hull_x, self.hull_y))
+GAP_TOL = 1e-10       # a target is done once its certified value is this close to its dual value
+MAX_BOXES = 2000      # boxes per target at most; sums of two or more variances stop here
+MU_STEPS = 100        # multiplier iterations, and sweeps over the multipliers, per box at most
+ROUND_OFF = 64 * np.finfo(float).eps   # relative round-off of a target and of a lowest eigenvalue
 
 
-def _lower_hull_indices(points: list[tuple[float, float]]) -> list[int]:
-    """Indices of the lower convex hull (monotone chain), sorted by x."""
-    order = sorted(range(len(points)), key=lambda i: (points[i][0], points[i][1]))
-    dedup: list[int] = []
-    for i in order:
-        if dedup and abs(points[dedup[-1]][0] - points[i][0]) < 1e-14:
-            if points[i][1] < points[dedup[-1]][1]:
-                dedup[-1] = i
-        else:
-            dedup.append(i)
-    hull: list[int] = []
-    for i in dedup:
-        px, py = points[i]
-        while len(hull) >= 2:
-            x1, y1 = points[hull[-2]]
-            x2, y2 = points[hull[-1]]
-            if (x2 - x1) * (py - y1) - (px - x1) * (y2 - y1) <= 0:
-                hull.pop()
-            else:
-                break
-        hull.append(i)
-    return hull
+def _multiplier(base, op, target, mu):
+    """Maximize the concave g(mu) = lambda_min(base - mu op) + mu target per row.
 
-
-def _lower_hull(points: list[tuple[float, float]]) -> tuple[np.ndarray, np.ndarray]:
-    """Lower convex hull of 2-D points as (x, y) arrays sorted in x."""
-    idx = _lower_hull_indices(points)
-    return (np.array([points[i][0] for i in idx]),
-            np.array([points[i][1] for i in idx]))
-
-
-FJ_LAM_POINTS = 200       # logarithmic grid of the J_z multiplier, 1e-3 .. 1e3
-FJ_LAM2_POINTS = 41       # logarithmic grid of the J_x multiplier (half-integer j only)
-FJ_GAP_TOL = 1.5e-3       # hull vertices further apart in X than this are refined
-FJ_MAX_REFINE = 12        # refinement rounds at most
-
-
-def fj_curve(j, grid) -> FjCurve:
-    """Scan Lagrangian ground states and hull the resulting (X, Var/j) cloud.
-
-    The Hamiltonian family is J_x^2 - lam J_z - lam2 J_x with lam on a
-    logarithmic grid; lam2 is needed only for half-integer j, where the
-    minimizing states carry a nonzero <J_x>.  Degenerate ground states are
-    skipped.  After the base scan the hull is refined adaptively: wherever
-    two neighboring hull vertices are further apart than ``FJ_GAP_TOL`` in X,
-    the geometric midpoint of their multipliers is scanned as well, until
-    the hull is resolved.  The achievable anchor points (0, 0) and (1, 1/2)
-    are always included, and the lower convex hull is taken in X.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("empty evaluation grid")
-    if not np.all((grid >= 0) & (grid <= 1)):
-        raise ValueError("grid values must lie in [0, 1]")
-    spin = make_spin_algebra(j)
-    j = spin.j
-    if j == 0.0:
-        raise ValueError("fj_curve needs spin j > 0; spin 0 has no polarization to scan")
-    jx2 = spin.jx.mat @ spin.jx.mat
-    half_integer = (int(round(2 * j)) % 2) == 1
-    lam_grid = np.logspace(-3, 3, FJ_LAM_POINTS)
-    lam2_grid = np.logspace(-3, 3, FJ_LAM2_POINTS) if half_integer else np.array([0.0])
-
-    def scan(lam: float, lam2: float) -> tuple[float, float] | None:
-        h = HermitianOperator(jx2 - lam * spin.jz.mat - lam2 * spin.jx.mat)
-        _, psi, degenerate = ground_state(h)
-        if degenerate:
-            return None
-        x = min(abs(expectation(psi, spin.jz)) / j, 1.0)
-        return x, variance(psi, spin.jx) / j
-
-    # point cloud entries: (X, V, lam, lam2); anchors carry lam = nan
-    cloud: list[tuple[float, float, float, float]] = [
-        (0.0, 0.0, np.nan, np.nan), (1.0, 0.5, np.nan, np.nan)]
-    for lam in lam_grid:
-        for lam2 in lam2_grid:
-            pt = scan(lam, lam2)
-            if pt is not None:
-                cloud.append((pt[0], pt[1], lam, lam2))
-
-    lam2_floor = lam2_grid[0] if half_integer else 0.0
-    for _ in range(FJ_MAX_REFINE):
-        hull_idx = _lower_hull_indices([(c[0], c[1]) for c in cloud])
-        new_points: list[tuple[float, float, float, float]] = []
-        for i, k in zip(hull_idx, hull_idx[1:]):
-            xa, _, la, l2a = cloud[i]
-            xb, _, lb, l2b = cloud[k]
-            if xb - xa <= FJ_GAP_TOL:
-                continue
-            if np.isnan(la) and np.isnan(lb):
-                continue  # nothing but anchors survived the scan
-            # anchors have no multipliers; push the neighbor's lam outward
-            if np.isnan(la):
-                la, l2a = (lb / 10.0, l2b) if xa < xb else (lb * 10.0, l2b)
-            if np.isnan(lb):
-                lb, l2b = (la * 10.0, l2a) if xb > xa else (la / 10.0, l2a)
-            lam = float(np.sqrt(la * lb))
-            lam2 = float(np.sqrt(max(l2a, lam2_floor) * max(l2b, lam2_floor))
-                         ) if half_integer else 0.0
-            pt = scan(lam, lam2)
-            if pt is not None:
-                new_points.append((pt[0], pt[1], lam, lam2))
-        if not new_points:
+    Newton steps from the perturbative g'' run inside a bracket whose ground
+    states have supergradients s = target - <op> of both signs, bisection
+    where they leave it; min(s_lo, -s_hi) (hi - lo) bounds the duality gap.
+    Returns the mu with the best g less its round-off margin, that g, and the
+    bracketing ground states with the lower one's weight in their mixture
+    that meets the target."""
+    k, d = base.shape[:2]
+    lo, hi, s_lo, s_hi = np.full((4, k), np.nan)
+    lo[:], hi[:] = -np.inf, np.inf
+    v_lo, v_hi = np.zeros((k, d), complex), np.zeros((k, d), complex)
+    rows, best, best_mu, mu = np.arange(k), np.full(k, -np.inf), mu.copy(), mu.copy()
+    for _ in range(MU_STEPS):
+        m, t = mu[rows], target[rows]
+        mats = base[rows] - m[:, None, None] * op
+        e, v = np.linalg.eigh(mats)
+        coupling = (v[:, None, :, 0].conj() @ op @ v)[:, 0]  # <v_0|op|v_f>
+        s = t - coupling[:, 0].real
+        # rank mu by g less its round-off margin, which outgrows g as |mu| runs off near an end
+        g = e[:, 0] + m * t - ROUND_OFF * np.linalg.norm(mats, axis=(1, 2))
+        gain = g > best[rows]
+        best[rows[gain]], best_mu[rows[gain]] = g[gain], m[gain]
+        up = s >= 0
+        lo[rows[up]], s_lo[rows[up]], v_lo[rows[up]] = m[up], s[up], v[up, :, 0]
+        hi[rows[~up]], s_hi[rows[~up]], v_hi[rows[~up]] = m[~up], s[~up], v[~up, :, 0]
+        left, right = lo[rows], hi[rows]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            curvature = 2.0 * (np.abs(coupling[:, 1:]) ** 2 / (e[:, 1:] - e[:, :1])).sum(1)
+            step = m + s / curvature
+            slack = np.fmin(s_lo[rows], -s_hi[rows]) * (right - left)
+        outward = m + np.where(up, 1.0, -1.0) * np.maximum(1.0, np.abs(m))
+        step = np.where((step > left) & (step < right), step,
+                        np.where(np.isfinite(right - left), 0.5 * (left + right), outward))
+        done = (s == 0) | (slack <= 1e-3 * GAP_TOL) | (right - left <= 4 * np.spacing(np.abs(m)))
+        mu[rows] = step
+        rows = rows[~done]
+        if rows.size == 0:
             break
-        cloud.extend(new_points)
-
-    hull_x, hull_y = _lower_hull([(c[0], c[1]) for c in cloud])
-    values = np.interp(grid, hull_x, hull_y)
-    return FjCurve(j=j, grid=grid, values=values, hull_x=hull_x, hull_y=hull_y)
+    return best_mu, best, v_lo, v_hi, np.where(s_lo == 0, 1.0, s_hi / (s_hi - s_lo))
 
 
-def spin_length_bound(state: State, curve: FjCurve | None = None) -> BoundReport:
-    """F_Q[rho, J_x]/4 >= j F_j(<J_z>/j): polarization certifies usefulness."""
-    j = (state.dim - 1) / 2.0
-    if j == 0.0:
-        raise ValueError("spin_length_bound needs spin j > 0; a dim-1 state is spin 0")
-    spin = make_spin_algebra(j)
-    if curve is None:
-        curve = fj_curve(j, np.linspace(0.0, 1.0, 201))
-    elif abs(curve.j - j) > 1e-12:
-        raise ValueError(f"curve for j={curve.j} used with a spin-{j} state")
-    x = expectation(state, spin.jz) / j
-    return BoundReport(
-        name="spin_length_fisher",
-        lhs=qfi(state, spin.jx) / 4.0,
-        rhs=j * curve(x),
-        meta={"j": j, "X": x, "Fj": curve(x)},
-    )
+def _dual(base, ops, targets, mu, ceiling):
+    """Sweep ``_multiplier`` over the constraints from ``mu`` until each row gains
+    under 1e-3 ``GAP_TOL`` or passes ``ceiling``; the witness weight is NaN for y >= 2."""
+    mu, g = mu.copy(), np.full(len(base), -np.inf)
+    for _ in range(MU_STEPS):
+        last = g
+        for m in range(len(ops)):
+            rest = np.arange(len(ops)) != m
+            fixed = base - np.einsum("ky,yde->kde", mu[:, rest], ops[rest])
+            mu[:, m], g, v_lo, v_hi, p = _multiplier(fixed, ops[m], targets[:, m], mu[:, m])
+        g = g + (mu[:, rest] * targets[:, rest]).sum(1)
+        if len(ops) == 1 or np.all((g - last <= 1e-3 * GAP_TOL) | (g > ceiling)):
+            break
+    return g, mu, v_lo, v_hi, p if len(ops) == 1 else np.full(len(base), np.nan)
 
 
-# ---------------------------------------------------------------------------
-# constrained minimum of a variance sum
-# ---------------------------------------------------------------------------
+def _branch_and_bound(sq, a, b, targets):
+    """``_minvar_dual`` for targets inside the range of every constraint."""
+    if len(b) == 0:  # no constraint is the constraint <0> = 0
+        b, targets = np.zeros((1,) + sq.shape), np.zeros((len(targets), 1))
+    k, spec = len(targets), np.linalg.eigvalsh(a)
+    corners = np.array(list(itertools.product((0.0, 1.0), repeat=len(a))))
+    owner, mu, boxes = np.arange(k), np.zeros((k, len(b))), np.zeros(k, int)
+    lo, hi = np.repeat(spec[None, :, 0], k, 0), np.repeat(spec[None, :, -1], k, 0)
+    floor, best, witness = np.full((3, k), np.inf)
+    # no variance sum exceeds cap, and no box bound falls below it once the dual passes ceiling
+    spread = spec[:, -1] - spec[:, 0]
+    cap = np.linalg.eigvalsh(sq)[-1]
+    ceiling = cap + 2.0 * spread @ np.abs(spec).max(1)
+    while owner.size:
+        t = targets[owner]
+        centre = 0.5 * (lo + hi)
+        g, mu, v_lo, v_hi, p = _dual(sq - 2.0 * np.einsum("kn,nde->kde", centre, a),
+                                     b, t, mu, ceiling)
+        np.minimum.at(best, owner, g + (centre ** 2).sum(1))
+        moments = sum(q[:, None] * np.einsum("nkd,kd->kn", v.conj() @ np.stack([sq, *a]), v).real
+                      for q, v in ((p, v_lo), (1 - p, v_hi)))
+        np.fmin.at(witness, owner, moments[:, 0] - (moments[:, 1:] ** 2).sum(1))
 
-_SIDE = np.logspace(-3, 3, 20)
-MULTIPLIER_GRID = np.concatenate([-_SIDE[::-1], [0.0], _SIDE])   # default multiplier scan
-TARGET_TOL = 1e-6         # a target this far outside the scanned constraint values is still feasible
+        # phi(c) = lambda_min(sq - 2c.A - mu.B) + mu.t is concave in c, so for
+        # every w, |c|^2 + phi(c) >= -|w|^2 + 2w.c + phi(c) >= -|w|^2 +
+        # min over corners of (2w.v + phi(v)) on the box; w is the minimizer of
+        # |c|^2 plus the least-squares affine fit of phi over the corners
+        width = hi - lo
+        verts = lo[:, None] + corners * width[:, None]
+        mats = (sq - 2.0 * np.einsum("kvn,nde->kvde", verts, a)
+                - np.einsum("ky,yde->kde", mu, b)[:, None])
+        margin = ROUND_OFF * np.linalg.norm(mats, axis=(-2, -1))
+        phi = np.linalg.eigvalsh(mats)[..., 0] + (mu * t).sum(1)[:, None] - margin
+        slope = np.divide(4.0 * phi @ (corners - 0.5) / len(corners), width,
+                          out=np.zeros_like(width), where=width > 0)
+        w = np.clip(-0.5 * slope, lo, hi)
+        bound = (2.0 * np.einsum("kvn,kn->kv", verts, w) + phi).min(1) - (w ** 2).sum(1)
+
+        np.add.at(boxes, owner, 1)
+        split = ((bound + margin.max(1) < best[owner] - GAP_TOL) & (width.max(1) > 0)
+                 & (boxes[owner] < MAX_BOXES))
+        np.minimum.at(floor, owner[~split], bound[~split])
+        # halve the widest side of every box left open
+        owner, lo, hi, mu, width = owner[split], lo[split], hi[split], mu[split], width[split]
+        side, mid = np.arange(len(a)) == width.argmax(1)[:, None], lo + 0.5 * width
+        owner, mu = np.concatenate([owner, owner]), np.concatenate([mu, mu])
+        lo = np.concatenate([lo, np.where(side, mid, lo)])
+        hi = np.concatenate([np.where(side, mid, hi), hi])
+    if np.any(floor > cap):
+        raise InfeasibleTargetError(f"no state meets the targets {targets[floor > cap][0]}: "
+                                    "the certified minimum exceeds every variance sum")
+    return np.maximum(floor, 0.0), np.maximum(witness, 0.0)
 
 
-def minvar_constrained(a_ops, b_ops=(), targets=(),
-                       lambda_grid=None, mu_grid=None) -> float:
-    """Minimal sum of Var(A_n) over states whose <B_n> hit the targets.
+def _minvar_dual(sq, a, b, targets):
+    """Certified lower and witness upper values of min sum_n Var(A_n) s.t. <B_m> = t_m.
 
-    Scans ground states of sum_n (A_n^2 - lambda_n A_n) - sum_n mu_n B_n over
-    the multiplier grids, then takes the lower convex hull of the variance
-    sum in the constraint coordinates and evaluates it at the targets.  The
-    hull step extends the pure-state scan soundly to mixtures; targets that
-    no mixture of scanned states can reach raise ``InfeasibleTargetError``.
+    ``sq`` = sum_n A_n^2, ``a`` and ``b`` stack the A_n and B_m, and each row
+    of ``targets`` is one problem.  As Var(A) = min_c <(A - c)^2>, the minimum
+    is min_c [|c|^2 + max_mu (lambda_min(sq - 2c.A - mu.B) + mu.t)] by LP
+    duality (Toth, Moroder & Guehne, PRL 114, 160501 (2015)).  A branch and
+    bound over boxes of c stops within ``GAP_TOL`` of the best dual value or
+    at ``MAX_BOXES``, certified either way.  The upper value is the variance
+    sum of a state that meets the targets, or infinite for two or more.  A
+    target at an end of B_m's range restricts the problem to that eigenspace;
+    one outside it, or targets proved jointly unreachable, raise
+    ``InfeasibleTargetError``.
     """
-    a_ops = list(a_ops)
-    b_ops = list(b_ops)
-    targets = [float(t) for t in targets]
+    lower, upper = np.empty(len(targets)), np.empty(len(targets))
+    open_rows = np.arange(len(targets))
+    for m in range(len(b)):
+        spec, vecs = np.linalg.eigh(b[m])
+        tol = ROUND_OFF * max(1.0, np.abs(spec).max())
+        t = targets[open_rows, m]
+        outside = (t < spec[0] - tol) | (t > spec[-1] + tol)
+        if outside.any():
+            raise InfeasibleTargetError(f"target {t[outside][0]} of constraint {m} "
+                                        f"outside its range [{spec[0]}, {spec[-1]}]")
+        # a target just inside an end stays inside: F can rise like the root of the distance
+        edge = (t <= spec[0]) | (t >= spec[-1])
+        rest = np.arange(len(b)) != m
+        for i, ti in zip(open_rows[edge], t[edge]):
+            end = spec[0] if ti <= spec[0] else spec[-1]
+            face = vecs[:, np.abs(spec - end) <= tol]
+            (lower[i],), (upper[i],) = _minvar_dual(
+                face.conj().T @ sq @ face, face.conj().T @ a @ face,
+                face.conj().T @ b[rest] @ face, targets[i:i + 1, rest])
+        open_rows = open_rows[~edge]
+    if open_rows.size:
+        lower[open_rows], upper[open_rows] = _branch_and_bound(sq, a, b, targets[open_rows])
+    return lower, upper
+
+
+def minvar_constrained(a_ops, b_ops=(), targets=()) -> float:
+    """Certified minimum of sum_n Var(A_n) over states whose <B_m> equal the targets.
+
+    The lower value of ``_minvar_dual``: no state that meets the targets has a
+    smaller variance sum, and for at most one constraint a state that does
+    lies within ``GAP_TOL`` above it.  Mixed dimensions raise
+    ``DimensionMismatchError``.
+    """
+    a_ops, b_ops, targets = list(a_ops), list(b_ops), [float(t) for t in targets]
     if not a_ops:
         raise ValueError("need at least one variance operator")
     if len(b_ops) != len(targets):
         raise ValueError("one target per constraint operator required")
     if not np.all(np.isfinite(targets)):
         raise ValueError(f"targets must be finite, got {targets!r}")
-    if lambda_grid is None:
-        lambda_grid = MULTIPLIER_GRID
-    if mu_grid is None:
-        mu_grid = MULTIPLIER_GRID
-    lambda_grid = np.asarray(lambda_grid, dtype=float)
-    mu_grid = np.asarray(mu_grid, dtype=float)
-
-    a_sq = sum(op.mat @ op.mat for op in a_ops)
-    coords: list[list[float]] = []
-    sums: list[float] = []
-    for lams in itertools.product(lambda_grid, repeat=len(a_ops)):
-        h = a_sq.copy()
-        for lam, op in zip(lams, a_ops):
-            h = h - lam * op.mat
-        for mus in itertools.product(mu_grid, repeat=len(b_ops)):
-            h_full = h.copy()
-            for mu, op in zip(mus, b_ops):
-                h_full = h_full - mu * op.mat
-            _, psi, degenerate = ground_state(HermitianOperator(h_full))
-            if degenerate:
-                continue
-            coords.append([expectation(psi, op) for op in b_ops])
-            sums.append(sum(variance(psi, op) for op in a_ops))
-    if not sums:
-        raise InfeasibleTargetError("every scanned ground state was degenerate")
-
-    if not b_ops:
-        return float(min(sums))
-    if len(b_ops) == 1:
-        xs = np.array([c[0] for c in coords])
-        target = targets[0]
-        if target < xs.min() - TARGET_TOL or target > xs.max() + TARGET_TOL:
-            raise InfeasibleTargetError(
-                f"target {target} outside scanned range [{xs.min():.6f}, {xs.max():.6f}]")
-        hull_x, hull_y = _lower_hull(list(zip(xs.tolist(), sums)))
-        return float(np.interp(np.clip(target, hull_x[0], hull_x[-1]), hull_x, hull_y))
-    return _lower_envelope_nd(np.asarray(coords), np.asarray(sums), np.asarray(targets))
+    dims = sorted({op.dim for op in a_ops + b_ops})
+    if len(dims) > 1:
+        raise DimensionMismatchError(f"operators act on dimensions {dims}; they must agree")
+    a = np.array([op.mat for op in a_ops])
+    b = np.array([op.mat for op in b_ops]).reshape(len(b_ops), dims[0], dims[0])
+    lower, _ = _minvar_dual((a @ a).sum(0), a, b, np.array([targets]).reshape(1, -1))
+    return float(lower[0])
 
 
-def _lower_envelope_nd(coords: np.ndarray, values: np.ndarray, target: np.ndarray) -> float:
-    """Evaluate the lower convex envelope of scattered values at one point.
+def _fj(j: float, xs) -> tuple[np.ndarray, np.ndarray]:
+    """Certified lower and witness upper values of F_j at each X in ``xs``."""
+    spin = make_spin_algebra(j)
+    jx, jz = spin.jx.mat.real, spin.jz.mat.real  # real in the J_z basis: real eigensolves
+    lower, upper = _minvar_dual(jx @ jx, jx[None], jz[None],
+                                spin.j * np.asarray(xs, dtype=float).reshape(-1, 1))
+    return lower / spin.j, upper / spin.j
 
-    The envelope is the pointwise maximum of the lower-facet planes of the
-    hull of (coords, value) points; the target must lie inside the convex
-    hull of the scanned coordinates to be feasible.
+
+@dataclass(frozen=True)
+class FjCurve:
+    """Certified lower values of F_j(X) = min Var(J_x)/j at <J_z> = jX on a grid of X.
+
+    F_j is convex (Soerensen & Moelmer, PRL 86, 4431 (2001)), so the dual's
+    minimum over mixed states is the one over pure states.  A call evaluates
+    the dual at X: a chord between lower values of a convex curve can pass
+    above it, so the grid is never interpolated."""
+
+    j: float
+    grid: np.ndarray
+    values: np.ndarray
+
+    def __call__(self, x: float) -> float:
+        return float(_fj(self.j, [x])[0][0])
+
+
+def fj_curve(j, grid) -> FjCurve:
+    """Certified lower values of F_j on a 1-D grid of X in [0, 1], one dual per point."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError(f"grid must be a non-empty 1-D array, got shape {grid.shape}")
+    if not np.all((grid >= 0) & (grid <= 1)):
+        raise ValueError("grid values must lie in [0, 1]")
+    spin = make_spin_algebra(j)
+    if spin.j == 0.0:
+        raise ValueError("fj_curve needs spin j > 0; spin 0 has no polarization")
+    return FjCurve(j=spin.j, grid=grid, values=_fj(spin.j, grid)[0])
+
+
+def spin_length_bound(state: State, curve: FjCurve | None = None) -> BoundReport:
+    """F_Q[rho, J_x]/4 >= j F_j(<J_z>/j): polarization certifies usefulness.
+
+    The right-hand side is the certified lower value of F_j at the state's
+    own X, and ``meta["Fj_witness"]`` Var(J_x)/j of an explicit state that
+    meets X (see ``_minvar_dual``).  A given ``curve`` must match the spin.
     """
-    from scipy.spatial import ConvexHull, Delaunay, QhullError
-
-    try:
-        tri = Delaunay(coords)
-    except QhullError:
-        exact = values[np.all(np.abs(coords - target) <= TARGET_TOL, axis=1)]
-        if exact.size:
-            return float(exact.min())
-        raise InfeasibleTargetError("constraint coordinates are degenerate")
-    if tri.find_simplex(target) < 0:
-        raise InfeasibleTargetError(f"targets {target.tolist()} outside the scanned region")
-    hull = ConvexHull(np.column_stack([coords, values]))
-    best = -np.inf
-    for eq in hull.equations:
-        normal, offset = eq[:-1], eq[-1]
-        if normal[-1] >= -1e-12:
-            continue  # not a lower facet
-        # plane: normal . (x, v) + offset = 0, solved for v at the target
-        v = -(offset + normal[:-1] @ target) / normal[-1]
-        best = max(best, v)
-    if not np.isfinite(best):
-        raise InfeasibleTargetError("no lower facet covers the targets")
-    return float(best)
+    j = (state.dim - 1) / 2.0
+    if j == 0.0:
+        raise ValueError("spin_length_bound needs spin j > 0; a dim-1 state is spin 0")
+    if curve is not None and abs(curve.j - j) > 1e-12:
+        raise ValueError(f"curve for j={curve.j} used with a spin-{j} state")
+    spin = make_spin_algebra(j)
+    x = float(np.clip(expectation(state, spin.jz) / j, -1.0, 1.0))  # a state's X is in [-1, 1]
+    fj, witness = (float(v[0]) for v in _fj(j, [x]))
+    return BoundReport(
+        name="spin_length_fisher",
+        lhs=qfi(state, spin.jx) / 4.0,
+        rhs=j * fj,
+        meta={"j": j, "X": x, "Fj": fj, "Fj_witness": witness},
+    )

@@ -4,6 +4,7 @@ import pytest
 from conftest import random_hermitian, random_state
 from qfiroof import (
     DensityMatrix,
+    DimensionMismatchError,
     HermitianOperator,
     InfeasibleTargetError,
     OptimizerConfig,
@@ -28,6 +29,7 @@ from qfiroof import (
     tensor,
     variance,
 )
+from qfiroof.bounds import _fj
 
 FAST = OptimizerConfig(seed=19, restarts=4, local_steps=250)
 
@@ -341,7 +343,7 @@ def test_fj_half_matches_bloch_ball_oracle():
         assert abs(val - oracle(x)) < 1e-6
 
 
-@pytest.mark.parametrize("j", [0.5, 1, 2])
+@pytest.mark.parametrize("j", [0.5, 1, 1.5, 2, 2.5])
 def test_fj_shape(j):
     grid = np.linspace(0, 1, 21)
     curve = fj_curve(j, grid)
@@ -357,6 +359,8 @@ def test_fj_rejects_bad_grid():
         fj_curve(1, [])
     with pytest.raises(ValueError):
         fj_curve(1, [1.5])
+    with pytest.raises(ValueError):
+        fj_curve(1, [[0.2, 0.5]])
     # NaN compares false against both ends of the interval
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         fj_curve(1, [0.5, float("nan")])
@@ -395,49 +399,67 @@ def test_spin_length_bound_rejects_foreign_curve():
         spin_length_bound(DensityMatrix.maximally_mixed(3), curve)
 
 
+def test_spin_length_bound_holds_on_its_own_witness():
+    # a pure spin-3/2 state within 1e-6 of j F_j at its X = 0.6: for a pure
+    # state F_Q/4 = Var(J_x) >= j F_j(X), so the certified rhs may not pass it
+    psi = PureState([0.8322915737, -0.3458011241, -0.2876027845, 0.3240323398])
+    rep = spin_length_bound(psi)
+    assert rep.violated is False
+    assert rep.rhs <= variance(psi, make_spin_algebra(1.5).jx)
+
+
+@pytest.mark.parametrize("j", [1, 1.5, 2, 2.5, 5])
+def test_fj_certified_value_meets_its_witness(j):
+    lower, upper = _fj(j, np.linspace(0.05, 0.95, 19))
+    assert np.all(lower <= upper)
+    assert np.all(upper - lower <= 1e-8)
+
+
+@pytest.mark.parametrize("j", [1.5, 5])
+def test_fj_just_inside_the_end_is_not_snapped_to_it(j):
+    # F_j(1 - d) falls below 1/2 by about sqrt(d) for j >= 1, so at d = 1e-14 a
+    # certified value must sit at least 5e-8 below F_j(1) = 1/2, and near it
+    (lower,), (upper,) = _fj(j, [1 - 1e-14])
+    assert 0.4999 < lower <= upper
+    assert lower < 0.5 - 5e-8
+
+
 # ---------------------------------------------------------------------------
 # constrained variance minimization
 # ---------------------------------------------------------------------------
 
 def test_minvar_reproduces_spin_length_curve():
     spin = make_spin_algebra(1)
-    mu_grid = np.concatenate([-np.logspace(3, -3, 80), [0.0], np.logspace(-3, 3, 80)])
     curve = fj_curve(1, np.linspace(0, 1, 51))
     for x in (0.0, 0.3, 0.6, 0.9):
-        v = minvar_constrained([spin.jx], [spin.jz], [x],
-                               lambda_grid=[0.0], mu_grid=mu_grid)
+        v = minvar_constrained([spin.jx], [spin.jz], [x])
         assert abs(v - 1.0 * curve(x)) < 5e-3
 
 
 def test_minvar_unconstrained_commuting():
     spin = make_spin_algebra(1)
-    v = minvar_constrained([spin.jz], lambda_grid=np.linspace(-2, 2, 21))
+    v = minvar_constrained([spin.jz])
     assert abs(v) < 1e-12
 
 
 def test_minvar_two_operator_sum_below_planar_constant():
     spin = make_spin_algebra(1)
-    grid = np.concatenate([-np.logspace(1, -3, 30), [0.0], np.logspace(-3, 1, 30)])
-    v = minvar_constrained([spin.jx, spin.jy], lambda_grid=grid)
+    v = minvar_constrained([spin.jx, spin.jy])
     assert v <= 7 / 16 + 5e-3
 
 
 def test_minvar_two_constraints_dominates_single():
     # pinning <Jy> = 0 on top of <Jz> can only raise the constrained minimum
     spin = make_spin_algebra(1)
-    grid = np.concatenate([-np.logspace(1, -2, 10), [0.0], np.logspace(-2, 1, 10)])
-    both = minvar_constrained([spin.jx], [spin.jz, spin.jy], [0.3, 0.0],
-                              lambda_grid=[0.0], mu_grid=grid)
-    single = minvar_constrained([spin.jx], [spin.jz], [0.3],
-                                lambda_grid=[0.0], mu_grid=grid)
+    both = minvar_constrained([spin.jx], [spin.jz, spin.jy], [0.3, 0.0])
+    single = minvar_constrained([spin.jx], [spin.jz], [0.3])
     assert both >= single - 1e-9
 
 
 def test_minvar_infeasible_target():
     spin = make_spin_algebra(1)
     with pytest.raises(InfeasibleTargetError):
-        minvar_constrained([spin.jx], [spin.jz], [5.0],
-                           lambda_grid=[0.0], mu_grid=np.linspace(-2, 2, 11))
+        minvar_constrained([spin.jx], [spin.jz], [5.0])
 
 
 def test_minvar_validates_arguments():
@@ -449,5 +471,27 @@ def test_minvar_validates_arguments():
     # a NaN target would pass the range check and interpolate to NaN
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="targets must be finite"):
-            minvar_constrained([spin.jx], [spin.jz], [bad],
-                               lambda_grid=[0.0], mu_grid=np.linspace(-2, 2, 11))
+            minvar_constrained([spin.jx], [spin.jz], [bad])
+
+
+def test_minvar_edge_target_is_the_extreme_eigenstate():
+    # <J_z> = 1 at j = 1 leaves only |1,1>, where Var(J_x) = 1/2
+    spin = make_spin_algebra(1)
+    assert abs(minvar_constrained([spin.jx], [spin.jz], [1.0]) - 0.5) < 1e-9
+    with pytest.raises(InfeasibleTargetError):
+        minvar_constrained([spin.jx], [spin.jz], [1.0 + 5e-7])
+
+
+def test_minvar_rejects_mixed_dimensions():
+    one, two = make_spin_algebra(1), make_spin_algebra(2)
+    with pytest.raises(DimensionMismatchError, match="3.*5"):
+        minvar_constrained([one.jx], [two.jz], [0.3])
+    with pytest.raises(DimensionMismatchError, match="3.*5"):
+        minvar_constrained([one.jx, two.jx])
+
+
+def test_minvar_jointly_unreachable_targets():
+    # each target lies in its own operator's range, but |<J>| <= 1 at j = 1
+    spin = make_spin_algebra(1)
+    with pytest.raises(InfeasibleTargetError):
+        minvar_constrained([spin.jx], [spin.jz, spin.jy], [0.3, 0.99])
