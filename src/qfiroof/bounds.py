@@ -197,6 +197,7 @@ GAP_TOL = 1e-10       # a target is done once its certified value is this close 
 MAX_BOXES = 2000      # boxes per target at most; sums of two or more variances stop here
 MU_STEPS = 100        # multiplier iterations, and sweeps over the multipliers, per box at most
 ROUND_OFF = 64 * np.finfo(float).eps   # relative round-off of a target and of a lowest eigenvalue
+JOINT_ANGLES = 128    # directions u per plane of two constraints in the joint-range test
 
 
 def _multiplier(base, op, target, mu):
@@ -312,6 +313,19 @@ def _branch_and_bound(sq, a, b, targets):
     return np.maximum(floor, 0.0), np.maximum(witness, 0.0)
 
 
+def _joint_directions(y: int) -> np.ndarray:
+    """The unit vectors u of the joint-range test of y >= 2 constraints:
+    ``JOINT_ANGLES`` evenly spaced angles on the unit circle of every plane
+    of two constraint axes, as the rows of a fixed ``(P JOINT_ANGLES, y)``
+    array, P = y(y - 1) / 2."""
+    angles = 2.0 * np.pi * np.arange(JOINT_ANGLES) / JOINT_ANGLES
+    planes = list(itertools.combinations(range(y), 2))
+    u = np.zeros((len(planes), JOINT_ANGLES, y))
+    for i, (m, n) in enumerate(planes):
+        u[i, :, m], u[i, :, n] = np.cos(angles), np.sin(angles)
+    return u.reshape(-1, y)
+
+
 def _minvar_dual(sq, a, b, targets):
     """Certified lower and witness upper values of min sum_n Var(A_n) s.t. <B_m> = t_m.
 
@@ -323,8 +337,12 @@ def _minvar_dual(sq, a, b, targets):
     at ``MAX_BOXES``, certified either way.  The upper value is the variance
     sum of a state that meets the targets, or infinite for two or more.  A
     target at an end of B_m's range restricts the problem to that eigenspace;
-    one outside it, or targets proved jointly unreachable, raise
-    ``InfeasibleTargetError``.
+    one outside it raises ``InfeasibleTargetError``.  So do two or more
+    targets t that no state meets jointly, wherever a direction u of
+    ``_joint_directions`` proves it: every state has u.<B> <=
+    lambda_max(u.B), so u.t above that, beyond the round-off margin, is out
+    of reach.  Targets that pass this test and are still out of reach raise
+    once the certified minimum passes every variance sum.
     """
     lower, upper = np.empty(len(targets)), np.empty(len(targets))
     open_rows = np.arange(len(targets))
@@ -346,6 +364,15 @@ def _minvar_dual(sq, a, b, targets):
                 face.conj().T @ sq @ face, face.conj().T @ a @ face,
                 face.conj().T @ b[rest] @ face, targets[i:i + 1, rest])
         open_rows = open_rows[~edge]
+    if len(b) >= 2 and open_rows.size:
+        u = _joint_directions(len(b))
+        lam = np.linalg.eigvalsh(np.einsum("uy,yde->ude", u, b))
+        t = targets[open_rows]
+        margin = ROUND_OFF * (1.0 + np.abs(lam).max(1) + np.abs(t).sum(1)[:, None])
+        beyond = (t @ u.T > lam[:, -1] + margin).any(1)
+        if beyond.any():
+            raise InfeasibleTargetError(f"no state meets the targets {t[beyond][0]}: "
+                                        "they leave the joint range of the constraints")
     if open_rows.size:
         lower[open_rows], upper[open_rows] = _branch_and_bound(sq, a, b, targets[open_rows])
     return lower, upper

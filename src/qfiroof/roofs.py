@@ -358,10 +358,12 @@ def _geodesic(vecs: np.ndarray, lam: np.ndarray, back: np.ndarray, mus: np.ndarr
 
     ``vecs`` and ``lam`` are the ``(C, n, n)`` eigenvectors and ``(C, n)``
     spectra of the directions D, ``back`` the ``(C, n, n)`` products V^dag U;
-    returns the ``(C, T, n, n)`` candidate unitaries.
+    returns the ``(C, T, n, n)`` candidate unitaries, formed by one ``(C,
+    T n, n) @ (C, n, n)`` product.
     """
     turn = np.exp(1j * mus[:, :, None] * lam[:, None, :])                 # (C, T, n)
-    return (vecs[:, None] * turn[:, :, None, :]) @ back[:, None]
+    c, t, n = turn.shape
+    return ((vecs[:, None] * turn[:, :, None, :]).reshape(c, t * n, n) @ back).reshape(c, t, n, n)
 
 
 BFGS_MEMORY = 6           # (step, gradient change) pairs kept per start
@@ -370,7 +372,11 @@ CURVATURE_FLOOR = 1e-8    # Hessian eigenvalues smaller in magnitude are inverte
 # rotation angles mu max|lam| tried along each direction, besides the unit step
 # mu = 1: pi / 4 down to pi / 4^12
 LINE_ANGLES = np.pi / 4.0 ** np.arange(12, 0, -1)
+_LINE_ROW = np.append(LINE_ANGLES, 0.0)   # the grid and a slot for the unit step
 TOLERANCE, NO_ASCENT, BUDGET = range(3)          # why a start stopped
+# relative round-off within which restart 0 of a variance-sum maximization meets
+# its ceiling sum Var(rho), and no start climbs (measured up to 6e-14 on qubits)
+CEILING_RTOL = 1e-12
 STOP_REASONS = ("tolerance", "no_ascent", "budget")
 
 
@@ -413,15 +419,16 @@ def _takes_newton_steps(sign: float, n: int) -> bool:
 
 @functools.cache
 def _newton_frame(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The off-diagonal Hermitian generators E_l of the n-level ancilla and their rotations.
+    """The off-diagonal Hermitian generators E_l of the n-level ancilla and their lift stack.
 
     Returns the k = n(n - 1) generators (e_ab + e_ba) / sqrt 2 and i(e_ab -
     e_ba) / sqrt 2, a < b, orthonormal under Re Tr(AB), as the rows of a
-    ``(k, 2n^2)`` real matrix, and the ``(k, n, n)`` unitaries exp(i eps
-    E_l), eps = ``HESSIAN_STEP``.  The diagonal generators are left out:
-    they only rephase the components, so every Riemannian gradient is zero
-    on them.  Built once per n and shared by every roof, so both arrays are
-    read-only.
+    ``(k, 2n^2)`` real matrix, and the ``(1 + k, n, n)`` lift stack [I;
+    exp(i eps E_l)], eps = ``HESSIAN_STEP``, whose one product with a
+    unitary U gives U and its k rotations (I U is exact).  The diagonal
+    generators are left out: they only rephase the components, so every
+    Riemannian gradient is zero on them.  Built once per n and shared by
+    every roof, so both arrays are read-only.
     """
     a, b = np.triu_indices(n, 1)
     pairs = np.arange(len(a))
@@ -432,49 +439,56 @@ def _newton_frame(n: int) -> tuple[np.ndarray, np.ndarray]:
     lam, vecs = np.linalg.eigh(gens)
     moves = _geodesic(vecs, lam, vecs.conj().swapaxes(-1, -2),
                       np.full((len(gens), 1), HESSIAN_STEP))[:, 0]
+    lift = np.concatenate([np.eye(n, dtype=complex)[None], moves])
     frame = gens.view(float).reshape(len(gens), -1)
-    frame.flags.writeable = moves.flags.writeable = False
-    return frame, moves
+    frame.flags.writeable = lift.flags.writeable = False
+    return frame, lift
 
 
 def _scores(gram: np.ndarray, u: np.ndarray, functional: RoofFunctional, sign: float,
-            frame: np.ndarray | None, moves: np.ndarray | None):
-    """Signed objectives, Riemannian gradients and, for Newton steps, Hessians of a stack.
+            frame: np.ndarray | None, lift: np.ndarray | None):
+    """Signed objectives, Riemannian gradients and, for Newton steps, frame coordinates and Hessians.
 
     ``u`` is a ``(C, n, n)`` stack.  Without ``frame`` (L-BFGS steps) this
-    is one gradient pass of ``_objective`` and the Hessians are None.  With
-    ``frame`` and ``moves`` of ``_newton_frame`` the same pass also scores
-    the k rotated unitaries exp(i eps E_l) U, and the ``(C, k, k)`` Hessian
-    in the frame is the one-sided difference h_lm = Re Tr((Gamma_l - Gamma)
-    E_m) / eps, symmetrized, with Gamma the gradient at U and Gamma_l those
-    at the rotated unitaries: for the bi-invariant metric, the Riemannian
-    Hessian along the geodesics exp(itH) U.
+    is one gradient pass of ``_objective``, and the coordinates and
+    Hessians are None.  With ``frame`` and ``lift`` of ``_newton_frame``
+    the same pass scores the stack ``lift @ U``, that is U and the k
+    rotated unitaries exp(i eps E_l) U; Newton steps are taken only for
+    maximizations (``_takes_newton_steps``), so ``sign`` is +1 there and
+    multiplies nothing.  The gradients' ``(C, 1 + k)`` coordinates in the
+    frame are formed in one product: those at U are returned as the ``(C,
+    k)`` gradient coordinates, and the ``(C, k, k)`` Hessian in the frame
+    is the one-sided difference h_lm = Re Tr((Gamma_l - Gamma) E_m) / eps,
+    symmetrized, with Gamma the gradient at U and Gamma_l those at the
+    rotated unitaries: for the bi-invariant metric, the Riemannian Hessian
+    along the geodesics exp(itH) U.
     """
     if frame is None:
         vals, grad = _objective(gram, u, functional, gradient=True)
-        return sign * vals, sign * grad, None
+        return sign * vals, sign * grad, None, None
     c, n = u.shape[:2]
-    k = len(frame)
-    stack = np.concatenate([u[:, None], moves @ u[:, None]], axis=1).reshape(-1, n, n)
-    vals, grad = _objective(gram, stack, functional, gradient=True)
-    grad = sign * grad.reshape(c, 1 + k, n, n)
-    coords = grad.view(float).reshape(c, 1 + k, -1) @ frame.T
+    vals, grad = _objective(gram, (lift @ u[:, None]).reshape(-1, n, n), functional,
+                            gradient=True)
+    grad = grad.reshape(c, len(lift), n, n)
+    coords = grad.view(float).reshape(c, len(lift), -1) @ frame.T
     hess = (coords[:, 1:] - coords[:, :1]) / HESSIAN_STEP
-    return sign * vals.reshape(c, -1)[:, 0], grad[:, 0], 0.5 * (hess + hess.swapaxes(-1, -2))
+    return (vals.reshape(c, -1)[:, 0], grad[:, 0], coords[:, 0],
+            0.5 * (hess + hess.swapaxes(-1, -2)))
 
 
-def _newton_direction(grad: np.ndarray, hess: np.ndarray, frame: np.ndarray) -> np.ndarray:
+def _newton_direction(coords: np.ndarray, hess: np.ndarray, frame: np.ndarray) -> np.ndarray:
     """Saddle-free Newton ascent directions of a stack of starts.
 
-    ``grad`` is ``(C, 2n^2)`` (see ``_lbfgs_direction``) and ``hess`` the
-    ``(C, k, k)`` Hessians in the generators of ``frame``.  With g_E the
-    gradient's coordinates and V diag(w) V^T the Hessian, the direction is
-    sum_l c_l E_l with c = V diag(1 / max(|w|, CURVATURE_FLOOR)) V^T g_E: the
-    Newton step where the Hessian is negative definite, and an ascent
-    direction wherever the gradient is not zero.
+    ``coords`` holds the ``(C, k)`` coordinates g_E of the gradients in the
+    generators of ``frame`` and ``hess`` the ``(C, k, k)`` Hessians in
+    them, both from ``_scores``.  With V diag(w) V^T the Hessian, the
+    direction is sum_l c_l E_l with c = V diag(1 / max(|w|,
+    CURVATURE_FLOOR)) V^T g_E, returned as ``(C, 2n^2)`` real vectors (see
+    ``_lbfgs_direction``): the Newton step where the Hessian is negative
+    definite, and an ascent direction wherever the gradient is not zero.
     """
     w, v = np.linalg.eigh(hess)
-    turned = (grad @ frame.T)[:, None, :] @ v / np.maximum(np.abs(w), CURVATURE_FLOOR)[:, None, :]
+    turned = coords[:, None, :] @ v / np.maximum(np.abs(w), CURVATURE_FLOOR)[:, None, :]
     return (turned @ v.swapaxes(-1, -2))[:, 0] @ frame
 
 
@@ -504,8 +518,9 @@ def _ascend(gram: np.ndarray, us: np.ndarray, functional: RoofFunctional, sign: 
     Lie algebra and makes two scoring passes.  The first scores the
     geodesic exp(i mu D) U at the angle grid ``LINE_ANGLES`` and at the
     direction's own unit step mu = 1, formed as one stack of unitaries
-    (``_geodesic``), with ``_objective``; the second evaluates the winning
-    candidate once more, with its gradient (``_scores``).
+    (``_geodesic``), with ``_objective``; the second evaluates the best
+    candidate once more, with its gradient (``_scores``), and the step is
+    accepted only if both passes score it above the current point.
 
     The direction rule is fixed before the loop (``_takes_newton_steps``).
     A maximization on an ancilla of n <= 3 takes saddle-free Newton
@@ -538,10 +553,10 @@ def _ascend(gram: np.ndarray, us: np.ndarray, functional: RoofFunctional, sign: 
     """
     c, n = len(us), us.shape[-1]
     newton = _takes_newton_steps(sign, n)
-    frame, moves = _newton_frame(n) if newton else (None, None)
+    frame, lift = _newton_frame(n) if newton else (None, None)
     live = np.arange(c)
     u = us.copy()
-    vals, grad, hess = _scores(gram, u, functional, sign, frame, moves)
+    vals, grad, coords, hess = _scores(gram, u, functional, sign, frame, lift)
     if not newton:
         # every start's memory, newest pair first (see _lbfgs_direction)
         steps = np.zeros((BFGS_MEMORY, c, 2 * n * n))
@@ -562,7 +577,7 @@ def _ascend(gram: np.ndarray, us: np.ndarray, functional: RoofFunctional, sign: 
             us[live[done]], final[live[done]] = u[done], vals[done]
             live, u, vals, grad, g = live[go], u[go], vals[go], grad[go], g[go]
             if newton:
-                hess = hess[go]
+                coords, hess = coords[go], hess[go]
             else:
                 steps, changes, inv, count = steps[:, go], changes[:, go], inv[:, go], count[go]
             if not len(live):
@@ -571,7 +586,7 @@ def _ascend(gram: np.ndarray, us: np.ndarray, functional: RoofFunctional, sign: 
             break
         iterations += len(live)
         if newton:
-            d = _newton_direction(g, hess, frame)
+            d = _newton_direction(coords, hess, frame)
         else:
             d = _lbfgs_direction(g, steps, changes, inv, count)
             # a direction that does not ascend to first order falls back to
@@ -584,22 +599,22 @@ def _ascend(gram: np.ndarray, us: np.ndarray, functional: RoofFunctional, sign: 
         lam, vecs = np.linalg.eigh(d.view(complex).reshape(-1, n, n))
         back = vecs.conj().swapaxes(-1, -2) @ u
         # the grid's angles, then the direction's own unit step
-        mus = np.concatenate([LINE_ANGLES / np.abs(lam).max(axis=1)[:, None],
-                              np.ones((len(live), 1))], axis=1)
+        mus = _LINE_ROW / np.abs(lam).max(axis=1)[:, None]
+        mus[:, -1] = 1.0
         line = _geodesic(vecs, lam, back, mus)
-        scores = np.concatenate([vals[:, None], sign * _objective(gram, line, functional)], axis=1)
-        best = scores.argmax(axis=1)
-        # the winning candidate; at best = 0, the current point, the step is
-        # rejected whatever it is
-        rows, pick = np.arange(len(live)), np.maximum(best, 1) - 1
-        new_u, mu = line[rows, pick], mus[rows, pick]
-        new_vals, new_grad, new_hess = _scores(gram, new_u, functional, sign, frame, moves)
-        accept = (best > 0) & (new_vals > vals)
+        scores = sign * _objective(gram, line, functional)
+        # the winning candidate, accepted only if it beats the current point
+        rows, pick = np.arange(len(live)), scores.argmax(axis=1)
+        new_u = line[rows, pick]
+        new_vals, new_grad, new_coords, new_hess = _scores(gram, new_u, functional, sign,
+                                                           frame, lift)
+        accept = (scores[rows, pick] > vals) & (new_vals > vals)
         if newton:
-            # a rejected start stops before its Hessian is read again
-            failed, hess = ~accept, new_hess
+            # a rejected start stops before its coordinates and Hessian are read again
+            failed, coords, hess = ~accept, new_coords, new_hess
         else:
-            step, change = mu[:, None] * d, g - new_grad.view(float).reshape(len(live), -1)
+            step = mus[rows, pick][:, None] * d
+            change = g - new_grad.view(float).reshape(len(live), -1)
             curvature = np.vecdot(step, change)
             curved = accept & (curvature > 0.0)
             if curved.all():
@@ -648,6 +663,14 @@ def optimize_roof(rho: State,
     iterations, and then leaves the stack.  A pure state is its own only
     decomposition.
 
+    By the law of total variance no decomposition average of a
+    ``VarianceSum`` exceeds its value on rho, sum_n Var_rho(A_n)
+    (``functional.on_state``).  A maximization of one whose restart 0 is
+    within ``CEILING_RTOL`` of that ceiling (for at most two operators the
+    split trivial grouping meets it up to round-off) returns restart 0
+    without climbing: ``converged``, and ``evaluations`` the groupings
+    scored.
+
     No component is formed: every moment, gradient, Hessian and line-search
     score comes from ``_objective`` on the Gram stack G = m^dag [I, X_1, ..]
     m of the purification matrix m and the functional's ``ops``, built once;
@@ -662,7 +685,8 @@ def optimize_roof(rho: State,
     ``DimensionMismatchError``, and an ``ancilla_dim`` that is not an
     integer >= 1 ``ValueError``, on a pure state too.  Each call logs one
     debug line with its starts, direction rule (``newton`` or ``lbfgs``),
-    iterations, evaluations, stop reasons and wall time.
+    iterations, evaluations, stop reasons and wall time, or, for a search
+    stopped at the ceiling, with that stop, its evaluations and wall time.
 
     The returned value is that of the witness unitary, evaluated after its
     last step, so it is exact for the witness decomposition and always on
@@ -687,7 +711,14 @@ def optimize_roof(rho: State,
     us = np.empty((cfg.restarts, n, n), dtype=complex)
     if direction == "max":
         sign = 1.0
-        us[0], scored = _split_start(gram, functional)
+        us[0], scored, start = _split_start(gram, functional)
+        if isinstance(functional, VarianceSum):
+            ceiling = functional.on_state(rho)
+            if start >= ceiling - CEILING_RTOL * abs(ceiling):
+                log.debug("optimize_roof: restart 0 meets the ceiling sum Var(rho), no start "
+                          "climbs, %d evaluations, %.4f s", scored, time.perf_counter() - started)
+                return RoofResult(value=start, decomposition=extract_decomposition(m, us[0]),
+                                  converged=True, evaluations=scored)
     else:
         sign, scored = -1.0, 1
         us[0] = np.eye(n)
@@ -833,8 +864,18 @@ def _split_block(g: np.ndarray) -> np.ndarray:
     return np.array(x).conj()
 
 
-def _split_start(gram: np.ndarray, functional: RoofFunctional) -> tuple[np.ndarray, int]:
-    """Restart 0 of a maximization and the number of groupings scored to choose it.
+@functools.cache
+def _split_blocks(n: int) -> tuple[int, tuple]:
+    """The number of ``_eigen_groupings(n)`` and, for each of their blocks
+    of two or more indices, its grouping g and its ``np.ix_`` rows and
+    columns; built once per n and shared by every maximization."""
+    groupings = _eigen_groupings(n)
+    return len(groupings), tuple((g, *np.ix_(block, block)) for g, grouping in enumerate(groupings)
+                                 for block in grouping if len(block) > 1)
+
+
+def _split_start(gram: np.ndarray, functional: RoofFunctional) -> tuple[np.ndarray, int, float]:
+    """Restart 0 of a maximization, the number of groupings scored to choose it, and its value.
 
     Every grouping of ``_eigen_groupings``, each block split by
     ``_split_block`` on the first two moment operators of ``functional``
@@ -848,13 +889,13 @@ def _split_start(gram: np.ndarray, functional: RoofFunctional) -> tuple[np.ndarr
     """
     n = gram.shape[0]
     grams = gram.reshape(n, -1, n).swapaxes(0, 1)[:3]
-    groupings = _eigen_groupings(n)
-    us = np.tile(np.eye(n, dtype=complex), (len(groupings), 1, 1))
-    for u, grouping in zip(us, groupings):
-        for block in grouping:
-            if len(block) > 1:
-                u[np.ix_(block, block)] = _split_block(grams[:, block][:, :, block])
-    return us[int(np.argmax(_objective(gram, us, functional)))], len(us)
+    count, blocks = _split_blocks(n)
+    us = np.tile(np.eye(n, dtype=complex), (count, 1, 1))
+    for g, rows, cols in blocks:
+        us[g, rows, cols] = _split_block(grams[:, rows, cols])
+    values = _objective(gram, us, functional)
+    best = int(np.argmax(values))
+    return us[best], count, float(values[best])
 
 
 # ---------------------------------------------------------------------------

@@ -495,3 +495,16 @@ def test_minvar_jointly_unreachable_targets():
     spin = make_spin_algebra(1)
     with pytest.raises(InfeasibleTargetError):
         minvar_constrained([spin.jx], [spin.jz, spin.jy], [0.3, 0.99])
+
+
+def test_minvar_joint_range_test_catches_targets_just_outside():
+    # |<J>| <= 2 at j = 2: (1.44, 1.4) lies 0.008 outside, where the sweeps
+    # used to return a finite value; a feasible pair keeps its value
+    spin = make_spin_algebra(2)
+    for targets in ([1.44, 1.4], [0.6, 1.98], [1.8, -1.8]):
+        with pytest.raises(InfeasibleTargetError, match="joint range"):
+            minvar_constrained([spin.jx], [spin.jz, spin.jy], targets)
+    inside = minvar_constrained([spin.jx], [spin.jz, spin.jy], [0.5, 0.5])
+    assert abs(inside - 0.04338741008883888) < 1e-12
+    # on the boundary of the range, |<J>| = 2, the test lets the targets pass
+    assert np.isfinite(minvar_constrained([spin.jx], [spin.jz, spin.jy], [2 ** 0.5] * 2))

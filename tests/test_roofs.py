@@ -281,7 +281,7 @@ def _functionals(dim, seed):
 
 def _max_start(rho, functional, ancilla=None):
     """Restart 0 of a maximization and the number of groupings scored to choose it."""
-    return _split_start(_gram_stack(purify(rho, ancilla), functional.ops), functional)
+    return _split_start(_gram_stack(purify(rho, ancilla), functional.ops), functional)[:2]
 
 
 @pytest.mark.parametrize("dim, ancilla", [(2, 2), (3, 3), (3, 4), (4, 4)])
@@ -453,32 +453,33 @@ def test_newton_hessian_matches_second_differences(n):
     rng = np.random.default_rng(310 + n)
     count = 5
     us = np.array([haar_random_unitary(n, rng) for _ in range(count)])
-    frame, moves = roofs._newton_frame(n)
+    frame, lift = roofs._newton_frame(n)
     k = n * (n - 1)
-    assert frame.shape == (k, 2 * n * n) and moves.shape == (k, n, n)
+    assert frame.shape == (k, 2 * n * n) and lift.shape == (1 + k, n, n)
     assert np.allclose(frame @ frame.T, np.eye(k), atol=1e-15)
     t = 1e-4
     for functional, _ in _functionals(n, 320 + n):
         gram = _gram_stack(m, functional.ops)
         values, grad = _objective(gram, us, functional, gradient=True)
-        for sign in (1.0, -1.0):
-            signed, g, hess = roofs._scores(gram, us.copy(), functional, sign, frame, moves)
-            assert hess.shape == (count, k, k)
-            assert np.array_equal(hess, hess.swapaxes(-1, -2))
-            assert np.max(np.abs(signed - sign * values)) < 1e-12
-            assert np.max(np.abs(g - sign * grad)) < 1e-12
-            # the frame spans the gradient: its diagonal generators are gauge
-            coords = g.view(float).reshape(count, -1) @ frame.T
-            assert np.max(np.abs(coords @ frame - g.view(float).reshape(count, -1))) < 1e-12
-            for _ in range(3):
-                h = _random_hermitian_stack(rng, count, n)
-                h[:, np.arange(n), np.arange(n)] = 0.0
-                c = h.view(float).reshape(count, -1) @ frame.T
-                quadratic = np.einsum("il,ilm,im->i", c, hess, c)
-                ends = sign * _objective(gram, _rotated(h, np.array([[t, -t]] * count), us),
-                                         functional)
-                second = (ends[:, 0] - 2.0 * sign * values + ends[:, 1]) / t ** 2
-                assert np.max(np.abs(quadratic - second)) <= 1e-5 * np.max(np.abs(second))
+        # Newton steps are taken only for maximizations (_takes_newton_steps),
+        # so the Newton pass is unsigned
+        scored, g, formed, hess = roofs._scores(gram, us.copy(), functional, 1.0, frame, lift)
+        assert hess.shape == (count, k, k)
+        assert np.array_equal(hess, hess.swapaxes(-1, -2))
+        assert np.max(np.abs(scored - values)) < 1e-12
+        assert np.max(np.abs(g - grad)) < 1e-12
+        # the frame spans the gradient: its diagonal generators are gauge
+        coords = g.view(float).reshape(count, -1) @ frame.T
+        assert np.array_equal(formed, coords)
+        assert np.max(np.abs(coords @ frame - g.view(float).reshape(count, -1))) < 1e-12
+        for _ in range(6):
+            h = _random_hermitian_stack(rng, count, n)
+            h[:, np.arange(n), np.arange(n)] = 0.0
+            c = h.view(float).reshape(count, -1) @ frame.T
+            quadratic = np.einsum("il,ilm,im->i", c, hess, c)
+            ends = _objective(gram, _rotated(h, np.array([[t, -t]] * count), us), functional)
+            second = (ends[:, 0] - 2.0 * values + ends[:, 1]) / t ** 2
+            assert np.max(np.abs(quadratic - second)) <= 1e-5 * np.max(np.abs(second))
 
 
 def test_newton_steps_only_for_maximizations_on_small_ancillas(monkeypatch, caplog):
@@ -540,12 +541,16 @@ def test_each_iteration_makes_two_scoring_passes(monkeypatch):
 
 
 def test_newton_frame_is_built_once_and_read_only():
-    frame, moves = roofs._newton_frame(3)
+    frame, lift = roofs._newton_frame(3)
     again = roofs._newton_frame(3)
-    assert again[0] is frame and again[1] is moves
-    assert not frame.flags.writeable and not moves.flags.writeable
+    assert again[0] is frame and again[1] is lift
+    assert not frame.flags.writeable and not lift.flags.writeable
     with pytest.raises(ValueError):
-        moves[0] = 0.0
+        lift[0] = 0.0
+    # [I; exp(i eps E_l)]: slice 0 is exactly the identity, every slice unitary
+    assert np.array_equal(lift[0], np.eye(3))
+    products = lift @ lift.conj().swapaxes(-1, -2)
+    assert np.max(np.abs(products - np.eye(3))) <= 1e-15
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -651,8 +656,12 @@ def test_lockstep_search_matches_scalar_reference(dim, direction, kind, seed, lo
     ref = scalar_reference_roof(rho, functional, direction, start=start, cfg=cfg,
                                 ancilla_dim=ancilla)
     assert abs(res.value - ref.value) < 1e-9
-    assert res.evaluations == ref.evaluations + scored - 1
-    assert res.converged == ref.converged
+    if direction == "max" and kind == "variance":
+        # restart 0 meets the ceiling Var(rho), so no start climbs
+        assert res.evaluations == scored and res.converged
+    else:
+        assert res.evaluations == ref.evaluations + scored - 1
+        assert res.converged == ref.converged
 
 
 def test_lockstep_search_matches_scalar_reference_through_tolerance_stops():
@@ -887,6 +896,29 @@ def test_roof_sum_R_three_operators_bounded_by_variance_sum():
     ops = [random_hermitian(3, 87 + k) for k in range(3)]
     res = roof_sum_R(rho, ops, FAST)
     assert res.value <= sum(variance(rho, op) for op in ops) + 1e-9
+
+
+def test_variance_sum_maximization_stops_at_its_ceiling(caplog):
+    # the criterion-3 cases: restart 0 of a sum of two variances meets sum
+    # Var(rho), which no decomposition exceeds, so no start climbs and only
+    # the scored groupings count; three operators still climb
+    for s in range(20):
+        dim = 2 if s % 2 == 0 else 3
+        rho = random_state(dim, 45_000 + s)
+        ops = [random_hermitian(dim, 46_000 + s), random_hermitian(dim, 47_000 + s)]
+        ceiling = sum(variance(rho, op) for op in ops)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="qfiroof.roofs"):
+            res = roof_sum_R(rho, ops, cfg=OptimizerConfig(seed=s))
+        assert abs(res.value - ceiling) <= 1e-12 * ceiling
+        assert res.evaluations == len(_eigen_groupings(dim)) and res.converged
+        assert abs(_dense_average(res.decomposition, lambda m: dense_variance_sum(
+            m, [op.mat for op in ops])) - res.value) < 1e-12
+        (line,) = [r.getMessage() for r in caplog.records if r.name == "qfiroof.roofs"]
+        assert line.startswith("optimize_roof: restart 0 meets the ceiling sum Var(rho), ")
+    rho = random_state(3, seed=86)
+    res = roof_sum_R(rho, [random_hermitian(3, 87 + k) for k in range(3)], FAST)
+    assert res.evaluations > len(_eigen_groupings(3)) + FAST.restarts - 1
 
 
 # ---------------------------------------------------------------------------
