@@ -198,6 +198,7 @@ MAX_BOXES = 2000      # boxes per target at most; sums of two or more variances 
 MU_STEPS = 100        # multiplier iterations, and sweeps over the multipliers, per box at most
 ROUND_OFF = 64 * np.finfo(float).eps   # relative round-off of a target and of a lowest eigenvalue
 JOINT_ANGLES = 128    # directions u per plane of two constraints in the joint-range test
+JOINT_STEPS = 8       # projected supergradient steps per target in the joint-range test
 
 
 def _multiplier(base, op, target, mu):
@@ -313,17 +314,38 @@ def _branch_and_bound(sq, a, b, targets):
     return np.maximum(floor, 0.0), np.maximum(witness, 0.0)
 
 
-def _joint_directions(y: int) -> np.ndarray:
-    """The unit vectors u of the joint-range test of y >= 2 constraints:
-    ``JOINT_ANGLES`` evenly spaced angles on the unit circle of every plane
-    of two constraint axes, as the rows of a fixed ``(P JOINT_ANGLES, y)``
-    array, P = y(y - 1) / 2."""
+def _beyond_joint_range(b, t):
+    """Rows of the targets ``t`` that a unit direction u proves out of the
+    joint range of the y >= 2 constraints ``b``: every state has u.<B> <=
+    lambda_max(u.B), so u.t above that, beyond the round-off margin, is out
+    of reach.  The u tried are ``JOINT_ANGLES`` evenly spaced angles on the
+    circle of every plane of two constraint axes and, per row, the direction
+    of t from the maximally mixed means Tr B / d and ``JOINT_STEPS``
+    projected supergradient steps from it of the concave u.t -
+    lambda_max(u.B) over the unit ball, step s of length 1 / (s + 2) along
+    t - <v|B|v>, v a top eigenvector of u.B."""
     angles = 2.0 * np.pi * np.arange(JOINT_ANGLES) / JOINT_ANGLES
-    planes = list(itertools.combinations(range(y), 2))
-    u = np.zeros((len(planes), JOINT_ANGLES, y))
+    planes = list(itertools.combinations(range(len(b)), 2))
+    u = np.zeros((len(planes), JOINT_ANGLES, len(b)))
     for i, (m, n) in enumerate(planes):
         u[i, :, m], u[i, :, n] = np.cos(angles), np.sin(angles)
-    return u.reshape(-1, y)
+    u = u.reshape(-1, len(b))
+    lam = np.linalg.eigvalsh(np.einsum("uy,yde->ude", u, b))
+    margin = ROUND_OFF * (1.0 + np.abs(lam).max(1) + np.abs(t).sum(1)[:, None])
+    beyond = (t @ u.T > lam[:, -1] + margin).any(1)
+    tiny = np.finfo(float).tiny
+    u = t - np.trace(b, axis1=1, axis2=2).real / b.shape[-1]
+    u /= np.maximum(np.linalg.norm(u, axis=1, keepdims=True), tiny)
+    for s in range(JOINT_STEPS + 1):
+        lam, vecs = np.linalg.eigh(np.einsum("ky,yde->kde", u, b))
+        margin = ROUND_OFF * (1.0 + np.abs(lam).max(1) + np.abs(t).sum(1))
+        beyond |= np.vecdot(u, t) > lam[:, -1] + margin
+        if s == JOINT_STEPS:
+            return beyond
+        top = vecs[:, :, -1]
+        g = t - np.einsum("kd,yde,ke->ky", top.conj(), b, top).real
+        u += g / (np.maximum(np.linalg.norm(g, axis=1, keepdims=True), tiny) * (s + 2))
+        u /= np.maximum(np.linalg.norm(u, axis=1, keepdims=True), 1.0)
 
 
 def _minvar_dual(sq, a, b, targets):
@@ -338,8 +360,8 @@ def _minvar_dual(sq, a, b, targets):
     sum of a state that meets the targets, or infinite for two or more.  A
     target at an end of B_m's range restricts the problem to that eigenspace;
     one outside it raises ``InfeasibleTargetError``.  So do two or more
-    targets t that no state meets jointly, wherever a direction u of
-    ``_joint_directions`` proves it: every state has u.<B> <=
+    targets t that no state meets jointly, wherever a direction u that
+    ``_beyond_joint_range`` tries proves it: every state has u.<B> <=
     lambda_max(u.B), so u.t above that, beyond the round-off margin, is out
     of reach.  Targets that pass this test and are still out of reach raise
     once the certified minimum passes every variance sum.
@@ -365,11 +387,8 @@ def _minvar_dual(sq, a, b, targets):
                 face.conj().T @ b[rest] @ face, targets[i:i + 1, rest])
         open_rows = open_rows[~edge]
     if len(b) >= 2 and open_rows.size:
-        u = _joint_directions(len(b))
-        lam = np.linalg.eigvalsh(np.einsum("uy,yde->ude", u, b))
         t = targets[open_rows]
-        margin = ROUND_OFF * (1.0 + np.abs(lam).max(1) + np.abs(t).sum(1)[:, None])
-        beyond = (t @ u.T > lam[:, -1] + margin).any(1)
+        beyond = _beyond_joint_range(b, t)
         if beyond.any():
             raise InfeasibleTargetError(f"no state meets the targets {t[beyond][0]}: "
                                         "they leave the joint range of the constraints")
@@ -441,18 +460,16 @@ def fj_curve(j, grid) -> FjCurve:
     return FjCurve(j=spin.j, grid=grid, values=_fj(spin.j, grid)[0])
 
 
-def spin_length_bound(state: State, curve: FjCurve | None = None) -> BoundReport:
+def spin_length_bound(state: State) -> BoundReport:
     """F_Q[rho, J_x]/4 >= j F_j(<J_z>/j): polarization certifies usefulness.
 
     The right-hand side is the certified lower value of F_j at the state's
     own X, and ``meta["Fj_witness"]`` Var(J_x)/j of an explicit state that
-    meets X (see ``_minvar_dual``).  A given ``curve`` must match the spin.
+    meets X (see ``_minvar_dual``).
     """
     j = (state.dim - 1) / 2.0
     if j == 0.0:
         raise ValueError("spin_length_bound needs spin j > 0; a dim-1 state is spin 0")
-    if curve is not None and abs(curve.j - j) > 1e-12:
-        raise ValueError(f"curve for j={curve.j} used with a spin-{j} state")
     spin = make_spin_algebra(j)
     x = float(np.clip(expectation(state, spin.jz) / j, -1.0, 1.0))  # a state's X is in [-1, 1]
     fj, witness = (float(v[0]) for v in _fj(j, [x]))

@@ -1,8 +1,9 @@
 """Convex and concave roofs of variance-like functionals over decompositions.
 
-A mixed state has infinitely many decompositions into weighted pure
-components.  Every one with at most n components is reachable from a fixed
-purification by a unitary on an n-level ancilla.  The optimizer below climbs
+A mixed state of rank r has infinitely many decompositions into weighted
+pure components.  Every one with at most n >= r components is reachable
+from its support factor m = V_S sqrt(lambda_S) by a unitary U on an n-level
+ancilla, through U's first r columns.  The optimizer below climbs
 that unitary manifold from seeded starts along directions in the Hermitian
 Lie algebra, driven by the analytic Riemannian gradient, with a line search
 along each geodesic exp(i mu D) U that scores the formed candidate unitaries
@@ -36,7 +37,6 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    DensityMatrix,
     DimensionMismatchError,
     HermitianOperator,
     PureState,
@@ -91,41 +91,31 @@ class Decomposition:
         return len(self.components)
 
 
-def purify(rho: DensityMatrix, ancilla_dim: int | None = None) -> np.ndarray:
-    """Purification matrix m = [V_S sqrt(lambda_S), 0] of rho, d x ancilla_dim.
+def purify(rho: State) -> np.ndarray:
+    """Support factor m = V_S sqrt(lambda_S) of rho, d x r for rank r, so m m^dag = rho.
 
-    m m^dag = rho, and column a of m U^T is the unnormalised component
-    vector a of the decomposition that ancilla unitary U induces.  The
-    ancilla defaults to the system size and may be enlarged; richer
-    decompositions (more components) need a bigger ancilla.
+    It purifies rho for every ancilla of n >= r levels, with no zero padding:
+    see ``extract_decomposition``.
     """
-    if ancilla_dim is None:
-        ancilla_dim = rho.dim
-    _require_count(ancilla_dim, "ancilla_dim", 1)
-    if ancilla_dim < rho.rank():
-        raise ValueError(f"ancilla dim {ancilla_dim} smaller than rank {rho.rank()}")
     lam, vs = _support(rho)
-    m = np.zeros((rho.dim, ancilla_dim), dtype=complex)
-    m[:, :len(lam)] = vs * np.sqrt(lam)
-    return m
+    return (vs * np.sqrt(lam)).astype(complex, copy=False)
 
 
 def extract_decomposition(m: np.ndarray, u: np.ndarray) -> Decomposition:
     """Pure-state decomposition of m m^dag induced by the ancilla unitary ``u``.
 
-    Column a of v = m u^T is the unnormalised vector of component a: its
-    weight p_a is the squared norm of the column and its state v_a /
-    sqrt(p_a); components lighter than ``WEIGHT_DROP`` are dropped.  An
-    n x n unitary ``u`` (n the columns of m) keeps v v^dag = m m^dag, so
-    the components mix back to the purified state.
+    ``u`` is any n x n unitary with n >= r, the columns of the support factor
+    m (``purify``).  Column a of v = m u[:, :r]^T is the unnormalised vector of
+    component a, of weight p_a its squared norm; components lighter than
+    ``WEIGHT_DROP`` are dropped.  u's rows are orthonormal, so v v^dag = m m^dag.
     """
-    n = m.shape[1]
+    r = m.shape[1]
     u = np.asarray(u)
-    if u.shape != (n, n):
-        raise ValueError(f"ancilla unitary must be {n} x {n}, got shape {u.shape}")
-    if not np.max(np.abs(u @ u.conj().T - np.eye(n))) <= UNITARY_TOL:
+    if u.ndim != 2 or u.shape[0] != u.shape[1] or len(u) < r:
+        raise ValueError(f"ancilla unitary must be n x n with n >= {r}, got shape {u.shape}")
+    if not np.max(np.abs(u @ u.conj().T - np.eye(len(u)))) <= UNITARY_TOL:
         raise ValueError("ancilla matrix is not unitary")
-    v = m @ u.T
+    v = m @ u[:, :r].T
     weights = np.sum(np.abs(v) ** 2, axis=0)
     return Decomposition(tuple((float(p), PureState(v[:, a] / np.sqrt(p)))
                                for a, p in enumerate(weights) if p >= WEIGHT_DROP))
@@ -143,7 +133,7 @@ class RoofFunctional:
     operators.  ``terms`` maps component weights and moments to p f(sigma)
     and, for the optimizer's Riemannian gradient, to its derivatives.
     The optimizer never forms sigma: it takes every start's moments from
-    one Gram stack of the purification (see ``optimize_roof``).
+    one Gram stack of the support factor (see ``optimize_roof``).
     """
 
     ops: np.ndarray
@@ -169,22 +159,13 @@ class RoofFunctional:
             raise DimensionMismatchError(f"the functional's operators act on dimension {op_dim}, "
                                          f"the state on dimension {dim}")
 
-    def _support_moments(self, state: State) -> np.ndarray:
-        """Weight and moments of every support vector of ``state``, shape ``(r, x+1)``.
-
-        Row k is lambda_k and lambda_k <v_k|X_j|v_k>: the diagonal of the
-        Gram stack m^dag [I, X_1, ..] m of the support purification m =
-        V_S sqrt(lambda_S), whose blocks sum to the moments of any grouping
-        of the eigenvectors.
-        """
-        self.check_dim(state.dim)
-        lam, vs = _support(state)
-        mom = np.einsum("ik,xik->kx", vs.conj(), self.ops @ vs) * lam[:, None]
-        return np.concatenate([lam[:, None], mom], axis=1)
-
     def on_state(self, state: State) -> float:
-        """f(state), from the summed moments of its support vectors."""
-        return float(_block_terms(self._support_moments(state).sum(axis=0), self))
+        """f(state) from Tr G_j = Tr(state X_j), the summed diagonal of each
+        block of the Gram stack of its support factor."""
+        self.check_dim(state.dim)
+        gram = _gram_stack(purify(state), self.ops)
+        return float(_block_terms(gram.reshape(len(gram), -1, len(gram)).trace(axis1=0, axis2=2),
+                                  self))
 
 
 class VarianceSum(RoofFunctional):
@@ -287,11 +268,8 @@ class RoofResult:
 
 
 def _gram_stack(m: np.ndarray, ops: np.ndarray) -> np.ndarray:
-    """G = m^dag [I, X_1, .., X_x] m as one n x (x+1)n matrix.
-
-    Column a of v = m U^T is component vector a of unitary U, so its moments
-    v_a^dag X_j v_a = (conj(U) G_j U^T)_aa with G_j = m^dag X_j m.
-    """
+    """G = m^dag [I, X_1, .., X_x] m as one r x (x+1)r matrix, r the columns of m: component
+    a of unitary U has the moments (conj(U_r) G_j U_r^T)_aa, U_r = U[:, :r]."""
     mh = m.conj().T
     grams = np.concatenate([(mh @ m)[None], mh @ ops @ m])
     return grams.transpose(1, 0, 2).reshape(m.shape[1], -1)
@@ -322,16 +300,14 @@ def _objective(gram: np.ndarray, us: np.ndarray, functional: RoofFunctional,
                gradient: bool = False):
     """sum_a p_a f(component_a) for every unitary of a ``(..., n, n)`` stack ``us``.
 
-    One GEMM gives W = conj(U) G, and one batched mat-vec the component
-    moments (W_j U^T)_aa = W_j[a] . U[a] of every unitary, in both modes,
-    and ``functional.terms`` computes the values before it branches on
-    ``gradient``, so a plain pass scores bit for bit like a gradient pass.
-    ``gram`` may hold only the first r rows of the Gram stack when the
-    others are zero (a purification of rank r padded with zero columns);
-    then W takes only the first r columns of conj(U).  Returns the
-    ``(...)`` objectives; with ``gradient`` (a ``(C, n, n)`` stack), also
-    the Riemannian gradients (Hermitian, ``(C, n, n)``), for which a second
-    GEMM forms the full Q_j = W_j U^T.
+    Only U_r = U[..., :r] meets the r x (x+1)r ``gram`` (``_gram_stack``).
+    One GEMM gives W = conj(U_r) G, and one batched mat-vec the component
+    moments (W_j U_r^T)_aa = W_j[a] . U_r[a] of every unitary, in both
+    modes, and ``functional.terms`` computes the values before it branches
+    on ``gradient``, so a plain pass scores bit for bit like a gradient
+    pass.  Returns the ``(...)`` objectives; with ``gradient`` (a ``(C, n,
+    n)`` stack), also the Riemannian gradients (Hermitian, ``(C, n, n)``),
+    for which a second GEMM forms the n x n Q_j = W_j U_r^T.
 
     The gradient: U <- exp(i eps H) U moves Q_j by i eps [Q_j, H^T], so with
     c_aj the coefficient row of component a (``terms``; j = 0 the weight) and
@@ -340,13 +316,14 @@ def _objective(gram: np.ndarray, us: np.ndarray, functional: RoofFunctional,
     part of conj(i Y).
     """
     n, r = us.shape[-1], gram.shape[0]
-    w = (us[..., :r].conj().reshape(-1, r) @ gram).reshape(*us.shape[:-1], -1, n)  # (..., n, x+1, n)
-    mom = (w @ us[..., None])[..., 0]                                      # (..., n, x+1)
+    ur = us[..., :r]
+    w = (ur.conj().reshape(-1, r) @ gram).reshape(*us.shape[:-1], -1, r)  # (..., n, x+1, r)
+    mom = (w @ ur[..., None])[..., 0]                                      # (..., n, x+1)
     if not gradient:
         return _block_terms(mom, functional).sum(axis=-1)
     terms, coef = _block_terms(mom, functional, gradient=True)
     c, big = len(us), w.shape[2]
-    q = (w.reshape(c, n * big, n) @ us.swapaxes(-1, -2)).reshape(c, n, big, n)
+    q = (w.reshape(c, n * big, r) @ ur.swapaxes(-1, -2)).reshape(c, n, big, n)
     row_coef = coef.conj()
     # Y_ab = sum_j Q_j[a, b] (conj(c_aj) - conj(c_bj))
     y = (q * (row_coef[..., None] - row_coef.swapaxes(-1, -2)[..., None, :, :])).sum(axis=-2)
@@ -653,15 +630,9 @@ def optimize_roof(rho: State,
     ascends from the identity, so the eigendecomposition is always a
     candidate.  Restart r > 0 ascends from the Haar random unitary that
     ``haar_random_unitary`` gives on ``default_rng([seed, 0, r])`` (one
-    batched QR makes them all).  All starts advance in one stack
-    (``_ascend``) by steps in the Hermitian Lie algebra, with a line search
-    along the geodesic exp(i mu D) U: saddle-free Newton steps from the
-    exact Riemannian Hessian for a maximization on an ancilla of n <= 3,
-    limited-memory BFGS steps for every other search.  A start stops on the
-    gradient tolerance ``cfg.tolerance``, when a step along the gradient
-    (or a Newton step) finds no ascent, or after ``cfg.local_steps``
-    iterations, and then leaves the stack.  A pure state is its own only
-    decomposition.
+    batched QR makes them all).  All starts climb in one stack
+    (``_ascend``, which gives the step rules and stops).  A pure state is
+    its own only decomposition.
 
     By the law of total variance no decomposition average of a
     ``VarianceSum`` exceeds its value on rho, sum_n Var_rho(A_n)
@@ -671,22 +642,21 @@ def optimize_roof(rho: State,
     without climbing: ``converged``, and ``evaluations`` the groupings
     scored.
 
-    No component is formed: every moment, gradient, Hessian and line-search
-    score comes from ``_objective`` on the Gram stack G = m^dag [I, X_1, ..]
-    m of the purification matrix m and the functional's ``ops``, built once;
-    the search reads only its first r rows (r the rank of rho), since m's
-    padding columns make the others zero.  ``evaluations`` counts one per
-    start plus one per iteration, and for a maximization also every scored
-    grouping but the one climbed.  The winner
-    is the best start, the first of equals, and ``converged`` says that it
-    stopped on the tolerance or on no ascent, not on the budget.  A
+    No component is formed: every score comes from ``_objective`` on the
+    Gram stack of the support factor (``purify``) and the functional's
+    ``ops``, built once.  ``evaluations`` counts one per start plus one per
+    iteration, and for a maximization also every scored grouping but the one
+    climbed.  The winner is the best start, the first of equals, and
+    ``converged`` says that it stopped on the tolerance or on no ascent, not
+    on the budget.  A
     functional that is not a ``RoofFunctional`` raises ``TypeError``, one
     whose operators act on another dimension than rho
-    ``DimensionMismatchError``, and an ``ancilla_dim`` that is not an
-    integer >= 1 ``ValueError``, on a pure state too.  Each call logs one
-    debug line with its starts, direction rule (``newton`` or ``lbfgs``),
-    iterations, evaluations, stop reasons and wall time, or, for a search
-    stopped at the ceiling, with that stop, its evaluations and wall time.
+    ``DimensionMismatchError``, and an ``ancilla_dim`` (default the
+    dimension of rho) that is not an integer >= the rank of rho
+    ``ValueError``, on a pure state too.  Each call logs one debug line
+    with its starts, direction rule (``newton`` or ``lbfgs``), iterations,
+    evaluations, stop reasons and wall time, or, for a search stopped at the
+    ceiling, with that stop, its evaluations and wall time.
 
     The returned value is that of the witness unitary, evaluated after its
     last step, so it is exact for the witness decomposition and always on
@@ -698,20 +668,19 @@ def optimize_roof(rho: State,
     _require_functional(functional)
     rho = state_density(rho)
     functional.check_dim(rho.dim)
-    if ancilla_dim is not None:
-        _require_count(ancilla_dim, "ancilla_dim", 1)
+    n = rho.dim if ancilla_dim is None else ancilla_dim
+    _require_count(n, "ancilla_dim", rho.rank())
     if rho.rank() == 1:
         psi = PureState(_support(rho)[1][:, 0])
         return RoofResult(value=functional.on_state(psi), decomposition=Decomposition(((1.0, psi),)),
                           converged=True, evaluations=1)
     cfg = cfg or OptimizerConfig()
-    m = purify(rho, ancilla_dim)
+    m = purify(rho)
     gram = _gram_stack(m, functional.ops)
-    n = m.shape[1]
     us = np.empty((cfg.restarts, n, n), dtype=complex)
     if direction == "max":
         sign = 1.0
-        us[0], scored, start = _split_start(gram, functional)
+        us[0], scored, start = _split_start(gram, functional, n)
         if isinstance(functional, VarianceSum):
             ceiling = functional.on_state(rho)
             if start >= ceiling - CEILING_RTOL * abs(ceiling):
@@ -725,8 +694,7 @@ def optimize_roof(rho: State,
     if cfg.restarts > 1:
         us[1:] = _haar_from_ginibre(np.array([
             _ginibre(n, np.random.default_rng([cfg.seed, 0, r])) for r in range(1, cfg.restarts)]))
-    # rows past the rank are zero: m's padding columns
-    vals, reason, iterations = _ascend(gram[:rho.rank()], us, functional, sign, cfg)
+    vals, reason, iterations = _ascend(gram, us, functional, sign, cfg)
     evaluations = scored + cfg.restarts - 1 + iterations
     best = int(np.argmax(vals))
     if log.isEnabledFor(logging.DEBUG):
@@ -799,9 +767,13 @@ def concave_roof_L(rho: State, a: HermitianOperator, b: HermitianOperator,
 # ---------------------------------------------------------------------------
 
 def _eigen_groupings(n: int) -> list[list[tuple[int, ...]]]:
-    """Groupings of n eigenvector indices: every index alone, all merged, and
-    each index alone with the rest merged (for a qutrit, all five)."""
+    """Groupings of n eigenvector indices, each listed once: every index
+    alone, all merged, and for n >= 3 each index alone with the rest merged
+    (for a qutrit, all five; for a qubit, two)."""
     every = tuple(range(n))
+    if n <= 2:
+        # one index alone with the one or none left repeats the singletons
+        return [[(k,) for k in every], [every]][:n]
     return ([[(k,) for k in every], [every]]
             + [[(k,), every[:k] + every[k + 1:]] for k in every])
 
@@ -874,28 +846,32 @@ def _split_blocks(n: int) -> tuple[int, tuple]:
                                  for block in grouping if len(block) > 1)
 
 
-def _split_start(gram: np.ndarray, functional: RoofFunctional) -> tuple[np.ndarray, int, float]:
+def _split_start(gram: np.ndarray, functional: RoofFunctional,
+                 n: int) -> tuple[np.ndarray, int, float]:
     """Restart 0 of a maximization, the number of groupings scored to choose it, and its value.
 
-    Every grouping of ``_eigen_groupings``, each block split by
-    ``_split_block`` on the first two moment operators of ``functional``
-    ([A, B] of the bound L and of a sum of two or more variances, [A, A^2]
-    of one variance), is a block-diagonal unitary and a pure decomposition
-    whose components keep their block's two means; all are scored in one
-    ``_objective`` call.  ``gram`` is the functional's Gram stack.  For L
-    and for a sum of at most two variances, every split scores at least its
-    grouping (see the README); for such a sum the split trivial grouping
-    scores sum_n Var_rho(A_n), the concave roof itself.
+    Every grouping of the r support indices (``_eigen_groupings(r)``, K's),
+    each block split by ``_split_block`` on the first two moment operators
+    of ``functional`` ([A, B] of L and of a sum of variances, [A, A^2] of
+    one variance), is a block-diagonal r x r unitary and a pure
+    decomposition whose components keep their block's two means.  All are
+    scored in one ``_objective`` call on the r x (x+1)r ``gram``, and the
+    best is returned as U + I on the n >= r ancilla levels.  For L and for
+    a sum of at most two variances every split scores at least its grouping
+    (see the README), and for such a sum the split trivial grouping scores
+    sum_n Var_rho(A_n), the concave roof itself.
     """
-    n = gram.shape[0]
-    grams = gram.reshape(n, -1, n).swapaxes(0, 1)[:3]
-    count, blocks = _split_blocks(n)
-    us = np.tile(np.eye(n, dtype=complex), (count, 1, 1))
+    r = gram.shape[0]
+    grams = gram.reshape(r, -1, r).swapaxes(0, 1)[:3]
+    count, blocks = _split_blocks(r)
+    us = np.tile(np.eye(r, dtype=complex), (count, 1, 1))
     for g, rows, cols in blocks:
         us[g, rows, cols] = _split_block(grams[:, rows, cols])
     values = _objective(gram, us, functional)
     best = int(np.argmax(values))
-    return us[best], count, float(values[best])
+    start = np.eye(n, dtype=complex)
+    start[:r, :r] = us[best]
+    return start, count, float(values[best])
 
 
 # ---------------------------------------------------------------------------
@@ -939,9 +915,12 @@ def eigen_partition_bound_K(rho: State, a: HermitianOperator,
     if rho.dim != 3:
         raise ValueError("the eigenvector-partition bound is defined for qutrits")
     functional = RobertsonSchrodingerBound(a, b)
-    mom = functional._support_moments(rho)
-    groupings = _eigen_groupings(len(mom))
+    gram = _gram_stack(purify(rho), functional.ops)
+    r = len(gram)
+    # entry k of each block's diagonal: lambda_k and lambda_k <v_k|X_j|v_k>
+    mom = gram.reshape(r, -1, r).diagonal(axis1=0, axis2=2)
+    groupings = _eigen_groupings(r)
     blocks = [block for grouping in groupings for block in grouping]
     owner = [g for g, grouping in enumerate(groupings) for _ in grouping]
-    terms = _block_terms(np.array([mom[list(block)].sum(axis=0) for block in blocks]), functional)
+    terms = _block_terms(np.array([mom[:, block].sum(axis=1) for block in blocks]), functional)
     return float(np.max(np.bincount(owner, weights=terms)))

@@ -142,17 +142,28 @@ def dense_two_mode_quadratures(fock) -> dict:
 # every start together as one compacted stack
 # ---------------------------------------------------------------------------
 
+def padded_factor(rho, n):
+    """The support factor of ``purify`` padded with n - r zero columns: the
+    d x n purification of the former formulation, whose Gram stack is n x
+    (x+1)n and zero outside its leading r x r blocks."""
+    m = purify(rho)
+    return np.concatenate([m, np.zeros((rho.dim, n - m.shape[1]), dtype=complex)], axis=1)
+
+
 def scalar_reference_roof(rho, functional, direction, start=None, cfg=None, ancilla_dim=None):
     """The roof search with every start run on its own as a stack of one:
     restart 0 at the unitary ``start`` (the identity by default), restart r
     > 0 at the Haar unitary of ``default_rng([seed, 0, r])``, like
-    ``optimize_roof``.  Returns a ``RoofResult`` whose ``evaluations``
-    count one per start plus one per iteration."""
+    ``optimize_roof``.  It scores on the full n x (x+1)n Gram stack of the
+    zero-padded factor (``padded_factor``), so the library's search on the
+    support's r x (x+1)r stack is checked against the padded formulation.
+    Returns a ``RoofResult`` whose ``evaluations`` count one per start plus
+    one per iteration."""
     cfg = cfg or OptimizerConfig()
     rho = state_density(rho)
     if ancilla_dim is None:
         ancilla_dim = rho.dim
-    m = purify(rho, ancilla_dim)
+    m = padded_factor(rho, ancilla_dim)
     gram = _gram_stack(m, functional.ops)
     if start is None:
         start = np.eye(ancilla_dim, dtype=complex)

@@ -151,6 +151,23 @@ def test_vxyz_roof_memory_stays_bounded_at_six_qubits(monkeypatch):
     assert roof.decomposition.reconstructs(rho, tol=1e-9)
 
 
+def test_vxyz_roof_memory_stays_bounded_at_seven_qubits():
+    # a rank-4 state of seven qubits at the default 128-level ancilla: the
+    # line search's moment array W = conj(U_r) G holds (C 13 n, (x+1) r)
+    # entries, about 1.5 MB, where one over the n columns of a zero-padded
+    # factor took 48 MB and the whole roof peaked at 70 MB
+    rho = random_state(128, seed=3, rank=4)
+    tracemalloc.start()
+    try:
+        rep = vxyz_criterion(rho, 0.5, 7, cfg=OptimizerConfig(seed=7, restarts=2, local_steps=100))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 45e6
+    fisher_floor = sum(dense_qfi(rho.mat, op.mat) for op in collective_spin_ops(0.5, 7)) / 4
+    assert rep.lhs + 1e-9 >= rep.meta["roof"] >= fisher_floor - 1e-9
+
+
 def test_mixed_states_at_cutoff_40_need_no_qr_or_eigh(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("d x d factorization of a support-held state")

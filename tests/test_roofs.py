@@ -11,6 +11,7 @@ from conftest import (
     dense_rs_bound,
     dense_variance,
     dense_variance_sum,
+    padded_factor,
     random_hermitian,
     random_state,
     scalar_reference_roof,
@@ -69,9 +70,9 @@ FAST = OptimizerConfig(seed=13, restarts=4, local_steps=250)
 def test_purify_pure_state_single_schmidt_coefficient():
     psi = PureState([0.6, 0.8j])
     m = purify(psi.density())
+    assert m.shape == (2, 1)
     schmidt = np.linalg.svd(m, compute_uv=False)
     assert abs(schmidt[0] - 1.0) < 1e-10
-    assert schmidt[1] < 1e-10
 
 
 def test_purify_maximally_mixed_qubit():
@@ -82,24 +83,23 @@ def test_purify_maximally_mixed_qubit():
 
 def test_purify_reconstructs_random_qutrit():
     rho = random_state(3, seed=21)
-    m = purify(rho, ancilla_dim=3)
+    m = purify(rho)
     assert m.shape == (3, 3)
     recon = m @ m.conj().T
     assert np.max(np.abs(recon - rho.mat)) < 1e-12
 
 
-def test_purify_rejects_small_ancilla():
+def test_roof_rejects_an_ancilla_below_the_rank():
+    # a rank-3 state has no decomposition into two components
     rho = random_state(3, seed=22)
-    with pytest.raises(ValueError):
-        purify(rho, ancilla_dim=2)
+    with pytest.raises(ValueError, match="ancilla_dim must be an integer >= 3, got 2"):
+        optimize_roof(rho, VarianceSum([random_hermitian(3, 23)]), "min", cfg=FAST, ancilla_dim=2)
 
 
 def test_ancilla_dim_must_be_an_integer():
     rho = random_state(3, seed=22)
     spin = make_spin_algebra(1)
     for ancilla in (4.0, True):
-        with pytest.raises(ValueError, match="ancilla_dim must be an integer"):
-            purify(rho, ancilla)
         with pytest.raises(ValueError, match="ancilla_dim must be an integer"):
             concave_roof_L(rho, spin.jx, spin.jy, cfg=FAST, ancilla_dim=ancilla)
 
@@ -114,11 +114,15 @@ def test_pure_state_roof_checks_ancilla_dim():
 
 
 def test_purify_enlarged_ancilla():
+    # the support factor serves every ancilla of n >= r levels unpadded: the
+    # identity's extra components weigh nothing, a Haar unitary's are kept
     rho = random_state(2, seed=23)
-    m = purify(rho, ancilla_dim=5)
-    assert m.shape == (2, 5) and not np.any(m[:, 2:])
+    m = purify(rho)
+    assert m.shape == (2, 2)
     dec = extract_decomposition(m, np.eye(5))
-    assert dec.reconstructs(rho, tol=1e-10)
+    assert len(dec) == 2 and dec.reconstructs(rho, tol=1e-10)
+    dec = extract_decomposition(m, haar_random_unitary(5, np.random.default_rng(24)))
+    assert len(dec) == 5 and dec.reconstructs(rho, tol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +285,8 @@ def _functionals(dim, seed):
 
 def _max_start(rho, functional, ancilla=None):
     """Restart 0 of a maximization and the number of groupings scored to choose it."""
-    return _split_start(_gram_stack(purify(rho, ancilla), functional.ops), functional)[:2]
+    return _split_start(_gram_stack(purify(rho), functional.ops), functional,
+                        ancilla or rho.dim)[:2]
 
 
 @pytest.mark.parametrize("dim, ancilla", [(2, 2), (3, 3), (3, 4), (4, 4)])
@@ -289,7 +294,7 @@ def test_batched_objective_matches_extracted_decompositions(dim, ancilla):
     # a (4, 3) stack of Haar unitaries evaluated as one against re-evaluating
     # the extracted witness decomposition component by component
     rho = random_state(dim, seed=110 + ancilla)
-    m = purify(rho, ancilla)
+    m = purify(rho)
     rng = np.random.default_rng(ancilla)
     us = np.array([[haar_random_unitary(ancilla, rng) for _ in range(3)] for _ in range(4)])
     for functional, _ in _functionals(dim, 120 + ancilla):
@@ -320,15 +325,15 @@ def test_from_moments_stack_matches_dense_formulas(dim):
 
 
 def test_rank_deficient_qutrit_search_raises_no_floating_point_error():
-    # at the identity the null eigenvector's ancilla column carries weight 0,
-    # and the split groupings that start a maximization rotate it into their
-    # blocks; the search reads moments, gradients and line-search moments of both
+    # at the identity the third ancilla column meets no support vector and
+    # carries weight 0; the search reads moments, gradients and line-search
+    # moments of it, and the scalar reference does so on the zero-padded factor
     rho = random_state(3, seed=201, rank=2)
     a, b = random_hermitian(3, 202), random_hermitian(3, 203)
     cfg = OptimizerConfig(seed=5, restarts=3, local_steps=120)
     m = purify(rho)
     eye = np.eye(3, dtype=complex)
-    assert np.sum(np.abs(m[:, 2]) ** 2) < WEIGHT_DROP
+    assert m.shape == (3, 2)
     with np.errstate(all="raise"):
         for functional, dense in _functionals(3, 204):
             gram = _gram_stack(m, functional.ops)
@@ -419,7 +424,7 @@ def test_riemannian_gradient_matches_central_differences(dim, ancilla):
     # directional derivative Tr(Gamma H) along exp(i eps H) U against a
     # central difference of the objective of explicitly rotated unitaries
     rho = random_state(dim, seed=270 + ancilla)
-    m = purify(rho, ancilla)
+    m = purify(rho)
     rng = np.random.default_rng(280 + dim + ancilla)
     count = 5
     us = np.array([haar_random_unitary(ancilla, rng) for _ in range(count)])
@@ -430,10 +435,6 @@ def test_riemannian_gradient_matches_central_differences(dim, ancilla):
         assert grad.shape == (count, ancilla, ancilla)
         assert np.max(np.abs(grad - grad.conj().swapaxes(-1, -2))) == 0.0
         assert np.array_equal(values, _objective(gram, us, functional))
-        # the Gram rows past the rank are zero, and the search scores without them
-        trimmed = _objective(gram[:dim], us, functional, gradient=True)
-        assert np.max(np.abs(trimmed[0] - values)) < 1e-12
-        assert np.max(np.abs(trimmed[1] - grad)) < 1e-12
         for _ in range(3):
             h = _random_hermitian_stack(rng, count, ancilla)
             moved = _rotated(h, np.array([[eps, -eps]] * count), us)
@@ -441,6 +442,56 @@ def test_riemannian_gradient_matches_central_differences(dim, ancilla):
             numeric = (ends[:, 0] - ends[:, 1]) / (2 * eps)
             analytic = np.einsum("iab,iba->i", grad, h).real
             assert np.max(np.abs(numeric - analytic)) < 1e-8
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_objective_on_the_support_gram_matches_the_padded_formula(rank):
+    # the r x (x+1)r stack of the support factor against the n x (x+1)n stack
+    # of the factor padded with n - r zero columns, every column of U read:
+    # values and gradients agree to round-off.  They are not bit for bit in
+    # general: the GEMMs over (x+1)r and (x+1)n columns may round the same
+    # dot products differently (seen at r = 2 and 3, and at r = 4, n = 5)
+    dim = rank + 2
+    rho = random_state(dim, seed=360 + rank, rank=rank)
+    a, b = random_hermitian(dim, 361), random_hermitian(dim, 362)
+    m = purify(rho)
+    rng = np.random.default_rng(363 + rank)
+    for n in (rank + 1, 2 * rank, rank * rank):
+        us = np.array([haar_random_unitary(n, rng) for _ in range(6)])
+        for functional in (VarianceSum([a]), VarianceSum([a, b]), RobertsonSchrodingerBound(a, b)):
+            gram = _gram_stack(m, functional.ops)
+            padded = _gram_stack(padded_factor(rho, n), functional.ops)
+            assert gram.shape == (rank, len(functional.ops) * rank + rank)
+            assert padded.shape == (n, len(functional.ops) * n + n)
+            values, grad = _objective(gram, us, functional, gradient=True)
+            ref_values, ref_grad = _objective(padded, us, functional, gradient=True)
+            scale = 1.0 + np.max(np.abs(ref_values))
+            assert np.max(np.abs(values - ref_values)) <= 1e-13 * scale
+            assert np.max(np.abs(grad - ref_grad)) <= 1e-13 * scale
+            plain = _objective(gram, us.reshape(2, 3, n, n), functional)
+            assert np.max(np.abs(plain - ref_values.reshape(2, 3))) <= 1e-13 * scale
+
+
+def test_split_start_scores_the_support_groupings_only():
+    # a rank-r state in an n > r ancilla: restart 0 splits the groupings of the
+    # r support indices, K's groupings, and embeds the best as U + I; its
+    # value is that of the padded formula and of its extracted witness
+    for dim, rank, n in ((3, 2, 3), (4, 2, 6), (5, 3, 5), (5, 3, 9)):
+        rho = random_state(dim, seed=370 + dim + n, rank=rank)
+        m = purify(rho)
+        for functional, dense in _functionals(dim, 380 + dim):
+            gram = _gram_stack(m, functional.ops)
+            start, count, value = _split_start(gram, functional, n)
+            assert count == len(_eigen_groupings(rank)) == (2 if rank == 2 else 5)
+            assert start.shape == (n, n)
+            eye = np.eye(n)
+            assert np.array_equal(start[rank:], eye[rank:])
+            assert np.array_equal(start[:, rank:], eye[:, rank:])
+            padded = _gram_stack(padded_factor(rho, n), functional.ops)
+            assert abs(_objective(padded, start[None], functional)[0] - value) < 1e-12
+            dec = extract_decomposition(m, start)
+            assert dec.reconstructs(rho, tol=1e-12)
+            assert abs(_dense_average(dec, dense) - value) < 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -801,7 +852,7 @@ def test_starts_draw_from_their_own_streams():
     winners = set()
     for direction, rho, functional, ancilla in cases:
         n = ancilla or 3
-        m = purify(rho, n)
+        m = purify(rho)
         sign = 1.0 if direction == "max" else -1.0
         for seed in range(29, 45):
             cfg = OptimizerConfig(seed=seed, restarts=4, local_steps=0)
@@ -823,13 +874,24 @@ def test_starts_draw_from_their_own_streams():
 def test_concave_roof_L_makes_one_start_per_restart():
     # with no iterations a qutrit roof scores its five split groupings in
     # one call, climbs from the best, and evaluates R - 1 Haar starts; in a
-    # five-level ancilla it scores seven groupings
+    # five-level ancilla it scores the same five, the groupings of its rank
     rho = random_state(3, seed=211)
     a, b = random_hermitian(3, 212), random_hermitian(3, 213)
-    for restarts, ancilla, evaluations in ((4, None, 8), (8, None, 12), (4, 5, 10)):
+    for restarts, ancilla, evaluations in ((4, None, 8), (8, None, 12), (4, 5, 8)):
         cfg = OptimizerConfig(seed=3, restarts=restarts, local_steps=0)
         assert concave_roof_L(rho, a, b, cfg=cfg, ancilla_dim=ancilla).evaluations == evaluations
     assert [len(g) for g in _eigen_groupings(3)] == [3, 1, 2, 2, 2]
+    # each grouping once: one index alone with the rest merged repeats the
+    # singletons of a qubit, and a single index has one grouping
+    assert _eigen_groupings(2) == [[(0,), (1,)], [(0, 1)]]
+    assert _eigen_groupings(1) == [[(0,)]]
+    # a rank-2 state on four levels scores its two groupings, at any ancilla
+    rho = random_state(4, seed=214, rank=2)
+    jx, jy = make_spin_algebra(1.5).jx, make_spin_algebra(1.5).jy
+    for ancilla in (None, 2, 7):
+        res = concave_roof_L(rho, jx, jy, cfg=OptimizerConfig(seed=3, restarts=1, local_steps=0),
+                             ancilla_dim=ancilla)
+        assert res.evaluations == 2
 
 
 # ---------------------------------------------------------------------------
@@ -989,17 +1051,18 @@ def test_split_components_keep_their_block_means_and_never_lower_L(eps):
         a = random_hermitian(dim, 500 + case)
         b = HermitianOperator(a.mat + eps * random_hermitian(dim, 600 + case).mat)
         functional = RobertsonSchrodingerBound(a, b)
-        m = purify(rho, ancilla)
+        m = purify(rho)
         u0 = haar_random_unitary(ancilla, rng)
-        grams = _gram_stack(m, functional.ops).reshape(ancilla, -1, ancilla).swapaxes(0, 1)
-        q = u0.conj() @ grams[:3] @ u0.T        # G_I, G_A, G_B of the components of u0
+        grams = _gram_stack(m, functional.ops).reshape(rank, -1, rank).swapaxes(0, 1)
+        # G_I, G_A, G_B of the components of u0, from its first r columns
+        q = u0[:, :rank].conj() @ grams[:3] @ u0[:, :rank].T
         grouping = _random_grouping(rng, ancilla)
         w = np.eye(ancilla, dtype=complex)
         for block in grouping:
             w[np.ix_(block, block)] = _split_block(q[:, block][:, :, block])
         u = w @ u0
         assert extract_decomposition(m, u).reconstructs(rho, tol=1e-12)
-        mixed, split = m @ u0.T, m @ u.T
+        mixed, split = m @ u0[:, :rank].T, m @ u[:, :rank].T
         for block in grouping:
             weight = np.sum(np.abs(mixed[:, block]) ** 2)
             if weight < WEIGHT_DROP:
@@ -1163,7 +1226,7 @@ def test_partition_bound_rejects_non_qutrit():
 def test_rank_deficient_state_with_matching_ancilla():
     # rank-2 qutrit purifies into a 2-level ancilla
     rho = random_state(3, seed=95, rank=2)
-    dec = extract_decomposition(purify(rho, ancilla_dim=2), np.eye(2))
+    dec = extract_decomposition(purify(rho), np.eye(2))
     assert len(dec) == 2
     assert dec.reconstructs(rho, tol=1e-10)
     res = optimize_roof(rho, VarianceSum([random_hermitian(3, 96)]), "min",
@@ -1191,12 +1254,14 @@ def test_extract_rejects_a_non_unitary_or_misshapen_ancilla_matrix():
     # u u^dag = 1 is what makes the components mix back to m m^dag
     m = purify(random_state(3, seed=103))
     u = haar_random_unitary(3, np.random.default_rng(104))
-    for bad in (1.001 * u, u[:, [0, 0, 2]], np.full((3, 3), np.nan)):
+    for bad in (1.001 * u, u[:, [0, 0, 2]], np.full((3, 3), np.nan), np.eye(4)[[0, 1, 2, 2]]):
         with pytest.raises(ValueError, match="not unitary"):
             extract_decomposition(m, bad)
-    for bad in (np.eye(2), np.eye(4), u[:2], u[0]):
-        with pytest.raises(ValueError, match="must be 3 x 3"):
+    # an ancilla needs at least the rank's r levels; any larger one serves
+    for bad in (np.eye(2), u[:2], u[0], np.eye(4)[:3]):
+        with pytest.raises(ValueError, match="must be n x n with n >= 3"):
             extract_decomposition(m, bad)
+    assert extract_decomposition(m, np.eye(4)).reconstructs(random_state(3, seed=103), tol=1e-12)
 
 
 def test_decomposition_validation():
