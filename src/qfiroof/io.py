@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DensityMatrix, HermitianOperator, PureState, State
+from .core import DensityMatrix, HermitianOperator, PureState, State, _require_count
 from .roofs import Decomposition, RoofResult
 
 
@@ -22,7 +22,8 @@ def operator_to_json(op: HermitianOperator) -> dict:
 
 
 def operator_from_json(data: dict) -> HermitianOperator:
-    dim = int(data["dim"])
+    dim = data["dim"]
+    _require_count(dim, "dim", 1)
     mat = (np.asarray(data["re"], dtype=float)
            + 1j * np.asarray(data["im"], dtype=float)).reshape(dim, dim)
     return HermitianOperator(mat)
@@ -45,7 +46,8 @@ def state_to_json(state: State) -> dict:
 
 
 def state_from_json(data: dict) -> State:
-    dim = int(data["dim"])
+    dim = data["dim"]
+    _require_count(dim, "dim", 1)
     kind = data.get("kind", "mixed")
     arr = np.asarray(data["re"], dtype=float) + 1j * np.asarray(data["im"], dtype=float)
     if kind == "pure":

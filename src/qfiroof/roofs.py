@@ -1,16 +1,17 @@
 """Convex and concave roofs of variance-like functionals over decompositions.
 
 A mixed state of rank r has infinitely many decompositions into weighted
-pure components.  Every one with at most n >= r components is reachable
-from its support factor m = V_S sqrt(lambda_S) by a unitary U on an n-level
-ancilla, through U's first r columns.  The optimizer below climbs
-that unitary manifold from seeded starts along directions in the Hermitian
-Lie algebra, driven by the analytic Riemannian gradient, with a line search
-along each geodesic exp(i mu D) U that scores the formed candidate unitaries
-of an angle grid and of the direction's own unit step mu = 1 with the same
-objective as every other step.  A maximization on an ancilla
-of at most three levels takes saddle-free Newton directions from the exact
-Riemannian Hessian; every other search takes limited-memory BFGS directions.
+pure components.  Every one with at most n >= r components is m W^T for its
+support factor m = V_S sqrt(lambda_S) and an n x r isometry W (W^dag W = 1;
+Hughston, Jozsa & Wootters, Phys. Lett. A 183, 14 (1993)).  The optimizer
+climbs those isometries from seeded starts along directions in the Hermitian
+Lie algebra of the n-level ancilla, driven by the analytic Riemannian
+gradient, with a line search along each geodesic exp(i mu D) W that scores
+the formed candidate isometries of an angle grid and of the direction's own
+unit step mu = 1 with the same objective as every other step.  A
+maximization on an ancilla of at most three levels takes saddle-free Newton
+directions from the exact Riemannian Hessian; every other search takes
+limited-memory BFGS directions.
 
 Mixed components are never searched.  Convex roofs are defined over pure
 decompositions, and for the concave roofs of the uncertainty bound L and of
@@ -52,7 +53,7 @@ from .core import (
 log = logging.getLogger(__name__)
 
 WEIGHT_DROP = 1e-14       # decomposition components lighter than this are discarded
-UNITARY_TOL = 1e-9        # largest entry of u u^dag - 1 an ancilla unitary may carry
+UNITARY_TOL = 1e-9        # largest entry of w^dag w - 1 an ancilla isometry may carry
 
 
 # ---------------------------------------------------------------------------
@@ -94,28 +95,30 @@ class Decomposition:
 def purify(rho: State) -> np.ndarray:
     """Support factor m = V_S sqrt(lambda_S) of rho, d x r for rank r, so m m^dag = rho.
 
-    It purifies rho for every ancilla of n >= r levels, with no zero padding:
-    see ``extract_decomposition``.
+    It purifies rho for every ancilla of n >= r levels through an n x r
+    isometry, with no zero padding: see ``extract_decomposition``.
     """
     lam, vs = _support(rho)
     return (vs * np.sqrt(lam)).astype(complex, copy=False)
 
 
-def extract_decomposition(m: np.ndarray, u: np.ndarray) -> Decomposition:
-    """Pure-state decomposition of m m^dag induced by the ancilla unitary ``u``.
+def extract_decomposition(m: np.ndarray, w: np.ndarray) -> Decomposition:
+    """Pure-state decomposition of m m^dag induced by the ancilla isometry ``w``.
 
-    ``u`` is any n x n unitary with n >= r, the columns of the support factor
-    m (``purify``).  Column a of v = m u[:, :r]^T is the unnormalised vector of
-    component a, of weight p_a its squared norm; components lighter than
-    ``WEIGHT_DROP`` are dropped.  u's rows are orthonormal, so v v^dag = m m^dag.
+    ``w`` is any n x r isometry (w^dag w = 1) with n >= r, the columns of the
+    support factor m (``purify``); of an n x n unitary u, pass u[:, :r].
+    Column a of v = m w^T is the unnormalised vector of component a, of weight
+    p_a its squared norm; components lighter than ``WEIGHT_DROP`` are dropped.
+    w's columns are orthonormal, so v v^dag = m m^dag.
     """
     r = m.shape[1]
-    u = np.asarray(u)
-    if u.ndim != 2 or u.shape[0] != u.shape[1] or len(u) < r:
-        raise ValueError(f"ancilla unitary must be n x n with n >= {r}, got shape {u.shape}")
-    if not np.max(np.abs(u @ u.conj().T - np.eye(len(u)))) <= UNITARY_TOL:
-        raise ValueError("ancilla matrix is not unitary")
-    v = m @ u[:, :r].T
+    w = np.asarray(w)
+    if w.ndim != 2 or w.shape[1] != r or len(w) < r:
+        raise ValueError(f"ancilla isometry must be n x {r} with n >= {r} (of an n x n unitary u, "
+                         f"pass u[:, :{r}]), got shape {w.shape}")
+    if not np.max(np.abs(w.conj().T @ w - np.eye(r))) <= UNITARY_TOL:
+        raise ValueError("ancilla matrix is not an isometry")
+    v = m @ w.T
     weights = np.sum(np.abs(v) ** 2, axis=0)
     return Decomposition(tuple((float(p), PureState(v[:, a] / np.sqrt(p)))
                                for a, p in enumerate(weights) if p >= WEIGHT_DROP))
@@ -160,12 +163,9 @@ class RoofFunctional:
                                          f"the state on dimension {dim}")
 
     def on_state(self, state: State) -> float:
-        """f(state) from Tr G_j = Tr(state X_j), the summed diagonal of each
-        block of the Gram stack of its support factor."""
+        """f(state) from Tr(state X_j), the summed moments of its support vectors."""
         self.check_dim(state.dim)
-        gram = _gram_stack(purify(state), self.ops)
-        return float(_block_terms(gram.reshape(len(gram), -1, len(gram)).trace(axis1=0, axis2=2),
-                                  self))
+        return float(_block_terms(_support_moments(purify(state), self.ops).sum(axis=0), self))
 
 
 class VarianceSum(RoofFunctional):
@@ -235,7 +235,7 @@ def _require_functional(functional) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Newton and quasi-Newton ascent over ancilla unitaries
+# Newton and quasi-Newton ascent over ancilla isometries
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -269,10 +269,16 @@ class RoofResult:
 
 def _gram_stack(m: np.ndarray, ops: np.ndarray) -> np.ndarray:
     """G = m^dag [I, X_1, .., X_x] m as one r x (x+1)r matrix, r the columns of m: component
-    a of unitary U has the moments (conj(U_r) G_j U_r^T)_aa, U_r = U[:, :r]."""
+    a of the n x r isometry W has the moments (conj(W) G_j W^T)_aa."""
     mh = m.conj().T
     grams = np.concatenate([(mh @ m)[None], mh @ ops @ m])
     return grams.transpose(1, 0, 2).reshape(m.shape[1], -1)
+
+
+def _support_moments(m: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """The ``(r, x+1)`` moments of the columns m_k of the support factor: row k holds
+    m_k^dag m_k = lambda_k, then m_k^dag X_j m_k = lambda_k <v_k|X_j|v_k>."""
+    return np.vecdot(m, np.concatenate([m[None], ops @ m]), axis=-2).T
 
 
 def _block_terms(mom: np.ndarray, functional: RoofFunctional, gradient: bool = False):
@@ -296,34 +302,33 @@ def _block_terms(mom: np.ndarray, functional: RoofFunctional, gradient: bool = F
     return np.where(keep, out[0], 0.0), keep[..., None] * out[1]
 
 
-def _objective(gram: np.ndarray, us: np.ndarray, functional: RoofFunctional,
+def _objective(gram: np.ndarray, ws: np.ndarray, functional: RoofFunctional,
                gradient: bool = False):
-    """sum_a p_a f(component_a) for every unitary of a ``(..., n, n)`` stack ``us``.
+    """sum_a p_a f(component_a) for every isometry of a ``(..., n, r)`` stack ``ws``.
 
-    Only U_r = U[..., :r] meets the r x (x+1)r ``gram`` (``_gram_stack``).
-    One GEMM gives W = conj(U_r) G, and one batched mat-vec the component
-    moments (W_j U_r^T)_aa = W_j[a] . U_r[a] of every unitary, in both
-    modes, and ``functional.terms`` computes the values before it branches
-    on ``gradient``, so a plain pass scores bit for bit like a gradient
-    pass.  Returns the ``(...)`` objectives; with ``gradient`` (a ``(C, n,
-    n)`` stack), also the Riemannian gradients (Hermitian, ``(C, n, n)``),
-    for which a second GEMM forms the n x n Q_j = W_j U_r^T.
+    Each W meets the r x (x+1)r ``gram`` (``_gram_stack``).  One GEMM gives
+    conj(W) G, and one batched mat-vec the component moments (conj(W) G_j
+    W^T)_aa of every isometry, in both modes, and ``functional.terms``
+    computes the values before it branches on ``gradient``, so a plain pass
+    scores bit for bit like a gradient pass.  Returns the ``(...)``
+    objectives; with ``gradient`` (a ``(C, n, r)`` stack), also the
+    Riemannian gradients (Hermitian, ``(C, n, n)``), for which a second GEMM
+    forms the n x n Q_j = conj(W) G_j W^T.
 
-    The gradient: U <- exp(i eps H) U moves Q_j by i eps [Q_j, H^T], so with
+    The gradient: W <- exp(i eps H) W moves Q_j by i eps [Q_j, H^T], so with
     c_aj the coefficient row of component a (``terms``; j = 0 the weight) and
     Y = sum_j (conj(c_j) Q_j - Q_j conj(c_j)) (c_j diagonal), the objective
     moves by eps Re Tr(i Y H^T) = eps Tr(Gamma H) with Gamma the Hermitian
     part of conj(i Y).
     """
-    n, r = us.shape[-1], gram.shape[0]
-    ur = us[..., :r]
-    w = (ur.conj().reshape(-1, r) @ gram).reshape(*us.shape[:-1], -1, r)  # (..., n, x+1, r)
-    mom = (w @ ur[..., None])[..., 0]                                      # (..., n, x+1)
+    n, r = ws.shape[-2:]
+    wg = (ws.conj().reshape(-1, r) @ gram).reshape(*ws.shape[:-1], -1, r)  # (..., n, x+1, r)
+    mom = (wg @ ws[..., None])[..., 0]                                      # (..., n, x+1)
     if not gradient:
         return _block_terms(mom, functional).sum(axis=-1)
     terms, coef = _block_terms(mom, functional, gradient=True)
-    c, big = len(us), w.shape[2]
-    q = (w.reshape(c, n * big, r) @ ur.swapaxes(-1, -2)).reshape(c, n, big, n)
+    c, big = len(ws), wg.shape[2]
+    q = (wg.reshape(c, n * big, r) @ ws.swapaxes(-1, -2)).reshape(c, n, big, n)
     row_coef = coef.conj()
     # Y_ab = sum_j Q_j[a, b] (conj(c_aj) - conj(c_bj))
     y = (q * (row_coef[..., None] - row_coef.swapaxes(-1, -2)[..., None, :, :])).sum(axis=-2)
@@ -331,16 +336,16 @@ def _objective(gram: np.ndarray, us: np.ndarray, functional: RoofFunctional,
 
 
 def _geodesic(vecs: np.ndarray, lam: np.ndarray, back: np.ndarray, mus: np.ndarray) -> np.ndarray:
-    """exp(i mu D) U = V e^{i mu lam} (V^dag U) for every step ``mus[i, t]`` of a ``(C, T)`` grid.
+    """exp(i mu D) W = V e^{i mu lam} (V^dag W) for every step ``mus[i, t]`` of a ``(C, T)`` grid.
 
     ``vecs`` and ``lam`` are the ``(C, n, n)`` eigenvectors and ``(C, n)``
-    spectra of the directions D, ``back`` the ``(C, n, n)`` products V^dag U;
-    returns the ``(C, T, n, n)`` candidate unitaries, formed by one ``(C,
-    T n, n) @ (C, n, n)`` product.
+    spectra of the directions D, ``back`` the ``(C, n, r)`` products V^dag W;
+    returns the ``(C, T, n, r)`` candidate isometries, formed by one ``(C,
+    T n, n) @ (C, n, r)`` product.
     """
     turn = np.exp(1j * mus[:, :, None] * lam[:, None, :])                 # (C, T, n)
     c, t, n = turn.shape
-    return ((vecs[:, None] * turn[:, :, None, :]).reshape(c, t * n, n) @ back).reshape(c, t, n, n)
+    return ((vecs[:, None] * turn[:, :, None, :]).reshape(c, t * n, n) @ back).reshape(c, t, n, -1)
 
 
 BFGS_MEMORY = 6           # (step, gradient change) pairs kept per start
@@ -401,8 +406,8 @@ def _newton_frame(n: int) -> tuple[np.ndarray, np.ndarray]:
     Returns the k = n(n - 1) generators (e_ab + e_ba) / sqrt 2 and i(e_ab -
     e_ba) / sqrt 2, a < b, orthonormal under Re Tr(AB), as the rows of a
     ``(k, 2n^2)`` real matrix, and the ``(1 + k, n, n)`` lift stack [I;
-    exp(i eps E_l)], eps = ``HESSIAN_STEP``, whose one product with a
-    unitary U gives U and its k rotations (I U is exact).  The diagonal
+    exp(i eps E_l)], eps = ``HESSIAN_STEP``, whose one product with an
+    isometry W gives W and its k rotations (I W is exact).  The diagonal
     generators are left out: they only rephase the components, so every
     Riemannian gradient is zero on them.  Built once per n and shared by
     every roof, so both arrays are read-only.
@@ -426,25 +431,25 @@ def _scores(gram: np.ndarray, u: np.ndarray, functional: RoofFunctional, sign: f
             frame: np.ndarray | None, lift: np.ndarray | None):
     """Signed objectives, Riemannian gradients and, for Newton steps, frame coordinates and Hessians.
 
-    ``u`` is a ``(C, n, n)`` stack.  Without ``frame`` (L-BFGS steps) this
-    is one gradient pass of ``_objective``, and the coordinates and
-    Hessians are None.  With ``frame`` and ``lift`` of ``_newton_frame``
-    the same pass scores the stack ``lift @ U``, that is U and the k
-    rotated unitaries exp(i eps E_l) U; Newton steps are taken only for
-    maximizations (``_takes_newton_steps``), so ``sign`` is +1 there and
-    multiplies nothing.  The gradients' ``(C, 1 + k)`` coordinates in the
-    frame are formed in one product: those at U are returned as the ``(C,
-    k)`` gradient coordinates, and the ``(C, k, k)`` Hessian in the frame
+    ``u`` is a ``(C, n, r)`` stack of isometries.  Without ``frame``
+    (L-BFGS steps) this is one gradient pass of ``_objective``, and the
+    coordinates and Hessians are None.  With ``frame`` and ``lift`` of
+    ``_newton_frame`` the same pass scores the stack ``lift @ W``, that is
+    W and the k rotated isometries exp(i eps E_l) W; Newton steps are taken
+    only for maximizations (``_takes_newton_steps``), so ``sign`` is +1
+    there.  The gradients' ``(C, 1 + k)`` coordinates in the frame are
+    formed in one product: those at W are returned as the ``(C, k)``
+    gradient coordinates, and the ``(C, k, k)`` Hessian in the frame
     is the one-sided difference h_lm = Re Tr((Gamma_l - Gamma) E_m) / eps,
-    symmetrized, with Gamma the gradient at U and Gamma_l those at the
-    rotated unitaries: for the bi-invariant metric, the Riemannian Hessian
-    along the geodesics exp(itH) U.
+    symmetrized, with Gamma the gradient at W and Gamma_l those at the
+    rotated isometries: for the bi-invariant metric, the Riemannian Hessian
+    along the geodesics exp(itH) W.
     """
     if frame is None:
         vals, grad = _objective(gram, u, functional, gradient=True)
         return sign * vals, sign * grad, None, None
     c, n = u.shape[:2]
-    vals, grad = _objective(gram, (lift @ u[:, None]).reshape(-1, n, n), functional,
+    vals, grad = _objective(gram, (lift @ u[:, None]).reshape(-1, *u.shape[1:]), functional,
                             gradient=True)
     grad = grad.reshape(c, len(lift), n, n)
     coords = grad.view(float).reshape(c, len(lift), -1) @ frame.T
@@ -490,20 +495,20 @@ def _ascend(gram: np.ndarray, us: np.ndarray, functional: RoofFunctional, sign: 
             cfg: OptimizerConfig) -> tuple[np.ndarray, np.ndarray, int]:
     """Newton or quasi-Newton ascents of ``sign`` times the objective, all starts in one stack.
 
-    Start i climbs from ``us[i]``, which receives its final unitary.  Each
-    iteration takes, for every live start, a direction D in the Hermitian
-    Lie algebra and makes two scoring passes.  The first scores the
-    geodesic exp(i mu D) U at the angle grid ``LINE_ANGLES`` and at the
-    direction's own unit step mu = 1, formed as one stack of unitaries
-    (``_geodesic``), with ``_objective``; the second evaluates the best
-    candidate once more, with its gradient (``_scores``), and the step is
-    accepted only if both passes score it above the current point.
+    Start i climbs from the n x r isometry ``us[i]``, which receives its
+    final isometry.  Each iteration takes, for every live start, a direction
+    D in the Hermitian Lie algebra of the ancilla and makes two scoring
+    passes.  The first scores the geodesic exp(i mu D) W at the angle grid
+    ``LINE_ANGLES`` and at the direction's own unit step mu = 1, formed as
+    one stack (``_geodesic``), with ``_objective``; the second evaluates the
+    best candidate once more, with its gradient (``_scores``), and the step
+    is accepted only if both passes score it above the current point.
 
     The direction rule is fixed before the loop (``_takes_newton_steps``).
     A maximization on an ancilla of n <= 3 takes saddle-free Newton
     directions (``_newton_direction``) from the exact Riemannian Hessian,
     whose n(n - 1) x n(n - 1) entries the gradient pass at each accepted
-    point gives from n(n - 1) rotated unitaries in the same stack; such a
+    point gives from n(n - 1) rotated isometries in the same stack; such a
     direction always ascends, and a step that does not stops the start.
     The rule has two conditions.  Newton directions at n >= 4 wait on a
     large-ancilla workload to measure them (a prototype was faster at n = 4
@@ -525,10 +530,10 @@ def _ascend(gram: np.ndarray, us: np.ndarray, functional: RoofFunctional, sign: 
     every live start is uphill, or every one is accepted, the iteration
     skips the per-start selects (``_select``), which leaves every start's
     arithmetic unchanged.  Returns the signed objectives of the final
-    unitaries, why each start stopped (``TOLERANCE``, ``NO_ASCENT`` or
+    isometries, why each start stopped (``TOLERANCE``, ``NO_ASCENT`` or
     ``BUDGET``) and the number of iterations.
     """
-    c, n = len(us), us.shape[-1]
+    c, n = len(us), us.shape[1]
     newton = _takes_newton_steps(sign, n)
     frame, lift = _newton_frame(n) if newton else (None, None)
     live = np.arange(c)
@@ -627,12 +632,13 @@ def optimize_roof(rho: State,
     A maximization ascends from the best eigenvector grouping split into
     pure components that keep each block's means (``_split_start``), so its
     value is never below that of any grouping it scores; a minimization
-    ascends from the identity, so the eigendecomposition is always a
-    candidate.  Restart r > 0 ascends from the Haar random unitary that
-    ``haar_random_unitary`` gives on ``default_rng([seed, 0, r])`` (one
-    batched QR makes them all).  All starts climb in one stack
-    (``_ascend``, which gives the step rules and stops).  A pure state is
-    its own only decomposition.
+    ascends from the n x r isometry ``np.eye(n, r)``, so the
+    eigendecomposition is always a candidate.  Restart k > 0 ascends from
+    the first r columns of the Haar random unitary that
+    ``haar_random_unitary`` gives on ``default_rng([seed, 0, k])`` (one
+    batched QR makes them all).  All starts climb in one ``(R, n, r)``
+    stack (``_ascend``, which gives the step rules and stops).  A pure
+    state is its own only decomposition.
 
     By the law of total variance no decomposition average of a
     ``VarianceSum`` exceeds its value on rho, sum_n Var_rho(A_n)
@@ -648,9 +654,8 @@ def optimize_roof(rho: State,
     iteration, and for a maximization also every scored grouping but the one
     climbed.  The winner is the best start, the first of equals, and
     ``converged`` says that it stopped on the tolerance or on no ascent, not
-    on the budget.  A
-    functional that is not a ``RoofFunctional`` raises ``TypeError``, one
-    whose operators act on another dimension than rho
+    on the budget.  A functional that is not a ``RoofFunctional`` raises
+    ``TypeError``, one whose operators act on another dimension than rho
     ``DimensionMismatchError``, and an ``ancilla_dim`` (default the
     dimension of rho) that is not an integer >= the rank of rho
     ``ValueError``, on a pure state too.  Each call logs one debug line
@@ -658,7 +663,7 @@ def optimize_roof(rho: State,
     evaluations, stop reasons and wall time, or, for a search stopped at the
     ceiling, with that stop, its evaluations and wall time.
 
-    The returned value is that of the witness unitary, evaluated after its
+    The returned value is that of the witness isometry, evaluated after its
     last step, so it is exact for the witness decomposition and always on
     the certified side of the true roof.
     """
@@ -676,8 +681,8 @@ def optimize_roof(rho: State,
                           converged=True, evaluations=1)
     cfg = cfg or OptimizerConfig()
     m = purify(rho)
-    gram = _gram_stack(m, functional.ops)
-    us = np.empty((cfg.restarts, n, n), dtype=complex)
+    gram, r = _gram_stack(m, functional.ops), m.shape[1]
+    us = np.empty((cfg.restarts, n, r), dtype=complex)
     if direction == "max":
         sign = 1.0
         us[0], scored, start = _split_start(gram, functional, n)
@@ -690,10 +695,10 @@ def optimize_roof(rho: State,
                                   converged=True, evaluations=scored)
     else:
         sign, scored = -1.0, 1
-        us[0] = np.eye(n)
+        us[0] = np.eye(n, r)
     if cfg.restarts > 1:
-        us[1:] = _haar_from_ginibre(np.array([
-            _ginibre(n, np.random.default_rng([cfg.seed, 0, r])) for r in range(1, cfg.restarts)]))
+        us[1:] = _haar_from_ginibre(np.array([_ginibre(n, np.random.default_rng([cfg.seed, 0, k]))
+                                              for k in range(1, cfg.restarts)]))[..., :r]
     vals, reason, iterations = _ascend(gram, us, functional, sign, cfg)
     evaluations = scored + cfg.restarts - 1 + iterations
     best = int(np.argmax(vals))
@@ -856,9 +861,9 @@ def _split_start(gram: np.ndarray, functional: RoofFunctional,
     one variance), is a block-diagonal r x r unitary and a pure
     decomposition whose components keep their block's two means.  All are
     scored in one ``_objective`` call on the r x (x+1)r ``gram``, and the
-    best is returned as U + I on the n >= r ancilla levels.  For L and for
-    a sum of at most two variances every split scores at least its grouping
-    (see the README), and for such a sum the split trivial grouping scores
+    best U is returned as the n x r isometry [U; 0].  For L and for a sum
+    of at most two variances every split scores at least its grouping (see
+    the README), and for such a sum the split trivial grouping scores
     sum_n Var_rho(A_n), the concave roof itself.
     """
     r = gram.shape[0]
@@ -869,9 +874,7 @@ def _split_start(gram: np.ndarray, functional: RoofFunctional,
         us[g, rows, cols] = _split_block(grams[:, rows, cols])
     values = _objective(gram, us, functional)
     best = int(np.argmax(values))
-    start = np.eye(n, dtype=complex)
-    start[:r, :r] = us[best]
-    return start, count, float(values[best])
+    return np.concatenate([us[best], np.zeros((n - r, r))]), count, float(values[best])
 
 
 # ---------------------------------------------------------------------------
@@ -915,12 +918,9 @@ def eigen_partition_bound_K(rho: State, a: HermitianOperator,
     if rho.dim != 3:
         raise ValueError("the eigenvector-partition bound is defined for qutrits")
     functional = RobertsonSchrodingerBound(a, b)
-    gram = _gram_stack(purify(rho), functional.ops)
-    r = len(gram)
-    # entry k of each block's diagonal: lambda_k and lambda_k <v_k|X_j|v_k>
-    mom = gram.reshape(r, -1, r).diagonal(axis1=0, axis2=2)
-    groupings = _eigen_groupings(r)
+    mom = _support_moments(purify(rho), functional.ops)
+    groupings = _eigen_groupings(len(mom))
     blocks = [block for grouping in groupings for block in grouping]
     owner = [g for g, grouping in enumerate(groupings) for _ in grouping]
-    terms = _block_terms(np.array([mom[:, block].sum(axis=1) for block in blocks]), functional)
+    terms = _block_terms(np.array([mom[block, :].sum(axis=0) for block in blocks]), functional)
     return float(np.max(np.bincount(owner, weights=terms)))

@@ -152,11 +152,13 @@ def padded_factor(rho, n):
 
 def scalar_reference_roof(rho, functional, direction, start=None, cfg=None, ancilla_dim=None):
     """The roof search with every start run on its own as a stack of one:
-    restart 0 at the unitary ``start`` (the identity by default), restart r
-    > 0 at the Haar unitary of ``default_rng([seed, 0, r])``, like
+    restart 0 at the n x n unitary diag(U, I) that completes the n x r
+    isometry ``start`` = [U; 0] (``_split_start``; the identity by default),
+    restart k > 0 at the Haar unitary of ``default_rng([seed, 0, k])``, like
     ``optimize_roof``.  It scores on the full n x (x+1)n Gram stack of the
-    zero-padded factor (``padded_factor``), so the library's search on the
-    support's r x (x+1)r stack is checked against the padded formulation.
+    zero-padded factor (``padded_factor``), so the library's search of n x r
+    isometries on the support's r x (x+1)r stack is checked against the
+    padded formulation.
     Returns a ``RoofResult`` whose ``evaluations`` count one per start plus
     one per iteration."""
     cfg = cfg or OptimizerConfig()
@@ -165,8 +167,10 @@ def scalar_reference_roof(rho, functional, direction, start=None, cfg=None, anci
         ancilla_dim = rho.dim
     m = padded_factor(rho, ancilla_dim)
     gram = _gram_stack(m, functional.ops)
-    if start is None:
-        start = np.eye(ancilla_dim, dtype=complex)
+    full = np.eye(ancilla_dim, dtype=complex)
+    if start is not None:
+        full[:, :start.shape[1]] = start
+    start = full
 
     sign = 1.0 if direction == "max" else -1.0
     best_value, best_u, best_converged = -np.inf, None, True

@@ -153,9 +153,10 @@ def test_vxyz_roof_memory_stays_bounded_at_six_qubits(monkeypatch):
 
 def test_vxyz_roof_memory_stays_bounded_at_seven_qubits():
     # a rank-4 state of seven qubits at the default 128-level ancilla: the
-    # line search's moment array W = conj(U_r) G holds (C 13 n, (x+1) r)
-    # entries, about 1.5 MB, where one over the n columns of a zero-padded
-    # factor took 48 MB and the whole roof peaked at 70 MB
+    # line search forms its (C, 13, n, r) candidates as n x r isometries, and
+    # their moment array conj(W) G holds (C 13 n, (x+1) r) entries, about
+    # 1.5 MB. The whole roof peaked at 70 MB on a zero-padded factor, at
+    # 33 MB on n x n candidate unitaries, and peaks at about 20 MB
     rho = random_state(128, seed=3, rank=4)
     tracemalloc.start()
     try:
@@ -163,7 +164,7 @@ def test_vxyz_roof_memory_stays_bounded_at_seven_qubits():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 45e6
+    assert peak <= 24e6
     fisher_floor = sum(dense_qfi(rho.mat, op.mat) for op in collective_spin_ops(0.5, 7)) / 4
     assert rep.lhs + 1e-9 >= rep.meta["roof"] >= fisher_floor - 1e-9
 

@@ -47,6 +47,17 @@ def test_state_from_json_rejects_unknown_kind():
         state_from_json({"dim": 3, "kind": "pure", "re": [1, 0], "im": [0, 0]})
 
 
+def test_json_rejects_a_dim_that_is_not_a_positive_integer():
+    # int() would read 2.9 as 2, true as 1 and "2" as 2
+    for dim in (2.9, True, "2", 0):
+        with pytest.raises(ValueError, match="dim must be an integer >= 1"):
+            state_from_json({"dim": dim, "kind": "pure", "re": [1, 0], "im": [0, 0]})
+        with pytest.raises(ValueError, match="dim must be an integer >= 1"):
+            state_from_json({"dim": dim, "kind": "mixed", "re": [1, 0, 0, 0], "im": [0, 0, 0, 0]})
+        with pytest.raises(ValueError, match="dim must be an integer >= 1"):
+            operator_from_json({"dim": dim, "re": [1, 0, 0, 1], "im": [0, 0, 0, 0]})
+
+
 def test_roof_result_serialization_schema():
     rho = random_state(2, 73)
     op = random_hermitian(2, 74)

@@ -115,13 +115,13 @@ def test_pure_state_roof_checks_ancilla_dim():
 
 def test_purify_enlarged_ancilla():
     # the support factor serves every ancilla of n >= r levels unpadded: the
-    # identity's extra components weigh nothing, a Haar unitary's are kept
+    # identity isometry's extra components weigh nothing, a Haar isometry's are kept
     rho = random_state(2, seed=23)
     m = purify(rho)
     assert m.shape == (2, 2)
-    dec = extract_decomposition(m, np.eye(5))
+    dec = extract_decomposition(m, np.eye(5, 2))
     assert len(dec) == 2 and dec.reconstructs(rho, tol=1e-10)
-    dec = extract_decomposition(m, haar_random_unitary(5, np.random.default_rng(24)))
+    dec = extract_decomposition(m, haar_random_unitary(5, np.random.default_rng(24))[:, :2])
     assert len(dec) == 5 and dec.reconstructs(rho, tol=1e-10)
 
 
@@ -297,10 +297,11 @@ def test_batched_objective_matches_extracted_decompositions(dim, ancilla):
     m = purify(rho)
     rng = np.random.default_rng(ancilla)
     us = np.array([[haar_random_unitary(ancilla, rng) for _ in range(3)] for _ in range(4)])
+    us = us[..., :dim]
     for functional, _ in _functionals(dim, 120 + ancilla):
         batched = _objective(_gram_stack(m, functional.ops), us, functional)
         assert batched.shape == (4, 3)
-        for u, value in zip(us.reshape(-1, ancilla, ancilla), batched.ravel()):
+        for u, value in zip(us.reshape(-1, ancilla, dim), batched.ravel()):
             expected = decomposition_average(extract_decomposition(m, u), functional)
             assert abs(value - expected) < 1e-12
 
@@ -325,14 +326,14 @@ def test_from_moments_stack_matches_dense_formulas(dim):
 
 
 def test_rank_deficient_qutrit_search_raises_no_floating_point_error():
-    # at the identity the third ancilla column meets no support vector and
-    # carries weight 0; the search reads moments, gradients and line-search
+    # at the identity isometry the third component meets no support vector
+    # and carries weight 0; the search reads moments, gradients and line-search
     # moments of it, and the scalar reference does so on the zero-padded factor
     rho = random_state(3, seed=201, rank=2)
     a, b = random_hermitian(3, 202), random_hermitian(3, 203)
     cfg = OptimizerConfig(seed=5, restarts=3, local_steps=120)
     m = purify(rho)
-    eye = np.eye(3, dtype=complex)
+    eye = np.eye(3, 2, dtype=complex)
     assert m.shape == (3, 2)
     with np.errstate(all="raise"):
         for functional, dense in _functionals(3, 204):
@@ -420,14 +421,14 @@ GRADIENT_CASES = [(2, 2), (3, 3), (4, 4), (3, 4)]
 
 @pytest.mark.parametrize("dim, ancilla", GRADIENT_CASES)
 def test_riemannian_gradient_matches_central_differences(dim, ancilla):
-    # Haar unitaries of the ancilla, every functional kind: the
-    # directional derivative Tr(Gamma H) along exp(i eps H) U against a
-    # central difference of the objective of explicitly rotated unitaries
+    # Haar isometries of the ancilla, every functional kind: the
+    # directional derivative Tr(Gamma H) along exp(i eps H) W against a
+    # central difference of the objective of explicitly rotated isometries
     rho = random_state(dim, seed=270 + ancilla)
     m = purify(rho)
     rng = np.random.default_rng(280 + dim + ancilla)
     count = 5
-    us = np.array([haar_random_unitary(ancilla, rng) for _ in range(count)])
+    us = np.array([haar_random_unitary(ancilla, rng)[:, :dim] for _ in range(count)])
     eps = 1e-5
     for functional, _ in _functionals(dim, 290 + ancilla):
         gram = _gram_stack(m, functional.ops)
@@ -446,11 +447,12 @@ def test_riemannian_gradient_matches_central_differences(dim, ancilla):
 
 @pytest.mark.parametrize("rank", [2, 3, 4])
 def test_objective_on_the_support_gram_matches_the_padded_formula(rank):
-    # the r x (x+1)r stack of the support factor against the n x (x+1)n stack
-    # of the factor padded with n - r zero columns, every column of U read:
-    # values and gradients agree to round-off.  They are not bit for bit in
-    # general: the GEMMs over (x+1)r and (x+1)n columns may round the same
-    # dot products differently (seen at r = 2 and 3, and at r = 4, n = 5)
+    # the r x (x+1)r stack of the support factor on U's first r columns
+    # against the n x (x+1)n stack of the factor padded with n - r zero
+    # columns, every column of U read: values and gradients agree to
+    # round-off.  They are not bit for bit in general: the GEMMs over (x+1)r
+    # and (x+1)n columns may round the same dot products differently (seen
+    # at r = 2 and 3, and at r = 4, n = 5)
     dim = rank + 2
     rho = random_state(dim, seed=360 + rank, rank=rank)
     a, b = random_hermitian(dim, 361), random_hermitian(dim, 362)
@@ -463,19 +465,19 @@ def test_objective_on_the_support_gram_matches_the_padded_formula(rank):
             padded = _gram_stack(padded_factor(rho, n), functional.ops)
             assert gram.shape == (rank, len(functional.ops) * rank + rank)
             assert padded.shape == (n, len(functional.ops) * n + n)
-            values, grad = _objective(gram, us, functional, gradient=True)
+            values, grad = _objective(gram, us[..., :rank], functional, gradient=True)
             ref_values, ref_grad = _objective(padded, us, functional, gradient=True)
             scale = 1.0 + np.max(np.abs(ref_values))
             assert np.max(np.abs(values - ref_values)) <= 1e-13 * scale
             assert np.max(np.abs(grad - ref_grad)) <= 1e-13 * scale
-            plain = _objective(gram, us.reshape(2, 3, n, n), functional)
+            plain = _objective(gram, us[..., :rank].reshape(2, 3, n, rank), functional)
             assert np.max(np.abs(plain - ref_values.reshape(2, 3))) <= 1e-13 * scale
 
 
 def test_split_start_scores_the_support_groupings_only():
     # a rank-r state in an n > r ancilla: restart 0 splits the groupings of the
-    # r support indices, K's groupings, and embeds the best as U + I; its
-    # value is that of the padded formula and of its extracted witness
+    # r support indices, K's groupings, and embeds the best as [U; 0]; its
+    # value is that of diag(U, I) on the padded formula and of its extracted witness
     for dim, rank, n in ((3, 2, 3), (4, 2, 6), (5, 3, 5), (5, 3, 9)):
         rho = random_state(dim, seed=370 + dim + n, rank=rank)
         m = purify(rho)
@@ -483,12 +485,13 @@ def test_split_start_scores_the_support_groupings_only():
             gram = _gram_stack(m, functional.ops)
             start, count, value = _split_start(gram, functional, n)
             assert count == len(_eigen_groupings(rank)) == (2 if rank == 2 else 5)
-            assert start.shape == (n, n)
-            eye = np.eye(n)
-            assert np.array_equal(start[rank:], eye[rank:])
-            assert np.array_equal(start[:, rank:], eye[:, rank:])
+            assert start.shape == (n, rank)
+            assert not start[rank:].any()
+            assert _objective(gram, start[None], functional)[0] == value
+            full = np.eye(n, dtype=complex)
+            full[:, :rank] = start
             padded = _gram_stack(padded_factor(rho, n), functional.ops)
-            assert abs(_objective(padded, start[None], functional)[0] - value) < 1e-12
+            assert abs(_objective(padded, full[None], functional)[0] - value) < 1e-12
             dec = extract_decomposition(m, start)
             assert dec.reconstructs(rho, tol=1e-12)
             assert abs(_dense_average(dec, dense) - value) < 1e-12
@@ -861,7 +864,8 @@ def test_starts_draw_from_their_own_streams():
             for r_idx in range(cfg.restarts):
                 u = (np.eye(n) if start is None else start) if r_idx == 0 else \
                     haar_random_unitary(n, np.random.default_rng([seed, 0, r_idx]))
-                values.append(decomposition_average(extract_decomposition(m, u), functional))
+                values.append(decomposition_average(extract_decomposition(m, u[:, :m.shape[1]]),
+                                                    functional))
             best = int(np.argmax(sign * np.array(values)))
             winners.add(best)
             assert abs(res.value - values[best]) < 1e-12
@@ -1061,7 +1065,7 @@ def test_split_components_keep_their_block_means_and_never_lower_L(eps):
         for block in grouping:
             w[np.ix_(block, block)] = _split_block(q[:, block][:, :, block])
         u = w @ u0
-        assert extract_decomposition(m, u).reconstructs(rho, tol=1e-12)
+        assert extract_decomposition(m, u[:, :rank]).reconstructs(rho, tol=1e-12)
         mixed, split = m @ u0[:, :rank].T, m @ u[:, :rank].T
         for block in grouping:
             weight = np.sum(np.abs(mixed[:, block]) ** 2)
@@ -1251,17 +1255,24 @@ def test_concave_roof_L_above_ancilla_three():
 
 
 def test_extract_rejects_a_non_unitary_or_misshapen_ancilla_matrix():
-    # u u^dag = 1 is what makes the components mix back to m m^dag
-    m = purify(random_state(3, seed=103))
+    # w^dag w = 1 is what makes the components mix back to m m^dag
+    rho = random_state(3, seed=103)
+    m = purify(rho)
     u = haar_random_unitary(3, np.random.default_rng(104))
-    for bad in (1.001 * u, u[:, [0, 0, 2]], np.full((3, 3), np.nan), np.eye(4)[[0, 1, 2, 2]]):
-        with pytest.raises(ValueError, match="not unitary"):
+    u5 = haar_random_unitary(5, np.random.default_rng(105))
+    for bad in (1.001 * u, u[:, [0, 0, 2]], np.full((3, 3), np.nan), np.eye(4)[[0, 1, 2, 2], :3],
+                u5[:, [0, 1, 1]]):
+        with pytest.raises(ValueError, match="not an isometry"):
             extract_decomposition(m, bad)
-    # an ancilla needs at least the rank's r levels; any larger one serves
-    for bad in (np.eye(2), u[:2], u[0], np.eye(4)[:3]):
-        with pytest.raises(ValueError, match="must be n x n with n >= 3"):
+    # an ancilla needs at least the rank's r levels and meets the factor's r
+    # columns; any larger ancilla serves, through an n x r isometry
+    for bad in (np.eye(2), u[:2], u[0], np.eye(4)[:3], np.eye(4), u5):
+        with pytest.raises(ValueError, match="must be n x 3 with n >= 3"):
             extract_decomposition(m, bad)
-    assert extract_decomposition(m, np.eye(4)).reconstructs(random_state(3, seed=103), tol=1e-12)
+    with pytest.raises(ValueError, match=r"pass u\[:, :3\]"):
+        extract_decomposition(m, u5)
+    assert extract_decomposition(m, np.eye(4, 3)).reconstructs(rho, tol=1e-12)
+    assert extract_decomposition(m, u5[:, :3]).reconstructs(rho, tol=1e-12)
 
 
 def test_decomposition_validation():
