@@ -444,6 +444,8 @@ class FjCurve:
     values: np.ndarray
 
     def __call__(self, x: float) -> float:
+        if not np.isfinite(x):
+            raise ValueError(f"X must be finite, got {x!r}")
         return float(_fj(self.j, [x])[0][0])
 
 

@@ -208,8 +208,9 @@ def vxyz_criterion(state: State, j, n_parties: int,
     state's variance sum and a violation proves entanglement.  ``meta``
     also carries ``roof``, the best decomposition average of the variance
     sum that the convex-roof search finds (``ancilla_dim`` as in
-    ``roof_sum_I``).  It is a witness: an upper bound on the true convex
-    roof, which lies between sum_n F_Q[rho, J_n] / 4 and ``lhs``.  The
+    ``roof_sum_I``) from the best Fisher witness of one J_n, never above it.
+    It is a witness: an upper bound on the true convex roof, which lies
+    between sum_n F_Q[rho, J_n] / 4 (where the search stops) and ``lhs``.  The
     roof is no separability test: a separable state can be decomposed into
     entangled components, and the maximally mixed state of three qubits has
     a basis of them averaging 9/8 < 3/2.

@@ -20,6 +20,10 @@ it into pure ones that share its means and together score at least as much
 (``_split_block``); groupings of the eigenvectors, split this way, enter
 only as the first start of every maximization.
 
+The convex roof of one variance, F_Q[rho, B]/4, needs no search: its
+Fisher decomposition (``_fisher_start``) attains it, and starts every
+variance-sum minimization.
+
 One-sidedness contract: every candidate decomposition is itself a witness,
 so a minimization always returns a value >= the true convex roof and a
 maximization always returns a value <= the true concave roof.  Downstream
@@ -46,6 +50,7 @@ from .core import (
     _require_count,
     _haar_from_ginibre,
     _support,
+    _support_qfi,
     state_density,
     state_matrix,
 )
@@ -356,9 +361,10 @@ CURVATURE_FLOOR = 1e-8    # Hessian eigenvalues smaller in magnitude are inverte
 LINE_ANGLES = np.pi / 4.0 ** np.arange(12, 0, -1)
 _LINE_ROW = np.append(LINE_ANGLES, 0.0)   # the grid and a slot for the unit step
 TOLERANCE, NO_ASCENT, BUDGET = range(3)          # why a start stopped
-# relative round-off within which restart 0 of a variance-sum maximization meets
-# its ceiling sum Var(rho), and no start climbs (measured up to 6e-14 on qubits)
-CEILING_RTOL = 1e-12
+# round-off, relative to sum_n Var_rho(A_n), within which restart 0 of a variance-sum
+# roof meets its bound sum Var(rho) or sum F_Q[A_n]/4, and no start climbs (measured up
+# to 6e-14 on qubits); a shift A_n + c 1 moves neither bound nor scale
+BOUND_RTOL = 1e-12
 STOP_REASONS = ("tolerance", "no_ascent", "budget")
 
 
@@ -628,30 +634,29 @@ def optimize_roof(rho: State,
                   ancilla_dim: int | None = None) -> RoofResult:
     """Best weighted component average of ``functional`` over pure decompositions.
 
-    ``direction`` is ``"min"`` or ``"max"``, and it alone picks restart 0.
-    A maximization ascends from the best eigenvector grouping split into
-    pure components that keep each block's means (``_split_start``), so its
-    value is never below that of any grouping it scores; a minimization
-    ascends from the n x r isometry ``np.eye(n, r)``, so the
-    eigendecomposition is always a candidate.  Restart k > 0 ascends from
-    the first r columns of the Haar random unitary that
-    ``haar_random_unitary`` gives on ``default_rng([seed, 0, k])`` (one
-    batched QR makes them all).  All starts climb in one ``(R, n, r)``
-    stack (``_ascend``, which gives the step rules and stops).  A pure
-    state is its own only decomposition.
+    ``direction`` and the functional pick restart 0.  A maximization
+    ascends from the best eigenvector grouping split into pure components
+    that keep each block's means (``_split_start``), a ``VarianceSum``
+    minimization from its best Fisher witness (``_fisher_start``), and any
+    other minimization from ``np.eye(n, r)``, the eigendecomposition; so the
+    roof is never worse than restart 0.  Restart k > 0 ascends from the
+    first r columns of the Haar random unitary that ``haar_random_unitary``
+    gives on ``default_rng([seed, 0, k])`` (one batched QR makes them all).
+    All starts climb in one ``(R, n, r)`` stack (``_ascend``, which gives
+    the step rules and stops).  A pure state is its own only decomposition.
 
-    By the law of total variance no decomposition average of a
-    ``VarianceSum`` exceeds its value on rho, sum_n Var_rho(A_n)
-    (``functional.on_state``).  A maximization of one whose restart 0 is
-    within ``CEILING_RTOL`` of that ceiling (for at most two operators the
-    split trivial grouping meets it up to round-off) returns restart 0
-    without climbing: ``converged``, and ``evaluations`` the groupings
-    scored.
+    No decomposition average of a ``VarianceSum`` exceeds sum_n
+    Var_rho(A_n) (``functional.on_state``) or falls below sum_n F_Q[rho,
+    A_n]/4.  A roof whose restart 0 meets its direction's bound within
+    ``BOUND_RTOL`` returns it without climbing: ``converged``, and
+    ``evaluations`` the starts scored.  The split trivial grouping meets
+    the ceiling of at most two operators, and the Fisher witness the floor
+    of one.
 
     No component is formed: every score comes from ``_objective`` on the
     Gram stack of the support factor (``purify``) and the functional's
     ``ops``, built once.  ``evaluations`` counts one per start plus one per
-    iteration, and for a maximization also every scored grouping but the one
+    iteration, and also every scored grouping or Fisher witness but the one
     climbed.  The winner is the best start, the first of equals, and
     ``converged`` says that it stopped on the tolerance or on no ascent, not
     on the budget.  A functional that is not a ``RoofFunctional`` raises
@@ -660,8 +665,8 @@ def optimize_roof(rho: State,
     dimension of rho) that is not an integer >= the rank of rho
     ``ValueError``, on a pure state too.  Each call logs one debug line
     with its starts, direction rule (``newton`` or ``lbfgs``), iterations,
-    evaluations, stop reasons and wall time, or, for a search stopped at the
-    ceiling, with that stop, its evaluations and wall time.
+    evaluations, stop reasons and wall time, or, for a search stopped at its
+    bound, with that bound, its evaluations and wall time.
 
     The returned value is that of the witness isometry, evaluated after its
     last step, so it is exact for the witness decomposition and always on
@@ -686,16 +691,25 @@ def optimize_roof(rho: State,
     if direction == "max":
         sign = 1.0
         us[0], scored, start = _split_start(gram, functional, n)
-        if isinstance(functional, VarianceSum):
-            ceiling = functional.on_state(rho)
-            if start >= ceiling - CEILING_RTOL * abs(ceiling):
-                log.debug("optimize_roof: restart 0 meets the ceiling sum Var(rho), no start "
-                          "climbs, %d evaluations, %.4f s", scored, time.perf_counter() - started)
-                return RoofResult(value=start, decomposition=extract_decomposition(m, us[0]),
-                                  converged=True, evaluations=scored)
+    elif isinstance(functional, VarianceSum):
+        sign = -1.0
+        us[0], scored, start = _fisher_start(gram, functional, n)
     else:
         sign, scored = -1.0, 1
         us[0] = np.eye(n, r)
+    if isinstance(functional, VarianceSum):
+        ceiling = functional.on_state(rho)
+        if sign > 0:
+            which, bound = "ceiling sum Var(rho)", ceiling
+        else:
+            lam, vs = _support(rho)
+            fisher = _support_qfi(lam, vs, functional.ops[:len(functional.ops) // 2] @ vs)
+            which, bound = "floor sum F_Q/4", float(fisher.sum()) / 4.0
+        if sign * start >= sign * bound - BOUND_RTOL * abs(ceiling):
+            log.debug("optimize_roof: restart 0 meets the %s, no start climbs, %d evaluations, "
+                      "%.4f s", which, scored, time.perf_counter() - started)
+            return RoofResult(value=start, decomposition=extract_decomposition(m, us[0]),
+                              converged=True, evaluations=scored)
     if cfg.restarts > 1:
         us[1:] = _haar_from_ginibre(np.array([_ginibre(n, np.random.default_rng([cfg.seed, 0, k]))
                                               for k in range(1, cfg.restarts)]))[..., :r]
@@ -725,14 +739,10 @@ def decomposition_average(dec: Decomposition, functional: RoofFunctional) -> flo
 # named roofs
 # ---------------------------------------------------------------------------
 
-def convex_roof_variance(rho: State, b: HermitianOperator,
-                         cfg: OptimizerConfig | None = None,
-                         ancilla_dim: int | None = None) -> RoofResult:
-    """Minimized average variance of B over pure-state decompositions.
-
-    Converges (from above) to one quarter of the quantum Fisher information.
-    """
-    return optimize_roof(rho, VarianceSum([b]), "min", cfg=cfg, ancilla_dim=ancilla_dim)
+def convex_roof_variance(rho: State, b: HermitianOperator) -> RoofResult:
+    """Minimized average variance of B over pure-state decompositions: B's Fisher witness
+    (``_fisher_start``), which equals F_Q[rho, B]/4 to round-off, in one evaluation."""
+    return optimize_roof(rho, VarianceSum([b]), "min")
 
 
 def roof_sum_I(rho: State, ops: Sequence[HermitianOperator],
@@ -875,6 +885,28 @@ def _split_start(gram: np.ndarray, functional: RoofFunctional,
     values = _objective(gram, us, functional)
     best = int(np.argmax(values))
     return np.concatenate([us[best], np.zeros((n - r, r))]), count, float(values[best])
+
+
+def _fisher_start(gram: np.ndarray, functional: VarianceSum,
+                  n: int) -> tuple[np.ndarray, int, float]:
+    """Restart 0 of a variance-sum minimization, the number of witnesses scored to choose it,
+    and its value.
+
+    The Fisher witness of A_j, whose average Var(A_j) is F_Q[rho, A_j]/4
+    (see the README), is E_j^dag for the eigenvectors E_j of H_j = 2 G_j^T
+    / (lambda_k + lambda_l), G_j the first-moment blocks of ``gram`` and
+    lambda = diag G_0.  All are scored in one ``_objective`` call, and the
+    lowest is returned as the n x r isometry [E^dag; 0].
+    """
+    r = gram.shape[0]
+    grams = gram.reshape(r, -1, r).swapaxes(0, 1)
+    lam = grams[0].diagonal().real
+    _, vecs = np.linalg.eigh(2.0 * grams[1:len(functional.ops) // 2 + 1].swapaxes(-1, -2)
+                             / (lam[:, None] + lam[None, :]))
+    ws = vecs.conj().swapaxes(-1, -2)
+    values = _objective(gram, ws, functional)
+    best = int(np.argmin(values))
+    return np.concatenate([ws[best], np.zeros((n - r, r))]), len(ws), float(values[best])
 
 
 # ---------------------------------------------------------------------------

@@ -160,7 +160,7 @@ def scalar_reference_roof(rho, functional, direction, start=None, cfg=None, anci
     isometries on the support's r x (x+1)r stack is checked against the
     padded formulation.
     Returns a ``RoofResult`` whose ``evaluations`` count one per start plus
-    one per iteration."""
+    one per iteration, and every start's stop reason."""
     cfg = cfg or OptimizerConfig()
     rho = state_density(rho)
     if ancilla_dim is None:
@@ -174,14 +174,15 @@ def scalar_reference_roof(rho, functional, direction, start=None, cfg=None, anci
 
     sign = 1.0 if direction == "max" else -1.0
     best_value, best_u, best_converged = -np.inf, None, True
-    evaluations = 0
+    evaluations, reasons = 0, []
     for r_idx in range(cfg.restarts):
         rng = np.random.default_rng([cfg.seed, 0, r_idx])
         u = (start if r_idx == 0 else haar_random_unitary(ancilla_dim, rng))[None].copy()
         vals, reason, iterations = _ascend(gram, u, functional, sign, cfg)
         evaluations += 1 + iterations
+        reasons.append(reason[0])
         if vals[0] > best_value:
             best_value, best_u, best_converged = vals[0], u[0], bool(reason[0] != BUDGET)
     return RoofResult(value=float(sign * best_value),
                       decomposition=extract_decomposition(m, best_u),
-                      converged=best_converged, evaluations=evaluations)
+                      converged=best_converged, evaluations=evaluations), np.array(reasons)

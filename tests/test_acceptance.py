@@ -8,10 +8,11 @@ import time
 
 import numpy as np
 
-from conftest import random_hermitian, random_state
+from conftest import random_hermitian, random_state, scalar_reference_roof
 from qfiroof import (
     OptimizerConfig,
     RandomStateConfig,
+    VarianceSum,
     bfq_bound,
     check_improved_hr,
     check_robertson_schrodinger,
@@ -80,23 +81,29 @@ def test_criterion_02_roof_convergence():
     worst_rel = 0.0
     worst_floor = np.inf
     worst_concave = 0.0
+    worst_closed = 0.0
     for s in range(50):
         rho = random_state(3, 43_000 + s)
         op = random_hermitian(3, 44_000 + s)
         target = qfi(rho, op) / 4
-        res = convex_roof_variance(rho, op, cfg=OptimizerConfig())
+        # the search, from the identity and the Haar restarts
+        res, _ = scalar_reference_roof(rho, VarianceSum([op]), "min", cfg=OptimizerConfig())
         worst_rel = max(worst_rel, (res.value - target) / target)
         worst_floor = min(worst_floor, res.value - target + 1e-9)
+        # the closed form: the Fisher witness
+        worst_closed = max(worst_closed, abs(convex_roof_variance(rho, op).value - target) / target)
         if s < 10:
             v = variance(rho, op)
             conc = roof_sum_R(rho, [op], cfg=OptimizerConfig())
             worst_concave = max(worst_concave, abs(conc.value - v) / v)
     elapsed = time.perf_counter() - t0
-    ok = worst_rel <= 0.02 and worst_floor >= 0 and worst_concave <= 0.01 and elapsed < 300
+    ok = (worst_rel <= 0.02 and worst_floor >= 0 and worst_concave <= 0.01
+          and worst_closed <= 1e-12 and elapsed < 300)
     _verdict(2, ok, f"roof convergence on 50 qutrits: worst rel err {worst_rel:.2e}, "
                     f"floor margin {worst_floor:.2e}, concave err {worst_concave:.2e}, "
-                    f"{elapsed:.0f}s")
+                    f"closed-form err {worst_closed:.2e}, {elapsed:.0f}s")
     assert worst_rel <= 0.02
+    assert worst_closed <= 1e-12
     assert worst_floor >= 0
     assert worst_concave <= 0.01
     assert elapsed < 300

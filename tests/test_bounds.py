@@ -364,6 +364,11 @@ def test_fj_rejects_bad_grid():
     # NaN compares false against both ends of the interval
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         fj_curve(1, [0.5, float("nan")])
+    # so a curve's own call rejects a non-finite X before its dual divides by it
+    curve = fj_curve(1, [0.5])
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="X must be finite"):
+            curve(bad)
 
 
 def test_spin_length_bound_holds_on_random_states():

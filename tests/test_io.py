@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_hermitian, random_state
-from qfiroof import OptimizerConfig, convex_roof_variance
+from qfiroof import convex_roof_variance
 from qfiroof.io import (
     operator_from_json,
     operator_to_json,
@@ -61,8 +61,7 @@ def test_json_rejects_a_dim_that_is_not_a_positive_integer():
 def test_roof_result_serialization_schema():
     rho = random_state(2, 73)
     op = random_hermitian(2, 74)
-    res = convex_roof_variance(rho, op, cfg=OptimizerConfig(seed=1, restarts=2,
-                                                            local_steps=60))
+    res = convex_roof_variance(rho, op)
     data = roof_result_to_json(res)
     assert set(data) == {"value", "converged", "evaluations", "decomposition"}
     assert all(set(item) == {"p", "state"} for item in data["decomposition"])

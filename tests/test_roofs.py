@@ -52,6 +52,7 @@ from qfiroof.roofs import (
     Decomposition,
     RoofFunctional,
     _eigen_groupings,
+    _fisher_start,
     _gram_stack,
     _lbfgs_direction,
     _objective,
@@ -233,15 +234,18 @@ def test_optimizer_config_validation():
     with pytest.raises(ValueError, match="seed must be an integer >= 0"):
         OptimizerConfig(seed=-1, restarts=1)
     cfg = OptimizerConfig(seed=np.uint32(9), restarts=np.int64(2), local_steps=np.int32(5))
-    res = convex_roof_variance(random_state(2, seed=45), random_hermitian(2, 46), cfg=cfg)
+    functional = RobertsonSchrodingerBound(random_hermitian(2, 46), random_hermitian(2, 47))
+    res = optimize_roof(random_state(2, seed=45), functional, "min", cfg=cfg)
     assert res.evaluations <= 2 * (5 + 1)
 
 
 def test_optimizer_deterministic():
+    # a sum of two variances climbs; the convex roof of one does not
     rho = random_state(3, seed=51)
-    op = random_hermitian(3, 52)
-    r1 = convex_roof_variance(rho, op, cfg=FAST)
-    r2 = convex_roof_variance(rho, op, cfg=FAST)
+    ops = [random_hermitian(3, 52), random_hermitian(3, 53)]
+    r1 = roof_sum_I(rho, ops, FAST)
+    r2 = roof_sum_I(rho, ops, FAST)
+    assert r1.evaluations > FAST.restarts
     assert r1.value == r2.value
     assert r1.evaluations == r2.evaluations
 
@@ -287,6 +291,13 @@ def _max_start(rho, functional, ancilla=None):
     """Restart 0 of a maximization and the number of groupings scored to choose it."""
     return _split_start(_gram_stack(purify(rho), functional.ops), functional,
                         ancilla or rho.dim)[:2]
+
+
+def _min_start(rho, functional, ancilla=None):
+    """Restart 0 of a variance-sum minimization, the number of Fisher witnesses
+    scored to choose it, and its value."""
+    return _fisher_start(_gram_stack(purify(rho), functional.ops), functional,
+                         ancilla or rho.dim)
 
 
 @pytest.mark.parametrize("dim, ancilla", [(2, 2), (3, 3), (3, 4), (4, 4)])
@@ -344,14 +355,14 @@ def test_rank_deficient_qutrit_search_raises_no_floating_point_error():
             expected = decomposition_average(extract_decomposition(m, eye), functional)
             assert abs(at_identity - expected) < 1e-12
             res = optimize_roof(rho, functional, "max", cfg=cfg)
-            ref = scalar_reference_roof(rho, functional, "max",
-                                        start=_max_start(rho, functional)[0], cfg=cfg)
+            ref, _ = scalar_reference_roof(rho, functional, "max",
+                                           start=_max_start(rho, functional)[0], cfg=cfg)
             assert abs(res.value - ref.value) < 1e-9
             assert abs(_dense_average(res.decomposition, dense) - res.value) < 1e-12
         functional = RobertsonSchrodingerBound(a, b)
         roof = concave_roof_L(rho, a, b, cfg=cfg)
-        ref = scalar_reference_roof(rho, functional, "max", start=_max_start(rho, functional)[0],
-                                    cfg=cfg)
+        ref, _ = scalar_reference_roof(rho, functional, "max",
+                                       start=_max_start(rho, functional)[0], cfg=cfg)
         k = eigen_partition_bound_K(rho, a, b)
     assert abs(roof.value - ref.value) < 1e-9
     assert abs(k - closed_form_K(rho, a.mat, b.mat)) < 1e-12
@@ -626,23 +637,28 @@ def test_geodesic_candidates_match_the_matrix_exponential(n):
 
 def _oracle_case(dim, kind, seed):
     """The state, operators, functional and dense formula of one search case;
-    qubit pairs lie in the xy plane, where the z line saturates the bound."""
+    qubit pairs lie in the xy plane, where the z line saturates the bound.
+    The ``"variance"`` kind sums two variances: the Fisher witness of one
+    variance is its convex roof, so a minimization of one never climbs."""
     rho = random_state(dim, seed=150 + seed)
     if kind == "variance":
-        a = random_hermitian(dim, 160 + seed)
-        return rho, a, None, VarianceSum([a]), lambda s: dense_variance_sum(s, [a.mat])
+        a, b = random_hermitian(dim, 160 + seed), random_hermitian(dim, 170 + seed)
+        return (rho, a, b, VarianceSum([a, b]),
+                lambda s: dense_variance_sum(s, [a.mat, b.mat]))
     a, b = (_alpha_pair(0.3 + seed) if dim == 2 else
             (random_hermitian(dim, 160 + seed), random_hermitian(dim, 170 + seed)))
     return rho, a, b, RobertsonSchrodingerBound(a, b), lambda s: dense_rs_bound(s, a.mat, b.mat)
 
 
 def _searched(rho, functional, direction, cfg, ancilla):
-    """The roof under test and the restart-0 unitary and the evaluations that
-    chose it: the best split grouping of a maximization, the identity of a
-    minimization."""
+    """The roof under test and the restart-0 isometry and the evaluations that
+    chose it: the best split grouping of a maximization, the best Fisher
+    witness of a variance-sum minimization, the identity of any other."""
     res = optimize_roof(rho, functional, direction, cfg=cfg, ancilla_dim=ancilla)
     if direction == "max":
         return res, *_max_start(rho, functional, ancilla)
+    if isinstance(functional, VarianceSum):
+        return res, *_min_start(rho, functional, ancilla)[:2]
     return res, None, 1
 
 
@@ -652,15 +668,24 @@ def _eigen_average(mat, dense):
     return sum(p * dense(np.outer(v, v.conj())) for p, v in zip(lam, vecs.T))
 
 
-def _assert_oracles(rho, a, b, direction, kind, res, steps):
+def _assert_oracles(rho, a, b, direction, kind, res, cfg, ancilla):
     """The certified side of every case, and its known value where the search converges."""
     mat, am = rho.mat, a.mat
     if kind == "variance":
-        fisher, var = dense_qfi(mat, am) / 4, dense_variance(mat, am)
+        fisher = (dense_qfi(mat, am) + dense_qfi(mat, b.mat)) / 4
+        var = dense_variance(mat, am) + dense_variance(mat, b.mat)
         assert fisher - 1e-9 <= res.value <= var + 1e-9
-        if steps >= 100:
-            target = fisher if direction == "min" else var
-            assert abs(res.value - target) <= 1e-7 * target
+        if direction == "min":
+            # restart 0 is the best Fisher witness, and no climb ends above it
+            assert res.value <= _min_start(rho, VarianceSum([a, b]))[2]
+            if cfg.local_steps >= 100:
+                # one variance climbs from the identity and the Haar starts to F_Q/4
+                one, _ = scalar_reference_roof(rho, VarianceSum([a]), "min", cfg=cfg,
+                                               ancilla_dim=ancilla)
+                target = dense_qfi(mat, am) / 4
+                assert abs(one.value - target) <= 1e-7 * target
+        elif cfg.local_steps >= 100:
+            assert abs(res.value - var) <= 1e-7 * var
         return
     l_rho = dense_rs_bound(mat, am, b.mat)
     if direction == "min":
@@ -704,14 +729,14 @@ def test_lockstep_search_matches_scalar_reference(dim, direction, kind, seed, lo
     # the witness is exact: its dense re-evaluation is the reported value
     assert res.decomposition.reconstructs(rho, tol=1e-9)
     assert abs(_dense_average(res.decomposition, dense) - res.value) < 1e-12
-    _assert_oracles(rho, a, b, direction, kind, res, local_steps)
+    _assert_oracles(rho, a, b, direction, kind, res, cfg, ancilla)
     assert res.evaluations <= scored - 1 + cfg.restarts * (local_steps + 1)
     # each start run on its own takes the same steps
-    ref = scalar_reference_roof(rho, functional, direction, start=start, cfg=cfg,
-                                ancilla_dim=ancilla)
+    ref, _ = scalar_reference_roof(rho, functional, direction, start=start, cfg=cfg,
+                                   ancilla_dim=ancilla)
     assert abs(res.value - ref.value) < 1e-9
     if direction == "max" and kind == "variance":
-        # restart 0 meets the ceiling Var(rho), so no start climbs
+        # restart 0 meets the ceiling sum Var(rho), so no start climbs
         assert res.evaluations == scored and res.converged
     else:
         assert res.evaluations == ref.evaluations + scored - 1
@@ -730,8 +755,8 @@ def test_lockstep_search_matches_scalar_reference_through_tolerance_stops():
     for rho, a, b, cfg, ancilla in (qubit, qutrit, in_five):
         functional = RobertsonSchrodingerBound(a, b)
         res, start, scored = _searched(rho, functional, "max", cfg, ancilla)
-        ref = scalar_reference_roof(rho, functional, "max", start=start, cfg=cfg,
-                                    ancilla_dim=ancilla)
+        ref, _ = scalar_reference_roof(rho, functional, "max", start=start, cfg=cfg,
+                                       ancilla_dim=ancilla)
         assert abs(res.value - ref.value) < 1e-9
         assert res.converged and ref.converged
         assert res.evaluations == ref.evaluations + scored - 1
@@ -775,29 +800,40 @@ def test_lockstep_search_matches_scalar_reference_through_mixed_iterations(monke
     monkeypatch.setattr(roofs, "_push", counted_push)
     res = optimize_roof(rho, functional, "min", cfg=cfg)
     assert min(mixed.values()) > 0, mixed
-    ref = scalar_reference_roof(rho, functional, "min", cfg=cfg)
+    ref, _ = scalar_reference_roof(rho, functional, "min", cfg=cfg)
     assert res.value == ref.value
     assert res.evaluations == ref.evaluations
     assert res.converged == ref.converged
 
 
 def test_default_convex_roof_converges_to_fisher_information(caplog):
-    # the ascent stops on the gradient tolerance, not on the budget, and
-    # logs one line per roof
+    # the climb from the identity and the Haar restarts, at the default
+    # config, stops on the gradient tolerance, not on the budget, at F_Q/4;
+    # convex_roof_variance returns the Fisher witness without climbing, and
+    # a two-variance roof still climbs: each roof logs one line
     with caplog.at_level(logging.DEBUG, logger="qfiroof.roofs"):
         for s in range(10):
             rho = random_state(3, 330 + s)
             op = random_hermitian(3, 340 + s)
-            res = convex_roof_variance(rho, op)
             target = qfi(rho, op) / 4
+            res, reason = scalar_reference_roof(rho, VarianceSum([op]), "min")
+            assert len(reason) == 8 and not np.any(reason == roofs.BUDGET)
+            assert np.any(reason == roofs.TOLERANCE)
             assert res.converged
             assert target - 1e-12 <= res.value <= target * (1 + 1e-8)
+            closed = convex_roof_variance(rho, op)
+            assert closed.converged and closed.evaluations == 1
+            assert target - 1e-12 <= closed.value <= res.value
+            roof_sum_I(rho, [op, random_hermitian(3, 350 + s)])
     lines = [r.getMessage() for r in caplog.records if r.name == "qfiroof.roofs"]
-    assert len(lines) == 10
-    for line in lines:
-        assert line.startswith("optimize_roof: 8 starts, ")
-        assert "evaluations, stopped on tolerance" in line
-        assert "no_ascent" in line and "budget 0," in line and line.endswith(" s")
+    assert len(lines) == 20
+    for floor, search in zip(lines[::2], lines[1::2], strict=True):
+        assert floor.startswith("optimize_roof: restart 0 meets the floor sum F_Q/4, "
+                                "no start climbs, 1 evaluations, ")
+        assert search.startswith("optimize_roof: 8 starts, ")
+        assert "evaluations, stopped on tolerance" in search
+        assert "no_ascent" in search and "budget 0," in search
+        assert floor.endswith(" s") and search.endswith(" s")
 
 
 def _bfgs_inverse_hessian(steps, changes, k):
@@ -842,10 +878,11 @@ def test_lbfgs_direction_matches_dense_bfgs_recursion():
 
 def test_starts_draw_from_their_own_streams():
     # with no iterations the search returns the best of its starts: restart
-    # 0 at the best split eigenvector grouping of a maximization and at the
-    # identity of a minimization, restart r > 0 at the Haar unitary of
-    # default_rng([seed, 0, r]).  The split start is the exact roof of one
-    # variance, so the variance maximization sums four variances
+    # 0 at the best split eigenvector grouping of a maximization, at the best
+    # Fisher witness of a variance-sum minimization and at the identity of
+    # any other, restart r > 0 at the Haar unitary of default_rng([seed, 0,
+    # r]).  The split start is the exact roof of one variance, so the
+    # variance maximization sums four variances
     cases = [("max", random_state(3, 5),
               VarianceSum([random_hermitian(3, 300 + k) for k in range(4)]), 3)]
     for direction, kind, ancilla in (("max", "rs", None), ("min", "rs", None),
@@ -902,17 +939,79 @@ def test_concave_roof_L_makes_one_start_per_restart():
 # named roofs
 # ---------------------------------------------------------------------------
 
+def _fisher_cases(dim):
+    """(name, state, operator, F_Q = 0) of the Fisher-witness oracle at one dimension:
+    full rank, ranks 2 and 4, degenerate spectra and an operator that commutes
+    with the state.  Round-off at a zero roof scales with <B^2>, so the
+    operators of the zero cases have unit norm."""
+    rng = np.random.default_rng(400 + dim)
+    b = random_hermitian(dim, 410 + dim)
+    u = haar_random_unitary(dim, rng)
+    # eigenvalues 3 and 1, normalized: both repeat from d = 4, 3 at d = 3
+    repeated = np.where(np.arange(dim) < (dim + 1) // 2, 3.0, 1.0)
+    degenerate = DensityMatrix(u @ np.diag(repeated / repeated.sum()) @ u.conj().T)
+    unit = HermitianOperator(b.mat / np.linalg.norm(b.mat, 2))
+    commuting = HermitianOperator(u @ np.diag(rng.uniform(-1.0, 1.0, dim)) @ u.conj().T)
+    cases = [("full", random_state(dim, 420 + dim), b, False)]
+    cases += [(f"rank{rank}", random_state(dim, 430 + dim, rank=rank), b, False)
+              for rank in (2, 4) if rank < dim]
+    return cases + [("mixed", DensityMatrix.maximally_mixed(dim), unit, True),
+                    ("repeated", degenerate, b, False),
+                    ("commuting", degenerate, commuting, True)]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 8, 16])
+def test_convex_roof_variance_is_the_fisher_witness(dim, caplog):
+    # restart 0 is the Fisher witness, which meets the floor F_Q/4: it
+    # reconstructs rho, its value is F_Q/4 to round-off, no start climbs,
+    # and the stop logs one line; equal inputs give bit-identical output
+    for name, rho, b, zero in _fisher_cases(dim):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="qfiroof.roofs"):
+            res = convex_roof_variance(rho, b)
+        target = qfi(rho, b) / 4
+        assert np.max(np.abs(res.decomposition.mixture() - rho.mat)) <= 1e-12, name
+        if zero:
+            assert target <= 1e-15 and abs(res.value - target) <= 1e-15, name
+        else:
+            assert abs(res.value - target) <= 1e-12 * target, name
+        assert res.converged and res.evaluations == 1, name
+        (line,) = [r.getMessage() for r in caplog.records if r.name == "qfiroof.roofs"]
+        assert line.startswith("optimize_roof: restart 0 meets the floor sum F_Q/4, "
+                               "no start climbs, 1 evaluations, "), line
+        again = convex_roof_variance(rho, b)
+        assert again.value == res.value
+        assert all(p == q and np.array_equal(x.vec, y.vec) for (p, x), (q, y)
+                   in zip(res.decomposition.components, again.decomposition.components,
+                          strict=True))
+
+
+def test_roof_sum_I_never_exceeds_its_fisher_start():
+    # restart 0 of a variance-sum minimization is its best per-operator
+    # Fisher witness, and the search only keeps what scores below it
+    spin = make_spin_algebra(1)
+    cases = [(random_state(3, 440 + s),
+              [random_hermitian(3, 450 + s + k) for k in range(s % 3 + 2)]) for s in range(6)]
+    cases += [(random_state(3, 446), [spin.jx, spin.jy, spin.jz]),
+              (random_state(8, 447, rank=4), collective_spin_ops(0.5, 3)),
+              (random_state(4, 448), collective_spin_ops(0.5, 2))]
+    for rho, ops in cases:
+        *_, start = _min_start(rho, VarianceSum(ops))
+        res = roof_sum_I(rho, ops, FAST)
+        assert sum(qfi(rho, op) for op in ops) / 4 - 1e-12 <= res.value <= start
+
+
 def test_convex_roof_pure_state_is_plain_variance():
     spin = make_spin_algebra(1)
     psi = PureState(np.array([0.6, 0.48j, 0.64]))
-    res = convex_roof_variance(psi, spin.jz, cfg=FAST)
+    res = convex_roof_variance(psi, spin.jz)
     assert abs(res.value - variance(psi, spin.jz)) < 1e-9
 
 
 def test_convex_roof_diagonal_qubit_reaches_quarter():
     rho = DensityMatrix(np.diag([0.75, 0.25]))
     op = HermitianOperator([[0, 1], [1, 0]])
-    res = convex_roof_variance(rho, op, cfg=OptimizerConfig(seed=3))
+    res = convex_roof_variance(rho, op)
     assert res.value >= 0.25 - 1e-9
     assert res.value <= 0.25 * 1.02
 
