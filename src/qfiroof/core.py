@@ -9,12 +9,9 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
-
-log = logging.getLogger(__name__)
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -262,7 +259,7 @@ def _support_image(state: State, op: HermitianOperator
 
 def _support_mean(lam: np.ndarray, vs: np.ndarray, w: np.ndarray) -> np.ndarray | float:
     """<B> = sum_k lam_k Re<v_k|W_k> from the support and its image W = B V_S."""
-    return np.einsum("ik,...ik->...k", vs.conj(), w).real @ lam
+    return np.vecdot(vs, w, axis=-2).real @ lam
 
 
 def expectation(state: State, op: HermitianOperator) -> float:
@@ -271,16 +268,16 @@ def expectation(state: State, op: HermitianOperator) -> float:
 
 
 def _support_variance(lam: np.ndarray, vs: np.ndarray, w: np.ndarray) -> np.ndarray | float:
-    """Var(B) from the support and its image W = B V_S, at O(d r) cost.
+    """Var(B) = sum_k lam_k ||W_k - <B> v_k||^2 from the support and its image W = B V_S.
 
-    Var = sum_k lam_k ||W_k||^2 - (sum_k lam_k Re<k|W_k>)^2, clamped at zero
-    against round-off.  A stack of images (..., d, r) gives a stack of values.
+    It reads the image of B - <B> 1, centred on the state, at O(d r) cost:
+    a sum of squares, never negative, that a shift B + c 1 moves only by
+    the rounding of W itself, where <B^2> - <B>^2 would lose c^2 times the
+    machine epsilon to cancellation.  A stack of images (..., d, r) gives a
+    stack of values.
     """
-    mean = _support_mean(lam, vs, w)
-    var = np.einsum("...ik,...ik->...k", w.conj(), w).real @ lam - mean * mean
-    if var.min() < -1e-12:
-        log.debug("variance clamped to zero from %.3e", var.min())
-    return np.maximum(var, 0.0)
+    centred = w - np.asarray(_support_mean(lam, vs, w))[..., None, None] * vs
+    return np.vecdot(centred, centred, axis=-2).real @ lam
 
 
 def _support_qfi(lam: np.ndarray, vs: np.ndarray, w: np.ndarray) -> np.ndarray | float:
@@ -290,20 +287,21 @@ def _support_qfi(lam: np.ndarray, vs: np.ndarray, w: np.ndarray) -> np.ndarray |
     F = 4 sum_k lam_k ||W_k - (V_S B_S)_k||^2
         + 2 sum_{k,l in S} (lam_k - lam_l)^2 / (lam_k + lam_l) |(B_S)_kl|^2.
     The first sum collects the pairs of a support vector with the kernel,
-    where the pair weight reduces to lam_k.  Broadcasts like ``_support_variance``.
+    where the pair weight reduces to lam_k.  Both sums are unchanged by a
+    shift B + c 1, the residual W - V_S B_S and the off-diagonal B_S term by
+    term, so no mean is subtracted.  Broadcasts like ``_support_variance``.
     """
     b_s = vs.conj().T @ w
     resid = vs @ b_s
     resid -= w  # the residual negated, in place: only its norm is read
-    outside = np.einsum("...ik,...ik->...k", resid.conj(), resid).real @ lam
+    outside = np.vecdot(resid, resid, axis=-2).real @ lam
     diff = lam[:, None] - lam[None, :]
     inside = (diff * diff / (lam[:, None] + lam[None, :]) * np.abs(b_s) ** 2).sum((-2, -1))
     return 4.0 * outside + 2.0 * inside
 
 
 def variance(state: State, op: HermitianOperator) -> float:
-    """(Delta A)^2 = <A^2> - <A>^2 over the support of the state, clamped at
-    zero against round-off; O(d^2 r) for rank r."""
+    """(Delta A)^2 = <(A - <A>)^2> over the support of the state; O(d^2 r) for rank r."""
     return float(_support_variance(*_support_image(state, op)))
 
 

@@ -20,6 +20,12 @@ it into pure ones that share its means and together score at least as much
 (``_split_block``); groupings of the eigenvectors, split this way, enter
 only as the first start of every maximization.
 
+A functional carries only its operators A_j and names the products A_l A_r
+it reads (``RoofFunctional``).  Every score comes from one Gram stack of the
+support images (A_j - <A_j>) m, centred on the state (``_gram_stack``): the
+search depends on d only through it, no operator product is formed, and a
+shift A_j + c 1 leaves every score unchanged.
+
 The convex roof of one variance, F_Q[rho, B]/4, needs no search: its
 Fisher decomposition (``_fisher_start``) attains it, and starts every
 variance-sum minimization.
@@ -50,7 +56,6 @@ from .core import (
     _require_count,
     _haar_from_ginibre,
     _support,
-    _support_qfi,
     state_density,
     state_matrix,
 )
@@ -134,25 +139,33 @@ def extract_decomposition(m: np.ndarray, w: np.ndarray) -> Decomposition:
 # ---------------------------------------------------------------------------
 
 class RoofFunctional:
-    """Functional of a decomposition component that reads only linear moments.
+    """Functional of a decomposition component that reads only its moments.
 
-    ``ops`` is the ``(x, d, d)`` stack of operators X_j whose moments
-    Tr(sigma X_j) determine f(sigma); each subclass builds it from its
-    operators.  ``terms`` maps component weights and moments to p f(sigma)
-    and, for the optimizer's Riemannian gradient, to its derivatives.
-    The optimizer never forms sigma: it takes every start's moments from
-    one Gram stack of the support factor (see ``optimize_roof``).
+    ``ops`` is the ``(x, d, d)`` stack of the functional's operators A_j,
+    and the index arrays ``left`` and ``right`` name the products whose
+    moments it also reads: A_l A_r for every pair (l, r) of ``zip(left,
+    right)``.  f(sigma) must not change when an operator is shifted by c 1,
+    as Var, L and their roofs do not (Toth & Petz, PRA 87, 032324 (2013)):
+    every moment is read with each A_j centred on the state being
+    decomposed (``_gram_stack``), so that no mean is ever subtracted from a
+    much larger second moment.  ``terms`` maps component weights and moments
+    to p f(sigma) and, for the optimizer's Riemannian gradient, to its
+    derivatives.  The optimizer never forms sigma: it takes every start's
+    moments from one Gram stack of the support factor (see ``optimize_roof``).
     """
 
     ops: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
 
     def terms(self, p: np.ndarray, mom: np.ndarray, gradient: bool = False):
         """p f(sigma) of every component, and with ``gradient`` its derivatives.
 
         ``p`` holds the component weights (shape ``(...)``, each positive)
-        and ``mom`` the unnormalised moments ``mom[..., j] = p Tr(sigma X_j)``
-        (shape ``(..., x)``, complex).  With ``gradient``, also returns the
-        ``(..., x+1)`` coefficient row: the derivative in p, then those in
+        and ``mom`` the unnormalised moments, p Tr(sigma A_j) for every
+        operator and then p Tr(sigma A_l A_r) for every named product (shape
+        ``(..., x + k)``, complex).  With ``gradient``, also returns the
+        ``(..., x+k+1)`` coefficient row: the derivative in p, then those in
         the moments.  A moment derivative is complex, d/dRe + i d/dIm, so a
         change dM of the moments changes the value by Re(conj(grad) dM).
         Both passes compute the value before they branch, so it is bit for
@@ -168,13 +181,14 @@ class RoofFunctional:
                                          f"the state on dimension {dim}")
 
     def on_state(self, state: State) -> float:
-        """f(state) from Tr(state X_j), the summed moments of its support vectors."""
+        """f(state) from the block traces of its own Gram stack (``_gram_stack``)."""
         self.check_dim(state.dim)
-        return float(_block_terms(_support_moments(purify(state), self.ops).sum(axis=0), self))
+        mom = _support_diagonals(_gram_stack(purify(state), self)).sum(axis=0)
+        return float(_block_terms(mom, self))
 
 
 class VarianceSum(RoofFunctional):
-    """sum_n Var(A_n) on a component, from the moments of [A_1.., A_1^2..]."""
+    """sum_n Var(A_n) on a component, from the moments of the A_n and of every A_n A_n."""
 
     def __init__(self, ops: Sequence[HermitianOperator]):
         if not ops:
@@ -182,8 +196,8 @@ class VarianceSum(RoofFunctional):
         dims = {op.dim for op in ops}
         if len(dims) != 1:
             raise DimensionMismatchError("operators act on different dimensions")
-        mats = np.array([op.mat for op in ops])
-        self.ops = np.concatenate([mats, mats @ mats])
+        self.ops = np.array([op.mat for op in ops])
+        self.left = self.right = np.arange(len(ops))
 
     def terms(self, p: np.ndarray, mom: np.ndarray, gradient: bool = False):
         # p sum_n Var(A_n) = sum_n (p<A_n^2> - (p<A_n>)^2 / p)
@@ -204,15 +218,16 @@ class RobertsonSchrodingerBound(RoofFunctional):
     """The strengthened uncertainty bound L on a component.
 
     L = sqrt( |<{A,B}> - 2<A><B>|^2 + |<i[A,B]>|^2 ), computed from the
-    moments of [A, B, AB]: the covariance term is twice the real part of
-    <AB> minus 2<A><B> and the commutator mean is minus twice its imaginary
-    part.
+    moments of A, B and their product AB: the covariance term is twice the
+    real part of <AB> minus 2<A><B> and the commutator mean is minus twice
+    its imaginary part.
     """
 
     def __init__(self, a: HermitianOperator, b: HermitianOperator):
         if a.dim != b.dim:
             raise DimensionMismatchError("operators act on different dimensions")
-        self.ops = np.array([a.mat, b.mat, a.mat @ b.mat])
+        self.ops = np.array([a.mat, b.mat])
+        self.left, self.right = np.array([0]), np.array([1])
 
     def terms(self, p: np.ndarray, mom: np.ndarray, gradient: bool = False):
         # z = p(<AB> - <A><B>): 2 Re z is the covariance term and -2 Im z the
@@ -272,18 +287,38 @@ class RoofResult:
     evaluations: int
 
 
-def _gram_stack(m: np.ndarray, ops: np.ndarray) -> np.ndarray:
-    """G = m^dag [I, X_1, .., X_x] m as one r x (x+1)r matrix, r the columns of m: component
-    a of the n x r isometry W has the moments (conj(W) G_j W^T)_aa."""
+def _gram_stack(m: np.ndarray, functional: RoofFunctional) -> np.ndarray:
+    """G = [m^dag m, m^dag Y_j, Y_l^dag Y_r] as one r x (x+k+1)r matrix, r the columns of m.
+
+    Y_j = (A_j - <A_j>) m are the support images of the x operators of
+    ``functional``, each centred on the state m m^dag, and (l, r) its k
+    named products: O(x d^2 r), and no product of operators.  Component a
+    of the n x r isometry W has the moments (conj(W) G_j W^T)_aa.
+    """
     mh = m.conj().T
-    grams = np.concatenate([(mh @ m)[None], mh @ ops @ m])
+    y = functional.ops @ m
+    # the means from GEMM traces, which round alike when m carries extra zero columns
+    y -= (mh @ y).trace(axis1=1, axis2=2).real[:, None, None] * m
+    grams = np.concatenate([(mh @ m)[None], mh @ y,
+                            y[functional.left].conj().swapaxes(-1, -2) @ y[functional.right]])
     return grams.transpose(1, 0, 2).reshape(m.shape[1], -1)
 
 
-def _support_moments(m: np.ndarray, ops: np.ndarray) -> np.ndarray:
-    """The ``(r, x+1)`` moments of the columns m_k of the support factor: row k holds
-    m_k^dag m_k = lambda_k, then m_k^dag X_j m_k = lambda_k <v_k|X_j|v_k>."""
-    return np.vecdot(m, np.concatenate([m[None], ops @ m]), axis=-2).T
+def _support_diagonals(gram: np.ndarray) -> np.ndarray:
+    """The ``(r, x+k+1)`` diagonals of the blocks of ``gram``: row k holds lambda_k,
+    then the centred moments of column k of the support factor."""
+    r = gram.shape[0]
+    return gram.reshape(r, -1, r).diagonal(axis1=0, axis2=2).T
+
+
+def _fisher_floor(gram: np.ndarray, functional: VarianceSum) -> float:
+    """sum_n F_Q[rho, A_n]/4 of a variance sum from its Gram stack: each term is
+    tr G_{AA} - sum_kl 2 |G_{A,kl}|^2 / (lambda_k + lambda_l), lambda = diag G_0."""
+    r, x = gram.shape[0], len(functional.ops)
+    grams = gram.reshape(r, -1, r).swapaxes(0, 1)
+    lam = grams[0].diagonal().real
+    inside = (np.abs(grams[1:x + 1]) ** 2 / (lam[:, None] + lam[None, :])).sum()
+    return float(grams[x + 1:].trace(axis1=1, axis2=2).real.sum() - 2.0 * inside)
 
 
 def _block_terms(mom: np.ndarray, functional: RoofFunctional, gradient: bool = False):
@@ -311,7 +346,7 @@ def _objective(gram: np.ndarray, ws: np.ndarray, functional: RoofFunctional,
                gradient: bool = False):
     """sum_a p_a f(component_a) for every isometry of a ``(..., n, r)`` stack ``ws``.
 
-    Each W meets the r x (x+1)r ``gram`` (``_gram_stack``).  One GEMM gives
+    Each W meets the r x (x+k+1)r ``gram`` (``_gram_stack``).  One GEMM gives
     conj(W) G, and one batched mat-vec the component moments (conj(W) G_j
     W^T)_aa of every isometry, in both modes, and ``functional.terms``
     computes the values before it branches on ``gradient``, so a plain pass
@@ -654,8 +689,9 @@ def optimize_roof(rho: State,
     of one.
 
     No component is formed: every score comes from ``_objective`` on the
-    Gram stack of the support factor (``purify``) and the functional's
-    ``ops``, built once.  ``evaluations`` counts one per start plus one per
+    Gram stack of the support factor (``purify``) and its centred images
+    under the functional's operators (``_gram_stack``), built once, which
+    also gives the floor sum F_Q/4 (``_fisher_floor``).  ``evaluations`` counts one per start plus one per
     iteration, and also every scored grouping or Fisher witness but the one
     climbed.  The winner is the best start, the first of equals, and
     ``converged`` says that it stopped on the tolerance or on no ascent, not
@@ -686,7 +722,7 @@ def optimize_roof(rho: State,
                           converged=True, evaluations=1)
     cfg = cfg or OptimizerConfig()
     m = purify(rho)
-    gram, r = _gram_stack(m, functional.ops), m.shape[1]
+    gram, r = _gram_stack(m, functional), m.shape[1]
     us = np.empty((cfg.restarts, n, r), dtype=complex)
     if direction == "max":
         sign = 1.0
@@ -702,9 +738,7 @@ def optimize_roof(rho: State,
         if sign > 0:
             which, bound = "ceiling sum Var(rho)", ceiling
         else:
-            lam, vs = _support(rho)
-            fisher = _support_qfi(lam, vs, functional.ops[:len(functional.ops) // 2] @ vs)
-            which, bound = "floor sum F_Q/4", float(fisher.sum()) / 4.0
+            which, bound = "floor sum F_Q/4", _fisher_floor(gram, functional)
         if sign * start >= sign * bound - BOUND_RTOL * abs(ceiling):
             log.debug("optimize_roof: restart 0 meets the %s, no start climbs, %d evaluations, "
                       "%.4f s", which, scored, time.perf_counter() - started)
@@ -801,7 +835,6 @@ def _split_block(g: np.ndarray) -> np.ndarray:
     X = conj(w) zeroes the diagonals of X H X^dag for the traceless H_1 =
     G_A - a G_I and H_2 = G_B - b G_I (Fillmore, Amer. Math. Monthly 76, 167
     (1969)), so every component of the block's rows of w has means a and b.
-    Without G_B (a functional of one moment operator) only H_1 is zeroed.
     Two passes of k - 1 rotations of indices (i, j), the largest positive
     and the most negative diagonal entry, build X: real ones zero diag H_1,
     then ones of phase e^{i phi} with Re(e^{-i phi} H_1[i, j]) = 0, which
@@ -867,10 +900,10 @@ def _split_start(gram: np.ndarray, functional: RoofFunctional,
 
     Every grouping of the r support indices (``_eigen_groupings(r)``, K's),
     each block split by ``_split_block`` on the first two moment operators
-    of ``functional`` ([A, B] of L and of a sum of variances, [A, A^2] of
+    of ``functional`` ([A, B] of L and of a sum of variances, [A, A A] of
     one variance), is a block-diagonal r x r unitary and a pure
     decomposition whose components keep their block's two means.  All are
-    scored in one ``_objective`` call on the r x (x+1)r ``gram``, and the
+    scored in one ``_objective`` call on the r x (x+k+1)r ``gram``, and the
     best U is returned as the n x r isometry [U; 0].  For L and for a sum
     of at most two variances every split scores at least its grouping (see
     the README), and for such a sum the split trivial grouping scores
@@ -901,7 +934,7 @@ def _fisher_start(gram: np.ndarray, functional: VarianceSum,
     r = gram.shape[0]
     grams = gram.reshape(r, -1, r).swapaxes(0, 1)
     lam = grams[0].diagonal().real
-    _, vecs = np.linalg.eigh(2.0 * grams[1:len(functional.ops) // 2 + 1].swapaxes(-1, -2)
+    _, vecs = np.linalg.eigh(2.0 * grams[1:len(functional.ops) + 1].swapaxes(-1, -2)
                              / (lam[:, None] + lam[None, :]))
     ws = vecs.conj().swapaxes(-1, -2)
     values = _objective(gram, ws, functional)
@@ -950,7 +983,7 @@ def eigen_partition_bound_K(rho: State, a: HermitianOperator,
     if rho.dim != 3:
         raise ValueError("the eigenvector-partition bound is defined for qutrits")
     functional = RobertsonSchrodingerBound(a, b)
-    mom = _support_moments(purify(rho), functional.ops)
+    mom = _support_diagonals(_gram_stack(purify(rho), functional))
     groupings = _eigen_groupings(len(mom))
     blocks = [block for grouping in groupings for block in grouping]
     owner = [g for g, grouping in enumerate(groupings) for _ in grouping]

@@ -166,7 +166,7 @@ def scalar_reference_roof(rho, functional, direction, start=None, cfg=None, anci
     if ancilla_dim is None:
         ancilla_dim = rho.dim
     m = padded_factor(rho, ancilla_dim)
-    gram = _gram_stack(m, functional.ops)
+    gram = _gram_stack(m, functional)
     full = np.eye(ancilla_dim, dtype=complex)
     if start is not None:
         full[:, :start.shape[1]] = start

@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,6 +44,7 @@ from qfiroof import (
     singlet_state,
     spin_coherent_mixture,
     variance,
+    variance_qfi_gap,
 )
 from qfiroof import roofs
 from qfiroof.core import _support, haar_random_unitary
@@ -261,19 +263,24 @@ def test_roof_entry_points_take_only_roof_functionals():
             decomposition_average(dec, bad)
 
 
-class _SquaredMean(RoofFunctional):
-    """<A>^2 on a component: a functional of a single moment operator."""
+class _SquaredVariance(RoofFunctional):
+    """Var(A)^2 on a component: one operator and its one product, A A, in a
+    functional that is not a sum of variances."""
 
     def __init__(self, a):
         self.ops = a.mat[None]
+        self.left = self.right = np.arange(1)
 
     def terms(self, p, mom, gradient=False):
+        # v = p Var(A) = p<A^2> - (p<A>)^2 / p, and p Var(A)^2 = v^2 / p
         mean = mom[..., 0].real
-        value = mean * mean / p
+        v = mom[..., 1].real - mean * mean / p
+        value = v * v / p
         if not gradient:
             return value
-        ratio = mean / p
-        return value, np.stack([-ratio * ratio, 2.0 * ratio], axis=-1) + 0j
+        ratio, scale = mean / p, 2.0 * v / p
+        return value, np.stack([scale * ratio * ratio - value / p, -2.0 * scale * ratio,
+                                scale], axis=-1) + 0j
 
 
 def _functionals(dim, seed):
@@ -283,20 +290,20 @@ def _functionals(dim, seed):
         (VarianceSum([a]), lambda s: dense_variance_sum(s, [a.mat])),
         (VarianceSum([a, b]), lambda s: dense_variance_sum(s, [a.mat, b.mat])),
         (RobertsonSchrodingerBound(a, b), lambda s: dense_rs_bound(s, a.mat, b.mat)),
-        (_SquaredMean(a), lambda s: np.trace(s @ a.mat).real ** 2),
+        (_SquaredVariance(a), lambda s: dense_variance_sum(s, [a.mat]) ** 2),
     ]
 
 
 def _max_start(rho, functional, ancilla=None):
     """Restart 0 of a maximization and the number of groupings scored to choose it."""
-    return _split_start(_gram_stack(purify(rho), functional.ops), functional,
+    return _split_start(_gram_stack(purify(rho), functional), functional,
                         ancilla or rho.dim)[:2]
 
 
 def _min_start(rho, functional, ancilla=None):
     """Restart 0 of a variance-sum minimization, the number of Fisher witnesses
     scored to choose it, and its value."""
-    return _fisher_start(_gram_stack(purify(rho), functional.ops), functional,
+    return _fisher_start(_gram_stack(purify(rho), functional), functional,
                          ancilla or rho.dim)
 
 
@@ -310,7 +317,7 @@ def test_batched_objective_matches_extracted_decompositions(dim, ancilla):
     us = np.array([[haar_random_unitary(ancilla, rng) for _ in range(3)] for _ in range(4)])
     us = us[..., :dim]
     for functional, _ in _functionals(dim, 120 + ancilla):
-        batched = _objective(_gram_stack(m, functional.ops), us, functional)
+        batched = _objective(_gram_stack(m, functional), us, functional)
         assert batched.shape == (4, 3)
         for u, value in zip(us.reshape(-1, ancilla, dim), batched.ravel()):
             expected = decomposition_average(extract_decomposition(m, u), functional)
@@ -320,10 +327,12 @@ def test_batched_objective_matches_extracted_decompositions(dim, ancilla):
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_from_moments_stack_matches_dense_formulas(dim):
     # a stack of states of every rank, with unnormalised moments p Tr(sigma X)
+    # of the operators and of their named products, none of them centred
     states = [random_state(dim, seed=130 + k, rank=1 + k % dim) for k in range(5)]
     weights = np.linspace(0.2, 0.9, len(states))
     for functional, dense in _functionals(dim, 140 + dim):
-        ops = functional.ops
+        ops = np.concatenate([functional.ops,
+                              functional.ops[functional.left] @ functional.ops[functional.right]])
         mom = np.array([p * np.einsum("xij,ji->x", ops, rho.mat)
                         for p, rho in zip(weights, states)])
         stacked = functional.terms(weights, mom)
@@ -348,7 +357,7 @@ def test_rank_deficient_qutrit_search_raises_no_floating_point_error():
     assert m.shape == (3, 2)
     with np.errstate(all="raise"):
         for functional, dense in _functionals(3, 204):
-            gram = _gram_stack(m, functional.ops)
+            gram = _gram_stack(m, functional)
             at_identity = _objective(gram, eye[None], functional)[0]
             # the gradient pass drops the light component as the plain pass does
             assert _objective(gram, eye[None], functional, gradient=True)[0][0] == at_identity
@@ -400,7 +409,8 @@ def test_moment_grad_matches_central_differences(dim):
     rng = np.random.default_rng(dim)
     h = 1e-5
     for functional, _ in _functionals(dim, 260 + dim):
-        ops = functional.ops
+        ops = np.concatenate([functional.ops,
+                              functional.ops[functional.left] @ functional.ops[functional.right]])
 
         def at(path):
             return functional.terms(np.trace(path, axis1=1, axis2=2).real,
@@ -442,7 +452,7 @@ def test_riemannian_gradient_matches_central_differences(dim, ancilla):
     us = np.array([haar_random_unitary(ancilla, rng)[:, :dim] for _ in range(count)])
     eps = 1e-5
     for functional, _ in _functionals(dim, 290 + ancilla):
-        gram = _gram_stack(m, functional.ops)
+        gram = _gram_stack(m, functional)
         values, grad = _objective(gram, us, functional, gradient=True)
         assert grad.shape == (count, ancilla, ancilla)
         assert np.max(np.abs(grad - grad.conj().swapaxes(-1, -2))) == 0.0
@@ -472,10 +482,11 @@ def test_objective_on_the_support_gram_matches_the_padded_formula(rank):
     for n in (rank + 1, 2 * rank, rank * rank):
         us = np.array([haar_random_unitary(n, rng) for _ in range(6)])
         for functional in (VarianceSum([a]), VarianceSum([a, b]), RobertsonSchrodingerBound(a, b)):
-            gram = _gram_stack(m, functional.ops)
-            padded = _gram_stack(padded_factor(rho, n), functional.ops)
-            assert gram.shape == (rank, len(functional.ops) * rank + rank)
-            assert padded.shape == (n, len(functional.ops) * n + n)
+            gram = _gram_stack(m, functional)
+            padded = _gram_stack(padded_factor(rho, n), functional)
+            blocks = 1 + len(functional.ops) + len(functional.left)
+            assert gram.shape == (rank, blocks * rank)
+            assert padded.shape == (n, blocks * n)
             values, grad = _objective(gram, us[..., :rank], functional, gradient=True)
             ref_values, ref_grad = _objective(padded, us, functional, gradient=True)
             scale = 1.0 + np.max(np.abs(ref_values))
@@ -493,7 +504,7 @@ def test_split_start_scores_the_support_groupings_only():
         rho = random_state(dim, seed=370 + dim + n, rank=rank)
         m = purify(rho)
         for functional, dense in _functionals(dim, 380 + dim):
-            gram = _gram_stack(m, functional.ops)
+            gram = _gram_stack(m, functional)
             start, count, value = _split_start(gram, functional, n)
             assert count == len(_eigen_groupings(rank)) == (2 if rank == 2 else 5)
             assert start.shape == (n, rank)
@@ -501,7 +512,7 @@ def test_split_start_scores_the_support_groupings_only():
             assert _objective(gram, start[None], functional)[0] == value
             full = np.eye(n, dtype=complex)
             full[:, :rank] = start
-            padded = _gram_stack(padded_factor(rho, n), functional.ops)
+            padded = _gram_stack(padded_factor(rho, n), functional)
             assert abs(_objective(padded, full[None], functional)[0] - value) < 1e-12
             dec = extract_decomposition(m, start)
             assert dec.reconstructs(rho, tol=1e-12)
@@ -524,7 +535,7 @@ def test_newton_hessian_matches_second_differences(n):
     assert np.allclose(frame @ frame.T, np.eye(k), atol=1e-15)
     t = 1e-4
     for functional, _ in _functionals(n, 320 + n):
-        gram = _gram_stack(m, functional.ops)
+        gram = _gram_stack(m, functional)
         values, grad = _objective(gram, us, functional, gradient=True)
         # Newton steps are taken only for maximizations (_takes_newton_steps),
         # so the Newton pass is unsigned
@@ -1156,7 +1167,7 @@ def test_split_components_keep_their_block_means_and_never_lower_L(eps):
         functional = RobertsonSchrodingerBound(a, b)
         m = purify(rho)
         u0 = haar_random_unitary(ancilla, rng)
-        grams = _gram_stack(m, functional.ops).reshape(rank, -1, rank).swapaxes(0, 1)
+        grams = _gram_stack(m, functional).reshape(rank, -1, rank).swapaxes(0, 1)
         # G_I, G_A, G_B of the components of u0, from its first r columns
         q = u0[:, :rank].conj() @ grams[:3] @ u0[:, :rank].T
         grouping = _random_grouping(rng, ancilla)
@@ -1394,6 +1405,88 @@ def test_reconstructs_rejects_target_of_another_dimension():
     for target in (PureState([1, 0, 0]), DensityMatrix.maximally_mixed(3)):
         with pytest.raises(DimensionMismatchError, match="dimension 2.*dimension 3"):
             dec.reconstructs(target)
+
+
+# ---------------------------------------------------------------------------
+# operators shifted by c 1, and the memory of the operator stack
+# ---------------------------------------------------------------------------
+
+def _shifted(op, c):
+    return HermitianOperator(op.mat + c * np.eye(op.dim))
+
+
+@pytest.mark.parametrize("c", [1e3, 1e6])
+def test_every_quantity_is_unchanged_when_the_operators_are_shifted(c):
+    # Var, L, K, F_Q, the Var - F_Q/4 gap and the concave roof of L do not
+    # move when A and B are shifted by c 1: every moment is read centred on
+    # the state, so no <A>^2 cancels against a <A^2> of order c^2
+    rho = random_state(3, 7)
+    a, b = random_hermitian(3, 8), random_hermitian(3, 9)
+    cfg = OptimizerConfig(seed=3, restarts=4, local_steps=250)
+
+    def quantities(a, b):
+        return [variance(rho, a), rs_lower_bound_L(rho, a, b), eigen_partition_bound_K(rho, a, b),
+                qfi(rho, a), variance_qfi_gap(rho, a), concave_roof_L(rho, a, b, cfg=cfg).value]
+
+    for value, shifted in zip(quantities(a, b), quantities(_shifted(a, c), _shifted(b, c))):
+        assert abs(shifted - value) <= 1e-9 * (1.0 + abs(value))
+
+
+@pytest.mark.parametrize("c", [1e4, 1e6])
+def test_convex_roof_of_a_shifted_variance_meets_its_floor_at_once(c):
+    # the Fisher witness of B + c 1 meets F_Q[rho, B]/4, so no start climbs,
+    # and the roof never reads below that floor by more than round-off
+    rho = random_state(2, 5)
+    b = random_hermitian(2, 6)
+    res = convex_roof_variance(rho, _shifted(b, c))
+    assert res.evaluations == 1 and res.converged
+    assert abs(res.value - qfi(rho, b) / 4.0) <= 1e-10
+
+
+def test_fisher_floor_from_the_gram_stack_matches_qfi():
+    # tr G_AA - sum_kl 2|G_A,kl|^2 / (lambda_k + lambda_l) is F_Q[rho, A]/4,
+    # on full-rank and rank-deficient states
+    for dim in range(2, 17):
+        for rank in sorted({1, max(1, dim // 2), dim}):
+            rho = random_state(dim, 700 + dim, rank=rank)
+            ops = [random_hermitian(dim, 710 + dim), random_hermitian(dim, 720 + dim)]
+            functional = VarianceSum(ops)
+            floor = roofs._fisher_floor(_gram_stack(purify(rho), functional), functional)
+            expected = sum(qfi(rho, op) for op in ops) / 4.0
+            assert abs(floor - expected) <= 1e-14 * expected
+
+
+def test_variance_sum_stores_only_its_operators():
+    # nine qubits: the three collective spins take 12.6 MB, and no squared
+    # operator is formed next to them
+    ops = collective_spin_ops(0.5, 9)
+    tracemalloc.start()
+    try:
+        functional = VarianceSum(ops)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert functional.ops.shape == (3, 512, 512)
+    assert peak <= 16e6
+    pair = RobertsonSchrodingerBound(*ops[:2])
+    assert pair.ops.shape == (2, 512, 512)
+
+
+def test_nine_qubit_variance_sum_roof_memory_stays_bounded():
+    # a rank-4 state of nine qubits on a 16-level ancilla, the collective
+    # spins built inside the traced call: the Gram stack reads their support
+    # images, O(d r) each, and never a d x d product
+    rho = random_state(512, seed=3, rank=4)
+    tracemalloc.start()
+    try:
+        ops = collective_spin_ops(0.5, 9)
+        res = roof_sum_I(rho, ops, cfg=OptimizerConfig(seed=100, restarts=2, local_steps=100),
+                         ancilla_dim=16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32e6
+    assert res.value >= sum(qfi(rho, op) for op in ops) / 4.0 - 1e-9
 
 
 # ---------------------------------------------------------------------------
