@@ -9,14 +9,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    DensityMatrix,
     DimensionMismatchError,
     HermitianOperator,
-    State,
     commutator_i,
     expectation,
     make_spin_algebra,
     make_su_d_generators,
-    state_density,
     variance,
 )
 from .metrology import qfi
@@ -66,7 +65,7 @@ class BoundReport:
         }
 
 
-def rs_lower_bound_L(state: State, a: HermitianOperator, b: HermitianOperator) -> float:
+def rs_lower_bound_L(state: DensityMatrix, a: HermitianOperator, b: HermitianOperator) -> float:
     """The strengthened uncertainty bound combining covariance and commutator mean.
 
     L = sqrt(|<{A,B}> - 2<A><B>|^2 + |<i[A,B]>|^2); the plain product
@@ -75,7 +74,7 @@ def rs_lower_bound_L(state: State, a: HermitianOperator, b: HermitianOperator) -
     return RobertsonSchrodingerBound(a, b).on_state(state)
 
 
-def check_robertson_schrodinger(state: State, a: HermitianOperator,
+def check_robertson_schrodinger(state: DensityMatrix, a: HermitianOperator,
                                 b: HermitianOperator) -> BoundReport:
     """Var(A) Var(B) >= L^2 / 4 with the covariance-strengthened bound."""
     l_val = rs_lower_bound_L(state, a, b)
@@ -87,7 +86,7 @@ def check_robertson_schrodinger(state: State, a: HermitianOperator,
     )
 
 
-def check_improved_rs(state: State, a: HermitianOperator, b: HermitianOperator,
+def check_improved_rs(state: DensityMatrix, a: HermitianOperator, b: HermitianOperator,
                       cfg: OptimizerConfig | None = None) -> BoundReport:
     """Variance product against the concave roof of the uncertainty bound.
 
@@ -97,24 +96,23 @@ def check_improved_rs(state: State, a: HermitianOperator, b: HermitianOperator,
     score at least L(rho) (see ``concave_roof_L``).  Qutrits also report the
     closed-form eigenvector-partition bound K in the metadata.
     """
-    rho = state_density(state)
-    roof = concave_roof_L(rho, a, b, cfg=cfg)
+    roof = concave_roof_L(state, a, b, cfg=cfg)
     meta = {
-        "L": rs_lower_bound_L(rho, a, b),
+        "L": rs_lower_bound_L(state, a, b),
         "roof_L": roof.value,
         "roof_converged": roof.converged,
     }
-    if rho.dim == 3:
-        meta["K"] = eigen_partition_bound_K(rho, a, b)
+    if state.dim == 3:
+        meta["K"] = eigen_partition_bound_K(state, a, b)
     return BoundReport(
         name="improved_robertson_schrodinger",
-        lhs=variance(rho, a) * variance(rho, b),
+        lhs=variance(state, a) * variance(state, b),
         rhs=0.25 * roof.value**2,
         meta=meta,
     )
 
 
-def check_improved_hr(state: State, a: HermitianOperator,
+def check_improved_hr(state: DensityMatrix, a: HermitianOperator,
                       b: HermitianOperator) -> BoundReport:
     """Var(A) F_Q[rho, B] >= |<i[A,B]>|^2, the Fisher-sharpened product relation."""
     c_mean = expectation(state, commutator_i(a, b))
@@ -126,7 +124,7 @@ def check_improved_hr(state: State, a: HermitianOperator,
     )
 
 
-def check_weighted_sum(state: State, a: HermitianOperator, b: HermitianOperator,
+def check_weighted_sum(state: DensityMatrix, a: HermitianOperator, b: HermitianOperator,
                        alpha: float, beta: float,
                        cfg: OptimizerConfig | None = None) -> BoundReport:
     """alpha Var(A) + beta F_Q[rho, B]/4 >= sqrt(alpha beta) * (convex roof of L).
@@ -154,7 +152,7 @@ def check_weighted_sum(state: State, a: HermitianOperator, b: HermitianOperator,
     )
 
 
-def bfq_bound(state: State) -> BoundReport:
+def bfq_bound(state: DensityMatrix) -> BoundReport:
     """F_Q[rho, J_z] >= 4j - 4 Var(J_x) - 4 Var(J_y) for a single spin j.
 
     The metadata carries the reference level 2j that mixtures of
@@ -175,7 +173,7 @@ def bfq_bound(state: State) -> BoundReport:
     )
 
 
-def su_d_bound(state: State) -> BoundReport:
+def su_d_bound(state: DensityMatrix) -> BoundReport:
     """F_Q[rho, G_1]/4 + sum_{n>=2} Var(G_n) >= 4j over the orthogonal generator basis."""
     d = state.dim
     gens = make_su_d_generators(d)
@@ -462,7 +460,7 @@ def fj_curve(j, grid) -> FjCurve:
     return FjCurve(j=spin.j, grid=grid, values=_fj(spin.j, grid)[0])
 
 
-def spin_length_bound(state: State) -> BoundReport:
+def spin_length_bound(state: DensityMatrix) -> BoundReport:
     """F_Q[rho, J_x]/4 >= j F_j(<J_z>/j): polarization certifies usefulness.
 
     The right-hand side is the certified lower value of F_j at the state's

@@ -98,31 +98,6 @@ def commutator_i(a: HermitianOperator, b: HermitianOperator) -> HermitianOperato
     return HermitianOperator(1j * (a.mat @ b.mat - b.mat @ a.mat))
 
 
-class PureState:
-    """Normalized state vector."""
-
-    __slots__ = ("vec",)
-
-    def __init__(self, amplitudes):
-        vec = np.asarray(amplitudes, dtype=complex).ravel()
-        _require_finite(vec, "state vector")
-        norm = np.linalg.norm(vec)
-        if abs(norm - 1.0) > 1e-6:
-            raise ValueError(f"state vector norm {norm:.6f} is not 1")
-        # Tiny renormalization keeps the unit-norm invariant exact to 1e-12.
-        self.vec = vec / norm
-
-    @property
-    def dim(self) -> int:
-        return self.vec.shape[0]
-
-    def density(self) -> "DensityMatrix":
-        return DensityMatrix.from_factor(self.vec[:, None])
-
-    def __repr__(self) -> str:
-        return f"PureState(dim={self.dim})"
-
-
 class DensityMatrix:
     """Unit-trace positive-semidefinite Hermitian matrix held by its support.
 
@@ -135,7 +110,8 @@ class DensityMatrix:
     ``mat`` is the d x d matrix.  The constructor takes a dense d x d
     matrix, pays one full O(d^3) eigensolve and keeps its validated input
     as ``mat``.  ``from_factor`` stores only the support, at O(d r^2) cost
-    for a d x r factor, and forms ``mat`` (O(d^2 r)) on its first read.
+    for a d x r factor, and forms ``mat`` (O(d^2 r)) on its first read; so
+    does ``PureState``, the rank-one case.
     """
 
     __slots__ = ("_mat", "_lam", "_vs")
@@ -162,7 +138,7 @@ class DensityMatrix:
     @property
     def mat(self) -> np.ndarray:
         """The d x d matrix, formed from the support on the first read of a
-        factor-built state."""
+        factor-built or pure state."""
         if self._mat is None:
             self._mat = (self._vs * self._lam) @ self._vs.conj().T
         return self._mat
@@ -178,8 +154,15 @@ class DensityMatrix:
     def purity(self) -> float:
         return float(np.sum(self._lam**2))
 
-    @classmethod
-    def from_factor(cls, v) -> "DensityMatrix":
+    @staticmethod
+    def _from_support(lam: np.ndarray, vs: np.ndarray) -> "DensityMatrix":
+        """The state of a valid support: descending weights ``lam``, orthonormal columns ``vs``."""
+        rho = DensityMatrix.__new__(DensityMatrix)
+        rho._mat, rho._lam, rho._vs = None, lam, vs
+        return rho
+
+    @staticmethod
+    def from_factor(v) -> "DensityMatrix":
         """rho = v v^dag for a d x r factor v, keeping only its support.
 
         A thin SVD v = U S W^dag gives the support: the squared singular
@@ -211,9 +194,7 @@ class DensityMatrix:
         if not bound <= 1e-10:
             raise ValueError("eigendecomposition does not reconstruct the matrix")
         r = int(np.count_nonzero(vals))
-        rho = cls.__new__(cls)
-        rho._mat, rho._lam, rho._vs = None, vals[:r], u[:, :r]
-        return rho
+        return DensityMatrix._from_support(vals[:r], u[:, :r])
 
     @staticmethod
     def maximally_mixed(dim: int) -> "DensityMatrix":
@@ -221,33 +202,41 @@ class DensityMatrix:
         return DensityMatrix(np.eye(dim) / dim)
 
     def __repr__(self) -> str:
-        return f"DensityMatrix(dim={self.dim}, rank={self.rank()})"
+        return f"{type(self).__name__}(dim={self.dim}, rank={self.rank()})"
 
 
-State = PureState | DensityMatrix
+_UNIT_WEIGHT = np.ones(1)
+_UNIT_WEIGHT.setflags(write=False)
 
 
-def state_matrix(state: State) -> np.ndarray:
-    """Density matrix of a state, whatever its representation."""
-    if isinstance(state, PureState):
-        return np.outer(state.vec, state.vec.conj())
-    return state.mat
+class PureState(DensityMatrix):
+    """Normalized state vector psi, the rank-one density matrix psi psi^dag:
+    its support is psi (``vec``, read-only) with the weight 1 all share."""
+
+    __slots__ = ()
+
+    def __init__(self, amplitudes):
+        vec = np.asarray(amplitudes, dtype=complex).ravel()
+        _require_finite(vec, "state vector")
+        norm = np.linalg.norm(vec)
+        if abs(norm - 1.0) > 1e-6:
+            raise ValueError(f"state vector norm {norm:.6f} is not 1")
+        # Tiny renormalization keeps the unit-norm invariant exact to 1e-12.
+        vec = vec / norm
+        vec.setflags(write=False)
+        self._mat, self._lam, self._vs = None, _UNIT_WEIGHT, vec[:, None]
+
+    @property
+    def vec(self) -> np.ndarray:
+        return self._vs[:, 0]
 
 
-def _support(state: State) -> tuple[np.ndarray, np.ndarray]:
-    """(lambda_S, V_S): the positive eigenvalues of a state and their
-    eigenvectors as columns; a pure state is its own rank-1 support."""
-    if isinstance(state, PureState):
-        return np.ones(1), state.vec[:, None]
+def _support(state: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """(lambda_S, V_S): the positive eigenvalues of a state and, as columns, their eigenvectors."""
     return state._lam, state._vs
 
 
-def state_density(state: State) -> DensityMatrix:
-    """Promote a state-vector argument to its density matrix."""
-    return state.density() if isinstance(state, PureState) else state
-
-
-def _support_image(state: State, op: HermitianOperator
+def _support_image(state: DensityMatrix, op: HermitianOperator
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(lambda_S, V_S, B V_S): the support of a state and its image under an
     operator on the same dimension, O(d^2 r) for rank r."""
@@ -262,7 +251,7 @@ def _support_mean(lam: np.ndarray, vs: np.ndarray, w: np.ndarray) -> np.ndarray 
     return np.vecdot(vs, w, axis=-2).real @ lam
 
 
-def expectation(state: State, op: HermitianOperator) -> float:
+def expectation(state: DensityMatrix, op: HermitianOperator) -> float:
     """<A> = Tr(rho A) over the support of the state; O(d^2 r) for rank r."""
     return float(_support_mean(*_support_image(state, op)))
 
@@ -300,7 +289,7 @@ def _support_qfi(lam: np.ndarray, vs: np.ndarray, w: np.ndarray) -> np.ndarray |
     return 4.0 * outside + 2.0 * inside
 
 
-def variance(state: State, op: HermitianOperator) -> float:
+def variance(state: DensityMatrix, op: HermitianOperator) -> float:
     """(Delta A)^2 = <(A - <A>)^2> over the support of the state; O(d^2 r) for rank r."""
     return float(_support_variance(*_support_image(state, op)))
 
@@ -510,9 +499,11 @@ def _haar_from_ginibre(g: np.ndarray) -> np.ndarray:
 def tensor(a, b):
     """Kronecker composite of two operators or two states, system-1 indices first.
 
-    Two density matrices compose through their supports: the Kronecker
-    product of the factors V sqrt(lambda) is a factor of the product state,
-    so no eigensolve of the d_a d_b x d_a d_b matrix is needed.
+    Two pure states give a ``PureState``.  Any other two density matrices
+    compose through their supports in closed form: the products
+    lambda_k mu_l of their weights, sorted descending, those below
+    ``EIG_FLOOR`` dropped, on the columns v_k (x) w_l, which are orthonormal
+    because each factor's are; no decomposition of the product is made.
     """
     if isinstance(a, HermitianOperator) and isinstance(b, HermitianOperator):
         return HermitianOperator(np.kron(a.mat, b.mat))
@@ -520,7 +511,11 @@ def tensor(a, b):
         return PureState((a.vec[:, None] * b.vec).ravel())  # np.kron's products, C-level
     if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
         (lam_a, vs_a), (lam_b, vs_b) = _support(a), _support(b)
-        return DensityMatrix.from_factor(np.kron(vs_a * np.sqrt(lam_a), vs_b * np.sqrt(lam_b)))
+        lam = np.outer(lam_a, lam_b).ravel()
+        keep = np.argsort(-lam, kind="stable")[:np.count_nonzero(lam >= EIG_FLOOR)]
+        ka, kb = np.divmod(keep, len(lam_b))
+        vs = (vs_a[:, None, ka] * vs_b[:, kb]).reshape(-1, len(keep))
+        return DensityMatrix._from_support(lam[keep], vs)
     raise TypeError(f"cannot tensor {type(a).__name__} with {type(b).__name__}")
 
 

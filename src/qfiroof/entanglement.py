@@ -15,10 +15,10 @@ import numpy as np
 
 from .bounds import BoundReport
 from .core import (
+    DensityMatrix,
     DimensionMismatchError,
     FockAlgebra,
     HermitianOperator,
-    State,
     _require_count,
     _support,
     _support_qfi,
@@ -50,7 +50,7 @@ def _two_party_images(psi: np.ndarray, ops1: np.ndarray, ops2: np.ndarray) -> np
     return pairs.reshape(*pairs.shape[:3], -1).swapaxes(-1, -2)
 
 
-def _quadrature_pairs(state: State, fock: FockAlgebra):
+def _quadrature_pairs(state: DensityMatrix, fock: FockAlgebra):
     """The support (lambda_S, V_S), the (2, 2, d, r) stack of the images of
     x1 +- x2 and p1 +- p2 (placed as in ``_PAIRS``) and their four Fisher
     informations.  The four single-mode images x (x) 1, 1 (x) x, p (x) 1 and
@@ -83,7 +83,7 @@ class TwoModeReport:
         return any(self.useful_flags.values())
 
 
-def duan_report(state: State, fock: FockAlgebra) -> TwoModeReport:
+def duan_report(state: DensityMatrix, fock: FockAlgebra) -> TwoModeReport:
     """Var(x1+x2) + Var(p1-p2) against both its entanglement and QFI bounds.
 
     Violating the separability threshold 2 witnesses entanglement; the
@@ -131,7 +131,7 @@ def duan_report(state: State, fock: FockAlgebra) -> TwoModeReport:
     )
 
 
-def two_spin_report(state: State, j1, j2) -> BoundReport:
+def two_spin_report(state: DensityMatrix, j1, j2) -> BoundReport:
     """Collective-variance separability test for two spins, with its Fisher side.
 
     With J_l^+- = J_l^(1) +- J_l^(2), separable states obey
@@ -198,7 +198,7 @@ def collective_spin_ops(j, n_parties: int) -> tuple[HermitianOperator, ...]:
     return tuple(out)
 
 
-def vxyz_criterion(state: State, j, n_parties: int,
+def vxyz_criterion(state: DensityMatrix, j, n_parties: int,
                    cfg: OptimizerConfig | None = None,
                    ancilla_dim: int | None = None) -> BoundReport:
     """Separability test on the collective variance sum, with its convex roof.

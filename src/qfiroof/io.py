@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DensityMatrix, HermitianOperator, PureState, State, _require_count
+from .core import DensityMatrix, HermitianOperator, PureState, _require_count
 from .roofs import Decomposition, RoofResult
 
 
@@ -29,7 +29,7 @@ def operator_from_json(data: dict) -> HermitianOperator:
     return HermitianOperator(mat)
 
 
-def state_to_json(state: State) -> dict:
+def state_to_json(state: DensityMatrix) -> dict:
     if isinstance(state, PureState):
         return {
             "dim": state.dim,
@@ -45,7 +45,7 @@ def state_to_json(state: State) -> dict:
     }
 
 
-def state_from_json(data: dict) -> State:
+def state_from_json(data: dict) -> DensityMatrix:
     dim = data["dim"]
     _require_count(dim, "dim", 1)
     kind = data.get("kind", "mixed")

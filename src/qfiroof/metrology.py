@@ -8,14 +8,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    DensityMatrix,
     HermitianOperator,
-    State,
     _require_count,
     _support_image,
     _support_qfi,
     commutator_i,
     expectation,
-    state_matrix,
     variance,
 )
 
@@ -28,7 +27,7 @@ class UnestimableParameterError(ValueError):
     """The Fisher information vanishes; the phase leaves no trace on the state."""
 
 
-def qfi(state: State, b: HermitianOperator) -> float:
+def qfi(state: DensityMatrix, b: HermitianOperator) -> float:
     """Quantum Fisher information F_Q[rho, B].
 
     Computed from the support of rho alone (the eigenvectors of its r
@@ -48,7 +47,7 @@ class SldResult:
     mean_sld: float
 
 
-def sld(state: State, b: HermitianOperator) -> SldResult:
+def sld(state: DensityMatrix, b: HermitianOperator) -> SldResult:
     """Symmetric logarithmic derivative L with i[rho, B] = {rho, L}/2.
 
     Assembled from the support (lambda_S, V_S) alone.  With W = B V_S,
@@ -67,7 +66,7 @@ def sld(state: State, b: HermitianOperator) -> SldResult:
     l_mat = 2j * (vs @ (ratio * b_s) @ vs_dag + vs @ resid.conj().T - resid @ vs_dag)
     ell = HermitianOperator(l_mat)
 
-    rho = state_matrix(state)
+    rho = state.mat
     lhs = 1j * (rho @ b.mat - b.mat @ rho)
     rhs = 0.5 * (rho @ l_mat + l_mat @ rho)
     residual = np.linalg.norm(lhs - rhs)
@@ -89,7 +88,7 @@ class EstimationReport:
     error_propagation: float | None = None
 
 
-def error_propagation(state: State, a: HermitianOperator, b: HermitianOperator) -> float:
+def error_propagation(state: DensityMatrix, a: HermitianOperator, b: HermitianOperator) -> float:
     """(Delta theta)^2_A = Var(A) / |<i[A, B]>|^2 for the dynamics generated by B."""
     c = commutator_i(a, b)
     signal = abs(expectation(state, c))
@@ -99,7 +98,7 @@ def error_propagation(state: State, a: HermitianOperator, b: HermitianOperator) 
     return variance(state, a) / signal**2
 
 
-def cramer_rao(state: State, b: HermitianOperator, m: int,
+def cramer_rao(state: DensityMatrix, b: HermitianOperator, m: int,
                a: HermitianOperator | None = None) -> EstimationReport:
     """Best precision allowed by the Fisher information for m repetitions."""
     _require_count(m, "m", 1)
@@ -110,7 +109,7 @@ def cramer_rao(state: State, b: HermitianOperator, m: int,
     return EstimationReport(cramer_rao=1.0 / (m * f), error_propagation=err)
 
 
-def variance_qfi_gap(state: State, a: HermitianOperator) -> float:
+def variance_qfi_gap(state: DensityMatrix, a: HermitianOperator) -> float:
     """Var(A) - F_Q[rho, A]/4; zero for pure states, clamped against round-off."""
     gap = variance(state, a) - 0.25 * qfi(state, a)
     if gap < 0.0:
@@ -120,7 +119,7 @@ def variance_qfi_gap(state: State, a: HermitianOperator) -> float:
     return float(gap)
 
 
-def check_sld_saturation(state: State, a: HermitianOperator,
+def check_sld_saturation(state: DensityMatrix, a: HermitianOperator,
                          b: HermitianOperator) -> tuple[bool, float]:
     """Test whether cA equals the symmetric logarithmic derivative of (rho, B).
 
@@ -132,7 +131,7 @@ def check_sld_saturation(state: State, a: HermitianOperator,
     var_a = variance(state, a)
     if var_a <= 0.0:
         raise ValueError("A has zero variance on this state; rescaling is meaningless")
-    rho = state_matrix(state)
+    rho = state.mat
     m = 1j * (rho @ b.mat - b.mat @ rho)
     n = 0.5 * (rho @ a.mat + a.mat @ rho)
     lhs = var_a * qfi(state, b)

@@ -48,16 +48,14 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
+    DensityMatrix,
     DimensionMismatchError,
     HermitianOperator,
     PureState,
-    State,
     _ginibre,
     _require_count,
     _haar_from_ginibre,
     _support,
-    state_density,
-    state_matrix,
 )
 
 log = logging.getLogger(__name__)
@@ -74,7 +72,7 @@ UNITARY_TOL = 1e-9        # largest entry of w^dag w - 1 an ancilla isometry may
 class Decomposition:
     """Weighted components whose mixture reconstructs a target state."""
 
-    components: tuple[tuple[float, State], ...]
+    components: tuple[tuple[float, DensityMatrix], ...]
 
     def __post_init__(self):
         weights = [p for p, _ in self.components]
@@ -86,23 +84,24 @@ class Decomposition:
             raise DimensionMismatchError("decomposition components act on different dimensions")
 
     def mixture(self) -> np.ndarray:
-        out = np.zeros((self.components[0][1].dim,) * 2, dtype=complex)
-        for p, state in self.components:
-            out += p * state_matrix(state)
-        return out
+        """sum_a p_a rho_a as one product V diag(w) V^dag of the components' stacked
+        supports V, with weights w = p_a lambda_a: no d x d array per component."""
+        vs = np.concatenate([_support(state)[1] for _, state in self.components], axis=1)
+        weights = np.concatenate([p * _support(state)[0] for p, state in self.components])
+        return (vs * weights) @ vs.conj().T
 
-    def reconstructs(self, target: State, tol: float = 1e-8) -> bool:
+    def reconstructs(self, target: DensityMatrix, tol: float = 1e-8) -> bool:
         dim = self.components[0][1].dim
         if target.dim != dim:
             raise DimensionMismatchError(f"the components act on dimension {dim}, "
                                          f"the target on dimension {target.dim}")
-        return bool(np.max(np.abs(self.mixture() - state_matrix(target))) <= tol)
+        return bool(np.max(np.abs(self.mixture() - target.mat)) <= tol)
 
     def __len__(self) -> int:
         return len(self.components)
 
 
-def purify(rho: State) -> np.ndarray:
+def purify(rho: DensityMatrix) -> np.ndarray:
     """Support factor m = V_S sqrt(lambda_S) of rho, d x r for rank r, so m m^dag = rho.
 
     It purifies rho for every ancilla of n >= r levels through an n x r
@@ -180,11 +179,10 @@ class RoofFunctional:
             raise DimensionMismatchError(f"the functional's operators act on dimension {op_dim}, "
                                          f"the state on dimension {dim}")
 
-    def on_state(self, state: State) -> float:
+    def on_state(self, state: DensityMatrix) -> float:
         """f(state) from the block traces of its own Gram stack (``_gram_stack``)."""
         self.check_dim(state.dim)
-        mom = _support_diagonals(_gram_stack(purify(state), self)).sum(axis=0)
-        return float(_block_terms(mom, self))
+        return _state_value(_gram_stack(purify(state), self), self)
 
 
 class VarianceSum(RoofFunctional):
@@ -297,7 +295,7 @@ def _gram_stack(m: np.ndarray, functional: RoofFunctional) -> np.ndarray:
     """
     mh = m.conj().T
     y = functional.ops @ m
-    # the means from GEMM traces, which round alike when m carries extra zero columns
+    # <A_j> = tr(m^dag A_j m), subtracted from each image: Y_j centred on m m^dag
     y -= (mh @ y).trace(axis1=1, axis2=2).real[:, None, None] * m
     grams = np.concatenate([(mh @ m)[None], mh @ y,
                             y[functional.left].conj().swapaxes(-1, -2) @ y[functional.right]])
@@ -309,6 +307,11 @@ def _support_diagonals(gram: np.ndarray) -> np.ndarray:
     then the centred moments of column k of the support factor."""
     r = gram.shape[0]
     return gram.reshape(r, -1, r).diagonal(axis1=0, axis2=2).T
+
+
+def _state_value(gram: np.ndarray, functional: RoofFunctional) -> float:
+    """f(rho) of the state whose Gram stack is ``gram``, from its block traces."""
+    return float(_block_terms(_support_diagonals(gram).sum(axis=0), functional))
 
 
 def _fisher_floor(gram: np.ndarray, functional: VarianceSum) -> float:
@@ -662,7 +665,7 @@ def _ascend(gram: np.ndarray, us: np.ndarray, functional: RoofFunctional, sign: 
     return final, reason, iterations
 
 
-def optimize_roof(rho: State,
+def optimize_roof(rho: DensityMatrix,
                   functional: RoofFunctional,
                   direction: str,
                   cfg: OptimizerConfig | None = None,
@@ -681,8 +684,8 @@ def optimize_roof(rho: State,
     the step rules and stops).  A pure state is its own only decomposition.
 
     No decomposition average of a ``VarianceSum`` exceeds sum_n
-    Var_rho(A_n) (``functional.on_state``) or falls below sum_n F_Q[rho,
-    A_n]/4.  A roof whose restart 0 meets its direction's bound within
+    Var_rho(A_n) (``_state_value``) or falls below sum_n F_Q[rho, A_n]/4
+    (``_fisher_floor``).  A roof whose restart 0 meets its direction's bound within
     ``BOUND_RTOL`` returns it without climbing: ``converged``, and
     ``evaluations`` the starts scored.  The split trivial grouping meets
     the ceiling of at most two operators, and the Fisher witness the floor
@@ -691,7 +694,7 @@ def optimize_roof(rho: State,
     No component is formed: every score comes from ``_objective`` on the
     Gram stack of the support factor (``purify``) and its centred images
     under the functional's operators (``_gram_stack``), built once, which
-    also gives the floor sum F_Q/4 (``_fisher_floor``).  ``evaluations`` counts one per start plus one per
+    also gives both bounds.  ``evaluations`` counts one per start plus one per
     iteration, and also every scored grouping or Fisher witness but the one
     climbed.  The winner is the best start, the first of equals, and
     ``converged`` says that it stopped on the tolerance or on no ascent, not
@@ -712,7 +715,6 @@ def optimize_roof(rho: State,
     if direction not in ("min", "max"):
         raise ValueError("direction must be 'min' or 'max'")
     _require_functional(functional)
-    rho = state_density(rho)
     functional.check_dim(rho.dim)
     n = rho.dim if ancilla_dim is None else ancilla_dim
     _require_count(n, "ancilla_dim", rho.rank())
@@ -734,7 +736,7 @@ def optimize_roof(rho: State,
         sign, scored = -1.0, 1
         us[0] = np.eye(n, r)
     if isinstance(functional, VarianceSum):
-        ceiling = functional.on_state(rho)
+        ceiling = _state_value(gram, functional)
         if sign > 0:
             which, bound = "ceiling sum Var(rho)", ceiling
         else:
@@ -773,27 +775,27 @@ def decomposition_average(dec: Decomposition, functional: RoofFunctional) -> flo
 # named roofs
 # ---------------------------------------------------------------------------
 
-def convex_roof_variance(rho: State, b: HermitianOperator) -> RoofResult:
+def convex_roof_variance(rho: DensityMatrix, b: HermitianOperator) -> RoofResult:
     """Minimized average variance of B over pure-state decompositions: B's Fisher witness
     (``_fisher_start``), which equals F_Q[rho, B]/4 to round-off, in one evaluation."""
     return optimize_roof(rho, VarianceSum([b]), "min")
 
 
-def roof_sum_I(rho: State, ops: Sequence[HermitianOperator],
+def roof_sum_I(rho: DensityMatrix, ops: Sequence[HermitianOperator],
                cfg: OptimizerConfig | None = None,
                ancilla_dim: int | None = None) -> RoofResult:
     """Convex roof of a sum of variances over pure-state decompositions."""
     return optimize_roof(rho, VarianceSum(ops), "min", cfg=cfg, ancilla_dim=ancilla_dim)
 
 
-def roof_sum_R(rho: State, ops: Sequence[HermitianOperator],
+def roof_sum_R(rho: DensityMatrix, ops: Sequence[HermitianOperator],
                cfg: OptimizerConfig | None = None,
                ancilla_dim: int | None = None) -> RoofResult:
     """Concave roof of a sum of variances over pure-state decompositions."""
     return optimize_roof(rho, VarianceSum(ops), "max", cfg=cfg, ancilla_dim=ancilla_dim)
 
 
-def concave_roof_L(rho: State, a: HermitianOperator, b: HermitianOperator,
+def concave_roof_L(rho: DensityMatrix, a: HermitianOperator, b: HermitianOperator,
                    cfg: OptimizerConfig | None = None,
                    ancilla_dim: int | None = None) -> RoofResult:
     """Maximized average Robertson-Schrodinger bound L over decompositions.
@@ -946,7 +948,7 @@ def _fisher_start(gram: np.ndarray, functional: VarianceSum,
 # closed-form constructions
 # ---------------------------------------------------------------------------
 
-def qubit_z_line_decomposition(rho: State) -> Decomposition:
+def qubit_z_line_decomposition(rho: DensityMatrix) -> Decomposition:
     """Two-point decomposition of a qubit along the Bloch z direction.
 
     Both components sit where the vertical line through the Bloch vector
@@ -956,7 +958,6 @@ def qubit_z_line_decomposition(rho: State) -> Decomposition:
     ``_split_block`` on sigma_x and sigma_y.  A pure qubit is its own
     one-point decomposition.
     """
-    rho = state_density(rho)
     if rho.dim != 2:
         raise ValueError("z-line decomposition is defined for qubits only")
     m = purify(rho)
@@ -964,7 +965,7 @@ def qubit_z_line_decomposition(rho: State) -> Decomposition:
     return extract_decomposition(m, _split_block(m.conj().T @ one_x_y @ m))
 
 
-def eigen_partition_bound_K(rho: State, a: HermitianOperator,
+def eigen_partition_bound_K(rho: DensityMatrix, a: HermitianOperator,
                             b: HermitianOperator) -> float:
     """Best uncertainty bound over eigenvector groupings of a qutrit.
 
@@ -977,9 +978,8 @@ def eigen_partition_bound_K(rho: State, a: HermitianOperator,
     components that score at least as much, so the roof is never below K.
     Degenerate spectra use the eigenbasis exactly as the solver returns it,
     which keeps runs reproducible at the cost of possible suboptimality.  A
-    ``PureState`` is its own only decomposition, so its K is its L.
+    pure state is its own only decomposition, so its K is its L.
     """
-    rho = state_density(rho)
     if rho.dim != 3:
         raise ValueError("the eigenvector-partition bound is defined for qutrits")
     functional = RobertsonSchrodingerBound(a, b)

@@ -11,7 +11,7 @@ from qfiroof import (
     purify,
     random_density_matrix,
 )
-from qfiroof.core import haar_random_unitary, state_density
+from qfiroof.core import haar_random_unitary
 from qfiroof.roofs import (
     BUDGET,
     WEIGHT_DROP,
@@ -145,9 +145,20 @@ def dense_two_mode_quadratures(fock) -> dict:
 def padded_factor(rho, n):
     """The support factor of ``purify`` padded with n - r zero columns: the
     d x n purification of the former formulation, whose Gram stack is n x
-    (x+1)n and zero outside its leading r x r blocks."""
+    (x+k+1)n and zero outside its leading r x r blocks."""
     m = purify(rho)
     return np.concatenate([m, np.zeros((rho.dim, n - m.shape[1]), dtype=complex)], axis=1)
+
+
+def padded_gram(gram, n):
+    """The r x (x+k+1)r Gram stack ``gram`` with each r x r block padded by
+    zeros to n x n: the stack of ``padded_factor``, its leading blocks the
+    library's own to the bit."""
+    r = gram.shape[0]
+    blocks = gram.reshape(r, -1, r)
+    padded = np.zeros((n, blocks.shape[1], n), dtype=complex)
+    padded[:r, :, :r] = blocks
+    return padded.reshape(n, -1)
 
 
 def scalar_reference_roof(rho, functional, direction, start=None, cfg=None, ancilla_dim=None):
@@ -155,18 +166,17 @@ def scalar_reference_roof(rho, functional, direction, start=None, cfg=None, anci
     restart 0 at the n x n unitary diag(U, I) that completes the n x r
     isometry ``start`` = [U; 0] (``_split_start``; the identity by default),
     restart k > 0 at the Haar unitary of ``default_rng([seed, 0, k])``, like
-    ``optimize_roof``.  It scores on the full n x (x+1)n Gram stack of the
-    zero-padded factor (``padded_factor``), so the library's search of n x r
-    isometries on the support's r x (x+1)r stack is checked against the
-    padded formulation.
+    ``optimize_roof``.  It scores on the library's r x (x+k+1)r support
+    Gram stack padded with zero blocks to n x (x+k+1)n (``padded_gram``),
+    so the library's search of n x r isometries is checked against the
+    padded formulation on the same numbers.
     Returns a ``RoofResult`` whose ``evaluations`` count one per start plus
     one per iteration, and every start's stop reason."""
     cfg = cfg or OptimizerConfig()
-    rho = state_density(rho)
     if ancilla_dim is None:
         ancilla_dim = rho.dim
     m = padded_factor(rho, ancilla_dim)
-    gram = _gram_stack(m, functional)
+    gram = padded_gram(_gram_stack(purify(rho), functional), ancilla_dim)
     full = np.eye(ancilla_dim, dtype=complex)
     if start is not None:
         full[:, :start.shape[1]] = start

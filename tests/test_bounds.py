@@ -50,7 +50,7 @@ def test_L_neither_convex_nor_concave():
     # mixing |00> and |11> raises L above the component average ...
     psi00 = PureState([1, 0, 0, 0])
     psi11 = PureState([0, 0, 0, 1])
-    rho = DensityMatrix(0.5 * (psi00.density().mat + psi11.density().mat))
+    rho = DensityMatrix(0.5 * (psi00.mat + psi11.mat))
     assert rs_lower_bound_L(psi00, a, b) < 1e-12
     assert rs_lower_bound_L(psi11, a, b) < 1e-12
     assert abs(rs_lower_bound_L(rho, a, b) - 2.0) < 1e-12
@@ -58,7 +58,7 @@ def test_L_neither_convex_nor_concave():
     # ... while mixing the two Bell states lowers it below the average
     phi = PureState(np.array([1, 0, 0, 1]) / np.sqrt(2))
     psi = PureState(np.array([0, 1, 1, 0]) / np.sqrt(2))
-    rho2 = DensityMatrix(0.5 * (phi.density().mat + psi.density().mat))
+    rho2 = DensityMatrix(0.5 * (phi.mat + psi.mat))
     assert abs(rs_lower_bound_L(phi, a, b) - 2.0) < 1e-12
     assert abs(rs_lower_bound_L(psi, a, b) - 2.0) < 1e-12
     assert rs_lower_bound_L(rho2, a, b) < 1e-12

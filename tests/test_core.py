@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from conftest import dense_variance, random_hermitian, random_state
+from conftest import dense_qfi, dense_rs_bound, dense_variance, random_hermitian, random_state
 from qfiroof import (
     CutoffTooSmallError,
     DensityMatrix,
@@ -14,17 +15,25 @@ from qfiroof import (
     RandomStateConfig,
     coherent_state,
     commutator_i,
+    concave_roof_L,
+    duan_report,
     expectation,
+    extract_decomposition,
     ground_state,
     make_fock_algebra,
     make_spin_algebra,
     make_su_d_generators,
+    purify,
+    qfi,
     random_density_matrix,
+    rs_lower_bound_L,
     spin_coherent_polar,
     spin_coherent_state,
     tensor,
+    two_mode_squeezed_vacuum,
     variance,
 )
+from qfiroof.io import state_from_json, state_to_json
 from qfiroof.core import _support, _support_qfi, _support_variance, haar_random_unitary
 
 
@@ -148,12 +157,78 @@ def test_from_factor_rejects_an_inaccurate_svd(monkeypatch, spoil):
 
 
 def test_pure_state_density_is_rank_one():
-    psi = spin_coherent_polar(2, 0.8, -0.4)
-    rho = psi.density()
+    rho = psi = spin_coherent_polar(2, 0.8, -0.4)
     lam, vs = _support(rho)
     assert rho.rank() == 1 and lam[0] == pytest.approx(1.0, abs=1e-15)
     assert abs(abs(np.vdot(vs[:, 0], psi.vec)) - 1.0) < 1e-12
     assert np.max(np.abs(rho.mat - np.outer(psi.vec, psi.vec.conj()))) < 1e-15
+
+
+def test_pure_state_is_its_rank_one_density_matrix():
+    # a PureState is the DensityMatrix whose support is its vector with weight
+    # 1, so every function of a density matrix reads it as it is, with the
+    # values of that support held by a plain DensityMatrix ("twin")
+    fock = make_fock_algebra(40)
+    eye = HermitianOperator(np.eye(40))
+    cases = []
+    for dim in (2, 3, 9):
+        rng = np.random.default_rng(40 + dim)
+        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        cases.append((PureState(v / np.linalg.norm(v)),
+                      random_hermitian(dim, 50 + dim), random_hermitian(dim, 60 + dim)))
+    cases.append((two_mode_squeezed_vacuum(0.5, 40), tensor(fock.x, eye), tensor(eye, fock.p)))
+    mixed = random_state(3, seed=70, rank=2)
+    for psi, a, b in cases:
+        assert isinstance(psi, DensityMatrix)
+        assert psi.rank() == 1 and psi.purity() == 1.0
+        lam, vs = _support(psi)
+        assert lam.tolist() == [1.0] and vs.shape == (psi.dim, 1)
+        assert np.array_equal(vs[:, 0], psi.vec) and np.shares_memory(vs, psi.vec)
+        assert not psi.vec.flags.writeable
+        assert type(PureState.from_factor(psi.vec[:, None])) is DensityMatrix
+        twin = DensityMatrix._from_support(np.ones(1), psi.vec[:, None])
+        for value in (variance, qfi):
+            assert value(psi, a) == value(twin, a)
+        l_val = rs_lower_bound_L(psi, a, b)
+        assert l_val == rs_lower_bound_L(twin, a, b)
+        roof = concave_roof_L(psi, a, b)
+        assert roof.evaluations == 1 and roof.converged and len(roof.decomposition) == 1
+        assert abs(roof.value - l_val) <= 1e-14 * l_val
+        assert state_to_json(psi) == {"dim": psi.dim, "kind": "pure",
+                                      "re": psi.vec.real.tolist(), "im": psi.vec.imag.tolist()}
+        back = state_from_json(state_to_json(psi))
+        assert type(back) is PureState and np.max(np.abs(back.vec - psi.vec)) <= 1e-15
+        if psi.dim == fock.cutoff**2:
+            report = duan_report(psi, fock)
+            assert report == duan_report(twin, fock)
+            assert abs(report.duan_lhs - 2.0 * np.exp(-1.0)) <= 1e-6 * report.duan_lhs
+            assert psi._mat is None   # nothing formed the 1600 x 1600 matrix
+            continue
+        outer = np.outer(psi.vec, psi.vec.conj())
+        assert np.max(np.abs(psi.mat - outer)) <= 1e-15
+        assert variance(psi, a) == pytest.approx(dense_variance(outer, a.mat), rel=1e-10)
+        assert qfi(psi, a) == pytest.approx(dense_qfi(outer, a.mat), rel=1e-10, abs=1e-12)
+        assert l_val == pytest.approx(dense_rs_bound(outer, a.mat, b.mat), rel=1e-10)
+        # pure (x) mixed and mixed (x) pure compose through their supports
+        for product, dense in ((tensor(psi, mixed), np.kron(outer, mixed.mat)),
+                               (tensor(mixed, psi), np.kron(mixed.mat, outer))):
+            assert type(product) is DensityMatrix and product.rank() == 2
+            assert np.max(np.abs(product.mat - dense)) < 1e-12
+    # a witness of 16 pure components on nine qubits mixes as one product of
+    # its stacked vectors: one 512 x 512 array, and no component forms its own
+    rho = random_state(512, seed=3, rank=4)
+    dec = extract_decomposition(purify(rho),
+                                haar_random_unitary(16, np.random.default_rng(5))[:, :4])
+    assert len(dec) == 16
+    tracemalloc.start()
+    try:
+        mix = dec.mixture()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * mix.nbytes
+    assert np.max(np.abs(mix - rho.mat)) < 1e-12
+    assert all(state._mat is None for _, state in dec.components)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])

@@ -46,8 +46,8 @@ def test_qfi_pure_state_equals_four_variances():
     spin = make_spin_algebra(1.5)
     psi = spin_coherent_polar(1.5, 1.1, 0.3)
     assert abs(qfi(psi, spin.jz) - 4 * variance(psi, spin.jz)) < 1e-10
-    # rank-one density matrices go through the spectral formula and must agree
-    assert abs(qfi(psi.density(), spin.jz) - 4 * variance(psi, spin.jz)) < 1e-10
+    # the dense rank-one density matrix, eigensolved, must agree
+    assert abs(qfi(DensityMatrix(psi.mat), spin.jz) - 4 * variance(psi, spin.jz)) < 1e-10
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])

@@ -72,7 +72,7 @@ FAST = OptimizerConfig(seed=13, restarts=4, local_steps=250)
 
 def test_purify_pure_state_single_schmidt_coefficient():
     psi = PureState([0.6, 0.8j])
-    m = purify(psi.density())
+    m = purify(psi)
     assert m.shape == (2, 1)
     schmidt = np.linalg.svd(m, compute_uv=False)
     assert abs(schmidt[0] - 1.0) < 1e-10
@@ -1097,6 +1097,30 @@ def test_variance_sum_maximization_stops_at_its_ceiling(caplog):
     assert res.evaluations > len(_eigen_groupings(3)) + FAST.restarts - 1
 
 
+def test_variance_sum_roofs_build_one_gram_stack(monkeypatch):
+    # the ceiling sum Var(rho) and the floor sum F_Q/4 are read off the stack
+    # that the search scores on: one _gram_stack per roof, whether restart 0
+    # meets its bound or every start climbs
+    shapes = []
+    build = roofs._gram_stack
+
+    def counted(m, functional):
+        shapes.append(m.shape)
+        return build(m, functional)
+
+    monkeypatch.setattr(roofs, "_gram_stack", counted)
+    rho = random_state(3, seed=88)
+    ops = [random_hermitian(3, 89 + k) for k in range(3)]
+    for roof, count in ((roof_sum_R, 2), (roof_sum_R, 3), (roof_sum_I, 1), (roof_sum_I, 3)):
+        shapes.clear()
+        res = roof(rho, ops[:count], cfg=FAST)
+        assert shapes == [(3, 3)], (roof.__name__, count)
+        stopped = res.evaluations == (len(_eigen_groupings(3)) if roof is roof_sum_R else 1)
+        assert stopped == (count < 3), (roof.__name__, count)
+    ceiling = VarianceSum(ops[:2]).on_state(rho)
+    assert roof_sum_R(rho, ops[:2], cfg=FAST).value == pytest.approx(ceiling, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # concave roof of the uncertainty bound
 # ---------------------------------------------------------------------------
@@ -1278,12 +1302,13 @@ def test_partition_bound_maximally_mixed_qutrit():
 
 def test_partition_bound_pure_qutrit_is_plain_L():
     psi = PureState(np.array([0.6, 0.0, 0.8]))
-    rho = psi.density()
+    rho = DensityMatrix(psi.mat)
     spin = make_spin_algebra(1)
     k = eigen_partition_bound_K(rho, spin.jx, spin.jy)
     assert abs(k - rs_lower_bound_L(psi, spin.jx, spin.jy)) < 1e-9
-    # a PureState input is the same state
-    assert eigen_partition_bound_K(psi, spin.jx, spin.jy) == k
+    # a PureState is its own only decomposition: its one grouping scores its L
+    l_val = rs_lower_bound_L(psi, spin.jx, spin.jy)
+    assert eigen_partition_bound_K(psi, spin.jx, spin.jy) == l_val
 
 
 def test_partition_bound_dominates_plain_bound():
