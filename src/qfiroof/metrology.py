@@ -11,6 +11,7 @@ from .core import (
     DensityMatrix,
     HermitianOperator,
     _require_count,
+    _support,
     _support_image,
     _support_qfi,
     commutator_i,
@@ -56,7 +57,8 @@ def sld(state: DensityMatrix, b: HermitianOperator) -> SldResult:
     r_kl = (lam_k - lam_l) / (lam_k + lam_l).  A support-kernel pair has
     ratio +-1, and the kernel-kernel block of L is zero; inside the support
     lam_k + lam_l >= 2 EIG_FLOOR, so no pair is skipped.  Its mean vanishes
-    and Tr(rho L^2) equals F_Q.
+    and Tr(rho L^2) equals F_Q.  The defining equation is checked on rho =
+    V_S Lambda V_S^dag, formed here, so no d x d matrix is kept on the state.
     """
     lam, vs, w = _support_image(state, b)
     vs_dag = vs.conj().T
@@ -66,7 +68,7 @@ def sld(state: DensityMatrix, b: HermitianOperator) -> SldResult:
     l_mat = 2j * (vs @ (ratio * b_s) @ vs_dag + vs @ resid.conj().T - resid @ vs_dag)
     ell = HermitianOperator(l_mat)
 
-    rho = state.mat
+    rho = (vs * lam) @ vs_dag
     lhs = 1j * (rho @ b.mat - b.mat @ rho)
     rhs = 0.5 * (rho @ l_mat + l_mat @ rho)
     residual = np.linalg.norm(lhs - rhs)
@@ -126,12 +128,15 @@ def check_sld_saturation(state: DensityMatrix, a: HermitianOperator,
     Fits the single scale c by least squares in the Hilbert-Schmidt inner
     product, which is robust to near-zero matrix entries.  When the fit
     residual vanishes, Var(A) F_Q[rho, B] = |<i[A,B]>|^2 is saturated; the
-    product identity is verified as well before reporting saturation.
+    product identity is verified as well before reporting saturation.  rho =
+    V_S Lambda V_S^dag is formed here from the support, so no d x d matrix
+    is kept on the state.
     """
     var_a = variance(state, a)
     if var_a <= 0.0:
         raise ValueError("A has zero variance on this state; rescaling is meaningless")
-    rho = state.mat
+    lam, vs = _support(state)
+    rho = (vs * lam) @ vs.conj().T
     m = 1j * (rho @ b.mat - b.mat @ rho)
     n = 0.5 * (rho @ a.mat + a.mat @ rho)
     lhs = var_a * qfi(state, b)

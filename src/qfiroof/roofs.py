@@ -146,7 +146,7 @@ class RoofFunctional:
     right)``.  f(sigma) must not change when an operator is shifted by c 1,
     as Var, L and their roofs do not (Toth & Petz, PRA 87, 032324 (2013)):
     every moment is read with each A_j centred on the state being
-    decomposed (``_gram_stack``), so that no mean is ever subtracted from a
+    decomposed (``_centred_images``), so that no mean is ever subtracted from a
     much larger second moment.  ``terms`` maps component weights and moments
     to p f(sigma) and, for the optimizer's Riemannian gradient, to its
     derivatives.  The optimizer never forms sigma: it takes every start's
@@ -180,9 +180,10 @@ class RoofFunctional:
                                          f"the state on dimension {dim}")
 
     def on_state(self, state: DensityMatrix) -> float:
-        """f(state) from the block traces of its own Gram stack (``_gram_stack``)."""
+        """f(state) from the moments of its support, summed over its eigenvectors
+        (``_support_moments``)."""
         self.check_dim(state.dim)
-        return _state_value(_gram_stack(purify(state), self), self)
+        return float(_block_terms(_support_moments(purify(state), self).sum(axis=0), self))
 
 
 class VarianceSum(RoofFunctional):
@@ -285,33 +286,38 @@ class RoofResult:
     evaluations: int
 
 
+def _centred_images(m: np.ndarray, functional: RoofFunctional) -> np.ndarray:
+    """The ``(x, d, r)`` support images Y_j = (A_j - <A_j>) m, centred on m m^dag."""
+    y = functional.ops @ m
+    y -= (m.conj().T @ y).trace(axis1=1, axis2=2).real[:, None, None] * m
+    return y
+
+
 def _gram_stack(m: np.ndarray, functional: RoofFunctional) -> np.ndarray:
     """G = [m^dag m, m^dag Y_j, Y_l^dag Y_r] as one r x (x+k+1)r matrix, r the columns of m.
 
-    Y_j = (A_j - <A_j>) m are the support images of the x operators of
-    ``functional``, each centred on the state m m^dag, and (l, r) its k
-    named products: O(x d^2 r), and no product of operators.  Component a
-    of the n x r isometry W has the moments (conj(W) G_j W^T)_aa.
+    Y_j are the centred images (``_centred_images``) and (l, r) the k products
+    ``functional`` names.  Isometry W gives component a the moments (conj(W) G_j W^T)_aa.
     """
-    mh = m.conj().T
-    y = functional.ops @ m
-    # <A_j> = tr(m^dag A_j m), subtracted from each image: Y_j centred on m m^dag
-    y -= (mh @ y).trace(axis1=1, axis2=2).real[:, None, None] * m
+    mh, y = m.conj().T, _centred_images(m, functional)
     grams = np.concatenate([(mh @ m)[None], mh @ y,
                             y[functional.left].conj().swapaxes(-1, -2) @ y[functional.right]])
     return grams.transpose(1, 0, 2).reshape(m.shape[1], -1)
 
 
-def _support_diagonals(gram: np.ndarray) -> np.ndarray:
-    """The ``(r, x+k+1)`` diagonals of the blocks of ``gram``: row k holds lambda_k,
-    then the centred moments of column k of the support factor."""
-    r = gram.shape[0]
-    return gram.reshape(r, -1, r).diagonal(axis1=0, axis2=2).T
+def _support_moments(m: np.ndarray, functional: RoofFunctional) -> np.ndarray:
+    """The ``(r, x+k+1)`` moments of the columns m_k of m, by column contractions:
+    lambda_k = m_k^dag m_k, m_k^dag Y_jk and Y_lk^dag Y_rk (``_centred_images``)."""
+    y = _centred_images(m, functional)
+    return np.concatenate([np.vecdot(m, m, axis=0)[None], np.vecdot(m, y, axis=-2),
+                           np.vecdot(y[functional.left], y[functional.right], axis=-2)]).T
 
 
 def _state_value(gram: np.ndarray, functional: RoofFunctional) -> float:
     """f(rho) of the state whose Gram stack is ``gram``, from its block traces."""
-    return float(_block_terms(_support_diagonals(gram).sum(axis=0), functional))
+    r = gram.shape[0]
+    traces = gram.reshape(r, -1, r).diagonal(axis1=0, axis2=2).T.sum(axis=0)
+    return float(_block_terms(traces, functional))
 
 
 def _fisher_floor(gram: np.ndarray, functional: VarianceSum) -> float:
@@ -407,32 +413,33 @@ STOP_REASONS = ("tolerance", "no_ascent", "budget")
 
 
 def _lbfgs_direction(grad: np.ndarray, steps: np.ndarray, changes: np.ndarray,
-                     inv: np.ndarray, count: np.ndarray) -> np.ndarray:
+                     inv: np.ndarray) -> np.ndarray:
     """Limited-memory BFGS ascent directions of a stack of starts.
 
     ``grad`` is ``(C, k)`` (Hermitian matrices as real vectors, whose dot
-    product is Re Tr(A B)).  ``steps`` and ``changes`` are ``(m, C, k)``,
-    newest pair first: ``steps[j]`` and ``changes[j]`` hold the step and the
-    gradient change of every start's j-th pair, of which the first
-    ``count[i]`` are valid for start i.  ``inv`` is ``(m, C)``, 1 / (step .
-    change) of each valid pair and 0 past them.  A change is g_old - g_new,
-    the gradient change of the negated objective, so every stored pair has
-    positive curvature.  The two-loop recursion scales by (s . y) / (y . y)
-    of the newest pair.
+    product is Re Tr(A B)).  ``steps`` and ``changes`` are ``(C, m, k)``,
+    start first and newest pair first, and ``inv`` is ``(C, m)``, 1 / (step
+    . change) of each stored pair and 0 in an empty slot, whatever stale
+    pair it holds.  A start's pairs fill its leading slots, so ``inv`` gives
+    the depth (the deepest start's), the scaling and the empty memories,
+    which return the gradient.  A change is g_old - g_new, the gradient
+    change of the negated objective, so every stored pair has positive
+    curvature.  The two-loop recursion scales by (s . y) / (y . y) of the
+    newest pair.
     """
     r = grad.copy()
-    depth = count.max(initial=0)
+    depth = np.count_nonzero(inv.any(axis=0))
     alpha = []
     for j in range(depth):
-        alpha.append(inv[j] * np.vecdot(steps[j], r))
-        r -= alpha[j][:, None] * changes[j]
+        alpha.append(inv[:, j] * np.vecdot(steps[:, j], r))
+        r -= alpha[j][:, None] * changes[:, j]
     if depth:
-        newest = changes[0]
-        r *= np.divide(1.0, inv[0] * np.vecdot(newest, newest), out=np.ones(len(r)),
-                       where=count > 0)[:, None]
+        newest = changes[:, 0]
+        r *= np.divide(1.0, inv[:, 0] * np.vecdot(newest, newest), out=np.ones(len(r)),
+                       where=inv[:, 0] > 0.0)[:, None]
     for j in reversed(range(depth)):
-        beta = inv[j] * np.vecdot(changes[j], r)
-        r += (alpha[j] - beta)[:, None] * steps[j]
+        beta = inv[:, j] * np.vecdot(changes[:, j], r)
+        r += (alpha[j] - beta)[:, None] * steps[:, j]
     return r
 
 
@@ -473,33 +480,31 @@ def _newton_frame(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _scores(gram: np.ndarray, u: np.ndarray, functional: RoofFunctional, sign: float,
             frame: np.ndarray | None, lift: np.ndarray | None):
-    """Signed objectives, Riemannian gradients and, for Newton steps, frame coordinates and Hessians.
+    """Signed objectives of a stack of isometries and the state its direction rule reads there.
 
-    ``u`` is a ``(C, n, r)`` stack of isometries.  Without ``frame``
-    (L-BFGS steps) this is one gradient pass of ``_objective``, and the
-    coordinates and Hessians are None.  With ``frame`` and ``lift`` of
-    ``_newton_frame`` the same pass scores the stack ``lift @ W``, that is
-    W and the k rotated isometries exp(i eps E_l) W; Newton steps are taken
-    only for maximizations (``_takes_newton_steps``), so ``sign`` is +1
-    there.  The gradients' ``(C, 1 + k)`` coordinates in the frame are
-    formed in one product: those at W are returned as the ``(C, k)``
-    gradient coordinates, and the ``(C, k, k)`` Hessian in the frame
-    is the one-sided difference h_lm = Re Tr((Gamma_l - Gamma) E_m) / eps,
-    symmetrized, with Gamma the gradient at W and Gamma_l those at the
-    rotated isometries: for the bi-invariant metric, the Riemannian Hessian
-    along the geodesics exp(itH) W.
+    ``u`` is a ``(C, n, r)`` stack of isometries; the state is a tuple of
+    ``(C, ...)`` arrays, the gradients' real coordinates first.  Without
+    ``frame`` (L-BFGS steps) this is one gradient pass of ``_objective``,
+    and the state is the signed gradients as ``(C, 2n^2)`` real vectors.
+    With ``frame`` and ``lift`` of ``_newton_frame`` the same pass scores
+    ``lift @ W``, W and its k rotations exp(i eps E_l) W (Newton steps only
+    maximize, so ``sign`` is +1), and one product gives all ``(C, 1 + k)``
+    gradients' frame coordinates.  The state is then the ``(C, k)`` g_E at W
+    and the ``(C, k, k)`` Hessians h_lm = Re Tr((Gamma_l - Gamma) E_m) /
+    eps, symmetrized, with Gamma the gradient at W and Gamma_l at the
+    rotations: for the bi-invariant metric, the Riemannian Hessian along
+    the geodesics exp(itH) W.  A gradient's diagonal is exactly zero
+    (``_objective``), so |g_E| is its Frobenius norm.
     """
     if frame is None:
         vals, grad = _objective(gram, u, functional, gradient=True)
-        return sign * vals, sign * grad, None, None
-    c, n = u.shape[:2]
+        return sign * vals, ((sign * grad).view(float).reshape(len(u), -1),)
+    c = len(u)
     vals, grad = _objective(gram, (lift @ u[:, None]).reshape(-1, *u.shape[1:]), functional,
                             gradient=True)
-    grad = grad.reshape(c, len(lift), n, n)
     coords = grad.view(float).reshape(c, len(lift), -1) @ frame.T
     hess = (coords[:, 1:] - coords[:, :1]) / HESSIAN_STEP
-    return (vals.reshape(c, -1)[:, 0], grad[:, 0], coords[:, 0],
-            0.5 * (hess + hess.swapaxes(-1, -2)))
+    return vals.reshape(c, -1)[:, 0], (coords[:, 0], 0.5 * (hess + hess.swapaxes(-1, -2)))
 
 
 def _newton_direction(coords: np.ndarray, hess: np.ndarray, frame: np.ndarray) -> np.ndarray:
@@ -524,15 +529,12 @@ def _select(mask: np.ndarray, new: np.ndarray, old: np.ndarray) -> np.ndarray:
 
 
 def _push(memory: tuple[np.ndarray, ...], newest: tuple[np.ndarray, ...],
-          rows: np.ndarray | None = None) -> None:
-    """Shift the ``(m, C, ...)`` stacks of ``memory`` one slot older and put
-    ``newest`` first, for the starts ``rows`` (``newest`` holds their rows
-    only) or for every start."""
+          rows: np.ndarray) -> None:
+    """Shift the memory of the starts ``rows`` (a ``(C,)`` mask) one slot
+    older in every ``(C, m, ...)`` stack of ``memory``, the oldest pair
+    dropping out, and put ``newest``, which holds their rows only, first."""
     for stack, new in zip(memory, newest):
-        if rows is None:
-            stack[1:], stack[0] = stack[:-1], new
-        else:
-            stack[1:, rows], stack[0, rows] = stack[:-1, rows], new
+        stack[rows, 1:], stack[rows, 0] = stack[rows, :-1], new
 
 
 def _ascend(gram: np.ndarray, us: np.ndarray, functional: RoofFunctional, sign: float,
@@ -562,66 +564,64 @@ def _ascend(gram: np.ndarray, us: np.ndarray, functional: RoofFunctional, sign: 
     Newton steps were measured slower than L-BFGS ones.
 
     Every other search takes limited-memory BFGS directions (the
-    Riemannian gradient when the memory is empty).  An accepted step with
-    positive curvature is pushed onto the start's memory, two
-    ``(BFGS_MEMORY, C, 2n^2)`` stacks of steps and gradient changes, newest
-    first, the oldest pair dropping out.  A step that does not ascend
-    clears the memory, or, from the gradient direction, stops the start.
+    Riemannian gradient when the memory is empty).  A start's memory is its
+    start-first rows of steps, gradient changes and inverse curvatures,
+    newest pair first, a slot empty where its inverse curvature is 0
+    (``_lbfgs_direction``).  An accepted step with positive curvature is
+    pushed (``_push``); a direction that does not ascend to first order, or
+    a rejected step, clears the memory by zeroing those inverses, and a
+    rejected step along the gradient stops the start.
 
-    A start also stops once its gradient norm falls below
-    ``cfg.tolerance`` or after ``cfg.local_steps`` iterations.  Starts never
-    read each other's state, and a stopped start leaves the stack.  When
-    every live start is uphill, or every one is accepted, the iteration
-    skips the per-start selects (``_select``), which leaves every start's
-    arithmetic unchanged.  Returns the signed objectives of the final
+    Each start carries its isometry, value, rule state (``_scores``: the
+    Newton g_E and Hessian, or the L-BFGS gradient) and L-BFGS memory.  It
+    stops once the norm of its gradient coordinates falls below
+    ``cfg.tolerance``, on a rejected step as above, or after
+    ``cfg.local_steps`` iterations.  That norm bounds no value gap: at the
+    default config the seven Haar starts of one qutrit convex roof of a
+    variance stopped on it 6.6e-8 to 8.3e-6 (relative) above F_Q/4, so
+    ``TOLERANCE`` names a stop reason and nothing more.  Starts never read
+    each other's state: a stop compacts the whole carry at once, and every
+    update is masked per start.  Returns the signed objectives of the final
     isometries, why each start stopped (``TOLERANCE``, ``NO_ASCENT`` or
     ``BUDGET``) and the number of iterations.
     """
     c, n = len(us), us.shape[1]
     newton = _takes_newton_steps(sign, n)
     frame, lift = _newton_frame(n) if newton else (None, None)
-    live = np.arange(c)
-    u = us.copy()
-    vals, grad, coords, hess = _scores(gram, u, functional, sign, frame, lift)
+    # a live start's carry: its isometry, its value, its rule's state (the
+    # gradient's coordinates first) and, for L-BFGS, its memory, empty at first
+    vals, state = _scores(gram, us, functional, sign, frame, lift)
+    carry = [us.copy(), vals, *state]
+    moved = len(carry)                  # the arrays an accepted step replaces
     if not newton:
-        # every start's memory, newest pair first (see _lbfgs_direction)
-        steps = np.zeros((BFGS_MEMORY, c, 2 * n * n))
-        changes = np.zeros((BFGS_MEMORY, c, 2 * n * n))
-        inv = np.zeros((BFGS_MEMORY, c))
-        count = np.zeros(c, dtype=int)
-    failed = np.zeros(c, dtype=bool)
-    final = np.empty(c)
-    reason = np.full(c, BUDGET)
-    iterations = 0
+        carry += [np.zeros((c, BFGS_MEMORY, 2 * n * n)), np.zeros((c, BFGS_MEMORY, 2 * n * n)),
+                  np.zeros((c, BFGS_MEMORY))]
+    live, failed = np.arange(c), np.zeros(c, dtype=bool)
+    final, reason, iterations = np.empty(c), np.full(c, BUDGET), 0
     for it in range(cfg.local_steps + 1):
-        g = grad.view(float).reshape(len(live), -1)
-        small = np.vecdot(g, g) < cfg.tolerance ** 2
+        small = np.vecdot(carry[2], carry[2]) < cfg.tolerance ** 2
         stop = small | failed
         if stop.any():
             done, go = stop.nonzero()[0], (~stop).nonzero()[0]
             reason[live[done]] = np.where(small[done], TOLERANCE, NO_ASCENT)
-            us[live[done]], final[live[done]] = u[done], vals[done]
-            live, u, vals, grad, g = live[go], u[go], vals[go], grad[go], g[go]
-            if newton:
-                coords, hess = coords[go], hess[go]
-            else:
-                steps, changes, inv, count = steps[:, go], changes[:, go], inv[:, go], count[go]
+            us[live[done]], final[live[done]] = carry[0][done], carry[1][done]
+            live, carry = live[go], [a[go] for a in carry]
             if not len(live):
                 return final, reason, iterations
         if it == cfg.local_steps:
             break
         iterations += len(live)
+        u, vals, g = carry[:3]
         if newton:
-            d = _newton_direction(coords, hess, frame)
+            d = _newton_direction(g, carry[3], frame)
         else:
-            d = _lbfgs_direction(g, steps, changes, inv, count)
+            steps, changes, inv = carry[3:]
+            d = _lbfgs_direction(g, steps, changes, inv)
             # a direction that does not ascend to first order falls back to
             # the gradient and clears the memory
             uphill = np.vecdot(d, g) > 0.0
-            if not uphill.all():
-                d = _select(uphill, d, g)
-                count *= uphill
-                inv *= uphill
+            d = _select(uphill, d, g)
+            inv *= uphill[:, None]
         lam, vecs = np.linalg.eigh(d.view(complex).reshape(-1, n, n))
         back = vecs.conj().swapaxes(-1, -2) @ u
         # the grid's angles, then the direction's own unit step
@@ -632,36 +632,28 @@ def _ascend(gram: np.ndarray, us: np.ndarray, functional: RoofFunctional, sign: 
         # the winning candidate, accepted only if it beats the current point
         rows, pick = np.arange(len(live)), scores.argmax(axis=1)
         new_u = line[rows, pick]
-        new_vals, new_grad, new_coords, new_hess = _scores(gram, new_u, functional, sign,
-                                                           frame, lift)
+        new_vals, state = _scores(gram, new_u, functional, sign, frame, lift)
         accept = (scores[rows, pick] > vals) & (new_vals > vals)
-        if newton:
-            # a rejected start stops before its coordinates and Hessian are read again
-            failed, coords, hess = ~accept, new_coords, new_hess
-        else:
+        # a rejected step stops a Newton start
+        failed = ~accept
+        if not newton:
             step = mus[rows, pick][:, None] * d
-            change = g - new_grad.view(float).reshape(len(live), -1)
+            change = g - state[0]
             curvature = np.vecdot(step, change)
             curved = accept & (curvature > 0.0)
-            if curved.all():
-                _push((steps, changes, inv), (step, change, 1.0 / curvature))
-            elif curved.any():
-                push = curved.nonzero()[0]
-                _push((steps, changes, inv), (step[push], change[push], 1.0 / curvature[push]),
-                      push)
             # a rejected step clears the memory, and stops a start that took
             # it along the gradient
-            failed = ~accept & (count == 0)
-            count = np.minimum(count + curved, BFGS_MEMORY)
-            if not accept.all():
-                count *= accept
-                inv *= accept
+            failed &= (inv[:, 0] == 0.0)
+            inv *= accept[:, None]
+            _push((steps, changes, inv), (step[curved], change[curved], 1.0 / curvature[curved]),
+                  curved)
+        new = (new_u, new_vals, *state)
+        # every live start accepts on most iterations, and then no select runs
         if accept.all():
-            u, vals, grad = new_u, new_vals, new_grad
+            carry[:moved] = new
         else:
-            u, vals = _select(accept, new_u, u), _select(accept, new_vals, vals)
-            grad = _select(accept, new_grad, grad)
-    us[live], final[live] = u, vals
+            carry[:moved] = [_select(accept, a, b) for a, b in zip(new, carry)]
+    us[live], final[live] = carry[0], carry[1]
     return final, reason, iterations
 
 
@@ -983,7 +975,7 @@ def eigen_partition_bound_K(rho: DensityMatrix, a: HermitianOperator,
     if rho.dim != 3:
         raise ValueError("the eigenvector-partition bound is defined for qutrits")
     functional = RobertsonSchrodingerBound(a, b)
-    mom = _support_diagonals(_gram_stack(purify(rho), functional))
+    mom = _support_moments(purify(rho), functional)
     groupings = _eigen_groupings(len(mom))
     blocks = [block for grouping in groupings for block in grouping]
     owner = [g for g, grouping in enumerate(groupings) for _ in grouping]

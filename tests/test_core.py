@@ -164,6 +164,26 @@ def test_pure_state_density_is_rank_one():
     assert np.max(np.abs(rho.mat - np.outer(psi.vec, psi.vec.conj()))) < 1e-15
 
 
+def test_unit_state_vector_is_kept_bit_for_bit():
+    # a vector whose norm is within four ulps of 1 is not divided by it, so
+    # a pure state's JSON round trip returns its vector unchanged; a vector
+    # further from unit norm is still normalised
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+        psi = PureState(v / np.linalg.norm(v))
+        back = state_from_json(state_to_json(psi))
+        assert np.array_equal(back.vec, psi.vec)
+        assert np.array_equal(PureState(psi.vec).vec, psi.vec)
+    v = np.array([0.6, 0.8j]) * (1.0 + 1e-7)
+    psi = PureState(v)
+    assert abs(np.linalg.norm(psi.vec) - 1.0) <= 4.0 * np.finfo(float).eps
+    assert np.max(np.abs(psi.vec - [0.6, 0.8j])) <= 1e-15
+    # the amplitudes are copied: the state neither aliases nor freezes them
+    w = np.array([0.6, 0.8j])
+    assert not np.shares_memory(PureState(w).vec, w) and w.flags.writeable
+
+
 def test_pure_state_is_its_rank_one_density_matrix():
     # a PureState is the DensityMatrix whose support is its vector with weight
     # 1, so every function of a density matrix reads it as it is, with the
@@ -197,7 +217,7 @@ def test_pure_state_is_its_rank_one_density_matrix():
         assert state_to_json(psi) == {"dim": psi.dim, "kind": "pure",
                                       "re": psi.vec.real.tolist(), "im": psi.vec.imag.tolist()}
         back = state_from_json(state_to_json(psi))
-        assert type(back) is PureState and np.max(np.abs(back.vec - psi.vec)) <= 1e-15
+        assert type(back) is PureState and np.array_equal(back.vec, psi.vec)
         if psi.dim == fock.cutoff**2:
             report = duan_report(psi, fock)
             assert report == duan_report(twin, fock)

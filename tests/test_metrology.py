@@ -277,6 +277,27 @@ def test_sld_saturation_detected():
     assert abs(c2 - 0.5) < 1e-8
 
 
+def test_sld_and_saturation_check_leave_the_state_matrix_unformed():
+    # both form rho = V_S Lambda V_S^dag from the support, so a pure or
+    # factor-built state keeps no d x d matrix; the saturation scale matches
+    # the dense formula on the state's own matrix, formed only afterwards
+    rng = np.random.default_rng(93)
+    v = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+    b, other = random_hermitian(4, 94), random_hermitian(4, 95)
+    for state in (PureState(v[:, 0] / np.linalg.norm(v[:, 0])),
+                  DensityMatrix.from_factor(v / np.linalg.norm(v))):
+        res = sld(state, b)
+        checks = [check_sld_saturation(state, a, b) for a in (res.sld, other)]
+        assert state._mat is None
+        assert checks[0][0] and abs(checks[0][1] - 1.0) < 1e-8 and not checks[1][0]
+        rho = state.mat
+        assert abs(res.qfi - dense_qfi(rho, b.mat)) <= 1e-12
+        for a, (_, c) in zip((res.sld, other), checks):
+            m = 1j * (rho @ b.mat - b.mat @ rho)
+            n = 0.5 * (rho @ a.mat + a.mat @ rho)
+            assert abs(c - np.vdot(n, m).real / np.vdot(n, n).real) <= 1e-15 * abs(c)
+
+
 def test_sld_saturation_commuting_state_and_generator():
     # [rho, B] = 0: Var(A) F_Q[rho, B] = 0 = |<i[A,B]>|^2, so the relation is
     # saturated whatever A is, with scale 0

@@ -539,15 +539,15 @@ def test_newton_hessian_matches_second_differences(n):
         values, grad = _objective(gram, us, functional, gradient=True)
         # Newton steps are taken only for maximizations (_takes_newton_steps),
         # so the Newton pass is unsigned
-        scored, g, formed, hess = roofs._scores(gram, us.copy(), functional, 1.0, frame, lift)
-        assert hess.shape == (count, k, k)
+        scored, (formed, hess) = roofs._scores(gram, us.copy(), functional, 1.0, frame, lift)
+        assert formed.shape == (count, k) and hess.shape == (count, k, k)
         assert np.array_equal(hess, hess.swapaxes(-1, -2))
         assert np.max(np.abs(scored - values)) < 1e-12
-        assert np.max(np.abs(g - grad)) < 1e-12
         # the frame spans the gradient: its diagonal generators are gauge
-        coords = g.view(float).reshape(count, -1) @ frame.T
-        assert np.array_equal(formed, coords)
-        assert np.max(np.abs(coords @ frame - g.view(float).reshape(count, -1))) < 1e-12
+        g = grad.view(float).reshape(count, -1)
+        coords = g @ frame.T
+        assert np.max(np.abs(formed - coords)) < 1e-12
+        assert np.max(np.abs(formed @ frame - g)) < 1e-12
         for _ in range(6):
             h = _random_hermitian_stack(rng, count, n)
             h[:, np.arange(n), np.arange(n)] = 0.0
@@ -558,15 +558,35 @@ def test_newton_hessian_matches_second_differences(n):
             assert np.max(np.abs(quadratic - second)) <= 1e-5 * np.max(np.abs(second))
 
 
+@pytest.mark.parametrize("dim, ancilla", [(2, 2), (2, 3), (3, 3)])
+def test_newton_stop_reads_the_frame_norm_of_the_gradient(dim, ancilla):
+    # Haar isometries, every functional kind: the Riemannian gradient's
+    # diagonal is exactly zero, so the norm of its frame coordinates g_E,
+    # which the Newton stop test reads, is its Frobenius norm
+    rho = random_state(dim, seed=360 + ancilla)
+    m = purify(rho)
+    rng = np.random.default_rng(370 + dim + ancilla)
+    count = 5
+    us = np.array([haar_random_unitary(ancilla, rng)[:, :dim] for _ in range(count)])
+    frame, lift = roofs._newton_frame(ancilla)
+    for functional, _ in _functionals(dim, 380 + ancilla):
+        gram = _gram_stack(m, functional)
+        _, grad = _objective(gram, us, functional, gradient=True)
+        assert np.all(grad.diagonal(axis1=1, axis2=2) == 0.0)
+        _, (coords, _) = roofs._scores(gram, us, functional, 1.0, frame, lift)
+        frobenius = np.sum(np.abs(grad) ** 2, axis=(1, 2))
+        assert np.max(np.abs(np.vecdot(coords, coords) - frobenius) / frobenius) <= 1e-15
+
+
 def test_newton_steps_only_for_maximizations_on_small_ancillas(monkeypatch, caplog):
     # a qubit or qutrit maximization never takes an L-BFGS direction; a
     # qutrit minimization and a maximization on four levels still do, and
     # each roof's debug line names its direction rule
     calls = []
 
-    def counted(grad, steps, changes, inv, count):
+    def counted(grad, steps, changes, inv):
         calls.append(len(grad))
-        return _lbfgs_direction(grad, steps, changes, inv, count)
+        return _lbfgs_direction(grad, steps, changes, inv)
 
     monkeypatch.setattr(roofs, "_lbfgs_direction", counted)
     cfg = OptimizerConfig(seed=3, restarts=3, local_steps=60)
@@ -777,32 +797,37 @@ def test_lockstep_search_matches_scalar_reference_through_tolerance_stops():
 def test_lockstep_search_matches_scalar_reference_through_mixed_iterations(monkeypatch):
     # within one stack iteration some starts accept and others reject, some
     # push no pair while others do, and some fall back from a downhill
-    # direction, so _ascend leaves its every-start shortcuts for per-start
-    # selects (_select) and pushes (_push), counted here.  A direction from
-    # positive-curvature pairs ascends up to rounding, so every start whose
-    # memory holds exactly two pairs is handed its negated direction: a
-    # rule local to the start, the same in the stack and on its own.
+    # direction, each through its per-start mask: the selects (_select) and
+    # pushes (_push) whose masks are mixed are counted here.  A direction
+    # from positive-curvature pairs ascends up to rounding, so every start
+    # whose memory holds exactly two pairs (two nonzero inverse curvatures)
+    # is handed its negated direction: a rule local to the start, the same
+    # in the stack and on its own.
     rho, a, b, functional, _ = _oracle_case(4, "rs", 1)
     cfg = OptimizerConfig(seed=1, restarts=3, local_steps=120)
     lbfgs, select, push = roofs._lbfgs_direction, roofs._select, roofs._push
     mixed = {"accept": 0, "uphill": 0, "push": 0}
+    handed, held = [], []
 
-    def downhill_at_two(grad, steps, changes, inv, count):
-        d = lbfgs(grad, steps, changes, inv, count)
-        d[count == 2] *= -1.0
+    def downhill_at_two(grad, steps, changes, inv):
+        d = lbfgs(grad, steps, changes, inv)
+        held.append(np.count_nonzero(inv, axis=1))
+        d[held[-1] == 2] *= -1.0
+        handed[:] = [d]
         return d
 
     def counted_select(mask, new, old):
         if mask.any() and not mask.all():
-            # the direction is (C, k), of the accepted stacks only vals is (C,)
-            if new.ndim == 1:
-                mixed["accept"] += 1
-            elif new.ndim == 2:
+            # the uphill select takes the direction just handed out; of the
+            # accepted stacks only vals is (C,)
+            if handed and new is handed[0]:
                 mixed["uphill"] += 1
+            elif new.ndim == 1:
+                mixed["accept"] += 1
         return select(mask, new, old)
 
-    def counted_push(memory, newest, rows=None):
-        if rows is not None:
+    def counted_push(memory, newest, rows):
+        if rows.any() and not rows.all():
             mixed["push"] += 1
         push(memory, newest, rows)
 
@@ -811,6 +836,17 @@ def test_lockstep_search_matches_scalar_reference_through_mixed_iterations(monke
     monkeypatch.setattr(roofs, "_push", counted_push)
     res = optimize_roof(rho, functional, "min", cfg=cfg)
     assert min(mixed.values()) > 0, mixed
+    # between two iterations in which no start stopped, the rows match: a
+    # downhill direction cleared its start's memory (its gradient step then
+    # pushed at most one pair), and a rejected step taken with a nonempty
+    # memory cleared it without stopping the start
+    cleared = kept = 0
+    for before, after in zip(held, held[1:]):
+        if len(before) == len(after):
+            assert np.all(after[before == 2] <= 1)
+            cleared += np.sum(before == 2)
+            kept += np.sum((before > 0) & (before != 2) & (after == 0))
+    assert cleared > 0 and kept > 0
     ref, _ = scalar_reference_roof(rho, functional, "min", cfg=cfg)
     assert res.value == ref.value
     assert res.evaluations == ref.evaluations
@@ -863,28 +899,32 @@ def _bfgs_inverse_hessian(steps, changes, k):
 
 
 def test_lbfgs_direction_matches_dense_bfgs_recursion():
-    # count 0, partial memory, full memory and mixed counts in one stack;
-    # slots past a start's count hold stale pairs that must not contribute
+    # empty, partial, full and mixed memories in one start-first stack; an
+    # empty slot is one whose inverse curvature is 0, and it holds a stale
+    # pair that must not contribute
     rng = np.random.default_rng(17)
     k, memory = 8, BFGS_MEMORY
     count = np.array([0, 2, memory, 1, 4, memory, 3, 0])
     c = len(count)
-    steps = rng.standard_normal((memory, c, k))
+    steps = rng.standard_normal((c, memory, k))
     changes = np.empty_like(steps)
-    for j in range(memory):
-        for i in range(c):
+    for i in range(c):
+        for j in range(memory):
             # y = A s with A symmetric positive definite keeps s.y > 0
             a = rng.standard_normal((k, k))
-            changes[j, i] = (a @ a.T + np.eye(k)) @ steps[j, i]
-    curvature = np.einsum("mck,mck->mc", steps, changes)
-    inv = np.where(np.arange(memory)[:, None] < count, 1.0 / curvature, 0.0)
+            changes[i, j] = (a @ a.T + np.eye(k)) @ steps[i, j]
+    curvature = np.einsum("cmk,cmk->cm", steps, changes)
+    inv = np.where(np.arange(memory) < count[:, None], 1.0 / curvature, 0.0)
+    assert np.array_equal(np.count_nonzero(inv, axis=1), count)
     grad = rng.standard_normal((c, k))
-    d = _lbfgs_direction(grad, steps, changes, inv, count)
+    d = _lbfgs_direction(grad, steps, changes, inv)
     for i in range(c):
-        h = _bfgs_inverse_hessian(list(steps[:count[i], i]), list(changes[:count[i], i]), k)
+        h = _bfgs_inverse_hessian(list(steps[i, :count[i]]), list(changes[i, :count[i]]), k)
         expected = h @ grad[i]
         assert np.linalg.norm(d[i] - expected) <= 1e-12 * np.linalg.norm(expected)
     assert np.array_equal(d[count == 0], grad[count == 0])
+    # a stack whose every memory is empty returns its gradients
+    assert np.array_equal(_lbfgs_direction(grad, steps, changes, np.zeros_like(inv)), grad)
 
 
 def test_starts_draw_from_their_own_streams():
