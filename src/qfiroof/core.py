@@ -99,22 +99,22 @@ def commutator_i(a: HermitianOperator, b: HermitianOperator) -> HermitianOperato
 
 
 class DensityMatrix:
-    """Unit-trace positive-semidefinite Hermitian matrix held by its support.
+    """Unit-trace positive-semidefinite Hermitian matrix, held by its support alone.
 
-    Every instance carries its support (lambda_S, V_S): the positive
-    eigenvalues in descending order and, as the columns of a d x r matrix,
-    their orthonormal eigenvectors.  Eigenvalues below ``EIG_FLOOR`` are
-    clamped to exactly zero and so lie outside the support; every moment,
-    variance and Fisher information reads only the support.
+    A state is its support (lambda_S, V_S): the positive eigenvalues in
+    descending order and, as the columns of a d x r matrix, their
+    orthonormal eigenvectors.  Eigenvalues below ``EIG_FLOOR`` are clamped
+    to exactly zero and so lie outside the support; every moment, variance
+    and Fisher information reads only the support.
 
-    ``mat`` is the d x d matrix.  The constructor takes a dense d x d
-    matrix, pays one full O(d^3) eigensolve and keeps its validated input
-    as ``mat``.  ``from_factor`` stores only the support, at O(d r^2) cost
-    for a d x r factor, and forms ``mat`` (O(d^2 r)) on its first read; so
-    does ``PureState``, the rank-one case.
+    The constructor takes a dense d x d matrix, pays one full O(d^3)
+    eigensolve to validate it and keeps only its support; ``from_factor``
+    finds the support of a d x r factor at O(d r^2) cost, and ``PureState``
+    is the rank-one case.  ``mat`` forms V_S Lambda V_S^dag on every read, at
+    O(d^2 r) cost, and no d x d matrix is ever kept on a state.
     """
 
-    __slots__ = ("_mat", "_lam", "_vs")
+    __slots__ = ("_lam", "_vs")
 
     def __init__(self, entries):
         mat = _hermitian_matrix(entries, "density matrix")
@@ -132,16 +132,13 @@ class DensityMatrix:
         if np.max(np.abs(recon - mat)) > 1e-10:
             raise ValueError("eigendecomposition does not reconstruct the matrix")
         r = int(np.count_nonzero(vals > 0.0))
-        self._mat = mat
-        self._lam, self._vs = vals[:r], vecs[:, :r]
+        # copied, as in from_factor, so that a support narrower than d keeps no d x d array alive
+        self._lam, self._vs = vals[:r], np.ascontiguousarray(vecs[:, :r])
 
     @property
     def mat(self) -> np.ndarray:
-        """The d x d matrix, formed from the support on the first read of a
-        factor-built or pure state."""
-        if self._mat is None:
-            self._mat = (self._vs * self._lam) @ self._vs.conj().T
-        return self._mat
+        """The d x d matrix V_S Lambda V_S^dag, formed from the support on every read."""
+        return (self._vs * self._lam) @ self._vs.conj().T
 
     @property
     def dim(self) -> int:
@@ -158,7 +155,7 @@ class DensityMatrix:
     def _from_support(lam: np.ndarray, vs: np.ndarray) -> "DensityMatrix":
         """The state of a valid support: descending weights ``lam``, orthonormal columns ``vs``."""
         rho = DensityMatrix.__new__(DensityMatrix)
-        rho._mat, rho._lam, rho._vs = None, lam, vs
+        rho._lam, rho._vs = lam, vs
         return rho
 
     @staticmethod
@@ -194,7 +191,7 @@ class DensityMatrix:
         if not bound <= 1e-10:
             raise ValueError("eigendecomposition does not reconstruct the matrix")
         r = int(np.count_nonzero(vals))
-        return DensityMatrix._from_support(vals[:r], u[:, :r])
+        return DensityMatrix._from_support(vals[:r], np.ascontiguousarray(u[:, :r]))
 
     @staticmethod
     def maximally_mixed(dim: int) -> "DensityMatrix":
@@ -211,7 +208,8 @@ _UNIT_WEIGHT.setflags(write=False)
 
 class PureState(DensityMatrix):
     """Normalized state vector psi, the rank-one density matrix psi psi^dag:
-    its support is psi (``vec``, read-only) with the weight 1 all share.
+    its support is psi (``vec``, read-only) with the weight 1 all share, and
+    ``mat`` forms psi psi^dag on every read, like every state's.
 
     The amplitudes are copied, and their norm must be within 1e-6 of 1.
     They are divided by it only when it differs from 1 by more than four
@@ -232,7 +230,7 @@ class PureState(DensityMatrix):
         if abs(norm - 1.0) > 4.0 * np.finfo(float).eps:
             vec /= norm
         vec.setflags(write=False)
-        self._mat, self._lam, self._vs = None, _UNIT_WEIGHT, vec[:, None]
+        self._lam, self._vs = _UNIT_WEIGHT, vec[:, None]
 
     @property
     def vec(self) -> np.ndarray:

@@ -11,7 +11,6 @@ from .core import (
     DensityMatrix,
     HermitianOperator,
     _require_count,
-    _support,
     _support_image,
     _support_qfi,
     commutator_i,
@@ -57,8 +56,8 @@ def sld(state: DensityMatrix, b: HermitianOperator) -> SldResult:
     r_kl = (lam_k - lam_l) / (lam_k + lam_l).  A support-kernel pair has
     ratio +-1, and the kernel-kernel block of L is zero; inside the support
     lam_k + lam_l >= 2 EIG_FLOOR, so no pair is skipped.  Its mean vanishes
-    and Tr(rho L^2) equals F_Q.  The defining equation is checked on rho =
-    V_S Lambda V_S^dag, formed here, so no d x d matrix is kept on the state.
+    and Tr(rho L^2) equals F_Q.  The defining equation is checked on
+    ``state.mat``, which is formed on this read and kept nowhere.
     """
     lam, vs, w = _support_image(state, b)
     vs_dag = vs.conj().T
@@ -68,7 +67,7 @@ def sld(state: DensityMatrix, b: HermitianOperator) -> SldResult:
     l_mat = 2j * (vs @ (ratio * b_s) @ vs_dag + vs @ resid.conj().T - resid @ vs_dag)
     ell = HermitianOperator(l_mat)
 
-    rho = (vs * lam) @ vs_dag
+    rho = state.mat
     lhs = 1j * (rho @ b.mat - b.mat @ rho)
     rhs = 0.5 * (rho @ l_mat + l_mat @ rho)
     residual = np.linalg.norm(lhs - rhs)
@@ -128,18 +127,17 @@ def check_sld_saturation(state: DensityMatrix, a: HermitianOperator,
     Fits the single scale c by least squares in the Hilbert-Schmidt inner
     product, which is robust to near-zero matrix entries.  When the fit
     residual vanishes, Var(A) F_Q[rho, B] = |<i[A,B]>|^2 is saturated; the
-    product identity is verified as well before reporting saturation.  rho =
-    V_S Lambda V_S^dag is formed here from the support, so no d x d matrix
-    is kept on the state.
+    product identity is verified as well before reporting saturation.  rho
+    is ``state.mat``, formed on this read and kept nowhere.  An operator on
+    another dimension than the state raises ``DimensionMismatchError``.
     """
     var_a = variance(state, a)
     if var_a <= 0.0:
         raise ValueError("A has zero variance on this state; rescaling is meaningless")
-    lam, vs = _support(state)
-    rho = (vs * lam) @ vs.conj().T
+    lhs = var_a * qfi(state, b)
+    rho = state.mat
     m = 1j * (rho @ b.mat - b.mat @ rho)
     n = 0.5 * (rho @ a.mat + a.mat @ rho)
-    lhs = var_a * qfi(state, b)
     rhs = abs(expectation(state, commutator_i(a, b))) ** 2
     m_norm = np.linalg.norm(m)
     if m_norm < 1e-14:

@@ -879,13 +879,16 @@ def _split_block(g: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _split_blocks(n: int) -> tuple[int, tuple]:
-    """The number of ``_eigen_groupings(n)`` and, for each of their blocks
-    of two or more indices, its grouping g and its ``np.ix_`` rows and
-    columns; built once per n and shared by every maximization."""
-    groupings = _eigen_groupings(n)
-    return len(groupings), tuple((g, *np.ix_(block, block)) for g, grouping in enumerate(groupings)
-                                 for block in grouping if len(block) > 1)
+def _grouping_table(n: int) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """``_eigen_groupings(n)`` as one read-only table, built once per n for K and
+    restart 0 of every maximization: each block's grouping (``owner``), the
+    block incidence matrix (a row per block, 1 on its indices) and, for each
+    block of two or more indices, its grouping and ``np.ix_`` rows and columns."""
+    pairs = [(g, block) for g, grouping in enumerate(_eigen_groupings(n)) for block in grouping]
+    owner = np.array([g for g, _ in pairs])
+    incidence = np.array([[k in block for k in range(n)] for _, block in pairs], dtype=float)
+    owner.flags.writeable = incidence.flags.writeable = False
+    return owner, incidence, tuple((g, *np.ix_(block, block)) for g, block in pairs if len(block) > 1)
 
 
 def _split_start(gram: np.ndarray, functional: RoofFunctional,
@@ -905,13 +908,13 @@ def _split_start(gram: np.ndarray, functional: RoofFunctional,
     """
     r = gram.shape[0]
     grams = gram.reshape(r, -1, r).swapaxes(0, 1)[:3]
-    count, blocks = _split_blocks(r)
-    us = np.tile(np.eye(r, dtype=complex), (count, 1, 1))
-    for g, rows, cols in blocks:
+    owner, _, splits = _grouping_table(r)
+    us = np.tile(np.eye(r, dtype=complex), (owner[-1] + 1, 1, 1))
+    for g, rows, cols in splits:
         us[g, rows, cols] = _split_block(grams[:, rows, cols])
     values = _objective(gram, us, functional)
     best = int(np.argmax(values))
-    return np.concatenate([us[best], np.zeros((n - r, r))]), count, float(values[best])
+    return np.concatenate([us[best], np.zeros((n - r, r))]), len(us), float(values[best])
 
 
 def _fisher_start(gram: np.ndarray, functional: VarianceSum,
@@ -968,16 +971,13 @@ def eigen_partition_bound_K(rho: DensityMatrix, a: HermitianOperator,
     are the groupings from which ``_split_start`` picks restart 0 of every
     maximization, ``concave_roof_L`` included, each split into pure
     components that score at least as much, so the roof is never below K.
-    Degenerate spectra use the eigenbasis exactly as the solver returns it,
-    which keeps runs reproducible at the cost of possible suboptimality.  A
-    pure state is its own only decomposition, so its K is its L.
+    Degenerate spectra use the support V_S exactly as the state's solver
+    returned it, which keeps runs reproducible at the cost of possible
+    suboptimality.  A pure state is its own only decomposition, so its K is its L.
     """
     if rho.dim != 3:
         raise ValueError("the eigenvector-partition bound is defined for qutrits")
     functional = RobertsonSchrodingerBound(a, b)
     mom = _support_moments(purify(rho), functional)
-    groupings = _eigen_groupings(len(mom))
-    blocks = [block for grouping in groupings for block in grouping]
-    owner = [g for g, grouping in enumerate(groupings) for _ in grouping]
-    terms = _block_terms(np.array([mom[block, :].sum(axis=0) for block in blocks]), functional)
-    return float(np.max(np.bincount(owner, weights=terms)))
+    owner, incidence, _ = _grouping_table(len(mom))
+    return float(np.bincount(owner, weights=_block_terms(incidence @ mom, functional)).max())

@@ -37,8 +37,8 @@ def spin_squeezed_state(j, lam: float) -> PureState:
     Large lam recovers the fully polarized state; finite lam trades x
     polarization for reduced Var(J_y).
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    if not (np.isfinite(lam) and lam > 0):
+        raise ValueError(f"lam must be finite and positive, got {lam!r}")
     spin = make_spin_algebra(j)
     if spin.j == 0.0:
         raise ValueError("spin_squeezed_state needs spin j > 0; spin 0 has no spin to squeeze")

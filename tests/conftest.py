@@ -11,7 +11,7 @@ from qfiroof import (
     purify,
     random_density_matrix,
 )
-from qfiroof.core import haar_random_unitary
+from qfiroof.core import _support, haar_random_unitary
 from qfiroof.roofs import (
     BUDGET,
     WEIGHT_DROP,
@@ -104,21 +104,26 @@ def dense_rs_bound(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
 
 def closed_form_K(rho, a: np.ndarray, b: np.ndarray) -> float:
     """The eigenvector-partition bound of a qutrit from its spectrum: the
-    eigendecomposition average, the three one-pure-two-merged groupings
-    (the merged component is rho minus the pure one, renormalised) and L."""
-    lam, vecs = np.linalg.eigh(rho.mat)
-    lam = np.where(lam < 1e-12, 0.0, lam)
-    pure = [np.outer(vecs[:, k], vecs[:, k].conj()) for k in range(3)]
+    eigendecomposition average, the one-pure-rest-merged groupings (the
+    merged component is rho minus the pure one, renormalised) and L.
+
+    The eigenvectors are the state's support (lambda_S, V_S), the basis K
+    reads: on a degenerate spectrum the bound depends on it.  An eigenvector
+    outside the support has weight 0, so its grouping scores L, and it is
+    left out."""
+    lam, vecs = _support(rho)
+    mat = rho.mat
+    pure = [np.outer(v, v.conj()) for v in vecs.T]
     l_pure = np.array([dense_rs_bound(proj, a, b) for proj in pure])
     candidates = [float(lam @ l_pure)]
-    for k in range(3):
+    for k in range(len(lam)):
         p_rest = 1.0 - lam[k]
         if p_rest < WEIGHT_DROP:
             candidates.append(float(lam[k] * l_pure[k]))
             continue
-        sigma = (rho.mat - lam[k] * pure[k]) / p_rest
+        sigma = (mat - lam[k] * pure[k]) / p_rest
         candidates.append(float(lam[k] * l_pure[k] + p_rest * dense_rs_bound(sigma, a, b)))
-    candidates.append(dense_rs_bound(rho.mat, a, b))
+    candidates.append(dense_rs_bound(mat, a, b))
     return max(candidates)
 
 

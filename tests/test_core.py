@@ -8,15 +8,18 @@ from hypothesis import assume, given, strategies as st
 from conftest import dense_qfi, dense_rs_bound, dense_variance, random_hermitian, random_state
 from qfiroof import (
     CutoffTooSmallError,
+    Decomposition,
     DensityMatrix,
     DimensionMismatchError,
     HermitianOperator,
+    OptimizerConfig,
     PureState,
     RandomStateConfig,
     coherent_state,
     commutator_i,
     concave_roof_L,
     duan_report,
+    eigen_partition_bound_K,
     expectation,
     extract_decomposition,
     ground_state,
@@ -31,6 +34,7 @@ from qfiroof import (
     spin_coherent_state,
     tensor,
     two_mode_squeezed_vacuum,
+    two_spin_report,
     variance,
 )
 from qfiroof.io import state_from_json, state_to_json
@@ -222,7 +226,6 @@ def test_pure_state_is_its_rank_one_density_matrix():
             report = duan_report(psi, fock)
             assert report == duan_report(twin, fock)
             assert abs(report.duan_lhs - 2.0 * np.exp(-1.0)) <= 1e-6 * report.duan_lhs
-            assert psi._mat is None   # nothing formed the 1600 x 1600 matrix
             continue
         outer = np.outer(psi.vec, psi.vec.conj())
         assert np.max(np.abs(psi.mat - outer)) <= 1e-15
@@ -248,7 +251,6 @@ def test_pure_state_is_its_rank_one_density_matrix():
         tracemalloc.stop()
     assert peak <= 1.5 * mix.nbytes
     assert np.max(np.abs(mix - rho.mat)) < 1e-12
-    assert all(state._mat is None for _, state in dec.components)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
@@ -609,16 +611,80 @@ def test_expectation_coherent_mixture_matches_trace_formula():
     assert abs(expectation(rho, x1) - np.trace(rho.mat @ x1.mat).real) < 1e-12
 
 
-def test_expectation_of_a_factor_built_state_forms_no_dense_matrix():
+def test_no_call_but_a_read_of_mat_forms_the_state_matrix(monkeypatch):
+    # moments, bounds, K, roofs, composition, decompositions and reports read
+    # the support (lambda_S, V_S) alone: with ``mat`` made to raise, all run
+    # on a factor-built cutoff-40 mixture, a 1600-level TMSV and a dense qutrit
     from qfiroof import coherent_mixture
 
     cutoff = 40
-    rho = coherent_mixture([(0.5, 0.2, 0.1j), (0.5, -0.3, 0.4)], cutoff)
     fock = make_fock_algebra(cutoff)
-    x1 = tensor(fock.x, HermitianOperator(np.eye(cutoff)))
-    mean = expectation(rho, x1)
-    assert rho._mat is None
-    assert abs(mean - np.trace(rho.mat @ x1.mat).real) < 1e-12
+    eye = HermitianOperator(np.eye(cutoff))
+    x1, p2 = tensor(fock.x, eye), tensor(eye, fock.p)
+    spin = make_spin_algebra(1)
+    qutrit = random_density_matrix(RandomStateConfig(dim=3, rank=3, seed=5))
+    cases = [(coherent_mixture([(0.5, 0.2, 0.1j), (0.5, -0.3, 0.4)], cutoff), x1, p2),
+             (two_mode_squeezed_vacuum(0.5, cutoff), x1, p2),
+             (qutrit, spin.jx, spin.jy)]
+
+    def unformed(state):
+        raise AssertionError(f"{state!r} formed its d x d matrix")
+
+    monkeypatch.setattr(DensityMatrix, "mat", property(unformed))
+    rng = np.random.default_rng(9)
+    for state, a, b in cases:
+        lam, vs = _support(state)
+        for value in (expectation, variance, qfi):
+            assert np.isfinite(value(state, a))
+        l_val = rs_lower_bound_L(state, a, b)
+        roof = concave_roof_L(state, a, b, cfg=OptimizerConfig(seed=3, restarts=2, local_steps=20),
+                              ancilla_dim=3)
+        assert roof.value >= l_val - 1e-9
+        product = tensor(state, qutrit)
+        assert product.rank() == 3 * state.rank()
+        assert abs(product.purity() - state.purity() * qutrit.purity()) < 1e-12
+        dec = extract_decomposition(purify(state),
+                                    haar_random_unitary(3, rng)[:, :state.rank()])
+        mix = dec.mixture()
+        assert abs(np.trace(mix).real - 1.0) < 1e-12
+        assert np.max(np.abs(mix @ vs - vs * lam)) < 1e-12
+        if state.dim == cutoff**2:
+            assert np.isfinite(duan_report(state, fock).duan_lhs)
+            assert np.isfinite(two_spin_report(state, 19.5, 19.5).lhs)
+        else:
+            k = eigen_partition_bound_K(state, a, b)
+            assert l_val - 1e-12 <= k <= roof.value + 1e-9
+
+
+def test_a_state_keeps_only_its_support():
+    # the dense constructor keeps the support of its input, not the input,
+    # and a read of ``mat``, here by ``Decomposition.reconstructs`` on a
+    # cutoff-40 mixture, leaves nothing on the state
+    from qfiroof import coherent_mixture
+
+    assert DensityMatrix.__slots__ == ("_lam", "_vs") and PureState.__slots__ == ()
+    cfg = RandomStateConfig(dim=512, rank=2, seed=1)
+    random_density_matrix(cfg)   # the first call makes numpy's one-time allocations, 0.8 MB
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        narrow = random_density_matrix(cfg)
+        held = tracemalloc.get_traced_memory()[0] - before
+        rng = np.random.default_rng(2)
+        g = rng.standard_normal((512, 2)) @ rng.standard_normal((2, 513))
+        before = tracemalloc.get_traced_memory()[0]
+        wide = DensityMatrix.from_factor(g / np.linalg.norm(g))   # its SVD's U is 512 x 512
+        held_wide = tracemalloc.get_traced_memory()[0] - before
+        rho = coherent_mixture([(0.6, 0.3, -0.2), (0.4, -0.5, 0.4j)], 40)
+        dec = Decomposition(((1.0, rho),))
+        before = tracemalloc.get_traced_memory()[0]
+        assert dec.reconstructs(rho)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert narrow.rank() == 2 and held < 64_000      # its 512 x 512 input is 4.2 MB
+    assert wide.rank() == 2 and held_wide < 64_000
+    assert retained < 1_000_000                      # the 1600 x 1600 matrix is 41 MB
 
 
 def test_expectation_dimension_mismatch(paulis):

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 from conftest import dense_density, dense_qfi, dense_sld, random_hermitian, random_state
 from qfiroof import (
     DensityMatrix,
+    DimensionMismatchError,
     HermitianOperator,
     PureState,
     UnestimableParameterError,
@@ -278,9 +279,8 @@ def test_sld_saturation_detected():
 
 
 def test_sld_and_saturation_check_leave_the_state_matrix_unformed():
-    # both form rho = V_S Lambda V_S^dag from the support, so a pure or
-    # factor-built state keeps no d x d matrix; the saturation scale matches
-    # the dense formula on the state's own matrix, formed only afterwards
+    # both read rho = V_S Lambda V_S^dag as ``state.mat``, formed on the read
+    # and kept nowhere; the saturation scale matches the dense formula on it
     rng = np.random.default_rng(93)
     v = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
     b, other = random_hermitian(4, 94), random_hermitian(4, 95)
@@ -288,7 +288,6 @@ def test_sld_and_saturation_check_leave_the_state_matrix_unformed():
                   DensityMatrix.from_factor(v / np.linalg.norm(v))):
         res = sld(state, b)
         checks = [check_sld_saturation(state, a, b) for a in (res.sld, other)]
-        assert state._mat is None
         assert checks[0][0] and abs(checks[0][1] - 1.0) < 1e-8 and not checks[1][0]
         rho = state.mat
         assert abs(res.qfi - dense_qfi(rho, b.mat)) <= 1e-12
@@ -296,6 +295,16 @@ def test_sld_and_saturation_check_leave_the_state_matrix_unformed():
             m = 1j * (rho @ b.mat - b.mat @ rho)
             n = 0.5 * (rho @ a.mat + a.mat @ rho)
             assert abs(c - np.vdot(n, m).real / np.vdot(n, n).real) <= 1e-15 * abs(c)
+
+
+def test_sld_saturation_rejects_an_operator_of_another_dimension():
+    # like sld, qfi and variance: a typed error in either operator position,
+    # not numpy's matmul error
+    rho = random_state(3, seed=19)
+    spin1, half = make_spin_algebra(1), make_spin_algebra(0.5)
+    for a, b in ((spin1.jx, half.jx), (half.jx, spin1.jx)):
+        with pytest.raises(DimensionMismatchError):
+            check_sld_saturation(rho, a, b)
 
 
 def test_sld_saturation_commuting_state_and_generator():

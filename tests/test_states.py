@@ -53,8 +53,10 @@ def test_spin_squeezed_monotone_approach_to_polarized_limit():
 
 
 def test_spin_squeezed_rejects_nonpositive_lambda():
-    with pytest.raises(ValueError):
-        spin_squeezed_state(2, 0.0)
+    # NaN passed a plain lam <= 0 test, and lam = inf made inf * 0 in lam J_x
+    for lam in (0.0, -1.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="lam"):
+            spin_squeezed_state(2, lam)
 
 
 def test_spin_squeezed_rejects_spin_zero():
